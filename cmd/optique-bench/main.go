@@ -342,7 +342,7 @@ func runConcurrent(queries, nodes, tuples int) (float64, float64, exastream.Stat
 		q := sql.MustParse(fmt.Sprintf(
 			"SELECT w.sid, avg(w.val) FROM STREAM m [RANGE 1000 SLIDE 1000] AS w WHERE w.sid = %d GROUP BY w.sid", i%256))
 		if _, err := cl.Register(fmt.Sprintf("q%04d", i), q, nil,
-			func(string, int64, relation.Schema, []relation.Tuple) { atomic.AddInt64(&out, 1) }); err != nil {
+			func(string, int64, relation.Schema, *relation.ColBatch) { atomic.AddInt64(&out, 1) }); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -29,7 +29,8 @@ func newResultLog() *resultLog {
 }
 
 func (r *resultLog) sink() exastream.Sink {
-	return func(queryID string, windowEnd int64, _ relation.Schema, rows []relation.Tuple) {
+	return func(queryID string, windowEnd int64, _ relation.Schema, cb *relation.ColBatch) {
+		rows := cb.Rows()
 		canon := make([]string, len(rows))
 		for i, row := range rows {
 			canon[i] = fmt.Sprintf("%v", row)

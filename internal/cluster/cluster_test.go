@@ -59,8 +59,8 @@ func newCluster(t *testing.T, nodes int, opts Options) *Cluster {
 }
 
 func countSink(counter *int64) exastream.Sink {
-	return func(_ string, _ int64, _ relation.Schema, rows []relation.Tuple) {
-		atomic.AddInt64(counter, int64(len(rows)))
+	return func(_ string, _ int64, _ relation.Schema, cb *relation.ColBatch) {
+		atomic.AddInt64(counter, int64(cb.Len()))
 	}
 }
 

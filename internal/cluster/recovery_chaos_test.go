@@ -59,7 +59,7 @@ func runRecoveryDiagnostics(t *testing.T, checkpointEvery int, inj FaultInjector
 	var dmu sync.Mutex
 	deliveries := make(map[string]map[int64]int)
 	counted := func(inner exastream.Sink) exastream.Sink {
-		return func(q string, end int64, sch relation.Schema, rows []relation.Tuple) {
+		return func(q string, end int64, sch relation.Schema, cb *relation.ColBatch) {
 			dmu.Lock()
 			m := deliveries[q]
 			if m == nil {
@@ -68,7 +68,7 @@ func runRecoveryDiagnostics(t *testing.T, checkpointEvery int, inj FaultInjector
 			}
 			m[end]++
 			dmu.Unlock()
-			inner(q, end, sch, rows)
+			inner(q, end, sch, cb)
 		}
 	}
 	for i, q := range recoveryQueries() {
@@ -358,11 +358,11 @@ func TestDelayedParallelPoolPreservesWindowOrder(t *testing.T) {
 		var mu sync.Mutex
 		order := make(map[string][]int64)
 		ordered := func(inner exastream.Sink) exastream.Sink {
-			return func(q string, end int64, sch relation.Schema, rows []relation.Tuple) {
+			return func(q string, end int64, sch relation.Schema, cb *relation.ColBatch) {
 				mu.Lock()
 				order[q] = append(order[q], end)
 				mu.Unlock()
-				inner(q, end, sch, rows)
+				inner(q, end, sch, cb)
 			}
 		}
 		for _, q := range queries {

@@ -50,9 +50,9 @@ type Config struct {
 	// analogue of Engine.InterpretExprs.
 	InterpretHaving bool
 	// Vectorized selects columnar batch execution: it is forwarded to
-	// each node's engine (Engine.Vectorized) and routes the HAVING
-	// sequence builder through its columnar path. The zero value is on;
-	// VecOff here or on Engine.Vectorized turns both off.
+	// each node's engine (Engine.Vectorized). The zero value is on;
+	// VecOff here or on Engine.Vectorized selects the row path. Either
+	// way window results reach the HAVING sequence builder columnar.
 	Vectorized exastream.VecMode
 
 	// Backpressure selects the full-queue ingest policy (see cluster).
@@ -404,27 +404,19 @@ func (s *System) registerParsed(id string, q *starql.Query, sink AnswerSink) (*T
 }
 
 // windowSink adapts ExaStream window results into STARQL semantics:
-// build the StdSeq sequence, evaluate HAVING per binding, emit CONSTRUCT
-// triples.
+// build the StdSeq sequence straight from the window's columnar result,
+// evaluate HAVING per binding, emit CONSTRUCT triples.
 func (s *System) windowSink(task *Task, builder *starql.SequenceBuilder) exastream.Sink {
-	vectorized := s.cfg.Engine.Vectorized == exastream.VecOn
-	return func(_ string, windowEnd int64, _ relation.Schema, rows []relation.Tuple) {
+	return func(_ string, windowEnd int64, _ relation.Schema, cb *relation.ColBatch) {
 		atomic.AddInt64(&task.windows, 1)
-		if len(rows) == 0 {
+		if cb.Len() == 0 {
 			return
 		}
-		batch := stream.Batch{End: windowEnd, Rows: rows}
 		subjects := task.subjects
 		if len(subjects) == 0 {
 			subjects = nil
 		}
-		var seq *starql.Sequence
-		var err error
-		if vectorized {
-			seq, err = builder.BuildColumnar(batch, subjects)
-		} else {
-			seq, err = builder.Build(batch, subjects)
-		}
+		seq, err := builder.BuildColumns(cb, subjects)
 		if err != nil || seq.Len() == 0 {
 			return
 		}

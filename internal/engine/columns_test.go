@@ -1,0 +1,149 @@
+package engine
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/relation"
+	"repro/internal/sql"
+)
+
+// typedKey renders a tuple with every value's type tag, so TTime vs
+// TInt (or a NULL vs an empty string) can never compare equal.
+func typedKey(t relation.Tuple) string {
+	parts := make([]string, len(t))
+	for i, v := range t {
+		parts[i] = fmt.Sprintf("%d:%s", v.Type, v.String())
+	}
+	return strings.Join(parts, "|")
+}
+
+func sameTypedMultiset(a, b []relation.Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	ka := make([]string, len(a))
+	kb := make([]string, len(b))
+	for i := range a {
+		ka[i], kb[i] = typedKey(a[i]), typedKey(b[i])
+	}
+	sort.Strings(ka)
+	sort.Strings(kb)
+	for i := range ka {
+		if ka[i] != kb[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// counters strips the wall-time column, the only ExecStats field that
+// is not deterministic.
+func counters(s ExecStats) ExecStats {
+	for k := range s.Ops {
+		s.Ops[k].WallNS = 0
+	}
+	return s
+}
+
+// wallKinds lists the operator kinds charged wall time.
+func wallKinds(s ExecStats) []OpKind {
+	var ks []OpKind
+	for k := range s.Ops {
+		if s.Ops[k].WallNS > 0 {
+			ks = append(ks, OpKind(k))
+		}
+	}
+	return ks
+}
+
+// diffColumns is the differential oracle for the columnar result
+// boundary; diffExec calls it, so every seeded plan and batch of the
+// vectorized differentials (empty batches, all-NULL and mixed/generic
+// columns, TTime columns, full, partial and zero selections) runs
+// through it. It executes one bound plan through every entry point and
+// mode, with ExecutePlan on the row path as the oracle. ExecutePlanColumns must
+// return the oracle's rows (as a typed multiset, through the exact
+// ColBatch.Rows round trip) in both modes, count exactly what the
+// oracle counts — every ExecStats counter, per-op Calls and RowsOut
+// included — and charge wall time to the operator kinds ExecutePlan
+// charges in the same mode.
+func diffColumns(t *testing.T, cat *relation.Catalog, plan Plan, label string) {
+	t.Helper()
+	oracleCtx := NewExecContext(cat)
+	oracle, oracleErr := ExecutePlan(oracleCtx, plan)
+	for _, vec := range []bool{false, true} {
+		refCtx := NewExecContext(cat)
+		refCtx.Vectorized = vec
+		_, refErr := ExecutePlan(refCtx, plan)
+		ctx := NewExecContext(cat)
+		ctx.Vectorized = vec
+		cb, err := ExecutePlanColumns(ctx, plan)
+		if (err == nil) != (oracleErr == nil) || (refErr == nil) != (oracleErr == nil) {
+			t.Fatalf("%s vec=%v: error disagreement: oracle=%v rows=%v columns=%v", label, vec, oracleErr, refErr, err)
+		}
+		if err != nil {
+			continue
+		}
+		got := cb.Rows()
+		if cb.Len() != len(oracle) || !sameTypedMultiset(oracle, got) {
+			t.Fatalf("%s vec=%v: results differ\nrow:     %v\ncolumns: %v (len %d)\nplan:\n%s",
+				label, vec, oracle, got, cb.Len(), Explain(plan))
+		}
+		if counters(ctx.Stats) != counters(refCtx.Stats) {
+			t.Fatalf("%s vec=%v: counters differ\nExecutePlan:        %+v\nExecutePlanColumns: %+v",
+				label, vec, counters(refCtx.Stats), counters(ctx.Stats))
+		}
+		if fmt.Sprint(wallKinds(ctx.Stats)) != fmt.Sprint(wallKinds(refCtx.Stats)) {
+			t.Fatalf("%s vec=%v: wall time charged to %v, ExecutePlan charges %v",
+				label, vec, wallKinds(ctx.Stats), wallKinds(refCtx.Stats))
+		}
+		if counters(ctx.Stats) != counters(oracleCtx.Stats) {
+			t.Fatalf("%s vec=%v: counters differ from the row-path oracle\noracle:             %+v\nExecutePlanColumns: %+v",
+				label, vec, counters(oracleCtx.Stats), counters(ctx.Stats))
+		}
+	}
+}
+
+// TestVectorizedColumnsOwnedByCaller pins the ownership contract: a
+// batch returned by ExecutePlanColumns stays intact after the same plan
+// executes again over a different window (the kernels overwrite their
+// scratch on every execution).
+func TestVectorizedColumnsOwnedByCaller(t *testing.T) {
+	cat := dimCatalog(t, false)
+	schema := windowSchema()
+	wsp := NewWindowSourcePlan("w", schema.Qualify("w"))
+	plan, err := Build(sql.MustParse("SELECT w.sid, w.val > 10, w.ts FROM w WHERE w.ok"), func(tr *sql.TableRef) (Plan, error) {
+		if tr.Table == "w" {
+			return wsp, nil
+		}
+		return CatalogResolver(cat)(tr)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	ctx := NewExecContext(cat)
+	ctx.Vectorized = true
+	var kept []*relation.ColBatch
+	var want [][]relation.Tuple
+	for b := 0; b < 8; b++ {
+		rows := randomBatch(rng)
+		wsp.Bind(rows)
+		wsp.BindColumns(relation.Transpose(rows))
+		cb, err := ExecutePlanColumns(ctx, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, cb)
+		want = append(want, cb.Rows())
+	}
+	for i, cb := range kept {
+		if got := cb.Rows(); !sameTypedMultiset(got, want[i]) {
+			t.Fatalf("batch %d changed after later executions:\nthen: %v\nnow:  %v", i, want[i], got)
+		}
+	}
+}

@@ -31,10 +31,15 @@ import (
 // stream engine's per-query execMu), exactly like Bind and the lazy
 // compiled-flag writes on the row path. Kernels exploit this by keeping
 // per-node scratch buffers (vecBufs, FilterPlan.keep, the window
-// source's frame) that are overwritten on the next execution; their
-// outputs are always consumed — materialized or reduced — before the
-// execution returns. The *input* vectors of a shared window batch are
-// read-only and safely shared across concurrently executing queries.
+// source's frame) that are overwritten on the next execution, so no
+// frame outlives the execution that produced it. Frames leave a
+// columnar subtree in one of two ways: ExecutePlanColumns, at the plan
+// root, copies the selected rows into fresh vectors the caller owns —
+// window results reach the stream engine's sink columnar — and
+// materialize turns them into tuples only where a row-only operator
+// (aggregate, hash join, sort, union) sits above the subtree. The
+// *input* vectors of a shared window batch are read-only and safely
+// shared across concurrently executing queries.
 
 // vecFrame is a columnar intermediate result: column vectors of logical
 // length n plus an optional selection bitmap (nil = every row selected).
@@ -104,10 +109,20 @@ func eachSel(n int, sel *relation.Bitmap, fn func(i int) bool) {
 	}
 }
 
-// materialize converts the frame back to tuples — the boundary to row
-// operators and result sinks. All tuples share one flat backing array
-// (two allocations per frame instead of one per row), and each column
-// is written with its type dispatch hoisted out of the row loop.
+// selIdxs lists the selected row indexes of a frame with a selection.
+func selIdxs(sel *relation.Bitmap, cnt int) []int {
+	idxs := make([]int, 0, cnt)
+	for i := sel.Next(0); i >= 0; i = sel.Next(i + 1) {
+		idxs = append(idxs, i)
+	}
+	return idxs
+}
+
+// materialize converts the frame back to tuples — the boundary to
+// row-only operators (aggregate, hash join, sort, union) above a
+// columnar subtree. All tuples share one flat backing array (two
+// allocations per frame instead of one per row), and each column is
+// written with its type dispatch hoisted out of the row loop.
 func (f *vecFrame) materialize() []relation.Tuple {
 	cnt := f.count()
 	if cnt == 0 {
@@ -121,15 +136,36 @@ func (f *vecFrame) materialize() []relation.Tuple {
 	}
 	var idxs []int
 	if f.sel != nil {
-		idxs = make([]int, 0, cnt)
-		for i := f.sel.Next(0); i >= 0; i = f.sel.Next(i + 1) {
-			idxs = append(idxs, i)
-		}
+		idxs = selIdxs(f.sel, cnt)
 	}
 	for j, c := range f.cols {
 		fillColumn(backing, j, ncols, c, f.n, idxs)
 	}
 	return out
+}
+
+// columns compacts the frame's selected rows into a fresh ColBatch — the
+// boundary to result sinks. Frame vectors may be kernel scratch that the
+// next execution overwrites, or the read-only input of a shared window
+// batch, so every column is copied (Clone when every row is selected,
+// Gather by selection index otherwise): the caller owns the result.
+func (f *vecFrame) columns() *relation.ColBatch {
+	cnt := f.count()
+	if cnt == 0 {
+		return noRows
+	}
+	cols := make([]*relation.Vector, len(f.cols))
+	if f.sel == nil {
+		for j, c := range f.cols {
+			cols[j] = c.Clone()
+		}
+		return relation.NewColBatch(cols, cnt)
+	}
+	idxs := selIdxs(f.sel, cnt)
+	for j, c := range f.cols {
+		cols[j] = c.Gather(idxs)
+	}
+	return relation.NewColBatch(cols, cnt)
 }
 
 // fillColumn writes column j of the materialised frame: slot k of the
@@ -261,20 +297,9 @@ func canVectorize(p Plan) bool {
 // execChild evaluates a child plan: columnar when the context asks for
 // it and the subtree has kernels, the ordinary row path otherwise. Row
 // operators call it in place of child.Execute so a vectorizable subtree
-// below a row-only operator still runs columnar. It also charges the
-// subtree's inclusive wall time to the node's operator kind — the
-// "eval ns" column of EXPLAIN ANALYZE (two clock reads per operator
-// per window; windows are µs-scale, so the cost is noise).
+// below a row-only operator still runs columnar.
 func execChild(ctx *ExecContext, p Plan) ([]relation.Tuple, error) {
-	start := time.Now()
-	rows, err := execChildUntimed(ctx, p)
-	if k := kindOf(p); k >= 0 {
-		ctx.Stats.Ops[k].WallNS += int64(time.Since(start))
-	}
-	return rows, err
-}
-
-func execChildUntimed(ctx *ExecContext, p Plan) ([]relation.Tuple, error) {
+	defer chargeWall(ctx, p, time.Now())
 	if ctx.Vectorized && canVectorize(p) {
 		f, err := p.(vecPlan).executeVec(ctx)
 		if err != nil {
@@ -285,12 +310,55 @@ func execChildUntimed(ctx *ExecContext, p Plan) ([]relation.Tuple, error) {
 	return p.Execute(ctx)
 }
 
-// ExecutePlan is the engine's top-level entry point: it picks the
-// columnar path when ctx.Vectorized is set and the plan supports it,
-// and the tuple-at-a-time path otherwise.
+// chargeWall charges the inclusive wall time since start of evaluating
+// p to p's operator kind — the "eval ns" column of EXPLAIN ANALYZE (two
+// clock reads per operator per window; windows are µs-scale, so the
+// cost is noise).
+func chargeWall(ctx *ExecContext, p Plan, start time.Time) {
+	if k := kindOf(p); k >= 0 {
+		ctx.Stats.Ops[k].WallNS += int64(time.Since(start))
+	}
+}
+
+// ExecutePlan is the engine's row-shaped top-level entry point: it
+// picks the columnar path when ctx.Vectorized is set and the plan
+// supports it, and the tuple-at-a-time path otherwise, and returns
+// tuples either way.
 func ExecutePlan(ctx *ExecContext, p Plan) ([]relation.Tuple, error) {
 	return execChild(ctx, p)
 }
+
+// ExecutePlanColumns is the columnar top-level entry point, the one the
+// stream engine hands window results out through. A vectorizable root
+// compacts its frame's selected rows into fresh vectors, so the result
+// never becomes tuples; any other root (or the row path) transposes its
+// row result once. An empty result has no columns, like Transpose of no
+// rows. Counters and wall time are charged exactly as ExecutePlan
+// charges them, and the caller owns the returned batch.
+func ExecutePlanColumns(ctx *ExecContext, p Plan) (*relation.ColBatch, error) {
+	defer chargeWall(ctx, p, time.Now())
+	if ctx.Vectorized && canVectorize(p) {
+		f, err := p.(vecPlan).executeVec(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return f.columns(), nil
+	}
+	rows, err := p.Execute(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if len(rows) == 0 {
+		return noRows, nil
+	}
+	return relation.Transpose(rows), nil
+}
+
+// noRows is every empty result of ExecutePlanColumns. Most windows of a
+// fleet query select nothing, and a zero-row, zero-column batch has no
+// state a caller could change, so one shared instance keeps empty
+// windows allocation-free.
+var noRows = relation.NewColBatch(nil, 0)
 
 // execVecChild runs a child already known (via canVectorize) to have a
 // kernel.

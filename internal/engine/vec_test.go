@@ -141,7 +141,8 @@ func dimCatalog(t *testing.T, indexed bool) *relation.Catalog {
 // diffExec runs the same plan over the same bound batch on the row path
 // and the vectorized path and requires identical tuple multisets. Error
 // identity may differ between the paths (see the semantics contract in
-// vec.go) but error presence must not.
+// vec.go) but error presence must not. It then checks the columnar
+// entry point against the same oracle (diffColumns).
 func diffExec(t *testing.T, cat *relation.Catalog, plan Plan, label string) {
 	t.Helper()
 	rctx := NewExecContext(cat)
@@ -158,6 +159,7 @@ func diffExec(t *testing.T, cat *relation.Catalog, plan Plan, label string) {
 	if !sameMultiset(rowRes, vecRes) {
 		t.Fatalf("%s: results differ\nrow: %v\nvec: %v\nplan:\n%s", label, rowRes, vecRes, Explain(plan))
 	}
+	diffColumns(t, cat, plan, label)
 }
 
 // TestVectorizedDifferentialSeeded is the seeded row-vs-vectorized

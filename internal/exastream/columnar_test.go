@@ -1,0 +1,155 @@
+package exastream
+
+import (
+	"fmt"
+	"sort"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/relation"
+	"repro/internal/sql"
+	"repro/internal/stream"
+)
+
+// TestUnregisterDuringWindowDrainsWCache is the regression test for a
+// window execution racing Unregister: the query's first window blocks
+// in its sink while the query is unregistered, and the windows queued
+// behind it still execute and advance the shared cache afterwards. Those
+// late advances must not re-add the unregistered consumer, or its mark
+// pins every later shared window forever.
+func TestUnregisterDuringWindowDrainsWCache(t *testing.T) {
+	e := testRig(t, Options{ShareWindows: true, Parallelism: 2})
+	q := sql.MustParse("SELECT m.sid, m.val FROM STREAM msmt [RANGE 1000 SLIDE 1000] AS m")
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var blockOnce, releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unblock() // a failing test must not leave the worker blocked
+	blocking := func(string, int64, relation.Schema, *relation.ColBatch) {
+		blockOnce.Do(func() {
+			close(entered)
+			<-release
+		})
+	}
+	if err := e.Register("churned", q, nil, blocking); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Register("steady", q, nil, func(string, int64, relation.Schema, *relation.ColBatch) {}); err != nil {
+		t.Fatal(err)
+	}
+	tuple := func(ts int64) stream.Timestamped {
+		return stream.Timestamped{TS: ts, Row: relation.Tuple{relation.Int(1), relation.Time(ts), relation.Float(50)}}
+	}
+	if err := e.Ingest("msmt", tuple(0)); err != nil {
+		t.Fatal(err)
+	}
+	// One tuple 3.5 s later closes the windows ending 1000, 2000 and 3000
+	// at once: "churned" blocks on the first, the other two queue behind
+	// it on the same worker.
+	done := make(chan error, 1)
+	go func() { done <- e.Ingest("msmt", tuple(3500)) }()
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("sink of the churned query never ran")
+	}
+	if err := e.Unregister("churned"); err != nil {
+		t.Fatal(err)
+	}
+	unblock()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	const last = 20500
+	for ts := int64(4500); ts <= last; ts += 1000 {
+		if err := e.Ingest("msmt", tuple(ts)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// "steady" has executed the window ending 20000; nothing older may
+	// stay cached.
+	if got := e.wcache.MinMark(); got != 20000 {
+		t.Fatalf("wCache MinMark = %d, want 20000 (a stale mark of the unregistered query)", got)
+	}
+	if got := e.wcache.Len(); got > 1 {
+		t.Fatalf("wCache holds %d windows after the steady query passed them, want at most 1", got)
+	}
+}
+
+// TestVectorizedRowsOutMatchesRowPath pins the engine's columnar result
+// boundary to the row path: for query shapes whose root is columnar
+// (filter, projection, limit, lookup join) and row-only (aggregate),
+// the vectorized engine hands each sink the same rows as the row-path
+// engine, and the exastream.rows_out counter, the per-window sink batch
+// lengths and the scan counters agree.
+func TestVectorizedRowsOutMatchesRowPath(t *testing.T) {
+	queries := []string{
+		"SELECT m.sid, m.val FROM STREAM msmt [RANGE 1000 SLIDE 1000] AS m WHERE m.val >= 60",
+		"SELECT m.sid, m.ts FROM STREAM msmt [RANGE 2000 SLIDE 1000] AS m WHERE m.sid < 4 OR m.val > 75",
+		"SELECT m.val * 2 FROM STREAM msmt [RANGE 1000 SLIDE 1000] AS m WHERE 1 = 2",
+		"SELECT * FROM STREAM msmt [RANGE 1000 SLIDE 1000] AS m LIMIT 3",
+		"SELECT m.sid, s.tid FROM STREAM msmt [RANGE 1000 SLIDE 1000] AS m, sensors AS s WHERE m.sid = s.sid AND m.val < 70",
+		"SELECT m.sid, avg(m.val) FROM STREAM msmt [RANGE 1000 SLIDE 1000] AS m GROUP BY m.sid",
+	}
+	type result struct {
+		windows map[string][]string // query/window end -> sorted rows
+		sunk    int64               // sum of sink batch lengths
+		stats   Stats
+	}
+	run := func(vec VecMode) result {
+		e := testRig(t, Options{Vectorized: vec, ShareWindows: true})
+		res := result{windows: map[string][]string{}}
+		var mu sync.Mutex
+		sink := func(id string, end int64, schema relation.Schema, cb *relation.ColBatch) {
+			rows := cb.Rows()
+			if len(rows) != cb.Len() {
+				t.Errorf("%s@%d: Rows() = %d rows, Len() = %d", id, end, len(rows), cb.Len())
+			}
+			canon := make([]string, len(rows))
+			for i, r := range rows {
+				if len(r) != schema.Arity() {
+					t.Errorf("%s@%d: row arity %d, schema arity %d", id, end, len(r), schema.Arity())
+				}
+				canon[i] = fmt.Sprint(r)
+			}
+			sort.Strings(canon)
+			mu.Lock()
+			defer mu.Unlock()
+			res.windows[fmt.Sprintf("%s@%d", id, end)] = canon
+			res.sunk += int64(cb.Len())
+		}
+		for i, q := range queries {
+			if err := e.Register(fmt.Sprintf("q%d", i), sql.MustParse(q), nil, sink); err != nil {
+				t.Fatal(err)
+			}
+		}
+		feed(t, e, 200, 70)
+		res.stats = e.Stats()
+		return res
+	}
+	row, vec := run(VecOff), run(VecOn)
+	if vec.stats.RowsOut != row.stats.RowsOut {
+		t.Fatalf("exastream.rows_out: vectorized %d, row path %d", vec.stats.RowsOut, row.stats.RowsOut)
+	}
+	if vec.sunk != vec.stats.RowsOut || row.sunk != row.stats.RowsOut {
+		t.Fatalf("rows handed to sinks (vec %d, row %d) disagree with rows_out (vec %d, row %d)",
+			vec.sunk, row.sunk, vec.stats.RowsOut, row.stats.RowsOut)
+	}
+	if row.stats.RowsOut == 0 {
+		t.Fatal("no rows produced: the differential is vacuous")
+	}
+	if vec.stats.WindowsExecuted != row.stats.WindowsExecuted || vec.stats.RowsScanned != row.stats.RowsScanned {
+		t.Fatalf("windows/scanned: vectorized %d/%d, row path %d/%d",
+			vec.stats.WindowsExecuted, vec.stats.RowsScanned, row.stats.WindowsExecuted, row.stats.RowsScanned)
+	}
+	if len(vec.windows) != len(row.windows) {
+		t.Fatalf("sink calls: vectorized %d, row path %d", len(vec.windows), len(row.windows))
+	}
+	for k, want := range row.windows {
+		got, ok := vec.windows[k]
+		if !ok || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: vectorized rows %v, row path %v", k, got, want)
+		}
+	}
+}

@@ -25,9 +25,14 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Sink receives the result rows of one window evaluation of a registered
-// query. Implementations must be safe for concurrent use.
-type Sink func(queryID string, windowEnd int64, schema relation.Schema, rows []relation.Tuple)
+// Sink receives the result of one window evaluation of a registered
+// query, in columnar form: window results leave the engine as vectors
+// and are never materialised as tuples on the way (cb.Rows() converts
+// exactly when a sink needs rows). The sink owns the batch — it is
+// freshly allocated for this call, aliases no engine scratch or shared
+// window input, and may be retained. Implementations must be safe for
+// concurrent use.
+type Sink func(queryID string, windowEnd int64, schema relation.Schema, cb *relation.ColBatch)
 
 // Stats aggregates engine-level counters.
 type Stats struct {
@@ -961,7 +966,7 @@ func (e *Engine) executeItem(it execItem) error {
 		q.execCtx = ctx
 	}
 	*ctx = engine.ExecContext{Catalog: e.catalog, Funcs: e.funcs, Interpret: e.opts.InterpretExprs, Vectorized: vec}
-	rows, err := engine.ExecutePlan(ctx, cp.adapted)
+	cb, err := engine.ExecutePlanColumns(ctx, cp.adapted)
 	e.met.rowsScanned.Add(ctx.Stats.RowsScanned)
 	e.met.rowsProduced.Add(ctx.Stats.RowsProduced)
 	e.met.hashProbes.Add(ctx.Stats.HashProbes)
@@ -978,11 +983,12 @@ func (e *Engine) executeItem(it execItem) error {
 	q.failures = 0
 	q.mu.Unlock()
 	e.noteProbes(cp.probes)
+	rowsOut := cb.Len()
 	q.windows++
-	q.rowsOutTotal += int64(len(rows))
+	q.rowsOutTotal += int64(rowsOut)
 	q.lastEnd = it.end
 	e.met.windowsExecuted.Inc()
-	e.met.rowsOut.Add(int64(len(rows)))
+	e.met.rowsOut.Add(int64(rowsOut))
 	e.wcache.Advance(q.id, it.end)
 	elapsed := time.Since(start)
 	e.met.windowExecNS.ObserveDuration(elapsed)
@@ -992,13 +998,13 @@ func (e *Engine) executeItem(it execItem) error {
 		e.met.watermarkLag.Set(float64(lag))
 	}
 	span.SetAttr("rows_in", rowsIn).
-		SetAttr("rows_out", len(rows)).
+		SetAttr("rows_out", rowsOut).
 		SetAttr("plan_cache_hit", cacheHit).
 		SetAttr("wall_ns", elapsed.Nanoseconds())
 	span.End()
 	e.opts.Recorder.Record(telemetry.EvWindowExec, q.id, "", it.end, elapsed.Nanoseconds())
 	if q.sink != nil {
-		q.sink(q.id, it.end, cp.adapted.Schema(), rows)
+		q.sink(q.id, it.end, cp.adapted.Schema(), cb)
 	}
 	return nil
 }

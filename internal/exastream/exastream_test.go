@@ -52,10 +52,10 @@ type collected struct {
 	rows []relation.Tuple
 }
 
-func (c *collector) sink(qid string, end int64, _ relation.Schema, rows []relation.Tuple) {
+func (c *collector) sink(qid string, end int64, _ relation.Schema, cb *relation.ColBatch) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.results = append(c.results, collected{qid, end, rows})
+	c.results = append(c.results, collected{qid, end, cb.Rows()})
 }
 
 func (c *collector) totalRows() int {

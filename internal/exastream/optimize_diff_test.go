@@ -84,7 +84,7 @@ func runFleet(t *testing.T, a *diffAssets, opts Options, tl *starql.Translation)
 	}
 	windows := map[int64]map[string]struct{}{}
 	var mu sync.Mutex
-	sink := func(_ string, end int64, _ relation.Schema, rows []relation.Tuple) {
+	sink := func(_ string, end int64, _ relation.Schema, cb *relation.ColBatch) {
 		mu.Lock()
 		defer mu.Unlock()
 		set := windows[end]
@@ -92,7 +92,7 @@ func runFleet(t *testing.T, a *diffAssets, opts Options, tl *starql.Translation)
 			set = map[string]struct{}{}
 			windows[end] = set
 		}
-		for _, r := range rows {
+		for _, r := range cb.Rows() {
 			set[fmt.Sprint(r)] = struct{}{}
 		}
 	}

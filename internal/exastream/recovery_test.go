@@ -137,7 +137,7 @@ func TestRestoreQueryWithoutSnapshotCursorsReplay(t *testing.T) {
 func TestRestoreQueryRejectsDuplicateID(t *testing.T) {
 	stmt := sql.MustParse("SELECT m.val FROM STREAM msmt [RANGE 1000 SLIDE 1000] AS m")
 	e := testRig(t, Options{})
-	sink := func(string, int64, relation.Schema, []relation.Tuple) {}
+	sink := func(string, int64, relation.Schema, *relation.ColBatch) {}
 	if err := e.RestoreQuery("q", stmt, nil, sink, nil, nil); err != nil {
 		t.Fatal(err)
 	}

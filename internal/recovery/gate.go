@@ -9,7 +9,7 @@ import (
 
 // Sink mirrors the engine's sink signature without importing it (the
 // engine layer converts).
-type Sink func(queryID string, windowEnd int64, schema relation.Schema, rows []relation.Tuple)
+type Sink func(queryID string, windowEnd int64, schema relation.Schema, cb *relation.ColBatch)
 
 // Gate enforces exactly-once window delivery across failover. It owns
 // the per-query emitted-window high-water mark and lives in the cluster
@@ -64,14 +64,14 @@ func (g *Gate) entry(id string) *gateEntry {
 // point and may panic.
 func (g *Gate) Wrap(id string, next Sink, afterEmit func(queryID string, windowEnd int64)) Sink {
 	e := g.entry(id)
-	return func(queryID string, windowEnd int64, schema relation.Schema, rows []relation.Tuple) {
+	return func(queryID string, windowEnd int64, schema relation.Schema, cb *relation.ColBatch) {
 		dup := func() bool {
 			e.mu.Lock()
 			defer e.mu.Unlock() // a panicking sink must not wedge the gate
 			if e.seen && windowEnd <= e.hwm {
 				return true
 			}
-			next(queryID, windowEnd, schema, rows)
+			next(queryID, windowEnd, schema, cb)
 			e.hwm, e.seen = windowEnd, true
 			return false
 		}()

@@ -183,7 +183,7 @@ func TestLogNearCap(t *testing.T) {
 func TestGateDeduplicatesBelowHWM(t *testing.T) {
 	g := NewGate(nil, nil)
 	var ends []int64
-	sink := func(_ string, end int64, _ relation.Schema, _ []relation.Tuple) {
+	sink := func(_ string, end int64, _ relation.Schema, _ *relation.ColBatch) {
 		ends = append(ends, end)
 	}
 	wrapped := g.Wrap("q", sink, nil)
@@ -204,7 +204,7 @@ func TestGateDeduplicatesBelowHWM(t *testing.T) {
 func TestGatePanickingSinkDoesNotWedge(t *testing.T) {
 	g := NewGate(nil, nil)
 	calls := 0
-	sink := func(_ string, end int64, _ relation.Schema, _ []relation.Tuple) {
+	sink := func(_ string, end int64, _ relation.Schema, _ *relation.ColBatch) {
 		calls++
 		if calls == 1 {
 			panic("sink crash")
@@ -236,7 +236,7 @@ func TestGateConcurrentQueriesIndependent(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		id := string(rune('a' + i))
-		sink := g.Wrap(id, func(string, int64, relation.Schema, []relation.Tuple) {}, nil)
+		sink := g.Wrap(id, func(string, int64, relation.Schema, *relation.ColBatch) {}, nil)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

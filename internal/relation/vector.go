@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/bits"
+	"slices"
 )
 
 // This file is the columnar half of the data model: typed column
@@ -408,6 +409,75 @@ func NewStringVector(vals []string, nulls *Bitmap) *Vector {
 // NewBoolVector wraps a bool slice as a TBool column.
 func NewBoolVector(vals []bool, nulls *Bitmap) *Vector {
 	return &Vector{typ: TBool, bools: vals, nulls: nulls, n: len(vals)}
+}
+
+// Gather returns a fresh vector holding v's elements at idxs, in order:
+// element k of the result is element idxs[k] of v, NULL-ness included.
+// The layout (typed, generic or all-NULL) is kept, and nil or empty
+// idxs yield an empty vector. The result shares no backing with v, so
+// later writes to v (kernel scratch) never show through.
+func (v *Vector) Gather(idxs []int) *Vector {
+	m := len(idxs)
+	out := &Vector{typ: v.typ, n: m}
+	switch v.typ {
+	case TInt, TTime:
+		out.ints = make([]int64, m)
+		for k, i := range idxs {
+			out.ints[k] = v.ints[i]
+		}
+	case TFloat:
+		out.floats = make([]float64, m)
+		for k, i := range idxs {
+			out.floats[k] = v.floats[i]
+		}
+	case TString:
+		out.strs = make([]string, m)
+		for k, i := range idxs {
+			out.strs[k] = v.strs[i]
+		}
+	case TBool:
+		out.bools = make([]bool, m)
+		for k, i := range idxs {
+			out.bools[k] = v.bools[i]
+		}
+	default:
+		if v.generic != nil {
+			out.generic = make([]Value, m)
+			for k, i := range idxs {
+				out.generic[k] = v.generic[i]
+			}
+		}
+	}
+	if v.nulls != nil {
+		for k, i := range idxs {
+			if v.nulls.Get(i) {
+				if out.nulls == nil {
+					out.nulls = NewBitmap(m)
+				}
+				out.nulls.Set(k)
+			}
+		}
+	}
+	return out
+}
+
+// Clone returns an independent copy of v — Gather over every element,
+// without building the index list (a full selection is the common
+// window result).
+func (v *Vector) Clone() *Vector {
+	out := &Vector{
+		typ:     v.typ,
+		ints:    slices.Clone(v.ints),
+		floats:  slices.Clone(v.floats),
+		strs:    slices.Clone(v.strs),
+		bools:   slices.Clone(v.bools),
+		generic: slices.Clone(v.generic),
+		n:       v.n,
+	}
+	if v.nulls != nil {
+		out.nulls = v.nulls.Clone()
+	}
+	return out
 }
 
 // ResetBool repoints v at a TBool payload in place — NewBoolVector

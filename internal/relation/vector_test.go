@@ -179,3 +179,87 @@ func TestConstAndResetBoolVectors(t *testing.T) {
 		t.Error("ResetBool dropped the null bitmap")
 	}
 }
+
+// buildVector appends vals through a VectorBuilder.
+func buildVector(vals []Value) *Vector {
+	b := NewVectorBuilder(len(vals))
+	for _, v := range vals {
+		b.Append(v)
+	}
+	return b.Build()
+}
+
+// TestVectorGatherAndClone pins the compaction helpers the engine hands
+// window results out through: for every element layout (each typed
+// backing, TTime, generic, all-NULL) with and without NULLs, Gather
+// returns exactly the indexed elements in index order — repeats and
+// reordering included — keeps the layout, and nil or empty index lists
+// give an empty vector; Clone equals Gather over every index. Neither
+// result shares a backing with its source.
+func TestVectorGatherAndClone(t *testing.T) {
+	cases := []struct {
+		name string
+		vals []Value
+	}{
+		{"ints", []Value{Int(4), Int(5), Int(6), Int(7)}},
+		{"ints with nulls", []Value{Int(4), Null, Int(6), Null}},
+		{"times", []Value{Time(100), Null, Time(300), Time(400)}},
+		{"floats", []Value{Float(0.5), Float(1.5), Null, Float(3.5)}},
+		{"strings", []Value{String_("a"), Null, String_(""), String_("d")}},
+		{"bools", []Value{Bool_(true), Bool_(false), Null, Bool_(true)}},
+		{"generic", []Value{Int(1), String_("x"), Null, Float(2)}},
+		{"all null", []Value{Null, Null, Null, Null}},
+	}
+	idxLists := [][]int{nil, {}, {0, 1, 2, 3}, {2}, {3, 1}, {1, 1, 0}}
+	for _, c := range cases {
+		src := buildVector(c.vals)
+		for _, idxs := range idxLists {
+			g := src.Gather(idxs)
+			if g.Len() != len(idxs) {
+				t.Fatalf("%s Gather(%v): Len = %d", c.name, idxs, g.Len())
+			}
+			if len(idxs) > 0 && g.ElemType() != src.ElemType() {
+				t.Errorf("%s Gather(%v): ElemType = %v, want %v", c.name, idxs, g.ElemType(), src.ElemType())
+			}
+			nulls := 0
+			for k, i := range idxs {
+				if got := g.Value(k); got != c.vals[i] {
+					t.Errorf("%s Gather(%v)[%d] = %v, want %v", c.name, idxs, k, got, c.vals[i])
+				}
+				if g.IsNull(k) {
+					nulls++
+				}
+			}
+			if g.HasNulls() != (nulls > 0) {
+				t.Errorf("%s Gather(%v): HasNulls = %v with %d NULLs", c.name, idxs, g.HasNulls(), nulls)
+			}
+		}
+		cl := src.Clone()
+		if cl.Len() != src.Len() || cl.ElemType() != src.ElemType() || cl.HasNulls() != src.HasNulls() {
+			t.Fatalf("%s Clone: len/type/nulls = %d/%v/%v, want %d/%v/%v", c.name,
+				cl.Len(), cl.ElemType(), cl.HasNulls(), src.Len(), src.ElemType(), src.HasNulls())
+		}
+		for i, want := range c.vals {
+			if got := cl.Value(i); got != want {
+				t.Errorf("%s Clone[%d] = %v, want %v", c.name, i, got, want)
+			}
+		}
+	}
+
+	// Independence: overwriting the source's backing and null bitmap
+	// (as a kernel reusing its scratch does) leaves the copies intact.
+	vals := []bool{true, false, true}
+	nb := NewBitmap(3)
+	nb.Set(1)
+	var scratch Vector
+	src := scratch.ResetBool(vals, nb)
+	g, cl := src.Gather([]int{2, 1}), src.Clone()
+	vals[2] = false
+	nb.Clear(1)
+	if g.Value(0) != Bool_(true) || !g.IsNull(1) {
+		t.Errorf("Gather shares the source backing: %v %v", g.Value(0), g.Value(1))
+	}
+	if cl.Value(2) != Bool_(true) || !cl.IsNull(1) {
+		t.Errorf("Clone shares the source backing: %v %v", cl.Value(2), cl.Value(1))
+	}
+}

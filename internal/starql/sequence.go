@@ -51,7 +51,7 @@ type SequenceBuilder struct {
 	mappings []mapping.Mapping // stream-sourced property mappings
 
 	// Column-ordinal resolution of the mappings, computed once on the
-	// first BuildColumnar call (see columnPlans).
+	// first BuildColumns call (see columnPlans).
 	colOnce    sync.Once
 	colPlans   []columnPlan
 	colPlanErr error
@@ -104,64 +104,6 @@ func equalFold(a, b string) bool {
 	return true
 }
 
-// Build constructs the StdSeq sequence of a window batch, restricted to
-// the given subjects (nil means all subjects — used by correlation
-// tasks that scan every sensor).
-func (b *SequenceBuilder) Build(batch stream.Batch, subjects map[string]bool) (*Sequence, error) {
-	byTS := map[int64]*State{}
-	for _, row := range batch.Rows {
-		ts, ok := row[b.tsIdx].AsInt()
-		if !ok {
-			return nil, fmt.Errorf("starql: row without timestamp: %v", row)
-		}
-		st, ok := byTS[ts]
-		if !ok {
-			st = &State{TS: ts, props: map[string]map[string][]relation.Value{}}
-			byTS[ts] = st
-		}
-		for _, m := range b.mappings {
-			// Source-level filter.
-			if m.Source.Where != nil {
-				v, err := evalRowExpr(m.Source.Where, b.schema.Tuple, row)
-				if err != nil {
-					return nil, err
-				}
-				if !v.Truthy() {
-					continue
-				}
-			}
-			subj, err := renderTemplateRow(m.Subject, b.schema.Tuple, row)
-			if err != nil {
-				return nil, err
-			}
-			if subjects != nil && !subjects[subj] {
-				continue
-			}
-			var val relation.Value
-			if m.IsClass {
-				val = relation.Bool_(true)
-			} else {
-				val, err = objectValue(m, b.schema.Tuple, row)
-				if err != nil {
-					return nil, err
-				}
-			}
-			props, ok := st.props[subj]
-			if !ok {
-				props = map[string][]relation.Value{}
-				st.props[subj] = props
-			}
-			props[m.Pred] = append(props[m.Pred], val)
-		}
-	}
-	seq := &Sequence{States: make([]State, 0, len(byTS))}
-	for _, st := range byTS {
-		seq.States = append(seq.States, *st)
-	}
-	sort.Slice(seq.States, func(i, j int) bool { return seq.States[i].TS < seq.States[j].TS })
-	return seq, nil
-}
-
 // columnPlans resolves each mapping's template and object columns to
 // ordinals in the stream schema, once per builder.
 func (b *SequenceBuilder) columnPlans() ([]columnPlan, error) {
@@ -203,19 +145,26 @@ func (b *SequenceBuilder) columnPlans() ([]columnPlan, error) {
 	return b.colPlans, b.colPlanErr
 }
 
-// BuildColumnar constructs the same StdSeq sequence as Build, but from
-// the batch's columnar form: column ordinals are resolved once per
-// builder, timestamps are read from the typed int64 payload when the
-// column is typed, and subject/object IRIs are rendered once per
-// distinct key per window instead of once per row. Iteration stays
-// rows-outer/mappings-inner so per-predicate value order matches Build
-// exactly.
+// BuildColumnar builds the sequence of a window batch from its shared
+// columnar form (stream.Batch.Columns); see BuildColumns.
 func (b *SequenceBuilder) BuildColumnar(batch stream.Batch, subjects map[string]bool) (*Sequence, error) {
+	return b.BuildColumns(batch.Columns(), subjects)
+}
+
+// BuildColumns constructs the StdSeq sequence of one window from its
+// columns, restricted to the given subjects (nil means all subjects —
+// used by correlation tasks that scan every sensor). It is the sequence
+// builder of the window sink, fed the engine's columnar window result
+// directly. Column ordinals are resolved once per builder, timestamps
+// are read from the typed int64 payload when the column is typed, and
+// subject/object IRIs are rendered once per distinct key per window
+// instead of once per row. Iteration is rows-outer/mappings-inner, so
+// per-predicate value order follows row order.
+func (b *SequenceBuilder) BuildColumns(cb *relation.ColBatch, subjects map[string]bool) (*Sequence, error) {
 	plans, err := b.columnPlans()
 	if err != nil {
 		return nil, err
 	}
-	cb := batch.Columns()
 	n := cb.Len()
 	if n == 0 {
 		return &Sequence{States: []State{}}, nil
@@ -339,19 +288,6 @@ func renderColumnar(t mapping.Template, cols []int, cb *relation.ColBatch, i int
 	return r, nil
 }
 
-// renderTemplateRow applies an IRI template to one stream row.
-func renderTemplateRow(t mapping.Template, schema relation.Schema, row relation.Tuple) (string, error) {
-	segs := make([]string, len(t.Columns))
-	for i, c := range t.Columns {
-		idx, err := schema.IndexOf(c)
-		if err != nil {
-			return "", err
-		}
-		segs[i] = rawString(row[idx])
-	}
-	return t.Render(segs)
-}
-
 func rawString(v relation.Value) string {
 	switch v.Type {
 	case relation.TString:
@@ -363,23 +299,6 @@ func rawString(v relation.Value) string {
 		}
 		return s
 	}
-}
-
-// objectValue extracts a property mapping's object from a row: the raw
-// column for data properties, the rendered IRI for object properties.
-func objectValue(m mapping.Mapping, schema relation.Schema, row relation.Tuple) (relation.Value, error) {
-	if m.ObjectIsData {
-		idx, err := schema.IndexOf(m.Object.Columns[0])
-		if err != nil {
-			return relation.Null, err
-		}
-		return row[idx], nil
-	}
-	iri, err := renderTemplateRow(m.Object, schema, row)
-	if err != nil {
-		return relation.Null, err
-	}
-	return relation.String_(iri), nil
 }
 
 // evalRowExpr evaluates a mapping source filter against one row without

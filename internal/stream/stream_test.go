@@ -282,6 +282,37 @@ func TestWCacheEviction(t *testing.T) {
 	}
 }
 
+// TestWCacheAdvanceIgnoresUnregistered pins the in-flight-window
+// contract: an Advance that lands after its consumer was unregistered
+// (a window execution racing Unregister) must not re-add the consumer,
+// so its stale mark cannot pin the cache or hold MinMark down.
+func TestWCacheAdvanceIgnoresUnregistered(t *testing.T) {
+	c := NewWCache()
+	spec := WindowSpec{RangeMS: 1000, SlideMS: 1000}
+	c.Register("q1")
+	c.Register("gone")
+	c.Unregister("gone")
+	c.Advance("gone", 1000) // late Advance of the in-flight window
+	for id := int64(0); id < 6; id++ {
+		c.Put("s", spec, Batch{WindowID: id, End: (id + 1) * 1000})
+	}
+	c.Advance("q1", 5000)
+	if got := c.Len(); got != 2 { // windows ending 5000 and 6000 remain
+		t.Fatalf("Len after Advance = %d, want 2 (unregistered consumer still pins the cache)", got)
+	}
+	if got := c.MinMark(); got != 5000 {
+		t.Fatalf("MinMark = %d, want 5000 (the only registered consumer's mark)", got)
+	}
+	c.Unregister("q1")
+	c.Advance("q1", 9000)
+	if got := c.Len(); got != 0 {
+		t.Fatalf("Len after last Unregister and a late Advance = %d, want 0", got)
+	}
+	if got := c.MinMark(); got != 0 {
+		t.Fatalf("MinMark after last Unregister and a late Advance = %d, want 0", got)
+	}
+}
+
 func TestWCacheKeySeparation(t *testing.T) {
 	c := NewWCache()
 	specA := WindowSpec{RangeMS: 1000, SlideMS: 1000}

@@ -139,16 +139,19 @@ func (c *WCache) Unregister(consumer string) {
 
 // Advance moves a consumer's watermark to windowEnd (the end timestamp
 // of the window it just executed); windows ending before the minimum
-// watermark across consumers are evicted.
+// watermark across consumers are evicted. A consumer that is not
+// registered is ignored: a window execution still in flight when its
+// query was unregistered must not re-add a mark that nothing would ever
+// advance or remove again, pinning the cache forever.
 func (c *WCache) Advance(consumer string, windowEnd int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cur, ok := c.marks[consumer]
-	if ok && windowEnd <= cur {
+	if !ok || windowEnd <= cur {
 		return
 	}
 	c.marks[consumer] = windowEnd
-	if ok && cur > c.minMark {
+	if cur > c.minMark {
 		// Not the laggard: the minimum is held by someone else, so it
 		// cannot have moved and nothing new is evictable.
 		return
