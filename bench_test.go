@@ -32,33 +32,21 @@ import (
 
 // BenchmarkFigure1EndToEnd measures one full replay of the paper's
 // Figure 1 diagnostic task on a small fleet: registration amortised out,
-// cost per ingested tuple reported. The plancache dimension ablates the
-// compile-once pipeline: "off" rebuilds (and so recompiles) the window
-// plan on every tick, which is what every tick paid before the cache.
-// The having dimension ablates the compiled HAVING matcher: "interpreted"
-// evaluates the sequence condition with the environment-copying tree
-// walker instead of the slot-frame program.
+// cost per ingested tuple reported. "default" is the production
+// configuration and the baseline every other dimension is priced
+// against.
 func BenchmarkFigure1EndToEnd(b *testing.B) {
-	b.Run("plancache=on", func(b *testing.B) {
+	b.Run("default", func(b *testing.B) {
 		runFigure1(b, optique.Config{Nodes: 1})
 	})
-	b.Run("plancache=off", func(b *testing.B) {
-		runFigure1(b, optique.Config{
-			Nodes:  1,
-			Engine: optique.EngineOptions{DisablePlanCache: true},
-		})
-	})
-	b.Run("having=interpreted", func(b *testing.B) {
-		runFigure1(b, optique.Config{Nodes: 1, InterpretHaving: true})
-	})
 	// The recorder dimension prices the flight recorder on the ingest
-	// path (the default plancache=on run is the recorder=off baseline);
-	// the acceptance bar is ≤5% over that baseline.
+	// path against the recorder-off default; the acceptance bar is ≤5%
+	// over that baseline.
 	b.Run("recorder=on", func(b *testing.B) {
 		runFigure1(b, optique.Config{Nodes: 1, FlightRecorder: 256})
 	})
 	// The optimize dimension prices the statistics-driven planner end to
-	// end (plancache=on doubles as the optimize=off baseline):
+	// end (default doubles as the optimize=off baseline):
 	// constraint-pruned unfolding shrinks the registered fleet, and
 	// cost-based rewrites choose index scans and reorder lookup joins.
 	// analyze=on prices statistics collection alone — plans execute
@@ -72,7 +60,7 @@ func BenchmarkFigure1EndToEnd(b *testing.B) {
 	})
 	// The transport dimension prices the framed TCP node transport over
 	// loopback — length-prefixed checksummed frames, per-session seqs,
-	// acks, heartbeats — against the in-process channel hop (plancache=on
+	// acks, heartbeats — against the in-process channel hop (default
 	// doubles as the transport=channel baseline). The acceptance bar is
 	// ≤15% ingest overhead over that baseline.
 	b.Run("transport=tcp", func(b *testing.B) {
@@ -82,25 +70,10 @@ func BenchmarkFigure1EndToEnd(b *testing.B) {
 	// task's unfolded low-level fleet (Translation.StreamFleet — what the
 	// paper's engineers wrote by hand) registered directly on one
 	// ExaStream engine, with no cluster queue and no STARQL sequence
-	// matcher in front, so ns/op is dominated by per-window plan cost.
-	// "interpreted" reproduces the pre-compile-once pipeline: plans
-	// rebuilt every window, expressions tree-walked per row.
-	// "vectorized" is the columnar batch path (the default); "compiled"
-	// pins the tuple-at-a-time row path it replaced, so the pair is the
-	// vectorization ablation.
+	// matcher in front, so ns/op is dominated by per-window plan cost on
+	// the columnar batch path.
 	b.Run("windowexec/pipeline=vectorized", func(b *testing.B) {
 		runFigure1WindowExec(b, exastream.Options{ShareWindows: true})
-	})
-	b.Run("windowexec/pipeline=compiled", func(b *testing.B) {
-		runFigure1WindowExec(b, exastream.Options{
-			ShareWindows: true, Vectorized: exastream.VecOff,
-		})
-	})
-	b.Run("windowexec/pipeline=interpreted", func(b *testing.B) {
-		runFigure1WindowExec(b, exastream.Options{
-			ShareWindows: true, DisablePlanCache: true, InterpretExprs: true,
-			Vectorized: exastream.VecOff,
-		})
 	})
 }
 

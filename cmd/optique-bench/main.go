@@ -106,15 +106,6 @@ var experiments = []string{
 	"record", "list", "all",
 }
 
-// interpretHaving carries the -havingcompile flag (inverted) into the
-// full-system experiments (testsets).
-var interpretHaving bool
-
-// vecMode carries the -vectorized flag into the cluster and full-system
-// experiments (VecOff = tuple-at-a-time row path); the recorded `go
-// test -bench` dimensions carry their own ablation instead.
-var vecMode exastream.VecMode
-
 // recoveryOn/checkpointEvery carry -recovery/-checkpoint-every into the
 // cluster experiments: checkpoint overhead is part of the measured path,
 // so the sweeps can quantify what exactly-once delivery costs.
@@ -161,9 +152,7 @@ func main() {
 	maxNodes := flag.Int("maxnodes", 128, "upper bound for the node-scaling sweep")
 	benchPat := flag.String("bench", "Figure1EndToEnd|CompiledVsInterpreted|HavingMatcher", "benchmark pattern for -exp record")
 	benchTime := flag.String("benchtime", "2s", "benchtime for -exp record")
-	benchOut := flag.String("out", "BENCH_PR10.json", "output file for -exp record")
-	havingcompile := flag.Bool("havingcompile", true, "compile STARQL HAVING conditions to slot-frame matchers (false = tree interpreter)")
-	vectorized := flag.Bool("vectorized", true, "execute windows on the columnar batch path (false = tuple-at-a-time row path)")
+	benchOut := flag.String("out", "", "output file for -exp record (required; an existing file is never overwritten)")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /traces and /debug/pprof on this address (e.g. localhost:6060; unauthenticated, \":port\" binds loopback)")
 	flag.BoolVar(&recoveryOn, "recovery", false, "checkpoint worker state for exactly-once recovery (measures the checkpoint overhead)")
 	flag.IntVar(&checkpointEvery, "checkpoint-every", 64, "tuples between pulse-aligned checkpoints (with -recovery)")
@@ -179,10 +168,6 @@ func main() {
 	var err error
 	if transportKind, err = cluster.ParseTransport(*transportName); err != nil {
 		log.Fatal(err)
-	}
-	interpretHaving = !*havingcompile
-	if !*vectorized {
-		vecMode = exastream.VecOff
 	}
 
 	var telemetrySrv *telemetry.Server
@@ -306,7 +291,7 @@ func runConcurrent(queries, nodes, tuples int) (float64, float64, exastream.Stat
 	cat := relation.NewCatalog()
 	copts := cluster.Options{
 		Nodes: nodes, PartitionColumn: "sid",
-		Engine: exastream.Options{AdaptiveIndexing: true, ShareWindows: true, Vectorized: vecMode},
+		Engine: exastream.Options{AdaptiveIndexing: true, ShareWindows: true},
 	}
 	if recoveryOn {
 		copts.CheckpointEvery = checkpointEvery
@@ -466,8 +451,7 @@ func runTestSet(idx int) (int, int, float64, int64) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	scfg := optique.Config{Nodes: 4, InterpretHaving: interpretHaving, Vectorized: vecMode,
-		Optimize: optimizeOn, Analyze: analyzeOn}
+	scfg := optique.Config{Nodes: 4, Optimize: optimizeOn, Analyze: analyzeOn}
 	if recoveryOn {
 		scfg.CheckpointEvery = checkpointEvery
 	}
@@ -546,10 +530,48 @@ func printLagTable(lags []telemetry.QueryLag) {
 }
 
 // record runs `go test -bench` with -json and post-processes the event
-// stream into a machine-readable benchmark file (BENCH_PR4.json), so the
-// repository keeps accumulating a perf trajectory across PRs. Run it
-// from the repository root.
+// stream into a machine-readable benchmark file (the BENCH_PR*.json
+// files), so the repository keeps accumulating a perf trajectory. The
+// output file is created exclusively before the run starts: recorded
+// files are history, so an existing one is never overwritten, and a
+// failed run removes the file it created. Run it from the repository
+// root.
 func record(pattern, benchtime, out string) {
+	if out == "" {
+		fmt.Fprintln(os.Stderr, "optique-bench: -exp record needs -out <file>")
+		os.Exit(2)
+	}
+	f, err := os.OpenFile(out, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		log.Fatal(err)
+	}
+	results, err := runBenchmarks(pattern, benchtime)
+	if err == nil {
+		err = writeRecord(f, pattern, benchtime, results)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(out)
+		log.Fatal(err)
+	}
+	fmt.Printf("wrote %d benchmark results to %s\n", len(results), out)
+}
+
+// benchResult is one parsed `go test -bench` result line.
+type benchResult struct {
+	Name        string  `json:"name"`
+	Package     string  `json:"package"`
+	Iterations  int64   `json:"iterations"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	BytesPerOp  float64 `json:"bytes_per_op"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
+}
+
+// runBenchmarks runs the benchmarks matching pattern over the packages
+// that hold the recorded dimensions and parses their result lines.
+func runBenchmarks(pattern, benchtime string) ([]benchResult, error) {
 	args := []string{"test", "-run", "^$", "-bench", pattern,
 		"-benchtime", benchtime, "-benchmem", "-json",
 		".", "./internal/engine/", "./internal/starql/"}
@@ -558,20 +580,12 @@ func record(pattern, benchtime, out string) {
 	cmd.Stderr = os.Stderr
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	if err := cmd.Start(); err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 
-	type benchResult struct {
-		Name        string  `json:"name"`
-		Package     string  `json:"package"`
-		Iterations  int64   `json:"iterations"`
-		NsPerOp     float64 `json:"ns_per_op"`
-		BytesPerOp  float64 `json:"bytes_per_op"`
-		AllocsPerOp float64 `json:"allocs_per_op"`
-	}
 	type event struct {
 		Action  string `json:"Action"`
 		Package string `json:"Package"`
@@ -598,10 +612,10 @@ func record(pattern, benchtime, out string) {
 		buf.WriteString(ev.Output)
 	}
 	if err := sc.Err(); err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	if err := cmd.Wait(); err != nil {
-		log.Fatalf("go test -bench: %v", err)
+		return nil, fmt.Errorf("go test -bench: %w", err)
 	}
 	var results []benchResult
 	for _, pkg := range pkgs {
@@ -639,8 +653,13 @@ func record(pattern, benchtime, out string) {
 		}
 	}
 	if len(results) == 0 {
-		log.Fatalf("no benchmark results matched %q", pattern)
+		return nil, fmt.Errorf("no benchmark results matched %q", pattern)
 	}
+	return results, nil
+}
+
+// writeRecord writes the recorded results as one indented JSON document.
+func writeRecord(f *os.File, pattern, benchtime string, results []benchResult) error {
 	doc := struct {
 		Generated  string      `json:"generated"`
 		GoVersion  string      `json:"go_version"`
@@ -660,10 +679,8 @@ func record(pattern, benchtime, out string) {
 	}
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if err := os.WriteFile(out, append(buf, '\n'), 0o644); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("wrote %d benchmark results to %s\n", len(results), out)
+	_, err = f.Write(append(buf, '\n'))
+	return err
 }

@@ -24,14 +24,8 @@ import (
 	"repro/internal/siemens"
 )
 
-// engineOpts carries the -parallelism/-plancache flags into deploy.
+// engineOpts carries the -parallelism flag into deploy.
 var engineOpts optique.EngineOptions
-
-// interpretHaving carries the -havingcompile flag (inverted) into deploy.
-var interpretHaving bool
-
-// vecMode carries the -vectorized flag into deploy (VecOff = row path).
-var vecMode optique.VecMode
 
 // telemetryAddr, when non-empty, makes deploy serve /metrics, /traces
 // and /debug/pprof for the running system.
@@ -85,9 +79,6 @@ func main() {
 	turbines := flag.Int("turbines", 8, "fleet size for the replay")
 	chaos := flag.Bool("chaos", false, "kill a worker mid-replay (s2) to showcase query failover")
 	parallelism := flag.Int("parallelism", 0, "per-node worker pool for ready windows (0 = GOMAXPROCS, negative = sequential)")
-	plancache := flag.Bool("plancache", true, "cache each continuous query's compiled plan across windows")
-	havingcompile := flag.Bool("havingcompile", true, "compile STARQL HAVING conditions to slot-frame matchers (false = tree interpreter)")
-	vectorized := flag.Bool("vectorized", true, "execute windows on the columnar batch path (false = tuple-at-a-time row path)")
 	flag.BoolVar(&recoveryOn, "recovery", false, "checkpoint worker state and restore it across crashes/failover (exactly-once window delivery)")
 	flag.IntVar(&checkpointEvery, "checkpoint-every", 64, "tuples between pulse-aligned checkpoints (with -recovery)")
 	flag.StringVar(&telemetryAddr, "telemetry-addr", "", "serve /metrics, /traces and /debug/pprof on this address (e.g. localhost:6060; unauthenticated, \":port\" binds loopback)")
@@ -104,11 +95,7 @@ func main() {
 	if transportKind, err = cluster.ParseTransport(*transportName); err != nil {
 		log.Fatal(err)
 	}
-	engineOpts = optique.EngineOptions{Parallelism: *parallelism, DisablePlanCache: !*plancache}
-	interpretHaving = !*havingcompile
-	if !*vectorized {
-		vecMode = optique.VecOff
-	}
+	engineOpts = optique.EngineOptions{Parallelism: *parallelism}
 
 	switch *scenario {
 	case "s1":
@@ -142,7 +129,7 @@ func deploy(nodes, turbines int, inj optique.FaultInjector) (*optique.System, *s
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := optique.Config{Nodes: nodes, Faults: inj, Engine: engineOpts, InterpretHaving: interpretHaving, Vectorized: vecMode,
+	cfg := optique.Config{Nodes: nodes, Faults: inj, Engine: engineOpts,
 		Optimize: optimizeOn, Analyze: analyzeOn}
 	if inj != nil {
 		cfg.MaxRestarts = -1

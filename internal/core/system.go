@@ -44,16 +44,6 @@ type Config struct {
 	PartitionColumn string
 	// Translate tunes enrichment/unfolding.
 	Translate starql.Options
-	// InterpretHaving evaluates HAVING conditions with the tree-walking
-	// reference interpreter instead of the compiled matcher
-	// (starql.CompileHaving). Ablation/debugging switch, the HAVING
-	// analogue of Engine.InterpretExprs.
-	InterpretHaving bool
-	// Vectorized selects columnar batch execution: it is forwarded to
-	// each node's engine (Engine.Vectorized). The zero value is on;
-	// VecOff here or on Engine.Vectorized selects the row path. Either
-	// way window results reach the HAVING sequence builder columnar.
-	Vectorized exastream.VecMode
 
 	// Backpressure selects the full-queue ingest policy (see cluster).
 	Backpressure cluster.Backpressure
@@ -163,18 +153,13 @@ type Task struct {
 	answers  int64
 	windows  int64
 
-	// compiled is the query's HAVING condition lowered by
+	// having is the query's HAVING condition lowered by
 	// starql.CompileHaving at registration; nil when the query has no
-	// HAVING clause or Config.InterpretHaving is set. It lives and dies
-	// with the registration record (the query AST is immutable, so unlike
-	// window plans there is nothing at runtime that can invalidate it;
-	// re-registering recompiles).
-	compiled *starql.CompiledHaving
+	// HAVING clause. It lives and dies with the registration record (the
+	// query AST is immutable, so unlike window plans there is nothing at
+	// runtime that can invalidate it; re-registering recompiles).
+	having *starql.CompiledHaving
 }
-
-// CompiledHaving reports whether the task evaluates its HAVING clause
-// with the compiled matcher.
-func (t *Task) CompiledHaving() bool { return t.compiled != nil }
 
 // Answers returns the number of CONSTRUCT triples emitted so far.
 func (t *Task) Answers() int64 { return atomic.LoadInt64(&t.answers) }
@@ -198,9 +183,6 @@ func NewSystem(cfg Config, tbox *ontology.TBox, set *mapping.Set, catalog *relat
 	engCfg := cfg.Engine
 	if engCfg.Tracer == nil {
 		engCfg.Tracer = tracer
-	}
-	if cfg.Vectorized == exastream.VecOff {
-		engCfg.Vectorized = exastream.VecOff
 	}
 	if cfg.Optimize {
 		cfg.Analyze = true
@@ -242,18 +224,18 @@ func NewSystem(cfg Config, tbox *ontology.TBox, set *mapping.Set, catalog *relat
 		havingMatches:  reg.Counter("starql.having.matches"),
 		havingCompiled: reg.Counter("starql.having.compiled"),
 		havingNS:       reg.Histogram("starql.having.window_ns", telemetry.LatencyBuckets),
-		cfg:        cfg,
-		tbox:       tbox,
-		mappings:   set,
-		catalog:    catalog,
-		cluster:    cl,
-		translator: translator,
-		reg:        reg,
-		tracer:     tracer,
-		streams:    make(map[string]stream.Schema),
-		builders:   make(map[string]*starql.SequenceBuilder),
-		tasks:      make(map[string]*Task),
-		derived:    make(map[string]string),
+		cfg:            cfg,
+		tbox:           tbox,
+		mappings:       set,
+		catalog:        catalog,
+		cluster:        cl,
+		translator:     translator,
+		reg:            reg,
+		tracer:         tracer,
+		streams:        make(map[string]stream.Schema),
+		builders:       make(map[string]*starql.SequenceBuilder),
+		tasks:          make(map[string]*Task),
+		derived:        make(map[string]string),
 	}, nil
 }
 
@@ -349,10 +331,9 @@ func (s *System) registerParsed(id string, q *starql.Query, sink AnswerSink) (*T
 		subjects: map[string]bool{}, sink: sink,
 	}
 	// Compile the HAVING condition once per registered query; every
-	// window evaluation reuses the program (DESIGN.md §10). The
-	// interpreter remains the reference path behind InterpretHaving.
-	if q.Having != nil && !s.cfg.InterpretHaving {
-		task.compiled = starql.CompileHaving(q.Having, q.Aggregates)
+	// window evaluation reuses the program (DESIGN.md §10).
+	if q.Having != nil {
+		task.having = starql.CompileHaving(q.Having, q.Aggregates)
 		s.havingCompiled.Inc()
 	}
 	for _, b := range bindings {
@@ -421,19 +402,14 @@ func (s *System) windowSink(task *Task, builder *starql.SequenceBuilder) exastre
 			return
 		}
 		var triples []rdf.Triple
-		having := task.Query.Having
+		having := task.having
 		var hstart time.Time
 		if having != nil {
 			hstart = time.Now()
 		}
 		for _, binding := range task.Bindings {
 			if having != nil {
-				var ok bool
-				if task.compiled != nil {
-					ok, err = task.compiled.Eval(seq, binding)
-				} else {
-					ok, err = starql.EvalHaving(having, seq, binding, task.Query.Aggregates)
-				}
+				ok, err := having.Eval(seq, binding)
 				s.havingEvals.Inc()
 				if err != nil || !ok {
 					continue
@@ -652,12 +628,9 @@ func (s *System) Explain(taskID string, analyze bool) (string, error) {
 	fmt.Fprintf(&sb, "unfold: cqs=%d combinations=%d pruned=%d fleet=%d self_joins_removed=%d unmapped_atoms=%d constraint_pruned=%d fk_joins_removed=%d\n",
 		u.CQs, u.Combinations, u.Pruned, u.FleetSize, u.SelfJoinsRemoved, u.UnmappedAtoms,
 		u.ConstraintPruned, u.FKJoinsRemoved)
-	switch {
-	case task.CompiledHaving():
+	if task.having != nil {
 		sb.WriteString("having: compiled matcher\n")
-	case task.Query != nil && task.Query.Having != nil:
-		sb.WriteString("having: interpreted\n")
-	default:
+	} else {
 		sb.WriteString("having: none\n")
 	}
 	fmt.Fprintf(&sb, "bindings: %d\n", len(task.Bindings))

@@ -73,14 +73,14 @@ func wallKinds(s ExecStats) []OpKind {
 // charges in the same mode.
 func diffColumns(t *testing.T, cat *relation.Catalog, plan Plan, label string) {
 	t.Helper()
-	oracleCtx := NewExecContext(cat)
+	oracleCtx := rowPathContext(cat)
 	oracle, oracleErr := ExecutePlan(oracleCtx, plan)
 	for _, vec := range []bool{false, true} {
 		refCtx := NewExecContext(cat)
-		refCtx.Vectorized = vec
+		refCtx.rowPath = !vec
 		_, refErr := ExecutePlan(refCtx, plan)
 		ctx := NewExecContext(cat)
-		ctx.Vectorized = vec
+		ctx.rowPath = !vec
 		cb, err := ExecutePlanColumns(ctx, plan)
 		if (err == nil) != (oracleErr == nil) || (refErr == nil) != (oracleErr == nil) {
 			t.Fatalf("%s vec=%v: error disagreement: oracle=%v rows=%v columns=%v", label, vec, oracleErr, refErr, err)
@@ -127,7 +127,6 @@ func TestVectorizedColumnsOwnedByCaller(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(5))
 	ctx := NewExecContext(cat)
-	ctx.Vectorized = true
 	var kept []*relation.ColBatch
 	var want [][]relation.Tuple
 	for b := 0; b < 8; b++ {

@@ -17,7 +17,7 @@ type CompiledExpr func(row relation.Tuple) (relation.Value, error)
 
 // Compile translates an expression into a CompiledExpr over the given
 // schema. It is the compile-once counterpart of Eval (the reference
-// implementation): for every (schema, row) pair the compiled closure
+// interpreter in expr_ref_test.go): for every (schema, row) pair the compiled closure
 // returns exactly what Eval would, including NULL propagation, error
 // messages, and AND/OR short-circuiting — unresolvable columns or
 // unknown functions become closures producing the error per row rather
@@ -412,32 +412,6 @@ func compileAll(exprs []sql.Expr, schema relation.Schema, funcs *FuncRegistry) [
 	return out
 }
 
-// exprFor returns the per-row evaluator for e under ctx: the compiled
-// closure by default, or a thin wrapper over the reference interpreter
-// when ctx.Interpret is set (the pre-compilation execution path, kept
-// selectable for A/B measurement and debugging).
-func exprFor(ctx *ExecContext, e sql.Expr, schema relation.Schema) (CompiledExpr, error) {
-	if ctx.Interpret {
-		funcs := ctx.Funcs
-		return func(row relation.Tuple) (relation.Value, error) {
-			return Eval(e, schema, row, funcs)
-		}, nil
-	}
-	return Compile(e, schema, ctx.Funcs)
-}
-
-// exprsFor is exprFor over a list.
-func exprsFor(ctx *ExecContext, exprs []sql.Expr, schema relation.Schema) []CompiledExpr {
-	if !ctx.Interpret {
-		return compileAll(exprs, schema, ctx.Funcs)
-	}
-	out := make([]CompiledExpr, len(exprs))
-	for i, e := range exprs {
-		out[i], _ = exprFor(ctx, e, schema)
-	}
-	return out
-}
-
 // compiledKey evaluates a fixed list of key expressions into a reusable
 // buffer and encodes them as a join/group key. The zero ok return marks
 // NULL keys (which never join).
@@ -453,7 +427,7 @@ func newCompiledKey(ctx *ExecContext, exprs []sql.Expr, schema relation.Schema) 
 		idx[i] = i
 	}
 	return &compiledKey{
-		fns: exprsFor(ctx, exprs, schema),
+		fns: compileAll(exprs, schema, ctx.Funcs),
 		idx: idx,
 		buf: make(relation.Tuple, len(exprs)),
 	}

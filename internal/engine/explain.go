@@ -50,11 +50,6 @@ func PlanKind(p Plan) (OpKind, bool) {
 	return k, k >= 0
 }
 
-// Vectorizable reports whether the columnar kernels cover the whole
-// subtree rooted at p — the condition under which execution takes the
-// vectorized path when the context enables it.
-func Vectorizable(p Plan) bool { return canVectorize(p) }
-
 // ExplainAnalyze renders a plan tree like Explain, annotating every
 // node with the observed per-operator-kind counters accumulated in
 // stats: Execute calls, output rows, inclusive wall time, and — for
@@ -63,18 +58,18 @@ func Vectorizable(p Plan) bool { return canVectorize(p) }
 // when a kind occurs more than once in the tree its counters are the
 // aggregate over all occurrences, and the line says so.
 //
-// vectorized marks subtrees the columnar kernels would execute given
-// ExecContext.Vectorized (interior nodes of such a subtree run fused,
-// so their wall time reports under the subtree root).
-func ExplainAnalyze(p Plan, stats *ExecStats, vectorized bool) string {
-	return ExplainAnalyzeWithEstimates(p, stats, vectorized, nil)
+// Subtrees the columnar kernels execute are marked [vectorized]
+// (interior nodes of such a subtree run fused, so their wall time
+// reports under the subtree root).
+func ExplainAnalyze(p Plan, stats *ExecStats) string {
+	return ExplainAnalyzeWithEstimates(p, stats, nil)
 }
 
 // ExplainAnalyzeWithEstimates renders ExplainAnalyze with the cost
 // model's per-node estimates alongside the observed counters
 // (`est_rows=` next to `rows=`), so misestimates are visible at a
 // glance. A nil Estimates renders exactly like ExplainAnalyze.
-func ExplainAnalyzeWithEstimates(p Plan, stats *ExecStats, vectorized bool, est Estimates) string {
+func ExplainAnalyzeWithEstimates(p Plan, stats *ExecStats, est Estimates) string {
 	kindCount := make(map[OpKind]int)
 	var count func(Plan)
 	count = func(p Plan) {
@@ -91,7 +86,7 @@ func ExplainAnalyzeWithEstimates(p Plan, stats *ExecStats, vectorized bool, est 
 	var rec func(p Plan, depth int, inVec bool)
 	rec = func(p Plan, depth int, inVec bool) {
 		vecRoot := false
-		if vectorized && !inVec && canVectorize(p) {
+		if !inVec && canVectorize(p) {
 			vecRoot = true
 			inVec = true
 		}

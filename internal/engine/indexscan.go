@@ -70,7 +70,7 @@ func (s *IndexScanPlan) Execute(ctx *ExecContext) ([]relation.Tuple, error) {
 	}
 	if !s.compiled {
 		if s.Residual != nil {
-			if s.residual, err = exprFor(ctx, s.Residual, s.schema); err != nil {
+			if s.residual, err = Compile(s.Residual, s.schema, ctx.Funcs); err != nil {
 				return nil, err
 			}
 		}

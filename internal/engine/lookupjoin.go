@@ -71,9 +71,9 @@ func (j *LookupJoinPlan) Execute(ctx *ExecContext) ([]relation.Tuple, error) {
 		return nil, err
 	}
 	if !j.compiled {
-		j.leftKeys = exprsFor(ctx, j.LeftKeys, j.Left.Schema())
+		j.leftKeys = compileAll(j.LeftKeys, j.Left.Schema(), ctx.Funcs)
 		if j.Residual != nil {
-			if j.residual, err = exprFor(ctx, j.Residual, j.schema); err != nil {
+			if j.residual, err = Compile(j.Residual, j.schema, ctx.Funcs); err != nil {
 				return nil, err
 			}
 		}

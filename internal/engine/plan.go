@@ -105,17 +105,12 @@ type ExecContext struct {
 	Catalog *relation.Catalog
 	Funcs   *FuncRegistry
 	Stats   ExecStats
-	// Interpret makes operators evaluate expressions with the reference
-	// interpreter (Eval) instead of compiled closures. It exists so the
-	// compiled pipeline can be ablated in benchmarks and bisected when
-	// chasing a miscompilation; production paths leave it false.
-	Interpret bool
-	// Vectorized routes execution through the columnar batch kernels
-	// (vec.go) wherever a subtree supports them; operators without a
-	// kernel fall back to this row path transparently. Off, plans run
-	// tuple-at-a-time exactly as before — that path doubles as the
-	// differential oracle for the kernels.
-	Vectorized bool
+	// rowPath forces tuple-at-a-time execution for the whole plan. Left
+	// false, every subtree that has columnar kernels (vec.go) runs
+	// columnar and the row operators above it consume its output; only
+	// this package's differential tests set it, to run the row path as
+	// the oracle for the kernels.
+	rowPath bool
 }
 
 // NewExecContext returns a context over a catalog with built-in functions.
@@ -257,7 +252,7 @@ func (f *FilterPlan) Execute(ctx *ExecContext) ([]relation.Tuple, error) {
 		return nil, err
 	}
 	if f.pred == nil {
-		f.pred, err = exprFor(ctx, f.Pred, f.Input.Schema())
+		f.pred, err = Compile(f.Pred, f.Input.Schema(), ctx.Funcs)
 		if err != nil {
 			return nil, err
 		}
@@ -326,7 +321,7 @@ func (p *ProjectPlan) Execute(ctx *ExecContext) ([]relation.Tuple, error) {
 		return nil, err
 	}
 	if p.exprs == nil {
-		p.exprs = exprsFor(ctx, p.Exprs, p.Input.Schema())
+		p.exprs = compileAll(p.Exprs, p.Input.Schema(), ctx.Funcs)
 	}
 	out := make([]relation.Tuple, len(in))
 	for i, row := range in {
@@ -404,7 +399,7 @@ func (j *HashJoinPlan) Execute(ctx *ExecContext) ([]relation.Tuple, error) {
 		j.leftKey = newCompiledKey(ctx, j.LeftKeys, j.Left.Schema())
 		j.rightKey = newCompiledKey(ctx, j.RightKeys, j.Right.Schema())
 		if j.Residual != nil {
-			if j.residual, err = exprFor(ctx, j.Residual, j.schema); err != nil {
+			if j.residual, err = Compile(j.Residual, j.schema, ctx.Funcs); err != nil {
 				return nil, err
 			}
 		}
@@ -502,7 +497,7 @@ func (j *NestedLoopJoinPlan) Execute(ctx *ExecContext) ([]relation.Tuple, error)
 		return nil, err
 	}
 	if j.On != nil && j.on == nil {
-		if j.on, err = exprFor(ctx, j.On, j.schema); err != nil {
+		if j.on, err = Compile(j.On, j.schema, ctx.Funcs); err != nil {
 			return nil, err
 		}
 	}
@@ -619,14 +614,14 @@ func (a *AggregatePlan) Execute(ctx *ExecContext) ([]relation.Tuple, error) {
 	}
 	if !a.compiled {
 		schema := a.Input.Schema()
-		a.groups = exprsFor(ctx, a.GroupExprs, schema)
+		a.groups = compileAll(a.GroupExprs, schema, ctx.Funcs)
 		a.aggArgs = make([][2]CompiledExpr, len(a.Aggs))
 		for i, agg := range a.Aggs {
 			if len(agg.Args) > 0 {
-				a.aggArgs[i][0], _ = exprFor(ctx, agg.Args[0], schema)
+				a.aggArgs[i][0], _ = Compile(agg.Args[0], schema, ctx.Funcs)
 			}
 			if len(agg.Args) == 2 && strings.EqualFold(agg.Name, "corr") {
-				a.aggArgs[i][1], _ = exprFor(ctx, agg.Args[1], schema)
+				a.aggArgs[i][1], _ = Compile(agg.Args[1], schema, ctx.Funcs)
 			}
 		}
 		a.compiled = true
@@ -866,7 +861,7 @@ func (s *SortPlan) Execute(ctx *ExecContext) ([]relation.Tuple, error) {
 		schema := s.Input.Schema()
 		s.items = make([]CompiledExpr, len(s.Items))
 		for j, it := range s.Items {
-			s.items[j], _ = exprFor(ctx, it.Expr, schema)
+			s.items[j], _ = Compile(it.Expr, schema, ctx.Funcs)
 		}
 	}
 	keys := make([][]relation.Value, len(in))

@@ -306,7 +306,7 @@ func TestExplainAnalyzeZeroCallOperators(t *testing.T) {
 	st.Ops[OpScan] = OpCounters{Calls: 1, RowsOut: 10}
 	st.Ops[OpFilter] = OpCounters{Calls: 0, RowsOut: 0}
 
-	out := ExplainAnalyze(p, &st, false)
+	out := ExplainAnalyze(p, &st)
 	for _, bad := range []string{"NaN", "Inf"} {
 		if strings.Contains(out, bad) {
 			t.Fatalf("explain output leaks %s:\n%s", bad, out)
@@ -321,7 +321,7 @@ func TestExplainAnalyzeZeroCallOperators(t *testing.T) {
 	// With estimates attached, the same guard holds and the est-vs-obs
 	// column appears.
 	est := EstimatePlan(p, NewStatsStore(cat))
-	out = ExplainAnalyzeWithEstimates(p, &st, false, est)
+	out = ExplainAnalyzeWithEstimates(p, &st, est)
 	if !strings.Contains(out, "est_rows=") || !strings.Contains(out, "obs_rows=") {
 		t.Fatalf("estimates column missing:\n%s", out)
 	}

@@ -294,13 +294,13 @@ func canVectorize(p Plan) bool {
 	}
 }
 
-// execChild evaluates a child plan: columnar when the context asks for
-// it and the subtree has kernels, the ordinary row path otherwise. Row
-// operators call it in place of child.Execute so a vectorizable subtree
-// below a row-only operator still runs columnar.
+// execChild evaluates a child plan: columnar when the subtree has
+// kernels, the ordinary row path otherwise. Row operators call it in
+// place of child.Execute so a vectorizable subtree below a row-only
+// operator still runs columnar.
 func execChild(ctx *ExecContext, p Plan) ([]relation.Tuple, error) {
 	defer chargeWall(ctx, p, time.Now())
-	if ctx.Vectorized && canVectorize(p) {
+	if !ctx.rowPath && canVectorize(p) {
 		f, err := p.(vecPlan).executeVec(ctx)
 		if err != nil {
 			return nil, err
@@ -321,9 +321,8 @@ func chargeWall(ctx *ExecContext, p Plan, start time.Time) {
 }
 
 // ExecutePlan is the engine's row-shaped top-level entry point: it
-// picks the columnar path when ctx.Vectorized is set and the plan
-// supports it, and the tuple-at-a-time path otherwise, and returns
-// tuples either way.
+// picks the columnar path when the plan supports it and the
+// tuple-at-a-time path otherwise, and returns tuples either way.
 func ExecutePlan(ctx *ExecContext, p Plan) ([]relation.Tuple, error) {
 	return execChild(ctx, p)
 }
@@ -337,7 +336,7 @@ func ExecutePlan(ctx *ExecContext, p Plan) ([]relation.Tuple, error) {
 // charges them, and the caller owns the returned batch.
 func ExecutePlanColumns(ctx *ExecContext, p Plan) (*relation.ColBatch, error) {
 	defer chargeWall(ctx, p, time.Now())
-	if ctx.Vectorized && canVectorize(p) {
+	if !ctx.rowPath && canVectorize(p) {
 		f, err := p.(vecPlan).executeVec(ctx)
 		if err != nil {
 			return nil, err
@@ -414,7 +413,7 @@ func (f *FilterPlan) executeVec(ctx *ExecContext) (*vecFrame, error) {
 		return nil, err
 	}
 	if f.vpred == nil {
-		f.vpred = vecExprFor(ctx, f.Pred, f.Input.Schema())
+		f.vpred = compileVec(f.Pred, f.Input.Schema(), ctx.Funcs)
 	}
 	pv, err := f.vpred(in.cols, in.n, in.sel)
 	if err != nil {
@@ -474,7 +473,7 @@ func (p *ProjectPlan) executeVec(ctx *ExecContext) (*vecFrame, error) {
 		return nil, err
 	}
 	if p.vexprs == nil {
-		p.vexprs = vecExprsFor(ctx, p.Exprs, p.Input.Schema())
+		p.vexprs = compileVecAll(p.Exprs, p.Input.Schema(), ctx.Funcs)
 	}
 	if cap(p.vout) < len(p.vexprs) {
 		p.vout = make([]*relation.Vector, len(p.vexprs))
@@ -523,10 +522,10 @@ func (j *LookupJoinPlan) executeVec(ctx *ExecContext) (*vecFrame, error) {
 		return nil, err
 	}
 	if j.vleftKeys == nil {
-		j.vleftKeys = vecExprsFor(ctx, j.LeftKeys, j.Left.Schema())
+		j.vleftKeys = compileVecAll(j.LeftKeys, j.Left.Schema(), ctx.Funcs)
 	}
 	if j.Residual != nil && j.residual == nil {
-		if j.residual, err = exprFor(ctx, j.Residual, j.schema); err != nil {
+		if j.residual, err = Compile(j.Residual, j.schema, ctx.Funcs); err != nil {
 			return nil, err
 		}
 	}
@@ -641,23 +640,12 @@ func (j *LookupJoinPlan) executeVec(ctx *ExecContext) (*vecFrame, error) {
 // input, returning a vector of length n defined at selected positions.
 type vecExpr func(cols []*relation.Vector, n int, sel *relation.Bitmap) (*relation.Vector, error)
 
-// vecExprFor is the columnar counterpart of exprFor: compiled kernels by
-// default, the reference interpreter applied row-wise when the context
-// asks for interpretation.
-func vecExprFor(ctx *ExecContext, e sql.Expr, schema relation.Schema) vecExpr {
-	if ctx.Interpret {
-		funcs := ctx.Funcs
-		return vecRowFallback(func(row relation.Tuple) (relation.Value, error) {
-			return Eval(e, schema, row, funcs)
-		}, schema.Arity())
-	}
-	return compileVec(e, schema, ctx.Funcs)
-}
-
-func vecExprsFor(ctx *ExecContext, exprs []sql.Expr, schema relation.Schema) []vecExpr {
+// compileVecAll compiles a list of expressions to columnar evaluators
+// against one schema.
+func compileVecAll(exprs []sql.Expr, schema relation.Schema, funcs *FuncRegistry) []vecExpr {
 	out := make([]vecExpr, len(exprs))
 	for i, e := range exprs {
-		out[i] = vecExprFor(ctx, e, schema)
+		out[i] = compileVec(e, schema, funcs)
 	}
 	return out
 }

@@ -138,6 +138,15 @@ func dimCatalog(t *testing.T, indexed bool) *relation.Catalog {
 	return cat
 }
 
+// rowPathContext returns an execution context pinned to the
+// tuple-at-a-time path, the oracle the columnar kernels are checked
+// against.
+func rowPathContext(cat *relation.Catalog) *ExecContext {
+	ctx := NewExecContext(cat)
+	ctx.rowPath = true
+	return ctx
+}
+
 // diffExec runs the same plan over the same bound batch on the row path
 // and the vectorized path and requires identical tuple multisets. Error
 // identity may differ between the paths (see the semantics contract in
@@ -145,10 +154,8 @@ func dimCatalog(t *testing.T, indexed bool) *relation.Catalog {
 // entry point against the same oracle (diffColumns).
 func diffExec(t *testing.T, cat *relation.Catalog, plan Plan, label string) {
 	t.Helper()
-	rctx := NewExecContext(cat)
-	rowRes, rowErr := ExecutePlan(rctx, plan)
+	rowRes, rowErr := ExecutePlan(rowPathContext(cat), plan)
 	vctx := NewExecContext(cat)
-	vctx.Vectorized = true
 	vecRes, vecErr := ExecutePlan(vctx, plan)
 	if (rowErr == nil) != (vecErr == nil) {
 		t.Fatalf("%s: error disagreement: row=%v vec=%v", label, rowErr, vecErr)
@@ -269,7 +276,6 @@ func TestVectorizedEdgeBatches(t *testing.T) {
 		plan, wsp := mk(c.query)
 		wsp.Bind(c.rows)
 		ctx := NewExecContext(cat)
-		ctx.Vectorized = true
 		got, err := ExecutePlan(ctx, plan)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -315,7 +321,6 @@ func TestVectorizedSharedWindowRace(t *testing.T) {
 				return
 			}
 			ctx := NewExecContext(cat)
-			ctx.Vectorized = true
 			for iter := 0; iter < 100; iter++ {
 				wsp.Bind(rows)
 				wsp.BindColumns(cb)

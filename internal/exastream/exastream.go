@@ -142,21 +142,6 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 	return m
 }
 
-// VecMode selects the window execution path. The zero value is the
-// vectorized columnar path (the default); VecOff forces the
-// tuple-at-a-time row path, which is also the automatic fallback for
-// any plan subtree without a columnar kernel.
-type VecMode int
-
-const (
-	// VecOn executes windows with columnar batch kernels where the plan
-	// supports them.
-	VecOn VecMode = iota
-	// VecOff forces tuple-at-a-time execution everywhere (the
-	// differential oracle and ablation baseline).
-	VecOff
-)
-
 // Options configures an Engine.
 type Options struct {
 	// AdaptiveIndexing enables runtime index building on static tables
@@ -187,20 +172,6 @@ type Options struct {
 	// single query always run sequentially in window-end order,
 	// whatever the pool size.
 	Parallelism int
-	// DisablePlanCache rebuilds every query's physical plan on every
-	// window execution (the pre-compile-once behaviour); the ablation
-	// benchmarks measure the difference.
-	DisablePlanCache bool
-	// InterpretExprs evaluates expressions with the engine's reference
-	// interpreter instead of compiled closures. Together with
-	// DisablePlanCache this reproduces the pre-compile-once execution
-	// pipeline end to end; it exists for ablation and debugging.
-	InterpretExprs bool
-	// Vectorized selects columnar batch-at-a-time window execution (the
-	// zero value, i.e. on by default) or the tuple-at-a-time row path
-	// (VecOff). Operators without a columnar kernel fall back to the row
-	// path automatically either way.
-	Vectorized VecMode
 	// Telemetry, when set, is the metrics registry the engine records
 	// into; nil gives the engine a private registry (counters then cost
 	// the same either way). The cluster runtime passes one registry per
@@ -473,22 +444,26 @@ func (e *Engine) Register(id string, stmt *sql.SelectStmt, pulse *stream.Pulse, 
 	if err := e.registerLocked(q); err != nil {
 		return err
 	}
-	// Build the physical plan eagerly so the very first window already
-	// runs on the cached, compiled path. A query that fails to build
-	// (missing table, bad expression) stays registered: the error
-	// resurfaces on each execution attempt and flows through the usual
-	// containment/quarantine machinery.
-	if !e.opts.DisablePlanCache {
-		if cp, err := e.buildPlan(q); err == nil {
-			e.met.planBuilds.Inc()
-			q.execMu.Lock()
-			if q.plan == nil {
-				q.plan = cp
-			}
-			q.execMu.Unlock()
-		}
-	}
+	e.warmPlan(q)
 	return nil
+}
+
+// warmPlan builds q's physical plan eagerly so the very first window
+// already runs on the cached, compiled path. A query that fails to
+// build (missing table, bad expression) stays registered: the error
+// resurfaces on each execution attempt and flows through the usual
+// containment/quarantine machinery.
+func (e *Engine) warmPlan(q *continuousQuery) {
+	cp, err := e.buildPlan(q)
+	if err != nil {
+		return
+	}
+	e.met.planBuilds.Inc()
+	q.execMu.Lock()
+	if q.plan == nil {
+		q.plan = cp
+	}
+	q.execMu.Unlock()
 }
 
 func (e *Engine) registerLocked(q *continuousQuery) error {
@@ -635,12 +610,10 @@ func (e *Engine) IngestSeq(streamName string, el stream.Timestamped, seq int64) 
 		for _, b := range batches {
 			e.met.batchesBuilt.Inc()
 			if e.opts.ShareWindows && wk.owner == "" {
-				if e.opts.Vectorized == VecOn {
-					// Materialise the shared transpose before the cache
-					// takes its byte estimate, so governance accounts the
-					// columnar copy the executions are about to create.
-					b.Columns()
-				}
+				// Materialise the shared transpose before the cache takes
+				// its byte estimate, so governance accounts the columnar
+				// copy the executions are about to create.
+				b.Columns()
 				e.wcache.Put(streamName, wk.spec, b)
 			}
 			for _, sub := range sw.subs {
@@ -664,9 +637,7 @@ func (e *Engine) Flush() error {
 		for _, b := range sw.op.Flush() {
 			e.met.batchesBuilt.Inc()
 			if e.opts.ShareWindows && wk.owner == "" {
-				if e.opts.Vectorized == VecOn {
-					b.Columns()
-				}
+				b.Columns()
 				e.wcache.Put(wk.stream, wk.spec, b)
 			}
 			for _, sub := range sw.subs {
@@ -919,7 +890,7 @@ func (e *Engine) executeItem(it execItem) error {
 	epoch := atomic.LoadInt64(&e.indexEpoch)
 	gen := e.catalog.Generation()
 	switch {
-	case cp == nil || e.opts.DisablePlanCache || cp.gen != gen:
+	case cp == nil || cp.gen != gen:
 		var err error
 		cp, err = e.buildPlan(q)
 		if err != nil {
@@ -928,11 +899,7 @@ func (e *Engine) executeItem(it execItem) error {
 			return e.containQueryError(q, fmt.Errorf("exastream: query %s: %w", q.id, err))
 		}
 		e.met.planBuilds.Inc()
-		if e.opts.DisablePlanCache {
-			q.plan = nil
-		} else {
-			q.plan = cp
-		}
+		q.plan = cp
 	case cp.epoch != epoch:
 		// Adaptive indexing built an index since this plan was adapted:
 		// re-run adaptation so eligible scans become index lookups.
@@ -944,16 +911,13 @@ func (e *Engine) executeItem(it execItem) error {
 		e.met.planCacheHits.Inc()
 	}
 	rowsIn := 0
-	vec := e.opts.Vectorized == VecOn
 	for i, src := range cp.sources {
 		if src != nil {
 			src.Bind(it.batches[i].Rows)
-			if vec {
-				// The batch's transpose cell is shared across wCache and
-				// every query's delivery, so N queries over one window pay
-				// for one transposition.
-				src.BindColumns(it.batches[i].Columns())
-			}
+			// The batch's transpose cell is shared across wCache and every
+			// query's delivery, so N queries over one window pay for one
+			// transposition.
+			src.BindColumns(it.batches[i].Columns())
 			rowsIn += len(it.batches[i].Rows)
 			// Windowed sample for the stats store: EWMA rows per window
 			// plus per-column NDV of this batch.
@@ -965,7 +929,7 @@ func (e *Engine) executeItem(it execItem) error {
 		ctx = &engine.ExecContext{}
 		q.execCtx = ctx
 	}
-	*ctx = engine.ExecContext{Catalog: e.catalog, Funcs: e.funcs, Interpret: e.opts.InterpretExprs, Vectorized: vec}
+	*ctx = engine.ExecContext{Catalog: e.catalog, Funcs: e.funcs}
 	cb, err := engine.ExecutePlanColumns(ctx, cp.adapted)
 	e.met.rowsScanned.Add(ctx.Stats.RowsScanned)
 	e.met.rowsProduced.Add(ctx.Stats.RowsProduced)

@@ -12,9 +12,9 @@ import (
 
 // QueryStats returns the per-operator stats accumulated across a
 // query's window executions so far, plus how many windows contributed.
-// The differential oracle test compares these between the vectorized
-// and row paths; the stats-driven planner consumes the same counters
-// as observed cardinalities via StatsStore.Feedback.
+// EXPLAIN ANALYZE renders these counters; the stats-driven planner
+// consumes the same counters as observed cardinalities via
+// StatsStore.Feedback.
 func (e *Engine) QueryStats(id string) (stats engine.ExecStats, windows int64, err error) {
 	e.mu.Lock()
 	q, ok := e.queries[id]
@@ -58,7 +58,6 @@ func (e *Engine) ExplainQuery(id string, analyze bool) (string, error) {
 	lastEnd := q.lastEnd
 	q.execMu.Unlock()
 
-	vec := e.opts.Vectorized == VecOn
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "-- query %s\n", q.id)
 	fmt.Fprintf(&sb, "-- sql: %s\n", q.stmt.String())
@@ -75,9 +74,9 @@ func (e *Engine) ExplainQuery(id string, analyze bool) (string, error) {
 		if e.stats != nil {
 			est = engine.EstimatePlan(cp.adapted, e.stats)
 		}
-		sb.WriteString(engine.ExplainAnalyzeWithEstimates(cp.adapted, &cum, vec, est))
+		sb.WriteString(engine.ExplainAnalyzeWithEstimates(cp.adapted, &cum, est))
 	} else {
-		sb.WriteString(engine.ExplainAnalyze(cp.adapted, nil, vec))
+		sb.WriteString(engine.ExplainAnalyze(cp.adapted, nil))
 	}
 	return sb.String(), nil
 }

@@ -2,13 +2,16 @@ package exastream
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/obda/mapping"
 	"repro/internal/relation"
 	"repro/internal/siemens"
+	"repro/internal/sql"
 	"repro/internal/starql"
 	"repro/internal/stream"
 )
@@ -76,12 +79,33 @@ func (a *diffAssets) translate(t *testing.T, prune bool) *starql.Translation {
 // union of its members).
 func runFleet(t *testing.T, a *diffAssets, opts Options, tl *starql.Translation) map[int64]map[string]struct{} {
 	t.Helper()
+	e := newDiffEngine(t, a, opts)
+	windows, sink := collectWindows()
+	for i, stmt := range tl.StreamFleet {
+		if err := e.Register(fmt.Sprintf("f%03d", i), stmt, tl.Pulse, sink); err != nil {
+			t.Fatalf("register member %d (%s): %v", i, stmt.String(), err)
+		}
+	}
+	a.replay(t, e)
+	return windows
+}
+
+// newDiffEngine returns an engine over the deployment catalog with the
+// Siemens streams declared.
+func newDiffEngine(t *testing.T, a *diffAssets, opts Options) *Engine {
+	t.Helper()
 	e := NewEngine(a.cat, opts)
 	for _, sc := range siemens.StreamSchemas() {
 		if err := e.DeclareStream(sc); err != nil {
 			t.Fatal(err)
 		}
 	}
+	return e
+}
+
+// collectWindows returns a per-window-end row set and the sink that
+// fills it; the sink is safe for concurrent windows.
+func collectWindows() (map[int64]map[string]struct{}, Sink) {
 	windows := map[int64]map[string]struct{}{}
 	var mu sync.Mutex
 	sink := func(_ string, end int64, _ relation.Schema, cb *relation.ColBatch) {
@@ -96,11 +120,12 @@ func runFleet(t *testing.T, a *diffAssets, opts Options, tl *starql.Translation)
 			set[fmt.Sprint(r)] = struct{}{}
 		}
 	}
-	for i, stmt := range tl.StreamFleet {
-		if err := e.Register(fmt.Sprintf("f%03d", i), stmt, tl.Pulse, sink); err != nil {
-			t.Fatalf("register member %d (%s): %v", i, stmt.String(), err)
-		}
-	}
+	return windows, sink
+}
+
+// replay ingests the seeded tuple log and flushes the open windows.
+func (a *diffAssets) replay(t *testing.T, e *Engine) {
+	t.Helper()
 	for i, el := range a.tuples {
 		if err := e.Ingest(siemens.RouteName(a.routes[i]), el); err != nil {
 			t.Fatal(err)
@@ -109,7 +134,6 @@ func runFleet(t *testing.T, a *diffAssets, opts Options, tl *starql.Translation)
 	if err := e.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	return windows
 }
 
 // renderWindows serialises the per-window answer sets deterministically
@@ -162,23 +186,122 @@ func TestOptimizedFleetDifferential(t *testing.T) {
 	}
 }
 
-// TestOptimizedFleetDifferentialChaos repeats the differential with a
-// wide worker pool and the plan cache disabled so window executions of
-// many fleet members run concurrently — under -race this exercises the
-// StatsStore's concurrent ObserveSource/Feedback/estimate paths.
+// TestOptimizedFleetDifferentialChaos repeats the differential with the
+// optimized fleet registered from several goroutines while a feeder
+// goroutine keeps background queries executing windows on a wide
+// worker pool. Each registrar also registers a background query whose
+// plan the cost-based planner reorders from table statistics, so under
+// -race this exercises the StatsStore's estimate path (concurrent
+// lazy ANALYZE and reads) against the ObserveSource/Feedback writes of
+// concurrent window executions. The background queries read their own
+// stream, so the fleet still sees the whole replay once registered.
 func TestOptimizedFleetDifferentialChaos(t *testing.T) {
 	a := diffSetup(t)
 	plain := a.translate(t, false)
 	pruned := a.translate(t, true)
 
 	want := renderWindows(runFleet(t, a, Options{Parallelism: 8}, plain))
-	got := renderWindows(runFleet(t, a, Options{
-		Optimize: true, Parallelism: 8, DisablePlanCache: true, ShareWindows: true,
-	}, pruned))
+
+	e := newDiffEngine(t, a, Options{Optimize: true, Parallelism: 8, ShareWindows: true})
+	msmtA := siemens.StreamSchemas()[0]
+	if err := e.DeclareStream(stream.Schema{Name: "msmt_bg", Tuple: msmtA.Tuple, TSCol: msmtA.TSCol}); err != nil {
+		t.Fatal(err)
+	}
+	// Background queries read their own stream through two static
+	// lookups keyed on stream columns — the chain the cost-based planner
+	// reorders by estimated matches per probe, so building their plans
+	// reads the statistics store.
+	var bgWindows atomic.Int64
+	bg := sql.MustParse(`SELECT w.sid, s.kind, t.model FROM STREAM msmt_bg [RANGE 2000 SLIDE 1000] AS w,
+		a_sensors AS s, a_turbines AS t WHERE w.sid = s.sid AND w.fail = t.tid AND w.val > 0`)
+	bgSink := func(string, int64, relation.Schema, *relation.ColBatch) { bgWindows.Add(1) }
+	if err := e.Register("bg", bg, nil, bgSink); err != nil {
+		t.Fatal(err)
+	}
+
+	// The feeder replays source-A tuples into the background stream, lap
+	// after lap with advancing timestamps, until every member is
+	// registered.
+	stop, done := make(chan struct{}), make(chan struct{})
+	var feedErr error
+	go func() {
+		defer close(done)
+		for lap := int64(0); ; lap++ {
+			for i, el := range a.tuples {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if !a.routes[i] {
+					continue
+				}
+				el.TS += lap * 30_000
+				el.Row = el.Row.Clone()
+				el.Row[1] = relation.Time(el.TS)
+				if feedErr = e.Ingest("msmt_bg", el); feedErr != nil {
+					return
+				}
+			}
+		}
+	}()
+	// awaitWindow blocks until a background window newer than the seen
+	// count has executed (or the feeder has stopped), so registrations
+	// interleave with window executions instead of finishing first.
+	awaitWindow := func(seen int64) int64 {
+		for {
+			if n := bgWindows.Load(); n > seen {
+				return n
+			}
+			select {
+			case <-done:
+				return seen
+			default:
+				runtime.Gosched()
+			}
+		}
+	}
+
+	windows, sink := collectWindows()
+	const registrars = 4
+	errs := make([]error, registrars)
+	var wg sync.WaitGroup
+	for g := 0; g < registrars; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var seen int64
+			for i := g; i < len(pruned.StreamFleet); i += registrars {
+				seen = awaitWindow(seen)
+				if err := e.Register(fmt.Sprintf("bg%03d", i), bg, nil, bgSink); err != nil {
+					errs[g] = fmt.Errorf("register background %d: %w", i, err)
+					return
+				}
+				if err := e.Register(fmt.Sprintf("f%03d", i), pruned.StreamFleet[i], pruned.Pulse, sink); err != nil {
+					errs[g] = fmt.Errorf("register member %d: %w", i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(stop)
+	<-done
+	if feedErr != nil {
+		t.Fatal(feedErr)
+	}
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	a.replay(t, e)
+
+	got := renderWindows(windows)
 	if want == "" {
 		t.Fatal("as-written fleet produced no windows — differential is vacuous")
 	}
 	if got != want {
-		t.Fatalf("optimized fleet diverges under parallel execution\n--- as-written ---\n%s\n--- optimized ---\n%s", want, got)
+		t.Fatalf("optimized fleet diverges under concurrent registration\n--- as-written ---\n%s\n--- optimized ---\n%s", want, got)
 	}
 }

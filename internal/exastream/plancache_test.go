@@ -49,37 +49,6 @@ func TestPlanCacheHitSteadyState(t *testing.T) {
 	}
 }
 
-func TestPlanCacheDisabledMatchesCached(t *testing.T) {
-	run := func(opts Options) ([]collected, Stats) {
-		e := testRig(t, opts)
-		c := &collector{}
-		q := sql.MustParse(`SELECT m.sid, avg(m.val) AS a
-			FROM STREAM msmt [RANGE 1000 SLIDE 1000] AS m, sensors AS s
-			WHERE m.sid = s.sid GROUP BY m.sid`)
-		if err := e.Register("q", q, nil, c.sink); err != nil {
-			t.Fatal(err)
-		}
-		feed(t, e, 100, 100)
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return append([]collected(nil), c.results...), e.Stats()
-	}
-	cached, cst := run(Options{})
-	rebuilt, rst := run(Options{DisablePlanCache: true})
-	if !reflect.DeepEqual(cached, rebuilt) {
-		t.Fatalf("cached and rebuilt runs disagree:\n%v\n%v", cached, rebuilt)
-	}
-	if rst.PlanCacheHits != 0 {
-		t.Errorf("DisablePlanCache hit the cache %d times", rst.PlanCacheHits)
-	}
-	if rst.PlanBuilds != rst.WindowsExecuted {
-		t.Errorf("DisablePlanCache: PlanBuilds = %d, want %d", rst.PlanBuilds, rst.WindowsExecuted)
-	}
-	if cst.PlanBuilds >= rst.PlanBuilds {
-		t.Errorf("cache did not amortize builds: %d vs %d", cst.PlanBuilds, rst.PlanBuilds)
-	}
-}
-
 // TestAdaptiveIndexInvalidatesCachedPlan is the acceptance test for
 // epoch invalidation: a plan cached before the adaptive index exists
 // must be re-adapted once the index is built, and its subsequent

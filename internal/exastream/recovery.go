@@ -154,16 +154,7 @@ func (e *Engine) RestoreQuery(id string, stmt *sql.SelectStmt, pulse *stream.Pul
 	if err := e.restoreLocked(q, st); err != nil {
 		return err
 	}
-	if !e.opts.DisablePlanCache {
-		if cp, err := e.buildPlan(q); err == nil {
-			e.met.planBuilds.Inc()
-			q.execMu.Lock()
-			if q.plan == nil {
-				q.plan = cp
-			}
-			q.execMu.Unlock()
-		}
-	}
+	e.warmPlan(q)
 	return nil
 }
 

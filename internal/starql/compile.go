@@ -11,7 +11,7 @@ import (
 // This file lowers a checked HAVING condition into a compile-once,
 // evaluate-many program, mirroring how internal/engine compiles
 // relational expressions (DESIGN.md §8/§10). The tree interpreter in
-// sequence.go (matches) stays as the reference semantics and the
+// having_ref_test.go (matches) is the reference semantics and the
 // differential-test oracle; the compiler must agree with it on every
 // well-formed condition.
 //
@@ -95,9 +95,9 @@ type CompiledHaving struct {
 }
 
 // CompileHaving compiles a checked HAVING condition, pre-expanding
-// aggregate macros from defs. The returned program evaluates the same
-// conditions as EvalHaving; keep the interpreter for debugging and as
-// the differential oracle (see TestCompiledHavingMatchesInterpreter).
+// aggregate macros from defs. The returned program agrees with the
+// reference interpreter (having_ref_test.go) on every well-formed
+// condition; TestCompiledHavingMatchesInterpreter is the differential.
 func CompileHaving(h HavingExpr, defs map[string]*AggregateDef) *CompiledHaving {
 	c := &havingCompiler{
 		states: map[string]int{},
@@ -129,7 +129,7 @@ func (ch *CompiledHaving) Slots() (states, values, bindings int) {
 }
 
 // Eval evaluates the compiled condition over a sequence under a WHERE
-// binding. Equivalent to EvalHaving on the source condition.
+// binding.
 func (ch *CompiledHaving) Eval(seq *Sequence, binding Binding) (bool, error) {
 	env := ch.pool.Get().(*chEnv)
 	env.seq = seq

@@ -64,16 +64,6 @@ const (
 // EngineOptions configures each worker's ExaStream instance.
 type EngineOptions = exastream.Options
 
-// VecMode selects columnar batch execution for window evaluation (see
-// Config.Vectorized); the zero value is on.
-type VecMode = exastream.VecMode
-
-// Vectorized execution modes.
-const (
-	VecOn  = exastream.VecOn
-	VecOff = exastream.VecOff
-)
-
 // Health summarises the runtime's failure state; see System.Health.
 type Health = cluster.Health
 

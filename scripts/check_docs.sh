@@ -14,7 +14,7 @@
 #      verify" recipe must match the one CI actually runs.
 set -u
 
-DOCS="README.md EXPERIMENTS.md docs/starql.md docs/recovery.md docs/governance.md docs/vectorized.md docs/observability.md docs/planner.md docs/transport.md"
+DOCS="README.md DESIGN.md EXPERIMENTS.md docs/starql.md docs/recovery.md docs/governance.md docs/vectorized.md docs/observability.md docs/planner.md docs/transport.md"
 fail=0
 
 # ---- 1+2: flags on documented tool invocations ----
