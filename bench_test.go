@@ -53,10 +53,10 @@ func BenchmarkFigure1EndToEnd(b *testing.B) {
 	// as-written while the stats store ingests windowed samples and
 	// cardinality feedback.
 	b.Run("optimize=on", func(b *testing.B) {
-		runFigure1(b, optique.Config{Nodes: 1, Optimize: true})
+		runFigure1(b, optique.Config{Nodes: 1, Engine: optique.EngineOptions{Optimize: true}})
 	})
 	b.Run("analyze=on", func(b *testing.B) {
-		runFigure1(b, optique.Config{Nodes: 1, Analyze: true})
+		runFigure1(b, optique.Config{Nodes: 1, Engine: optique.EngineOptions{Analyze: true}})
 	})
 	// The transport dimension prices the framed TCP node transport over
 	// loopback — length-prefixed checksummed frames, per-session seqs,
@@ -94,6 +94,9 @@ func runFigure1WindowExec(b *testing.B, opts exastream.Options) {
 	}
 	tl, err := tr.Translate(q, starql.Options{})
 	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := tr.EvalBindings(tl); err != nil {
 		b.Fatal(err)
 	}
 	if len(tl.StreamFleet) == 0 {
@@ -243,13 +246,13 @@ func BenchmarkUnfoldFleet(b *testing.B) {
 	}
 	tr := starql.NewTranslator(siemens.TBox(), siemens.Mappings(), cat)
 	task, _ := siemens.TaskByID("T01_mon_temperature")
-	q, err := starql.Parse(task.Query)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tr.Translate(q, starql.Options{SkipStreamFleet: true}); err != nil {
+		q, err := starql.Parse(task.Query)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := tr.Translate(q, starql.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	optique "repro"
+	"repro/cmd/internal/cliflags"
 	"repro/internal/bootstrap"
 	"repro/internal/cluster"
 	"repro/internal/exastream"
@@ -106,45 +107,14 @@ var experiments = []string{
 	"record", "list", "all",
 }
 
-// recoveryOn/checkpointEvery carry -recovery/-checkpoint-every into the
-// cluster experiments: checkpoint overhead is part of the measured path,
-// so the sweeps can quantify what exactly-once delivery costs.
-var (
-	recoveryOn      bool
-	checkpointEvery int
-)
+// cfg is the deployment config the shared flags (cliflags) fill; the
+// cluster sweeps and the full-system experiments copy it and set only
+// what each experiment fixes (node count, partitioning, windows).
+var cfg *optique.Config
 
-// memBudget/tenantQuota carry -mem-budget/-tenant-quota into the
-// cluster experiments, so the sweeps can measure governed runs (budget
-// enforcement and admission checks on the registration/ingest path).
-var (
-	memBudget   int64
-	tenantQuota int
-)
-
-// explainTasks/flightRecorder carry -explain/-flight-recorder into the
-// full-system experiments: the fleet lag table after each test set, and
-// the per-node flight-recorder ring capacity behind /events.
-var (
-	explainTasks   bool
-	flightRecorder int
-)
-
-// optimizeOn/analyzeOn carry -optimize/-analyze into the full-system
-// experiments: constraint-pruned unfolding plus the statistics-driven
-// cost-based planner, or statistics collection alone.
-var (
-	optimizeOn bool
-	analyzeOn  bool
-)
-
-// transportKind/listenAddr carry -transport/-listen into the
-// full-system experiments: the in-process channel hop (default) or
-// framed TCP sessions, so sweeps can price the wire.
-var (
-	transportKind cluster.TransportKind
-	listenAddr    string
-)
+// explainTasks carries -explain into the full-system experiments: the
+// fleet lag table after each test set.
+var explainTasks bool
 
 func main() {
 	exp := flag.String("exp", "all", "experiment: "+strings.Join(experiments, "|"))
@@ -154,21 +124,9 @@ func main() {
 	benchTime := flag.String("benchtime", "2s", "benchtime for -exp record")
 	benchOut := flag.String("out", "", "output file for -exp record (required; an existing file is never overwritten)")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /traces and /debug/pprof on this address (e.g. localhost:6060; unauthenticated, \":port\" binds loopback)")
-	flag.BoolVar(&recoveryOn, "recovery", false, "checkpoint worker state for exactly-once recovery (measures the checkpoint overhead)")
-	flag.IntVar(&checkpointEvery, "checkpoint-every", 64, "tuples between pulse-aligned checkpoints (with -recovery)")
-	flag.Int64Var(&memBudget, "mem-budget", 0, "default per-query window-state byte budget; over-budget queries degrade instead of exhausting memory (0 = off)")
-	flag.IntVar(&tenantQuota, "tenant-quota", 0, "max concurrently registered queries per tenant namespace (0 = off)")
+	cfg = cliflags.Bind(flag.CommandLine)
 	flag.BoolVar(&explainTasks, "explain", false, "print the fleet lag table after each full-system test set")
-	flag.IntVar(&flightRecorder, "flight-recorder", 256, "per-node flight-recorder ring capacity in events (0 = off)")
-	flag.BoolVar(&optimizeOn, "optimize", false, "statistics-driven cost-based planning: constraint-pruned unfolding plus index-scan choice and lookup-join reordering (implies -analyze)")
-	flag.BoolVar(&analyzeOn, "analyze", false, "collect optimizer statistics without changing plans; EXPLAIN gains est-vs-obs rows")
-	transportName := flag.String("transport", "channel", "node transport: channel (in-process) or tcp (framed loopback sessions with failure detection)")
-	flag.StringVar(&listenAddr, "listen", "", "bind address for -transport=tcp (default 127.0.0.1:0)")
 	flag.Parse()
-	var err error
-	if transportKind, err = cluster.ParseTransport(*transportName); err != nil {
-		log.Fatal(err)
-	}
 
 	var telemetrySrv *telemetry.Server
 	if *telemetryAddr != "" {
@@ -259,6 +217,9 @@ func conciseness() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		if _, err := tr.EvalBindings(pruned); err != nil {
+			log.Fatal(err)
+		}
 		fleetBytes := 0
 		for _, s := range out.StaticFleet {
 			fleetBytes += len(s.String())
@@ -289,18 +250,9 @@ func concurrent(max int) {
 
 func runConcurrent(queries, nodes, tuples int) (float64, float64, exastream.Stats) {
 	cat := relation.NewCatalog()
-	copts := cluster.Options{
-		Nodes: nodes, PartitionColumn: "sid",
-		Engine: exastream.Options{AdaptiveIndexing: true, ShareWindows: true},
-	}
-	if recoveryOn {
-		copts.CheckpointEvery = checkpointEvery
-	}
-	copts.MemBudget = memBudget
-	if tenantQuota > 0 {
-		copts.TenantQuota = cluster.TenantQuota{MaxQueries: tenantQuota}
-	}
-	copts.FlightRecorder = flightRecorder
+	copts := *cfg
+	copts.Nodes, copts.PartitionColumn = nodes, "sid"
+	copts.Engine.AdaptiveIndexing, copts.Engine.ShareWindows = true, true
 	cl, err := cluster.New(copts, func(int) *relation.Catalog { return cat })
 	if err != nil {
 		log.Fatal(err)
@@ -451,17 +403,8 @@ func runTestSet(idx int) (int, int, float64, int64) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	scfg := optique.Config{Nodes: 4, Optimize: optimizeOn, Analyze: analyzeOn}
-	if recoveryOn {
-		scfg.CheckpointEvery = checkpointEvery
-	}
-	scfg.MemBudget = memBudget
-	if tenantQuota > 0 {
-		scfg.TenantQuota = cluster.TenantQuota{MaxQueries: tenantQuota}
-	}
-	scfg.FlightRecorder = flightRecorder
-	scfg.Transport = transportKind
-	scfg.Listen = listenAddr
+	scfg := *cfg
+	scfg.Nodes = 4
 	sys, err := optique.NewSystem(scfg, siemens.TBox(), siemens.Mappings(), cat)
 	if err != nil {
 		log.Fatal(err)

@@ -18,53 +18,25 @@ import (
 	"time"
 
 	optique "repro"
+	"repro/cmd/internal/cliflags"
 	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/rdf"
 	"repro/internal/siemens"
 )
 
-// engineOpts carries the -parallelism flag into deploy.
-var engineOpts optique.EngineOptions
+// cfg is the deployment config the shared flags (cliflags) and
+// -parallelism fill; deploy copies it per scenario.
+var cfg *optique.Config
 
 // telemetryAddr, when non-empty, makes deploy serve /metrics, /traces
 // and /debug/pprof for the running system.
 var telemetryAddr string
 
-// recoveryOn/checkpointEvery carry the -recovery/-checkpoint-every flags
-// into deploy: pulse-aligned checkpoint/restore with exactly-once window
-// delivery across failover.
-var (
-	recoveryOn      bool
-	checkpointEvery int
-)
-
-// memBudget/tenantQuota carry the -mem-budget/-tenant-quota flags into
-// deploy: per-task window-state byte budgets (degrade instead of OOM)
-// and per-tenant concurrent-query caps.
-var (
-	memBudget   int64
-	tenantQuota int
-)
-
 // explainTasks carries the -explain flag: after the replay, print each
 // task's EXPLAIN ANALYZE pipeline, the fleet lag table, and the tail
-// of the flight recorder. flightRecorder is the per-node event-ring
-// capacity backing /events and the dump.
-var (
-	explainTasks   bool
-	flightRecorder int
-	optimizeOn     bool
-	analyzeOn      bool
-)
-
-// transportKind/listenAddr carry the -transport/-listen flags into
-// deploy: the in-process channel hop (default) or framed TCP sessions
-// with heartbeat failure detection and suspicion-triggered failover.
-var (
-	transportKind cluster.TransportKind
-	listenAddr    string
-)
+// of the flight recorder.
+var explainTasks bool
 
 // telemetrySrv is the running observability endpoint (nil without
 // -telemetry-addr); main shuts it down gracefully on exit instead of
@@ -78,24 +50,11 @@ func main() {
 	seconds := flag.Int64("seconds", 30, "length of the replayed telemetry")
 	turbines := flag.Int("turbines", 8, "fleet size for the replay")
 	chaos := flag.Bool("chaos", false, "kill a worker mid-replay (s2) to showcase query failover")
-	parallelism := flag.Int("parallelism", 0, "per-node worker pool for ready windows (0 = GOMAXPROCS, negative = sequential)")
-	flag.BoolVar(&recoveryOn, "recovery", false, "checkpoint worker state and restore it across crashes/failover (exactly-once window delivery)")
-	flag.IntVar(&checkpointEvery, "checkpoint-every", 64, "tuples between pulse-aligned checkpoints (with -recovery)")
+	cfg = cliflags.Bind(flag.CommandLine)
+	flag.IntVar(&cfg.Engine.Parallelism, "parallelism", 0, "per-node worker pool for ready windows (0 = GOMAXPROCS, negative = sequential)")
 	flag.StringVar(&telemetryAddr, "telemetry-addr", "", "serve /metrics, /traces and /debug/pprof on this address (e.g. localhost:6060; unauthenticated, \":port\" binds loopback)")
-	flag.Int64Var(&memBudget, "mem-budget", 0, "default per-task window-state byte budget; over-budget tasks degrade instead of exhausting memory (0 = off)")
-	flag.IntVar(&tenantQuota, "tenant-quota", 0, "max concurrently registered tasks per tenant namespace (0 = off)")
 	flag.BoolVar(&explainTasks, "explain", false, "after the replay, print each task's EXPLAIN ANALYZE pipeline, the fleet lag table, and recent flight-recorder events")
-	flag.IntVar(&flightRecorder, "flight-recorder", 256, "per-node flight-recorder ring capacity in events (0 = off)")
-	flag.BoolVar(&optimizeOn, "optimize", false, "statistics-driven cost-based planning: constraint-pruned unfolding plus index-scan choice and lookup-join reordering (implies -analyze)")
-	flag.BoolVar(&analyzeOn, "analyze", false, "collect optimizer statistics (table histograms, stream samples, cardinality feedback) without changing plans; EXPLAIN gains est-vs-obs rows")
-	transportName := flag.String("transport", "channel", "node transport: channel (in-process) or tcp (framed loopback sessions with failure detection)")
-	flag.StringVar(&listenAddr, "listen", "", "bind address for -transport=tcp (default 127.0.0.1:0)")
 	flag.Parse()
-	var err error
-	if transportKind, err = cluster.ParseTransport(*transportName); err != nil {
-		log.Fatal(err)
-	}
-	engineOpts = optique.EngineOptions{Parallelism: *parallelism}
 
 	switch *scenario {
 	case "s1":
@@ -129,22 +88,12 @@ func deploy(nodes, turbines int, inj optique.FaultInjector) (*optique.System, *s
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := optique.Config{Nodes: nodes, Faults: inj, Engine: engineOpts,
-		Optimize: optimizeOn, Analyze: analyzeOn}
+	dcfg := *cfg
+	dcfg.Nodes, dcfg.Faults = nodes, inj
 	if inj != nil {
-		cfg.MaxRestarts = -1
+		dcfg.MaxRestarts = -1
 	}
-	if recoveryOn {
-		cfg.CheckpointEvery = checkpointEvery
-	}
-	cfg.MemBudget = memBudget
-	if tenantQuota > 0 {
-		cfg.TenantQuota = cluster.TenantQuota{MaxQueries: tenantQuota}
-	}
-	cfg.FlightRecorder = flightRecorder
-	cfg.Transport = transportKind
-	cfg.Listen = listenAddr
-	sys, err := optique.NewSystem(cfg, siemens.TBox(), siemens.Mappings(), cat)
+	sys, err := optique.NewSystem(dcfg, siemens.TBox(), siemens.Mappings(), cat)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -298,7 +247,7 @@ func runS2(nodes, setIdx int, seconds int64, turbines int, chaos bool) {
 		"%d dropped, %d salvaged, %d quarantined, %d errors\n",
 		h.Live, h.Nodes, h.Restarting, h.Dead, h.Restarts,
 		h.Dropped, h.Requeued, h.Suspended, h.Errors)
-	if recoveryOn {
+	if cfg.CheckpointEvery > 0 {
 		snap := sys.TelemetrySnapshot()
 		fmt.Printf("  recovery: %d checkpoints, %d restores, %d tuples replayed, "+
 			"%d windows deduped, %d torn\n",

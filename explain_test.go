@@ -35,6 +35,9 @@ func figure1Replay(t *testing.T, opts exastream.Options) (*exastream.Engine, []s
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := tr.EvalBindings(tl); err != nil {
+		t.Fatal(err)
+	}
 	if len(tl.StreamFleet) == 0 {
 		t.Fatal("empty stream fleet")
 	}

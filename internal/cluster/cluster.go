@@ -50,7 +50,12 @@ const (
 type Options struct {
 	Nodes     int
 	Placement Placement
-	// Engine options applied to every node's ExaStream instance.
+	// Engine options applied to every node's ExaStream instance. They
+	// are also the one home of the per-query execution settings the
+	// cluster reads: Engine.MemBudget is the default admission budget,
+	// and Engine.QuarantineAfter the poison-query threshold. The
+	// cluster overrides Engine.Telemetry, Engine.Recorder and
+	// Engine.Tracer per node.
 	Engine exastream.Options
 	// QueueSize is each node's input queue capacity (default 1024).
 	QueueSize int
@@ -70,9 +75,6 @@ type Options struct {
 	// RestartBackoff is the initial delay before a worker restart; it
 	// doubles per consecutive restart, capped at 500ms. Default 5ms.
 	RestartBackoff time.Duration
-	// QuarantineAfter suspends a query after this many consecutive
-	// failed window executions (poison-query isolation). 0 disables.
-	QuarantineAfter int
 	// Faults, when set, injects failures into worker loops (chaos
 	// testing; see internal/faults).
 	Faults FaultInjector
@@ -101,11 +103,6 @@ type Options struct {
 	// counts it.
 	ReplayLogCap int
 
-	// MemBudget is the default per-query window-state byte budget used
-	// when RegisterWith gets no explicit budget (the core layer passes
-	// starql.AnalyzeMemory's derivation instead). 0 disables budget
-	// enforcement.
-	MemBudget int64
 	// NodeMemBudget caps the sum of admitted query budgets per node;
 	// Register returns ErrOverBudget (retryable) when no live node has
 	// headroom. 0 disables placement budgeting.
@@ -134,6 +131,10 @@ type Options struct {
 	// cluster keeps one more ring for node-spanning events (failovers,
 	// admission rejections). 0 disables recording at zero cost.
 	FlightRecorder int
+	// TraceCapacity bounds how many query lifecycle traces the cluster's
+	// tracer retains (default 64; oldest evicted first). Every node's
+	// engine appends its window-exec spans to it.
+	TraceCapacity int
 }
 
 // clusterMetrics are the supervision counters kept in the cluster
@@ -179,6 +180,9 @@ type Cluster struct {
 
 	reg *telemetry.Registry
 	met *clusterMetrics
+	// tracer holds one lifecycle trace per query; every node's engine
+	// records into it, so traces survive worker rebuilds.
+	tracer *telemetry.Tracer
 	// frec is the cluster-level flight recorder (node -1) for events
 	// that span nodes: failovers and admission rejections. Nil when
 	// Options.FlightRecorder == 0.
@@ -309,6 +313,7 @@ func New(opts Options, catalogFor func(node int) *relation.Catalog) (*Cluster, e
 		udfs:        make(map[string]engine.ScalarFunc),
 		reg:         reg,
 		met:         newClusterMetrics(reg),
+		tracer:      telemetry.NewTracer(opts.TraceCapacity),
 		frec:        telemetry.NewRecorder(-1, opts.FlightRecorder),
 	}
 	if opts.CheckpointEvery > 0 {
@@ -352,15 +357,13 @@ func New(opts Options, catalogFor func(node int) *relation.Catalog) (*Cluster, e
 // worker loop, and repeated failures quarantine the query.
 func (c *Cluster) engineOptsFor(n *Node) exastream.Options {
 	o := c.opts.Engine
-	if o.QuarantineAfter == 0 {
-		o.QuarantineAfter = c.opts.QuarantineAfter
-	}
 	// Each node's engine writes into the node's own registry (never the
 	// shared cluster one): instrument names would otherwise collide
 	// across nodes, and per-node Stats must stay per-node. The registry
 	// outlives engine rebuilds, so counters survive worker crashes.
 	o.Telemetry = n.reg
 	o.Recorder = n.rec
+	o.Tracer = c.tracer
 	user := o.OnQueryError
 	o.OnQueryError = func(queryID string, err error) {
 		n.noteErr(NodeError{Node: n.ID, QueryID: queryID, Err: err})
@@ -436,6 +439,9 @@ func (c *Cluster) NodeCount() int { return len(c.nodes) }
 // Gateway returns the asynchronous registration front end.
 func (c *Cluster) Gateway() *Gateway { return c.gateway }
 
+// Tracer returns the query lifecycle tracer every node records into.
+func (c *Cluster) Tracer() *telemetry.Tracer { return c.tracer }
+
 // DeclareStream declares a stream schema on every node.
 func (c *Cluster) DeclareStream(s stream.Schema) error {
 	c.mu.Lock()
@@ -476,7 +482,7 @@ func (c *Cluster) RegisterUDF(name string, f engine.ScalarFunc) {
 // the query on a live worker, retains the registration record for
 // failover, and returns the chosen node id. It returns ErrNoLiveNodes
 // when every worker is dead. The query's budget defaults to
-// Options.MemBudget; use RegisterWith to pass an analyzed budget.
+// Options.Engine.MemBudget; use RegisterWith to pass an analyzed budget.
 func (c *Cluster) Register(id string, stmt *sql.SelectStmt, pulse *stream.Pulse, sink exastream.Sink) (int, error) {
 	return c.RegisterWith(id, stmt, pulse, sink, RegisterOptions{})
 }
@@ -485,7 +491,7 @@ func (c *Cluster) Register(id string, stmt *sql.SelectStmt, pulse *stream.Pulse,
 type RegisterOptions struct {
 	// Budget is the query's window-state byte budget, typically derived
 	// by starql.AnalyzeMemory at translation time. 0 falls back to
-	// Options.MemBudget (which may itself be 0 = unenforced).
+	// Options.Engine.MemBudget (which may itself be 0 = unenforced).
 	Budget int64
 }
 
@@ -517,7 +523,7 @@ func (c *Cluster) registerAdmitted(id string, stmt *sql.SelectStmt, pulse *strea
 	}
 	budget := ro.Budget
 	if budget == 0 {
-		budget = c.opts.MemBudget
+		budget = c.opts.Engine.MemBudget
 	}
 	node := c.pickNodeForLocked(budget)
 	if node == -1 {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/exastream"
 	"repro/internal/faults"
 	"repro/internal/relation"
 	"repro/internal/sql"
@@ -352,7 +353,7 @@ func TestGatewaySubmitBusyInsteadOfDeadlock(t *testing.T) {
 }
 
 func TestQuarantineIsolatesPoisonQueryInCluster(t *testing.T) {
-	c := newCluster(t, 1, Options{QuarantineAfter: 2})
+	c := newCluster(t, 1, Options{Engine: exastream.Options{QuarantineAfter: 2}})
 	c.RegisterUDF("boom", func(args []relation.Value) (relation.Value, error) {
 		return relation.Null, errors.New("boom")
 	})

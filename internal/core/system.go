@@ -25,92 +25,16 @@ import (
 	"repro/internal/starql"
 	"repro/internal/stream"
 	"repro/internal/telemetry"
-	"repro/internal/transport"
 )
 
 // AnswerSink receives the CONSTRUCT triples a task emits for one window.
 // Implementations must be safe for concurrent use.
 type AnswerSink func(taskID string, windowEnd int64, triples []rdf.Triple)
 
-// Config sets up the runtime.
-type Config struct {
-	// Nodes is the worker count of the embedded cluster (default 1).
-	Nodes int
-	// Placement selects the scheduler strategy.
-	Placement cluster.Placement
-	// Engine options are applied to each node's ExaStream instance.
-	Engine exastream.Options
-	// PartitionColumn enables partitioned stream routing (see cluster).
-	PartitionColumn string
-	// Translate tunes enrichment/unfolding.
-	Translate starql.Options
-
-	// Backpressure selects the full-queue ingest policy (see cluster).
-	Backpressure cluster.Backpressure
-	// MaxRestarts caps supervisor restarts per worker before failover
-	// (0 = default, negative = no restarts).
-	MaxRestarts int
-	// QuarantineAfter suspends a task's continuous query after this many
-	// consecutive failed window executions. 0 disables.
-	QuarantineAfter int
-	// Faults injects worker failures for chaos testing (internal/faults).
-	Faults cluster.FaultInjector
-	// TraceCapacity bounds how many query traces the system retains
-	// (default 64; oldest evicted first).
-	TraceCapacity int
-	// CheckpointEvery enables pulse-aligned checkpoint/restore with
-	// exactly-once window delivery (see cluster.Options.CheckpointEvery).
-	// 0 disables recovery.
-	CheckpointEvery int
-	// ReplayLogCap bounds each node's retained-tuple replay log (see
-	// cluster.Options.ReplayLogCap).
-	ReplayLogCap int
-
-	// MemBudget is the default per-task window-state byte budget. Each
-	// registration runs starql.AnalyzeMemory on the parsed query:
-	// bounded-memory tasks get a derived budget (window footprint times
-	// headroom, never below this default), unbounded ones get exactly
-	// this cap. 0 disables budget enforcement.
-	MemBudget int64
-	// NodeMemBudget caps the sum of admitted task budgets per worker
-	// node (see cluster.Options.NodeMemBudget). 0 disables.
-	NodeMemBudget int64
-	// TenantQuota enables per-tenant admission control; tasks namespace
-	// tenants by id prefix (see cluster.TenantOf). Zero value disables.
-	TenantQuota cluster.TenantQuota
-
-	// FlightRecorder is the per-node flight-recorder capacity in events
-	// (see cluster.Options.FlightRecorder); the /events endpoint and
-	// System.Events dump the merged timeline. 0 disables recording.
-	FlightRecorder int
-
-	// Transport selects how the routing layer reaches worker nodes:
-	// cluster.TransportChannel (default, in-process) or
-	// cluster.TransportTCP (framed loopback sessions with heartbeat
-	// failure detection and suspicion-triggered failover — see
-	// docs/transport.md).
-	Transport cluster.TransportKind
-	// Listen is the TCP transport's listen address (default
-	// "127.0.0.1:0"); ignored by the channel transport.
-	Listen string
-	// TransportTuning overrides the TCP transport's reliability clocks;
-	// zero fields resolve to defaults.
-	TransportTuning transport.Tuning
-
-	// Analyze turns on optimizer statistics collection on every node:
-	// ANALYZE passes over the static catalog plus windowed stream
-	// samples and observed-cardinality feedback. Queries still execute
-	// as-written; EXPLAIN ANALYZE gains estimated-vs-observed rows.
-	Analyze bool
-	// Optimize enables the statistics-driven cost-based planner end to
-	// end: unfolding applies the declared exact-predicate and FK
-	// constraints (provably-empty fleet branches dropped, redundant
-	// FK joins eliminated), and each node's engine rewrites cached
-	// plans by estimated cost (index-scan choice, lookup-join
-	// reordering). Implies Analyze. Off, translation and execution are
-	// exactly as-written — the differential oracle.
-	Optimize bool
-}
+// Config sets up the runtime. It is the cluster's options: every
+// setting has one home there or in its Engine field (see the settings
+// table in README.md).
+type Config = cluster.Options
 
 // System is one OPTIQUE deployment.
 type System struct {
@@ -122,7 +46,7 @@ type System struct {
 	translator *starql.Translator
 
 	reg    *telemetry.Registry // system-level metrics (translation stages)
-	tracer *telemetry.Tracer   // one trace per task: rewrite → unfold → register → window-exec
+	tracer *telemetry.Tracer   // the cluster's: one trace per task, rewrite → unfold → register → window-exec
 
 	// HAVING-stage instruments, resolved once (hot path: one atomic op
 	// per site). window_ns is the whole per-window HAVING stage.
@@ -179,41 +103,7 @@ func NewSystem(cfg Config, tbox *ontology.TBox, set *mapping.Set, catalog *relat
 		cfg.Nodes = 1
 	}
 	reg := telemetry.NewRegistry()
-	tracer := telemetry.NewTracer(cfg.TraceCapacity)
-	engCfg := cfg.Engine
-	if engCfg.Tracer == nil {
-		engCfg.Tracer = tracer
-	}
-	if cfg.Optimize {
-		cfg.Analyze = true
-		engCfg.Optimize = true
-		// Constraint-driven fleet pruning at translation time; the FK
-		// emptiness probes run against the deployment catalog.
-		cfg.Translate.Unfold.Prune = true
-	}
-	if cfg.Analyze {
-		engCfg.Analyze = true
-	}
-	cfg.Engine = engCfg
-	cl, err := cluster.New(cluster.Options{
-		Nodes:           cfg.Nodes,
-		Placement:       cfg.Placement,
-		Engine:          engCfg,
-		PartitionColumn: cfg.PartitionColumn,
-		Backpressure:    cfg.Backpressure,
-		MaxRestarts:     cfg.MaxRestarts,
-		QuarantineAfter: cfg.QuarantineAfter,
-		Faults:          cfg.Faults,
-		CheckpointEvery: cfg.CheckpointEvery,
-		ReplayLogCap:    cfg.ReplayLogCap,
-		MemBudget:       cfg.MemBudget,
-		NodeMemBudget:   cfg.NodeMemBudget,
-		TenantQuota:     cfg.TenantQuota,
-		FlightRecorder:  cfg.FlightRecorder,
-		Transport:       cfg.Transport,
-		Listen:          cfg.Listen,
-		TransportTuning: cfg.TransportTuning,
-	}, func(int) *relation.Catalog { return catalog })
+	cl, err := cluster.New(cfg, func(int) *relation.Catalog { return catalog })
 	if err != nil {
 		return nil, err
 	}
@@ -231,7 +121,7 @@ func NewSystem(cfg Config, tbox *ontology.TBox, set *mapping.Set, catalog *relat
 		cluster:        cl,
 		translator:     translator,
 		reg:            reg,
-		tracer:         tracer,
+		tracer:         cl.Tracer(),
 		streams:        make(map[string]stream.Schema),
 		builders:       make(map[string]*starql.SequenceBuilder),
 		tasks:          make(map[string]*Task),
@@ -315,10 +205,14 @@ func (s *System) registerParsed(id string, q *starql.Query, sink AnswerSink) (*T
 	// One trace per task covers the whole query lifecycle: the
 	// translator adds rewrite/unfold spans, registration is recorded
 	// here, and the hosting engine appends a span per window execution.
+	// With the cost-based planner on, unfolding applies the declared
+	// exact-predicate and FK constraints; the FK emptiness probes run
+	// against the deployment catalog.
 	trace := s.tracer.Start(id)
-	topts := s.cfg.Translate
-	topts.Trace = trace
-	tl, err := s.translator.Translate(q, topts)
+	tl, err := s.translator.Translate(q, starql.Options{
+		Unfold: mapping.UnfoldOptions{Prune: s.cfg.Engine.Optimize},
+		Trace:  trace,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -359,9 +253,9 @@ func (s *System) registerParsed(id string, q *starql.Query, sink AnswerSink) (*T
 	// budget derived from their window footprint, unbounded ones are
 	// capped at the configured default and will degrade under pressure.
 	var budget int64
-	if s.cfg.MemBudget > 0 {
+	if s.cfg.Engine.MemBudget > 0 {
 		analysis := starql.AnalyzeMemory(q)
-		budget = analysis.Budget(s.cfg.MemBudget)
+		budget = analysis.Budget(s.cfg.Engine.MemBudget)
 		rspan.SetAttr("mem_class", analysis.Class.String()).
 			SetAttr("mem_budget", budget)
 	}

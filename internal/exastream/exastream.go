@@ -152,8 +152,8 @@ type Options struct {
 	// (table, columns) after which an index is built. Default 3.
 	AdaptiveThreshold int
 	// ShareWindows routes window materialisation through wCache so
-	// queries with the same (stream, window) share one pass. Default on
-	// via NewEngine.
+	// queries with the same (stream, window) share one pass. Off by
+	// default: the zero value runs one private windowing pass per query.
 	ShareWindows bool
 	// OnQueryError, when set, receives per-query window-execution
 	// failures instead of them aborting Ingest/Flush: one poison query
@@ -174,17 +174,20 @@ type Options struct {
 	Parallelism int
 	// Telemetry, when set, is the metrics registry the engine records
 	// into; nil gives the engine a private registry (counters then cost
-	// the same either way). The cluster runtime passes one registry per
-	// node so counters survive engine rebuilds after a crash.
+	// the same either way). The cluster overrides it with one registry
+	// per node so counters survive engine rebuilds after a crash.
 	Telemetry *telemetry.Registry
 	// Tracer, when set, receives per-window execution spans on each
 	// query's lifecycle trace (created by the layer that registered the
-	// query). Nil disables span recording at zero cost.
+	// query). Nil disables span recording at zero cost. The cluster
+	// overrides it with its own tracer (see cluster.Options.TraceCapacity).
 	Tracer *telemetry.Tracer
 	// MemBudget is the default per-query window-state byte budget; a
 	// query whose staged and owned window state exceeds it degrades per
 	// Degrade. 0 disables enforcement (per-query budgets can still be
-	// set with SetQueryBudget).
+	// set with SetQueryBudget). The cluster admits a query without an
+	// explicit budget at this default, and a core System derives each
+	// task's budget from starql.AnalyzeMemory with this as the floor.
 	MemBudget int64
 	// WCacheBudget caps the shared window cache's byte estimate; the
 	// oldest cached windows are evicted (and re-materialised on demand)
@@ -199,7 +202,9 @@ type Options struct {
 	Pressure func(queryID string) int64
 	// Recorder, when set, is the node's flight recorder: window
 	// executions, degradations, and quarantines leave events in its
-	// ring. Nil (the default) disables recording at zero cost.
+	// ring. Nil (the default) disables recording at zero cost. The
+	// cluster overrides it with the node's recorder (see
+	// cluster.Options.FlightRecorder).
 	Recorder *telemetry.Recorder
 	// Analyze collects optimizer statistics: static tables get an
 	// ANALYZE pass (row counts, per-column NDV, equi-depth histograms)
@@ -211,7 +216,10 @@ type Options struct {
 	// Optimize enables the statistics-driven cost-based planner:
 	// cached plans are rewritten after adaptation (index-scan vs
 	// full-scan choice, lookup-join reordering by estimated matches
-	// per probe). Implies Analyze.
+	// per probe). Implies Analyze. A core System also unfolds every
+	// task under the declared constraints when it is set
+	// (mapping.UnfoldOptions.Prune). Off, translation and execution are
+	// exactly as-written: the differential oracle.
 	Optimize bool
 }
 

@@ -70,6 +70,9 @@ func (a *diffAssets) translate(t *testing.T, prune bool) *starql.Translation {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := a.tr.EvalBindings(tl); err != nil {
+		t.Fatal(err)
+	}
 	return tl
 }
 

@@ -71,7 +71,7 @@ func TestFilterSurvivesRewritingAndUnfolding(t *testing.T) {
 	q := MustParse(filteredQuery)
 	w := newTestMappings(t)
 	tr := NewTranslator(testTBox(), w.set, w.cat)
-	out, err := tr.Translate(q, Options{SkipStreamFleet: true})
+	out, err := tr.Translate(q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ WHERE { ?s a sie:Sensor . ?s sie:hasSid ?v . FILTER(?v >= 8) }
 		t.Fatal(err)
 	}
 	tr := NewTranslator(testTBox(), w.set, w.cat)
-	out, err := tr.Translate(q, Options{SkipStreamFleet: true})
+	out, err := tr.Translate(q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

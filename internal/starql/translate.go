@@ -32,6 +32,8 @@ type Translation struct {
 	// StreamFleet is the fleet of low-level window queries the high-level
 	// query replaces: one SQL(+) query per (binding, stream attribute,
 	// stream mapping). This is what the paper's engineers wrote by hand.
+	// Translate leaves it empty; EvalBindings fills it for the bindings
+	// it computes.
 	StreamFleet []*sql.SelectStmt
 
 	// WindowSpec/Pulse for the runtime.
@@ -40,19 +42,16 @@ type Translation struct {
 
 	RewriteStats rewrite.Stats
 	UnfoldStats  mapping.UnfoldStats
+
+	// prune records whether the unfolding applied the declared
+	// constraints; EvalBindings prunes the stream fleet to match.
+	prune bool
 }
 
 // Options tunes the translator.
 type Options struct {
 	Rewrite rewrite.Options
 	Unfold  mapping.UnfoldOptions
-	// SkipStreamFleet suppresses per-binding stream fleet generation
-	// (used when only the runtime registration is needed).
-	SkipStreamFleet bool
-	// Bindings, when non-nil, are used for stream-fleet generation
-	// instead of evaluating the static fleet (the caller already knows
-	// the bindings).
-	Bindings []Binding
 	// Trace, when non-nil, receives "rewrite" and "unfold" spans with
 	// the stage statistics as attributes.
 	Trace *telemetry.Trace
@@ -115,14 +114,14 @@ func toArg(n Node) cq.Arg {
 	return cq.C(n.Term)
 }
 
-// Translate runs the full pipeline: enrichment of the WHERE clause,
-// unfolding into the static SQL fleet, window/pulse extraction, and
-// (optionally) the per-binding stream fleet.
+// Translate enriches the WHERE clause, unfolds it into the static SQL
+// fleet, and extracts the window and pulse. It executes nothing:
+// EvalBindings runs the static fleet and expands the stream fleet.
 func (tr *Translator) Translate(q *Query, opts Options) (*Translation, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	out := &Translation{Query: q}
+	out := &Translation{Query: q, prune: opts.Unfold.Prune}
 
 	staticCQ, err := BGPToCQ(q.Where, q.WhereVars(), q.WhereFilters...)
 	if err != nil {
@@ -172,19 +171,6 @@ func (tr *Translator) Translate(q *Query, opts Options) (*Translation, error) {
 		out.Pulse = &stream.Pulse{StartMS: q.Pulse.StartMS, FrequencyMS: q.Pulse.FrequencyMS}
 	}
 
-	if !opts.SkipStreamFleet {
-		bindings := opts.Bindings
-		if bindings == nil {
-			bindings, err = tr.EvalBindings(out)
-			if err != nil {
-				return nil, err
-			}
-		}
-		out.StreamFleet, err = tr.streamFleet(q, bindings, uopts, &out.UnfoldStats)
-		if err != nil {
-			return nil, err
-		}
-	}
 	tr.recordStats(rstats, out.UnfoldStats)
 	return out, nil
 }
@@ -209,9 +195,27 @@ func (tr *Translator) recordStats(r rewrite.Stats, u mapping.UnfoldStats) {
 	tr.Metrics.Histogram("starql.unfold.fleet_size", telemetry.SizeBuckets).Observe(float64(u.FleetSize))
 }
 
-// EvalBindings executes the static fleet against the catalog and decodes
-// the result rows into WHERE bindings.
+// EvalBindings executes the static fleet against the catalog, decodes
+// the result rows into WHERE bindings, and expands t.StreamFleet for
+// them. Stream members pruned under the declared constraints are added
+// to t.UnfoldStats.ConstraintPruned, so call it once per Translation.
 func (tr *Translator) EvalBindings(t *Translation) ([]Binding, error) {
+	bindings, err := tr.evalStatic(t)
+	if err != nil {
+		return nil, err
+	}
+	fleet, pruned := tr.streamFleet(t.Query, bindings, t.prune)
+	t.StreamFleet = fleet
+	t.UnfoldStats.ConstraintPruned += pruned
+	if tr.Metrics != nil {
+		tr.Metrics.Counter("starql.bindings.evals").Inc()
+		tr.Metrics.Counter("starql.unfold.constraint_pruned").Add(int64(pruned))
+	}
+	return bindings, nil
+}
+
+// evalStatic executes the static fleet and decodes its distinct rows.
+func (tr *Translator) evalStatic(t *Translation) ([]Binding, error) {
 	headVars := t.StaticCQ.Head
 	seen := map[string]bool{}
 	var out []Binding
@@ -352,17 +356,16 @@ func (q *Query) HavingStreamPredicates() []string {
 // write by hand (the paper: "a fleet with hundreds of queries ...
 // semantically the same but syntactically different").
 //
-// With uopts.Prune set, members whose inverted-subject constants
+// With prune set, members whose inverted-subject constants
 // violate a declared FK constraint of the stream mapping are dropped
-// before registration: the FK says every stream tuple's key appears in
+// (and counted in pruned) before registration: the FK says every stream tuple's key appears in
 // a referenced static table, so a member pinned to a key absent from
 // that table can never produce a row. This is where the Figure 1 fleet
 // shrinks — each sensor binding only feeds the stream its source
 // actually routes to.
-func (tr *Translator) streamFleet(q *Query, bindings []Binding, uopts mapping.UnfoldOptions, ustats *mapping.UnfoldStats) ([]*sql.SelectStmt, error) {
+func (tr *Translator) streamFleet(q *Query, bindings []Binding, prune bool) (fleet []*sql.SelectStmt, pruned int) {
 	sc := q.Streams[0]
 	preds := q.HavingStreamPredicates()
-	var fleet []*sql.SelectStmt
 	for _, b := range bindings {
 		for _, pred := range preds {
 			for _, m := range tr.Mappings.ForPred(pred) {
@@ -398,8 +401,8 @@ func (tr *Translator) streamFleet(q *Query, bindings []Binding, uopts mapping.Un
 							consts[strings.ToLower(m.Subject.Columns[i])] = l.Value
 						}
 					}
-					if uopts.Prune && fkProvesEmpty(m, consts, tr.Catalog) {
-						ustats.ConstraintPruned++
+					if prune && fkProvesEmpty(m, consts, tr.Catalog) {
+						pruned++
 						continue
 					}
 					if m.Source.Where != nil {
@@ -420,7 +423,7 @@ func (tr *Translator) streamFleet(q *Query, bindings []Binding, uopts mapping.Un
 			}
 		}
 	}
-	return fleet, nil
+	return fleet, pruned
 }
 
 // fkProvesEmpty reports whether a stream member pinned to the given

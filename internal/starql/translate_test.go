@@ -77,7 +77,7 @@ func TestEvalBindingsFigure1(t *testing.T) {
 	q := MustParse(figure1)
 	w := newTestMappings(t)
 	tr := NewTranslator(testTBox(), w.set, w.cat)
-	out, err := tr.Translate(q, Options{SkipStreamFleet: true})
+	out, err := tr.Translate(q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,6 +108,14 @@ func TestStreamFleetPerBinding(t *testing.T) {
 	tr := NewTranslator(testTBox(), w.set, w.cat)
 	out, err := tr.Translate(q, Options{})
 	if err != nil {
+		t.Fatal(err)
+	}
+	// Translate executes nothing; the stream fleet is expanded by the
+	// one pass that evaluates the bindings.
+	if len(out.StreamFleet) != 0 {
+		t.Fatalf("Translate expanded %d stream members before EvalBindings", len(out.StreamFleet))
+	}
+	if _, err := tr.EvalBindings(out); err != nil {
 		t.Fatal(err)
 	}
 	// HAVING reads hasValue and showsFailure; 3 bindings × 2 predicates ×

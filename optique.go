@@ -49,7 +49,9 @@ type System = core.System
 // Task is a registered diagnostic task.
 type Task = core.Task
 
-// Config configures the runtime.
+// Config configures the runtime: the cluster's options, with each
+// node's engine settings under Config.Engine. Every setting has one
+// field; README.md's settings table lists them with their defaults.
 type Config = core.Config
 
 // AnswerSink receives CONSTRUCT triples from running tasks.

@@ -5,7 +5,9 @@
 # what the binaries actually accept:
 #
 #   1. every `-flag` on a documented optique-demo/optique-bench command
-#      line must appear in one of the tools' -h output;
+#      line must appear in that tool's own -h output (a flag belongs to
+#      the tool named before it on the line, or to the line's first
+#      tool when it comes first);
 #   2. every documented `-exp NAME` must appear in
 #      `optique-bench -exp list`;
 #   3. every `BenchmarkXxx` name the docs cite must exist in a
@@ -20,13 +22,14 @@ fail=0
 # ---- 1+2: flags on documented tool invocations ----
 
 # `go run ... -h` exits 2 after printing usage to stderr; keep the text.
-demo_help=$(go run ./cmd/optique-demo -h 2>&1)
-bench_help=$(go run ./cmd/optique-bench -h 2>&1)
-known_flags=$(printf '%s\n%s\n' "$demo_help" "$bench_help" |
-	sed -n 's/^  \(-[a-z][a-z-]*\).*/\1/p' | sort -u)
+usage_flags() {
+	go run "./cmd/$1" -h 2>&1 | sed -n 's/^  \(-[a-z][a-z-]*\).*/\1/p' | sort -u
+}
+demo_flags=$(usage_flags optique-demo)
+bench_flags=$(usage_flags optique-bench)
 known_exps=$(go run ./cmd/optique-bench -exp list)
 
-if [ -z "$known_flags" ] || [ -z "$known_exps" ]; then
+if [ -z "$demo_flags" ] || [ -z "$bench_flags" ] || [ -z "$known_exps" ]; then
 	echo "check_docs: could not read tool usage output" >&2
 	exit 1
 fi
@@ -38,16 +41,33 @@ for doc in $DOCS; do
 		[ -z "$line" ] && continue
 		lineno=${line%%:*}
 		text=${line#*:}
-		# Flag tokens: "-name" or "-name=value", preceded by a space,
-		# backtick, or line start (so `->`, `-1`, and hyphenated prose
-		# don't match).
-		for flag in $(printf '%s\n' "$text" |
-			grep -oE '(^|[ `(])-[a-z][a-z-]+' | sed 's/^[ `(]*//' | sort -u); do
-			if ! printf '%s\n' "$known_flags" | grep -qx -- "$flag"; then
-				echo "$doc:$lineno: documents unknown flag $flag" >&2
-				fail=1
+		# Split the line before each tool name; text ahead of the first
+		# one belongs to the first tool named. Flag tokens: "-name" or
+		# "-name=value", preceded by a space, backtick, or segment start
+		# (so `->`, `-1`, and hyphenated prose don't match).
+		tool=$(printf '%s\n' "$text" | grep -oE 'optique-(demo|bench)' | head -n 1)
+		while IFS= read -r seg; do
+			case $seg in
+			optique-demo*) tool=optique-demo ;;
+			optique-bench*) tool=optique-bench ;;
+			esac
+			seg=${seg#optique-demo}
+			seg=${seg#optique-bench}
+			if [ "$tool" = optique-demo ]; then
+				tool_flags=$demo_flags
+			else
+				tool_flags=$bench_flags
 			fi
-		done
+			for flag in $(printf '%s\n' "$seg" |
+				grep -oE '(^|[ `(])-[a-z][a-z-]+' | sed 's/^[ `(]*//' | sort -u); do
+				if ! printf '%s\n' "$tool_flags" | grep -qx -- "$flag"; then
+					echo "$doc:$lineno: documents flag $flag, which $tool does not accept" >&2
+					fail=1
+				fi
+			done
+		done <<SEGS
+$(printf '%s\n' "$text" | sed -E 's/optique-(demo|bench)/\n&/g')
+SEGS
 		for exp in $(printf '%s\n' "$text" |
 			grep -oE '\-exp [a-z]+' | awk '{print $2}' | sort -u); do
 			if ! printf '%s\n' "$known_exps" | grep -qx -- "$exp"; then
@@ -92,4 +112,4 @@ if [ "$fail" -ne 0 ]; then
 	echo "check_docs: FAILED — docs reference interfaces the tools don't report" >&2
 	exit 1
 fi
-echo "check_docs: OK ($(printf '%s\n' "$known_flags" | wc -l) flags, $(printf '%s\n' "$known_exps" | wc -l) experiments, $(printf '%s\n' "$bench_defs" | wc -l) benchmarks)"
+echo "check_docs: OK ($(printf '%s\n' "$demo_flags" | wc -l) demo flags, $(printf '%s\n' "$bench_flags" | wc -l) bench flags, $(printf '%s\n' "$known_exps" | wc -l) experiments, $(printf '%s\n' "$bench_defs" | wc -l) benchmarks)"
