@@ -71,11 +71,14 @@ type Task struct {
 	Bindings    []starql.Binding
 	Node        int // cluster node hosting the continuous query
 
-	subjects map[string]bool
-	sink     AnswerSink
-	ring     alertRing
-	answers  int64
-	windows  int64
+	// reader is the task's view of its stream, built at registration:
+	// the stream mappings the HAVING can read, and the bound subjects'
+	// keys (nil subjects when no binding has an IRI).
+	reader  *starql.StreamReader
+	sink    AnswerSink
+	ring    alertRing
+	answers int64
+	windows int64
 
 	// having is the query's HAVING condition lowered by
 	// starql.CompileHaving at registration; nil when the query has no
@@ -222,20 +225,29 @@ func (s *System) registerParsed(id string, q *starql.Query, sink AnswerSink) (*T
 	}
 	task := &Task{
 		ID: id, Query: q, Translation: tl, Bindings: bindings,
-		subjects: map[string]bool{}, sink: sink,
+		sink: sink,
 	}
 	// Compile the HAVING condition once per registered query; every
-	// window evaluation reuses the program (DESIGN.md §10).
+	// window evaluation reuses the program (DESIGN.md §10). The reader
+	// reads only the predicates the program can read (none without a
+	// HAVING: the sink then only needs the window's states).
+	preds := []string{}
 	if q.Having != nil {
 		task.having = starql.CompileHaving(q.Having, q.Aggregates)
 		s.havingCompiled.Inc()
+		preds = task.having.Preds()
 	}
+	var subjects []string
 	for _, b := range bindings {
 		for _, term := range b {
 			if term.IsIRI() {
-				task.subjects[term.Value] = true
+				subjects = append(subjects, term.Value)
 			}
 		}
+	}
+	task.reader, err = builder.Reader(preds, subjects)
+	if err != nil {
+		return nil, err
 	}
 
 	// The runtime query materialises the raw window contents; HAVING
@@ -259,7 +271,7 @@ func (s *System) registerParsed(id string, q *starql.Query, sink AnswerSink) (*T
 		rspan.SetAttr("mem_class", analysis.Class.String()).
 			SetAttr("mem_budget", budget)
 	}
-	node, err := s.cluster.RegisterWith(id, stmt, tl.Pulse, s.windowSink(task, builder), cluster.RegisterOptions{Budget: budget})
+	node, err := s.cluster.RegisterWith(id, stmt, tl.Pulse, s.windowSink(task), cluster.RegisterOptions{Budget: budget})
 	if err != nil {
 		rspan.SetAttr("error", err.Error())
 		rspan.End()
@@ -279,19 +291,17 @@ func (s *System) registerParsed(id string, q *starql.Query, sink AnswerSink) (*T
 }
 
 // windowSink adapts ExaStream window results into STARQL semantics:
-// build the StdSeq sequence straight from the window's columnar result,
-// evaluate HAVING per binding, emit CONSTRUCT triples.
-func (s *System) windowSink(task *Task, builder *starql.SequenceBuilder) exastream.Sink {
+// read the task's flat StdSeq sequence straight from the window's
+// columnar result, evaluate HAVING per binding, emit CONSTRUCT triples.
+// The batch may alias the shared window's vectors; the reader only
+// reads them.
+func (s *System) windowSink(task *Task) exastream.Sink {
 	return func(_ string, windowEnd int64, _ relation.Schema, cb *relation.ColBatch) {
 		atomic.AddInt64(&task.windows, 1)
 		if cb.Len() == 0 {
 			return
 		}
-		subjects := task.subjects
-		if len(subjects) == 0 {
-			subjects = nil
-		}
-		seq, err := builder.BuildColumns(cb, subjects)
+		seq, err := task.reader.Read(cb)
 		if err != nil || seq.Len() == 0 {
 			return
 		}
@@ -528,6 +538,7 @@ func (s *System) Explain(taskID string, analyze bool) (string, error) {
 		sb.WriteString("having: none\n")
 	}
 	fmt.Fprintf(&sb, "bindings: %d\n", len(task.Bindings))
+	fmt.Fprintf(&sb, "reader: %s\n", task.reader)
 	fmt.Fprintf(&sb, "static fleet (%d members):\n", len(tl.StaticFleet))
 	for i, stmt := range tl.StaticFleet {
 		fmt.Fprintf(&sb, "  [%d] %s\n", i, stmt.String())

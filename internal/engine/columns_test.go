@@ -111,38 +111,67 @@ func diffColumns(t *testing.T, cat *relation.Catalog, plan Plan, label string) {
 // TestVectorizedColumnsOwnedByCaller pins the ownership contract: a
 // batch returned by ExecutePlanColumns stays intact after the same plan
 // executes again over a different window (the kernels overwrite their
-// scratch on every execution).
+// scratch on every execution), with and without a selection. Without a
+// selection, a column that is a read-only input vector of the window is
+// handed out as is, not cloned: SELECT * shares every input vector, and
+// a bare column next to computed ones shares its own.
 func TestVectorizedColumnsOwnedByCaller(t *testing.T) {
 	cat := dimCatalog(t, false)
 	schema := windowSchema()
-	wsp := NewWindowSourcePlan("w", schema.Qualify("w"))
-	plan, err := Build(sql.MustParse("SELECT w.sid, w.val > 10, w.ts FROM w WHERE w.ok"), func(tr *sql.TableRef) (Plan, error) {
-		if tr.Table == "w" {
-			return wsp, nil
-		}
-		return CatalogResolver(cat)(tr)
-	})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		query string
+		// shared lists, per output column, the input column it must
+		// alias (-1 = must not alias any input vector).
+		shared []int
+	}{
+		{"SELECT w.sid, w.val > 10, w.ts FROM w WHERE w.ok", nil},
+		{"SELECT w.sid, w.val + 1, w.val > 10 FROM w", []int{0, -1, -1}},
+		{"SELECT * FROM w", []int{0, 1, 2, 3, 4, 5}},
 	}
-	rng := rand.New(rand.NewSource(5))
-	ctx := NewExecContext(cat)
-	var kept []*relation.ColBatch
-	var want [][]relation.Tuple
-	for b := 0; b < 8; b++ {
-		rows := randomBatch(rng)
-		wsp.Bind(rows)
-		wsp.BindColumns(relation.Transpose(rows))
-		cb, err := ExecutePlanColumns(ctx, plan)
+	for _, c := range cases {
+		wsp := NewWindowSourcePlan("w", schema.Qualify("w"))
+		plan, err := Build(sql.MustParse(c.query), func(tr *sql.TableRef) (Plan, error) {
+			if tr.Table == "w" {
+				return wsp, nil
+			}
+			return CatalogResolver(cat)(tr)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		kept = append(kept, cb)
-		want = append(want, cb.Rows())
-	}
-	for i, cb := range kept {
-		if got := cb.Rows(); !sameTypedMultiset(got, want[i]) {
-			t.Fatalf("batch %d changed after later executions:\nthen: %v\nnow:  %v", i, want[i], got)
+		rng := rand.New(rand.NewSource(5))
+		ctx := NewExecContext(cat)
+		var kept []*relation.ColBatch
+		var want [][]relation.Tuple
+		for b := 0; b < 8; b++ {
+			rows := randomBatch(rng)
+			in := relation.Transpose(rows)
+			wsp.Bind(rows)
+			wsp.BindColumns(in)
+			cb, err := ExecutePlanColumns(ctx, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.shared != nil && cb.Len() > 0 {
+				for j, src := range c.shared {
+					aliased := -1
+					for k := 0; k < in.Arity(); k++ {
+						if cb.Col(j) == in.Col(k) {
+							aliased = k
+						}
+					}
+					if aliased != src {
+						t.Fatalf("%s: batch %d column %d aliases input column %d, want %d", c.query, b, j, aliased, src)
+					}
+				}
+			}
+			kept = append(kept, cb)
+			want = append(want, cb.Rows())
+		}
+		for i, cb := range kept {
+			if got := cb.Rows(); !sameTypedMultiset(got, want[i]) {
+				t.Fatalf("%s: batch %d changed after later executions:\nthen: %v\nnow:  %v", c.query, i, want[i], got)
+			}
 		}
 	}
 }

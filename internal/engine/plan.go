@@ -285,6 +285,7 @@ type ProjectPlan struct {
 
 	// executeVec scratch, reused across serialized executions.
 	vout []*relation.Vector
+	vro  []bool
 	vf   vecFrame
 }
 

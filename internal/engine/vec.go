@@ -34,20 +34,26 @@ import (
 // source's frame) that are overwritten on the next execution, so no
 // frame outlives the execution that produced it. Frames leave a
 // columnar subtree in one of two ways: ExecutePlanColumns, at the plan
-// root, copies the selected rows into fresh vectors the caller owns —
-// window results reach the stream engine's sink columnar — and
-// materialize turns them into tuples only where a row-only operator
-// (aggregate, hash join, sort, union) sits above the subtree. The
-// *input* vectors of a shared window batch are read-only and safely
-// shared across concurrently executing queries.
+// root, hands the selected rows to the caller — window results reach
+// the stream engine's sink columnar — and materialize turns them into
+// tuples only where a row-only operator (aggregate, hash join, sort,
+// union) sits above the subtree. The *input* vectors of a shared window
+// batch (and a ValuesPlan's cached batch) are read-only and safely
+// shared across concurrently executing queries, so a result column that
+// is such a vector, with every row selected, is handed out as is;
+// everything else — kernel scratch, projected or computed vectors, any
+// selection — is copied into fresh vectors.
 
 // vecFrame is a columnar intermediate result: column vectors of logical
 // length n plus an optional selection bitmap (nil = every row selected).
-// Values at unselected positions are unspecified.
+// Values at unselected positions are unspecified. ro[j] reports that
+// cols[j] is a read-only input vector (see the concurrency contract);
+// nil means none is.
 type vecFrame struct {
 	cols []*relation.Vector
 	n    int
 	sel  *relation.Bitmap
+	ro   []bool
 }
 
 // vecBufs is scratch owned by one kernel closure and reused across
@@ -144,11 +150,11 @@ func (f *vecFrame) materialize() []relation.Tuple {
 	return out
 }
 
-// columns compacts the frame's selected rows into a fresh ColBatch — the
-// boundary to result sinks. Frame vectors may be kernel scratch that the
-// next execution overwrites, or the read-only input of a shared window
-// batch, so every column is copied (Clone when every row is selected,
-// Gather by selection index otherwise): the caller owns the result.
+// columns compacts the frame's selected rows into a ColBatch — the
+// boundary to result sinks. With every row selected, a read-only input
+// vector is aliased and any other column (kernel scratch the next
+// execution overwrites) is cloned; with a selection every column is
+// gathered by selection index. The result aliases no engine scratch.
 func (f *vecFrame) columns() *relation.ColBatch {
 	cnt := f.count()
 	if cnt == 0 {
@@ -157,7 +163,11 @@ func (f *vecFrame) columns() *relation.ColBatch {
 	cols := make([]*relation.Vector, len(f.cols))
 	if f.sel == nil {
 		for j, c := range f.cols {
-			cols[j] = c.Clone()
+			if f.ro != nil && f.ro[j] {
+				cols[j] = c
+			} else {
+				cols[j] = c.Clone()
+			}
 		}
 		return relation.NewColBatch(cols, cnt)
 	}
@@ -329,11 +339,14 @@ func ExecutePlan(ctx *ExecContext, p Plan) ([]relation.Tuple, error) {
 
 // ExecutePlanColumns is the columnar top-level entry point, the one the
 // stream engine hands window results out through. A vectorizable root
-// compacts its frame's selected rows into fresh vectors, so the result
+// compacts its frame's selected rows (vecFrame.columns), so the result
 // never becomes tuples; any other root (or the row path) transposes its
 // row result once. An empty result has no columns, like Transpose of no
 // rows. Counters and wall time are charged exactly as ExecutePlan
-// charges them, and the caller owns the returned batch.
+// charges them. The returned batch aliases no engine scratch, so later
+// executions never change it, but it may alias the read-only input
+// vectors of the window or ValuesPlan batch: the caller must not mutate
+// it.
 func ExecutePlanColumns(ctx *ExecContext, p Plan) (*relation.ColBatch, error) {
 	defer chargeWall(ctx, p, time.Now())
 	if !ctx.rowPath && canVectorize(p) {
@@ -367,12 +380,16 @@ func execVecChild(ctx *ExecContext, p Plan) (*vecFrame, error) {
 
 // ---- operator kernels ----
 
-func frameOf(cb *relation.ColBatch) *vecFrame {
+// readOnlyFrame is the frame of a read-only batch: every column is an
+// input vector the result may alias.
+func readOnlyFrame(cb *relation.ColBatch) *vecFrame {
 	cols := make([]*relation.Vector, cb.Arity())
+	ro := make([]bool, len(cols))
 	for j := range cols {
 		cols[j] = cb.Col(j)
+		ro[j] = true
 	}
-	return &vecFrame{cols: cols, n: cb.Len()}
+	return &vecFrame{cols: cols, n: cb.Len(), ro: ro}
 }
 
 func (w *WindowSourcePlan) executeVec(ctx *ExecContext) (*vecFrame, error) {
@@ -389,8 +406,13 @@ func (w *WindowSourcePlan) executeVec(ctx *ExecContext) (*vecFrame, error) {
 		w.vf.cols = make([]*relation.Vector, ar)
 	}
 	w.vf.cols = w.vf.cols[:ar]
+	if cap(w.vf.ro) < ar {
+		w.vf.ro = make([]bool, ar)
+	}
+	w.vf.ro = w.vf.ro[:ar]
 	for j := 0; j < ar; j++ {
 		w.vf.cols[j] = cb.Col(j)
+		w.vf.ro[j] = true
 	}
 	w.vf.n = n
 	w.vf.sel = nil
@@ -403,7 +425,7 @@ func (v *ValuesPlan) executeVec(ctx *ExecContext) (*vecFrame, error) {
 		v.cb = relation.Transpose(v.Rows)
 	}
 	ctx.Stats.RowsScanned += int64(len(v.Rows))
-	return frameOf(v.cb), nil
+	return readOnlyFrame(v.cb), nil
 }
 
 func (f *FilterPlan) executeVec(ctx *ExecContext) (*vecFrame, error) {
@@ -449,7 +471,7 @@ func (f *FilterPlan) executeVec(ctx *ExecContext) (*vecFrame, error) {
 		})
 	}
 	ctx.Stats.produced(OpFilter, kept)
-	f.vf = vecFrame{cols: in.cols, n: in.n, sel: keep}
+	f.vf = vecFrame{cols: in.cols, n: in.n, sel: keep, ro: in.ro}
 	return &f.vf, nil
 }
 
@@ -485,8 +507,26 @@ func (p *ProjectPlan) executeVec(ctx *ExecContext) (*vecFrame, error) {
 			return nil, err
 		}
 	}
+	// An output that is a bare column reference aliases its input
+	// vector and stays read-only when that vector is.
+	var ro []bool
+	if in.ro != nil {
+		if cap(p.vro) < len(out) {
+			p.vro = make([]bool, len(out))
+		}
+		ro = p.vro[:len(out)]
+		for j, c := range out {
+			ro[j] = false
+			for k, ic := range in.cols {
+				if ic == c && in.ro[k] {
+					ro[j] = true
+					break
+				}
+			}
+		}
+	}
 	ctx.Stats.produced(OpProject, in.count())
-	p.vf = vecFrame{cols: out, n: in.n, sel: in.sel}
+	p.vf = vecFrame{cols: out, n: in.n, sel: in.sel, ro: ro}
 	return &p.vf, nil
 }
 
@@ -507,7 +547,7 @@ func (l *LimitPlan) executeVec(ctx *ExecContext) (*vecFrame, error) {
 		taken++
 		return taken < l.N
 	})
-	l.vf = vecFrame{cols: in.cols, n: in.n, sel: keep}
+	l.vf = vecFrame{cols: in.cols, n: in.n, sel: keep, ro: in.ro}
 	return &l.vf, nil
 }
 

@@ -28,9 +28,10 @@ import (
 // Sink receives the result of one window evaluation of a registered
 // query, in columnar form: window results leave the engine as vectors
 // and are never materialised as tuples on the way (cb.Rows() converts
-// exactly when a sink needs rows). The sink owns the batch — it is
-// freshly allocated for this call, aliases no engine scratch or shared
-// window input, and may be retained. Implementations must be safe for
+// exactly when a sink needs rows). The batch aliases no engine
+// scratch, so it may be retained and no later window changes it; it may
+// alias the shared read-only window vectors (a SELECT * result does),
+// so the sink must not mutate it. Implementations must be safe for
 // concurrent use.
 type Sink func(queryID string, windowEnd int64, schema relation.Schema, cb *relation.ColBatch)
 

@@ -133,10 +133,14 @@ func unfoldCombination(q cq.CQ, combo []Mapping, opts UnfoldOptions, stats *Unfo
 	}
 
 	occs := map[string][]occurrence{} // var -> occurrences
+	var vars []string                 // variables in order of first occurrence
 	var conds []sql.Expr
 
 	addArg := func(arg cq.Arg, alias string, tmpl Template, isData bool) bool {
 		if arg.IsVar {
+			if _, seen := occs[arg.Var]; !seen {
+				vars = append(vars, arg.Var)
+			}
 			occs[arg.Var] = append(occs[arg.Var], occurrence{alias, tmpl, isData})
 			return true
 		}
@@ -192,8 +196,10 @@ func unfoldCombination(q cq.CQ, combo []Mapping, opts UnfoldOptions, stats *Unfo
 		conds = append(conds, cond)
 	}
 
-	// Join conditions from shared variables.
-	for _, os := range occs {
+	// Join conditions from shared variables, in order of first
+	// occurrence so the unfolded SQL is the same on every run.
+	for _, v := range vars {
+		os := occs[v]
 		for i := 1; i < len(os); i++ {
 			a, b := os[0], os[i]
 			if a.data != b.data && !(a.tmpl.IsRawColumn() && b.tmpl.IsRawColumn()) {

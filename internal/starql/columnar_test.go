@@ -1,35 +1,102 @@
 package starql
 
 import (
+	"fmt"
 	"math/rand"
-	"reflect"
+	"sort"
 	"testing"
 
+	"repro/internal/obda/mapping"
 	"repro/internal/relation"
+	"repro/internal/siemens"
+	"repro/internal/stream"
 )
 
-// sameSequence compares two sequences state-by-state (nil-vs-empty
-// state slices are equal; the row and columnar builders may differ in
-// that representation only).
-func sameSequence(a, b *Sequence) bool {
-	if a.Len() != b.Len() {
+// diffSequence compares a flat sequence with the reference sequence it
+// must equal, restricted to the predicates in preds (nil = all). It
+// checks the state timestamps, every (state, subject, predicate) value
+// list of the reference against the flat one, and every value list of
+// the flat sequence against the reference, so neither side may hold an
+// assertion the other lacks. Values compare as typed values, in order.
+func diffSequence(ref *refSequence, got *Sequence, preds map[string]bool) error {
+	if got.Len() != len(ref.States) {
+		return fmt.Errorf("states: flat %d, reference %d", got.Len(), len(ref.States))
+	}
+	for i, st := range ref.States {
+		if got.TS(i) != st.TS {
+			return fmt.Errorf("state %d: flat ts %d, reference ts %d", i, got.TS(i), st.TS)
+		}
+		for subj, props := range st.props {
+			for pred, want := range props {
+				if preds != nil && !preds[pred] {
+					continue
+				}
+				if have := got.Values(i, subj, pred); !sameValues(have, want) {
+					return fmt.Errorf("state %d (%s, %s): flat %v, reference %v", i, subj, pred, have, want)
+				}
+			}
+		}
+	}
+	// Reverse direction: walk the flat runs themselves.
+	for subj, si := range got.subjects {
+		for pi, pred := range got.preds {
+			if preds != nil && !preds[pred] {
+				return fmt.Errorf("flat sequence holds unrequested predicate %s", pred)
+			}
+			k := int(si)*len(got.preds) + pi
+			if k+1 >= len(got.runs) {
+				continue
+			}
+			lo, hi := int(got.runs[k]), int(got.runs[k+1])
+			for j := lo; j < hi; {
+				state := int(got.states[j])
+				if j > lo && got.states[j-1] > got.states[j] {
+					return fmt.Errorf("run (%s, %s): states out of order", subj, pred)
+				}
+				end := j
+				for end < hi && int(got.states[end]) == state {
+					end++
+				}
+				if want := ref.States[state].Values(subj, pred); !sameValues(got.vals[j:end], want) {
+					return fmt.Errorf("state %d (%s, %s): flat %v, reference %v", state, subj, pred, got.vals[j:end], want)
+				}
+				j = end
+			}
+		}
+	}
+	return nil
+}
+
+func sameValues(a, b []relation.Value) bool {
+	if len(a) != len(b) {
 		return false
 	}
-	for i := range a.States {
-		if a.States[i].TS != b.States[i].TS {
-			return false
-		}
-		if !reflect.DeepEqual(a.States[i].props, b.States[i].props) {
+	for i := range a {
+		if a[i] != b[i] {
 			return false
 		}
 	}
 	return true
 }
 
+// subjectList turns a subject filter into the reader's subject list.
+func subjectList(subjects map[string]bool) []string {
+	if subjects == nil {
+		return nil
+	}
+	out := make([]string, 0, len(subjects))
+	for s := range subjects {
+		out = append(out, s)
+	}
+	sort.Strings(out)
+	return out
+}
+
 // TestBuildColumnarMatchesBuild is the sequence-builder differential:
-// the columnar build over a window batch must produce exactly the
-// sequence the row build produces, for random batches, subject
-// filters, NULL-bearing rows, and empty windows.
+// the flat reader over a window batch must hold exactly the assertions
+// of the map-based reference builder, for random batches (sorted and
+// unsorted by timestamp), subject filters, predicate restrictions,
+// NULL-bearing rows, and empty windows.
 func TestBuildColumnarMatchesBuild(t *testing.T) {
 	set := testMappings(t)
 	sb, err := NewSequenceBuilder(msmtStreamSchema(), set.set)
@@ -49,22 +116,38 @@ func TestBuildColumnarMatchesBuild(t *testing.T) {
 		return rows
 	}
 	subjectsPool := []map[string]bool{nil, {s7: true}, {}}
-	for trial := 0; trial < 60; trial++ {
-		batch := batchOf(randRows(rng.Intn(30))...)
+	predsPool := []map[string]bool{nil, {sieNS + "hasValue": true}, {sieNS + "showsFailure": true}, {}}
+	for trial := 0; trial < 80; trial++ {
+		rows := randRows(rng.Intn(30))
+		if rng.Intn(2) == 0 {
+			sort.SliceStable(rows, func(i, j int) bool { return rows[i][1].Int < rows[j][1].Int })
+		}
+		batch := batchOf(rows...)
 		if rng.Intn(2) == 0 {
 			batch.Columns() // pre-materialise the shared transpose
 		}
 		subjects := subjectsPool[rng.Intn(len(subjectsPool))]
-		want, err1 := sb.Build(batch, subjects)
-		got, err2 := sb.BuildColumnar(batch, subjects)
+		preds := predsPool[rng.Intn(len(predsPool))]
+		want, err1 := sb.buildRef(batch, subjects)
+		var got *Sequence
+		var err2 error
+		if preds == nil {
+			got, err2 = sb.BuildColumnar(batch, subjects)
+		} else {
+			var r *StreamReader
+			r, err2 = sb.Reader(subjectList(preds), subjectList(subjects))
+			if err2 == nil {
+				got, err2 = r.Read(batch.Columns())
+			}
+		}
 		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("trial %d: error disagreement: row=%v columnar=%v", trial, err1, err2)
+			t.Fatalf("trial %d: error disagreement: reference=%v flat=%v", trial, err1, err2)
 		}
 		if err1 != nil {
 			continue
 		}
-		if !sameSequence(want, got) {
-			t.Fatalf("trial %d: sequences differ\nrow:      %+v\ncolumnar: %+v", trial, want, got)
+		if err := diffSequence(want, got, preds); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
 }
@@ -90,14 +173,15 @@ func TestBuildColumnarErrorParity(t *testing.T) {
 }
 
 // TestBuildColumnarGatheredBatch extends the differential to the
-// engine boundary: the window sink feeds BuildColumns the compacted
+// engine boundary: the window sink feeds the reader the compacted
 // columns of a window result (typed vectors gathered by selection
 // index), never a transposed row batch. For random windows, random
 // selections (empty, partial, reordered, full) and subject filters, the
-// sequence built from the gathered columns must equal Build over the
-// equivalent rows. Trials vary the column layouts too: integer vs
-// TTime timestamps (the typed fast path and its fallback) and a value
-// column degraded to the generic layout.
+// sequence read from the gathered columns must equal the reference
+// built over the equivalent rows. Trials vary the column layouts too:
+// integer vs TTime timestamps (both typed), a value column degraded to
+// the generic layout, and a subject column degraded to the generic
+// layout (the string-keyed probe instead of the int64 one).
 func TestBuildColumnarGatheredBatch(t *testing.T) {
 	set := testMappings(t)
 	sb, err := NewSequenceBuilder(msmtStreamSchema(), set.set)
@@ -105,11 +189,12 @@ func TestBuildColumnarGatheredBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	s7 := "http://siemens.com/data/sensor/7"
-	subjectsPool := []map[string]bool{nil, {s7: true}, {}}
+	s07 := "http://siemens.com/data/sensor/07" // rendered only by the string "07"
+	subjectsPool := []map[string]bool{nil, {s7: true}, {}, {s7: true, "http://siemens.com/data/sensor/8": true}, {s7: true, s07: true}}
 	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 80; trial++ {
+	for trial := 0; trial < 120; trial++ {
 		n := rng.Intn(30)
-		intTS, generic := rng.Intn(2) == 0, rng.Intn(4) == 0
+		intTS, generic, genericSubj := rng.Intn(2) == 0, rng.Intn(4) == 0, rng.Intn(4) == 0
 		rows := make([]relation.Tuple, n)
 		for i := range rows {
 			rows[i] = row(int64(rng.Intn(4)+6), int64(rng.Intn(5))*1000, float64(rng.Intn(40)+50), int64(rng.Intn(2)))
@@ -121,6 +206,12 @@ func TestBuildColumnarGatheredBatch(t *testing.T) {
 				rows[i][2] = relation.Null
 			case generic && rng.Intn(2) == 0:
 				rows[i][2] = relation.Int(int64(rng.Intn(40) + 50))
+			}
+			if genericSubj && rng.Intn(3) == 0 {
+				rows[i][0] = relation.String_(fmt.Sprint(rows[i][0].Int))
+				if rng.Intn(2) == 0 {
+					rows[i][0] = relation.String_("0" + rows[i][0].Str)
+				}
 			}
 		}
 		var idxs []int
@@ -148,16 +239,179 @@ func TestBuildColumnarGatheredBatch(t *testing.T) {
 			picked[k] = rows[i]
 		}
 		subjects := subjectsPool[rng.Intn(len(subjectsPool))]
-		want, err1 := sb.Build(batchOf(picked...), subjects)
-		got, err2 := sb.BuildColumns(gathered, subjects)
+		want, err1 := sb.buildRef(batchOf(picked...), subjects)
+		r, err := sb.Reader(nil, subjectList(subjects))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err2 := r.Read(gathered)
 		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("trial %d: error disagreement: row=%v columns=%v", trial, err1, err2)
+			t.Fatalf("trial %d: error disagreement: reference=%v flat=%v", trial, err1, err2)
 		}
 		if err1 != nil {
 			continue
 		}
-		if !sameSequence(want, got) {
-			t.Fatalf("trial %d: sequences differ\nrow:     %+v\ncolumns: %+v", trial, want, got)
+		if err := diffSequence(want, got, nil); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
+}
+
+// TestBuildColumnarMultiColumnSubject covers the render path of bound
+// subjects: a subject template over two columns is not inverted, so the
+// reader renders each distinct key once per window and looks the IRI up
+// among the bound subjects.
+func TestBuildColumnarMultiColumnSubject(t *testing.T) {
+	w := newTestMappings(t)
+	pair := sieNS + "pairValue"
+	if err := w.set.Add(mapping.Mapping{
+		ID: "pair", Pred: pair,
+		Subject: mapping.MustParseTemplate("http://x/{sid}-{fail}"),
+		Object:  mapping.MustParseTemplate("{val}"), ObjectIsData: true,
+		Source: mapping.SourceRef{Table: "S_Msmt", IsStream: true},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sb, err := NewSequenceBuilder(msmtStreamSchema(), w.set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	for _, subjects := range []map[string]bool{nil, {"http://x/7-1": true, "http://x/8-0": true}} {
+		for trial := 0; trial < 20; trial++ {
+			rows := make([]relation.Tuple, rng.Intn(25))
+			for i := range rows {
+				rows[i] = row(int64(rng.Intn(3)+6), int64(rng.Intn(4))*1000, float64(rng.Intn(40)), int64(rng.Intn(2)))
+			}
+			batch := batchOf(rows...)
+			want, err := sb.buildRef(batch, subjects)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := sb.Reader([]string{pair}, subjectList(subjects))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := r.Read(batch.Columns())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := diffSequence(want, got, map[string]bool{pair: true}); err != nil {
+				t.Fatalf("subjects %v trial %d: %v", subjects, trial, err)
+			}
+		}
+	}
+}
+
+// TestBuildColumnarAlertSetsMatchOracle is the end-to-end sequence
+// differential over the ten Siemens test sets: for every task, every
+// window of a seeded msmt_a stream and every binding, the task's flat
+// reader (restricted to the HAVING's predicates and the bindings'
+// subjects) evaluated by the compiled matcher must alert exactly when
+// the map-based reference sequence evaluated by the reference HAVING
+// interpreter does.
+func TestBuildColumnarAlertSetsMatchOracle(t *testing.T) {
+	gen, err := siemens.New(siemens.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := gen.StaticCatalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := siemens.Mappings()
+	schema := siemens.StreamSchemas()[0]
+	sb, err := NewSequenceBuilder(schema, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const toMS = 40_000
+	tuples, routeA, err := gen.Generate(siemens.StreamConfig{
+		FromMS: 0, ToMS: toMS, StepMS: 500, Seed: 3,
+		Events: gen.PlantDefaultEvents(0, toMS),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var msmtA []stream.Timestamped
+	for i, el := range tuples {
+		if routeA[i] {
+			msmtA = append(msmtA, el)
+		}
+	}
+	tr := NewTranslator(siemens.TBox(), set, cat)
+	checked := map[string]bool{}
+	evals, alerts := 0, 0
+	for si, tasks := range siemens.TestSets() {
+		for _, task := range tasks {
+			if checked[task.ID] {
+				continue
+			}
+			checked[task.ID] = true
+			q, err := Parse(task.Query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tl, err := tr.Translate(q, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bindings, err := tr.EvalBindings(tl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			subjects := map[string]bool{}
+			for _, b := range bindings {
+				for _, term := range b {
+					if term.IsIRI() {
+						subjects[term.Value] = true
+					}
+				}
+			}
+			compiled := CompileHaving(q.Having, q.Aggregates)
+			reader, err := sb.Reader(compiled.Preds(), subjectList(subjects))
+			if err != nil {
+				t.Fatal(err)
+			}
+			op, err := stream.NewTimeSlidingWindow(tl.Window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var batches []stream.Batch
+			for _, el := range msmtA {
+				batches = append(batches, op.Push(el)...)
+			}
+			batches = append(batches, op.Flush()...)
+			for _, b := range batches {
+				if len(b.Rows) == 0 {
+					continue
+				}
+				ref, err := sb.buildRef(b, subjects)
+				if err != nil {
+					t.Fatal(err)
+				}
+				oracle := flatten(ref)
+				flat, err := reader.Read(b.Columns())
+				if err != nil {
+					t.Fatal(err)
+				}
+				for bi, binding := range bindings {
+					want, errW := EvalHaving(q.Having, oracle, binding, q.Aggregates)
+					got, errG := compiled.Eval(flat, binding)
+					if (errW == nil) != (errG == nil) || want != got {
+						t.Fatalf("set %d task %s window %d binding %d: flat=%t (%v) oracle=%t (%v)",
+							si+1, task.ID, b.End, bi, got, errG, want, errW)
+					}
+					evals++
+					if got {
+						alerts++
+					}
+				}
+			}
+		}
+	}
+	if len(checked) != len(siemens.Catalog()) || evals == 0 || alerts == 0 {
+		t.Fatalf("vacuous differential: %d tasks, %d evaluations, %d alerts", len(checked), evals, alerts)
+	}
+	t.Logf("%d tasks, %d evaluations, %d alerts", len(checked), evals, alerts)
 }

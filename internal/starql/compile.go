@@ -2,6 +2,7 @@ package starql
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"repro/internal/rdf"
@@ -91,6 +92,7 @@ type CompiledHaving struct {
 	numStates int
 	numValues int
 	bindNames []string
+	preds     []string
 	pool      sync.Pool
 }
 
@@ -103,6 +105,7 @@ func CompileHaving(h HavingExpr, defs map[string]*AggregateDef) *CompiledHaving 
 		states: map[string]int{},
 		values: map[string]int{},
 		binds:  map[string]int{},
+		preds:  map[string]bool{},
 		aggs:   defs,
 	}
 	prog := c.compile(h, contAccept)
@@ -111,7 +114,12 @@ func CompileHaving(h HavingExpr, defs map[string]*AggregateDef) *CompiledHaving 
 		numStates: len(c.states),
 		numValues: len(c.values),
 		bindNames: c.bindNames,
+		preds:     make([]string, 0, len(c.preds)),
 	}
+	for p := range c.preds {
+		ch.preds = append(ch.preds, p)
+	}
+	sort.Strings(ch.preds)
 	ch.pool.New = func() any {
 		return &chEnv{
 			states:  make([]int, ch.numStates),
@@ -127,6 +135,13 @@ func CompileHaving(h HavingExpr, defs map[string]*AggregateDef) *CompiledHaving 
 func (ch *CompiledHaving) Slots() (states, values, bindings int) {
 	return ch.numStates, ch.numValues, len(ch.bindNames)
 }
+
+// Preds lists, sorted, every predicate the program can read from a
+// sequence: the constant predicates of its graph atoms and the
+// attributes of its built-in aggregates, after macro expansion (which
+// leaves every predicate constant). A sequence restricted to these
+// predicates evaluates exactly like the full one.
+func (ch *CompiledHaving) Preds() []string { return ch.preds }
 
 // Eval evaluates the compiled condition over a sequence under a WHERE
 // binding.
@@ -161,6 +176,7 @@ type havingCompiler struct {
 	values    map[string]int
 	binds     map[string]int
 	bindNames []string
+	preds     map[string]bool // predicates the program reads
 	aggs      map[string]*AggregateDef
 	depth     int // macro expansion depth
 }
@@ -237,7 +253,7 @@ func (c *havingCompiler) compile(h HavingExpr, k chProg) chProg {
 			old := env.states[slot]
 			found := false
 			var err error
-			for i := range env.seq.States {
+			for i := 0; i < env.seq.Len(); i++ {
 				env.states[slot] = i
 				found, err = cond(env)
 				if err != nil || found {
@@ -317,7 +333,7 @@ func (c *havingCompiler) compileForall(f *ForallExpr, k chProg) chProg {
 	if f.StateVar2 == "" {
 		return func(env *chEnv) (bool, error) {
 			old := env.states[s1]
-			for i := range env.seq.States {
+			for i := 0; i < env.seq.Len(); i++ {
 				env.states[s1] = i
 				ok, err := check(env)
 				if err != nil || !ok {
@@ -333,7 +349,7 @@ func (c *havingCompiler) compileForall(f *ForallExpr, k chProg) chProg {
 	strict, weak := f.Rel == "<", f.Rel == "<="
 	return func(env *chEnv) (bool, error) {
 		old1, old2 := env.states[s1], env.states[s2]
-		n := len(env.seq.States)
+		n := env.seq.Len()
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				if strict && i >= j {
@@ -365,6 +381,7 @@ func (c *havingCompiler) compileGraphAtom(g *GraphAtom, k chProg) chProg {
 		predErr = fmt.Errorf("starql: variable predicate in graph atom")
 	} else {
 		pred = g.Pattern.P.Term.Value
+		c.preds[pred] = true
 	}
 	// vals resolves the atom's value list at the bound state, preserving
 	// the interpreter's error order (state, then subject, then predicate).
@@ -380,7 +397,7 @@ func (c *havingCompiler) compileGraphAtom(g *GraphAtom, k chProg) chProg {
 		if predErr != nil {
 			return nil, predErr
 		}
-		return env.seq.States[idx].Values(s, pred), nil
+		return env.seq.Values(idx, s, pred), nil
 	}
 	if g.Pattern.TypeAtom || g.Pattern.NoObject {
 		return func(env *chEnv) (bool, error) {
@@ -513,6 +530,7 @@ func (c *havingCompiler) compileAggCall(a *AggCall, k chProg) chProg {
 		}
 		subj := c.compileIRI(a.Args[0])
 		attr := a.Args[1].Term.Value
+		c.preds[attr] = true
 		limit := c.compileValue(a.Args[2])
 		return func(env *chEnv) (bool, error) {
 			s, err := subj(env)
@@ -523,8 +541,8 @@ func (c *havingCompiler) compileAggCall(a *AggCall, k chProg) chProg {
 			if err != nil {
 				return false, err
 			}
-			for si := range env.seq.States {
-				for _, v := range env.seq.States[si].Values(s, attr) {
+			for si := 0; si < env.seq.Len(); si++ {
+				for _, v := range env.seq.Values(si, s, attr) {
 					if d, ok := relation.Compare(v, lim); ok && d > 0 {
 						return k(env)
 					}
@@ -538,6 +556,7 @@ func (c *havingCompiler) compileAggCall(a *AggCall, k chProg) chProg {
 		}
 		subj := c.compileIRI(a.Args[0])
 		attr := a.Args[1].Term.Value
+		c.preds[attr] = true
 		return func(env *chEnv) (bool, error) {
 			s, err := subj(env)
 			if err != nil {
@@ -556,6 +575,7 @@ func (c *havingCompiler) compileAggCall(a *AggCall, k chProg) chProg {
 		sa := c.compileIRI(a.Args[0])
 		sb := c.compileIRI(a.Args[1])
 		attr := a.Args[2].Term.Value
+		c.preds[attr] = true
 		min := c.compileValue(a.Args[3])
 		return func(env *chEnv) (bool, error) {
 			s1, err := sa(env)

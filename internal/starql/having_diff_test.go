@@ -207,10 +207,10 @@ func (g *havingGen) expr(depth int, states []string) HavingExpr {
 // randDiffSeq builds a random sequence over the two test subjects
 // (0–6 states, 0–2 values per property, occasional failure flags).
 func randDiffSeq(rng *rand.Rand) *Sequence {
-	seq := &Sequence{}
+	seq := &refSequence{}
 	n := rng.Intn(7)
 	for i := 0; i < n; i++ {
-		st := State{TS: int64(i+1) * 500, props: map[string]map[string][]relation.Value{}}
+		st := refState{TS: int64(i+1) * 500, props: map[string]map[string][]relation.Value{}}
 		for _, sub := range []string{diffSubjA, diffSubjB} {
 			props := map[string][]relation.Value{}
 			if rng.Intn(4) > 0 {
@@ -232,7 +232,7 @@ func randDiffSeq(rng *rand.Rand) *Sequence {
 		}
 		seq.States = append(seq.States, st)
 	}
-	return seq
+	return flatten(seq)
 }
 
 // diffAggregates returns the macro library for the generator: the

@@ -85,7 +85,7 @@ func matches(h HavingExpr, env *evalEnv) ([]*evalEnv, error) {
 		}
 		return nil, nil
 	case *ExistsExpr:
-		for i := range env.seq.States {
+		for i := 0; i < env.seq.Len(); i++ {
 			child := env.child()
 			child.states[x.StateVar] = i
 			sub, err := matches(x.Cond, child)
@@ -147,7 +147,7 @@ func matches(h HavingExpr, env *evalEnv) ([]*evalEnv, error) {
 }
 
 func evalForall(f *ForallExpr, env *evalEnv) (bool, error) {
-	n := len(env.seq.States)
+	n := env.seq.Len()
 	check := func(child *evalEnv) (bool, error) {
 		body := f.Conclusion
 		if f.Guard != nil {
@@ -211,7 +211,6 @@ func matchGraphAtom(g *GraphAtom, env *evalEnv) ([]*evalEnv, error) {
 	if !ok {
 		return nil, fmt.Errorf("starql: unbound state variable ?%s", g.StateVar)
 	}
-	st := &env.seq.States[idx]
 	subj, err := resolveIRI(g.Pattern.S, env)
 	if err != nil {
 		return nil, err
@@ -226,7 +225,7 @@ func matchGraphAtom(g *GraphAtom, env *evalEnv) ([]*evalEnv, error) {
 	} else {
 		return nil, fmt.Errorf("starql: variable predicate in graph atom")
 	}
-	vals := st.Values(subj, pred)
+	vals := env.seq.Values(idx, subj, pred)
 	if g.Pattern.TypeAtom || g.Pattern.NoObject {
 		if len(vals) > 0 {
 			return []*evalEnv{env}, nil
@@ -356,8 +355,8 @@ func evalAggCall(a *AggCall, env *evalEnv) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		for _, st := range env.seq.States {
-			for _, v := range st.Values(subj, a.Args[1].Term.Value) {
+		for i := 0; i < env.seq.Len(); i++ {
+			for _, v := range env.seq.Values(i, subj, a.Args[1].Term.Value) {
 				if c, ok := relation.Compare(v, limit); ok && c > 0 {
 					return true, nil
 				}

@@ -11,9 +11,9 @@ import (
 // buildSeq constructs a sequence directly for evaluator unit tests:
 // states[i] asserts hasValue=vals[i] (and showsFailure when fail[i]).
 func buildSeq(subject string, vals []float64, fail []bool) *Sequence {
-	seq := &Sequence{}
+	seq := &refSequence{}
 	for i, v := range vals {
-		st := State{TS: int64(i+1) * 1000, props: map[string]map[string][]relation.Value{
+		st := refState{TS: int64(i+1) * 1000, props: map[string]map[string][]relation.Value{
 			subject: {sieNS + "hasValue": {relation.Float(v)}},
 		}}
 		if fail != nil && fail[i] {
@@ -21,7 +21,7 @@ func buildSeq(subject string, vals []float64, fail []bool) *Sequence {
 		}
 		seq.States = append(seq.States, st)
 	}
-	return seq
+	return flatten(seq)
 }
 
 func attrNode() Node { return NTerm(rdf.NewIRI(sieNS + "hasValue")) }
@@ -245,7 +245,7 @@ func TestSequenceBuilderObjectProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals := seq.States[0].Values("http://siemens.com/data/sensor/7", sieNS+"emits")
+	vals := seq.Values(0, "http://siemens.com/data/sensor/7", sieNS+"emits")
 	if len(vals) != 1 || !strings.Contains(vals[0].Str, "reading/") {
 		t.Errorf("object property values = %v", vals)
 	}

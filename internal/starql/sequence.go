@@ -1,11 +1,12 @@
 package starql
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/obda/mapping"
 	"repro/internal/rdf"
@@ -18,52 +19,84 @@ import (
 // of the unfolded static query.
 type Binding map[string]rdf.Term
 
-// State is one element of a STARQL sequence: the ABox snapshot at one
-// timestamp, restricted to stream-derived assertions. Property values
-// are indexed by subject IRI and property IRI.
-type State struct {
-	TS    int64
-	props map[string]map[string][]relation.Value
-}
-
-// Values returns the values of (subject, property) at this state.
-func (s *State) Values(subject, property string) []relation.Value {
-	return s.props[subject][property]
-}
-
 // Sequence is the ordered list of states of one window (StdSeq: one
-// state per distinct timestamp, ascending — the standard sequencing of
-// [12], which respects functionality constraints by keeping simultaneous
-// measurements in one state).
+// state per distinct timestamp of the window's rows, ascending — the
+// standard sequencing of [12], which respects functionality constraints
+// by keeping simultaneous measurements in one state).
+//
+// The sequence is flat. Every stream-derived assertion is one element
+// of vals, grouped into one run per (subject ordinal, predicate
+// ordinal); within a run the elements are ordered by state and, inside
+// a state, by window row. runs holds the CSR offsets of the runs and
+// states the state ordinal of every element, so the values of
+// (state, subject, predicate) are one subslice of vals, found with a
+// binary search over the run's states. No per-state or per-subject maps
+// are built; subjects maps a subject IRI to its ordinal and is the
+// reader's shared index when the task's subjects are bound.
 type Sequence struct {
-	States []State
+	ts       []int64          // state timestamps, ascending
+	subjects map[string]int32 // subject IRI -> ordinal
+	preds    []string         // predicate IRI by ordinal
+	runs     []int32          // run k = subject*len(preds)+predicate is vals[runs[k]:runs[k+1]]
+	states   []int32          // state ordinal of each element of vals
+	vals     []relation.Value
 }
 
 // Len returns the number of states.
-func (s *Sequence) Len() int { return len(s.States) }
+func (s *Sequence) Len() int { return len(s.ts) }
 
-// SequenceBuilder turns window batches into sequences using the stream
-// mappings: each stream-sourced property mapping contributes assertions
-// subject→property→value realised from the batch rows.
+// TS returns the timestamp of state i.
+func (s *Sequence) TS(i int) int64 { return s.ts[i] }
+
+// Values returns the values of (subject, predicate) at state i, in
+// window row order. The result aliases the sequence and must not be
+// modified.
+func (s *Sequence) Values(i int, subject, pred string) []relation.Value {
+	k := s.run(subject, pred)
+	if k < 0 {
+		return nil
+	}
+	lo, end := int(s.runs[k]), int(s.runs[k+1])
+	st := int32(i)
+	for hi := end; lo < hi; {
+		mid := int(uint(lo+hi) >> 1)
+		if s.states[mid] < st {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	hi := lo
+	for hi < end && s.states[hi] == st {
+		hi++
+	}
+	return s.vals[lo:hi:hi]
+}
+
+// run returns the run ordinal of (subject, predicate), or -1 when the
+// window asserts nothing for it.
+func (s *Sequence) run(subject, pred string) int {
+	if len(s.runs) == 0 {
+		return -1
+	}
+	si, ok := s.subjects[subject]
+	if !ok {
+		return -1
+	}
+	for pi, p := range s.preds {
+		if p == pred {
+			return int(si)*len(s.preds) + pi
+		}
+	}
+	return -1
+}
+
+// SequenceBuilder holds the stream mappings of one stream; per-task
+// StreamReaders built from it turn window batches into sequences.
 type SequenceBuilder struct {
 	schema   stream.Schema
 	tsIdx    int
-	mappings []mapping.Mapping // stream-sourced property mappings
-
-	// Column-ordinal resolution of the mappings, computed once on the
-	// first BuildColumns call (see columnPlans).
-	colOnce    sync.Once
-	colPlans   []columnPlan
-	colPlanErr error
-}
-
-// columnPlan caches the ordinal resolution of one stream mapping so the
-// columnar build never resolves column names per row.
-type columnPlan struct {
-	m        mapping.Mapping
-	subjCols []int // subject template column ordinals
-	objCols  []int // object template ordinals (object properties)
-	objData  int   // data-property column ordinal, -1 otherwise
+	mappings []mapping.Mapping // stream-sourced mappings of the stream
 }
 
 // NewSequenceBuilder selects the stream-sourced mappings relevant to the
@@ -104,190 +137,479 @@ func equalFold(a, b string) bool {
 	return true
 }
 
-// columnPlans resolves each mapping's template and object columns to
-// ordinals in the stream schema, once per builder.
-func (b *SequenceBuilder) columnPlans() ([]columnPlan, error) {
-	b.colOnce.Do(func() {
-		plans := make([]columnPlan, 0, len(b.mappings))
-		for _, m := range b.mappings {
-			p := columnPlan{m: m, objData: -1}
-			for _, c := range m.Subject.Columns {
-				idx, err := b.schema.Tuple.IndexOf(c)
-				if err != nil {
-					b.colPlanErr = err
-					return
-				}
-				p.subjCols = append(p.subjCols, idx)
-			}
-			if !m.IsClass {
-				if m.ObjectIsData {
-					idx, err := b.schema.Tuple.IndexOf(m.Object.Columns[0])
-					if err != nil {
-						b.colPlanErr = err
-						return
-					}
-					p.objData = idx
-				} else {
-					for _, c := range m.Object.Columns {
-						idx, err := b.schema.Tuple.IndexOf(c)
-						if err != nil {
-							b.colPlanErr = err
-							return
-						}
-						p.objCols = append(p.objCols, idx)
-					}
-				}
-			}
-			plans = append(plans, p)
-		}
-		b.colPlans = plans
-	})
-	return b.colPlans, b.colPlanErr
-}
-
 // BuildColumnar builds the sequence of a window batch from its shared
-// columnar form (stream.Batch.Columns); see BuildColumns.
+// columnar form (stream.Batch.Columns), over every stream mapping and
+// restricted to the given subjects (nil means all subjects). It builds
+// a one-off reader; a window sink builds its reader once per task.
 func (b *SequenceBuilder) BuildColumnar(batch stream.Batch, subjects map[string]bool) (*Sequence, error) {
-	return b.BuildColumns(batch.Columns(), subjects)
-}
-
-// BuildColumns constructs the StdSeq sequence of one window from its
-// columns, restricted to the given subjects (nil means all subjects —
-// used by correlation tasks that scan every sensor). It is the sequence
-// builder of the window sink, fed the engine's columnar window result
-// directly. Column ordinals are resolved once per builder, timestamps
-// are read from the typed int64 payload when the column is typed, and
-// subject/object IRIs are rendered once per distinct key per window
-// instead of once per row. Iteration is rows-outer/mappings-inner, so
-// per-predicate value order follows row order.
-func (b *SequenceBuilder) BuildColumns(cb *relation.ColBatch, subjects map[string]bool) (*Sequence, error) {
-	plans, err := b.columnPlans()
+	var subj []string
+	if subjects != nil {
+		subj = make([]string, 0, len(subjects))
+		for s := range subjects {
+			subj = append(subj, s)
+		}
+	}
+	r, err := b.Reader(nil, subj)
 	if err != nil {
 		return nil, err
 	}
-	n := cb.Len()
-	if n == 0 {
-		return &Sequence{States: []State{}}, nil
-	}
-	tsVec := cb.Col(b.tsIdx)
-	var tsInts []int64
-	if tsVec.ElemType() == relation.TInt && !tsVec.HasNulls() {
-		tsInts = tsVec.Ints()
-	}
-	// Scratch row for mapping source filters, the one part of a mapping
-	// that needs a full tuple; filled at most once per row.
-	var scratch relation.Tuple
-	filled := -1
-	rowAt := func(i int) relation.Tuple {
-		if filled != i {
-			if scratch == nil {
-				scratch = make(relation.Tuple, cb.Arity())
-			}
-			for c := range scratch {
-				scratch[c] = cb.Col(c).Value(i)
-			}
-			filled = i
-		}
-		return scratch
-	}
-	subjMemos := make([]map[string]string, len(plans))
-	objMemos := make([]map[string]string, len(plans))
-	for i := range plans {
-		subjMemos[i] = map[string]string{}
-		if plans[i].objData < 0 && !plans[i].m.IsClass {
-			objMemos[i] = map[string]string{}
-		}
-	}
-	segs := make([]string, 0, 4)
-	byTS := map[int64]*State{}
-	for i := 0; i < n; i++ {
-		var ts int64
-		if tsInts != nil {
-			ts = tsInts[i]
-		} else {
-			v, ok := tsVec.Value(i).AsInt()
-			if !ok {
-				return nil, fmt.Errorf("starql: row without timestamp: %v", cb.Row(i))
-			}
-			ts = v
-		}
-		st, ok := byTS[ts]
+	return r.Read(batch.Columns())
+}
+
+// StreamReader is one task's view of a stream: it keeps only the stream
+// mappings whose predicates the task's HAVING condition can read, and
+// only the rows whose subject is one of the task's bound subjects. It
+// is built once, at registration, and is read-only afterwards, so
+// concurrent Read calls are safe; all per-window state lives in Read.
+type StreamReader struct {
+	tsIdx    int
+	plans    []readPlan
+	preds    []string
+	subjects map[string]int32 // bound subject IRI -> ordinal; nil = every subject
+}
+
+// readPlan is one stream mapping resolved against the stream schema.
+type readPlan struct {
+	m        mapping.Mapping
+	pred     int32
+	where    colExpr // source filter; nil = none
+	subjCols []int
+	objData  int   // data-property column ordinal, -1 otherwise
+	objCols  []int // object IRI template ordinals (object properties)
+	// index is the bound-subject index of a single-column subject
+	// template; nil when subjects are unbound or the template has
+	// several columns: such plans render the IRI once per distinct key
+	// per window instead.
+	index *subjectIndex
+}
+
+// subjectIndex maps the raw value of a one-column subject template to
+// the ordinal of the bound subject it renders: every bound subject IRI
+// inverted through the template. A segment that is a canonical integer
+// is keyed by the integer, any other segment by the string, so a row
+// probes the integer map with its typed int64 and otherwise with its
+// raw string — exactly the rows whose rendering is a bound subject.
+// Plans with the same template share one index.
+type subjectIndex struct {
+	col   string
+	typ   relation.Type // schema type of the key column
+	byInt map[int64]int32
+	byStr map[string]int32
+}
+
+func newSubjectIndex(t mapping.Template, typ relation.Type, subjects map[string]int32) *subjectIndex {
+	ix := &subjectIndex{col: t.Columns[0], typ: typ, byInt: map[int64]int32{}, byStr: map[string]int32{}}
+	for iri, k := range subjects {
+		seg, ok := invertSingle(t, iri)
 		if !ok {
-			st = &State{TS: ts, props: map[string]map[string][]relation.Value{}}
-			byTS[ts] = st
+			continue
 		}
-		for pi := range plans {
-			p := &plans[pi]
-			if p.m.Source.Where != nil {
-				v, err := evalRowExpr(p.m.Source.Where, b.schema.Tuple, rowAt(i))
+		if n, ok := canonicalInt(seg); ok {
+			ix.byInt[n] = k
+		} else {
+			ix.byStr[seg] = k
+		}
+	}
+	return ix
+}
+
+// canonicalInt parses s when it is the decimal rendering of an int64.
+func canonicalInt(s string) (int64, bool) {
+	n, err := strconv.ParseInt(s, 10, 64)
+	if err != nil || strconv.FormatInt(n, 10) != s {
+		return 0, false
+	}
+	return n, true
+}
+
+// probe resolves row i of the key column v (-1 = not a bound subject).
+func (ix *subjectIndex) probe(v *relation.Vector, i int) int32 {
+	var key string
+	switch {
+	case v.ElemType() == relation.TInt && !v.IsNull(i):
+		if k, ok := ix.byInt[v.Ints()[i]]; ok {
+			return k
+		}
+		return -1
+	case v.ElemType() == relation.TString && !v.IsNull(i):
+		key = v.Strs()[i]
+	default:
+		key = rawString(v.Value(i))
+	}
+	if n, ok := canonicalInt(key); ok {
+		if k, ok := ix.byInt[n]; ok {
+			return k
+		}
+	} else if k, ok := ix.byStr[key]; ok {
+		return k
+	}
+	return -1
+}
+
+// Reader builds a task's stream reader. preds lists the predicates the
+// task can read (nil means every mapped predicate); subjects lists the
+// task's bound subject IRIs (nil means every subject: the reader then
+// renders each distinct subject IRI once per window).
+func (b *SequenceBuilder) Reader(preds, subjects []string) (*StreamReader, error) {
+	r := &StreamReader{tsIdx: b.tsIdx}
+	if subjects != nil {
+		r.subjects = make(map[string]int32, len(subjects))
+		for _, s := range subjects {
+			if _, dup := r.subjects[s]; !dup {
+				r.subjects[s] = int32(len(r.subjects))
+			}
+		}
+	}
+	var want map[string]bool
+	if preds != nil {
+		want = make(map[string]bool, len(preds))
+		for _, p := range preds {
+			want[p] = true
+		}
+	}
+	predOrd := map[string]int32{}
+	indexes := map[string]*subjectIndex{} // by subject template
+	tuple := b.schema.Tuple
+	for _, m := range b.mappings {
+		if want != nil && !want[m.Pred] {
+			continue
+		}
+		p := readPlan{m: m, objData: -1}
+		ord, ok := predOrd[m.Pred]
+		if !ok {
+			ord = int32(len(r.preds))
+			predOrd[m.Pred] = ord
+			r.preds = append(r.preds, m.Pred)
+		}
+		p.pred = ord
+		if m.Source.Where != nil {
+			p.where = compileColExpr(m.Source.Where, tuple)
+		}
+		for _, c := range m.Subject.Columns {
+			idx, err := tuple.IndexOf(c)
+			if err != nil {
+				return nil, err
+			}
+			p.subjCols = append(p.subjCols, idx)
+		}
+		if !m.IsClass {
+			if m.ObjectIsData {
+				idx, err := tuple.IndexOf(m.Object.Columns[0])
 				if err != nil {
 					return nil, err
+				}
+				p.objData = idx
+			} else {
+				for _, c := range m.Object.Columns {
+					idx, err := tuple.IndexOf(c)
+					if err != nil {
+						return nil, err
+					}
+					p.objCols = append(p.objCols, idx)
+				}
+			}
+		}
+		if r.subjects != nil && len(p.subjCols) == 1 {
+			key := m.Subject.String()
+			if p.index = indexes[key]; p.index == nil {
+				p.index = newSubjectIndex(m.Subject, tuple.Columns[p.subjCols[0]].Type, r.subjects)
+				indexes[key] = p.index
+			}
+		}
+		r.plans = append(r.plans, p)
+	}
+	return r, nil
+}
+
+// invertSingle inverts a one-column template exactly: the segment whose
+// rendering is iri. Unlike Template.Invert it needs no separator
+// heuristics, so a row matches exactly when its rendering would.
+func invertSingle(t mapping.Template, iri string) (string, bool) {
+	pre, post := t.Literals[0], t.Literals[1]
+	if len(iri) < len(pre)+len(post) || !strings.HasPrefix(iri, pre) || !strings.HasSuffix(iri, post) {
+		return "", false
+	}
+	return iri[len(pre) : len(iri)-len(post)], true
+}
+
+// String describes the reader for EXPLAIN: the subject key columns and
+// their key types, the bound subject count, and the predicates read.
+func (r *StreamReader) String() string {
+	var keys []string
+	for _, p := range r.plans {
+		k := strings.Join(p.m.Subject.Columns, ",") + ":rendered"
+		if ix := p.index; ix != nil {
+			k = ix.col + ":string"
+			if ix.typ == relation.TInt {
+				k = ix.col + ":int64"
+			}
+		}
+		if !slices.Contains(keys, k) {
+			keys = append(keys, k)
+		}
+	}
+	subj := "all"
+	if r.subjects != nil {
+		subj = strconv.Itoa(len(r.subjects))
+	}
+	return fmt.Sprintf("keys=[%s] subjects=%s preds=[%s] mappings=%d",
+		strings.Join(keys, " "), subj, strings.Join(r.preds, " "), len(r.plans))
+}
+
+// windowRead is the per-window state of one Read call.
+type windowRead struct {
+	r     *StreamReader
+	cb    *relation.ColBatch
+	seq   *Sequence
+	ts    func(i int) int64 // row i's timestamp (checked by Read)
+	order []int32           // row visiting order; nil = row order
+	// Per-plan memos of the render path, keyed by the raw subject key:
+	// subject ordinal (-1 = not a task subject), and object IRIs.
+	memoInt []map[int64]int32
+	memoStr []map[string]int32
+	objMemo []map[string]string
+	segs    []string
+}
+
+// Read builds the StdSeq sequence of one window from its columns. The
+// states are the distinct timestamps of all rows, so a state exists
+// even when none of its rows survives the reader's filters. Two passes
+// over the rows, in state order, first count the elements of every run
+// and then place them; no per-row buffer is kept between them.
+func (r *StreamReader) Read(cb *relation.ColBatch) (*Sequence, error) {
+	seq := &Sequence{preds: r.preds, subjects: r.subjects}
+	n := cb.Len()
+	if n == 0 {
+		return seq, nil
+	}
+	w := &windowRead{r: r, cb: cb, seq: seq}
+	tsVec := cb.Col(r.tsIdx)
+	if et := tsVec.ElemType(); (et == relation.TInt || et == relation.TTime) && !tsVec.HasNulls() {
+		ints := tsVec.Ints()
+		w.ts = func(i int) int64 { return ints[i] }
+	} else {
+		for i := 0; i < n; i++ {
+			if _, ok := tsVec.Value(i).AsInt(); !ok {
+				return nil, fmt.Errorf("starql: row without timestamp: %v", cb.Row(i))
+			}
+		}
+		w.ts = func(i int) int64 { t, _ := tsVec.Value(i).AsInt(); return t }
+	}
+	for i := 1; i < n; i++ {
+		if w.ts(i) < w.ts(i-1) {
+			// Out of timestamp order: visit rows stably sorted by it.
+			w.order = make([]int32, n)
+			for j := range w.order {
+				w.order[j] = int32(j)
+			}
+			slices.SortStableFunc(w.order, func(a, b int32) int { return cmp.Compare(w.ts(int(a)), w.ts(int(b))) })
+			break
+		}
+	}
+	if r.subjects == nil {
+		seq.subjects = map[string]int32{}
+	}
+	np := len(r.preds)
+	// Pass 1: list the states and count the elements of every run. Runs
+	// are numbered subject-major, so the render path may add subjects
+	// as it goes.
+	var counts []int32
+	err := w.each(func(_, _, pi int, k int32) error {
+		run := int(k)*np + int(r.plans[pi].pred)
+		for len(counts) <= run {
+			counts = append(counts, 0)
+		}
+		counts[run]++
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if len(counts) == 0 {
+		return seq, nil
+	}
+	nruns := len(seq.subjects) * np
+	seq.runs = make([]int32, nruns+1)
+	for k, c := range counts {
+		seq.runs[k+1] = seq.runs[k] + c
+	}
+	for k := len(counts) + 1; k <= nruns; k++ {
+		seq.runs[k] = seq.runs[k-1]
+	}
+	total := seq.runs[nruns]
+	seq.vals = make([]relation.Value, total)
+	seq.states = make([]int32, total)
+	next := make([]int32, nruns)
+	copy(next, seq.runs)
+	// Pass 2: place every element at its run's cursor.
+	err = w.each(func(i, state, pi int, k int32) error {
+		p := &r.plans[pi]
+		var val relation.Value
+		switch {
+		case p.m.IsClass:
+			val = relation.Bool_(true)
+		case p.objData >= 0:
+			val = cb.Col(p.objData).Value(i)
+		default:
+			iri, err := w.object(pi, i)
+			if err != nil {
+				return err
+			}
+			val = relation.String_(iri)
+		}
+		run := int(k)*np + int(p.pred)
+		pos := next[run]
+		next[run]++
+		seq.vals[pos] = val
+		seq.states[pos] = int32(state)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return seq, nil
+}
+
+// each visits every (row, plan) assertion of the window that survives
+// the subject restriction and the plan's source filter, rows in state
+// order (rows outer, plans inner), with the row's state ordinal and the
+// subject ordinal. The cheap subject probe runs first, so the filter is
+// evaluated only on the task's own rows (and a filter that errors only
+// fails windows where it is evaluated). The first visit appends each
+// new state's timestamp to the sequence.
+func (w *windowRead) each(fn func(i, state, pi int, k int32) error) error {
+	state := -1
+	var prev int64
+	for k := 0; k < w.cb.Len(); k++ {
+		i := k
+		if w.order != nil {
+			i = int(w.order[k])
+		}
+		if t := w.ts(i); state < 0 || t != prev {
+			state++
+			prev = t
+			if state == len(w.seq.ts) {
+				w.seq.ts = append(w.seq.ts, t)
+			}
+		}
+		for pi := range w.r.plans {
+			p := &w.r.plans[pi]
+			subj, err := w.subject(pi, i)
+			if err != nil {
+				return err
+			}
+			if subj < 0 {
+				continue
+			}
+			if p.where != nil {
+				v, err := p.where(w.cb, i)
+				if err != nil {
+					return err
 				}
 				if !v.Truthy() {
 					continue
 				}
 			}
-			subj, err := renderColumnar(p.m.Subject, p.subjCols, cb, i, subjMemos[pi], &segs)
-			if err != nil {
-				return nil, err
+			if err := fn(i, state, pi, subj); err != nil {
+				return err
 			}
-			if subjects != nil && !subjects[subj] {
-				continue
-			}
-			var val relation.Value
-			switch {
-			case p.m.IsClass:
-				val = relation.Bool_(true)
-			case p.objData >= 0:
-				val = cb.Col(p.objData).Value(i)
-			default:
-				iri, err := renderColumnar(p.m.Object, p.objCols, cb, i, objMemos[pi], &segs)
-				if err != nil {
-					return nil, err
-				}
-				val = relation.String_(iri)
-			}
-			props, ok := st.props[subj]
-			if !ok {
-				props = map[string][]relation.Value{}
-				st.props[subj] = props
-			}
-			props[p.m.Pred] = append(props[p.m.Pred], val)
 		}
 	}
-	seq := &Sequence{States: make([]State, 0, len(byTS))}
-	for _, st := range byTS {
-		seq.States = append(seq.States, *st)
-	}
-	sort.Slice(seq.States, func(i, j int) bool { return seq.States[i].TS < seq.States[j].TS })
-	return seq, nil
+	return nil
 }
 
-// renderColumnar applies an IRI template to one row of a column batch,
-// memoizing by the raw segment key so repeated subjects render once.
-func renderColumnar(t mapping.Template, cols []int, cb *relation.ColBatch, i int, memo map[string]string, segs *[]string) (string, error) {
-	s := (*segs)[:0]
-	for _, c := range cols {
-		s = append(s, rawString(cb.Col(c).Value(i)))
+// subject resolves row i's subject under plan pi to its ordinal (-1 =
+// not a task subject): one typed probe of the bound-subject index, or
+// the IRI rendered once per distinct key per window.
+func (w *windowRead) subject(pi, i int) (int32, error) {
+	p := &w.r.plans[pi]
+	if p.index != nil {
+		return p.index.probe(w.cb.Col(p.subjCols[0]), i), nil
 	}
-	*segs = s
-	var key string
-	if len(s) == 1 {
-		key = s[0]
+	// Render path (unbound subjects or a multi-column template): the
+	// IRI is rendered once per distinct raw key per window.
+	if w.memoInt == nil {
+		w.memoInt = make([]map[int64]int32, len(w.r.plans))
+		w.memoStr = make([]map[string]int32, len(w.r.plans))
+	}
+	var intKey int64
+	var strKey string
+	v := w.cb.Col(p.subjCols[0])
+	isInt := len(p.subjCols) == 1 && v.ElemType() == relation.TInt && !v.IsNull(i)
+	if isInt {
+		intKey = v.Ints()[i]
+		if k, ok := w.memoInt[pi][intKey]; ok {
+			return k, nil
+		}
+		w.segs = append(w.segs[:0], strconv.FormatInt(intKey, 10))
 	} else {
-		key = strings.Join(s, "\x1f")
+		w.segs = w.segs[:0]
+		for _, c := range p.subjCols {
+			w.segs = append(w.segs, rawString(w.cb.Col(c).Value(i)))
+		}
+		strKey = strings.Join(w.segs, "\x1f")
+		if k, ok := w.memoStr[pi][strKey]; ok {
+			return k, nil
+		}
 	}
-	if r, ok := memo[key]; ok {
-		return r, nil
+	iri, err := p.m.Subject.Render(w.segs)
+	if err != nil {
+		return -1, err
 	}
-	r, err := t.Render(s)
+	k := int32(-1)
+	if w.r.subjects != nil {
+		if o, ok := w.r.subjects[iri]; ok {
+			k = o
+		}
+	} else if o, ok := w.seq.subjects[iri]; ok {
+		k = o
+	} else {
+		k = int32(len(w.seq.subjects))
+		w.seq.subjects[iri] = k
+	}
+	if isInt {
+		if w.memoInt[pi] == nil {
+			w.memoInt[pi] = map[int64]int32{}
+		}
+		w.memoInt[pi][intKey] = k
+	} else {
+		if w.memoStr[pi] == nil {
+			w.memoStr[pi] = map[string]int32{}
+		}
+		w.memoStr[pi][strKey] = k
+	}
+	return k, nil
+}
+
+// object renders row i's object IRI under object-property plan pi,
+// once per distinct key per window.
+func (w *windowRead) object(pi, i int) (string, error) {
+	p := &w.r.plans[pi]
+	s := w.segs[:0]
+	for _, c := range p.objCols {
+		s = append(s, rawString(w.cb.Col(c).Value(i)))
+	}
+	w.segs = s
+	key := strings.Join(s, "\x1f")
+	if w.objMemo == nil {
+		w.objMemo = make([]map[string]string, len(w.r.plans))
+	}
+	if iri, ok := w.objMemo[pi][key]; ok {
+		return iri, nil
+	}
+	iri, err := p.m.Object.Render(s)
 	if err != nil {
 		return "", err
 	}
-	memo[key] = r
-	return r, nil
+	if w.objMemo[pi] == nil {
+		w.objMemo[pi] = map[string]string{}
+	}
+	w.objMemo[pi][key] = iri
+	return iri, nil
 }
 
+// rawString is a value's template segment: the string itself, or the
+// SQL rendering of any other value without literal quotes.
 func rawString(v relation.Value) string {
 	switch v.Type {
 	case relation.TString:
@@ -301,75 +623,103 @@ func rawString(v relation.Value) string {
 	}
 }
 
-// evalRowExpr evaluates a mapping source filter against one row without
-// needing the full engine context.
-func evalRowExpr(e sql.Expr, schema relation.Schema, row relation.Tuple) (relation.Value, error) {
-	return rowEval{schema, row}.eval(e)
-}
+// colExpr evaluates a mapping source filter at one row of a column
+// batch. Column names are resolved once, when the reader is built.
+type colExpr func(cb *relation.ColBatch, i int) (relation.Value, error)
 
-type rowEval struct {
-	schema relation.Schema
-	row    relation.Tuple
-}
-
-func (r rowEval) eval(e sql.Expr) (relation.Value, error) {
+// compileColExpr compiles a mapping source filter. Both operands of
+// every binary node are evaluated, and a faulty node (unknown column,
+// unsupported operator) errors when it is evaluated, not when it is
+// compiled.
+func compileColExpr(e sql.Expr, schema relation.Schema) colExpr {
+	fail := func(err error) colExpr {
+		return func(*relation.ColBatch, int) (relation.Value, error) { return relation.Null, err }
+	}
 	switch x := e.(type) {
 	case *sql.Literal:
-		return x.Value, nil
+		v := x.Value
+		return func(*relation.ColBatch, int) (relation.Value, error) { return v, nil }
 	case *sql.ColumnRef:
-		idx, err := r.schema.IndexOf(x.Name)
+		idx, err := schema.IndexOf(x.Name)
 		if err != nil {
-			return relation.Null, err
+			return fail(err)
 		}
-		return r.row[idx], nil
+		return func(cb *relation.ColBatch, i int) (relation.Value, error) { return cb.Col(idx).Value(i), nil }
 	case *sql.BinaryExpr:
-		l, err := r.eval(x.Left)
-		if err != nil {
-			return relation.Null, err
-		}
-		rt, err := r.eval(x.Right)
-		if err != nil {
-			return relation.Null, err
-		}
-		switch x.Op {
+		l, r := compileColExpr(x.Left, schema), compileColExpr(x.Right, schema)
+		op := x.Op
+		var apply func(a, b relation.Value) (relation.Value, error)
+		switch op {
 		case "AND":
-			return relation.Bool_(l.Truthy() && rt.Truthy()), nil
+			apply = func(a, b relation.Value) (relation.Value, error) {
+				return relation.Bool_(a.Truthy() && b.Truthy()), nil
+			}
 		case "OR":
-			return relation.Bool_(l.Truthy() || rt.Truthy()), nil
+			apply = func(a, b relation.Value) (relation.Value, error) {
+				return relation.Bool_(a.Truthy() || b.Truthy()), nil
+			}
 		case "+", "-", "*", "/", "%":
-			return relation.Arith(x.Op[0], l, rt)
+			apply = func(a, b relation.Value) (relation.Value, error) { return relation.Arith(op[0], a, b) }
+		case "=", "<>", "<", "<=", ">", ">=":
+			apply = func(a, b relation.Value) (relation.Value, error) {
+				c, ok := relation.Compare(a, b)
+				if !ok || a.IsNull() || b.IsNull() {
+					return relation.Bool_(false), nil
+				}
+				return relation.Bool_(cmpHolds(op, c)), nil
+			}
 		default:
-			c, ok := relation.Compare(l, rt)
-			if !ok || l.IsNull() || rt.IsNull() {
-				return relation.Bool_(false), nil
+			apply = func(a, b relation.Value) (relation.Value, error) {
+				if _, ok := relation.Compare(a, b); !ok || a.IsNull() || b.IsNull() {
+					return relation.Bool_(false), nil
+				}
+				return relation.Null, fmt.Errorf("starql: unsupported operator %q in mapping filter", op)
 			}
-			switch x.Op {
-			case "=":
-				return relation.Bool_(c == 0), nil
-			case "<>":
-				return relation.Bool_(c != 0), nil
-			case "<":
-				return relation.Bool_(c < 0), nil
-			case "<=":
-				return relation.Bool_(c <= 0), nil
-			case ">":
-				return relation.Bool_(c > 0), nil
-			case ">=":
-				return relation.Bool_(c >= 0), nil
+		}
+		return func(cb *relation.ColBatch, i int) (relation.Value, error) {
+			a, err := l(cb, i)
+			if err != nil {
+				return relation.Null, err
 			}
-			return relation.Null, fmt.Errorf("starql: unsupported operator %q in mapping filter", x.Op)
+			b, err := r(cb, i)
+			if err != nil {
+				return relation.Null, err
+			}
+			return apply(a, b)
 		}
 	case *sql.UnaryExpr:
-		v, err := r.eval(x.Expr)
-		if err != nil {
-			return relation.Null, err
+		if x.Op != "NOT" {
+			return fail(fmt.Errorf("starql: unsupported unary %q in mapping filter", x.Op))
 		}
-		if x.Op == "NOT" {
+		sub := compileColExpr(x.Expr, schema)
+		return func(cb *relation.ColBatch, i int) (relation.Value, error) {
+			v, err := sub(cb, i)
+			if err != nil {
+				return relation.Null, err
+			}
 			return relation.Bool_(!v.Truthy()), nil
 		}
-		return relation.Null, fmt.Errorf("starql: unsupported unary %q in mapping filter", x.Op)
 	default:
-		return relation.Null, fmt.Errorf("starql: unsupported expression %T in mapping filter", e)
+		return fail(fmt.Errorf("starql: unsupported expression %T in mapping filter", e))
+	}
+}
+
+// cmpHolds reports whether a three-way comparison result satisfies a
+// SQL comparison operator.
+func cmpHolds(op string, c int) bool {
+	switch op {
+	case "=":
+		return c == 0
+	case "<>":
+		return c != 0
+	case "<":
+		return c < 0
+	case "<=":
+		return c <= 0
+	case ">":
+		return c > 0
+	default: // ">="
+		return c >= 0
 	}
 }
 
@@ -398,8 +748,8 @@ func termToValue(t rdf.Term) relation.Value {
 // (first value per state).
 func seriesOf(seq *Sequence, subject, attr string) []float64 {
 	var out []float64
-	for _, st := range seq.States {
-		vals := st.Values(subject, attr)
+	for i := 0; i < seq.Len(); i++ {
+		vals := seq.Values(i, subject, attr)
 		if len(vals) == 0 {
 			continue
 		}
@@ -414,9 +764,9 @@ func seriesOf(seq *Sequence, subject, attr string) []float64 {
 // subjects' attribute series over states where both are present.
 func PearsonOverStates(seq *Sequence, subjA, subjB, attr string) (float64, bool) {
 	var xs, ys []float64
-	for _, st := range seq.States {
-		va := st.Values(subjA, attr)
-		vb := st.Values(subjB, attr)
+	for i := 0; i < seq.Len(); i++ {
+		va := seq.Values(i, subjA, attr)
+		vb := seq.Values(i, subjB, attr)
 		if len(va) == 0 || len(vb) == 0 {
 			continue
 		}

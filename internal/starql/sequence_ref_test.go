@@ -6,16 +6,39 @@ import (
 
 	"repro/internal/obda/mapping"
 	"repro/internal/relation"
+	"repro/internal/sql"
 	"repro/internal/stream"
 )
 
-// Build is the row-at-a-time reference sequence builder: it constructs
-// the StdSeq sequence of a window batch from its rows, resolving column
-// names and rendering IRIs per row. BuildColumns is the production
-// builder; Build is its differential oracle and the convenient builder
-// for tests that write windows as rows.
-func (b *SequenceBuilder) Build(batch stream.Batch, subjects map[string]bool) (*Sequence, error) {
-	byTS := map[int64]*State{}
+// This file holds the map-based reference sequence builder: it turns a
+// window into an RDF ABox per state (subject -> predicate -> values),
+// resolving column names and rendering IRIs per row. It is the oracle
+// the flat StreamReader is checked against; production sequences are
+// always flat.
+
+// refState is one state of the reference sequence: the ABox snapshot at
+// one timestamp, indexed by subject IRI and predicate IRI.
+type refState struct {
+	TS    int64
+	props map[string]map[string][]relation.Value
+}
+
+// Values returns the values of (subject, property) at this state.
+func (s *refState) Values(subject, property string) []relation.Value {
+	return s.props[subject][property]
+}
+
+// refSequence is the reference sequence of one window: one state per
+// distinct timestamp, ascending.
+type refSequence struct {
+	States []refState
+}
+
+// buildRef is the row-at-a-time reference builder over every stream
+// mapping of the builder, restricted to the given subjects (nil means
+// all subjects).
+func (b *SequenceBuilder) buildRef(batch stream.Batch, subjects map[string]bool) (*refSequence, error) {
+	byTS := map[int64]*refState{}
 	for _, row := range batch.Rows {
 		ts, ok := row[b.tsIdx].AsInt()
 		if !ok {
@@ -23,7 +46,7 @@ func (b *SequenceBuilder) Build(batch stream.Batch, subjects map[string]bool) (*
 		}
 		st, ok := byTS[ts]
 		if !ok {
-			st = &State{TS: ts, props: map[string]map[string][]relation.Value{}}
+			st = &refState{TS: ts, props: map[string]map[string][]relation.Value{}}
 			byTS[ts] = st
 		}
 		for _, m := range b.mappings {
@@ -61,12 +84,64 @@ func (b *SequenceBuilder) Build(batch stream.Batch, subjects map[string]bool) (*
 			props[m.Pred] = append(props[m.Pred], val)
 		}
 	}
-	seq := &Sequence{States: make([]State, 0, len(byTS))}
+	seq := &refSequence{States: make([]refState, 0, len(byTS))}
 	for _, st := range byTS {
 		seq.States = append(seq.States, *st)
 	}
 	sort.Slice(seq.States, func(i, j int) bool { return seq.States[i].TS < seq.States[j].TS })
 	return seq, nil
+}
+
+// Build is the convenient builder for tests that write windows as rows:
+// the reference sequence, flattened.
+func (b *SequenceBuilder) Build(batch stream.Batch, subjects map[string]bool) (*Sequence, error) {
+	ref, err := b.buildRef(batch, subjects)
+	if err != nil {
+		return nil, err
+	}
+	return flatten(ref), nil
+}
+
+// flatten converts a reference sequence to the flat layout, written
+// independently of StreamReader.Read: subjects and predicates get
+// ordinals in sorted order, and each run lists its states ascending.
+func flatten(ref *refSequence) *Sequence {
+	seq := &Sequence{subjects: map[string]int32{}}
+	subjSet, predSet := map[string]bool{}, map[string]bool{}
+	for _, st := range ref.States {
+		seq.ts = append(seq.ts, st.TS)
+		for s, props := range st.props {
+			subjSet[s] = true
+			for p := range props {
+				predSet[p] = true
+			}
+		}
+	}
+	var subjs []string
+	for s := range subjSet {
+		subjs = append(subjs, s)
+	}
+	sort.Strings(subjs)
+	for i, s := range subjs {
+		seq.subjects[s] = int32(i)
+	}
+	for p := range predSet {
+		seq.preds = append(seq.preds, p)
+	}
+	sort.Strings(seq.preds)
+	seq.runs = []int32{0}
+	for _, s := range subjs {
+		for _, p := range seq.preds {
+			for i := range ref.States {
+				for _, v := range ref.States[i].Values(s, p) {
+					seq.vals = append(seq.vals, v)
+					seq.states = append(seq.states, int32(i))
+				}
+			}
+			seq.runs = append(seq.runs, int32(len(seq.vals)))
+		}
+	}
+	return seq
 }
 
 // renderTemplateRow applies an IRI template to one stream row.
@@ -97,4 +172,76 @@ func objectValue(m mapping.Mapping, schema relation.Schema, row relation.Tuple) 
 		return relation.Null, err
 	}
 	return relation.String_(iri), nil
+}
+
+// evalRowExpr evaluates a mapping source filter against one row,
+// resolving column names per evaluation.
+func evalRowExpr(e sql.Expr, schema relation.Schema, row relation.Tuple) (relation.Value, error) {
+	return rowEval{schema, row}.eval(e)
+}
+
+type rowEval struct {
+	schema relation.Schema
+	row    relation.Tuple
+}
+
+func (r rowEval) eval(e sql.Expr) (relation.Value, error) {
+	switch x := e.(type) {
+	case *sql.Literal:
+		return x.Value, nil
+	case *sql.ColumnRef:
+		idx, err := r.schema.IndexOf(x.Name)
+		if err != nil {
+			return relation.Null, err
+		}
+		return r.row[idx], nil
+	case *sql.BinaryExpr:
+		l, err := r.eval(x.Left)
+		if err != nil {
+			return relation.Null, err
+		}
+		rt, err := r.eval(x.Right)
+		if err != nil {
+			return relation.Null, err
+		}
+		switch x.Op {
+		case "AND":
+			return relation.Bool_(l.Truthy() && rt.Truthy()), nil
+		case "OR":
+			return relation.Bool_(l.Truthy() || rt.Truthy()), nil
+		case "+", "-", "*", "/", "%":
+			return relation.Arith(x.Op[0], l, rt)
+		default:
+			c, ok := relation.Compare(l, rt)
+			if !ok || l.IsNull() || rt.IsNull() {
+				return relation.Bool_(false), nil
+			}
+			switch x.Op {
+			case "=":
+				return relation.Bool_(c == 0), nil
+			case "<>":
+				return relation.Bool_(c != 0), nil
+			case "<":
+				return relation.Bool_(c < 0), nil
+			case "<=":
+				return relation.Bool_(c <= 0), nil
+			case ">":
+				return relation.Bool_(c > 0), nil
+			case ">=":
+				return relation.Bool_(c >= 0), nil
+			}
+			return relation.Null, fmt.Errorf("starql: unsupported operator %q in mapping filter", x.Op)
+		}
+	case *sql.UnaryExpr:
+		v, err := r.eval(x.Expr)
+		if err != nil {
+			return relation.Null, err
+		}
+		if x.Op == "NOT" {
+			return relation.Bool_(!v.Truthy()), nil
+		}
+		return relation.Null, fmt.Errorf("starql: unsupported unary %q in mapping filter", x.Op)
+	default:
+		return relation.Null, fmt.Errorf("starql: unsupported expression %T in mapping filter", e)
+	}
 }

@@ -229,11 +229,11 @@ func TestSequenceBuilderStdSeq(t *testing.T) {
 	if seq.Len() != 2 {
 		t.Fatalf("states = %d, want 2 (distinct timestamps)", seq.Len())
 	}
-	if seq.States[0].TS != 1000 || seq.States[1].TS != 2000 {
-		t.Fatalf("state order: %v %v", seq.States[0].TS, seq.States[1].TS)
+	if seq.TS(0) != 1000 || seq.TS(1) != 2000 {
+		t.Fatalf("state order: %v %v", seq.TS(0), seq.TS(1))
 	}
 	s7 := "http://siemens.com/data/sensor/7"
-	vals := seq.States[1].Values(s7, sieNS+"hasValue")
+	vals := seq.Values(1, s7, sieNS+"hasValue")
 	if len(vals) != 2 {
 		t.Fatalf("values at state 2 = %v", vals)
 	}
@@ -243,7 +243,7 @@ func TestSequenceBuilderStdSeq(t *testing.T) {
 		t.Fatal(err)
 	}
 	s8 := "http://siemens.com/data/sensor/8"
-	if len(seq2.States[0].Values(s8, sieNS+"hasValue")) != 0 {
+	if len(seq2.Values(0, s8, sieNS+"hasValue")) != 0 {
 		t.Error("subject filter ignored")
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obda/mapping"
 	"repro/internal/ontology"
+	"repro/internal/siemens"
 	"repro/internal/sql"
 )
 
@@ -175,5 +177,46 @@ func TestTranslateRejectsVariablePredicate(t *testing.T) {
 	tr := NewTranslator(testTBox(), w.set, w.cat)
 	if _, err := tr.Translate(q, Options{}); err == nil {
 		t.Error("variable predicate accepted")
+	}
+}
+
+// TestTranslateStaticFleetDeterministic pins reproducible unfolding:
+// twenty translations of catalog task T01 print byte-identical static
+// fleets, with constraint pruning on and off (join conditions follow
+// the variables' first occurrence, not map order).
+func TestTranslateStaticFleetDeterministic(t *testing.T) {
+	gen, err := siemens.New(siemens.SmallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := gen.StaticCatalog()
+	if err != nil {
+		t.Fatal(err)
+	}
+	task, ok := siemens.TaskByID("T01_mon_temperature")
+	if !ok {
+		t.Fatal("catalog task T01 missing")
+	}
+	tr := NewTranslator(siemens.TBox(), siemens.Mappings(), cat)
+	for _, prune := range []bool{false, true} {
+		var first string
+		for i := 0; i < 20; i++ {
+			tl, err := tr.Translate(MustParse(task.Query), Options{Unfold: mapping.UnfoldOptions{Prune: prune}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sb strings.Builder
+			for _, stmt := range tl.StaticFleet {
+				sb.WriteString(stmt.String())
+				sb.WriteByte('\n')
+			}
+			if i == 0 {
+				first = sb.String()
+				continue
+			}
+			if got := sb.String(); got != first {
+				t.Fatalf("prune=%t: translation %d printed a different static fleet:\n%s\nfirst:\n%s", prune, i, got, first)
+			}
+		}
 	}
 }

@@ -13,7 +13,9 @@
 #   3. every `BenchmarkXxx` name the docs cite must exist in a
 #      *_test.go file;
 #   4. the race-detector package list in ROADMAP.md's "Concurrency
-#      verify" recipe must match the one CI actually runs.
+#      verify" recipe must match the one CI actually runs;
+#   5. every `TestXxx` name the docs cite must name a test in a
+#      *_test.go file, or prefix one (a `go test -run` pattern).
 set -u
 
 DOCS="README.md DESIGN.md EXPERIMENTS.md docs/starql.md docs/recovery.md docs/governance.md docs/vectorized.md docs/observability.md docs/planner.md docs/transport.md"
@@ -93,6 +95,19 @@ for doc in $DOCS; do
 	done
 done
 
+# ---- 5: test names cited in docs exist in test files ----
+
+test_defs=$(grep -rhoE 'func (Test[A-Za-z0-9_]+)' --include='*_test.go' . |
+	awk '{print $2}' | sort -u)
+for doc in $DOCS; do
+	for name in $(grep -oE '\bTest[A-Z][A-Za-z0-9_]*' "$doc" | sort -u); do
+		if ! printf '%s\n' "$test_defs" | grep -q -- "^$name"; then
+			echo "$doc: cites unknown test $name" >&2
+			fail=1
+		fi
+	done
+done
+
 # ---- 4: ROADMAP race recipe matches the CI race step ----
 
 roadmap_race=$(sed -n 's/.*go test -race //p' ROADMAP.md |
@@ -112,4 +127,4 @@ if [ "$fail" -ne 0 ]; then
 	echo "check_docs: FAILED — docs reference interfaces the tools don't report" >&2
 	exit 1
 fi
-echo "check_docs: OK ($(printf '%s\n' "$demo_flags" | wc -l) demo flags, $(printf '%s\n' "$bench_flags" | wc -l) bench flags, $(printf '%s\n' "$known_exps" | wc -l) experiments, $(printf '%s\n' "$bench_defs" | wc -l) benchmarks)"
+echo "check_docs: OK ($(printf '%s\n' "$demo_flags" | wc -l) demo flags, $(printf '%s\n' "$bench_flags" | wc -l) bench flags, $(printf '%s\n' "$known_exps" | wc -l) experiments, $(printf '%s\n' "$bench_defs" | wc -l) benchmarks, $(printf '%s\n' "$test_defs" | wc -l) tests)"
