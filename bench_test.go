@@ -73,7 +73,7 @@ func BenchmarkFigure1EndToEnd(b *testing.B) {
 	// matcher in front, so ns/op is dominated by per-window plan cost on
 	// the columnar batch path.
 	b.Run("windowexec/pipeline=vectorized", func(b *testing.B) {
-		runFigure1WindowExec(b, exastream.Options{ShareWindows: true})
+		runFigure1WindowExec(b, exastream.Options{})
 	})
 }
 
@@ -269,7 +269,6 @@ func BenchmarkConcurrentTasks(b *testing.B) {
 			cat := relation.NewCatalog()
 			cl, err := cluster.New(cluster.Options{
 				Nodes: 8, PartitionColumn: "sid",
-				Engine: exastream.Options{ShareWindows: true},
 			}, func(int) *relation.Catalog { return cat })
 			if err != nil {
 				b.Fatal(err)
@@ -313,7 +312,6 @@ func BenchmarkNodeScaling(b *testing.B) {
 			cat := relation.NewCatalog()
 			cl, err := cluster.New(cluster.Options{
 				Nodes: nodes, PartitionColumn: "sid",
-				Engine: exastream.Options{ShareWindows: true},
 			}, func(int) *relation.Catalog { return cat })
 			if err != nil {
 				b.Fatal(err)
@@ -514,11 +512,11 @@ func BenchmarkLSHCorrelation(b *testing.B) {
 	})
 }
 
-// ---- E11: wCache window sharing ----
+// ---- E11: window sharing (the paper's wCache) ----
 
-// BenchmarkWCache runs 32 same-window queries either on one engine
-// (shared windowing pass) or on 32 engines (one pass each).
-func BenchmarkWCache(b *testing.B) {
+// BenchmarkSharedWindows runs 32 same-window queries either on one
+// engine (one shared window operator) or on 32 engines (one pass each).
+func BenchmarkSharedWindows(b *testing.B) {
 	const queries = 32
 	mkQuery := func(i int) *sql.SelectStmt {
 		return sql.MustParse(fmt.Sprintf(
@@ -526,7 +524,7 @@ func BenchmarkWCache(b *testing.B) {
 	}
 	b.Run("shared", func(b *testing.B) {
 		cat := relation.NewCatalog()
-		e := exastream.NewEngine(cat, exastream.Options{ShareWindows: true})
+		e := exastream.NewEngine(cat, exastream.Options{})
 		if err := e.DeclareStream(benchStreamSchema()); err != nil {
 			b.Fatal(err)
 		}

@@ -80,7 +80,7 @@ func figure1Replay(t *testing.T, opts exastream.Options) (*exastream.Engine, []s
 // of those counters is the engine's differential (diffColumns in
 // internal/engine).
 func TestExplainAnalyzeRendersCounts(t *testing.T) {
-	eng, ids := figure1Replay(t, exastream.Options{ShareWindows: true})
+	eng, ids := figure1Replay(t, exastream.Options{})
 
 	// The rendered EXPLAIN ANALYZE must carry the observed counts, not
 	// just hold them internally.

@@ -262,15 +262,15 @@ type Node struct {
 	// suspicion must not re-fail a node the supervisor already handled.
 	failingOver bool
 
-	state    int32 // NodeState
-	queries  int32
-	tuples   int64
+	state   int32 // NodeState
+	queries int32
+	tuples  int64
 	// budgetUsed sums the admitted budgets of queries placed on this
 	// node (guarded by Cluster.mu); NodeMemBudget caps it.
 	budgetUsed int64
-	restarts int32
-	dropped  int64
-	requeued int64
+	restarts   int32
+	dropped    int64
+	requeued   int64
 
 	errs errorRing
 }

@@ -44,9 +44,11 @@ func tearBlob(b []byte) []byte { return b[:len(b)/2] }
 // successfully processed tuple: it advances the node's ingest cursors,
 // appends the tuple to the replay log, and cuts a checkpoint when due.
 // A cut prefers a pulse boundary (the engine executed windows this tick,
-// so no window is mid-build) but is forced once 4x overdue or when the
-// replay log nears capacity — waiting any longer would trade bounded
-// staleness for lost coverage.
+// so no window is mid-build) but is forced once 4x overdue. A replay log
+// near capacity forces a cut whatever the cadence: waiting any longer
+// would trade bounded staleness for lost coverage, so a CheckpointEvery
+// larger than three-quarters of ReplayLogCap still never sheds a tuple
+// that no checkpoint covers.
 func (n *Node) recordAndMaybeCheckpoint(c *Cluster, w work) {
 	key := lowerKey(w.stream)
 	if n.cursors == nil {
@@ -55,7 +57,7 @@ func (n *Node) recordAndMaybeCheckpoint(c *Cluster, w work) {
 	if w.seq > n.cursors[key] {
 		n.cursors[key] = w.seq
 	}
-	c.rec.Log(n.ID).Append(recovery.Tuple{Stream: key, Seq: w.seq, TS: w.el.TS, Row: w.el.Row})
+	nearCap := c.rec.Log(n.ID).Append(recovery.Tuple{Stream: key, Seq: w.seq, TS: w.el.TS, Row: w.el.Row})
 	// From here the log owns the tuple: a crash during the checkpoint
 	// below must replay it from the log, not requeue it (a requeue would
 	// double-feed any shared window).
@@ -65,10 +67,7 @@ func (n *Node) recordAndMaybeCheckpoint(c *Cluster, w work) {
 	aligned := wins != n.lastWins
 	n.lastWins = wins
 	every := c.opts.CheckpointEvery
-	if n.sinceCkpt < every {
-		return
-	}
-	if aligned || n.sinceCkpt >= 4*every || c.rec.Log(n.ID).NearCap() {
+	if nearCap || (n.sinceCkpt >= every && (aligned || n.sinceCkpt >= 4*every)) {
 		n.checkpoint(c)
 	}
 }
@@ -166,9 +165,6 @@ func (c *Cluster) restoreNode(n *Node) bool {
 		}
 		restored = append(restored, rec.id)
 		requeries++
-	}
-	if ck != nil {
-		eng.ImportWCache(ck.Engine.WCache)
 	}
 	n.engine = eng
 	n.rec.Record(telemetry.EvRestore, "", "", 0, int64(requeries))

@@ -230,24 +230,22 @@ func recoveryChaosInjector() FaultInjector {
 }
 
 // TestRecoveryChaosVectorizedSnapshotParity extends the failover
-// acceptance scenario to shared columnar windows: the chaos schedule
-// must deliver the fault-free run's window sets, and a checkpoint's
-// wCache batches must survive an encode/decode round trip with
-// identical rows and serialized form — the columnar transpose a window
-// materializes is runtime-only state (an unexported cell gob skips,
-// pinned by TestBatchGobSkipsColumnarCell in internal/stream) and must
-// never change what a restore rebuilds.
+// acceptance scenario to columnar windows: the chaos schedule must
+// deliver the fault-free run's window sets, and a checkpoint's
+// window-operator batches (the open windows a restore resumes) must
+// survive an encode/decode round trip with identical rows and
+// serialized form — the columnar transpose a window materializes is
+// runtime-only state (an unexported cell gob skips, pinned by
+// TestBatchGobSkipsColumnarCell in internal/stream) and must never
+// change what a restore rebuilds.
 func TestRecoveryChaosVectorizedSnapshotParity(t *testing.T) {
 	waitDead := func(c *Cluster) {
 		waitFor(t, 10*time.Second, func() bool {
 			return c.Health().Dead == 1
 		}, "failover of node 3")
 	}
-	// ShareWindows routes materialisation through wCache, so the
-	// checkpoints below carry cached batches to round-trip.
-	shared := exastream.Options{ShareWindows: true}
-	baseline, _, _ := runRecoveryDiagnostics(t, 8, nil, nil, shared)
-	chaos, _, c := runRecoveryDiagnostics(t, 8, recoveryChaosInjector(), waitDead, shared)
+	baseline, _, _ := runRecoveryDiagnostics(t, 8, nil, nil, exastream.Options{})
+	chaos, _, c := runRecoveryDiagnostics(t, 8, recoveryChaosInjector(), waitDead, exastream.Options{})
 
 	// Content identity across the crash.
 	if !reflect.DeepEqual(baseline, chaos) {
@@ -263,12 +261,12 @@ func TestRecoveryChaosVectorizedSnapshotParity(t *testing.T) {
 	}
 
 	// Restore identity: an encode/decode round trip of a node's
-	// checkpoint must rebuild every cached batch with identical
+	// checkpoint must rebuild every open window batch with identical
 	// rows and an identical serialized form.
-	roundTripped := false
+	roundTripped := 0
 	for node := 0; node < 4; node++ {
 		ck := c.rec.Latest(node)
-		if ck == nil || len(ck.Engine.WCache) == 0 {
+		if ck == nil {
 			continue
 		}
 		blob, err := recovery.Encode(ck)
@@ -279,19 +277,79 @@ func TestRecoveryChaosVectorizedSnapshotParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, cw := range ck.Engine.WCache {
-			got := back.Engine.WCache[i]
-			if !reflect.DeepEqual(cw.Batch.Rows, got.Batch.Rows) {
-				t.Errorf("node %d window %d: restored rows differ", node, cw.Batch.WindowID)
-			}
-			if !bytes.Equal(gobBatch(cw.Batch), gobBatch(got.Batch)) {
-				t.Errorf("node %d window %d: restored batch re-serializes differently", node, cw.Batch.WindowID)
+		for qi, qs := range ck.Engine.Queries {
+			for wi, ws := range qs.Windows {
+				for bi, b := range ws.Pending {
+					got := back.Engine.Queries[qi].Windows[wi].Pending[bi]
+					if !reflect.DeepEqual(b.Rows, got.Rows) {
+						t.Errorf("node %d query %s window %d: restored rows differ", node, qs.ID, b.WindowID)
+					}
+					if !bytes.Equal(gobBatch(b), gobBatch(got)) {
+						t.Errorf("node %d query %s window %d: restored batch re-serializes differently", node, qs.ID, b.WindowID)
+					}
+					if len(b.Rows) > 0 {
+						roundTripped++
+					}
+				}
 			}
 		}
-		roundTripped = true
 	}
-	if !roundTripped {
-		t.Fatal("no checkpoint carried wCache batches; the round trip exercised nothing")
+	if roundTripped == 0 {
+		t.Fatal("no checkpoint carried an open window with rows; the round trip exercised nothing")
+	}
+}
+
+// TestCheckpointCadenceYieldsToNearCapLog pins the near-capacity cut:
+// with a checkpoint cadence (100 tuples) longer than the replay log
+// (64 entries), the log must still force a checkpoint before it sheds
+// a tuple no checkpoint covers. A crash after the log would have
+// overflowed then restores with full coverage and exactly the fault-free
+// window set.
+func TestCheckpointCadenceYieldsToNearCapLog(t *testing.T) {
+	const tuples = 150
+	run := func(inj FaultInjector) (map[string]map[int64][]string, *Cluster) {
+		c := newCluster(t, 1, Options{
+			CheckpointEvery: 100, ReplayLogCap: 64, MaxRestarts: 1, Faults: inj,
+		})
+		log := newResultLog()
+		q := sql.MustParse("SELECT m.sid, m.val FROM STREAM msmt [RANGE 1000 SLIDE 1000] AS m")
+		if _, err := c.Register("export", q, nil, log.sink()); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < tuples; i++ {
+			ts := int64(i) * 100
+			el := stream.Timestamped{TS: ts, Row: relation.Tuple{
+				relation.Int(int64(i%5 + 1)), relation.Time(ts), relation.Float(float64(i % 100)),
+			}}
+			if err := c.Ingest("msmt", el); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.WaitSettled(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return log.snapshot(), c
+	}
+	want, _ := run(nil)
+	// The 90th tuple crashes the worker: 89 tuples in, more than the log
+	// holds, and fewer than one checkpoint period.
+	inj := faults.New(1).PanicAt(0, 90)
+	got, c := run(inj)
+	if n := inj.Injected(faults.KindPanic); n != 1 {
+		t.Fatalf("injected %d worker panics, want 1", n)
+	}
+	snap := c.TelemetrySnapshot()
+	if n := snap.Counters["recovery.restores"]; n < 1 {
+		t.Fatalf("recovery.restores = %d, want >= 1 (the crash was never restored)", n)
+	}
+	if n := snap.Counters["recovery.lost_coverage"]; n != 0 {
+		t.Errorf("recovery.lost_coverage = %d, want 0 (the log shed tuples no checkpoint covered)", n)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("windows after the crash diverged from the fault-free run:\n  want %v\n  got  %v", want, got)
 	}
 }
 

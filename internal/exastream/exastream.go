@@ -1,7 +1,9 @@
 // Package exastream implements OPTIQUE's Data Stream Management System
 // (challenge C3): continuous SQL(+) queries over streams and static
-// tables, window sharing via wCache, native UDF registration, and
-// adaptive main-memory indexing driven by runtime statistics.
+// tables, window sharing (one window operator per stream and window
+// spec, its batches handed to every subscribed query — the paper's
+// wCache role), native UDF registration, and adaptive main-memory
+// indexing driven by runtime statistics.
 //
 // The execution model matches the paper: the timeSlidingWindow operator
 // groups incoming tuples into window batches; each completed batch is
@@ -41,8 +43,9 @@ type Stats struct {
 	BatchesBuilt    int64
 	WindowsExecuted int64
 	RowsOut         int64
+	// Deprecated: WCacheHits is inert (always 0; the window cache it
+	// counted is gone) and goes with the next benchmark change.
 	WCacheHits      int64
-	WCacheMisses    int64
 	AdaptiveIndexes int64
 	LateTuples      int64
 	QueryFailures   int64 // failed window executions (contained by the error hook)
@@ -84,13 +87,6 @@ type metrics struct {
 	planCacheHits   *telemetry.Counter
 	planReadapts    *telemetry.Counter
 
-	wcacheHits   *telemetry.Counter
-	wcacheMisses *telemetry.Counter
-	wcacheShed   *telemetry.Counter // entries evicted by the byte budget
-	wcacheLen    *telemetry.Gauge   // cached window batches currently retained
-	wcacheBytes  *telemetry.Gauge   // byte estimate of retained batches
-	watermarkLag *telemetry.Gauge   // ms between newest executed window and oldest retained
-
 	// Resource-governance instruments (see governance.go).
 	govShedBatches *telemetry.Counter // window batches dropped by budget enforcement
 	govShedBytes   *telemetry.Counter // bytes reclaimed by shedding
@@ -123,12 +119,6 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		planBuilds:      reg.Counter("exastream.plan.builds"),
 		planCacheHits:   reg.Counter("exastream.plan.cache_hits"),
 		planReadapts:    reg.Counter("exastream.plan.readapts"),
-		wcacheHits:      reg.Counter("exastream.wcache.hits"),
-		wcacheMisses:    reg.Counter("exastream.wcache.misses"),
-		wcacheShed:      reg.Counter("exastream.wcache.shed"),
-		wcacheLen:       reg.Gauge("exastream.wcache.len"),
-		wcacheBytes:     reg.Gauge("exastream.wcache.bytes"),
-		watermarkLag:    reg.Gauge("exastream.wcache.watermark_lag_ms"),
 		govShedBatches:  reg.Counter("governance.shed_batches"),
 		govShedBytes:    reg.Counter("governance.shed_bytes"),
 		govWidenEvents:  reg.Counter("governance.widen_events"),
@@ -152,9 +142,9 @@ type Options struct {
 	// AdaptiveThreshold is the number of un-indexed lookups on the same
 	// (table, columns) after which an index is built. Default 3.
 	AdaptiveThreshold int
-	// ShareWindows routes window materialisation through wCache so
-	// queries with the same (stream, window) share one pass. Off by
-	// default: the zero value runs one private windowing pass per query.
+	// Deprecated: ShareWindows is inert (queries over one stream and
+	// window always share its operator) and goes with the next benchmark
+	// change.
 	ShareWindows bool
 	// OnQueryError, when set, receives per-query window-execution
 	// failures instead of them aborting Ingest/Flush: one poison query
@@ -190,10 +180,6 @@ type Options struct {
 	// explicit budget at this default, and a core System derives each
 	// task's budget from starql.AnalyzeMemory with this as the floor.
 	MemBudget int64
-	// WCacheBudget caps the shared window cache's byte estimate; the
-	// oldest cached windows are evicted (and re-materialised on demand)
-	// to stay under. 0 leaves the cache bounded only by watermarks.
-	WCacheBudget int64
 	// Degrade selects the over-budget reaction: shed oldest window state
 	// (default), widen the effective slide, or suspend the query.
 	Degrade DegradePolicy
@@ -233,7 +219,6 @@ type Engine struct {
 	streams   map[string]stream.Schema
 	windows   map[windowKey]*sharedWindow
 	queries   map[string]*continuousQuery
-	wcache    *stream.WCache
 	archives  map[string][]*relation.Table // stream -> archive tables
 	federated map[string]FetchFunc
 	opts      Options
@@ -265,7 +250,8 @@ type windowKey struct {
 }
 
 // sharedWindow is one windowing pass over a stream, shared by all
-// subscribed queries (the wCache idea).
+// subscribed queries (the paper's wCache idea): each emitted batch is
+// built once and delivered to every subscriber.
 type sharedWindow struct {
 	op   *stream.TimeSlidingWindow
 	subs []*querySub
@@ -294,10 +280,10 @@ type continuousQuery struct {
 	appliedSeq map[string]int64 // stream -> highest ingest seq applied (guarded by e.mu)
 
 	mu          sync.Mutex
-	pending     map[int64]map[int]stream.Batch // window end -> refIdx -> batch
-	stagedBytes int64                          // byte estimate of pending (governance)
-	failures    int                            // consecutive failed executions
-	suspended   bool                           // quarantined: skips execution until Resume
+	pending     map[int64]map[int]stagedBatch // window end -> refIdx -> batch
+	stagedBytes int64                         // sum of the pending charges (governance)
+	failures    int                           // consecutive failed executions
+	suspended   bool                          // quarantined: skips execution until Resume
 
 	// budget is the query's window-state byte budget (0 = unenforced);
 	// stride > 1 is DegradeWiden's slide widening: only every stride-th
@@ -334,6 +320,18 @@ type continuousQuery struct {
 	trace *telemetry.Trace
 }
 
+// stagedBatch is one batch parked in a multi-ref query's pending map,
+// with the byte estimate it was charged when staged. Releasing it
+// subtracts that charge, not a fresh Bytes(): a shared batch's estimate
+// grows when any query transposes it, and re-measuring would let
+// stagedBytes drift below the staged state.
+type stagedBatch struct {
+	b     stream.Batch
+	bytes int64
+}
+
+func newStaged(b stream.Batch) stagedBatch { return stagedBatch{b: b, bytes: b.Bytes()} }
+
 // cachedPlan is a continuous query's compiled physical plan, built once
 // and re-executed every tick by rebinding the window sources. It is
 // invalidated (rebuilt) when the catalog's table set changes and
@@ -357,12 +355,6 @@ func NewEngine(cat *relation.Catalog, opts Options) *Engine {
 		reg = telemetry.NewRegistry()
 	}
 	met := newMetrics(reg)
-	wc := stream.NewWCache()
-	wc.UseCounters(met.wcacheHits, met.wcacheMisses)
-	wc.UseShedCounter(met.wcacheShed)
-	if opts.WCacheBudget > 0 {
-		wc.SetBudget(opts.WCacheBudget)
-	}
 	if opts.Optimize {
 		opts.Analyze = true
 	}
@@ -377,7 +369,6 @@ func NewEngine(cat *relation.Catalog, opts Options) *Engine {
 		streams:   make(map[string]stream.Schema),
 		windows:   make(map[windowKey]*sharedWindow),
 		queries:   make(map[string]*continuousQuery),
-		wcache:    wc,
 		archives:  make(map[string][]*relation.Table),
 		federated: make(map[string]FetchFunc),
 		opts:      opts,
@@ -441,7 +432,7 @@ func (e *Engine) Register(id string, stmt *sql.SelectStmt, pulse *stream.Pulse, 
 	}
 	q := &continuousQuery{
 		id: id, stmt: stmt, refs: refs, pulse: pulse, sink: sink,
-		pending: make(map[int64]map[int]stream.Batch),
+		pending: make(map[int64]map[int]stagedBatch),
 	}
 	if e.opts.Tracer != nil {
 		// Attach to an existing trace (started by the coordinator at
@@ -502,7 +493,6 @@ func (e *Engine) registerLocked(q *continuousQuery) error {
 		e.subscribeLocked(q, i, ref.Table, spec)
 	}
 	e.queries[q.id] = q
-	e.wcache.Register(q.id)
 	if e.opts.MemBudget > 0 && q.budget.Load() == 0 {
 		q.budget.Store(e.opts.MemBudget)
 		atomic.StoreInt32(&e.govActive, 1)
@@ -535,7 +525,6 @@ func (e *Engine) Unregister(id string) error {
 		return fmt.Errorf("exastream: unknown query %q", id)
 	}
 	delete(e.queries, id)
-	e.wcache.Unregister(id)
 	for wk, sw := range e.windows {
 		if wk.owner == id {
 			delete(e.windows, wk)
@@ -618,13 +607,6 @@ func (e *Engine) IngestSeq(streamName string, el stream.Timestamped, seq int64) 
 		e.met.lateTuples.Add(sw.op.Late - before)
 		for _, b := range batches {
 			e.met.batchesBuilt.Inc()
-			if e.opts.ShareWindows && wk.owner == "" {
-				// Materialise the shared transpose before the cache takes
-				// its byte estimate, so governance accounts the columnar
-				// copy the executions are about to create.
-				b.Columns()
-				e.wcache.Put(streamName, wk.spec, b)
-			}
 			for _, sub := range sw.subs {
 				fires = append(fires, delivery{sub, b})
 			}
@@ -642,13 +624,9 @@ func (e *Engine) IngestSeq(streamName string, el stream.Timestamped, seq int64) 
 func (e *Engine) Flush() error {
 	e.mu.Lock()
 	var fires []delivery
-	for wk, sw := range e.windows {
+	for _, sw := range e.windows {
 		for _, b := range sw.op.Flush() {
 			e.met.batchesBuilt.Inc()
-			if e.opts.ShareWindows && wk.owner == "" {
-				b.Columns()
-				e.wcache.Put(wk.stream, wk.spec, b)
-			}
 			for _, sub := range sw.subs {
 				fires = append(fires, delivery{sub, b})
 			}
@@ -718,22 +696,23 @@ func (e *Engine) stage(q *continuousQuery, refIdx int, b stream.Batch) (execItem
 	}
 	m, ok := q.pending[b.End]
 	if !ok {
-		m = make(map[int]stream.Batch)
+		m = make(map[int]stagedBatch)
 		q.pending[b.End] = m
 	}
 	if old, dup := m[refIdx]; dup {
-		q.stagedBytes -= old.Bytes()
+		q.stagedBytes -= old.bytes
 	}
-	m[refIdx] = b
-	q.stagedBytes += b.Bytes()
+	sb := newStaged(b)
+	m[refIdx] = sb
+	q.stagedBytes += sb.bytes
 	if len(m) != len(q.refs) {
 		return execItem{}, false
 	}
 	delete(q.pending, b.End)
 	bs := make([]stream.Batch, len(q.refs))
 	for ref, sb := range m {
-		q.stagedBytes -= sb.Bytes()
-		bs[ref] = sb
+		q.stagedBytes -= sb.bytes
+		bs[ref] = sb.b
 	}
 	return execItem{q: q, end: b.End, batches: bs}, true
 }
@@ -923,8 +902,8 @@ func (e *Engine) executeItem(it execItem) error {
 	for i, src := range cp.sources {
 		if src != nil {
 			src.Bind(it.batches[i].Rows)
-			// The batch's transpose cell is shared across wCache and every
-			// query's delivery, so N queries over one window pay for one
+			// The batch's transpose cell is shared across every query's
+			// delivery, so N queries over one window pay for one
 			// transposition.
 			src.BindColumns(it.batches[i].Columns())
 			rowsIn += len(it.batches[i].Rows)
@@ -962,14 +941,8 @@ func (e *Engine) executeItem(it execItem) error {
 	q.lastEnd = it.end
 	e.met.windowsExecuted.Inc()
 	e.met.rowsOut.Add(int64(rowsOut))
-	e.wcache.Advance(q.id, it.end)
 	elapsed := time.Since(start)
 	e.met.windowExecNS.ObserveDuration(elapsed)
-	e.met.wcacheLen.Set(float64(e.wcache.Len()))
-	e.met.wcacheBytes.Set(float64(e.wcache.Bytes()))
-	if lag := it.end - e.wcache.MinMark(); lag >= 0 {
-		e.met.watermarkLag.Set(float64(lag))
-	}
 	span.SetAttr("rows_in", rowsIn).
 		SetAttr("rows_out", rowsOut).
 		SetAttr("plan_cache_hit", cacheHit).
@@ -1067,7 +1040,7 @@ func (e *Engine) Resume(id string) error {
 // telemetry instruments the registry snapshot exposes).
 func (e *Engine) Stats() Stats {
 	m := e.met
-	s := Stats{
+	return Stats{
 		TuplesIn:        m.tuplesIn.Value(),
 		BatchesBuilt:    m.batchesBuilt.Value(),
 		WindowsExecuted: m.windowsExecuted.Value(),
@@ -1084,8 +1057,6 @@ func (e *Engine) Stats() Stats {
 		PlanCacheHits:   m.planCacheHits.Value(),
 		PlanReadapts:    m.planReadapts.Value(),
 	}
-	s.WCacheHits, s.WCacheMisses = e.wcache.Counts()
-	return s
 }
 
 // Add accumulates another snapshot into s (used for cluster-wide
@@ -1095,8 +1066,6 @@ func (s *Stats) Add(o Stats) {
 	s.BatchesBuilt += o.BatchesBuilt
 	s.WindowsExecuted += o.WindowsExecuted
 	s.RowsOut += o.RowsOut
-	s.WCacheHits += o.WCacheHits
-	s.WCacheMisses += o.WCacheMisses
 	s.AdaptiveIndexes += o.AdaptiveIndexes
 	s.LateTuples += o.LateTuples
 	s.QueryFailures += o.QueryFailures

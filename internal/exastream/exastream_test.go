@@ -195,7 +195,7 @@ func TestPulsePacing(t *testing.T) {
 }
 
 func TestSharedWindowsAcrossQueries(t *testing.T) {
-	e := testRig(t, Options{ShareWindows: true})
+	e := testRig(t, Options{})
 	c := &collector{}
 	for i := 0; i < 5; i++ {
 		q := sql.MustParse(fmt.Sprintf(
@@ -335,7 +335,7 @@ func TestIngestUnknownStream(t *testing.T) {
 }
 
 func TestConcurrentIngestManyQueries(t *testing.T) {
-	e := testRig(t, Options{ShareWindows: true})
+	e := testRig(t, Options{})
 	c := &collector{}
 	for i := 0; i < 32; i++ {
 		q := sql.MustParse(fmt.Sprintf(

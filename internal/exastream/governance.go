@@ -230,7 +230,7 @@ func (e *Engine) suspendOverBudget(t govTarget, usage, budget int64) {
 	q := t.q
 	q.mu.Lock()
 	q.suspended = true
-	q.pending = make(map[int64]map[int]stream.Batch)
+	q.pending = make(map[int64]map[int]stagedBatch)
 	q.stagedBytes = 0
 	q.mu.Unlock()
 	for _, op := range t.owned {
@@ -268,8 +268,8 @@ func (e *Engine) shedOldestStaged(q *continuousQuery) (freed int64, ok bool) {
 	if !found {
 		return 0, false
 	}
-	for _, b := range m {
-		freed += b.Bytes()
+	for _, sb := range m {
+		freed += sb.bytes
 	}
 	delete(q.pending, oldest)
 	q.stagedBytes -= freed

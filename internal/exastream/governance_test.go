@@ -5,7 +5,9 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/relation"
 	"repro/internal/sql"
+	"repro/internal/stream"
 )
 
 const overlapQuery = "SELECT m.sid, m.val FROM STREAM msmt [RANGE 10000 SLIDE 1000] AS m"
@@ -175,5 +177,79 @@ func TestGovernanceDefaultBudget(t *testing.T) {
 	budget, stride, err := e.QueryBudget("q")
 	if err != nil || budget != 4096 || stride != 1 {
 		t.Errorf("QueryBudget = %d/%d (%v), want 4096/1", budget, stride, err)
+	}
+}
+
+// TestStagedBytesReleaseWhatWasCharged pins the staging charge: a
+// multi-ref query's staged bytes return to exactly zero once its
+// windows complete, even when another query transposed a staged shared
+// batch in between (which grows that batch's Bytes estimate). Releasing
+// a re-measured estimate instead of the charge drifts the total
+// negative, hiding real usage from the budget.
+func TestStagedBytesReleaseWhatWasCharged(t *testing.T) {
+	e := testRig(t, Options{})
+	if err := e.DeclareStream(stream.Schema{
+		Name: "msmt2",
+		Tuple: relation.NewSchema(
+			relation.Col("sid", relation.TInt),
+			relation.Col("ts", relation.TTime),
+			relation.Col("val", relation.TFloat),
+		),
+		TSCol: "ts",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var c collector
+	// p reads msmt alone and transposes each shared msmt batch the tick
+	// it is emitted; q stages that same batch until msmt2's window
+	// closes.
+	if err := e.Register("p", sql.MustParse("SELECT m.sid, m.val FROM STREAM msmt [RANGE 1000 SLIDE 1000] AS m"), nil, c.sink); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Register("q", sql.MustParse(`SELECT a.sid, b.val FROM STREAM msmt [RANGE 1000 SLIDE 1000] AS a,
+		msmt2 [RANGE 1000 SLIDE 1000] AS b WHERE a.sid = b.sid`), nil, c.sink); err != nil {
+		t.Fatal(err)
+	}
+	row := func(ts int64) stream.Timestamped {
+		return stream.Timestamped{TS: ts, Row: relation.Tuple{relation.Int(ts%3 + 1), relation.Time(ts), relation.Float(float64(ts % 70))}}
+	}
+	cq := e.queries["q"]
+	for win := int64(0); win < 4; win++ {
+		for ts := win * 1000; ts < (win+1)*1000; ts += 100 {
+			if err := e.Ingest("msmt", row(ts)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for ts := win * 1000; ts < (win+1)*1000; ts += 100 {
+			if err := e.Ingest("msmt2", row(ts)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cq.mu.Lock()
+		staged, pending := cq.stagedBytes, len(cq.pending)
+		var want int64
+		for _, m := range cq.pending {
+			for _, sb := range m {
+				want += sb.b.Bytes()
+			}
+		}
+		cq.mu.Unlock()
+		if pending == 0 && staged != 0 {
+			t.Fatalf("after window %d: stagedBytes = %d with nothing staged, want 0", win, staged)
+		}
+		if staged < 0 || staged > want {
+			t.Fatalf("after window %d: stagedBytes = %d, outside [0, %d] for %d staged windows", win, staged, want, pending)
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	qWindows := 0
+	for _, r := range c.results {
+		if r.qid == "q" {
+			qWindows++
+		}
+	}
+	if qWindows == 0 {
+		t.Fatal("q never completed a window: the check is vacuous")
 	}
 }

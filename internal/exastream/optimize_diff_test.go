@@ -205,7 +205,7 @@ func TestOptimizedFleetDifferentialChaos(t *testing.T) {
 
 	want := renderWindows(runFleet(t, a, Options{Parallelism: 8}, plain))
 
-	e := newDiffEngine(t, a, Options{Optimize: true, Parallelism: 8, ShareWindows: true})
+	e := newDiffEngine(t, a, Options{Optimize: true, Parallelism: 8})
 	msmtA := siemens.StreamSchemas()[0]
 	if err := e.DeclareStream(stream.Schema{Name: "msmt_bg", Tuple: msmtA.Tuple, TSCol: msmtA.TSCol}); err != nil {
 		t.Fatal(err)

@@ -189,7 +189,7 @@ func TestPulsePendingLeakRegression(t *testing.T) {
 // per-query, per-window results.
 func TestParallelFleetMatchesSequential(t *testing.T) {
 	run := func(parallelism int) map[string][]collected {
-		e := testRig(t, Options{Parallelism: parallelism, AdaptiveIndexing: true, ShareWindows: true})
+		e := testRig(t, Options{Parallelism: parallelism, AdaptiveIndexing: true})
 		c := &collector{}
 		for i := 0; i < 8; i++ {
 			q := sql.MustParse(fmt.Sprintf(`SELECT m.sid, s.tid, avg(m.val) AS a

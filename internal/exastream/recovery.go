@@ -11,18 +11,12 @@ import (
 	"repro/internal/stream"
 )
 
-// ckptConsumer is the transient wCache consumer the export path
-// registers so concurrent watermark advances cannot evict entries while
-// the snapshot is being copied. The NUL prefix keeps it out of any
-// query-id namespace.
-const ckptConsumer = "\x00checkpoint"
-
 // ExportState snapshots the engine's per-query stream state — window
 // operators, staged partial windows, quarantine bookkeeping, applied
-// sequence cursors — plus the shared wCache contents. The caller must
-// quiesce the engine first (the cluster calls it on the node's worker
-// goroutine between work items, which is a consistent cut by
-// construction: Ingest is synchronous, so no window is mid-advance).
+// sequence cursors. The caller must quiesce the engine first (the
+// cluster calls it on the node's worker goroutine between work items,
+// which is a consistent cut by construction: Ingest is synchronous, so
+// no window is mid-advance).
 func (e *Engine) ExportState() *recovery.EngineState {
 	type qsnap struct {
 		q   *continuousQuery
@@ -30,9 +24,6 @@ func (e *Engine) ExportState() *recovery.EngineState {
 		seq map[string]int64
 	}
 	e.mu.Lock()
-	e.wcache.Register(ckptConsumer)
-	cached := e.wcache.SnapshotBatches()
-	e.wcache.Unregister(ckptConsumer)
 	snaps := make([]qsnap, 0, len(e.queries))
 	for _, q := range e.queries {
 		s := qsnap{q: q, ops: make([]*stream.TimeSlidingWindow, len(q.refs))}
@@ -56,7 +47,7 @@ func (e *Engine) ExportState() *recovery.EngineState {
 	e.mu.Unlock()
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].q.id < snaps[j].q.id })
 
-	st := &recovery.EngineState{WCache: cached}
+	st := &recovery.EngineState{}
 	for _, s := range snaps {
 		qs := recovery.QueryState{ID: s.q.id, AppliedSeq: s.seq}
 		for _, op := range s.ops {
@@ -74,8 +65,8 @@ func (e *Engine) ExportState() *recovery.EngineState {
 		sort.Slice(ends, func(i, j int) bool { return ends[i] < ends[j] })
 		for _, end := range ends {
 			pw := recovery.PendingWindow{End: end, Batches: make(map[int]stream.Batch, len(s.q.pending[end]))}
-			for ref, b := range s.q.pending[end] {
-				pw.Batches[ref] = deepCopyBatch(b)
+			for ref, sb := range s.q.pending[end] {
+				pw.Batches[ref] = deepCopyBatch(sb.b)
 			}
 			qs.Pending = append(qs.Pending, pw)
 		}
@@ -97,8 +88,8 @@ func deepCopyBatch(b stream.Batch) stream.Batch {
 
 // RestoreQuery registers a query whose stream state resumes from a
 // checkpoint instead of starting empty. The restored query's window
-// operators are private (owner-keyed, not shared through wCache) so the
-// supervisor can replay logged tuples into them without disturbing the
+// operators are private (owner-keyed, not shared with other queries) so
+// the supervisor can replay logged tuples into them without disturbing the
 // node's other queries; its applied-sequence cursors make that replay —
 // and any overlap with live traffic — idempotent. A nil QueryState
 // restores with fresh windows (checkpoint predates the query), cursored
@@ -115,7 +106,7 @@ func (e *Engine) RestoreQuery(id string, stmt *sql.SelectStmt, pulse *stream.Pul
 	}
 	q := &continuousQuery{
 		id: id, stmt: stmt, refs: refs, pulse: pulse, sink: sink,
-		pending:    make(map[int64]map[int]stream.Batch),
+		pending:    make(map[int64]map[int]stagedBatch),
 		private:    true,
 		appliedSeq: make(map[string]int64),
 	}
@@ -130,9 +121,10 @@ func (e *Engine) RestoreQuery(id string, stmt *sql.SelectStmt, pulse *stream.Pul
 	}
 	if st != nil {
 		for _, pw := range st.Pending {
-			m := make(map[int]stream.Batch, len(pw.Batches))
+			m := make(map[int]stagedBatch, len(pw.Batches))
 			for ref, b := range pw.Batches {
-				m[ref] = b
+				m[ref] = newStaged(b)
+				q.stagedBytes += m[ref].bytes
 			}
 			q.pending[pw.End] = m
 		}
@@ -140,11 +132,6 @@ func (e *Engine) RestoreQuery(id string, stmt *sql.SelectStmt, pulse *stream.Pul
 		q.suspended = st.Suspended
 		q.budget.Store(st.Budget)
 		q.stride.Store(st.Stride)
-		for _, m := range q.pending {
-			for _, b := range m {
-				q.stagedBytes += b.Bytes()
-			}
-		}
 	}
 	if e.opts.Tracer != nil {
 		if q.trace = e.opts.Tracer.Trace(id); q.trace == nil {
@@ -197,7 +184,6 @@ func (e *Engine) restoreLocked(q *continuousQuery, st *recovery.QueryState) erro
 		sw.subs = append(sw.subs, &querySub{q: q, refIdx: i})
 	}
 	e.queries[q.id] = q
-	e.wcache.Register(q.id)
 	if q.budget.Load() == 0 && e.opts.MemBudget > 0 {
 		q.budget.Store(e.opts.MemBudget)
 	}
@@ -258,14 +244,4 @@ func (e *Engine) ReplayFor(id, streamName string, el stream.Timestamped, seq int
 	err := e.dispatch(fires)
 	e.enforceBudgets()
 	return err
-}
-
-// ImportWCache loads checkpointed wCache batches into the engine's
-// cache (restart path: the rebuilt engine starts with the batches the
-// dead one had materialised, so restored queries re-hit instead of
-// re-materialising).
-func (e *Engine) ImportWCache(ws []stream.CachedWindow) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.wcache.RestoreBatches(ws)
 }

@@ -1,6 +1,7 @@
 package exastream
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -71,7 +72,6 @@ func TestExportRestoreReplayEquivalence(t *testing.T) {
 	// feed — the cursor must drop seqs 1..cut.
 	heir := testRig(t, Options{})
 	heirOut := &collector{}
-	heir.ImportWCache(st.WCache)
 	if err := heir.RestoreQuery("q", stmt, nil, heirOut.sink, qs, map[string]int64{"msmt": cut}); err != nil {
 		t.Fatal(err)
 	}
@@ -143,5 +143,64 @@ func TestRestoreQueryRejectsDuplicateID(t *testing.T) {
 	}
 	if err := e.RestoreQuery("q", stmt, nil, sink, nil, nil); err == nil {
 		t.Fatal("duplicate RestoreQuery succeeded")
+	}
+}
+
+// TestExportStateIgnoresShareWindows pins what a checkpoint carries:
+// the per-query window operators and staged windows, nothing keyed on
+// the deprecated ShareWindows switch. The same seeded run with the
+// switch on and off must encode to byte-identical checkpoints, so a
+// checkpoint never carries a second copy of the shared window batches.
+func TestExportStateIgnoresShareWindows(t *testing.T) {
+	export := func(share bool) []byte {
+		e := testRig(t, Options{ShareWindows: share})
+		if err := e.DeclareStream(stream.Schema{
+			Name: "msmt2",
+			Tuple: relation.NewSchema(
+				relation.Col("sid", relation.TInt),
+				relation.Col("ts", relation.TTime),
+				relation.Col("val", relation.TFloat),
+			),
+			TSCol: "ts",
+		}); err != nil {
+			t.Fatal(err)
+		}
+		out := &collector{}
+		for id, text := range map[string]string{
+			"avg":     "SELECT m.sid, AVG(m.val) FROM STREAM msmt [RANGE 1000 SLIDE 500] AS m GROUP BY m.sid",
+			"export":  "SELECT m.sid, m.val FROM STREAM msmt [RANGE 1000 SLIDE 500] AS m",
+			"hot":     "SELECT m.val FROM STREAM msmt [RANGE 2000 SLIDE 500] AS m WHERE m.val > 60",
+			"joined":  "SELECT a.sid, b.val FROM STREAM msmt [RANGE 1000 SLIDE 500] AS a, msmt2 [RANGE 1000 SLIDE 500] AS b WHERE a.sid = b.sid",
+			"sensors": "SELECT m.sid, s.tid FROM STREAM msmt [RANGE 1000 SLIDE 1000] AS m, sensors AS s WHERE m.sid = s.sid",
+		} {
+			if err := e.Register(id, sql.MustParse(text), nil, out.sink); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// msmt runs ahead of msmt2, so "joined" holds staged windows at
+		// the cut as well as open ones.
+		for i := 0; i < 60; i++ {
+			el, seq := seqTuple(i)
+			if err := e.IngestSeq("msmt", el, seq); err != nil {
+				t.Fatal(err)
+			}
+			if i < 45 {
+				if err := e.IngestSeq("msmt2", el, seq); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if len(out.results) == 0 {
+			t.Fatal("no windows executed before the cut: the check is vacuous")
+		}
+		blob, err := recovery.Encode(&recovery.Checkpoint{Engine: *e.ExportState()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	on, off := export(true), export(false)
+	if !bytes.Equal(on, off) {
+		t.Fatalf("checkpoint with ShareWindows on is %d bytes, off %d bytes; want byte-identical", len(on), len(off))
 	}
 }

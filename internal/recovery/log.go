@@ -12,9 +12,9 @@ import "sync"
 // exactly-once coverage for that stream is lost (the restore degrades to
 // salvage-only for the gap) and Covered reports it.
 type Log struct {
-	mu   sync.Mutex
-	buf  []Tuple
-	cap  int
+	mu  sync.Mutex
+	buf []Tuple
+	cap int
 	// dropped tracks, per stream, the highest sequence number shed by
 	// capacity pressure (not by checkpoint truncation). Coverage holds
 	// for a cut iff every dropped seq is at or below the cut.
@@ -34,8 +34,10 @@ func NewLog(capacity int) *Log {
 }
 
 // Append records one processed tuple, shedding the oldest entry when
-// full.
-func (l *Log) Append(t Tuple) {
+// full. nearCap reports whether the log is now at least three-quarters
+// full — the checkpoint scheduler's signal to cut now, whatever its
+// cadence, before capacity pressure sheds a tuple no checkpoint covers.
+func (l *Log) Append(t Tuple) (nearCap bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if len(l.buf) >= l.cap {
@@ -46,6 +48,7 @@ func (l *Log) Append(t Tuple) {
 		l.buf = append(l.buf[:0], l.buf[1:]...)
 	}
 	l.buf = append(l.buf, t)
+	return len(l.buf)*4 >= l.cap*3
 }
 
 // Since returns the retained tuples strictly after the per-stream cut
@@ -90,15 +93,6 @@ func (l *Log) TruncateThrough(cursors map[string]int64) {
 		kept = append(kept, t)
 	}
 	l.buf = kept
-}
-
-// NearCap reports whether the log is at least three-quarters full — the
-// checkpoint scheduler's signal to stop waiting for a window-end
-// boundary and cut now, before coverage is lost.
-func (l *Log) NearCap() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buf)*4 >= l.cap*3
 }
 
 // Len returns the number of retained tuples.

@@ -2,9 +2,9 @@
 // exactly-once window delivery for the cluster runtime.
 //
 // Each worker node periodically serializes its per-query stream state —
-// window-operator contents, staged partial windows, wCache batches, and
-// per-stream ingest cursors — into a Checkpoint taken on a window-end
-// boundary, so every snapshot is a consistent cut. A bounded replay Log
+// window-operator contents, staged partial windows, and per-stream
+// ingest cursors — into a Checkpoint taken on a window-end boundary, so
+// every snapshot is a consistent cut. A bounded replay Log
 // retains the tuples processed since the last checkpoint. When a worker
 // crashes, the supervisor restores the victim's latest checkpoint onto
 // the recovery target and re-feeds the logged tuples; the per-stream
@@ -69,10 +69,9 @@ type QueryState struct {
 }
 
 // EngineState is one engine's exported stream state: every registered
-// query plus the shared wCache contents.
+// query.
 type EngineState struct {
 	Queries []QueryState
-	WCache  []stream.CachedWindow
 }
 
 // Query returns the state of one query, or nil when the checkpoint

@@ -162,21 +162,22 @@ func TestLogCapacityShedLosesCoverage(t *testing.T) {
 	}
 }
 
+// TestLogNearCap pins the near-capacity report of Append: false below
+// three-quarters full, true from there on, false again once a
+// checkpoint truncation frees the covered prefix.
 func TestLogNearCap(t *testing.T) {
 	l := NewLog(8)
 	for seq := int64(1); seq <= 5; seq++ {
-		l.Append(logTuple("m", seq))
+		if l.Append(logTuple("m", seq)) {
+			t.Fatalf("near capacity at %d/8, want false below three-quarters", seq)
+		}
 	}
-	if l.NearCap() {
-		t.Fatal("NearCap below three-quarters full = true, want false")
-	}
-	l.Append(logTuple("m", 6))
-	if !l.NearCap() {
-		t.Fatalf("NearCap at 6/8 = false, want true")
+	if !l.Append(logTuple("m", 6)) {
+		t.Fatal("near capacity at 6/8 = false, want true")
 	}
 	l.TruncateThrough(map[string]int64{"m": 5})
-	if l.NearCap() {
-		t.Fatal("NearCap after truncation = true, want false")
+	if l.Append(logTuple("m", 7)) {
+		t.Fatal("near capacity at 2/8 after truncation = true, want false")
 	}
 }
 

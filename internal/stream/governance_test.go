@@ -1,8 +1,6 @@
 package stream
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/relation"
@@ -98,79 +96,5 @@ func TestWindowShedOldestPending(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("window 2 missing from %+v", got)
-	}
-}
-
-// The wCache budget evicts the globally-oldest windows first and pins
-// the entry whose insert triggered enforcement.
-func TestWCacheBudget(t *testing.T) {
-	c := NewWCache()
-	c.Register("q")
-	spec := govSpec()
-	one := Batch{WindowID: 0, End: 500, Rows: []relation.Tuple{row(1)}}
-	perEntry := one.Bytes()
-	c.SetBudget(3 * perEntry)
-	for id := int64(0); id < 5; id++ {
-		c.Put("s", spec, Batch{WindowID: id, End: 500 * (id + 1), Rows: []relation.Tuple{row(id)}})
-	}
-	if c.Len() != 3 || c.Bytes() != 3*perEntry {
-		t.Fatalf("len=%d bytes=%d, want 3 entries / %d bytes", c.Len(), c.Bytes(), 3*perEntry)
-	}
-	// The survivors are the newest windows; 0 and 1 were shed.
-	for _, w := range c.SnapshotBatches() {
-		if w.Batch.WindowID < 2 {
-			t.Fatalf("window %d survived budget eviction", w.Batch.WindowID)
-		}
-	}
-	// An oversized single entry is kept (evicting it would just force a
-	// re-materialisation on the next Get).
-	big := Batch{WindowID: 9, End: 5000, Rows: make([]relation.Tuple, 100)}
-	for i := range big.Rows {
-		big.Rows[i] = row(int64(i))
-	}
-	c.Put("s", spec, big)
-	found := false
-	for _, w := range c.SnapshotBatches() {
-		if w.Batch.WindowID == 9 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("oversized entry evicted itself")
-	}
-}
-
-// Watermark eviction and budget eviction must keep the byte estimate
-// exact across concurrent producers and consumers (run under -race).
-func TestWCacheConcurrentAccounting(t *testing.T) {
-	c := NewWCache()
-	spec := govSpec()
-	c.SetBudget(1 << 16)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			name := fmt.Sprintf("q%d", g)
-			c.Register(name)
-			for id := int64(0); id < 200; id++ {
-				c.Put(fmt.Sprintf("s%d", g%2), spec, Batch{WindowID: id, End: 500 * (id + 1), Rows: []relation.Tuple{row(id)}})
-				if id%3 == 0 {
-					_, _ = c.Get(fmt.Sprintf("s%d", g%2), spec, id, func() (Batch, error) {
-						return Batch{WindowID: id}, nil
-					})
-				}
-				c.Advance(name, id/2)
-			}
-			c.Unregister(name)
-		}(g)
-	}
-	wg.Wait()
-	var want int64
-	for _, w := range c.SnapshotBatches() {
-		want += w.Batch.Bytes()
-	}
-	if got := c.Bytes(); got != want {
-		t.Fatalf("Bytes = %d, recount = %d", got, want)
 	}
 }

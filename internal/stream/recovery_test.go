@@ -89,7 +89,7 @@ func TestRestoreSkipsEmittedWindows(t *testing.T) {
 		NextEmit: 2,
 		MaxTS:    2500,
 		Pending: []Batch{
-			{WindowID: 1, End: 2000},  // already emitted: must be dropped
+			{WindowID: 1, End: 2000}, // already emitted: must be dropped
 			{WindowID: 2, End: 3000},
 		},
 	}
@@ -106,67 +106,5 @@ func TestRestoreSkipsEmittedWindows(t *testing.T) {
 func TestRestoreRejectsInvalidSpec(t *testing.T) {
 	if _, err := RestoreTimeSlidingWindow(WindowState{}); err == nil {
 		t.Fatal("restore of a zero spec succeeded")
-	}
-}
-
-// TestWCacheUnregisterLastConsumerEvicts is the satellite regression
-// test: removing the sole remaining consumer must drop every pinned
-// batch and reset the watermark, so a later registration starts clean.
-func TestWCacheUnregisterLastConsumerEvicts(t *testing.T) {
-	c := NewWCache()
-	spec := WindowSpec{RangeMS: 1000, SlideMS: 1000}
-	c.Register("q1")
-	c.Put("m", spec, Batch{WindowID: 1, End: 1000})
-	c.Put("m", spec, Batch{WindowID: 2, End: 2000})
-	c.Advance("q1", 2000)
-	if c.Len() == 0 {
-		t.Fatal("setup: batches evicted while a consumer still holds a mark")
-	}
-	c.Unregister("q1")
-	if got := c.Len(); got != 0 {
-		t.Fatalf("entries after last Unregister = %d, want 0", got)
-	}
-	if got := c.MinMark(); got != 0 {
-		t.Fatalf("MinMark after last Unregister = %d, want 0", got)
-	}
-	// A fresh consumer must not inherit the departed consumer's mark.
-	c.Register("q2")
-	c.Put("m", spec, Batch{WindowID: 1, End: 1000})
-	if c.Len() != 1 {
-		t.Fatal("fresh consumer could not cache an old window id")
-	}
-}
-
-func TestWCacheSnapshotRestoreRoundtrip(t *testing.T) {
-	c := NewWCache()
-	spec := WindowSpec{RangeMS: 1000, SlideMS: 500}
-	c.Register("q1")
-	c.Put("m", spec, Batch{WindowID: 3, End: 1500, Rows: []relation.Tuple{{relation.Int(1)}}})
-	c.Put("n", spec, Batch{WindowID: 1, End: 500})
-	ws := c.SnapshotBatches()
-	if len(ws) != 2 {
-		t.Fatalf("snapshot = %d entries, want 2", len(ws))
-	}
-	if ws[0].Stream != "m" || ws[1].Stream != "n" {
-		t.Fatalf("snapshot order = %s,%s want m,n", ws[0].Stream, ws[1].Stream)
-	}
-	fresh := NewWCache()
-	fresh.Register("q1")
-	fresh.RestoreBatches(ws)
-	if fresh.Len() != 2 {
-		t.Fatalf("restored %d entries, want 2", fresh.Len())
-	}
-	hit := false
-	b, err := fresh.Get("m", spec, 3, func() (Batch, error) {
-		return Batch{}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(b.Rows) == 1 {
-		hit = true
-	}
-	if !hit {
-		t.Fatal("restored batch did not serve a Get")
 	}
 }

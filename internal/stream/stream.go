@@ -1,10 +1,12 @@
 // Package stream implements the streaming substrate of ExaStream: CQL
 // time-based sliding windows with snapshot semantics (Arasu et al., the
-// semantics the paper's SQL(+) dialect conforms to), the paper's two core
-// stream operators — timeSlidingWindow, which groups tuples into windows
-// and tags them with window ids, and wCache, which indexes window batches
-// by their id so many concurrent queries share one materialisation — and
-// the pulse clock that paces query output.
+// semantics the paper's SQL(+) dialect conforms to), the paper's
+// timeSlidingWindow operator, which groups tuples into windows and tags
+// them with window ids, and the pulse clock that paces query output. The
+// paper's wCache role (many concurrent queries share one window
+// materialisation) is played by the exastream engine, which runs one
+// operator per (stream, window) and hands each emitted batch to every
+// subscribed query.
 package stream
 
 import (
@@ -105,8 +107,8 @@ type Batch struct {
 
 	// cols, when non-nil, is a shared lazy cell holding the batch's
 	// columnar form. The window operator allocates it at emission time,
-	// before the batch value is copied into the wCache and per-query
-	// deliveries, so every copy transposes at most once between them.
+	// before the batch value is copied into the per-query deliveries, so
+	// every copy transposes at most once between them.
 	// The field is unexported on purpose: gob skips it, keeping
 	// checkpoint snapshots byte-identical whether or not a window was
 	// ever transposed.
@@ -136,10 +138,9 @@ func (b *Batch) ensureColumnCell() {
 }
 
 // Columns returns the batch in columnar form, transposing on first use.
-// Batches emitted by a window operator (or stored in a WCache) share
-// one transpose across all copies; a zero-built Batch (e.g. decoded
-// from a checkpoint and not yet cached) transposes privately. Safe for
-// concurrent use.
+// Batches emitted by a window operator share one transpose across all
+// copies; a zero-built Batch (e.g. decoded from a checkpoint) transposes
+// privately. Safe for concurrent use.
 func (b Batch) Columns() *relation.ColBatch {
 	c := b.cols
 	if c == nil {

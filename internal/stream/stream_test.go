@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -229,124 +228,5 @@ func TestPulseTicks(t *testing.T) {
 	ticks = p.Ticks(999, 2000)
 	if len(ticks) != 2 || ticks[0] != 1000 || ticks[1] != 2000 {
 		t.Fatalf("boundary ticks = %v", ticks)
-	}
-}
-
-func TestWCacheShareAcrossConsumers(t *testing.T) {
-	c := NewWCache()
-	c.Register("q1")
-	c.Register("q2")
-	spec := WindowSpec{RangeMS: 1000, SlideMS: 1000}
-	calls := 0
-	mat := func() (Batch, error) {
-		calls++
-		return Batch{WindowID: 5, Start: 4000, End: 5000}, nil
-	}
-	for i := 0; i < 4; i++ {
-		if _, err := c.Get("s", spec, 5, mat); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if calls != 1 {
-		t.Fatalf("materialise calls = %d, want 1", calls)
-	}
-	if hits, misses := c.Counts(); hits != 3 || misses != 1 {
-		t.Fatalf("hits/misses = %d/%d", hits, misses)
-	}
-}
-
-func TestWCacheEviction(t *testing.T) {
-	c := NewWCache()
-	c.Register("q1")
-	c.Register("q2")
-	spec := WindowSpec{RangeMS: 1000, SlideMS: 1000}
-	for id := int64(0); id < 10; id++ {
-		c.Put("s", spec, Batch{WindowID: id, End: (id + 1) * 1000})
-	}
-	if c.Len() != 10 {
-		t.Fatalf("Len = %d", c.Len())
-	}
-	c.Advance("q1", 9000)
-	// q2 still at 0: nothing evicted.
-	if c.Len() != 10 {
-		t.Fatalf("eviction ran early: Len = %d", c.Len())
-	}
-	c.Advance("q2", 6000)
-	if c.Len() != 5 { // windows ending 6000..10000 remain
-		t.Fatalf("Len after advance = %d", c.Len())
-	}
-	c.Unregister("q2")
-	// Now min watermark is 9000.
-	if c.Len() != 2 {
-		t.Fatalf("Len after unregister = %d", c.Len())
-	}
-}
-
-// TestWCacheAdvanceIgnoresUnregistered pins the in-flight-window
-// contract: an Advance that lands after its consumer was unregistered
-// (a window execution racing Unregister) must not re-add the consumer,
-// so its stale mark cannot pin the cache or hold MinMark down.
-func TestWCacheAdvanceIgnoresUnregistered(t *testing.T) {
-	c := NewWCache()
-	spec := WindowSpec{RangeMS: 1000, SlideMS: 1000}
-	c.Register("q1")
-	c.Register("gone")
-	c.Unregister("gone")
-	c.Advance("gone", 1000) // late Advance of the in-flight window
-	for id := int64(0); id < 6; id++ {
-		c.Put("s", spec, Batch{WindowID: id, End: (id + 1) * 1000})
-	}
-	c.Advance("q1", 5000)
-	if got := c.Len(); got != 2 { // windows ending 5000 and 6000 remain
-		t.Fatalf("Len after Advance = %d, want 2 (unregistered consumer still pins the cache)", got)
-	}
-	if got := c.MinMark(); got != 5000 {
-		t.Fatalf("MinMark = %d, want 5000 (the only registered consumer's mark)", got)
-	}
-	c.Unregister("q1")
-	c.Advance("q1", 9000)
-	if got := c.Len(); got != 0 {
-		t.Fatalf("Len after last Unregister and a late Advance = %d, want 0", got)
-	}
-	if got := c.MinMark(); got != 0 {
-		t.Fatalf("MinMark after last Unregister and a late Advance = %d, want 0", got)
-	}
-}
-
-func TestWCacheKeySeparation(t *testing.T) {
-	c := NewWCache()
-	specA := WindowSpec{RangeMS: 1000, SlideMS: 1000}
-	specB := WindowSpec{RangeMS: 2000, SlideMS: 1000}
-	c.Put("s", specA, Batch{WindowID: 1, Rows: []relation.Tuple{{relation.Int(1)}}})
-	got, err := c.Get("s", specB, 1, func() (Batch, error) {
-		return Batch{WindowID: 1, Rows: []relation.Tuple{{relation.Int(2)}}}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Rows[0][0] != relation.Int(2) {
-		t.Error("different specs shared a cache entry")
-	}
-	// Different stream names separate too.
-	got2, _ := c.Get("other", specA, 1, func() (Batch, error) {
-		return Batch{WindowID: 1, Rows: []relation.Tuple{{relation.Int(3)}}}, nil
-	})
-	if got2.Rows[0][0] != relation.Int(3) {
-		t.Error("different streams shared a cache entry")
-	}
-}
-
-func TestWCacheMaterialiseError(t *testing.T) {
-	c := NewWCache()
-	spec := WindowSpec{RangeMS: 1, SlideMS: 1}
-	if _, err := c.Get("s", spec, 1, func() (Batch, error) {
-		return Batch{}, fmt.Errorf("boom")
-	}); err == nil {
-		t.Error("materialise error swallowed")
-	}
-	if _, err := c.Get("s", spec, 1, func() (Batch, error) {
-		return Batch{WindowID: 99}, nil
-	}); err == nil {
-		t.Error("window id mismatch accepted")
 	}
 }

@@ -174,10 +174,10 @@ func (r *Registry) Snapshot() Snapshot {
 // Merge combines snapshots from several registries (e.g. one per
 // cluster node) into cluster-wide totals: counters and histogram
 // buckets sum. Gauges merge by name convention — count-style occupancy
-// gauges sum (total cached windows across nodes is meaningful), but
+// gauges sum (a total across nodes is meaningful), but
 // lag/latency gauges (`*_ms`, `*_ns` suffix), state gauges (`*.state`
 // suffix) and byte-footprint gauges (`*.bytes` suffix) take the
-// maximum, because summing per-node watermark lags or node states
+// maximum, because summing per-node lags or node states
 // produces a number with no meaning, and the interesting byte figure
 // is the node closest to its budget.
 // Per-node gauges use distinct names (`cluster.node.N.*`) so they pass
@@ -213,9 +213,9 @@ func Merge(snaps ...Snapshot) Snapshot {
 // gaugeMergesByMax reports whether a gauge's cross-node merge takes the
 // maximum instead of the sum: lag and latency gauges (named `*_ms` or
 // `*_ns`), state gauges (`*.state`) and occupancy gauges (`*.bytes`,
-// e.g. the per-node wCache footprint) are not additive — the
-// cluster-wide value of a lag or a cache high-water mark is its worst
-// node, not the total.
+// e.g. the last checkpoint's size) are not additive — the cluster-wide
+// value of a lag or a high-water mark is its worst node, not the
+// total.
 func gaugeMergesByMax(name string) bool {
 	return strings.HasSuffix(name, "_ms") ||
 		strings.HasSuffix(name, "_ns") ||

@@ -112,28 +112,28 @@ func TestMerge(t *testing.T) {
 
 // Gauges whose value is not additive across nodes — lags (*_ms, *_ns),
 // states (*.state) and byte footprints (*.bytes) — merge by max: the
-// cluster-wide watermark lag is the worst node's, not the fleet total.
+// cluster-wide checkpoint age is the worst node's, not the fleet total.
 func TestMergeGaugeMax(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
-	a.Gauge("exastream.wcache.watermark_lag_ms").Set(120)
-	b.Gauge("exastream.wcache.watermark_lag_ms").Set(80)
+	a.Gauge("recovery.checkpoint.age_ms").Set(120)
+	b.Gauge("recovery.checkpoint.age_ms").Set(80)
 	a.Gauge("cluster.node.0.state").Set(2)
 	b.Gauge("cluster.node.0.state").Set(1)
-	a.Gauge("exastream.wcache.len").Set(3)
-	b.Gauge("exastream.wcache.len").Set(4)
-	a.Gauge("exastream.wcache.bytes").Set(4096)
-	b.Gauge("exastream.wcache.bytes").Set(1024)
+	a.Gauge("node.inbox.len").Set(3)
+	b.Gauge("node.inbox.len").Set(4)
+	a.Gauge("recovery.checkpoint.bytes").Set(4096)
+	b.Gauge("recovery.checkpoint.bytes").Set(1024)
 	m := Merge(a.Snapshot(), b.Snapshot())
-	if got := m.Gauges["exastream.wcache.watermark_lag_ms"]; got != 120 {
+	if got := m.Gauges["recovery.checkpoint.age_ms"]; got != 120 {
 		t.Errorf("lag gauge merged to %v, want max 120", got)
 	}
 	if got := m.Gauges["cluster.node.0.state"]; got != 2 {
 		t.Errorf("state gauge merged to %v, want max 2", got)
 	}
-	if got := m.Gauges["exastream.wcache.len"]; got != 7 {
+	if got := m.Gauges["node.inbox.len"]; got != 7 {
 		t.Errorf("occupancy gauge merged to %v, want sum 7", got)
 	}
-	if got := m.Gauges["exastream.wcache.bytes"]; got != 4096 {
+	if got := m.Gauges["recovery.checkpoint.bytes"]; got != 4096 {
 		t.Errorf("bytes gauge merged to %v, want max 4096", got)
 	}
 }

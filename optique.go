@@ -7,7 +7,8 @@
 // query with the ontology (PerfectRef rewriting), unfolds it through
 // GAV mappings into a fleet of SQL(+) queries, and executes the fleet
 // on ExaStream, a distributed stream engine with CQL window semantics,
-// shared window materialisation (wCache), and adaptive in-memory
+// shared window materialisation (one window operator per stream and
+// window, serving every query over it), and adaptive in-memory
 // indexing.
 //
 // The typical flow:
