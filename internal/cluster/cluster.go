@@ -31,6 +31,7 @@ import (
 	"repro/internal/stream"
 	"repro/internal/telemetry"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // Placement selects the worker for a new query.
@@ -750,13 +751,7 @@ func (c *Cluster) IngestContext(ctx context.Context, streamName string, el strea
 
 // valueHash is an FNV-1a hash over the tuple key encoding.
 func valueHash(v relation.Value) uint64 {
-	key := relation.Tuple{v}.Key([]int{0})
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return h
+	return wire.Sum(relation.Tuple{v}.Key([]int{0}))
 }
 
 // Flush drains every live node's queue and completes open windows. It

@@ -2,6 +2,7 @@ package exastream
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -66,7 +67,9 @@ func (e *Engine) ExportState() *recovery.EngineState {
 		for _, end := range ends {
 			pw := recovery.PendingWindow{End: end, Batches: make(map[int]stream.Batch, len(s.q.pending[end]))}
 			for ref, sb := range s.q.pending[end] {
-				pw.Batches[ref] = deepCopyBatch(sb.b)
+				b := sb.b // emitted, so its rows never change
+				b.Rows = slices.Clip(b.Rows)
+				pw.Batches[ref] = b
 			}
 			qs.Pending = append(qs.Pending, pw)
 		}
@@ -78,12 +81,6 @@ func (e *Engine) ExportState() *recovery.EngineState {
 		st.Queries = append(st.Queries, qs)
 	}
 	return st
-}
-
-func deepCopyBatch(b stream.Batch) stream.Batch {
-	cp := b
-	cp.Rows = append(cp.Rows[:0:0], b.Rows...)
-	return cp
 }
 
 // RestoreQuery registers a query whose stream state resumes from a

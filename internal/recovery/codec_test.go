@@ -1,0 +1,425 @@
+package recovery
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"repro/internal/relation"
+	"repro/internal/stream"
+	"repro/internal/telemetry"
+	"repro/internal/wire"
+)
+
+// randomValue draws one value of every type the codec carries,
+// NULL included.
+func randomValue(rng *rand.Rand) relation.Value {
+	switch rng.Intn(6) {
+	case 0:
+		return relation.Null
+	case 1:
+		return relation.Int(rng.Int63n(1<<40) - 1<<39)
+	case 2:
+		return relation.Float(rng.NormFloat64())
+	case 3:
+		return relation.String_(fmt.Sprintf("s%d", rng.Intn(1000)))
+	case 4:
+		return relation.Bool_(rng.Intn(2) == 1)
+	default:
+		return relation.Time(rng.Int63n(1 << 41))
+	}
+}
+
+// windowCheckpoint builds a checkpoint from real window operators: each
+// query reads refs streams through 10 s windows sliding by 1 s, pushed
+// one row every 100 ms, so every row sits in up to ten open windows.
+// The last two windows each operator emitted stay staged as the query's
+// pending windows, the way a multi-reference query holds them.
+func windowCheckpoint(rng *rand.Rand, queries, refs, rows int) *Checkpoint {
+	ck := &Checkpoint{Node: 1, TakenAtMS: 99, Cursors: map[string]int64{}, EmitHWM: map[string]int64{}}
+	for q := 0; q < queries; q++ {
+		id := fmt.Sprintf("q%02d", q)
+		ck.EmitHWM[id] = int64(rng.Intn(1 << 20))
+		qs := QueryState{ID: id, Failures: q % 3, Suspended: q%2 == 1, Budget: 1 << 20, Stride: int64(q)}
+		if q%2 == 0 {
+			qs.AppliedSeq = map[string]int64{"s0": int64(rows), "s1": int64(rows / 2)}
+		}
+		staged := map[int64]map[int]stream.Batch{}
+		for ref := 0; ref < refs; ref++ {
+			op, err := stream.NewTimeSlidingWindow(stream.WindowSpec{RangeMS: 10_000, SlideMS: 1_000})
+			if err != nil {
+				panic(err)
+			}
+			var emitted []stream.Batch
+			for i := 0; i < rows; i++ {
+				row := relation.Tuple{relation.Time(int64(i) * 100), randomValue(rng), randomValue(rng)}
+				if i%50 == 25 {
+					row = relation.Tuple{} // never a window's first row, which is i%10 == 1
+				}
+				emitted = append(emitted, op.Push(stream.Timestamped{TS: int64(i) * 100, Row: row})...)
+			}
+			for _, b := range emitted[max(0, len(emitted)-2):] {
+				if staged[b.End] == nil {
+					staged[b.End] = map[int]stream.Batch{}
+				}
+				staged[b.End][ref] = b
+			}
+			qs.Windows = append(qs.Windows, op.Snapshot())
+			ck.Cursors[fmt.Sprintf("s%d", ref)] = int64(rows)
+		}
+		for end := int64(0); len(staged) > 0; end += 1_000 {
+			if m, ok := staged[end]; ok {
+				qs.Pending = append(qs.Pending, PendingWindow{End: end, Batches: m})
+				delete(staged, end)
+			}
+		}
+		ck.Engine.Queries = append(ck.Engine.Queries, qs)
+	}
+	return ck
+}
+
+// normalized is the form a decoded checkpoint takes: empty maps and
+// slices decode as nil, and a batch carries no columnar cell.
+func normalized(ck *Checkpoint) *Checkpoint {
+	out := *ck
+	out.Cursors, out.EmitHWM = nilIfEmpty(ck.Cursors), nilIfEmpty(ck.EmitHWM)
+	out.Engine.Queries = nil
+	for _, q := range ck.Engine.Queries {
+		q.AppliedSeq = nilIfEmpty(q.AppliedSeq)
+		var ws []stream.WindowState
+		for _, w := range q.Windows {
+			var pend []stream.Batch
+			for _, b := range w.Pending {
+				pend = append(pend, bare(b))
+			}
+			w.Pending = pend
+			ws = append(ws, w)
+		}
+		q.Windows = ws
+		var pws []PendingWindow
+		for _, pw := range q.Pending {
+			var m map[int]stream.Batch
+			for ref, b := range pw.Batches {
+				if m == nil {
+					m = map[int]stream.Batch{}
+				}
+				m[ref] = bare(b)
+			}
+			pws = append(pws, PendingWindow{End: pw.End, Batches: m})
+		}
+		q.Pending = pws
+		out.Engine.Queries = append(out.Engine.Queries, q)
+	}
+	return &out
+}
+
+func nilIfEmpty(m map[string]int64) map[string]int64 {
+	if len(m) == 0 {
+		return nil
+	}
+	return m
+}
+
+func bare(b stream.Batch) stream.Batch {
+	out := stream.Batch{WindowID: b.WindowID, Start: b.Start, End: b.End}
+	if len(b.Rows) > 0 {
+		out.Rows = b.Rows
+	}
+	return out
+}
+
+// rowArrays counts the distinct row backing arrays across a query's
+// batches: rows shared by overlapping windows count once.
+func rowArrays(q *QueryState) int {
+	seen := map[*relation.Value]bool{}
+	add := func(b stream.Batch) {
+		for _, row := range b.Rows {
+			if len(row) > 0 {
+				seen[&row[0]] = true
+			}
+		}
+	}
+	for _, w := range q.Windows {
+		for _, b := range w.Pending {
+			add(b)
+		}
+	}
+	for _, pw := range q.Pending {
+		for _, b := range pw.Batches {
+			add(b)
+		}
+	}
+	return len(seen)
+}
+
+// TestCodecSeededRoundTrip round-trips checkpoints of every value type,
+// NULLs, empty rows, empty and nil maps and slices, and rows shared
+// across overlapping open and staged windows: the decoded checkpoint
+// equals the original, re-encodes to the same bytes, and shares rows
+// exactly where the original did.
+func TestCodecSeededRoundTrip(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		ck := windowCheckpoint(rng, 3, 2, 150+rng.Intn(100))
+		ck.Engine.Queries = append(ck.Engine.Queries,
+			QueryState{ID: "empty", AppliedSeq: map[string]int64{}, Windows: []stream.WindowState{}, Pending: []PendingWindow{}},
+			QueryState{ID: "nil"},
+			QueryState{ID: "staged-only", Pending: []PendingWindow{{End: 5, Batches: map[int]stream.Batch{
+				-1: {End: 5, Rows: []relation.Tuple{{relation.Null}}},
+				7:  {End: 5, Rows: []relation.Tuple{}},
+			}}}},
+			// A second reader of q01's window operators, as shared
+			// windows export them.
+			QueryState{ID: "shares-q01", Windows: ck.Engine.Queries[1].Windows},
+		)
+		blob, err := Encode(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(blob)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if want := normalized(ck); !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: round trip mismatch:\n got %+v\nwant %+v", seed, got, want)
+		}
+		again, _ := Encode(got)
+		if !bytes.Equal(again, blob) {
+			t.Fatalf("seed %d: decoded checkpoint re-encodes differently", seed)
+		}
+		for i := range ck.Engine.Queries {
+			if w, g := rowArrays(&ck.Engine.Queries[i]), rowArrays(&got.Engine.Queries[i]); w != g {
+				t.Fatalf("seed %d query %s: %d distinct rows after decode, want %d", seed, ck.Engine.Queries[i].ID, g, w)
+			}
+		}
+	}
+}
+
+// TestCodecWritesSharedRowsOnce pins the row sharing: a 10 s window
+// sliding by 1 s holds each row in ten windows, and the blob carries it
+// once.
+func TestCodecWritesSharedRowsOnce(t *testing.T) {
+	ck := windowCheckpoint(rand.New(rand.NewSource(3)), 1, 1, 400)
+	blob, _ := Encode(ck)
+	var held int
+	for _, b := range ck.Engine.Queries[0].Windows[0].Pending {
+		held += len(b.Rows)
+	}
+	for _, pw := range ck.Engine.Queries[0].Pending {
+		for _, b := range pw.Batches {
+			held += len(b.Rows)
+		}
+	}
+	once := rowArrays(&ck.Engine.Queries[0])
+	if held < 5*once {
+		t.Fatalf("fixture holds %d row references over %d rows; want heavy overlap", held, once)
+	}
+	// A written row is at least its arity and a 9-byte time value; the
+	// blob must be far below writing every reference.
+	if len(blob) >= held*11 {
+		t.Fatalf("blob is %d bytes for %d rows held %d times: shared rows were rewritten", len(blob), once, held)
+	}
+}
+
+// TestCodecWritesSharedOperatorOnce pins the window sharing across
+// queries: a second query reading the same window operator adds a
+// reference, not the operator's rows, and decodes to the same windows.
+func TestCodecWritesSharedOperatorOnce(t *testing.T) {
+	ck := windowCheckpoint(rand.New(rand.NewSource(4)), 1, 2, 300)
+	alone, _ := Encode(ck)
+	ck.Engine.Queries = append(ck.Engine.Queries, QueryState{ID: "reader2", Windows: ck.Engine.Queries[0].Windows})
+	shared, _ := Encode(ck)
+	// The second query costs its fixed fields and two 4-byte references.
+	if grew := len(shared) - len(alone); grew > 64 {
+		t.Fatalf("a second reader of the same operators grew the blob by %d bytes", grew)
+	}
+	back, err := Decode(shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.Engine.Queries[1].Windows, back.Engine.Queries[0].Windows) {
+		t.Fatal("the shared operator decoded differently for its second reader")
+	}
+}
+
+// TestEncodeDeterministic pins byte-identical blobs for equal
+// checkpoints even though every map in them ranges in random order.
+func TestEncodeDeterministic(t *testing.T) {
+	ck := &Checkpoint{Node: 3, TakenAtMS: 7, Cursors: map[string]int64{}, EmitHWM: map[string]int64{}}
+	q := QueryState{ID: "q", AppliedSeq: map[string]int64{}}
+	pw := PendingWindow{End: 1000, Batches: map[int]stream.Batch{}}
+	for i := 0; i < 12; i++ {
+		key := fmt.Sprintf("k%02d", i)
+		ck.Cursors[key] = int64(i)
+		ck.EmitHWM[key] = int64(100 * i)
+		q.AppliedSeq[key] = int64(i * i)
+		pw.Batches[i] = stream.Batch{WindowID: int64(i), End: 1000, Rows: []relation.Tuple{{relation.Int(int64(i))}}}
+	}
+	q.Pending = []PendingWindow{pw}
+	ck.Engine.Queries = []QueryState{q}
+	first, _ := Encode(ck)
+	for i := 0; i < 20; i++ {
+		if again, _ := Encode(ck); !bytes.Equal(again, first) {
+			t.Fatalf("encode %d differs from the first", i+2)
+		}
+	}
+}
+
+// TestEncodeIgnoresColumnarCell checks that a batch's columnar cell,
+// runtime-only state, does not reach the blob: a staged batch encodes
+// byte-identically before and after its transpose materializes, and
+// comes back cell-less.
+func TestEncodeIgnoresColumnarCell(t *testing.T) {
+	op, err := stream.NewTimeSlidingWindow(stream.WindowSpec{RangeMS: 1000, SlideMS: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	op.Push(stream.Timestamped{TS: 10, Row: relation.Tuple{relation.Int(1), relation.String_("abc")}})
+	out := op.Push(stream.Timestamped{TS: 1500, Row: relation.Tuple{relation.Int(2), relation.Null}})
+	if len(out) != 1 {
+		t.Fatalf("emitted %d windows, want 1", len(out))
+	}
+	ck := &Checkpoint{Engine: EngineState{Queries: []QueryState{{ID: "q",
+		Pending: []PendingWindow{{End: out[0].End, Batches: map[int]stream.Batch{0: out[0]}}}}}}}
+	before, _ := Encode(ck)
+	out[0].Columns()
+	if !out[0].Columnar() {
+		t.Fatal("transpose did not materialize")
+	}
+	after, _ := Encode(ck)
+	if !bytes.Equal(before, after) {
+		t.Fatal("materializing the transpose changed the blob")
+	}
+	back, err := Decode(after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Engine.Queries[0].Pending[0].Batches[0].Columnar() {
+		t.Fatal("decoded batch claims a materialized transpose")
+	}
+}
+
+// TestSaveAllocsIndependentOfRows bounds Save's allocations on a
+// multi-window checkpoint: the blob itself (sized from the node's last
+// one) plus one sorted-key or chain slice per map, query and staged
+// window — never one per row or per window that shares a row.
+func TestSaveAllocsIndependentOfRows(t *testing.T) {
+	counts := map[int]float64{}
+	for _, rows := range []int{200, 2000} {
+		ck := windowCheckpoint(rand.New(rand.NewSource(1)), 4, 2, rows)
+		c := NewCoordinator(1, 0, nil)
+		counts[rows] = testing.AllocsPerRun(20, func() {
+			if _, err := c.Save(0, ck, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// 1 blob, 2 checkpoint maps' keys, 1 window list, and per query its
+	// chain slice, its AppliedSeq keys (2 of the 4 queries have some)
+	// and one ref slice per staged window (2 each): 4 + 4 + 2 + 8 = 18.
+	const bound = 18
+	if counts[200] != counts[2000] || counts[2000] > bound {
+		t.Fatalf("Save allocations = %v per checkpoint size, want equal and <= %d", counts, bound)
+	}
+}
+
+// corruptions are the torn writes Save must catch: the fault
+// injector's halving, a flipped payload bit, and a header announcing the
+// wrong length.
+var corruptions = map[string]func([]byte) []byte{
+	"halved":      func(b []byte) []byte { return b[:len(b)/2] },
+	"payload-bit": func(b []byte) []byte { b[len(b)-3] ^= 0x10; return b },
+	"header-len":  func(b []byte) []byte { b[0]++; return b },
+}
+
+func TestSaveRejectsCorruptBlobs(t *testing.T) {
+	for name, corrupt := range corruptions {
+		reg := telemetry.NewRegistry()
+		c := NewCoordinator(1, 0, reg)
+		first := windowCheckpoint(rand.New(rand.NewSource(2)), 1, 1, 50)
+		if _, err := c.Save(0, first, nil); err != nil {
+			t.Fatal(err)
+		}
+		c.Log(0).TruncateThrough(first.Cursors) // what the node does after a committed save
+		for seq := int64(51); seq <= 60; seq++ {
+			c.Log(0).Append(logTuple("s0", seq))
+		}
+		second := windowCheckpoint(rand.New(rand.NewSource(2)), 1, 1, 60)
+		second.TakenAtMS = first.TakenAtMS + 1
+		if _, err := c.Save(0, second, corrupt); err == nil {
+			t.Fatalf("%s: corrupt save reported no error", name)
+		}
+		if got := reg.Counter("recovery.torn").Value(); got != 1 {
+			t.Fatalf("%s: recovery.torn = %d after the failed save, want 1", name, got)
+		}
+		if got := c.Log(0).Len(); got != 10 {
+			t.Fatalf("%s: log holds %d tuples, want the 10 the failed cut did not cover", name, got)
+		}
+		if got := c.Latest(0); got == nil || got.TakenAtMS != first.TakenAtMS {
+			t.Fatalf("%s: Latest = %+v, want the fallback to the first checkpoint", name, got)
+		}
+		if got := reg.Counter("recovery.torn").Value(); got != 2 {
+			t.Fatalf("%s: recovery.torn = %d after the fallback, want 2", name, got)
+		}
+	}
+}
+
+// framed wraps a payload in a valid frame, so fuzzing reaches the
+// payload decoder instead of stopping at the checksum.
+func framed(payload []byte) []byte {
+	b, start := wire.Open(nil)
+	return wire.Seal(append(b, payload...), start)
+}
+
+func FuzzDecodeCheckpoint(f *testing.F) {
+	// Small seeds keep the minimization of each new input quick.
+	for seed := int64(1); seed <= 3; seed++ {
+		blob, _ := Encode(windowCheckpoint(rand.New(rand.NewSource(seed)), 1, 2, 14))
+		f.Add(blob[wire.HeaderSize:])
+		f.Add(blob[wire.HeaderSize : len(blob)/2])
+	}
+	shared := windowCheckpoint(rand.New(rand.NewSource(4)), 1, 1, 14)
+	shared.Engine.Queries = append(shared.Engine.Queries, QueryState{ID: "r", Windows: shared.Engine.Queries[0].Windows})
+	for _, ck := range []*Checkpoint{shared, sampleCheckpoint()} {
+		blob, _ := Encode(ck)
+		f.Add(blob[wire.HeaderSize:])
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		blob := framed(payload)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ck, err := Decode(blob)
+		Decode(payload) // unframed: must fail cleanly, never panic
+		runtime.ReadMemStats(&after)
+		if grew, bound := after.TotalAlloc-before.TotalAlloc, uint64(128*len(blob)+64<<10); grew > bound {
+			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(blob), grew, bound)
+		}
+		if err != nil {
+			return
+		}
+		if again, _ := Encode(ck); !bytes.Equal(again, blob) {
+			t.Fatalf("decoded checkpoint re-encodes differently:\n in %x\nout %x", blob, again)
+		}
+	})
+}
+
+// BenchmarkCheckpointSave prices one Save (encode, commit, verify) of a
+// four-query checkpoint whose two stream references each hold 500 rows
+// in 10 s windows sliding by 1 s.
+func BenchmarkCheckpointSave(b *testing.B) {
+	ck := windowCheckpoint(rand.New(rand.NewSource(1)), 4, 2, 500)
+	c := NewCoordinator(1, 0, nil)
+	var n int
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var err error
+		if n, err = c.Save(0, ck, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(n), "blob-B")
+}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/telemetry"
+	"repro/internal/wire"
 )
 
 // Coordinator owns the cluster's recovery state: the checkpoint store,
@@ -59,18 +60,16 @@ func (c *Coordinator) Gate() *Gate { return c.gate }
 func (c *Coordinator) Log(node int) *Log { return c.logs[node] }
 
 // Save encodes and commits a node's checkpoint, then verifies the
-// committed bytes by decoding them back (the moral equivalent of an
-// fsync-and-read-back). corrupt, when non-nil, mutates the encoded blob
-// before the commit — the torn-checkpoint fault injection point. On
-// verification failure the torn blob stays committed (Latest falls back
-// to the previous checkpoint) and Save returns an error so the caller
-// keeps its replay log intact.
+// committed blob's frame — its length and checksum — the moral
+// equivalent of an fsync-and-read-back. corrupt, when non-nil, mutates
+// the encoded blob before the commit — the torn-checkpoint fault
+// injection point. On verification failure the torn blob stays
+// committed (Latest falls back to the previous checkpoint), recovery.torn
+// counts it, and Save returns an error so the caller keeps its replay
+// log intact. The payload is decoded only by Latest, at restore.
 func (c *Coordinator) Save(node int, ck *Checkpoint, corrupt func([]byte) []byte) (int, error) {
 	start := time.Now()
-	blob, err := Encode(ck)
-	if err != nil {
-		return 0, err
-	}
+	blob := appendCheckpoint(make([]byte, 0, c.store.sizeHint(node)), ck)
 	if corrupt != nil {
 		blob = corrupt(blob)
 	}
@@ -82,7 +81,7 @@ func (c *Coordinator) Save(node int, ck *Checkpoint, corrupt func([]byte) []byte
 		// would have been just before this cut.
 		c.ckptAgeMS.Set(float64(ck.TakenAtMS - prevAt))
 	}
-	if _, err := Decode(blob); err != nil {
+	if _, err := wire.Check(blob); err != nil {
 		c.torn.Inc()
 		return len(blob), fmt.Errorf("recovery: node %d checkpoint failed verification: %w", node, err)
 	}

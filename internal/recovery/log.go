@@ -12,9 +12,13 @@ import "sync"
 // exactly-once coverage for that stream is lost (the restore degrades to
 // salvage-only for the gap) and Covered reports it.
 type Log struct {
-	mu  sync.Mutex
-	buf []Tuple
-	cap int
+	mu sync.Mutex
+	// buf is the ring storage, grown on demand up to cap; the retained
+	// tuples are buf[head], buf[head+1], ... (mod len(buf)), n of them.
+	buf  []Tuple
+	head int
+	n    int
+	cap  int
 	// dropped tracks, per stream, the highest sequence number shed by
 	// capacity pressure (not by checkpoint truncation). Coverage holds
 	// for a cut iff every dropped seq is at or below the cut.
@@ -33,6 +37,9 @@ func NewLog(capacity int) *Log {
 	return &Log{cap: capacity, dropped: make(map[string]int64)}
 }
 
+// at returns the i-th oldest retained tuple.
+func (l *Log) at(i int) *Tuple { return &l.buf[(l.head+i)%len(l.buf)] }
+
 // Append records one processed tuple, shedding the oldest entry when
 // full. nearCap reports whether the log is now at least three-quarters
 // full — the checkpoint scheduler's signal to cut now, whatever its
@@ -40,15 +47,26 @@ func NewLog(capacity int) *Log {
 func (l *Log) Append(t Tuple) (nearCap bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if len(l.buf) >= l.cap {
-		old := l.buf[0]
+	if l.n == l.cap {
+		old := l.at(0)
 		if old.Seq > l.dropped[old.Stream] {
 			l.dropped[old.Stream] = old.Seq
 		}
-		l.buf = append(l.buf[:0], l.buf[1:]...)
+		*old = t
+		l.head = (l.head + 1) % len(l.buf)
+		return true
 	}
-	l.buf = append(l.buf, t)
-	return len(l.buf)*4 >= l.cap*3
+	if l.n == len(l.buf) {
+		// Grow (doubling, up to cap) and unwrap the ring.
+		buf := make([]Tuple, min(max(2*len(l.buf), 16), l.cap))
+		for i := 0; i < l.n; i++ {
+			buf[i] = *l.at(i)
+		}
+		l.buf, l.head = buf, 0
+	}
+	*l.at(l.n) = t
+	l.n++
+	return l.n*4 >= l.cap*3
 }
 
 // Since returns the retained tuples strictly after the per-stream cut
@@ -57,11 +75,10 @@ func (l *Log) Since(cursors map[string]int64) []Tuple {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var out []Tuple
-	for _, t := range l.buf {
-		if t.Seq <= cursors[t.Stream] {
-			continue
+	for i := 0; i < l.n; i++ {
+		if t := l.at(i); t.Seq > cursors[t.Stream] {
+			out = append(out, *t)
 		}
-		out = append(out, t)
 	}
 	return out
 }
@@ -81,23 +98,27 @@ func (l *Log) Covered(cursors map[string]int64) bool {
 }
 
 // TruncateThrough drops entries covered by a committed checkpoint's
-// cursors. Truncation is not a coverage loss.
+// cursors, keeping the rest in order. Truncation is not a coverage
+// loss.
 func (l *Log) TruncateThrough(cursors map[string]int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	kept := l.buf[:0]
-	for _, t := range l.buf {
-		if t.Seq <= cursors[t.Stream] {
-			continue
+	kept := 0
+	for i := 0; i < l.n; i++ {
+		if t := *l.at(i); t.Seq > cursors[t.Stream] {
+			*l.at(kept) = t
+			kept++
 		}
-		kept = append(kept, t)
 	}
-	l.buf = kept
+	for i := kept; i < l.n; i++ {
+		*l.at(i) = Tuple{} // release the rows
+	}
+	l.n = kept
 }
 
 // Len returns the number of retained tuples.
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.buf)
+	return l.n
 }

@@ -20,10 +20,6 @@
 package recovery
 
 import (
-	"bytes"
-	"encoding/binary"
-	"encoding/gob"
-	"fmt"
 	"sort"
 	"sync"
 
@@ -106,62 +102,12 @@ func (c *Checkpoint) QueryState(id string) *QueryState {
 	return c.Engine.Query(id)
 }
 
-// ---- codec ----
-//
-// Checkpoints are framed as an 8-byte payload length, an 8-byte FNV-1a
-// checksum, and a gob-encoded payload. A torn write (crash mid-write,
-// injected corruption) fails the checksum or the gob decode, and the
-// store falls back to the previous checkpoint.
-
-func fnv1a(b []byte) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// Encode serializes a checkpoint into its framed wire form.
-func Encode(ck *Checkpoint) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(ck); err != nil {
-		return nil, fmt.Errorf("recovery: encode checkpoint: %w", err)
-	}
-	p := payload.Bytes()
-	out := make([]byte, 16+len(p))
-	binary.LittleEndian.PutUint64(out[0:8], uint64(len(p)))
-	binary.LittleEndian.PutUint64(out[8:16], fnv1a(p))
-	copy(out[16:], p)
-	return out, nil
-}
-
-// Decode parses a framed checkpoint, detecting torn (truncated or
-// corrupted) writes.
-func Decode(b []byte) (*Checkpoint, error) {
-	if len(b) < 16 {
-		return nil, fmt.Errorf("recovery: torn checkpoint: %d bytes, want >= 16", len(b))
-	}
-	n := binary.LittleEndian.Uint64(b[0:8])
-	if uint64(len(b)-16) != n {
-		return nil, fmt.Errorf("recovery: torn checkpoint: payload %d bytes, header says %d", len(b)-16, n)
-	}
-	if sum := fnv1a(b[16:]); sum != binary.LittleEndian.Uint64(b[8:16]) {
-		return nil, fmt.Errorf("recovery: torn checkpoint: checksum mismatch")
-	}
-	var ck Checkpoint
-	if err := gob.NewDecoder(bytes.NewReader(b[16:])).Decode(&ck); err != nil {
-		return nil, fmt.Errorf("recovery: decode checkpoint: %w", err)
-	}
-	return &ck, nil
-}
-
 // ---- store ----
 
 // store retains the last two committed checkpoint blobs per node. The
-// latest blob is verified by decoding at save time; a torn write is
-// reported to the caller (which must then keep its replay log intact)
-// and Latest falls back to the previous blob.
+// latest blob's frame (length and checksum) is verified at save time; a
+// torn write is reported to the caller (which must then keep its replay
+// log intact) and Latest falls back to the previous blob.
 type store struct {
 	mu    sync.Mutex
 	cur   map[int][]byte
@@ -186,6 +132,16 @@ func (s *store) save(node int, blob []byte, takenAtMS int64) int64 {
 	prevAt := s.saved[node]
 	s.saved[node] = takenAtMS
 	return prevAt
+}
+
+// sizeHint is the capacity to encode a node's next blob into: its last
+// blob's size plus an eighth, so a steady checkpoint encodes without
+// regrowing.
+func (s *store) sizeHint(node int) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := len(s.cur[node])
+	return n + n/8
 }
 
 // latest returns the newest decodable checkpoint for a node. torn

@@ -147,6 +147,54 @@ func TestLogSinceAndTruncate(t *testing.T) {
 	}
 }
 
+// TestLogRingWraps drives Since, Covered and TruncateThrough across
+// ring wraps: shedding and truncation move the head, and every read
+// still comes back in processing order.
+func TestLogRingWraps(t *testing.T) {
+	seqs := func(ts []Tuple) []int64 {
+		var out []int64
+		for _, x := range ts {
+			out = append(out, x.Seq)
+		}
+		return out
+	}
+	l := NewLog(20) // grows 16 -> 20, then wraps
+	for seq := int64(1); seq <= 26; seq++ {
+		l.Append(logTuple("m", seq))
+		l.Append(logTuple("n", seq))
+	}
+	// 52 appended, 20 kept: m and n 17..26 interleaved; 16 of each shed.
+	if got := l.Len(); got != 20 {
+		t.Fatalf("Len = %d, want 20", got)
+	}
+	if got := seqs(l.Since(map[string]int64{"m": 24, "n": 25})); !reflect.DeepEqual(got, []int64{25, 26, 26}) {
+		t.Fatalf("Since = %v, want [25 26 26]", got)
+	}
+	if l.Covered(map[string]int64{"m": 16, "n": 15}) || !l.Covered(map[string]int64{"m": 16, "n": 16}) {
+		t.Fatal("coverage must hold exactly from the last shed seq 16 of each stream")
+	}
+	l.TruncateThrough(map[string]int64{"m": 20, "n": 22})
+	if got := seqs(l.Since(nil)); !reflect.DeepEqual(got, []int64{21, 22, 23, 23, 24, 24, 25, 25, 26, 26}) {
+		t.Fatalf("after truncation Since = %v", got)
+	}
+	// 14 more wrap the ring past the moved head and shed the 4 oldest:
+	// m21, m22, m23, n23.
+	for seq := int64(27); seq <= 40; seq++ {
+		l.Append(logTuple("m", seq))
+	}
+	got := seqs(l.Since(map[string]int64{"n": 99}))
+	var want []int64
+	for seq := int64(24); seq <= 40; seq++ {
+		want = append(want, seq)
+	}
+	if !reflect.DeepEqual(got, want) || l.Len() != 20 {
+		t.Fatalf("after the second wrap Since(m) = %v (Len %d), want %v (Len 20)", got, l.Len(), want)
+	}
+	if l.Covered(map[string]int64{"m": 22, "n": 23}) || !l.Covered(map[string]int64{"m": 23, "n": 23}) {
+		t.Fatal("coverage must hold exactly from m23 after the second wrap")
+	}
+}
+
 func TestLogCapacityShedLosesCoverage(t *testing.T) {
 	l := NewLog(4)
 	for seq := int64(1); seq <= 6; seq++ {

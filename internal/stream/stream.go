@@ -11,6 +11,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -109,9 +110,9 @@ type Batch struct {
 	// columnar form. The window operator allocates it at emission time,
 	// before the batch value is copied into the per-query deliveries, so
 	// every copy transposes at most once between them.
-	// The field is unexported on purpose: gob skips it, keeping
-	// checkpoint snapshots byte-identical whether or not a window was
-	// ever transposed.
+	// The checkpoint codec writes only the exported fields, so
+	// checkpoints are byte-identical whether or not a window was ever
+	// transposed.
 	cols *colCell
 }
 
@@ -357,8 +358,10 @@ func (t *TimeSlidingWindow) ShedOldestPending() (freed int64, ok bool) {
 
 // WindowState is a serializable snapshot of a TimeSlidingWindow taken
 // at a consistent cut: the open (pending) batches, the emission cursor,
-// and the late-tuple bookkeeping. Row slices are deep-copied so the
-// snapshot stays stable while the live operator keeps appending.
+// and the late-tuple bookkeeping. Row slices alias the live operator's,
+// clipped to their length: the operator only appends, and an append
+// past a clipped slice's capacity lands in a new array, so the snapshot
+// stays stable while the live operator keeps appending.
 type WindowState struct {
 	Spec     WindowSpec
 	Pending  []Batch
@@ -376,10 +379,11 @@ func (t *TimeSlidingWindow) Snapshot() WindowState {
 	for id := range t.pending {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	st.Pending = make([]Batch, 0, len(ids))
 	for _, id := range ids {
 		b := *t.pending[id]
-		b.Rows = append([]relation.Tuple(nil), b.Rows...)
+		b.Rows = slices.Clip(b.Rows)
 		st.Pending = append(st.Pending, b)
 	}
 	return st

@@ -1,11 +1,11 @@
-// Frame codec for the TCP transport. The wire format reuses the
-// recovery store's framing conventions: an 8-byte little-endian
-// payload length, an 8-byte FNV-1a checksum of the payload, then the
-// payload. A torn write fails the length/payload read, a corrupt
-// payload fails the checksum, and an oversized length is rejected
-// before any allocation — all three tear down the connection, and the
-// session-resume path retransmits whatever the peer never
-// acknowledged.
+// Frame codec for the TCP transport. The framing and the value
+// encoding are package wire's, shared with the recovery store's
+// checkpoints: an 8-byte little-endian payload length, an 8-byte FNV-1a
+// checksum of the payload, then the payload. A torn write fails the
+// length/payload read, a corrupt payload fails the checksum, and an
+// oversized length is rejected before any allocation — all three tear
+// down the connection, and the session-resume path retransmits
+// whatever the peer never acknowledged.
 package transport
 
 import (
@@ -13,9 +13,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
+	"slices"
 
-	"repro/internal/relation"
+	"repro/internal/wire"
 )
 
 // Frame kinds. Hello/HelloAck carry the session handshake, Data and
@@ -33,9 +33,6 @@ const (
 	frameHeartbeatAck
 )
 
-// frameHeaderSize is the fixed prefix: payload length + checksum.
-const frameHeaderSize = 16
-
 // DefaultMaxFrame bounds one frame's payload (1 MiB); a peer
 // announcing more is corrupt or hostile and the connection is cut.
 const DefaultMaxFrame = 1 << 20
@@ -50,7 +47,7 @@ var (
 	// header checksum (corruption on the wire).
 	ErrChecksum = errors.New("transport: frame checksum mismatch")
 	// errBadFrame rejects a structurally invalid payload.
-	errBadFrame = errors.New("transport: malformed frame payload")
+	errBadFrame = wire.ErrMalformed
 )
 
 // Flush-ack result codes. Typed peer-side outcomes survive the wire
@@ -74,199 +71,84 @@ type frame struct {
 	Err     string // flushAck: flush error text ("" = ok)
 }
 
-// fnv1a matches the recovery store's checksum convention.
-func fnv1a(b []byte) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(b); i++ {
-		h ^= uint64(b[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
 // appendFrame encodes f (header + payload) onto buf and returns the
 // extended slice. The caller writes the result in one Write so a torn
 // write can only truncate, never interleave.
 func appendFrame(buf []byte, f *frame) []byte {
-	start := len(buf)
-	buf = append(buf, make([]byte, frameHeaderSize)...)
+	buf, start := wire.Open(buf)
 	buf = append(buf, f.Kind)
 	buf = binary.LittleEndian.AppendUint64(buf, f.Session)
 	buf = binary.LittleEndian.AppendUint64(buf, f.Seq)
 	switch f.Kind {
 	case frameHello:
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(f.Node))
+		buf = wire.AppendU32(buf, uint32(f.Node))
 	case frameData:
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(f.Msg.TS))
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(f.Msg.Seq))
-		buf = appendString(buf, f.Msg.Stream)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(f.Msg.Row)))
-		for _, v := range f.Msg.Row {
-			buf = appendValue(buf, v)
-		}
+		buf = wire.AppendI64(buf, f.Msg.TS)
+		buf = wire.AppendI64(buf, f.Msg.Seq)
+		buf = wire.AppendString(buf, f.Msg.Stream)
+		buf = wire.AppendRow(buf, f.Msg.Row)
 	case frameFlushAck:
 		buf = append(buf, f.Code)
-		buf = appendString(buf, f.Err)
+		buf = wire.AppendString(buf, f.Err)
 	}
-	payload := buf[start+frameHeaderSize:]
-	binary.LittleEndian.PutUint64(buf[start:], uint64(len(payload)))
-	binary.LittleEndian.PutUint64(buf[start+8:], fnv1a(payload))
-	return buf
+	return wire.Seal(buf, start)
 }
 
 // readFrame reads and verifies one frame. Torn streams surface as
 // io.ErrUnexpectedEOF (or io.EOF at a frame boundary), corruption as
-// ErrChecksum, oversized announcements as ErrFrameTooLarge.
+// ErrChecksum, oversized announcements as ErrFrameTooLarge. The payload
+// buffer grows with the bytes that actually arrive, so a corrupt length
+// under the size limit costs no more memory than the stream delivers.
 func readFrame(r io.Reader, maxFrame int) (frame, error) {
-	var hdr [frameHeaderSize]byte
+	var hdr [wire.HeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return frame{}, err
 	}
-	n := binary.LittleEndian.Uint64(hdr[:8])
-	sum := binary.LittleEndian.Uint64(hdr[8:])
+	n, sum := wire.Header(hdr[:])
 	if n > uint64(maxFrame) {
 		return frame{}, fmt.Errorf("%w (%d bytes)", ErrFrameTooLarge, n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	payload := make([]byte, 0, min(int(n), 4096))
+	for len(payload) < int(n) {
+		payload = slices.Grow(payload, min(int(n)-len(payload), len(payload)))
+		end := min(cap(payload), int(n))
+		if _, err := io.ReadFull(r, payload[len(payload):end]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return frame{}, err
 		}
-		return frame{}, err
+		payload = payload[:end]
 	}
-	if fnv1a(payload) != sum {
+	if wire.Sum(payload) != sum {
 		return frame{}, ErrChecksum
 	}
 	return decodePayload(payload)
 }
 
 func decodePayload(p []byte) (frame, error) {
-	var f frame
-	if len(p) < 17 {
-		return f, errBadFrame
-	}
-	f.Kind = p[0]
-	f.Session = binary.LittleEndian.Uint64(p[1:])
-	f.Seq = binary.LittleEndian.Uint64(p[9:])
-	p = p[17:]
+	r := wire.NewReader(p)
+	f := frame{Kind: r.U8(), Session: r.U64(), Seq: r.U64()}
 	switch f.Kind {
 	case frameHello:
-		if len(p) < 4 {
-			return f, errBadFrame
-		}
-		f.Node = int(int32(binary.LittleEndian.Uint32(p)))
+		f.Node = int(int32(r.U32()))
 	case frameData:
-		if len(p) < 16 {
-			return f, errBadFrame
-		}
-		f.Msg.TS = int64(binary.LittleEndian.Uint64(p))
-		f.Msg.Seq = int64(binary.LittleEndian.Uint64(p[8:]))
-		p = p[16:]
-		var err error
-		if f.Msg.Stream, p, err = readString(p); err != nil {
-			return f, err
-		}
-		if len(p) < 2 {
-			return f, errBadFrame
-		}
-		cols := int(binary.LittleEndian.Uint16(p))
-		p = p[2:]
-		f.Msg.Row = make(relation.Tuple, cols)
-		for i := 0; i < cols; i++ {
-			var v relation.Value
-			if v, p, err = readValue(p); err != nil {
-				return f, err
-			}
-			f.Msg.Row[i] = v
-		}
+		f.Msg.TS = r.I64()
+		f.Msg.Seq = r.I64()
+		f.Msg.Stream = r.String()
+		f.Msg.Row = r.Row()
 	case frameFlushAck:
-		if len(p) < 1 {
-			return f, errBadFrame
-		}
-		f.Code = p[0]
-		var err error
-		if f.Err, _, err = readString(p[1:]); err != nil {
-			return f, err
-		}
+		f.Code = r.U8()
+		f.Err = r.String()
 	case frameHelloAck, frameFlush, frameAck, frameHeartbeat, frameHeartbeatAck:
 		// no extra payload
 	default:
-		return f, fmt.Errorf("%w: unknown kind %d", errBadFrame, f.Kind)
+		if r.Err() == nil {
+			return f, fmt.Errorf("%w: unknown kind %d", errBadFrame, f.Kind)
+		}
+	}
+	if r.Err() != nil || r.Len() > 0 {
+		return f, errBadFrame
 	}
 	return f, nil
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-	return append(buf, s...)
-}
-
-func readString(p []byte) (string, []byte, error) {
-	if len(p) < 4 {
-		return "", nil, errBadFrame
-	}
-	n := int(binary.LittleEndian.Uint32(p))
-	p = p[4:]
-	if len(p) < n {
-		return "", nil, errBadFrame
-	}
-	return string(p[:n]), p[n:], nil
-}
-
-// appendValue encodes one typed relational value: a type tag followed
-// by a type-dependent payload.
-func appendValue(buf []byte, v relation.Value) []byte {
-	buf = append(buf, byte(v.Type))
-	switch v.Type {
-	case relation.TInt, relation.TTime:
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v.Int))
-	case relation.TFloat:
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Float))
-	case relation.TString:
-		buf = appendString(buf, v.Str)
-	case relation.TBool:
-		b := byte(0)
-		if v.Bool {
-			b = 1
-		}
-		buf = append(buf, b)
-	}
-	return buf
-}
-
-func readValue(p []byte) (relation.Value, []byte, error) {
-	if len(p) < 1 {
-		return relation.Value{}, nil, errBadFrame
-	}
-	v := relation.Value{Type: relation.Type(p[0])}
-	p = p[1:]
-	switch v.Type {
-	case relation.TNull:
-	case relation.TInt, relation.TTime:
-		if len(p) < 8 {
-			return v, nil, errBadFrame
-		}
-		v.Int = int64(binary.LittleEndian.Uint64(p))
-		p = p[8:]
-	case relation.TFloat:
-		if len(p) < 8 {
-			return v, nil, errBadFrame
-		}
-		v.Float = math.Float64frombits(binary.LittleEndian.Uint64(p))
-		p = p[8:]
-	case relation.TString:
-		var err error
-		if v.Str, p, err = readString(p); err != nil {
-			return v, nil, err
-		}
-	case relation.TBool:
-		if len(p) < 1 {
-			return v, nil, errBadFrame
-		}
-		v.Bool = p[0] == 1
-		p = p[1:]
-	default:
-		return v, nil, fmt.Errorf("%w: unknown value type %d", errBadFrame, v.Type)
-	}
-	return v, p, nil
 }
