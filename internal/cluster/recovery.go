@@ -118,12 +118,16 @@ func (n *Node) checkpoint(c *Cluster) bool {
 // re-registered, which is the price of replaying each query from its own
 // cursor. Returns false when the cluster closed.
 func (c *Cluster) restoreNode(n *Node) bool {
+	// Decode the checkpoint before taking the cluster lock, so ingest
+	// routing and registration do not wait for it. No Save for this node
+	// can land in between: only the node's own worker goroutine
+	// checkpoints it, and that goroutine is the one restoring it here.
+	ck := c.rec.Latest(n.ID)
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return false
 	}
-	ck := c.rec.Latest(n.ID)
 	cursors := make(map[string]int64)
 	if ck != nil {
 		for k, v := range ck.Cursors {
@@ -208,6 +212,12 @@ func (c *Cluster) restoreNode(n *Node) bool {
 func (c *Cluster) failoverRestore(n *Node) {
 	c.met.failovers.Inc()
 	c.frec.Record(telemetry.EvFailover, "", "", 0, int64(n.ID))
+	// Decode the victim's checkpoint before taking the cluster lock, so
+	// ingest routing and registration do not wait for it. No Save for the
+	// victim can land in between: only its own worker goroutine
+	// checkpoints it, and that worker has stopped — it died after its
+	// last restart, or transportFailover halted it and waited it out.
+	victimCk := c.rec.Latest(n.ID)
 	c.mu.Lock()
 	atomic.StoreInt32(&n.state, int32(NodeDead))
 
@@ -243,7 +253,6 @@ func (c *Cluster) failoverRestore(n *Node) {
 		}
 	}
 
-	victimCk := c.rec.Latest(n.ID)
 	victimLog := c.rec.Log(n.ID)
 	jobs := make(map[int]*restoreJob)
 	for _, rec := range c.queries {

@@ -87,17 +87,26 @@ func buildUnoptimized(stmt *sql.SelectStmt, resolve TableResolver) (Plan, error)
 }
 
 func buildBranch(stmt *sql.SelectStmt, resolve TableResolver) (Plan, error) {
-	var plan Plan
+	items := make([]Plan, len(stmt.From))
 	for i, tr := range stmt.From {
 		p, err := buildTableRef(tr, resolve)
 		if err != nil {
 			return nil, err
 		}
-		if i == 0 {
-			plan = p
+		items[i] = p
+	}
+	comps := connectedOrder(stmt.From, items, stmt.Where)
+	var plan Plan
+	for _, comp := range comps {
+		part := items[comp[0]]
+		for _, idx := range comp[1:] {
+			part = NewNestedLoopJoinPlan(part, items[idx], nil, false)
+		}
+		if plan == nil {
+			plan = part
 			continue
 		}
-		plan = NewNestedLoopJoinPlan(plan, p, nil, false)
+		plan = NewNestedLoopJoinPlan(plan, part, nil, false)
 	}
 	if plan == nil {
 		// SELECT without FROM evaluates items once against an empty row.
@@ -141,13 +150,21 @@ func buildBranch(stmt *sql.SelectStmt, resolve TableResolver) (Plan, error) {
 		return nil, fmt.Errorf("engine: HAVING without GROUP BY or aggregates")
 	}
 
-	// Expand projection items.
+	// Expand projection items. SELECT * lists the FROM items' columns
+	// in written order, whatever order connectedOrder joined them in.
 	inSchema := plan.Schema()
+	starSchema := inSchema
+	if !grouped && !inWrittenOrder(comps) {
+		starSchema = relation.Schema{}
+		for _, p := range items {
+			starSchema = starSchema.Concat(p.Schema())
+		}
+	}
 	var exprs []sql.Expr
 	var names []string
 	for _, it := range stmt.Items {
 		if it.Star {
-			for _, c := range inSchema.Columns {
+			for _, c := range starSchema.Columns {
 				if it.Table != "" && !strings.HasPrefix(strings.ToLower(c.Name), strings.ToLower(it.Table)+".") {
 					continue
 				}
@@ -214,6 +231,113 @@ func buildBranch(stmt *sql.SelectStmt, resolve TableResolver) (Plan, error) {
 		plan = &LimitPlan{Input: plan, N: stmt.Limit}
 	}
 	return plan, nil
+}
+
+// connectedOrder groups a branch's comma-separated FROM items into the
+// components its WHERE connects, each listed in the order buildBranch
+// joins it. A list of plain base tables is ordered greedily: a
+// component starts with the first unplaced item and then repeatedly
+// takes the first remaining item, in written order, that shares an
+// equality conjunct with the items already in the component. buildBranch
+// joins each component on its own and crosses only whole components, so
+// the cross products left are exactly those between components the
+// WHERE never connects. Without this, two atoms of an unfolded CQ that
+// join only through a later third one become a cross product that
+// pushIntoJoin cannot turn into a hash join. Inner comma joins commute
+// under bag semantics; lists with explicit JOINs, subqueries, streams or
+// repeated names keep their written order as one left-deep chain.
+func connectedOrder(from []*sql.TableRef, items []Plan, where sql.Expr) [][]int {
+	if len(items) == 0 {
+		return nil
+	}
+	written := make([]int, len(items))
+	for i := range written {
+		written[i] = i
+	}
+	if len(items) < 3 || where == nil {
+		return [][]int{written}
+	}
+	names := make(map[string]bool, len(from))
+	for _, tr := range from {
+		name := strings.ToLower(tr.Name())
+		if tr.IsStream || tr.Window != nil || tr.Subquery != nil || len(tr.Joins) > 0 || names[name] {
+			return [][]int{written}
+		}
+		names[name] = true
+	}
+	var eqs []*sql.BinaryExpr
+	for _, c := range SplitConjuncts(where) {
+		if be, ok := c.(*sql.BinaryExpr); ok && be.Op == "=" && hasColumnRef(be.Left) && hasColumnRef(be.Right) {
+			eqs = append(eqs, be)
+		}
+	}
+	if len(eqs) == 0 {
+		return [][]int{written}
+	}
+	placed := make([]bool, len(items))
+	var comps [][]int
+	for start := range items {
+		if placed[start] {
+			continue
+		}
+		comp := []int{start}
+		placed[start] = true
+		joined := items[start].Schema()
+		for grown := true; grown; {
+			grown = false
+			for i, p := range items {
+				if !placed[i] && connects(eqs, joined, p.Schema()) {
+					comp = append(comp, i)
+					placed[i] = true
+					joined = joined.Concat(p.Schema())
+					grown = true
+					break
+				}
+			}
+		}
+		comps = append(comps, comp)
+	}
+	return comps
+}
+
+// connects reports whether one of the equality conjuncts has one side
+// over the joined tables and the other over the candidate: the shape
+// pushIntoJoin turns into a hash-join key.
+func connects(eqs []*sql.BinaryExpr, joined, cand relation.Schema) bool {
+	for _, be := range eqs {
+		if ResolvesAgainst(be.Left, joined) && ResolvesAgainst(be.Right, cand) ||
+			ResolvesAgainst(be.Right, joined) && ResolvesAgainst(be.Left, cand) {
+			return true
+		}
+	}
+	return false
+}
+
+// hasColumnRef reports whether e references a column; a literal
+// resolves against every schema and so connects nothing.
+func hasColumnRef(e sql.Expr) bool {
+	found := false
+	walkExpr(e, func(x sql.Expr) {
+		if _, ok := x.(*sql.ColumnRef); ok {
+			found = true
+		}
+	})
+	return found
+}
+
+// inWrittenOrder reports whether the components list the FROM items in
+// written order, so the joined schema already has the written layout.
+func inWrittenOrder(comps [][]int) bool {
+	next := 0
+	for _, comp := range comps {
+		for _, idx := range comp {
+			if idx != next {
+				return false
+			}
+			next++
+		}
+	}
+	return true
 }
 
 // ResolvesAgainst reports whether every column reference in e can be

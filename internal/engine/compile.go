@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/relation"
 	"repro/internal/sql"
@@ -412,42 +414,68 @@ func compileAll(exprs []sql.Expr, schema relation.Schema, funcs *FuncRegistry) [
 	return out
 }
 
-// compiledKey evaluates a fixed list of key expressions into a reusable
-// buffer and encodes them as a join/group key. The zero ok return marks
-// NULL keys (which never join).
+// compiledKey evaluates a fixed list of key expressions and encodes
+// them as a hash-join key in a reused byte buffer. The encoding agrees
+// with relation.Compare's equality: every numeric (int, float, time)
+// becomes its float64 bits with -0 folded to +0, so 1 = 1.0 and
+// -0.0 = 0.0 join (every NaN folds to one NaN, which joins only NaN,
+// although Compare calls NaN equal to every number); strings are
+// length-prefixed, so
+// no separator byte inside a value can shift a multi-column key; bools
+// are one byte. Each value carries a type tag, so values that compare
+// as incomparable never share a key.
 type compiledKey struct {
 	fns []CompiledExpr
-	idx []int
-	buf relation.Tuple
+	buf []byte
 }
 
 func newCompiledKey(ctx *ExecContext, exprs []sql.Expr, schema relation.Schema) *compiledKey {
-	idx := make([]int, len(exprs))
-	for i := range idx {
-		idx[i] = i
-	}
-	return &compiledKey{
-		fns: compileAll(exprs, schema, ctx.Funcs),
-		idx: idx,
-		buf: make(relation.Tuple, len(exprs)),
-	}
+	return &compiledKey{fns: compileAll(exprs, schema, ctx.Funcs)}
 }
 
-// eval computes the key of one row; numerics are normalised so that
-// 1 = 1.0 joins (mirroring the interpreted evalKey).
-func (k *compiledKey) eval(row relation.Tuple) (string, bool, error) {
-	for i, f := range k.fns {
+// Key type tags.
+const (
+	keyNumeric byte = iota + 1
+	keyString
+	keyFalse
+	keyTrue
+)
+
+// eval encodes the key of one row. The returned slice aliases the
+// key's buffer and is valid until the next call. The zero ok return
+// marks NULL keys (which never join).
+func (k *compiledKey) eval(row relation.Tuple) ([]byte, bool, error) {
+	buf := k.buf[:0]
+	for _, f := range k.fns {
 		v, err := f(row)
 		if err != nil {
-			return "", false, err
+			return nil, false, err
 		}
-		if v.IsNull() {
-			return "", false, nil
+		switch v.Type {
+		case relation.TNull:
+			return nil, false, nil
+		case relation.TString:
+			buf = append(buf, keyString)
+			buf = binary.AppendUvarint(buf, uint64(len(v.Str)))
+			buf = append(buf, v.Str...)
+		case relation.TBool:
+			if v.Bool {
+				buf = append(buf, keyTrue)
+			} else {
+				buf = append(buf, keyFalse)
+			}
+		default:
+			x, _ := v.AsFloat()
+			switch {
+			case x == 0:
+				x = 0 // -0 compares equal to +0
+			case x != x:
+				x = math.NaN()
+			}
+			buf = append(buf, keyNumeric)
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
 		}
-		if f, ok := v.AsFloat(); ok {
-			v = relation.Float(f)
-		}
-		k.buf[i] = v
 	}
-	return k.buf.Key(k.idx), true, nil
+	k.buf = buf
+	return buf, true, nil
 }

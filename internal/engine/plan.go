@@ -405,15 +405,26 @@ func (j *HashJoinPlan) Execute(ctx *ExecContext) ([]relation.Tuple, error) {
 			}
 		}
 	}
-	build := make(map[string][]relation.Tuple, len(rightRows))
+	// The table maps each distinct key to its group of right rows; only
+	// a new key allocates its string, and probes index the map with
+	// string(k), which does not allocate.
+	build := make(map[string]int, len(rightRows))
+	var groups [][]relation.Tuple
 	for _, row := range rightRows {
 		k, ok, err := j.rightKey.eval(row)
 		if err != nil {
 			return nil, err
 		}
-		if ok {
-			build[k] = append(build[k], row)
+		if !ok {
+			continue
 		}
+		g, seen := build[string(k)]
+		if !seen {
+			g = len(groups)
+			build[string(k)] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], row)
 	}
 	var out []relation.Tuple
 	nullRight := make(relation.Tuple, j.Right.Schema().Arity())
@@ -427,8 +438,8 @@ func (j *HashJoinPlan) Execute(ctx *ExecContext) ([]relation.Tuple, error) {
 			return nil, err
 		}
 		matched := false
-		if ok {
-			for _, rrow := range build[k] {
+		if g, hit := build[string(k)]; ok && hit {
+			for _, rrow := range groups[g] {
 				joined := lrow.Concat(rrow)
 				if j.residual != nil {
 					v, err := j.residual(joined)

@@ -399,19 +399,15 @@ func (q CQ) Canonical() string {
 // that is the identity on head variables (so q1 ⊆ q2 as queries: every
 // answer of q1 is an answer of q2).
 func Homomorphism(from, to CQ) bool {
+	return predsCovered(predSet(from), predSet(to)) && homomorphism(from, to, Substitution{})
+}
+
+// homomorphism searches for the mapping of Homomorphism with h as its
+// (empty) binding. Callers have checked that every predicate of from
+// occurs in to (a homomorphism preserves predicates).
+func homomorphism(from, to CQ, h Substitution) bool {
 	if len(from.Head) != len(to.Head) {
 		return false
-	}
-	// Cheap rejection: every predicate of the source must occur in the
-	// target (a homomorphism preserves predicates).
-	preds := make(map[string]bool, len(to.Body))
-	for _, a := range to.Body {
-		preds[a.Pred] = true
-	}
-	for _, a := range from.Body {
-		if !preds[a.Pred] {
-			return false
-		}
 	}
 	// Map head vars positionally. The binding maps source variables to
 	// final target arguments; source and target variable namespaces are
@@ -419,7 +415,6 @@ func Homomorphism(from, to CQ) bool {
 	// A repeated source head variable must map to one target variable:
 	// q(x,x) answers pairs with equal components, which never cover
 	// q(x,y)'s independent pairs.
-	h := Substitution{}
 	for i, v := range from.Head {
 		want := V(to.Head[i])
 		if prev, ok := h[v]; ok {
@@ -430,43 +425,22 @@ func Homomorphism(from, to CQ) bool {
 		}
 		h[v] = want
 	}
-	if !matchAtoms(from.Body, 0, h, to.Body) {
-		return false
-	}
-	// Filters: every filter of the source must hold on the target's
-	// answers; conservatively require a syntactically matching filter on
-	// the target after applying the head binding. (matchAtoms may bind
-	// body vars too, but filters on non-head vars rarely survive both
-	// sides; missing a containment only keeps a redundant disjunct.)
-	for _, f := range from.Filters {
-		arg := f.Arg
-		if arg.IsVar {
-			if mapped, ok := h[arg.Var]; ok {
-				arg = mapped
-			}
-		}
-		found := false
-		for _, g := range to.Filters {
-			if g.Op == f.Op && g.Value == f.Value && g.Arg.Equal(arg) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
+	return matchAtoms(from, 0, h, to)
 }
 
 // matchAtoms backtracks over candidate targets, mutating one shared
-// binding with undo (no per-branch map copies).
-func matchAtoms(src []Atom, idx int, s Substitution, target []Atom) bool {
-	if idx == len(src) {
-		return true
+// binding with undo (no per-branch map copies). A complete atom mapping
+// must also carry every source filter onto a syntactically matching
+// target filter; when it does not, the search backtracks to the next
+// mapping. Checking filters per mapping (not once, after the first
+// atom mapping) makes containment transitive, which Minimize's
+// survivor-only scan relies on.
+func matchAtoms(from CQ, idx int, s Substitution, to CQ) bool {
+	if idx == len(from.Body) {
+		return filtersHold(from.Filters, s, to.Filters)
 	}
-	a := src[idx]
-	for _, t := range target {
+	a := from.Body[idx]
+	for _, t := range to.Body {
 		if t.Pred != a.Pred || len(t.Args) != len(a.Args) {
 			continue
 		}
@@ -493,7 +467,7 @@ func matchAtoms(src []Atom, idx int, s Substitution, target []Atom) bool {
 				break
 			}
 		}
-		if ok && matchAtoms(src, idx+1, s, target) {
+		if ok && matchAtoms(from, idx+1, s, to) {
 			return true
 		}
 		for _, v := range added {
@@ -501,6 +475,63 @@ func matchAtoms(src []Atom, idx int, s Substitution, target []Atom) bool {
 		}
 	}
 	return false
+}
+
+// filtersHold reports whether every source filter, under the binding,
+// appears among the target's filters. Requiring a syntactic match is
+// conservative: a missed containment only keeps a redundant disjunct.
+func filtersHold(fs []Filter, s Substitution, target []Filter) bool {
+	for _, f := range fs {
+		arg := f.Arg
+		if arg.IsVar {
+			if mapped, ok := s[arg.Var]; ok {
+				arg = mapped
+			}
+		}
+		found := false
+		for _, g := range target {
+			if g.Op == f.Op && g.Value == f.Value && g.Arg.Equal(arg) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
+}
+
+// predSet returns the query's distinct body predicates, sorted.
+func predSet(q CQ) []string {
+	preds := make([]string, 0, len(q.Body))
+	for _, a := range q.Body {
+		preds = append(preds, a.Pred)
+	}
+	sort.Strings(preds)
+	n := 0
+	for i, p := range preds {
+		if i == 0 || p != preds[n-1] {
+			preds[n] = p
+			n++
+		}
+	}
+	return preds[:n]
+}
+
+// predsCovered reports whether the sorted set sub is a subset of the
+// sorted set super.
+func predsCovered(sub, super []string) bool {
+	j := 0
+	for _, p := range sub {
+		for j < len(super) && super[j] < p {
+			j++
+		}
+		if j == len(super) || super[j] != p {
+			return false
+		}
+	}
+	return true
 }
 
 // ContainedIn reports q1 ⊆ q2 (every answer of q1 over any data is an
@@ -522,38 +553,60 @@ func (u UCQ) String() string {
 }
 
 // Minimize removes syntactic duplicates and CQs subsumed by another
-// disjunct, preserving the union's semantics.
+// disjunct, preserving the union's semantics. It scans the union once
+// and checks each disjunct only against the disjuncts kept so far: a
+// newcomer contained in a kept disjunct is dropped (so of two
+// equivalent disjuncts the first stays), and otherwise it evicts every
+// kept disjunct it strictly contains. Because containment is
+// transitive, this keeps exactly the disjuncts that no other disjunct
+// strictly contains and no earlier one equals — what checking all pairs
+// keeps — at a cost that grows with the kept set, not the input. The
+// result lists them in input order.
 func (u UCQ) Minimize() UCQ {
-	// Drop exact duplicates first.
+	type disjunct struct {
+		q     CQ
+		preds []string
+	}
 	seen := map[string]bool{}
-	var dedup UCQ
+	var kept []disjunct
+	h := Substitution{}
+	// contained reports a.q ⊆ b.q: a homomorphism from b into a.
+	contained := func(a, b disjunct) bool {
+		if !predsCovered(b.preds, a.preds) {
+			return false
+		}
+		clear(h)
+		return homomorphism(b.q, a.q, h)
+	}
 	for _, q := range u {
 		k := q.Canonical()
 		if seen[k] {
 			continue
 		}
 		seen[k] = true
-		dedup = append(dedup, q)
+		d := disjunct{q: q, preds: predSet(q)}
+		subsumed := false
+		for _, s := range kept {
+			if contained(d, s) {
+				subsumed = true
+				break
+			}
+		}
+		if subsumed {
+			continue
+		}
+		n := 0
+		for _, s := range kept {
+			if !contained(s, d) {
+				kept[n] = s
+				n++
+			}
+		}
+		kept = append(kept[:n], d)
 	}
-	// Drop q_i contained in some other q_j.
 	var out UCQ
-	for i, qi := range dedup {
-		redundant := false
-		for j, qj := range dedup {
-			if i == j {
-				continue
-			}
-			if ContainedIn(qi, qj) {
-				// Break ties (mutual containment) by keeping the first.
-				if !ContainedIn(qj, qi) || j < i {
-					redundant = true
-					break
-				}
-			}
-		}
-		if !redundant {
-			out = append(out, qi)
-		}
+	for _, d := range kept {
+		out = append(out, d.q)
 	}
 	return out
 }

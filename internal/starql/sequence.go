@@ -412,8 +412,11 @@ func (r *StreamReader) Read(cb *relation.ColBatch) (*Sequence, error) {
 	np := len(r.preds)
 	// Pass 1: list the states and count the elements of every run. Runs
 	// are numbered subject-major, so the render path may add subjects
-	// as it goes.
-	var counts []int32
+	// as it goes. With a fixed subject set the counts never outgrow one
+	// run per (subject, predicate): reserve that once, since the window
+	// may reach the highest subject ordinal early (bindings are sorted by
+	// IRI, not by the order rows arrive in).
+	counts := make([]int32, 0, len(seq.subjects)*np)
 	err := w.each(func(_, _, pi int, k int32) error {
 		run := int(k)*np + int(r.plans[pi].pred)
 		for len(counts) <= run {

@@ -2,6 +2,7 @@ package starql
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"repro/internal/engine"
@@ -215,11 +216,20 @@ func (tr *Translator) EvalBindings(t *Translation) ([]Binding, error) {
 }
 
 // evalStatic executes the static fleet and decodes its distinct rows.
+// The bindings come back sorted by their dedup key, so neither the
+// fleet's member order nor the join order the planner picks for a
+// member can reorder them (or the stream fleet expanded from them).
 func (tr *Translator) evalStatic(t *Translation) ([]Binding, error) {
 	headVars := t.StaticCQ.Head
+	type keyed struct {
+		key string
+		b   Binding
+	}
 	seen := map[string]bool{}
-	var out []Binding
+	var out []keyed
 	ctx := engine.NewExecContext(tr.Catalog)
+	cols := make([]int, len(headVars))
+	var key strings.Builder
 	for _, stmt := range t.StaticFleet {
 		// Static bindings come only from non-stream sources; fleets whose
 		// FROM references a stream are runtime-only.
@@ -235,25 +245,33 @@ func (tr *Translator) evalStatic(t *Translation) ([]Binding, error) {
 			return nil, err
 		}
 		schema := plan.Schema()
+		for i, h := range headVars {
+			if cols[i], err = schema.IndexOf(h); err != nil {
+				return nil, fmt.Errorf("starql: fleet output lacks variable %s: %w", h, err)
+			}
+		}
 		for _, row := range rows {
-			b := Binding{}
-			var key strings.Builder
-			for _, h := range headVars {
-				idx, err := schema.IndexOf(h)
-				if err != nil {
-					return nil, fmt.Errorf("starql: fleet output lacks variable %s: %w", h, err)
-				}
-				b[h] = valueToTerm(row[idx])
-				key.WriteString(b[h].String())
+			b := make(Binding, len(headVars))
+			key.Reset()
+			for i, h := range headVars {
+				term := valueToTerm(row[cols[i]])
+				b[h] = term
+				key.WriteString(term.String())
 				key.WriteByte(0x1f)
 			}
-			if !seen[key.String()] {
-				seen[key.String()] = true
-				out = append(out, b)
+			k := key.String()
+			if !seen[k] {
+				seen[k] = true
+				out = append(out, keyed{k, b})
 			}
 		}
 	}
-	return out, nil
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	bindings := make([]Binding, len(out))
+	for i, kb := range out {
+		bindings[i] = kb.b
+	}
+	return bindings, nil
 }
 
 func referencesStream(stmt *sql.SelectStmt) bool {
