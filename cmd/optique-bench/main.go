@@ -252,7 +252,6 @@ func runConcurrent(queries, nodes, tuples int) (float64, float64, exastream.Stat
 	cat := relation.NewCatalog()
 	copts := *cfg
 	copts.Nodes, copts.PartitionColumn = nodes, "sid"
-	copts.Engine.AdaptiveIndexing = true
 	cl, err := cluster.New(copts, func(int) *relation.Catalog { return cat })
 	if err != nil {
 		log.Fatal(err)

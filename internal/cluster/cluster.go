@@ -749,9 +749,11 @@ func (c *Cluster) IngestContext(ctx context.Context, streamName string, el strea
 	return nil
 }
 
-// valueHash is an FNV-1a hash over the tuple key encoding.
+// valueHash is an FNV-1a hash over the value's equality key, so values
+// that compare equal (Int(7) and Float(7)) route to the same node.
 func valueHash(v relation.Value) uint64 {
-	return wire.Sum(relation.Tuple{v}.Key([]int{0}))
+	var kb [32]byte
+	return wire.Sum(relation.AppendKey(kb[:0], v))
 }
 
 // Flush drains every live node's queue and completes open windows. It

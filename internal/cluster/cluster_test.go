@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -206,6 +207,23 @@ func TestPartitionedIngestRoutesToOneNode(t *testing.T) {
 	// complete, so every tuple surfaces exactly once overall.
 	if rows == 0 {
 		t.Fatal("no output rows")
+	}
+}
+
+// TestValueHashFollowsEquality checks that partition routing hashes the
+// equality key: values that compare equal reach the same node.
+func TestValueHashFollowsEquality(t *testing.T) {
+	for _, pair := range [][2]relation.Value{
+		{relation.Int(7), relation.Float(7)},
+		{relation.Int(7), relation.Time(7)},
+		{relation.Float(0), relation.Float(math.Copysign(0, -1))},
+	} {
+		if valueHash(pair[0]) != valueHash(pair[1]) {
+			t.Errorf("%s and %s hash apart", pair[0], pair[1])
+		}
+	}
+	if valueHash(relation.Int(7)) == valueHash(relation.String_("7")) {
+		t.Error("7 and '7' hash together")
 	}
 }
 

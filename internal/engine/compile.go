@@ -1,9 +1,7 @@
 package engine
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/relation"
 	"repro/internal/sql"
@@ -415,15 +413,8 @@ func compileAll(exprs []sql.Expr, schema relation.Schema, funcs *FuncRegistry) [
 }
 
 // compiledKey evaluates a fixed list of key expressions and encodes
-// them as a hash-join key in a reused byte buffer. The encoding agrees
-// with relation.Compare's equality: every numeric (int, float, time)
-// becomes its float64 bits with -0 folded to +0, so 1 = 1.0 and
-// -0.0 = 0.0 join (every NaN folds to one NaN, which joins only NaN,
-// although Compare calls NaN equal to every number); strings are
-// length-prefixed, so
-// no separator byte inside a value can shift a multi-column key; bools
-// are one byte. Each value carries a type tag, so values that compare
-// as incomparable never share a key.
+// them with relation.AppendKey, the equality key every hash structure
+// shares, in a reused byte buffer.
 type compiledKey struct {
 	fns []CompiledExpr
 	buf []byte
@@ -432,14 +423,6 @@ type compiledKey struct {
 func newCompiledKey(ctx *ExecContext, exprs []sql.Expr, schema relation.Schema) *compiledKey {
 	return &compiledKey{fns: compileAll(exprs, schema, ctx.Funcs)}
 }
-
-// Key type tags.
-const (
-	keyNumeric byte = iota + 1
-	keyString
-	keyFalse
-	keyTrue
-)
 
 // eval encodes the key of one row. The returned slice aliases the
 // key's buffer and is valid until the next call. The zero ok return
@@ -451,30 +434,10 @@ func (k *compiledKey) eval(row relation.Tuple) ([]byte, bool, error) {
 		if err != nil {
 			return nil, false, err
 		}
-		switch v.Type {
-		case relation.TNull:
+		if v.IsNull() {
 			return nil, false, nil
-		case relation.TString:
-			buf = append(buf, keyString)
-			buf = binary.AppendUvarint(buf, uint64(len(v.Str)))
-			buf = append(buf, v.Str...)
-		case relation.TBool:
-			if v.Bool {
-				buf = append(buf, keyTrue)
-			} else {
-				buf = append(buf, keyFalse)
-			}
-		default:
-			x, _ := v.AsFloat()
-			switch {
-			case x == 0:
-				x = 0 // -0 compares equal to +0
-			case x != x:
-				x = math.NaN()
-			}
-			buf = append(buf, keyNumeric)
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
 		}
+		buf = relation.AppendKey(buf, v)
 	}
 	k.buf = buf
 	return buf, true, nil

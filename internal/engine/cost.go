@@ -384,8 +384,8 @@ func maxInt64(a, b int64) int64 {
 //
 //  1. index-scan choice: Filter(Scan) with constant equality conjuncts
 //     whose estimated selectivity beats indexScanMaxSel becomes an
-//     IndexScanPlan (adaptive indexing turns its probes into real O(1)
-//     lookups, exactly as for lookup joins);
+//     IndexScanPlan (the stream engine indexes its pattern when it
+//     builds the plan, exactly as for lookup joins);
 //  2. lookup-join reorder: a chain of lookup joins over one spine is
 //     reordered by ascending estimated matches-per-probe, so the most
 //     selective join shrinks the intermediate result first.

@@ -13,8 +13,8 @@ import (
 // those columns serves the scan in O(matches) instead of O(table). The
 // stats-driven optimizer emits it in place of Filter(Scan) when the
 // predicate is estimated selective enough to beat a full scan; like
-// LookupJoinPlan, a missing index degrades to a scan that the adaptive
-// indexer notices and fixes.
+// LookupJoinPlan, a missing index degrades to a scan with the same
+// result (the stream engine builds the index with the plan).
 type IndexScanPlan struct {
 	Table string
 	Alias string
@@ -100,22 +100,4 @@ func (s *IndexScanPlan) Execute(ctx *ExecContext) ([]relation.Tuple, error) {
 	}
 	ctx.Stats.produced(OpIndexScan, len(out))
 	return out, nil
-}
-
-// CollectIndexScans returns every IndexScanPlan in a plan tree; the
-// stream engine feeds their (table, cols) patterns to the adaptive
-// indexer exactly like lookup-join probes.
-func CollectIndexScans(p Plan) []*IndexScanPlan {
-	var out []*IndexScanPlan
-	var rec func(Plan)
-	rec = func(p Plan) {
-		if s, ok := p.(*IndexScanPlan); ok {
-			out = append(out, s)
-		}
-		for _, c := range p.Children() {
-			rec(c)
-		}
-	}
-	rec(p)
-	return out
 }

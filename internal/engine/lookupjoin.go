@@ -11,8 +11,8 @@ import (
 // LookupJoinPlan joins a (typically small) left input against a base
 // table by point lookups on the table's columns. When the table has a
 // hash index on exactly those columns each probe is O(1); otherwise every
-// probe scans, which is what ExaStream's adaptive indexing notices and
-// fixes by building the index at runtime.
+// probe scans. ExaStream's adaptive indexing builds that index when it
+// builds the plan.
 type LookupJoinPlan struct {
 	Left      Plan
 	Table     string

@@ -57,10 +57,10 @@ type OpCounters struct {
 	WallNS int64
 }
 
-// ExecStats accumulates counters during plan execution; the adaptive
-// indexing machinery, the telemetry layer, and the benchmarks read
-// them. Ops breaks invocation and output-row counts down per operator
-// kind (fixed array: no allocation on the execution path).
+// ExecStats accumulates counters during plan execution; the telemetry
+// layer, EXPLAIN ANALYZE and the benchmarks read them. Ops breaks
+// invocation and output-row counts down per operator kind (fixed array:
+// no allocation on the execution path).
 type ExecStats struct {
 	RowsScanned   int64
 	RowsProduced  int64
@@ -613,8 +613,18 @@ type aggState struct {
 	max     relation.Value
 	first   relation.Value
 	last    relation.Value
-	seen    map[relation.Value]struct{} // for DISTINCT
+	seen    map[string]struct{} // DISTINCT: equality keys of the values counted
 	started bool
+}
+
+// insertKey adds the equality key k to set and reports whether it was
+// new. Only a new key allocates its string.
+func insertKey(set map[string]struct{}, k []byte) bool {
+	if _, dup := set[string(k)]; dup {
+		return false
+	}
+	set[string(k)] = struct{}{}
+	return true
 }
 
 // Execute implements Plan.
@@ -639,37 +649,40 @@ func (a *AggregatePlan) Execute(ctx *ExecContext) ([]relation.Tuple, error) {
 		a.compiled = true
 	}
 
+	// Groups are keyed by the equality key of their group values (NULLs
+	// group together) and kept in first-seen order.
 	type group struct {
 		key    relation.Tuple
 		states []*aggState
-		order  int
 	}
-	groups := make(map[string]*group)
-	var orderCounter int
-
-	idx := make([]int, len(a.GroupExprs))
-	for i := range idx {
-		idx[i] = i
+	index := make(map[string]int)
+	var ordered []*group
+	newGroup := func(key relation.Tuple) *group {
+		grp := &group{key: key, states: make([]*aggState, len(a.Aggs))}
+		for i := range grp.states {
+			grp.states[i] = &aggState{}
+		}
+		ordered = append(ordered, grp)
+		return grp
 	}
-	keyBuf := make(relation.Tuple, len(a.GroupExprs))
+	keyVals := make(relation.Tuple, len(a.GroupExprs))
+	var kb []byte
 	for _, row := range in {
+		kb = kb[:0]
 		for i, g := range a.groups {
 			v, err := g(row)
 			if err != nil {
 				return nil, err
 			}
-			keyBuf[i] = v
+			keyVals[i] = v
+			kb = relation.AppendKey(kb, v)
 		}
-		k := keyBuf.Key(idx)
-		grp, ok := groups[k]
-		if !ok {
-			grp = &group{key: append(relation.Tuple(nil), keyBuf...),
-				states: make([]*aggState, len(a.Aggs)), order: orderCounter}
-			orderCounter++
-			for i := range grp.states {
-				grp.states[i] = &aggState{seen: make(map[relation.Value]struct{})}
-			}
-			groups[k] = grp
+		var grp *group
+		if gi, ok := index[string(kb)]; ok {
+			grp = ordered[gi]
+		} else {
+			index[string(kb)] = len(ordered)
+			grp = newGroup(append(relation.Tuple(nil), keyVals...))
 		}
 		for i, agg := range a.Aggs {
 			if err := accumulate(grp.states[i], agg, a.aggArgs[i][0], a.aggArgs[i][1], row); err != nil {
@@ -679,19 +692,9 @@ func (a *AggregatePlan) Execute(ctx *ExecContext) ([]relation.Tuple, error) {
 	}
 
 	// A global aggregate over zero rows still yields one output row.
-	if len(groups) == 0 && len(a.GroupExprs) == 0 {
-		grp := &group{states: make([]*aggState, len(a.Aggs))}
-		for i := range grp.states {
-			grp.states[i] = &aggState{seen: make(map[relation.Value]struct{})}
-		}
-		groups[""] = grp
+	if len(ordered) == 0 && len(a.GroupExprs) == 0 {
+		newGroup(nil)
 	}
-
-	ordered := make([]*group, 0, len(groups))
-	for _, g := range groups {
-		ordered = append(ordered, g)
-	}
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].order < ordered[j].order })
 
 	out := make([]relation.Tuple, 0, len(ordered))
 	for _, g := range ordered {
@@ -723,10 +726,13 @@ func accumulate(st *aggState, agg *sql.FuncExpr, arg, yarg CompiledExpr, row rel
 		return nil // SQL aggregates skip NULLs
 	}
 	if agg.Distinct {
-		if _, dup := st.seen[v]; dup {
+		if st.seen == nil {
+			st.seen = make(map[string]struct{})
+		}
+		var kb [16]byte
+		if !insertKey(st.seen, relation.AppendKey(kb[:0], v)) {
 			return nil
 		}
-		st.seen[v] = struct{}{}
 	}
 	if !st.started {
 		st.first = v
@@ -932,20 +938,17 @@ func (d *DistinctPlan) Execute(ctx *ExecContext) ([]relation.Tuple, error) {
 	if err != nil {
 		return nil, err
 	}
-	arity := d.Input.Schema().Arity()
-	idx := make([]int, arity)
-	for i := range idx {
-		idx[i] = i
-	}
 	seen := make(map[string]struct{}, len(in))
 	var out []relation.Tuple
+	var kb []byte
 	for _, row := range in {
-		k := row.Key(idx)
-		if _, dup := seen[k]; dup {
-			continue
+		kb = kb[:0]
+		for _, v := range row {
+			kb = relation.AppendKey(kb, v)
 		}
-		seen[k] = struct{}{}
-		out = append(out, row)
+		if insertKey(seen, kb) {
+			out = append(out, row)
+		}
 	}
 	ctx.Stats.produced(OpDistinct, len(out))
 	return out, nil

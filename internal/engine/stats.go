@@ -250,7 +250,8 @@ func (s *StatsStore) ObserveSource(name string, schema relation.Schema, rows []r
 		seen := make(map[string]struct{}, 8)
 		for _, r := range sample {
 			if j < len(r) {
-				seen[r[j].String()] = struct{}{}
+				var kb [16]byte
+				insertKey(seen, relation.AppendKey(kb[:0], r[j]))
 			}
 		}
 		st.ndv[strings.ToLower(col.Name)] = int64(len(seen))
@@ -344,7 +345,8 @@ func analyzeRows(table string, schema relation.Schema, rows []relation.Tuple) *T
 				cs.NullCount++
 				continue
 			}
-			distinct[v.String()] = struct{}{}
+			var kb [16]byte
+			insertKey(distinct, relation.AppendKey(kb[:0], v))
 			vals = append(vals, v)
 		}
 		cs.NDV = int64(len(distinct))
@@ -383,7 +385,8 @@ func equiDepth(sorted []relation.Value) []Bucket {
 		slice := sorted[i : i+size]
 		distinct := make(map[string]struct{}, size)
 		for _, v := range slice {
-			distinct[v.String()] = struct{}{}
+			var kb [16]byte
+			insertKey(distinct, relation.AppendKey(kb[:0], v))
 		}
 		out = append(out, Bucket{
 			Lo:       slice[0],

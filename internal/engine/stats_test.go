@@ -10,6 +10,18 @@ import (
 	"repro/internal/sql"
 )
 
+// collectIndexScans returns every IndexScanPlan in a plan tree.
+func collectIndexScans(p Plan) []*IndexScanPlan {
+	var out []*IndexScanPlan
+	if s, ok := p.(*IndexScanPlan); ok {
+		out = append(out, s)
+	}
+	for _, c := range p.Children() {
+		out = append(out, collectIndexScans(c)...)
+	}
+	return out
+}
+
 // statsRig builds a catalog with a sensors table of n rows: sid 0..n-1
 // (unique), kind cycling over 5 values, val = sid as float.
 func statsRig(t *testing.T, n int64) *relation.Catalog {
@@ -150,7 +162,7 @@ func TestOptimizeWithStatsChoosesIndexScan(t *testing.T) {
 	var before Plan = &FilterPlan{Input: scan, Pred: pred}
 
 	after := OptimizeWithStats(before, st)
-	found := CollectIndexScans(after)
+	found := collectIndexScans(after)
 	if len(found) != 1 {
 		t.Fatalf("expected one index scan, got %d in:\n%s", len(found), after.String())
 	}
@@ -185,7 +197,7 @@ func TestOptimizeWithStatsKeepsTinyTableScan(t *testing.T) {
 		Input: NewScanPlan(tbl.Name(), "s", tbl.Schema()),
 		Pred:  sql.Bin("=", &sql.ColumnRef{Table: "s", Name: "sid"}, sql.Lit(relation.Int(1))),
 	}
-	if got := OptimizeWithStats(p, st); len(CollectIndexScans(got)) != 0 {
+	if got := OptimizeWithStats(p, st); len(collectIndexScans(got)) != 0 {
 		t.Fatalf("tiny table should stay a scan:\n%s", got.String())
 	}
 }

@@ -964,17 +964,6 @@ func cmpIdx(c int) int {
 	}
 }
 
-func cmpFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	default:
-		return 0
-	}
-}
-
 func cmpStr(a, b string) int {
 	switch {
 	case a < b:
@@ -1085,7 +1074,7 @@ func cmpVecScalar(bufs *vecBufs, test [3]bool, v *relation.Vector, s relation.Va
 					setNull(i)
 					continue
 				}
-				out[i] = acc[cmpFloat(float64(ints[i]), sf)+1]
+				out[i] = acc[relation.CompareFloat(float64(ints[i]), sf)+1]
 			}
 		} else {
 			for i := sel.Next(0); i >= 0; i = sel.Next(i + 1) {
@@ -1093,7 +1082,7 @@ func cmpVecScalar(bufs *vecBufs, test [3]bool, v *relation.Vector, s relation.Va
 					setNull(i)
 					continue
 				}
-				out[i] = acc[cmpFloat(float64(ints[i]), sf)+1]
+				out[i] = acc[relation.CompareFloat(float64(ints[i]), sf)+1]
 			}
 		}
 	case et == relation.TFloat && sNum:
@@ -1104,7 +1093,7 @@ func cmpVecScalar(bufs *vecBufs, test [3]bool, v *relation.Vector, s relation.Va
 					setNull(i)
 					continue
 				}
-				out[i] = acc[cmpFloat(fs[i], sf)+1]
+				out[i] = acc[relation.CompareFloat(fs[i], sf)+1]
 			}
 		} else {
 			for i := sel.Next(0); i >= 0; i = sel.Next(i + 1) {
@@ -1112,7 +1101,7 @@ func cmpVecScalar(bufs *vecBufs, test [3]bool, v *relation.Vector, s relation.Va
 					setNull(i)
 					continue
 				}
-				out[i] = acc[cmpFloat(fs[i], sf)+1]
+				out[i] = acc[relation.CompareFloat(fs[i], sf)+1]
 			}
 		}
 	case et == relation.TString && s.Type == relation.TString:
@@ -1176,7 +1165,7 @@ func cmpVecVec(bufs *vecBufs, test [3]bool, a, b *relation.Vector, n int, sel *r
 				setNull(i)
 				return true
 			}
-			out[i] = test[cmpFloat(af(i), bf(i))+1]
+			out[i] = test[relation.CompareFloat(af(i), bf(i))+1]
 			return true
 		})
 		return bufs.boolVec(out, nulls), nil

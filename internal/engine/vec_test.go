@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -167,6 +168,54 @@ func diffExec(t *testing.T, cat *relation.Catalog, plan Plan, label string) {
 		t.Fatalf("%s: results differ\nrow: %v\nvec: %v\nplan:\n%s", label, rowRes, vecRes, Explain(plan))
 	}
 	diffColumns(t, cat, plan, label)
+}
+
+// TestVectorizedFilterNaN checks that the row and vectorized filters
+// order NaN alike, as relation.CompareFloat does: NaN equals NaN, no
+// number, and sorts above every number, including +Inf.
+func TestVectorizedFilterNaN(t *testing.T) {
+	nan := relation.Float(math.NaN())
+	schema := relation.NewSchema(relation.Col("sid", relation.TInt), relation.Col("val", relation.TFloat))
+	rows := []relation.Tuple{
+		{relation.Int(1), relation.Float(1)},
+		{relation.Int(2), nan},
+		{relation.Int(3), relation.Float(math.Inf(1))},
+		{relation.Int(4), relation.Float(math.Copysign(0, -1))},
+		{relation.Int(5), nan},
+		{relation.Int(6), relation.Null},
+	}
+	cat := relation.NewCatalog()
+	for _, tc := range []struct{ pred, want string }{
+		{"w.val = 1", "[1]"},
+		{"w.val <> 1", "[2 3 4 5]"},
+		{"w.val > 1", "[2 3 5]"},
+		{"w.val < 1", "[4]"},
+		{"w.val >= 0", "[1 2 3 4 5]"},
+		{"w.val = w.val", "[1 2 3 4 5]"},
+		{"w.val > w.sid", "[2 3 5]"},
+		{"w.sid = w.val", "[1]"},
+	} {
+		wsp := NewWindowSourcePlan("w", schema.Qualify("w"))
+		resolver := func(*sql.TableRef) (Plan, error) { return wsp, nil }
+		plan, err := Build(sql.MustParse("SELECT w.sid FROM w WHERE "+tc.pred), resolver)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wsp.Bind(rows)
+		for _, ctx := range []*ExecContext{rowPathContext(cat), NewExecContext(cat)} {
+			res, err := ExecutePlan(ctx, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := make([]int64, len(res))
+			for i, r := range res {
+				ids[i] = r[0].Int
+			}
+			if got := fmt.Sprint(ids); got != tc.want {
+				t.Errorf("WHERE %s (row path %v) = %s, want %s", tc.pred, ctx.rowPath, got, tc.want)
+			}
+		}
+	}
 }
 
 // TestVectorizedDifferentialSeeded is the seeded row-vs-vectorized

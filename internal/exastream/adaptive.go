@@ -2,30 +2,15 @@ package exastream
 
 import (
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/engine"
 	"repro/internal/sql"
 )
 
-// probe identifies a (table, columns) lookup pattern observed during
-// window execution; the adaptive indexer counts these and builds a hash
-// index once a pattern is hot.
-type probe struct {
-	table string
-	cols  []string
-}
-
-func (p probe) key() string {
-	return strings.ToLower(p.table) + "|" + strings.ToLower(strings.Join(p.cols, ","))
-}
-
 // adaptPlan rewrites hash joins whose build side is a full scan of a
-// static base table into lookup joins against that table, so repeated
-// window executions can benefit from an adaptive index. It returns the
-// rewritten plan and the lookup patterns it introduced.
-func (e *Engine) adaptPlan(p engine.Plan) (engine.Plan, []probe) {
-	var probes []probe
+// static base table into lookup joins against that table, so every
+// window probes the table's index instead of rebuilding a hash table.
+func (e *Engine) adaptPlan(p engine.Plan) engine.Plan {
 	var rec func(p engine.Plan) engine.Plan
 	rec = func(p engine.Plan) engine.Plan {
 		switch n := p.(type) {
@@ -33,16 +18,14 @@ func (e *Engine) adaptPlan(p engine.Plan) (engine.Plan, []probe) {
 			left := rec(n.Left)
 			right := rec(n.Right)
 			if !n.LeftOuter {
-				if lj, pr, ok := e.toLookupJoin(left, right, n.LeftKeys, n.RightKeys, n.Residual); ok {
-					probes = append(probes, pr)
+				if lj, ok := e.toLookupJoin(left, right, n.LeftKeys, n.RightKeys, n.Residual); ok {
 					return lj
 				}
-				if lj, pr, ok := e.toLookupJoin(right, left, n.RightKeys, n.LeftKeys, n.Residual); ok {
+				if lj, ok := e.toLookupJoin(right, left, n.RightKeys, n.LeftKeys, n.Residual); ok {
 					// Column order flips; the schema does too, which is fine
 					// because residual and projection reference columns by
 					// name. Only safe when the residual still resolves;
 					// checked inside toLookupJoin.
-					probes = append(probes, pr)
 					return lj
 				}
 			}
@@ -73,31 +56,30 @@ func (e *Engine) adaptPlan(p engine.Plan) (engine.Plan, []probe) {
 			return p
 		}
 	}
-	out := rec(p)
-	return out, probes
+	return rec(p)
 }
 
 // toLookupJoin converts (probeSide, buildSide) into a lookup join when
 // the build side is a plain scan of a catalog table and the build keys
 // are bare columns of it.
-func (e *Engine) toLookupJoin(probeSide, buildSide engine.Plan, probeKeys, buildKeys []sql.Expr, residual sql.Expr) (engine.Plan, probe, bool) {
+func (e *Engine) toLookupJoin(probeSide, buildSide engine.Plan, probeKeys, buildKeys []sql.Expr, residual sql.Expr) (engine.Plan, bool) {
 	scan, ok := buildSide.(*engine.ScanPlan)
 	if !ok || len(buildKeys) == 0 {
-		return nil, probe{}, false
+		return nil, false
 	}
 	table, err := e.catalog.Get(scan.Table)
 	if err != nil {
-		return nil, probe{}, false
+		return nil, false
 	}
 	cols := make([]string, len(buildKeys))
 	for i, k := range buildKeys {
 		cr, ok := k.(*sql.ColumnRef)
 		if !ok {
-			return nil, probe{}, false
+			return nil, false
 		}
 		// The scan qualifies columns by its alias; strip it.
 		if cr.Table != "" && !strings.EqualFold(cr.Table, scan.Alias) {
-			return nil, probe{}, false
+			return nil, false
 		}
 		cols[i] = cr.Name
 	}
@@ -105,35 +87,37 @@ func (e *Engine) toLookupJoin(probeSide, buildSide engine.Plan, probeKeys, build
 	// The lookup join's output schema must contain everything the
 	// residual references.
 	if residual != nil && !engine.ResolvesAgainst(residual, lj.Schema()) {
-		return nil, probe{}, false
+		return nil, false
 	}
-	return lj, probe{table: scan.Table, cols: cols}, true
+	return lj, true
 }
 
-// noteProbes counts lookup patterns and builds indexes for hot ones.
-func (e *Engine) noteProbes(ps []probe) {
-	if !e.opts.AdaptiveIndexing {
-		return
+// indexPlan builds a hash index for every lookup pattern in p: each
+// lookup join's and index scan's (table, columns). This is the paper's
+// adaptive main-memory indexing with a threshold of one lookup: the
+// pattern is known once the plan is built, so the plan's first window
+// already probes the index. Creating an index that exists is a no-op.
+func (e *Engine) indexPlan(p engine.Plan) {
+	var table string
+	var cols []string
+	switch n := p.(type) {
+	case *engine.LookupJoinPlan:
+		table, cols = n.Table, n.TableCols
+	case *engine.IndexScanPlan:
+		table, cols = n.Table, n.Cols
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, p := range ps {
-		table, err := e.catalog.Get(p.table)
-		if err != nil {
-			continue
-		}
-		if table.HasIndex(p.cols...) {
-			continue
-		}
-		k := p.key()
-		e.probes[k]++
-		if e.probes[k] >= e.opts.AdaptiveThreshold {
-			if err := table.CreateIndex(p.cols...); err == nil {
+	if table != "" {
+		if t, err := e.catalog.Get(table); err == nil {
+			// Plans of several queries can be built at once; e.mu makes
+			// check, build and count one step, so each index counts once.
+			e.mu.Lock()
+			if !t.HasIndex(cols...) && t.CreateIndex(cols...) == nil {
 				e.met.adaptiveIndexes.Inc()
-				// Invalidate adapted plans: cached queries compare their
-				// epoch and re-run adaptation to pick up the new index.
-				atomic.AddInt64(&e.indexEpoch, 1)
 			}
+			e.mu.Unlock()
 		}
+	}
+	for _, c := range p.Children() {
+		e.indexPlan(c)
 	}
 }

@@ -3,7 +3,8 @@
 // tables, window sharing (one window operator per stream and window
 // spec, its batches handed to every subscribed query — the paper's
 // wCache role), native UDF registration, and adaptive main-memory
-// indexing driven by runtime statistics.
+// indexing: every lookup pattern of a query's plan gets its hash index
+// when the plan is built.
 //
 // The execution model matches the paper: the timeSlidingWindow operator
 // groups incoming tuples into window batches; each completed batch is
@@ -46,7 +47,7 @@ type Stats struct {
 	// Deprecated: WCacheHits is inert (always 0; the window cache it
 	// counted is gone) and goes with the next benchmark change.
 	WCacheHits      int64
-	AdaptiveIndexes int64
+	AdaptiveIndexes int64 // hash indexes built for lookup patterns at plan time
 	LateTuples      int64
 	QueryFailures   int64 // failed window executions (contained by the error hook)
 	Suspensions     int64 // queries quarantined after repeated failures
@@ -58,11 +59,9 @@ type Stats struct {
 	HashProbes   int64
 	IndexLookups int64
 
-	// Plan-cache lifecycle: builds (cold or invalidated), hits, and
-	// re-adaptations after adaptive indexing built a new index.
+	// Plan-cache lifecycle: builds (cold or invalidated) and hits.
 	PlanBuilds    int64
 	PlanCacheHits int64
-	PlanReadapts  int64
 }
 
 // metrics is the engine's instrument set — the former `counters` struct
@@ -85,7 +84,6 @@ type metrics struct {
 	indexLookups    *telemetry.Counter
 	planBuilds      *telemetry.Counter
 	planCacheHits   *telemetry.Counter
-	planReadapts    *telemetry.Counter
 
 	// Resource-governance instruments (see governance.go).
 	govShedBatches *telemetry.Counter // window batches dropped by budget enforcement
@@ -118,7 +116,6 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		indexLookups:    reg.Counter("exastream.index_lookups"),
 		planBuilds:      reg.Counter("exastream.plan.builds"),
 		planCacheHits:   reg.Counter("exastream.plan.cache_hits"),
-		planReadapts:    reg.Counter("exastream.plan.readapts"),
 		govShedBatches:  reg.Counter("governance.shed_batches"),
 		govShedBytes:    reg.Counter("governance.shed_bytes"),
 		govWidenEvents:  reg.Counter("governance.widen_events"),
@@ -135,13 +132,6 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 
 // Options configures an Engine.
 type Options struct {
-	// AdaptiveIndexing enables runtime index building on static tables
-	// (the paper's adaptive indexing optimisation). Disabled engines keep
-	// scanning, which the ablation benchmark measures.
-	AdaptiveIndexing bool
-	// AdaptiveThreshold is the number of un-indexed lookups on the same
-	// (table, columns) after which an index is built. Default 3.
-	AdaptiveThreshold int
 	// Deprecated: ShareWindows is inert (queries over one stream and
 	// window always share its operator) and goes with the next benchmark
 	// change.
@@ -222,11 +212,7 @@ type Engine struct {
 	archives  map[string][]*relation.Table // stream -> archive tables
 	federated map[string]FetchFunc
 	opts      Options
-	probes    map[string]int // adaptive indexing: (table|cols) -> scans
 
-	// indexEpoch (atomic) counts adaptive indexes built; cached plans
-	// compare it to theirs and re-adapt when it moved.
-	indexEpoch int64
 	// govActive (atomic) is 1 once any query has a positive budget, so
 	// the per-tuple enforcement hook is a single load when governance is
 	// off.
@@ -334,22 +320,16 @@ func newStaged(b stream.Batch) stagedBatch { return stagedBatch{b: b, bytes: b.B
 
 // cachedPlan is a continuous query's compiled physical plan, built once
 // and re-executed every tick by rebinding the window sources. It is
-// invalidated (rebuilt) when the catalog's table set changes and
-// re-adapted when adaptive indexing builds a new index.
+// invalidated (rebuilt) when the catalog's table set changes or the
+// query is resumed.
 type cachedPlan struct {
-	built   engine.Plan                // optimized plan, pre-adaptation
-	adapted engine.Plan                // adaptPlan output actually executed
+	adapted engine.Plan                // adapted (and optimized) plan actually executed
 	sources []*engine.WindowSourcePlan // one per stream ref, rebound per tick
-	probes  []probe
-	epoch   int64  // e.indexEpoch the plan was adapted at
-	gen     uint64 // catalog generation the plan was built at
+	gen     uint64                     // catalog generation the plan was built at
 }
 
 // NewEngine builds an engine over a static catalog.
 func NewEngine(cat *relation.Catalog, opts Options) *Engine {
-	if opts.AdaptiveThreshold <= 0 {
-		opts.AdaptiveThreshold = 3
-	}
 	reg := opts.Telemetry
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -372,7 +352,6 @@ func NewEngine(cat *relation.Catalog, opts Options) *Engine {
 		archives:  make(map[string][]*relation.Table),
 		federated: make(map[string]FetchFunc),
 		opts:      opts,
-		probes:    make(map[string]int),
 		reg:       reg,
 		met:       met,
 		stats:     stats,
@@ -839,33 +818,20 @@ func (e *Engine) buildPlan(q *continuousQuery) (*cachedPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	adapted, probes := e.finishPlan(built)
-	return &cachedPlan{
-		built: built, adapted: adapted, sources: sources, probes: probes,
-		epoch: atomic.LoadInt64(&e.indexEpoch), gen: e.catalog.Generation(),
-	}, nil
-}
-
-// finishPlan runs the physical rewrites that follow Build: adaptive
-// join adaptation always, then — when the cost-based planner is on —
-// the statistics-driven rewrite (index-scan choice, lookup-join
-// reordering). Cost-based index scans are lookups too, so their
-// patterns are registered with the adaptive indexer and a hot pattern
-// still earns a real index.
-func (e *Engine) finishPlan(built engine.Plan) (engine.Plan, []probe) {
-	adapted, probes := e.adaptPlan(built)
+	// The physical rewrites that follow Build: join adaptation always,
+	// then, when the cost-based planner is on, the statistics-driven
+	// rewrite (index-scan choice, lookup-join reordering). Every lookup
+	// pattern of the final plan gets its index now.
+	adapted := e.adaptPlan(built)
 	if e.opts.Optimize && e.stats != nil {
 		adapted = engine.OptimizeWithStats(adapted, e.stats)
-		for _, is := range engine.CollectIndexScans(adapted) {
-			probes = append(probes, probe{table: is.Table, cols: is.Cols})
-		}
 	}
-	return adapted, probes
+	e.indexPlan(adapted)
+	return &cachedPlan{adapted: adapted, sources: sources, gen: e.catalog.Generation()}, nil
 }
 
 // executeItem evaluates one ready window of one query on its cached
-// plan, rebuilding or re-adapting the plan first when the cache is
-// cold or stale.
+// plan, rebuilding the plan first when the cache is cold or stale.
 func (e *Engine) executeItem(it execItem) error {
 	q := it.q
 	q.execMu.Lock()
@@ -875,10 +841,7 @@ func (e *Engine) executeItem(it execItem) error {
 	span.SetAttr("window_end", it.end)
 	cacheHit := false
 	cp := q.plan
-	epoch := atomic.LoadInt64(&e.indexEpoch)
-	gen := e.catalog.Generation()
-	switch {
-	case cp == nil || cp.gen != gen:
+	if cp == nil || cp.gen != e.catalog.Generation() {
 		var err error
 		cp, err = e.buildPlan(q)
 		if err != nil {
@@ -888,13 +851,7 @@ func (e *Engine) executeItem(it execItem) error {
 		}
 		e.met.planBuilds.Inc()
 		q.plan = cp
-	case cp.epoch != epoch:
-		// Adaptive indexing built an index since this plan was adapted:
-		// re-run adaptation so eligible scans become index lookups.
-		cp.adapted, cp.probes = e.finishPlan(cp.built)
-		cp.epoch = epoch
-		e.met.planReadapts.Inc()
-	default:
+	} else {
 		cacheHit = true
 		e.met.planCacheHits.Inc()
 	}
@@ -934,7 +891,6 @@ func (e *Engine) executeItem(it execItem) error {
 	q.mu.Lock()
 	q.failures = 0
 	q.mu.Unlock()
-	e.noteProbes(cp.probes)
 	rowsOut := cb.Len()
 	q.windows++
 	q.rowsOutTotal += int64(rowsOut)
@@ -1055,7 +1011,6 @@ func (e *Engine) Stats() Stats {
 		IndexLookups:    m.indexLookups.Value(),
 		PlanBuilds:      m.planBuilds.Value(),
 		PlanCacheHits:   m.planCacheHits.Value(),
-		PlanReadapts:    m.planReadapts.Value(),
 	}
 }
 
@@ -1076,7 +1031,6 @@ func (s *Stats) Add(o Stats) {
 	s.IndexLookups += o.IndexLookups
 	s.PlanBuilds += o.PlanBuilds
 	s.PlanCacheHits += o.PlanCacheHits
-	s.PlanReadapts += o.PlanReadapts
 }
 
 // collectStreamRefs walks the statement (all union branches, joins and

@@ -218,32 +218,37 @@ func TestSharedWindowsAcrossQueries(t *testing.T) {
 	}
 }
 
+// TestAdaptiveIndexingBuildsIndex checks that the stream-static join's
+// lookup pattern is indexed when the plan is built: the index exists
+// once Register returns, and the very first window probes it instead of
+// scanning the table.
 func TestAdaptiveIndexingBuildsIndex(t *testing.T) {
-	e := testRig(t, Options{AdaptiveIndexing: true, AdaptiveThreshold: 3})
+	e := testRig(t, Options{})
 	c := &collector{}
 	q := sql.MustParse(`SELECT m.sid, s.kind FROM STREAM msmt [RANGE 500 SLIDE 500] AS m, sensors AS s
 		WHERE m.sid = s.sid`)
 	if err := e.Register("adaptive", q, nil, c.sink); err != nil {
 		t.Fatal(err)
 	}
-	feed(t, e, 100, 100) // 20 windows >> threshold
-	st := e.Stats()
-	if st.AdaptiveIndexes != 1 {
-		t.Fatalf("AdaptiveIndexes = %d, want 1", st.AdaptiveIndexes)
-	}
 	tb, _ := e.Catalog().Get("sensors")
 	if !tb.HasIndex("sid") {
-		t.Fatal("index not built on sensors.sid")
+		t.Fatal("index on sensors.sid not built at Register")
 	}
-	// Disabled engines never index.
-	e2 := testRig(t, Options{AdaptiveIndexing: false})
-	if err := e2.Register("plain", sql.MustParse(
-		`SELECT m.sid FROM STREAM msmt [RANGE 500 SLIDE 500] AS m, sensors AS s WHERE m.sid = s.sid`), nil, c.sink); err != nil {
-		t.Fatal(err)
+	if st := e.Stats(); st.AdaptiveIndexes != 1 {
+		t.Fatalf("AdaptiveIndexes = %d, want 1", st.AdaptiveIndexes)
 	}
-	feed(t, e2, 100, 100)
-	if e2.Stats().AdaptiveIndexes != 0 {
-		t.Error("adaptive index built despite being disabled")
+	feedRange(t, e, 0, 6, 100) // the tuple at 500 closes the first window
+	st := e.Stats()
+	if st.WindowsExecuted != 1 {
+		t.Fatalf("WindowsExecuted = %d, want 1", st.WindowsExecuted)
+	}
+	// Each window tuple is one index probe; the only rows scanned are
+	// the window's own (the window source), none of the table's 50.
+	if st.IndexLookups == 0 || st.RowsScanned != st.IndexLookups {
+		t.Errorf("first window: IndexLookups = %d, RowsScanned = %d, want equal and nonzero", st.IndexLookups, st.RowsScanned)
+	}
+	if st.AdaptiveIndexes != 1 {
+		t.Errorf("AdaptiveIndexes = %d after execution, want 1", st.AdaptiveIndexes)
 	}
 }
 

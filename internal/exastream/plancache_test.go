@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/relation"
@@ -49,41 +50,6 @@ func TestPlanCacheHitSteadyState(t *testing.T) {
 	}
 }
 
-// TestAdaptiveIndexInvalidatesCachedPlan is the acceptance test for
-// epoch invalidation: a plan cached before the adaptive index exists
-// must be re-adapted once the index is built, and its subsequent
-// windows must do index lookups instead of scans.
-func TestAdaptiveIndexInvalidatesCachedPlan(t *testing.T) {
-	e := testRig(t, Options{AdaptiveIndexing: true, AdaptiveThreshold: 3})
-	c := &collector{}
-	q := sql.MustParse(`SELECT m.sid, s.kind FROM STREAM msmt [RANGE 500 SLIDE 500] AS m, sensors AS s
-		WHERE m.sid = s.sid`)
-	if err := e.Register("adaptive", q, nil, c.sink); err != nil {
-		t.Fatal(err)
-	}
-	feedRange(t, e, 0, 30, 100) // enough windows to cross the threshold
-	mid := e.Stats()
-	if mid.AdaptiveIndexes == 0 {
-		t.Fatal("no adaptive index built")
-	}
-	if mid.PlanReadapts == 0 {
-		t.Fatal("cached plan was not re-adapted after the index appeared")
-	}
-	feedRange(t, e, 30, 30, 100)
-	if err := e.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	end := e.Stats()
-	if end.IndexLookups <= mid.IndexLookups {
-		t.Fatalf("IndexLookups did not increase after re-adaptation: %d -> %d",
-			mid.IndexLookups, end.IndexLookups)
-	}
-	// Steady state after re-adaptation is cache hits again.
-	if end.PlanReadapts != mid.PlanReadapts {
-		t.Errorf("plan kept re-adapting: %d -> %d", mid.PlanReadapts, end.PlanReadapts)
-	}
-}
-
 func TestCatalogGenerationInvalidatesCachedPlan(t *testing.T) {
 	e := testRig(t, Options{})
 	c := &collector{}
@@ -107,6 +73,48 @@ func TestCatalogGenerationInvalidatesCachedPlan(t *testing.T) {
 	if after.PlanBuilds != before.PlanBuilds+1 {
 		t.Errorf("PlanBuilds %d -> %d, want one rebuild after catalog change",
 			before.PlanBuilds, after.PlanBuilds)
+	}
+}
+
+// TestPlanTimeIndexConcurrentRebuilds rebuilds the plans of many
+// queries with one lookup pattern at once (a catalog change under a
+// parallel pool, plus concurrent EXPLAINs, which build plans too): the
+// pattern is indexed exactly once.
+func TestPlanTimeIndexConcurrentRebuilds(t *testing.T) {
+	e := testRig(t, Options{Parallelism: 8})
+	c := &collector{}
+	for i := 0; i < 8; i++ {
+		q := sql.MustParse(fmt.Sprintf(`SELECT m.sid, s.tid FROM STREAM msmt [RANGE 1000 SLIDE 1000] AS m, sensors AS s
+			WHERE m.sid = s.sid AND m.val > %d`, 40+i))
+		if err := e.Register(fmt.Sprintf("q%d", i), q, nil, c.sink); err != nil {
+			t.Fatal(err)
+		}
+	}
+	feedRange(t, e, 0, 20, 100)
+	if _, err := e.Catalog().Create("newtable", relation.NewSchema(relation.Col("x", relation.TInt))); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := e.ExplainQuery(fmt.Sprintf("q%d", i), false); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	feedRange(t, e, 20, 20, 100)
+	wg.Wait()
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st := e.Stats()
+	if st.PlanBuilds < 16 {
+		t.Errorf("PlanBuilds = %d, want every query rebuilt after the catalog change", st.PlanBuilds)
+	}
+	if st.AdaptiveIndexes != 1 {
+		t.Errorf("AdaptiveIndexes = %d, want 1", st.AdaptiveIndexes)
 	}
 }
 
@@ -189,7 +197,7 @@ func TestPulsePendingLeakRegression(t *testing.T) {
 // per-query, per-window results.
 func TestParallelFleetMatchesSequential(t *testing.T) {
 	run := func(parallelism int) map[string][]collected {
-		e := testRig(t, Options{Parallelism: parallelism, AdaptiveIndexing: true})
+		e := testRig(t, Options{Parallelism: parallelism})
 		c := &collector{}
 		for i := 0; i < 8; i++ {
 			q := sql.MustParse(fmt.Sprintf(`SELECT m.sid, s.tid, avg(m.val) AS a

@@ -132,30 +132,3 @@ func (t Tuple) String() string {
 	}
 	return "(" + strings.Join(parts, ", ") + ")"
 }
-
-// Key returns a comparable aggregate of selected columns, usable as a map
-// key for hash joins and group-by. It encodes values compactly into a
-// string; distinct value sequences produce distinct keys.
-func (t Tuple) Key(cols []int) string {
-	var sb strings.Builder
-	for _, c := range cols {
-		v := t[c]
-		sb.WriteByte(byte(v.Type) + '0')
-		switch v.Type {
-		case TInt, TTime:
-			fmt.Fprintf(&sb, "%d", v.Int)
-		case TFloat:
-			fmt.Fprintf(&sb, "%g", v.Float)
-		case TString:
-			sb.WriteString(v.Str)
-		case TBool:
-			if v.Bool {
-				sb.WriteByte('1')
-			} else {
-				sb.WriteByte('0')
-			}
-		}
-		sb.WriteByte(0x1f) // unit separator: avoids "ab","c" vs "a","bc" collisions
-	}
-	return sb.String()
-}

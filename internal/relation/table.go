@@ -18,10 +18,21 @@ type Table struct {
 	indexes map[string]*hashIndex // key: comma-joined column positions
 }
 
-// hashIndex maps a tuple key over indexed columns to row positions.
+// hashIndex maps the equality key (AppendKey) of the indexed columns
+// to row positions.
 type hashIndex struct {
 	cols []int
 	m    map[string][]int
+}
+
+// add indexes row at position pos.
+func (idx *hashIndex) add(row Tuple, pos int) {
+	var kb [32]byte
+	k := kb[:0]
+	for _, c := range idx.cols {
+		k = AppendKey(k, row[c])
+	}
+	idx.m[string(k)] = append(idx.m[string(k)], pos)
 }
 
 // NewTable creates an empty table.
@@ -69,8 +80,7 @@ func (t *Table) Insert(row Tuple) error {
 	pos := len(t.rows)
 	t.rows = append(t.rows, row)
 	for _, idx := range t.indexes {
-		k := row.Key(idx.cols)
-		idx.m[k] = append(idx.m[k], pos)
+		idx.add(row, pos)
 	}
 	return nil
 }
@@ -110,16 +120,25 @@ func indexKey(cols []int) string {
 	return strings.Join(parts, ",")
 }
 
-// CreateIndex builds a hash index on the named columns. Creating an index
-// that already exists is a no-op.
-func (t *Table) CreateIndex(cols ...string) error {
-	positions := make([]int, len(cols))
+// positions resolves column names to schema positions.
+func (t *Table) positions(cols []string) ([]int, error) {
+	out := make([]int, len(cols))
 	for i, c := range cols {
 		p, err := t.schema.IndexOf(c)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		positions[i] = p
+		out[i] = p
+	}
+	return out, nil
+}
+
+// CreateIndex builds a hash index on the named columns. Creating an index
+// that already exists is a no-op.
+func (t *Table) CreateIndex(cols ...string) error {
+	positions, err := t.positions(cols)
+	if err != nil {
+		return err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -129,8 +148,7 @@ func (t *Table) CreateIndex(cols ...string) error {
 	}
 	idx := &hashIndex{cols: positions, m: make(map[string][]int)}
 	for pos, row := range t.rows {
-		k := row.Key(positions)
-		idx.m[k] = append(idx.m[k], pos)
+		idx.add(row, pos)
 	}
 	t.indexes[key] = idx
 	return nil
@@ -138,13 +156,9 @@ func (t *Table) CreateIndex(cols ...string) error {
 
 // HasIndex reports whether an index exists exactly on the named columns.
 func (t *Table) HasIndex(cols ...string) bool {
-	positions := make([]int, len(cols))
-	for i, c := range cols {
-		p, err := t.schema.IndexOf(c)
-		if err != nil {
-			return false
-		}
-		positions[i] = p
+	positions, err := t.positions(cols)
+	if err != nil {
+		return false
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -152,73 +166,38 @@ func (t *Table) HasIndex(cols ...string) bool {
 	return ok
 }
 
-// Lookup returns the rows whose indexed columns equal the given values,
-// using a hash index when one exists on exactly those columns and a scan
-// otherwise. The bool result reports whether an index was used (the
-// adaptive-indexing benchmarks observe it).
+// Lookup returns the rows whose named columns equal the given values
+// under Equal: one probe of LookupBatch. A hash index on exactly those
+// columns serves it when one exists, a scan otherwise, and both find the
+// same rows. A NULL value matches no row. The bool result reports
+// whether an index was used.
 func (t *Table) Lookup(cols []string, vals []Value) ([]Tuple, bool, error) {
 	if len(cols) != len(vals) {
 		return nil, false, fmt.Errorf("relation: Lookup arity mismatch")
 	}
-	positions := make([]int, len(cols))
-	for i, c := range cols {
-		p, err := t.schema.IndexOf(c)
-		if err != nil {
-			return nil, false, err
-		}
-		positions[i] = p
+	out, indexed, err := t.LookupBatch(cols, [][]Value{vals})
+	if err != nil {
+		return nil, false, err
 	}
-	probe := make(Tuple, t.schema.Arity())
-	for i, p := range positions {
-		probe[p] = vals[i]
-	}
-	key := probe.Key(positions)
-
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if idx, ok := t.indexes[indexKey(positions)]; ok {
-		rowIDs := idx.m[key]
-		out := make([]Tuple, len(rowIDs))
-		for i, id := range rowIDs {
-			out[i] = t.rows[id]
-		}
-		return out, true, nil
-	}
-	var out []Tuple
-	for _, row := range t.rows {
-		match := true
-		for i, p := range positions {
-			if !Equal(row[p], vals[i]) {
-				match = false
-				break
-			}
-		}
-		if match {
-			out = append(out, row)
-		}
-	}
-	return out, false, nil
+	return out[0], indexed, nil
 }
 
 // LookupBatch probes the table once per key tuple in keys and returns
-// the matching rows per probe. It is the vector-at-a-time counterpart
-// of Lookup: column positions are resolved once, the read lock is taken
-// once for the whole vector, and the probe buffer is reused, so a
-// window's worth of probes costs one traversal of the setup code
-// instead of len(keys). A nil slot in keys (or a key containing a NULL)
-// yields a nil match set without probing, matching SQL join semantics.
-// The bool result reports whether a hash index served the probes.
+// the matching rows per probe. Column positions are resolved once and
+// the read lock is taken once for the whole vector, so a window's worth
+// of probes costs one traversal of the setup code instead of len(keys).
+// A hash index on exactly cols serves the probes by their equality key
+// (AppendKey); without one each probe scans with Equal. A nil slot in
+// keys (or a key containing a NULL) yields a nil match set without
+// probing, matching SQL join semantics. The bool result reports whether
+// a hash index served the probes.
 func (t *Table) LookupBatch(cols []string, keys [][]Value) ([][]Tuple, bool, error) {
-	positions := make([]int, len(cols))
-	for i, c := range cols {
-		p, err := t.schema.IndexOf(c)
-		if err != nil {
-			return nil, false, err
-		}
-		positions[i] = p
+	positions, err := t.positions(cols)
+	if err != nil {
+		return nil, false, err
 	}
 	out := make([][]Tuple, len(keys))
-	probe := make(Tuple, t.schema.Arity())
+	var kb [32]byte
 
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -241,10 +220,11 @@ func (t *Table) LookupBatch(cols []string, keys [][]Value) ([][]Tuple, bool, err
 			continue
 		}
 		if indexed {
-			for i, p := range positions {
-				probe[p] = vals[i]
+			k := kb[:0]
+			for _, v := range vals {
+				k = AppendKey(k, v)
 			}
-			rowIDs := idx.m[probe.Key(positions)]
+			rowIDs := idx.m[string(k)]
 			if len(rowIDs) > 0 {
 				matches := make([]Tuple, len(rowIDs))
 				for i, id := range rowIDs {

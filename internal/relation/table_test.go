@@ -3,6 +3,7 @@ package relation
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -46,16 +47,32 @@ func TestSchemaQualifyConcat(t *testing.T) {
 	}
 }
 
-func TestTupleKeyDistinct(t *testing.T) {
-	a := Tuple{String_("ab"), String_("c")}
-	b := Tuple{String_("a"), String_("bc")}
-	if a.Key([]int{0, 1}) == b.Key([]int{0, 1}) {
+// TestAppendKeyDistinct checks the equality key on the cases a naive
+// encoding gets wrong: equal values share a key across numeric types
+// and signed zeros, and no string content makes two different
+// multi-column keys collide.
+func TestAppendKeyDistinct(t *testing.T) {
+	key := func(vals ...Value) string {
+		var k []byte
+		for _, v := range vals {
+			k = AppendKey(k, v)
+		}
+		return string(k)
+	}
+	if key(String_("ab"), String_("c")) == key(String_("a"), String_("bc")) {
 		t.Error("key collision between (ab,c) and (a,bc)")
 	}
-	c := Tuple{Int(1), Float(1)}
-	d := Tuple{Float(1), Int(1)}
-	if c.Key([]int{0, 1}) == d.Key([]int{0, 1}) {
-		t.Error("key collision across types")
+	if key(String_("a\x1f3b"), String_("c")) == key(String_("a"), String_("b\x1f3c")) {
+		t.Error("key collision through a 0x1f inside a string")
+	}
+	if key(String_("1")) == key(Int(1)) || key(Bool_(true)) == key(Int(1)) || key(Null) == key(String_("")) {
+		t.Error("key collision across incomparable types")
+	}
+	if key(Int(1), Float(2)) != key(Float(1), Time(2)) {
+		t.Error("equal numerics of different types get different keys")
+	}
+	if key(Float(math.Copysign(0, -1))) != key(Int(0)) {
+		t.Error("-0.0 and 0 get different keys")
 	}
 }
 

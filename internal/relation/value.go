@@ -5,7 +5,9 @@
 package relation
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -69,8 +71,9 @@ func ParseType(s string) (Type, error) {
 	}
 }
 
-// Value is a single typed SQL value. Values are comparable and can be used
-// directly as map keys (hash-join build keys, group-by keys).
+// Value is a single typed SQL value. Hash structures that implement SQL
+// `=` key on AppendKey, not on Value itself: Go's == on Values tells 1
+// from 1.0 and NaN from NaN.
 type Value struct {
 	Type  Type
 	Int   int64 // also holds TTime milliseconds
@@ -165,9 +168,31 @@ func (v Value) String() string {
 // numeric reports whether the type participates in arithmetic.
 func (t Type) numeric() bool { return t == TInt || t == TFloat || t == TTime }
 
+// CompareFloat is the one float ordering behind Compare and the
+// vectorized comparison kernels: the usual order on numbers (-0 equals
+// +0), with NaN equal to NaN and above every number. It is a total
+// order, so sorting, filtering and hashing agree on NaN.
+func CompareFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	case a == b:
+		return 0
+	case a == a: // b is NaN
+		return -1
+	case b == b: // a is NaN
+		return 1
+	default:
+		return 0
+	}
+}
+
 // Compare orders two values. NULL sorts before everything; numeric types
-// compare by value across int/float/time; otherwise values must share a
-// type. The second result is false for incomparable values.
+// compare by value across int/float/time (as float64, see CompareFloat);
+// otherwise values must share a type. The second result is false for
+// incomparable values.
 func Compare(a, b Value) (int, bool) {
 	if a.IsNull() || b.IsNull() {
 		switch {
@@ -182,14 +207,7 @@ func Compare(a, b Value) (int, bool) {
 	if a.Type.numeric() && b.Type.numeric() {
 		af, _ := a.AsFloat()
 		bf, _ := b.AsFloat()
-		switch {
-		case af < bf:
-			return -1, true
-		case af > bf:
-			return 1, true
-		default:
-			return 0, true
-		}
+		return CompareFloat(af, bf), true
 	}
 	if a.Type != b.Type {
 		return 0, false
@@ -218,6 +236,53 @@ func Equal(a, b Value) bool {
 	}
 	c, ok := Compare(a, b)
 	return ok && c == 0
+}
+
+// Equality-key type tags (see AppendKey).
+const (
+	keyNull byte = iota + 1
+	keyNumeric
+	keyString
+	keyFalse
+	keyTrue
+)
+
+// AppendKey appends v's equality key to buf and returns the extended
+// buffer. It is the one encoding behind every hash structure that
+// implements SQL `=` (table indexes, hash joins, GROUP BY, DISTINCT,
+// COUNT(DISTINCT), partition routing, NDV counts): two non-NULL values
+// get the same key exactly when Equal calls them equal. Every numeric
+// (INTEGER, REAL, TIMESTAMP) becomes the float64 bits Compare compares
+// it by, with -0 folded to +0 and every NaN folded to one NaN, so 1 and
+// 1.0 share a key, as do integers above 2^53 that round to one float.
+// Strings are length-prefixed, so keys concatenate into an unambiguous
+// multi-column key whatever bytes a string holds. Each kind carries its
+// own tag, so incomparable values never share a key. NULL has a tag of
+// its own, which groups NULLs together for GROUP BY and DISTINCT; joins
+// and lookups, where NULL equals nothing, skip NULLs before encoding.
+func AppendKey(buf []byte, v Value) []byte {
+	switch v.Type {
+	case TNull:
+		return append(buf, keyNull)
+	case TString:
+		buf = append(buf, keyString)
+		buf = binary.AppendUvarint(buf, uint64(len(v.Str)))
+		return append(buf, v.Str...)
+	case TBool:
+		if v.Bool {
+			return append(buf, keyTrue)
+		}
+		return append(buf, keyFalse)
+	}
+	x, _ := v.AsFloat()
+	switch {
+	case x == 0:
+		x = 0 // -0 equals +0
+	case x != x:
+		x = math.NaN()
+	}
+	buf = append(buf, keyNumeric)
+	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
 }
 
 // Arith applies a binary arithmetic operator (+ - * / %) to two values,

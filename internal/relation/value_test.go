@@ -1,6 +1,8 @@
 package relation
 
 import (
+	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -91,6 +93,45 @@ func TestCompare(t *testing.T) {
 			t.Errorf("case %d: Compare(%v,%v) = %d,%t want %d,%t", i, c.a, c.b, got, ok, c.want, c.ok)
 		}
 	}
+}
+
+// TestCompareNaN pins the float ordering: NaN equals NaN, equals no
+// number, and sorts above every number, so Compare is a total order
+// that agrees with AppendKey.
+func TestCompareNaN(t *testing.T) {
+	nan := Float(math.NaN())
+	if Equal(nan, Float(1)) || Equal(Float(1), nan) || Equal(nan, Int(0)) {
+		t.Error("NaN compares equal to a number")
+	}
+	if !Equal(nan, Float(math.Float64frombits(0x7ff8000000000001))) {
+		t.Error("NaN payloads compare unequal")
+	}
+	if c, _ := Compare(nan, Float(math.Inf(1))); c != 1 {
+		t.Errorf("Compare(NaN, +Inf) = %d, want 1", c)
+	}
+	if c, _ := Compare(Int(1), nan); c != -1 {
+		t.Errorf("Compare(1, NaN) = %d, want -1", c)
+	}
+	vals := []Value{nan, Float(2), Int(-1), nan, Float(math.Inf(1)), Null}
+	sort.SliceStable(vals, func(i, j int) bool {
+		c, _ := Compare(vals[i], vals[j])
+		return c < 0
+	})
+	want := "[NULL -1 2 +Inf NaN NaN]"
+	if got := fmtValues(vals); got != want {
+		t.Errorf("sorted = %s, want %s", got, want)
+	}
+}
+
+func fmtValues(vals []Value) string {
+	s := "["
+	for i, v := range vals {
+		if i > 0 {
+			s += " "
+		}
+		s += v.String()
+	}
+	return s + "]"
 }
 
 func TestEqualNullSemantics(t *testing.T) {
