@@ -380,12 +380,13 @@ func maxInt64(a, b int64) int64 {
 }
 
 // OptimizeWithStats applies the statistics-driven rewrites on top of an
-// already-built (and adapted) physical plan:
+// already-built (and adapted) physical plan, as one rule on the plan
+// walk (see rewrite):
 //
 //  1. index-scan choice: Filter(Scan) with constant equality conjuncts
 //     whose estimated selectivity beats indexScanMaxSel becomes an
-//     IndexScanPlan (the stream engine indexes its pattern when it
-//     builds the plan, exactly as for lookup joins);
+//     IndexScanPlan (Adapt lists its pattern for indexing, exactly as
+//     for lookup joins);
 //  2. lookup-join reorder: a chain of lookup joins over one spine is
 //     reordered by ascending estimated matches-per-probe, so the most
 //     selective join shrinks the intermediate result first.
@@ -393,72 +394,36 @@ func maxInt64(a, b int64) int64 {
 // Rewrites preserve result multiset but not row order or output column
 // order; callers above resolve columns by name (projection, residuals),
 // and the chain is never reordered at the plan root or directly under a
-// Union, where positional layout is observable.
+// Union, where positional layout is observable. p is not modified.
 func OptimizeWithStats(p Plan, st *StatsStore) Plan {
 	if st == nil {
 		return p
 	}
-	return rewriteWithStats(p, nil, st)
+	p, _ = rewrite(p, func(n Plan) (Plan, bool) { return statsRule(n, st) })
+	return p
 }
 
-func rewriteWithStats(p Plan, parent Plan, st *StatsStore) Plan {
+// statsRule is OptimizeWithStats' rule. A chain is reordered from its
+// parent, the one node that knows it holds a chain top (an input that
+// is a lookup join while the parent is not one) and that the top is
+// neither the root nor a union branch.
+func statsRule(p Plan, st *StatsStore) (Plan, bool) {
 	switch n := p.(type) {
 	case *FilterPlan:
 		if scan, ok := n.Input.(*ScanPlan); ok {
-			if ix, ok := toIndexScan(n, scan, st); ok {
-				return ix
-			}
+			return toIndexScan(n, scan, st)
 		}
-		n.Input = rewriteWithStats(n.Input, n, st)
-		return n
-	case *ProjectPlan:
-		n.Input = rewriteWithStats(n.Input, n, st)
-		return n
-	case *AliasPlan:
-		return NewAliasPlan(rewriteWithStats(n.Input, n, st), n.Alias)
-	case *SortPlan:
-		n.Input = rewriteWithStats(n.Input, n, st)
-		return n
-	case *DistinctPlan:
-		n.Input = rewriteWithStats(n.Input, n, st)
-		return n
-	case *LimitPlan:
-		n.Input = rewriteWithStats(n.Input, n, st)
-		return n
-	case *AggregatePlan:
-		return NewAggregatePlan(rewriteWithStats(n.Input, n, st), n.GroupExprs, n.Aggs)
-	case *NestedLoopJoinPlan:
-		return NewNestedLoopJoinPlan(
-			rewriteWithStats(n.Left, n, st), rewriteWithStats(n.Right, n, st), n.On, n.LeftOuter)
-	case *HashJoinPlan:
-		return NewHashJoinPlan(
-			rewriteWithStats(n.Left, n, st), rewriteWithStats(n.Right, n, st),
-			n.LeftKeys, n.RightKeys, n.Residual, n.LeftOuter)
-	case *UnionPlan:
-		for i, in := range n.Inputs {
-			n.Inputs[i] = rewriteWithStats(in, n, st)
-		}
-		return n
-	case *LookupJoinPlan:
-		out := n
-		if _, isUnion := parent.(*UnionPlan); parent != nil && !isUnion {
-			out = reorderLookupChain(n, st)
-		}
-		// Recurse below the chain's spine (every rewrite preserves the
-		// spine's schema, so the chain members' cached schemas stay valid).
-		inner := out
-		for {
-			lj, ok := inner.Left.(*LookupJoinPlan)
-			if !ok {
-				break
-			}
-			inner = lj
-		}
-		inner.Left = rewriteWithStats(inner.Left, inner, st)
-		return out
-	default:
-		return p
+	case *UnionPlan, *LookupJoinPlan:
+		return p, false
 	}
+	return mapInputs(p, func(c Plan) (Plan, bool) {
+		if lj, ok := c.(*LookupJoinPlan); ok {
+			if r := reorderLookupChain(lj, st); r != lj {
+				return r, true
+			}
+		}
+		return c, false
+	})
 }
 
 // toIndexScan rewrites Filter(Scan) into an IndexScanPlan when the
@@ -467,7 +432,7 @@ func rewriteWithStats(p Plan, parent Plan, st *StatsStore) Plan {
 func toIndexScan(f *FilterPlan, scan *ScanPlan, st *StatsStore) (Plan, bool) {
 	ts := st.Table(scan.Table)
 	if ts == nil || ts.RowCount < indexScanMinRows {
-		return nil, false
+		return f, false
 	}
 	var cols []string
 	var vals []relation.Value
@@ -489,23 +454,9 @@ func toIndexScan(f *FilterPlan, scan *ScanPlan, st *StatsStore) (Plan, bool) {
 		sel *= cs.EqSelectivity(ts.RowCount, lit)
 	}
 	if len(cols) == 0 || clampSel(sel) > indexScanMaxSel {
-		return nil, false
+		return f, false
 	}
-	// The scan's schema is qualified by its alias; recover the bare
-	// table schema for the constructor from the catalog-independent
-	// qualified form.
-	qualified := scan.Schema()
-	bare := make([]relation.Column, len(qualified.Columns))
-	prefix := strings.ToLower(scan.Alias) + "."
-	for i, c := range qualified.Columns {
-		name := c.Name
-		if strings.HasPrefix(strings.ToLower(name), prefix) {
-			name = name[len(prefix):]
-		}
-		bare[i] = relation.Column{Name: name, Type: c.Type}
-	}
-	return NewIndexScanPlan(scan.Table, scan.Alias,
-		relation.Schema{Columns: bare}, cols, vals, sql.AndAll(rest...)), true
+	return NewIndexScanPlan(scan.Table, scan.Alias, scan.Schema(), cols, vals, sql.AndAll(rest...)), true
 }
 
 // constEquality matches `alias.col = literal` (either orientation)
@@ -586,17 +537,10 @@ func reorderLookupChain(top *LookupJoinPlan, st *StatsStore) *LookupJoinPlan {
 	// matches per probe, order[0]) executes first so every later probe
 	// runs over the smallest possible intermediate result.
 	cur := spine
-	var rebuilt *LookupJoinPlan
 	for _, idx := range order {
-		lj := chain[idx]
-		rebuilt = &LookupJoinPlan{
-			Left: cur, Table: lj.Table, Alias: lj.Alias,
-			LeftKeys: lj.LeftKeys, TableCols: lj.TableCols, Residual: lj.Residual,
-			schema: cur.Schema().Concat(ownColumns(lj)),
-		}
-		cur = rebuilt
+		cur = withInputs(chain[idx], []Plan{cur})
 	}
-	return rebuilt
+	return cur.(*LookupJoinPlan)
 }
 
 // ownColumns returns the (already alias-qualified) columns a lookup

@@ -26,6 +26,8 @@ func equalityValues(rng *rand.Rand) []relation.Value {
 		relation.Float(math.NaN()), relation.Float(math.Float64frombits(0x7ff8000000000001)),
 		relation.Float(math.Inf(1)), relation.Float(math.Inf(-1)),
 		relation.Int(big), relation.Int(big + 1), relation.Float(big), relation.Int(-big - 1),
+		relation.Int(big + 2), relation.Float(big + 2), relation.Time(big + 1), relation.Float(-big - 2),
+		relation.Int(math.MaxInt64), relation.Int(math.MinInt64), relation.Float(1 << 63), relation.Float(-(1 << 63)),
 		relation.String_(""), relation.String_("1"), relation.String_("a"),
 		relation.String_("a\x1f3b"), relation.String_("a\x1f"),
 		relation.String_("\x01a"), relation.String_("\x02\x01a"),
@@ -239,6 +241,17 @@ func TestEqualityKeyAgreesWithEqual(t *testing.T) {
 		groups := run("SELECT v.x, COUNT(*) FROM v GROUP BY v.x")
 		if len(groups) != classes {
 			t.Errorf("GROUP BY made %d groups, `=` has %d classes: %v", len(groups), classes, groups)
+		}
+		// 2^53 and 2^53+1 are distinct integers, though one float64.
+		const big = 1 << 53
+		bigGroups := 0
+		for _, g := range groups {
+			if relation.Equal(g[0], relation.Int(big)) || relation.Equal(g[0], relation.Int(big+1)) {
+				bigGroups++
+			}
+		}
+		if bigGroups != 2 {
+			t.Errorf("GROUP BY put 2^53 and 2^53+1 in %d groups, want 2: %v", bigGroups, groups)
 		}
 		for _, g := range groups {
 			n := int64(0)

@@ -30,7 +30,7 @@ type IndexScanPlan struct {
 }
 
 // NewIndexScanPlan builds an index scan; tableSchema is the base
-// table's (unqualified) schema.
+// table's schema, bare or qualified (a scan's), re-qualified by alias.
 func NewIndexScanPlan(table, alias string, tableSchema relation.Schema,
 	cols []string, vals []relation.Value, residual sql.Expr) *IndexScanPlan {
 	name := alias

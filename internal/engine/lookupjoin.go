@@ -31,7 +31,7 @@ type LookupJoinPlan struct {
 }
 
 // NewLookupJoinPlan builds the plan; tableSchema is the base table's
-// (unqualified) schema.
+// schema, bare or qualified (a scan's), re-qualified by alias.
 func NewLookupJoinPlan(left Plan, table, alias string, tableSchema relation.Schema,
 	leftKeys []sql.Expr, tableCols []string, residual sql.Expr) *LookupJoinPlan {
 	name := alias
@@ -122,4 +122,82 @@ func (j *LookupJoinPlan) Execute(ctx *ExecContext) ([]relation.Tuple, error) {
 	}
 	ctx.Stats.produced(OpLookupJoin, len(out))
 	return out, nil
+}
+
+// Lookup is one index a plan probes: a base table and the columns of
+// the hash index that serves its lookup join or index scan.
+type Lookup struct {
+	Table string
+	Cols  []string
+}
+
+// Adapt readies a built plan for execution over many windows: every
+// inner hash join whose build side is a plain scan of a base table
+// becomes a lookup join against that table, at any depth (derived
+// tables included), so each window probes the table's index instead of
+// rebuilding a hash table; given statistics, OptimizeWithStats follows.
+// It returns the plan and the lookup patterns it probes, which the
+// caller indexes before the first window (the paper's adaptive
+// main-memory indexing with a threshold of one lookup). p is not
+// modified, and its leaves are the returned plan's.
+func Adapt(p Plan, st *StatsStore) (Plan, []Lookup) {
+	p, _ = rewrite(p, toLookupJoin)
+	p = OptimizeWithStats(p, st)
+	var lookups []Lookup
+	var walk func(p Plan)
+	walk = func(p Plan) {
+		switch n := p.(type) {
+		case *LookupJoinPlan:
+			lookups = append(lookups, Lookup{n.Table, n.TableCols})
+		case *IndexScanPlan:
+			lookups = append(lookups, Lookup{n.Table, n.Cols})
+		}
+		for _, c := range p.Children() {
+			walk(c)
+		}
+	}
+	walk(p)
+	return p, lookups
+}
+
+// toLookupJoin is Adapt's rule: it turns an inner hash join into a
+// lookup join when either side is a plain scan keyed by bare columns of
+// its table (the right side first).
+func toLookupJoin(p Plan) (Plan, bool) {
+	j, ok := p.(*HashJoinPlan)
+	if !ok || j.LeftOuter {
+		return p, false
+	}
+	if lj, ok := lookupInto(j.Left, j.Right, j.LeftKeys, j.RightKeys, j.Residual); ok {
+		return lj, true
+	}
+	// Probing from the right flips the column order, and the schema
+	// with it; consumers resolve columns by name, and lookupInto checks
+	// the residual still resolves.
+	if lj, ok := lookupInto(j.Right, j.Left, j.RightKeys, j.LeftKeys, j.Residual); ok {
+		return lj, true
+	}
+	return p, false
+}
+
+// lookupInto builds a lookup join of probe into build when build is a
+// plain scan and every build key a bare column of it.
+func lookupInto(probe, build Plan, probeKeys, buildKeys []sql.Expr, residual sql.Expr) (Plan, bool) {
+	scan, ok := build.(*ScanPlan)
+	if !ok || len(buildKeys) == 0 {
+		return nil, false
+	}
+	cols := make([]string, len(buildKeys))
+	for i, k := range buildKeys {
+		cr, ok := k.(*sql.ColumnRef)
+		if !ok || cr.Table != "" && !strings.EqualFold(cr.Table, scan.Alias) {
+			return nil, false
+		}
+		cols[i] = cr.Name
+	}
+	lj := NewLookupJoinPlan(probe, scan.Table, scan.Alias, scan.Schema(), probeKeys, cols, residual)
+	if residual != nil && !ResolvesAgainst(residual, lj.Schema()) {
+		return nil, false
+	}
+	return lj, true
 }

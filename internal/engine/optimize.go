@@ -1,8 +1,85 @@
 package engine
 
 import (
+	"fmt"
+	"slices"
+
 	"repro/internal/sql"
 )
+
+// Every plan rewrite in this package — the rule pass (Optimize), the
+// hash-join→lookup-join adaptation and the cost-based rewrite
+// (OptimizeWithStats) — is a rule run by one walk, rewrite, over one
+// node rebuilder, withInputs. A rule sees a node whose inputs are
+// already rewritten and returns its replacement, or reports no change.
+
+// rewrite applies rule bottom-up: it rewrites p's inputs, rebuilds p
+// over them if any changed, then applies rule to the result. No node of
+// the input tree is modified, and every subtree the rule leaves alone —
+// each leaf included — is returned by identity, so a caller holding
+// leaves of the input (the stream engine's window sources) finds them
+// in the output.
+func rewrite(p Plan, rule func(Plan) (Plan, bool)) (Plan, bool) {
+	p, changed := mapInputs(p, func(c Plan) (Plan, bool) { return rewrite(c, rule) })
+	if out, ok := rule(p); ok {
+		return out, true
+	}
+	return p, changed
+}
+
+// mapInputs applies f to each input of p and rebuilds p over the
+// results when f changed any; otherwise it returns p itself.
+func mapInputs(p Plan, f func(Plan) (Plan, bool)) (Plan, bool) {
+	kids := p.Children()
+	var in []Plan
+	for i, c := range kids {
+		if nc, ok := f(c); ok {
+			if in == nil {
+				in = slices.Clone(kids)
+			}
+			in[i] = nc
+		}
+	}
+	if in == nil {
+		return p, false
+	}
+	return withInputs(p, in), true
+}
+
+// withInputs returns a copy of p over new inputs, given in Children
+// order, with its cached schema recomputed. It is the only place a plan
+// node is rebuilt around other inputs.
+func withInputs(p Plan, in []Plan) Plan {
+	switch n := p.(type) {
+	case *FilterPlan:
+		return &FilterPlan{Input: in[0], Pred: n.Pred}
+	case *ProjectPlan:
+		return NewProjectPlan(in[0], n.Exprs, n.Names)
+	case *AliasPlan:
+		return NewAliasPlan(in[0], n.Alias)
+	case *SortPlan:
+		return &SortPlan{Input: in[0], Items: n.Items}
+	case *DistinctPlan:
+		return &DistinctPlan{Input: in[0]}
+	case *LimitPlan:
+		return &LimitPlan{Input: in[0], N: n.N}
+	case *AggregatePlan:
+		return NewAggregatePlan(in[0], n.GroupExprs, n.Aggs)
+	case *NestedLoopJoinPlan:
+		return NewNestedLoopJoinPlan(in[0], in[1], n.On, n.LeftOuter)
+	case *HashJoinPlan:
+		return NewHashJoinPlan(in[0], in[1], n.LeftKeys, n.RightKeys, n.Residual, n.LeftOuter)
+	case *LookupJoinPlan:
+		return &LookupJoinPlan{
+			Left: in[0], Table: n.Table, Alias: n.Alias,
+			LeftKeys: n.LeftKeys, TableCols: n.TableCols, Residual: n.Residual,
+			schema: in[0].Schema().Concat(ownColumns(n)),
+		}
+	case *UnionPlan:
+		return &UnionPlan{Inputs: in, Distinct: n.Distinct}
+	}
+	panic(fmt.Sprintf("engine: cannot rebuild %T over new inputs", p))
+}
 
 // Optimize applies the rewrite passes the paper calls out for executing
 // unfolded query fleets efficiently (§2: "the queries ... can be very
@@ -17,90 +94,12 @@ import (
 func Optimize(p Plan) Plan {
 	for i := 0; i < 8; i++ {
 		var changed bool
-		p, changed = rewriteOnce(p)
+		p, changed = rewrite(p, rewriteNode)
 		if !changed {
 			break
 		}
 	}
 	return p
-}
-
-func rewriteOnce(p Plan) (Plan, bool) {
-	changed := false
-
-	// Rewrite children first (bottom-up).
-	switch n := p.(type) {
-	case *FilterPlan:
-		in, c := rewriteOnce(n.Input)
-		if c {
-			n.Input = in
-			changed = true
-		}
-	case *ProjectPlan:
-		in, c := rewriteOnce(n.Input)
-		if c {
-			n.Input = in
-			changed = true
-		}
-	case *AliasPlan:
-		in, c := rewriteOnce(n.Input)
-		if c {
-			*n = *NewAliasPlan(in, n.Alias)
-			changed = true
-		}
-	case *SortPlan:
-		in, c := rewriteOnce(n.Input)
-		if c {
-			n.Input = in
-			changed = true
-		}
-	case *DistinctPlan:
-		in, c := rewriteOnce(n.Input)
-		if c {
-			n.Input = in
-			changed = true
-		}
-	case *LimitPlan:
-		in, c := rewriteOnce(n.Input)
-		if c {
-			n.Input = in
-			changed = true
-		}
-	case *AggregatePlan:
-		in, c := rewriteOnce(n.Input)
-		if c {
-			*n = *NewAggregatePlan(in, n.GroupExprs, n.Aggs)
-			changed = true
-		}
-	case *NestedLoopJoinPlan:
-		l, c1 := rewriteOnce(n.Left)
-		r, c2 := rewriteOnce(n.Right)
-		if c1 || c2 {
-			*n = *NewNestedLoopJoinPlan(l, r, n.On, n.LeftOuter)
-			changed = true
-		}
-	case *HashJoinPlan:
-		l, c1 := rewriteOnce(n.Left)
-		r, c2 := rewriteOnce(n.Right)
-		if c1 || c2 {
-			*n = *NewHashJoinPlan(l, r, n.LeftKeys, n.RightKeys, n.Residual, n.LeftOuter)
-			changed = true
-		}
-	case *UnionPlan:
-		for i, in := range n.Inputs {
-			ri, c := rewriteOnce(in)
-			if c {
-				n.Inputs[i] = ri
-				changed = true
-			}
-		}
-	}
-
-	// Local rewrites at this node.
-	if out, c := rewriteNode(p); c {
-		return out, true
-	}
-	return p, changed
 }
 
 func rewriteNode(p Plan) (Plan, bool) {

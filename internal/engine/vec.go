@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -975,6 +976,28 @@ func cmpStr(a, b string) int {
 	}
 }
 
+// numCompareAt returns the exact three-way comparison of row i of two
+// typed numeric columns (relation.Compare's numeric order), or nil.
+func numCompareAt(a, b *relation.Vector) func(i int) int {
+	isInt := func(v *relation.Vector) bool { return v.ElemType() == relation.TInt || v.ElemType() == relation.TTime }
+	isFloat := func(v *relation.Vector) bool { return v.ElemType() == relation.TFloat }
+	switch {
+	case isInt(a) && isInt(b):
+		x, y := a.Ints(), b.Ints()
+		return func(i int) int { return cmp.Compare(x[i], y[i]) }
+	case isInt(a) && isFloat(b):
+		x, y := a.Ints(), b.Floats()
+		return func(i int) int { return relation.CompareIntFloat(x[i], y[i]) }
+	case isFloat(a) && isInt(b):
+		x, y := a.Floats(), b.Ints()
+		return func(i int) int { return -relation.CompareIntFloat(y[i], x[i]) }
+	case isFloat(a) && isFloat(b):
+		x, y := a.Floats(), b.Floats()
+		return func(i int) int { return relation.CompareFloat(x[i], y[i]) }
+	}
+	return nil
+}
+
 // floatAt returns a numeric accessor for a typed numeric column, or nil.
 func floatAt(v *relation.Vector) func(i int) float64 {
 	switch v.ElemType() {
@@ -1067,14 +1090,26 @@ func cmpVecScalar(bufs *vecBufs, test [3]bool, v *relation.Vector, s relation.Va
 	}
 	switch {
 	case (et == relation.TInt || et == relation.TTime) && sNum:
+		// Exact: an integer constant compares as one, a REAL one through
+		// its pivot (relation.IntPivot).
 		ints := v.Ints()
+		pivot, r := s.Int, 0
+		if s.Type == relation.TFloat {
+			pivot, r = relation.IntPivot(s.Float)
+		}
+		cmpAt := func(i int) int {
+			if c := cmp.Compare(ints[i], pivot); c != 0 {
+				return c
+			}
+			return r
+		}
 		if sel == nil {
 			for i := 0; i < n; i++ {
 				if nb != nil && nb.Get(i) {
 					setNull(i)
 					continue
 				}
-				out[i] = acc[relation.CompareFloat(float64(ints[i]), sf)+1]
+				out[i] = acc[cmpAt(i)+1]
 			}
 		} else {
 			for i := sel.Next(0); i >= 0; i = sel.Next(i + 1) {
@@ -1082,9 +1117,19 @@ func cmpVecScalar(bufs *vecBufs, test [3]bool, v *relation.Vector, s relation.Va
 					setNull(i)
 					continue
 				}
-				out[i] = acc[relation.CompareFloat(float64(ints[i]), sf)+1]
+				out[i] = acc[cmpAt(i)+1]
 			}
 		}
+	case et == relation.TFloat && s.Type != relation.TFloat && sNum:
+		fs := v.Floats()
+		eachSel(n, sel, func(i int) bool {
+			if nb != nil && nb.Get(i) {
+				setNull(i)
+			} else {
+				out[i] = acc[1-relation.CompareIntFloat(s.Int, fs[i])]
+			}
+			return true
+		})
 	case et == relation.TFloat && sNum:
 		fs := v.Floats()
 		if sel == nil {
@@ -1159,13 +1204,13 @@ func cmpVecVec(bufs *vecBufs, test [3]bool, a, b *relation.Vector, n int, sel *r
 		}
 		nulls.Set(i)
 	}
-	if af, bf := floatAt(a), floatAt(b); af != nil && bf != nil {
+	if cmpAt := numCompareAt(a, b); cmpAt != nil {
 		eachSel(n, sel, func(i int) bool {
 			if a.IsNull(i) || b.IsNull(i) {
 				setNull(i)
 				return true
 			}
-			out[i] = test[relation.CompareFloat(af(i), bf(i))+1]
+			out[i] = test[cmpAt(i)+1]
 			return true
 		})
 		return bufs.boolVec(out, nulls), nil

@@ -25,9 +25,13 @@ func windowSchema() relation.Schema {
 	)
 }
 
+// bigInt is 2^53, the first integer above which float64 skips integers.
+const bigInt = 1 << 53
+
 // randomBatch draws a window batch: empty batches, NULL-heavy columns,
-// and occasionally an all-NULL column, so the differential covers the
-// typed, generic, and degenerate vector layouts.
+// occasionally an all-NULL column, and sids and values around 2^53, so
+// the differential covers the typed, generic, and degenerate vector
+// layouts and exact integer comparison.
 func randomBatch(rng *rand.Rand) []relation.Tuple {
 	var n int
 	switch rng.Intn(5) {
@@ -53,6 +57,10 @@ func randomBatch(rng *rand.Rand) []relation.Tuple {
 			relation.Bool_(rng.Intn(2) == 0),
 			relation.Null,
 		}
+		if rng.Intn(8) == 0 { // integers float64 cannot tell apart
+			row[0] = relation.Int(bigInt + int64(rng.Intn(3)))
+			row[2] = relation.Float(bigInt + float64(2*rng.Intn(2)))
+		}
 		switch rng.Intn(3) { // mixed-type column
 		case 0:
 			row[5] = relation.Int(int64(rng.Intn(4)))
@@ -76,9 +84,15 @@ func randomBatch(rng *rand.Rand) []relation.Tuple {
 // the pool.
 func randomWindowSQL(rng *rand.Rand) string {
 	pred := func() string {
-		switch rng.Intn(12) {
+		switch rng.Intn(15) {
 		case 0:
 			return fmt.Sprintf("w.val > %d", rng.Intn(50))
+		case 12: // exact integer comparison above 2^53
+			return fmt.Sprintf("w.sid = %d", bigInt+rng.Intn(3))
+		case 13: // integer column against a REAL constant, and against a REAL column
+			return fmt.Sprintf("w.sid >= %d.0 OR w.val = w.sid", bigInt+2*rng.Intn(2))
+		case 14:
+			return fmt.Sprintf("w.val < %d AND w.sid > %d", bigInt+rng.Intn(3), bigInt)
 		case 1:
 			return fmt.Sprintf("w.sid <= %d", rng.Intn(6))
 		case 2:

@@ -448,10 +448,26 @@ func (e *Engine) warmPlan(q *continuousQuery) {
 func (e *Engine) registerLocked(q *continuousQuery) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if err := e.checkRefsLocked(q); err != nil {
+		return err
+	}
+	for i, ref := range q.refs {
+		e.subscribeLocked(q, i, ref.Table, q.specs[i])
+	}
+	e.admitLocked(q)
+	return nil
+}
+
+// checkRefsLocked holds the checks registering and restoring a query
+// share: its id is unused, and every stream reference names a known
+// stream and carries a valid window, all windows sliding alike. It sets
+// q.specs, one window spec per reference, and changes nothing else, so
+// a rejected query leaves no window behind.
+func (e *Engine) checkRefsLocked(q *continuousQuery) error {
 	if _, dup := e.queries[q.id]; dup {
 		return fmt.Errorf("exastream: query %q already registered", q.id)
 	}
-	var slide int64 = -1
+	specs := make([]stream.WindowSpec, len(q.refs))
 	for i, ref := range q.refs {
 		if _, ok := e.streams[strings.ToLower(ref.Table)]; !ok {
 			return fmt.Errorf("exastream: query %s: unknown stream %q", q.id, ref.Table)
@@ -459,24 +475,29 @@ func (e *Engine) registerLocked(q *continuousQuery) error {
 		if ref.Window == nil {
 			return fmt.Errorf("exastream: query %s: stream %q lacks a window", q.id, ref.Table)
 		}
-		spec := stream.WindowSpec{RangeMS: ref.Window.RangeMS, SlideMS: ref.Window.SlideMS}
-		if err := spec.Validate(); err != nil {
+		specs[i] = stream.WindowSpec{RangeMS: ref.Window.RangeMS, SlideMS: ref.Window.SlideMS}
+		if err := specs[i].Validate(); err != nil {
 			return err
 		}
-		if slide == -1 {
-			slide = spec.SlideMS
-		} else if slide != spec.SlideMS {
+		if specs[i].SlideMS != specs[0].SlideMS {
 			return fmt.Errorf("exastream: query %s: stream windows must share a slide", q.id)
 		}
-		q.specs = append(q.specs, spec)
-		e.subscribeLocked(q, i, ref.Table, spec)
 	}
+	q.specs = specs
+	return nil
+}
+
+// admitLocked adds a checked query to the engine, giving it the default
+// memory budget when it has none; governance turns on with the first
+// budget.
+func (e *Engine) admitLocked(q *continuousQuery) {
 	e.queries[q.id] = q
-	if e.opts.MemBudget > 0 && q.budget.Load() == 0 {
+	if q.budget.Load() == 0 && e.opts.MemBudget > 0 {
 		q.budget.Store(e.opts.MemBudget)
+	}
+	if q.budget.Load() > 0 {
 		atomic.StoreInt32(&e.govActive, 1)
 	}
-	return nil
 }
 
 func (e *Engine) subscribeLocked(q *continuousQuery, refIdx int, streamName string, spec stream.WindowSpec) {
@@ -818,15 +839,25 @@ func (e *Engine) buildPlan(q *continuousQuery) (*cachedPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The physical rewrites that follow Build: join adaptation always,
-	// then, when the cost-based planner is on, the statistics-driven
-	// rewrite (index-scan choice, lookup-join reordering). Every lookup
-	// pattern of the final plan gets its index now.
-	adapted := e.adaptPlan(built)
-	if e.opts.Optimize && e.stats != nil {
-		adapted = engine.OptimizeWithStats(adapted, e.stats)
+	// Lookup-join adaptation always, the cost-based rewrite when that
+	// planner is on. Every lookup pattern of the final plan gets its
+	// index now, so the first window already probes it; plans of several
+	// queries can be built at once, and e.mu makes check, build and count
+	// one step, so each index counts once.
+	var st *engine.StatsStore
+	if e.opts.Optimize {
+		st = e.stats
 	}
-	e.indexPlan(adapted)
+	adapted, lookups := engine.Adapt(built, st)
+	for _, l := range lookups {
+		if t, err := e.catalog.Get(l.Table); err == nil {
+			e.mu.Lock()
+			if !t.HasIndex(l.Cols...) && t.CreateIndex(l.Cols...) == nil {
+				e.met.adaptiveIndexes.Inc()
+			}
+			e.mu.Unlock()
+		}
+	}
 	return &cachedPlan{adapted: adapted, sources: sources, gen: e.catalog.Generation()}, nil
 }
 

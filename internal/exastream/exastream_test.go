@@ -110,6 +110,25 @@ func TestRegisterValidation(t *testing.T) {
 	if err := e.Register("q2", two, nil, c.sink); err == nil {
 		t.Error("mismatched slides accepted")
 	}
+	// Fresh and restored queries pass the same checks, with the same
+	// errors, and a rejected query leaves no subscription behind.
+	for name, q := range cases {
+		regErr := e.Register("r-"+name, sql.MustParse(q), nil, c.sink)
+		resErr := e.RestoreQuery("r-"+name, sql.MustParse(q), nil, c.sink, nil, nil)
+		if fmt.Sprint(regErr) != fmt.Sprint(resErr) {
+			t.Errorf("%s: Register says %v, RestoreQuery says %v", name, regErr, resErr)
+		}
+	}
+	if err := e.RestoreQuery("q2", two, nil, c.sink, nil, nil); err == nil {
+		t.Error("mismatched slides restored")
+	}
+	for wk, sw := range e.windows {
+		for _, sub := range sw.subs {
+			if sub.q.id != "q1" {
+				t.Errorf("window %v kept a subscription of rejected query %s", wk, sub.q.id)
+			}
+		}
+	}
 	if err := e.DeclareStream(stream.Schema{Name: "msmt", Tuple: relation.NewSchema(relation.Col("ts", relation.TTime)), TSCol: "ts"}); err == nil {
 		t.Error("duplicate stream accepted")
 	}

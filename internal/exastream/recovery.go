@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/recovery"
 	"repro/internal/sql"
@@ -142,36 +141,19 @@ func (e *Engine) RestoreQuery(id string, stmt *sql.SelectStmt, pulse *stream.Pul
 	return nil
 }
 
-// restoreLocked mirrors registerLocked but seeds owner-keyed window
-// operators from the snapshot.
+// restoreLocked is registerLocked with owner-keyed window operators
+// seeded from the snapshot.
 func (e *Engine) restoreLocked(q *continuousQuery, st *recovery.QueryState) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, dup := e.queries[q.id]; dup {
-		return fmt.Errorf("exastream: query %q already registered", q.id)
+	if err := e.checkRefsLocked(q); err != nil {
+		return err
 	}
-	var slide int64 = -1
 	for i, ref := range q.refs {
-		if _, ok := e.streams[strings.ToLower(ref.Table)]; !ok {
-			return fmt.Errorf("exastream: query %s: unknown stream %q", q.id, ref.Table)
-		}
-		if ref.Window == nil {
-			return fmt.Errorf("exastream: query %s: stream %q lacks a window", q.id, ref.Table)
-		}
-		spec := stream.WindowSpec{RangeMS: ref.Window.RangeMS, SlideMS: ref.Window.SlideMS}
-		if err := spec.Validate(); err != nil {
-			return err
-		}
-		if slide == -1 {
-			slide = spec.SlideMS
-		} else if slide != spec.SlideMS {
-			return fmt.Errorf("exastream: query %s: stream windows must share a slide", q.id)
-		}
-		q.specs = append(q.specs, spec)
-		key := windowKey{stream: strings.ToLower(ref.Table), spec: spec, owner: q.id}
+		key := windowKey{stream: strings.ToLower(ref.Table), spec: q.specs[i], owner: q.id}
 		sw, ok := e.windows[key]
 		if !ok {
-			op, err := e.restoredOp(spec, st, i)
+			op, err := e.restoredOp(q.specs[i], st, i)
 			if err != nil {
 				return err
 			}
@@ -180,13 +162,7 @@ func (e *Engine) restoreLocked(q *continuousQuery, st *recovery.QueryState) erro
 		}
 		sw.subs = append(sw.subs, &querySub{q: q, refIdx: i})
 	}
-	e.queries[q.id] = q
-	if q.budget.Load() == 0 && e.opts.MemBudget > 0 {
-		q.budget.Store(e.opts.MemBudget)
-	}
-	if q.budget.Load() > 0 {
-		atomic.StoreInt32(&e.govActive, 1)
-	}
+	e.admitLocked(q)
 	return nil
 }
 

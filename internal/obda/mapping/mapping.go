@@ -186,38 +186,39 @@ func sortStrings(ss []string) {
 	}
 }
 
-// qualifyExpr rewrites bare column references in a source WHERE clause to
-// alias-qualified references.
-func qualifyExpr(e sql.Expr, alias string) sql.Expr {
+// QualifyExpr re-qualifies every column reference of a source WHERE
+// clause by alias, replacing any qualifier it had (an empty alias leaves
+// the references bare).
+func QualifyExpr(e sql.Expr, alias string) sql.Expr {
 	switch x := e.(type) {
 	case nil:
 		return nil
 	case *sql.ColumnRef:
 		return &sql.ColumnRef{Table: alias, Name: x.Name}
 	case *sql.BinaryExpr:
-		return sql.Bin(x.Op, qualifyExpr(x.Left, alias), qualifyExpr(x.Right, alias))
+		return sql.Bin(x.Op, QualifyExpr(x.Left, alias), QualifyExpr(x.Right, alias))
 	case *sql.UnaryExpr:
-		return &sql.UnaryExpr{Op: x.Op, Expr: qualifyExpr(x.Expr, alias)}
+		return &sql.UnaryExpr{Op: x.Op, Expr: QualifyExpr(x.Expr, alias)}
 	case *sql.IsNullExpr:
-		return &sql.IsNullExpr{Expr: qualifyExpr(x.Expr, alias), Negate: x.Negate}
+		return &sql.IsNullExpr{Expr: QualifyExpr(x.Expr, alias), Negate: x.Negate}
 	case *sql.FuncExpr:
 		args := make([]sql.Expr, len(x.Args))
 		for i, a := range x.Args {
-			args[i] = qualifyExpr(a, alias)
+			args[i] = QualifyExpr(a, alias)
 		}
 		return &sql.FuncExpr{Name: x.Name, Args: args, Star: x.Star, Distinct: x.Distinct}
 	case *sql.InExpr:
-		out := &sql.InExpr{Expr: qualifyExpr(x.Expr, alias), Negate: x.Negate}
+		out := &sql.InExpr{Expr: QualifyExpr(x.Expr, alias), Negate: x.Negate}
 		for _, i := range x.List {
-			out.List = append(out.List, qualifyExpr(i, alias))
+			out.List = append(out.List, QualifyExpr(i, alias))
 		}
 		return out
 	case *sql.CaseExpr:
-		out := &sql.CaseExpr{Else: qualifyExpr(x.Else, alias)}
+		out := &sql.CaseExpr{Else: QualifyExpr(x.Else, alias)}
 		for _, w := range x.Whens {
 			out.Whens = append(out.Whens, sql.CaseWhen{
-				Cond: qualifyExpr(w.Cond, alias),
-				Then: qualifyExpr(w.Then, alias),
+				Cond: QualifyExpr(w.Cond, alias),
+				Then: QualifyExpr(w.Then, alias),
 			})
 		}
 		return out

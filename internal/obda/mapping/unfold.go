@@ -183,7 +183,7 @@ func unfoldCombination(q cq.CQ, combo []Mapping, opts UnfoldOptions, stats *Unfo
 		}
 		// Source-level filters, alias-qualified.
 		if m.Source.Where != nil {
-			conds = append(conds, qualifyExpr(m.Source.Where, aliases[i]))
+			conds = append(conds, QualifyExpr(m.Source.Where, aliases[i]))
 		}
 	}
 

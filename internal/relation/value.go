@@ -5,6 +5,7 @@
 package relation
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -189,10 +190,37 @@ func CompareFloat(a, b float64) int {
 	}
 }
 
+// CompareIntFloat orders an integer against a float exactly, without
+// rounding the integer to a float64: 2^53+1 is above 2^53 as a REAL.
+// NaN is above every number, as in CompareFloat.
+func CompareIntFloat(i int64, f float64) int {
+	t, r := IntPivot(f)
+	if c := cmp.Compare(i, t); c != 0 {
+		return c
+	}
+	return r
+}
+
+// IntPivot reduces a float to an integer comparison: for every int64 i,
+// CompareIntFloat(i, f) is cmp.Compare(i, t), or r where that is 0. A
+// column of integers compares against a REAL constant with one integer
+// comparison per row.
+func IntPivot(f float64) (t int64, r int) {
+	switch {
+	case f != f, f >= 1<<63:
+		return math.MaxInt64, -1
+	case f < -(1 << 63):
+		return math.MinInt64, 1
+	}
+	tf := math.Trunc(f) // in int64 range, so the conversion is exact
+	return int64(tf), CompareFloat(tf, f)
+}
+
 // Compare orders two values. NULL sorts before everything; numeric types
-// compare by value across int/float/time (as float64, see CompareFloat);
-// otherwise values must share a type. The second result is false for
-// incomparable values.
+// compare by exact value across int/float/time (two integers as int64,
+// an integer and a float by CompareIntFloat, two floats by
+// CompareFloat); otherwise values must share a type. The second result
+// is false for incomparable values.
 func Compare(a, b Value) (int, bool) {
 	if a.IsNull() || b.IsNull() {
 		switch {
@@ -205,9 +233,15 @@ func Compare(a, b Value) (int, bool) {
 		}
 	}
 	if a.Type.numeric() && b.Type.numeric() {
-		af, _ := a.AsFloat()
-		bf, _ := b.AsFloat()
-		return CompareFloat(af, bf), true
+		switch {
+		case a.Type != TFloat && b.Type != TFloat:
+			return cmp.Compare(a.Int, b.Int), true
+		case a.Type != TFloat:
+			return CompareIntFloat(a.Int, b.Float), true
+		case b.Type != TFloat:
+			return -CompareIntFloat(b.Int, a.Float), true
+		}
+		return CompareFloat(a.Float, b.Float), true
 	}
 	if a.Type != b.Type {
 		return 0, false
@@ -245,16 +279,20 @@ const (
 	keyString
 	keyFalse
 	keyTrue
+	keyBigInt
 )
 
 // AppendKey appends v's equality key to buf and returns the extended
 // buffer. It is the one encoding behind every hash structure that
 // implements SQL `=` (table indexes, hash joins, GROUP BY, DISTINCT,
 // COUNT(DISTINCT), partition routing, NDV counts): two non-NULL values
-// get the same key exactly when Equal calls them equal. Every numeric
-// (INTEGER, REAL, TIMESTAMP) becomes the float64 bits Compare compares
-// it by, with -0 folded to +0 and every NaN folded to one NaN, so 1 and
-// 1.0 share a key, as do integers above 2^53 that round to one float.
+// get the same key exactly when Equal calls them equal. A number that
+// is an integer of magnitude above 2^53 within int64 range (INTEGER,
+// TIMESTAMP, or a REAL, which is integral there) is keyed by its int64
+// value; every other number (INTEGER, REAL, TIMESTAMP) by its float64
+// bits, exact for such integers, with -0 folded to +0 and every NaN
+// folded to one NaN. So 1 and 1.0 share a key, and 2^53 and 2^53+1 do
+// not.
 // Strings are length-prefixed, so keys concatenate into an unambiguous
 // multi-column key whatever bytes a string holds. Each kind carries its
 // own tag, so incomparable values never share a key. NULL has a tag of
@@ -276,6 +314,10 @@ func AppendKey(buf []byte, v Value) []byte {
 	}
 	x, _ := v.AsFloat()
 	switch {
+	case v.Type != TFloat && (v.Int > 1<<53 || v.Int < -(1<<53)):
+		return binary.LittleEndian.AppendUint64(append(buf, keyBigInt), uint64(v.Int))
+	case v.Type == TFloat && math.Abs(x) > 1<<53 && x >= -(1<<63) && x < 1<<63:
+		return binary.LittleEndian.AppendUint64(append(buf, keyBigInt), uint64(int64(x)))
 	case x == 0:
 		x = 0 // -0 equals +0
 	case x != x:

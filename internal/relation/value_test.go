@@ -1,7 +1,10 @@
 package relation
 
 import (
+	"bytes"
 	"math"
+	"math/big"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -120,6 +123,43 @@ func TestCompareNaN(t *testing.T) {
 	want := "[NULL -1 2 +Inf NaN NaN]"
 	if got := fmtValues(vals); got != want {
 		t.Errorf("sorted = %s, want %s", got, want)
+	}
+}
+
+// TestCompareExactAboveFloatPrecision checks integers against integers
+// and floats exactly where float64 rounds (beyond 2^53 and at the ends
+// of int64), against math/big, and that AppendKey gives two numbers the
+// same key exactly when Equal calls them equal.
+func TestCompareExactAboveFloatPrecision(t *testing.T) {
+	const p = 1 << 53
+	if Equal(Int(p), Int(p+1)) || Equal(Time(p+1), Int(p)) || Equal(Int(p+1), Float(p)) {
+		t.Error("2^53 and 2^53+1 compare equal")
+	}
+	if !Equal(Int(p+2), Float(p+2)) || !Equal(Int(math.MinInt64), Float(-(1<<63))) {
+		t.Error("an integral float does not equal its integer")
+	}
+	rng := rand.New(rand.NewSource(53))
+	ints := []int64{0, 1, -1, p, p + 1, -p - 1, math.MaxInt64, math.MinInt64, math.MaxInt64 - 1}
+	floats := []float64{0, math.Copysign(0, -1), 0.5, -0.5, p, p + 2, 1 << 63, -(1 << 63), math.Inf(1), math.Inf(-1), 2.5e18}
+	for i := 0; i < 200; i++ {
+		n := rng.Int63n(1<<60) - 1<<59
+		ints = append(ints, n)
+		floats = append(floats, float64(n), float64(n)+0.5, math.Nextafter(float64(n), 0))
+	}
+	for _, i := range ints {
+		for _, f := range floats {
+			want := new(big.Float).SetInt64(i).Cmp(new(big.Float).SetFloat64(f))
+			if got := CompareIntFloat(i, f); got != want {
+				t.Fatalf("CompareIntFloat(%d, %v) = %d, want %d", i, f, got, want)
+			}
+			if got, _ := Compare(Float(f), Int(i)); got != -want {
+				t.Fatalf("Compare(%v, %d) = %d, want %d", f, i, got, -want)
+			}
+			sameKey := bytes.Equal(AppendKey(nil, Int(i)), AppendKey(nil, Float(f)))
+			if sameKey != (want == 0) {
+				t.Fatalf("AppendKey(%d) == AppendKey(%v) is %t, Equal is %t", i, f, sameKey, want == 0)
+			}
+		}
 	}
 }
 

@@ -8,10 +8,10 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/obda/mapping"
 	"repro/internal/rdf"
 	"repro/internal/relation"
-	"repro/internal/sql"
 	"repro/internal/stream"
 )
 
@@ -97,6 +97,7 @@ type SequenceBuilder struct {
 	schema   stream.Schema
 	tsIdx    int
 	mappings []mapping.Mapping // stream-sourced mappings of the stream
+	funcs    *engine.FuncRegistry
 }
 
 // NewSequenceBuilder selects the stream-sourced mappings relevant to the
@@ -106,7 +107,7 @@ func NewSequenceBuilder(schema stream.Schema, set *mapping.Set) (*SequenceBuilde
 	if err != nil {
 		return nil, err
 	}
-	b := &SequenceBuilder{schema: schema, tsIdx: tsIdx}
+	b := &SequenceBuilder{schema: schema, tsIdx: tsIdx, funcs: engine.NewFuncRegistry()}
 	for _, m := range set.All() {
 		if m.Source.IsStream && equalFold(m.Source.Table, schema.Name) {
 			b.mappings = append(b.mappings, m)
@@ -172,7 +173,7 @@ type StreamReader struct {
 type readPlan struct {
 	m        mapping.Mapping
 	pred     int32
-	where    colExpr // source filter; nil = none
+	where    engine.CompiledExpr // source filter over the stream tuple; nil = none
 	subjCols []int
 	objData  int   // data-property column ordinal, -1 otherwise
 	objCols  []int // object IRI template ordinals (object properties)
@@ -282,8 +283,14 @@ func (b *SequenceBuilder) Reader(preds, subjects []string) (*StreamReader, error
 			r.preds = append(r.preds, m.Pred)
 		}
 		p.pred = ord
-		if m.Source.Where != nil {
-			p.where = compileColExpr(m.Source.Where, tuple)
+		if w := m.Source.Where; w != nil {
+			// The filter the unfolded fleet applies, with the engine's
+			// semantics: NULLs, IS NULL, IN, CASE and functions included.
+			w = mapping.QualifyExpr(w, "")
+			if !engine.ResolvesAgainst(w, tuple) {
+				return nil, fmt.Errorf("starql: mapping filter %s reads a column stream %s lacks", w, b.schema.Name)
+			}
+			p.where, _ = engine.Compile(w, tuple, b.funcs)
 		}
 		for _, c := range m.Subject.Columns {
 			idx, err := tuple.IndexOf(c)
@@ -369,6 +376,10 @@ type windowRead struct {
 	memoStr []map[string]int32
 	objMemo []map[string]string
 	segs    []string
+	// row is the scratch tuple source filters read; it holds window row
+	// filled (-1 = none yet).
+	row    relation.Tuple
+	filled int
 }
 
 // Read builds the StdSeq sequence of one window from its columns. The
@@ -382,7 +393,7 @@ func (r *StreamReader) Read(cb *relation.ColBatch) (*Sequence, error) {
 	if n == 0 {
 		return seq, nil
 	}
-	w := &windowRead{r: r, cb: cb, seq: seq}
+	w := &windowRead{r: r, cb: cb, seq: seq, filled: -1}
 	tsVec := cb.Col(r.tsIdx)
 	if et := tsVec.ElemType(); (et == relation.TInt || et == relation.TTime) && !tsVec.HasNulls() {
 		ints := tsVec.Ints()
@@ -505,7 +516,7 @@ func (w *windowRead) each(fn func(i, state, pi int, k int32) error) error {
 				continue
 			}
 			if p.where != nil {
-				v, err := p.where(w.cb, i)
+				v, err := p.where(w.tuple(i))
 				if err != nil {
 					return err
 				}
@@ -519,6 +530,20 @@ func (w *windowRead) each(fn func(i, state, pi int, k int32) error) error {
 		}
 	}
 	return nil
+}
+
+// tuple returns row i in the scratch tuple, filled once per row.
+func (w *windowRead) tuple(i int) relation.Tuple {
+	if w.row == nil {
+		w.row = make(relation.Tuple, w.cb.Arity())
+	}
+	if w.filled != i {
+		for c := range w.row {
+			w.row[c] = w.cb.Col(c).Value(i)
+		}
+		w.filled = i
+	}
+	return w.row
 }
 
 // subject resolves row i's subject under plan pi to its ordinal (-1 =
@@ -623,106 +648,6 @@ func rawString(v relation.Value) string {
 			return s[1 : len(s)-1]
 		}
 		return s
-	}
-}
-
-// colExpr evaluates a mapping source filter at one row of a column
-// batch. Column names are resolved once, when the reader is built.
-type colExpr func(cb *relation.ColBatch, i int) (relation.Value, error)
-
-// compileColExpr compiles a mapping source filter. Both operands of
-// every binary node are evaluated, and a faulty node (unknown column,
-// unsupported operator) errors when it is evaluated, not when it is
-// compiled.
-func compileColExpr(e sql.Expr, schema relation.Schema) colExpr {
-	fail := func(err error) colExpr {
-		return func(*relation.ColBatch, int) (relation.Value, error) { return relation.Null, err }
-	}
-	switch x := e.(type) {
-	case *sql.Literal:
-		v := x.Value
-		return func(*relation.ColBatch, int) (relation.Value, error) { return v, nil }
-	case *sql.ColumnRef:
-		idx, err := schema.IndexOf(x.Name)
-		if err != nil {
-			return fail(err)
-		}
-		return func(cb *relation.ColBatch, i int) (relation.Value, error) { return cb.Col(idx).Value(i), nil }
-	case *sql.BinaryExpr:
-		l, r := compileColExpr(x.Left, schema), compileColExpr(x.Right, schema)
-		op := x.Op
-		var apply func(a, b relation.Value) (relation.Value, error)
-		switch op {
-		case "AND":
-			apply = func(a, b relation.Value) (relation.Value, error) {
-				return relation.Bool_(a.Truthy() && b.Truthy()), nil
-			}
-		case "OR":
-			apply = func(a, b relation.Value) (relation.Value, error) {
-				return relation.Bool_(a.Truthy() || b.Truthy()), nil
-			}
-		case "+", "-", "*", "/", "%":
-			apply = func(a, b relation.Value) (relation.Value, error) { return relation.Arith(op[0], a, b) }
-		case "=", "<>", "<", "<=", ">", ">=":
-			apply = func(a, b relation.Value) (relation.Value, error) {
-				c, ok := relation.Compare(a, b)
-				if !ok || a.IsNull() || b.IsNull() {
-					return relation.Bool_(false), nil
-				}
-				return relation.Bool_(cmpHolds(op, c)), nil
-			}
-		default:
-			apply = func(a, b relation.Value) (relation.Value, error) {
-				if _, ok := relation.Compare(a, b); !ok || a.IsNull() || b.IsNull() {
-					return relation.Bool_(false), nil
-				}
-				return relation.Null, fmt.Errorf("starql: unsupported operator %q in mapping filter", op)
-			}
-		}
-		return func(cb *relation.ColBatch, i int) (relation.Value, error) {
-			a, err := l(cb, i)
-			if err != nil {
-				return relation.Null, err
-			}
-			b, err := r(cb, i)
-			if err != nil {
-				return relation.Null, err
-			}
-			return apply(a, b)
-		}
-	case *sql.UnaryExpr:
-		if x.Op != "NOT" {
-			return fail(fmt.Errorf("starql: unsupported unary %q in mapping filter", x.Op))
-		}
-		sub := compileColExpr(x.Expr, schema)
-		return func(cb *relation.ColBatch, i int) (relation.Value, error) {
-			v, err := sub(cb, i)
-			if err != nil {
-				return relation.Null, err
-			}
-			return relation.Bool_(!v.Truthy()), nil
-		}
-	default:
-		return fail(fmt.Errorf("starql: unsupported expression %T in mapping filter", e))
-	}
-}
-
-// cmpHolds reports whether a three-way comparison result satisfies a
-// SQL comparison operator.
-func cmpHolds(op string, c int) bool {
-	switch op {
-	case "=":
-		return c == 0
-	case "<>":
-		return c != 0
-	case "<":
-		return c < 0
-	case "<=":
-		return c <= 0
-	case ">":
-		return c > 0
-	default: // ">="
-		return c >= 0
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/engine"
 	"repro/internal/obda/mapping"
 	"repro/internal/relation"
 	"repro/internal/sql"
@@ -174,74 +175,13 @@ func objectValue(m mapping.Mapping, schema relation.Schema, row relation.Tuple) 
 	return relation.String_(iri), nil
 }
 
-// evalRowExpr evaluates a mapping source filter against one row,
-// resolving column names per evaluation.
+// evalRowExpr evaluates a mapping source filter against one row with
+// the engine's SQL semantics, the ones the unfolded fleet runs with,
+// compiling it per evaluation.
 func evalRowExpr(e sql.Expr, schema relation.Schema, row relation.Tuple) (relation.Value, error) {
-	return rowEval{schema, row}.eval(e)
-}
-
-type rowEval struct {
-	schema relation.Schema
-	row    relation.Tuple
-}
-
-func (r rowEval) eval(e sql.Expr) (relation.Value, error) {
-	switch x := e.(type) {
-	case *sql.Literal:
-		return x.Value, nil
-	case *sql.ColumnRef:
-		idx, err := r.schema.IndexOf(x.Name)
-		if err != nil {
-			return relation.Null, err
-		}
-		return r.row[idx], nil
-	case *sql.BinaryExpr:
-		l, err := r.eval(x.Left)
-		if err != nil {
-			return relation.Null, err
-		}
-		rt, err := r.eval(x.Right)
-		if err != nil {
-			return relation.Null, err
-		}
-		switch x.Op {
-		case "AND":
-			return relation.Bool_(l.Truthy() && rt.Truthy()), nil
-		case "OR":
-			return relation.Bool_(l.Truthy() || rt.Truthy()), nil
-		case "+", "-", "*", "/", "%":
-			return relation.Arith(x.Op[0], l, rt)
-		default:
-			c, ok := relation.Compare(l, rt)
-			if !ok || l.IsNull() || rt.IsNull() {
-				return relation.Bool_(false), nil
-			}
-			switch x.Op {
-			case "=":
-				return relation.Bool_(c == 0), nil
-			case "<>":
-				return relation.Bool_(c != 0), nil
-			case "<":
-				return relation.Bool_(c < 0), nil
-			case "<=":
-				return relation.Bool_(c <= 0), nil
-			case ">":
-				return relation.Bool_(c > 0), nil
-			case ">=":
-				return relation.Bool_(c >= 0), nil
-			}
-			return relation.Null, fmt.Errorf("starql: unsupported operator %q in mapping filter", x.Op)
-		}
-	case *sql.UnaryExpr:
-		v, err := r.eval(x.Expr)
-		if err != nil {
-			return relation.Null, err
-		}
-		if x.Op == "NOT" {
-			return relation.Bool_(!v.Truthy()), nil
-		}
-		return relation.Null, fmt.Errorf("starql: unsupported unary %q in mapping filter", x.Op)
-	default:
-		return relation.Null, fmt.Errorf("starql: unsupported expression %T in mapping filter", e)
+	c, err := engine.Compile(mapping.QualifyExpr(e, ""), schema, engine.NewFuncRegistry())
+	if err != nil {
+		return relation.Null, err
 	}
+	return c(row)
 }

@@ -424,7 +424,7 @@ func (tr *Translator) streamFleet(q *Query, bindings []Binding, prune bool) (fle
 						continue
 					}
 					if m.Source.Where != nil {
-						conds = append(conds, qualify(m.Source.Where, alias))
+						conds = append(conds, mapping.QualifyExpr(m.Source.Where, alias))
 					}
 					stmt.Where = sql.AndAll(conds...)
 					if m.IsClass || m.ObjectIsData {
@@ -494,23 +494,4 @@ func segmentLit(seg string) sql.Expr {
 		return sql.Lit(relation.Int(n))
 	}
 	return sql.Lit(relation.String_(seg))
-}
-
-// qualify rewrites bare column refs to alias-qualified ones (local copy
-// of the mapping package helper, kept unexported there).
-func qualify(e sql.Expr, alias string) sql.Expr {
-	switch x := e.(type) {
-	case nil:
-		return nil
-	case *sql.ColumnRef:
-		return &sql.ColumnRef{Table: alias, Name: x.Name}
-	case *sql.BinaryExpr:
-		return sql.Bin(x.Op, qualify(x.Left, alias), qualify(x.Right, alias))
-	case *sql.UnaryExpr:
-		return &sql.UnaryExpr{Op: x.Op, Expr: qualify(x.Expr, alias)}
-	case *sql.IsNullExpr:
-		return &sql.IsNullExpr{Expr: qualify(x.Expr, alias), Negate: x.Negate}
-	default:
-		return e
-	}
 }
