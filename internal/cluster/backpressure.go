@@ -53,9 +53,14 @@ const (
 //
 // Flush markers always fit regardless of capacity (they carry no data
 // and must not be subject to load shedding) and are never evicted.
+//
+// The queue is a ring over one array that doubles when full and is
+// otherwise reused, so a steady push/pop cycle allocates nothing, and a
+// popped slot is zeroed so it keeps no tuple reachable.
 type inbox struct {
 	mu       sync.Mutex
-	buf      []work
+	buf      []work // ring: item i is buf[(head+i)&(len(buf)-1)], i < n
+	head, n  int
 	capacity int
 	closed   bool          // cluster shut down: pushes fail with ErrClusterClosed
 	failed   bool          // node declared dead: pushes fail with errNodeDown
@@ -89,7 +94,7 @@ func (q *inbox) push(ctx context.Context, w work, policy Backpressure) (pushResu
 			q.mu.Unlock()
 			return 0, errNodeDown
 		}
-		if len(q.buf) < q.capacity || w.flush != nil {
+		if q.n < q.capacity || w.flush != nil {
 			q.appendLocked(w)
 			q.mu.Unlock()
 			return pushQueued, nil
@@ -120,9 +125,31 @@ func (q *inbox) push(ctx context.Context, w work, policy Backpressure) (pushResu
 	}
 }
 
+// at returns the ring slot of queued item i (0 = oldest).
+func (q *inbox) at(i int) int { return (q.head + i) & (len(q.buf) - 1) }
+
+// growLocked makes room for one more item: a full ring moves, in order,
+// to an array twice its size (a power of two, so at can mask).
+func (q *inbox) growLocked() {
+	if q.n < len(q.buf) {
+		return
+	}
+	buf := make([]work, max(2*len(q.buf), 16))
+	for i := 0; i < q.n; i++ {
+		buf[i] = q.buf[q.at(i)]
+	}
+	q.buf, q.head = buf, 0
+}
+
 // appendLocked adds w and wakes the consumer.
 func (q *inbox) appendLocked(w work) {
-	q.buf = append(q.buf, w)
+	q.growLocked()
+	q.buf[q.at(q.n)] = w
+	q.n++
+	q.wakeConsumerLocked()
+}
+
+func (q *inbox) wakeConsumerLocked() {
 	if q.itemCh != nil {
 		close(q.itemCh)
 		q.itemCh = nil
@@ -131,15 +158,37 @@ func (q *inbox) appendLocked(w work) {
 
 // evictOldestLocked removes the oldest evictable item. Flush markers
 // and restore jobs are never shed: both are control items whose loss
-// would wedge a waiter or lose migrated queries.
+// would wedge a waiter or lose migrated queries. The items queued ahead
+// of it move up one slot, keeping FIFO order.
 func (q *inbox) evictOldestLocked() bool {
-	for i := range q.buf {
-		if q.buf[i].flush == nil && q.buf[i].restore == nil {
-			q.buf = append(q.buf[:i], q.buf[i+1:]...)
+	for i := 0; i < q.n; i++ {
+		if w := &q.buf[q.at(i)]; w.flush == nil && w.restore == nil {
+			for k := i; k > 0; k-- {
+				q.buf[q.at(k)] = q.buf[q.at(k-1)]
+			}
+			q.popLocked()
 			return true
 		}
 	}
 	return false
+}
+
+// inboxKeepSlots is the largest ring an empty inbox keeps. A burst
+// deeper than that (a closed-loop producer fills the whole queue) gives
+// its array back once the queue drains, so an idle node does not hold
+// its peak queue's memory; shallower queues keep reusing one array.
+const inboxKeepSlots = 256
+
+// popLocked removes and returns the oldest item, zeroing its slot.
+func (q *inbox) popLocked() work {
+	w := q.buf[q.head]
+	q.buf[q.head] = work{}
+	q.head = q.at(1)
+	q.n--
+	if q.n == 0 && len(q.buf) > inboxKeepSlots {
+		q.buf, q.head = nil, 0
+	}
+	return w
 }
 
 // pushFront requeues an item at the head of the queue (retry of the
@@ -156,11 +205,11 @@ func (q *inbox) pushFront(w work) bool {
 		}
 		return false
 	}
-	q.buf = append([]work{w}, q.buf...)
-	if q.itemCh != nil {
-		close(q.itemCh)
-		q.itemCh = nil
-	}
+	q.growLocked()
+	q.head = q.at(len(q.buf) - 1)
+	q.buf[q.head] = w
+	q.n++
+	q.wakeConsumerLocked()
 	return true
 }
 
@@ -174,9 +223,8 @@ func (q *inbox) pop() (work, bool) {
 			q.mu.Unlock()
 			return work{}, false
 		}
-		if len(q.buf) > 0 {
-			w := q.buf[0]
-			q.buf = q.buf[1:]
+		if q.n > 0 {
+			w := q.popLocked()
 			if q.spaceCh != nil {
 				close(q.spaceCh)
 				q.spaceCh = nil
@@ -201,7 +249,7 @@ func (q *inbox) pop() (work, bool) {
 func (q *inbox) length() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.buf)
+	return q.n
 }
 
 // halt stops the worker without condemning the queue: pop returns
@@ -214,10 +262,7 @@ func (q *inbox) halt() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.halted = true
-	if q.itemCh != nil {
-		close(q.itemCh)
-		q.itemCh = nil
-	}
+	q.wakeConsumerLocked()
 }
 
 // requeue appends w ignoring capacity: used to fold a torn-down
@@ -256,10 +301,7 @@ func (q *inbox) close() {
 }
 
 func (q *inbox) wakeAllLocked() {
-	if q.itemCh != nil {
-		close(q.itemCh)
-		q.itemCh = nil
-	}
+	q.wakeConsumerLocked()
 	if q.spaceCh != nil {
 		close(q.spaceCh)
 		q.spaceCh = nil
@@ -271,7 +313,10 @@ func (q *inbox) wakeAllLocked() {
 func (q *inbox) drain() []work {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	items := q.buf
-	q.buf = nil
+	items := make([]work, q.n)
+	for i := range items {
+		items[i] = q.buf[q.at(i)]
+	}
+	q.buf, q.head, q.n = nil, 0, 0
 	return items
 }

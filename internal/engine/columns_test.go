@@ -175,3 +175,91 @@ func TestVectorizedColumnsOwnedByCaller(t *testing.T) {
 		}
 	}
 }
+
+// TestValuesPlanSetRowsServesNewRows checks that re-pointing a
+// ValuesPlan drops the columns cached for its old rows: after SetRows,
+// the vectorized path returns the new rows, as the row path does.
+func TestValuesPlanSetRowsServesNewRows(t *testing.T) {
+	schema := relation.NewSchema(relation.Col("v.x", relation.TInt))
+	v := NewValuesPlan("v", schema, []relation.Tuple{{relation.Int(1)}, {relation.Int(2)}})
+	plan, err := Build(sql.MustParse("SELECT v.x FROM v WHERE v.x > 0"), func(*sql.TableRef) (Plan, error) { return v, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := NewExecContext(relation.NewCatalog())
+	if _, err := ExecutePlanColumns(ctx, plan); err != nil {
+		t.Fatal(err)
+	}
+	next := []relation.Tuple{{relation.Int(7)}, {relation.Int(8)}, {relation.Int(9)}}
+	v.SetRows(next)
+	cb, err := ExecutePlanColumns(ctx, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cb.Rows(); !sameTypedMultiset(got, next) {
+		t.Fatalf("vectorized path after SetRows = %v, want %v", got, next)
+	}
+}
+
+// TestReleaseScratchDropsWindowReferences checks that after
+// ReleaseScratch no node of an executed plan still references the bound
+// window: not the source's rows and columns, nor any frame or projected
+// output kept as scratch.
+func TestReleaseScratchDropsWindowReferences(t *testing.T) {
+	cat := dimCatalog(t, false)
+	wsp := NewWindowSourcePlan("w", windowSchema().Qualify("w"))
+	plan, err := Build(sql.MustParse("SELECT w.sid, w.val + 1 FROM w WHERE w.ok LIMIT 3"), func(tr *sql.TableRef) (Plan, error) {
+		if tr.Table == "w" {
+			return wsp, nil
+		}
+		return CatalogResolver(cat)(tr)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := randomBatch(rand.New(rand.NewSource(3)))
+	for len(rows) < 8 {
+		rows = append(rows, rows...)
+	}
+	wsp.Bind(rows)
+	wsp.BindColumns(relation.Transpose(rows))
+	if _, err := ExecutePlanColumns(NewExecContext(cat), plan); err != nil {
+		t.Fatal(err)
+	}
+	ReleaseScratch(plan)
+	var check func(Plan)
+	check = func(p Plan) {
+		switch n := p.(type) {
+		case *WindowSourcePlan:
+			if n.rows != nil || n.cols != nil {
+				t.Error("window source still bound")
+			}
+			for _, c := range n.vf.cols {
+				if c != nil {
+					t.Error("window source frame still holds a column")
+				}
+			}
+		case *FilterPlan:
+			if n.vf.cols != nil {
+				t.Error("filter frame still holds columns")
+			}
+		case *ProjectPlan:
+			if n.vf.cols != nil {
+				t.Error("project frame still holds columns")
+			}
+			for _, c := range n.vout {
+				if c != nil {
+					t.Error("project output scratch still holds a column")
+				}
+			}
+		case *LimitPlan:
+			if n.vf.cols != nil {
+				t.Error("limit frame still holds columns")
+			}
+		}
+		for _, c := range p.Children() {
+			check(c)
+		}
+	}
+	check(plan)
+}

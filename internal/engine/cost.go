@@ -65,7 +65,7 @@ func estimateNode(p Plan, st *StatsStore, est Estimates) PlanEstimate {
 		e.EstRows = base * clampSel(sel)
 		e.EstCost = 1 + e.EstRows // probe + emit
 	case *ValuesPlan:
-		e.EstRows = float64(len(n.Rows))
+		e.EstRows = float64(len(n.rows))
 		e.EstCost = e.EstRows
 	case *WindowSourcePlan:
 		e.EstRows = st.StreamRows(n.Name)
@@ -513,9 +513,11 @@ func reorderLookupChain(top *LookupJoinPlan, st *StatsStore) *LookupJoinPlan {
 			return top
 		}
 	}
+	// chain[] is outermost-first; order lists it in execution order,
+	// innermost-first, so the stable sort keeps tied members as written.
 	order := make([]int, len(chain))
 	for i := range order {
-		order[i] = i
+		order[i] = len(chain) - 1 - i
 	}
 	mpp := make([]float64, len(chain))
 	for i, lj := range chain {
@@ -523,7 +525,6 @@ func reorderLookupChain(top *LookupJoinPlan, st *StatsStore) *LookupJoinPlan {
 	}
 	sort.SliceStable(order, func(a, b int) bool { return mpp[order[a]] < mpp[order[b]] })
 	same := true
-	// chain[] is outermost-first; execution order is innermost-first.
 	for i := range order {
 		if order[i] != len(chain)-1-i {
 			same = false

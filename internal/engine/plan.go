@@ -193,16 +193,23 @@ func (s *ScanPlan) Execute(ctx *ExecContext) ([]relation.Tuple, error) {
 // ValuesPlan serves a pre-materialised batch of rows; the stream layer
 // wraps window contents in it.
 type ValuesPlan struct {
-	Rows   []relation.Tuple
 	Name   string
+	rows   []relation.Tuple
 	schema relation.Schema
 
-	cb *relation.ColBatch // lazy transpose for the columnar path
+	cb *relation.ColBatch // lazy transpose of rows for the columnar path
 }
 
 // NewValuesPlan wraps rows under the given qualified schema.
 func NewValuesPlan(name string, schema relation.Schema, rows []relation.Tuple) *ValuesPlan {
-	return &ValuesPlan{Rows: rows, Name: name, schema: schema}
+	return &ValuesPlan{rows: rows, Name: name, schema: schema}
+}
+
+// SetRows re-points the plan at new rows and drops the columnar form
+// cached for the old ones, so both execution paths serve the new rows.
+func (v *ValuesPlan) SetRows(rows []relation.Tuple) {
+	v.rows = rows
+	v.cb = nil
 }
 
 // Schema implements Plan.
@@ -211,13 +218,13 @@ func (v *ValuesPlan) Schema() relation.Schema { return v.schema }
 // Children implements Plan.
 func (v *ValuesPlan) Children() []Plan { return nil }
 
-func (v *ValuesPlan) String() string { return fmt.Sprintf("Values(%s, %d rows)", v.Name, len(v.Rows)) }
+func (v *ValuesPlan) String() string { return fmt.Sprintf("Values(%s, %d rows)", v.Name, len(v.rows)) }
 
 // Execute implements Plan.
 func (v *ValuesPlan) Execute(ctx *ExecContext) ([]relation.Tuple, error) {
 	ctx.Stats.enter(OpValues)
-	ctx.Stats.RowsScanned += int64(len(v.Rows))
-	return v.Rows, nil
+	ctx.Stats.RowsScanned += int64(len(v.rows))
+	return v.rows, nil
 }
 
 // ---- Filter ----

@@ -270,6 +270,43 @@ func TestReorderLookupChainBySelectivity(t *testing.T) {
 	}
 }
 
+// TestReorderLookupChainKeepsTies checks that a lookup chain whose
+// members tie on matches per probe keeps its written order, so a second
+// OptimizeWithStats leaves the plan as the first one left it.
+func TestReorderLookupChainKeepsTies(t *testing.T) {
+	cat := relation.NewCatalog()
+	for _, name := range []string{"left", "right"} {
+		tab, err := cat.Create(name, relation.NewSchema(
+			relation.Col("id", relation.TInt), relation.Col("v", relation.TInt)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := int64(0); i < 50; i++ {
+			tab.MustInsert(relation.Tuple{relation.Int(i), relation.Int(i * 10)})
+		}
+	}
+	st := NewStatsStore(cat)
+	schema := relation.NewSchema(relation.Col("id", relation.TInt), relation.Col("v", relation.TInt))
+	src := NewWindowSourcePlan("m", relation.NewSchema(
+		relation.Col("m.a", relation.TInt), relation.Col("m.b", relation.TInt)))
+	inner := NewLookupJoinPlan(src, "left", "l", schema,
+		[]sql.Expr{&sql.ColumnRef{Table: "m", Name: "a"}}, []string{"id"}, nil)
+	top := NewLookupJoinPlan(inner, "right", "r", schema,
+		[]sql.Expr{&sql.ColumnRef{Table: "m", Name: "b"}}, []string{"id"}, nil)
+	proj := NewProjectPlan(top, []sql.Expr{
+		&sql.ColumnRef{Table: "l", Name: "v"},
+		&sql.ColumnRef{Table: "r", Name: "v"},
+	}, []string{"lv", "rv"})
+
+	once := OptimizeWithStats(proj, st)
+	if got, want := Explain(once), Explain(proj); got != want {
+		t.Fatalf("tied chain was reordered:\n%s\nwant as written:\n%s", got, want)
+	}
+	if got, want := Explain(OptimizeWithStats(once, st)), Explain(once); got != want {
+		t.Fatalf("second OptimizeWithStats changed the plan:\n%s\nfirst pass:\n%s", got, want)
+	}
+}
+
 func TestEstimatePlanCoversTree(t *testing.T) {
 	cat := statsRig(t, 1000)
 	st := NewStatsStore(cat)

@@ -420,12 +420,36 @@ func (w *WindowSourcePlan) executeVec(ctx *ExecContext) (*vecFrame, error) {
 	return &w.vf, nil
 }
 
+// ReleaseScratch drops every reference p's nodes keep from their last
+// execution: the bound window of each window source and the frames
+// kept as columnar scratch. Window batches are views of their window
+// operator's log, so a plan left holding one would keep the whole log
+// array reachable until its next execution. The scratch buffers
+// themselves stay for reuse. Like Bind, it must not race an execution.
+func ReleaseScratch(p Plan) {
+	switch n := p.(type) {
+	case *WindowSourcePlan:
+		n.rows, n.cols = nil, nil
+		clear(n.vf.cols)
+	case *FilterPlan:
+		n.vf.cols = nil
+	case *ProjectPlan:
+		clear(n.vout)
+		n.vf.cols = nil
+	case *LimitPlan:
+		n.vf.cols = nil
+	}
+	for _, c := range p.Children() {
+		ReleaseScratch(c)
+	}
+}
+
 func (v *ValuesPlan) executeVec(ctx *ExecContext) (*vecFrame, error) {
 	ctx.Stats.enter(OpValues)
 	if v.cb == nil {
-		v.cb = relation.Transpose(v.Rows)
+		v.cb = relation.Transpose(v.rows)
 	}
-	ctx.Stats.RowsScanned += int64(len(v.Rows))
+	ctx.Stats.RowsScanned += int64(len(v.rows))
 	return readOnlyFrame(v.cb), nil
 }
 

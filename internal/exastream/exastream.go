@@ -34,8 +34,9 @@ import (
 // exactly when a sink needs rows). The batch aliases no engine
 // scratch, so it may be retained and no later window changes it; it may
 // alias the shared read-only window vectors (a SELECT * result does),
-// so the sink must not mutate it. Implementations must be safe for
-// concurrent use.
+// so the sink must not mutate it, and retaining such a batch keeps the
+// window operator's log array reachable. Implementations must be safe
+// for concurrent use.
 type Sink func(queryID string, windowEnd int64, schema relation.Schema, cb *relation.ColBatch)
 
 // Stats aggregates engine-level counters.
@@ -309,7 +310,7 @@ type continuousQuery struct {
 // stagedBatch is one batch parked in a multi-ref query's pending map,
 // with the byte estimate it was charged when staged. Releasing it
 // subtracts that charge, not a fresh Bytes(): a shared batch's estimate
-// grows when any query transposes it, and re-measuring would let
+// grows when any query materialises its columns, and re-measuring would let
 // stagedBytes drift below the staged state.
 type stagedBatch struct {
 	b     stream.Batch
@@ -886,13 +887,18 @@ func (e *Engine) executeItem(it execItem) error {
 		cacheHit = true
 		e.met.planCacheHits.Inc()
 	}
+	// Window batches are views of their operator's log: once the sink
+	// has returned, the plan lets go of this window's rows, columns and
+	// every frame derived from them, so a query that stops firing never
+	// pins an old log array.
+	defer engine.ReleaseScratch(cp.adapted)
 	rowsIn := 0
 	for i, src := range cp.sources {
 		if src != nil {
 			src.Bind(it.batches[i].Rows)
-			// The batch's transpose cell is shared across every query's
-			// delivery, so N queries over one window pay for one
-			// transposition.
+			// The batch's column cell is shared across every query's
+			// delivery: all of them read the operator's one column-log
+			// view of the window.
 			src.BindColumns(it.batches[i].Columns())
 			rowsIn += len(it.batches[i].Rows)
 			// Windowed sample for the stats store: EWMA rows per window

@@ -237,135 +237,29 @@ func (v *Vector) Bytes() int64 {
 
 // VectorBuilder accumulates one column's values, fixing a typed
 // backing on the first non-NULL value and degrading to the generic
-// layout on the first type mismatch.
+// layout on the first type mismatch. It is one column of a ColLog that
+// never drops a prefix, so a built column and a column-log view of the
+// same values have one layout.
 type VectorBuilder struct {
-	v     Vector
-	typed bool // a typed backing has been chosen
-	hint  int  // capacity hint for the backing slice
+	c logCol
+	n int
+	v Vector
 }
 
 // NewVectorBuilder returns a builder; n is a capacity hint.
 func NewVectorBuilder(n int) *VectorBuilder {
-	return &VectorBuilder{hint: n}
-}
-
-// reserve pre-sizes the just-chosen typed backing to the capacity hint,
-// avoiding append growth on the common fixed-size batch fill.
-func (b *VectorBuilder) reserve() {
-	v := &b.v
-	if b.hint <= 0 {
-		return
-	}
-	switch v.typ {
-	case TInt, TTime:
-		v.ints = make([]int64, 0, b.hint)
-	case TFloat:
-		v.floats = make([]float64, 0, b.hint)
-	case TString:
-		v.strs = make([]string, 0, b.hint)
-	case TBool:
-		v.bools = make([]bool, 0, b.hint)
-	}
+	return &VectorBuilder{c: logCol{hint: n}}
 }
 
 // Append adds one value to the column.
 func (b *VectorBuilder) Append(val Value) {
-	v := &b.v
-	i := v.n
-	v.n++
-	if val.Type == TNull {
-		if v.nulls == nil {
-			v.nulls = NewBitmap(0)
-		}
-		b.growNulls()
-		v.nulls.Set(i)
-		b.pad()
-		return
-	}
-	if v.nulls != nil {
-		b.growNulls()
-	}
-	if !b.typed && v.generic == nil {
-		// First non-NULL value fixes the column type; backfill slots
-		// for any leading NULLs.
-		b.typed = true
-		v.typ = val.Type
-		b.reserve()
-		for k := 0; k < i; k++ {
-			b.pad()
-		}
-	}
-	if v.generic == nil && v.typ != val.Type {
-		b.degrade()
-	}
-	if v.generic != nil {
-		v.generic = append(v.generic, val)
-		return
-	}
-	switch v.typ {
-	case TInt, TTime:
-		v.ints = append(v.ints, val.Int)
-	case TFloat:
-		v.floats = append(v.floats, val.Float)
-	case TString:
-		v.strs = append(v.strs, val.Str)
-	case TBool:
-		v.bools = append(v.bools, val.Bool)
-	}
-}
-
-// pad appends one zero element to the chosen backing so typed slices
-// stay index-aligned across NULL positions. Before a backing is chosen
-// it is a no-op (the backfill in Append covers those slots later).
-func (b *VectorBuilder) pad() {
-	v := &b.v
-	if v.generic != nil {
-		v.generic = append(v.generic, Null)
-		return
-	}
-	if !b.typed {
-		return
-	}
-	switch v.typ {
-	case TInt, TTime:
-		v.ints = append(v.ints, 0)
-	case TFloat:
-		v.floats = append(v.floats, 0)
-	case TString:
-		v.strs = append(v.strs, "")
-	case TBool:
-		v.bools = append(v.bools, false)
-	}
-}
-
-// growNulls extends the null bitmap to cover the current length.
-func (b *VectorBuilder) growNulls() {
-	v := &b.v
-	for v.nulls.n < v.n {
-		if v.nulls.n&63 == 0 {
-			v.nulls.words = append(v.nulls.words, 0)
-		}
-		v.nulls.n++
-	}
-}
-
-// degrade converts the typed backing built so far into the generic
-// layout (first type mismatch in the column). The current element
-// (index n-1) has not been appended yet.
-func (b *VectorBuilder) degrade() {
-	v := &b.v
-	g := make([]Value, 0, v.n)
-	for i := 0; i < v.n-1; i++ {
-		g = append(g, v.Value(i))
-	}
-	v.generic = g
-	v.ints, v.floats, v.strs, v.bools = nil, nil, nil, nil
-	v.typ = TNull
-	b.typed = false
+	b.n++
+	b.c.append(val, b.n-1, b.n)
 }
 
 // Build finalises the column. The builder must not be reused.
 func (b *VectorBuilder) Build() *Vector {
+	b.c.view(&b.v, 0, 0, b.n)
 	return &b.v
 }
 

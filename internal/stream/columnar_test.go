@@ -7,6 +7,14 @@ import (
 	"repro/internal/relation"
 )
 
+// ensureColumnCell gives a hand-built batch a columnar cell without a
+// column-log view, so copies made from it share one transpose.
+func (b *Batch) ensureColumnCell() {
+	if b.cols == nil {
+		b.cols = &colCell{}
+	}
+}
+
 // TestBatchBytesPinsBothLayouts pins the byte-accounting model for the
 // flat and columnar layouts against explicit constant arithmetic, so a
 // change to either model is a deliberate test edit rather than a silent

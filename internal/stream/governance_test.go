@@ -27,8 +27,8 @@ func TestWindowPendingBytesAccounting(t *testing.T) {
 		w.mu.Lock()
 		defer w.mu.Unlock()
 		var n int64
-		for _, b := range w.pending {
-			n += b.Bytes()
+		for _, ow := range w.open {
+			n += Batch{Rows: w.log[ow.start-w.base:]}.Bytes()
 		}
 		return n
 	}
@@ -96,5 +96,34 @@ func TestWindowShedOldestPending(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("window 2 missing from %+v", got)
+	}
+}
+
+// A window shed before a snapshot stays shed after restore: tuples that
+// keep arriving for it do not re-open it, so it never emits.
+func TestRestoreKeepsShedWindowsShed(t *testing.T) {
+	w, err := NewTimeSlidingWindow(govSpec()) // 1000/500: two windows per tuple
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Push(Timestamped{TS: 100, Row: row(1)}) // windows 1 and 2
+	if _, ok := w.ShedOldestPending(); !ok {  // window 1
+		t.Fatal("nothing to shed")
+	}
+	r, err := RestoreTimeSlidingWindow(w.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []Batch
+	got = append(got, r.Push(Timestamped{TS: 200, Row: row(2)})...)
+	got = append(got, r.Push(Timestamped{TS: 2000, Row: row(3)})...)
+	got = append(got, r.Flush()...)
+	for _, b := range got {
+		if b.WindowID == 1 {
+			t.Fatalf("shed window re-opened after restore: %+v", b)
+		}
+	}
+	if len(got) == 0 || got[0].WindowID != 2 || len(got[0].Rows) != 2 {
+		t.Fatalf("emitted %+v, want window 2 first with both rows", got)
 	}
 }

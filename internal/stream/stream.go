@@ -11,8 +11,8 @@ package stream
 
 import (
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -109,45 +109,48 @@ type Batch struct {
 	// cols, when non-nil, is a shared lazy cell holding the batch's
 	// columnar form. The window operator allocates it at emission time,
 	// before the batch value is copied into the per-query deliveries, so
-	// every copy transposes at most once between them.
+	// every copy shares one columnar form.
 	// The checkpoint codec writes only the exported fields, so
-	// checkpoints are byte-identical whether or not a window was ever
-	// transposed.
+	// checkpoints are byte-identical whether or not a window's columns
+	// were ever materialised.
 	cols *colCell
 }
 
-// colCell is the share point of a batch's lazy transpose. Copies of a
+// colCell is the share point of a batch's columnar form. Copies of a
 // Batch carry the same pointer; the first Columns call materialises the
 // columnar form once for all of them.
 type colCell struct {
 	once sync.Once
 	cb   atomic.Pointer[relation.ColBatch]
+	// view is the window operator's column-log view of the rows, set at
+	// emission; Columns installs it instead of transposing. nil for a
+	// cell built outside the operator, which transposes the rows.
+	view *relation.ColBatch
 	// rowBytes memoizes the flat-row byte estimate (Σ tupleBytes). A
 	// batch's rows are immutable once it is emitted — the point the cell
 	// is attached — so the sum is computed at most once per batch no
-	// matter how many copies or governance checks ask for it. 0 means
-	// not yet computed (an empty row set just recomputes, trivially).
+	// matter how many copies or governance checks ask for it (the
+	// operator fills it in at emission). 0 means not yet computed (an
+	// empty row set just recomputes, trivially).
 	rowBytes atomic.Int64
 }
 
-// ensureColumnCell gives the batch a columnar cell so copies made from
-// it share one transpose. Idempotent; called at every emission point.
-func (b *Batch) ensureColumnCell() {
-	if b.cols == nil {
-		b.cols = &colCell{}
-	}
-}
-
-// Columns returns the batch in columnar form, transposing on first use.
-// Batches emitted by a window operator share one transpose across all
-// copies; a zero-built Batch (e.g. decoded from a checkpoint) transposes
-// privately. Safe for concurrent use.
+// Columns returns the batch in columnar form. A batch emitted by a
+// window operator serves the operator's column-log view, shared by all
+// copies; a zero-built Batch (e.g. decoded from a checkpoint)
+// transposes privately. Safe for concurrent use.
 func (b Batch) Columns() *relation.ColBatch {
 	c := b.cols
 	if c == nil {
 		return relation.Transpose(b.Rows)
 	}
-	c.once.Do(func() { c.cb.Store(relation.Transpose(b.Rows)) })
+	c.once.Do(func() {
+		cb := c.view
+		if cb == nil {
+			cb = relation.Transpose(b.Rows)
+		}
+		c.cb.Store(cb)
+	})
 	return c.cb.Load()
 }
 
@@ -202,7 +205,18 @@ func (b Batch) Bytes() int64 {
 
 // TimeSlidingWindow consumes an ordered stream of timestamped tuples and
 // emits completed window batches. Tuples that fall into several
-// overlapping windows (Range > Slide) are placed in each.
+// overlapping windows (Range > Slide) belong to each.
+//
+// The operator stages every tuple once. Timestamps are non-decreasing
+// and a window is emitted as soon as a tuple arrives past its pulse
+// time, so every open window ends at the newest tuple: each one is a
+// suffix of the oldest. The operator therefore keeps one append-only
+// log of the open windows' rows, in row and in column layout, and an
+// open window is just the log position of its first row. An emitted
+// window — and a snapshot's pending window — is a [start, tail) view of
+// that log, capped to its length; the log never writes where a view can
+// see (see relation.ColLog), so views stay valid after the operator
+// moves on.
 //
 // The operator assumes non-decreasing timestamps; late tuples are counted
 // and dropped (the stream generator never produces them, but failure
@@ -210,20 +224,33 @@ func (b Batch) Bytes() int64 {
 //
 // Open-window bytes are accounted incrementally (PendingBytes) so the
 // resource-governance layer can observe pressure without walking the
-// pending map, and ShedOldestPending lets it reclaim memory by dropping
-// the oldest open window wholesale.
+// open windows, and ShedOldestPending lets it reclaim memory by dropping
+// the oldest open window wholesale. The byte model counts a row once
+// per open window that holds it, as if each window owned a copy.
 type TimeSlidingWindow struct {
 	Spec WindowSpec
 
 	mu       sync.Mutex
-	pending  map[int64]*Batch
-	nextEmit int64 // smallest window id not yet emitted
+	log      []relation.Tuple // rows of the open windows; log[0] is row base
+	cols     relation.ColLog  // the same rows in columns
+	base     int64            // absolute index of log[0]
+	open     []openWindow     // open windows in id order, starts ascending
+	rowBytes int64            // Σ tupleBytes of every row ever logged
+	nextEmit int64            // smallest window id not yet emitted
 	maxTS    int64
 	Late     int64 // dropped late tuples
 
-	pendingBytes int64          // estimated bytes across pending batches
+	pendingBytes int64          // estimated bytes across open windows
 	shed         map[int64]bool // window ids dropped by governance; never emit
 	Shed         int64          // count of shed windows (monotonic)
+}
+
+// openWindow is one open window: its id and bounds, the absolute log
+// index of its first row, and the operator's rowBytes at that row, so
+// its row bytes are rowBytes minus bytesAt.
+type openWindow struct {
+	id, startMS, endMS int64
+	start, bytesAt     int64
 }
 
 // NewTimeSlidingWindow builds the operator.
@@ -231,7 +258,7 @@ func NewTimeSlidingWindow(spec WindowSpec) (*TimeSlidingWindow, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	return &TimeSlidingWindow{Spec: spec, pending: make(map[int64]*Batch), maxTS: -1 << 62}, nil
+	return &TimeSlidingWindow{Spec: spec, maxTS: -1 << 62}, nil
 }
 
 // Push adds one tuple and returns any windows completed by the advance of
@@ -244,25 +271,66 @@ func (t *TimeSlidingWindow) Push(el Timestamped) []Batch {
 		return nil
 	}
 	t.maxTS = el.TS
+	// Windows the tuple closes are emitted before it is logged, so their
+	// views end before it.
+	out := t.completeLocked(el.TS)
 	lo, hi, ok := t.Spec.WindowsFor(el.TS)
-	if ok {
-		rowCost := tupleBytes(el.Row)
-		for id := lo; id <= hi; id++ {
-			if id < t.nextEmit || t.shed[id] {
-				continue // window already emitted or shed; treat as late
-			}
-			b, found := t.pending[id]
-			if !found {
-				pt := t.Spec.PulseTime(id)
-				b = &Batch{WindowID: id, Start: pt - t.Spec.RangeMS, End: pt}
-				t.pending[id] = b
-				t.pendingBytes += batchOverheadBytes
-			}
-			b.Rows = append(b.Rows, el.Row)
-			t.pendingBytes += rowCost
-		}
+	if !ok {
+		return out
 	}
-	return t.completeLocked(el.TS)
+	tail := t.base + int64(len(t.log))
+	for id := lo; id <= hi; id++ {
+		if id < t.nextEmit || t.shed[id] || len(t.open) > 0 && id <= t.open[len(t.open)-1].id {
+			continue // emitted, shed, or already open
+		}
+		pt := t.Spec.PulseTime(id)
+		t.open = append(t.open, openWindow{id: id, startMS: pt - t.Spec.RangeMS, endMS: pt, start: tail, bytesAt: t.rowBytes})
+		t.pendingBytes += batchOverheadBytes
+	}
+	if len(t.open) == 0 {
+		return out // every window of the tuple was emitted or shed
+	}
+	// Every open window holds the tuple: the ones opened before it end
+	// at or after its timestamp (the rest were just emitted) and began
+	// before it, so the log gets it once.
+	cost := tupleBytes(el.Row)
+	t.log = append(relation.GrowLog(t.log), el.Row)
+	t.cols.Append(el.Row)
+	t.rowBytes += cost
+	t.pendingBytes += cost * int64(len(t.open))
+	return out
+}
+
+// emitLocked turns open window w into a batch over log rows [w.start,
+// tail). The batch's column cell carries the column-log view and the
+// window's row bytes, so neither a transpose nor a row walk is needed
+// later.
+func (t *TimeSlidingWindow) emitLocked(w openWindow) Batch {
+	lo, hi := int(w.start-t.base), len(t.log)
+	c := &colCell{view: t.cols.View(lo, hi)}
+	rb := t.rowBytes - w.bytesAt
+	c.rowBytes.Store(rb)
+	t.pendingBytes -= batchOverheadBytes + rb
+	b := Batch{WindowID: w.id, Start: w.startMS, End: w.endMS, cols: c}
+	if hi > lo {
+		b.Rows = t.log[lo:hi:hi]
+	}
+	return b
+}
+
+// compactLocked drops the log prefix no open window holds. Reslicing
+// only: emitted views may still read it, and its memory goes when the
+// log next grows into a new array.
+func (t *TimeSlidingWindow) compactLocked() {
+	keep := t.base + int64(len(t.log))
+	if len(t.open) > 0 {
+		keep = t.open[0].start
+	}
+	if k := int(keep - t.base); k > 0 {
+		t.log = t.log[k:]
+		t.cols.DropPrefix(k)
+		t.base = keep
+	}
 }
 
 // completeLocked emits every window whose end time has passed. Shed
@@ -270,54 +338,40 @@ func (t *TimeSlidingWindow) Push(el Timestamped) []Batch {
 // them, because shedding is declared data loss, not an empty window.
 func (t *TimeSlidingWindow) completeLocked(now int64) []Batch {
 	var out []Batch
-	for {
-		if t.Spec.PulseTime(t.nextEmit) >= now {
-			break
-		}
-		if t.shed[t.nextEmit] {
+	for t.Spec.PulseTime(t.nextEmit) < now {
+		switch {
+		case t.shed[t.nextEmit]:
 			delete(t.shed, t.nextEmit)
-			t.nextEmit++
-			continue
-		}
-		b, found := t.pending[t.nextEmit]
-		if found {
-			delete(t.pending, t.nextEmit)
-			t.pendingBytes -= b.Bytes()
-			b.ensureColumnCell() // before the first copy, so all copies share one transpose
-			out = append(out, *b)
-		} else {
+		case len(t.open) > 0 && t.open[0].id == t.nextEmit:
+			out = append(out, t.emitLocked(t.open[0]))
+			t.open = t.open[1:]
+		default:
 			pt := t.Spec.PulseTime(t.nextEmit)
-			out = append(out, Batch{WindowID: t.nextEmit, Start: pt - t.Spec.RangeMS, End: pt, cols: &colCell{}})
+			out = append(out, Batch{WindowID: t.nextEmit, Start: pt - t.Spec.RangeMS, End: pt, cols: &colCell{view: &relation.ColBatch{}}})
 		}
 		t.nextEmit++
+	}
+	if out != nil {
+		t.compactLocked()
 	}
 	return out
 }
 
-// Flush emits all remaining pending windows at end of stream.
+// Flush emits all remaining open windows at end of stream.
 func (t *TimeSlidingWindow) Flush() []Batch {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	ids := make([]int64, 0, len(t.pending))
-	for id := range t.pending {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	var out []Batch
-	for _, id := range ids {
-		if id < t.nextEmit {
-			continue
-		}
-		b := t.pending[id]
-		b.ensureColumnCell()
-		out = append(out, *b)
+	for _, w := range t.open {
+		out = append(out, t.emitLocked(w))
 	}
-	t.pending = make(map[int64]*Batch)
+	if n := len(t.open); n > 0 {
+		t.nextEmit = t.open[n-1].id + 1
+	}
+	t.base += int64(len(t.log))
+	t.log, t.cols, t.open = nil, relation.ColLog{}, nil
 	t.pendingBytes = 0
 	t.shed = nil
-	if len(ids) > 0 && ids[len(ids)-1] >= t.nextEmit {
-		t.nextEmit = ids[len(ids)-1] + 1
-	}
 	return out
 }
 
@@ -335,33 +389,28 @@ func (t *TimeSlidingWindow) PendingBytes() int64 {
 func (t *TimeSlidingWindow) ShedOldestPending() (freed int64, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	oldest := int64(1<<62 - 1)
-	for id := range t.pending {
-		if id < oldest {
-			oldest = id
-		}
-	}
-	b, found := t.pending[oldest]
-	if !found {
+	if len(t.open) == 0 {
 		return 0, false
 	}
-	delete(t.pending, oldest)
-	freed = b.Bytes()
+	w := t.open[0]
+	t.open = t.open[1:]
+	freed = batchOverheadBytes + t.rowBytes - w.bytesAt
 	t.pendingBytes -= freed
 	if t.shed == nil {
 		t.shed = make(map[int64]bool)
 	}
-	t.shed[oldest] = true
+	t.shed[w.id] = true
 	t.Shed++
+	t.compactLocked()
 	return freed, true
 }
 
 // WindowState is a serializable snapshot of a TimeSlidingWindow taken
 // at a consistent cut: the open (pending) batches, the emission cursor,
-// and the late-tuple bookkeeping. Row slices alias the live operator's,
-// clipped to their length: the operator only appends, and an append
-// past a clipped slice's capacity lands in a new array, so the snapshot
-// stays stable while the live operator keeps appending.
+// and the late-tuple bookkeeping. Pending batches are views of the live
+// operator's log, capped to their length, so each newer one is a suffix
+// of the oldest; the log never writes where a view can see, so the
+// snapshot stays stable while the live operator keeps appending.
 type WindowState struct {
 	Spec     WindowSpec
 	Pending  []Batch
@@ -375,15 +424,13 @@ func (t *TimeSlidingWindow) Snapshot() WindowState {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	st := WindowState{Spec: t.Spec, NextEmit: t.nextEmit, MaxTS: t.maxTS, Late: t.Late}
-	ids := make([]int64, 0, len(t.pending))
-	for id := range t.pending {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	st.Pending = make([]Batch, 0, len(ids))
-	for _, id := range ids {
-		b := *t.pending[id]
-		b.Rows = slices.Clip(b.Rows)
+	st.Pending = make([]Batch, 0, len(t.open))
+	hi := len(t.log)
+	for _, w := range t.open {
+		b := Batch{WindowID: w.id, Start: w.startMS, End: w.endMS}
+		if lo := int(w.start - t.base); hi > lo {
+			b.Rows = t.log[lo:hi:hi]
+		}
 		st.Pending = append(st.Pending, b)
 	}
 	return st
@@ -392,22 +439,82 @@ func (t *TimeSlidingWindow) Snapshot() WindowState {
 // RestoreTimeSlidingWindow rebuilds an operator from a snapshot. The
 // restored operator continues exactly where the snapshot left off:
 // windows at or past NextEmit are still open, everything before it has
-// already been emitted and will never re-emit.
+// already been emitted and will never re-emit, and a window shed before
+// the snapshot stays shed. The log is rebuilt from
+// the oldest open window's rows and every newer open window must be a
+// suffix of it, as in any snapshot the operator takes; a snapshot that
+// breaks this (or lists windows out of id order) is rejected.
 func RestoreTimeSlidingWindow(st WindowState) (*TimeSlidingWindow, error) {
 	if err := st.Spec.Validate(); err != nil {
 		return nil, err
 	}
-	t := &TimeSlidingWindow{Spec: st.Spec, pending: make(map[int64]*Batch, len(st.Pending)), nextEmit: st.NextEmit, maxTS: st.MaxTS, Late: st.Late}
+	t := &TimeSlidingWindow{Spec: st.Spec, nextEmit: st.NextEmit, maxTS: st.MaxTS, Late: st.Late}
+	var open []Batch
 	for _, b := range st.Pending {
 		if b.WindowID < st.NextEmit {
 			continue
 		}
-		cp := b
-		cp.Rows = append([]relation.Tuple(nil), b.Rows...)
-		t.pending[b.WindowID] = &cp
-		t.pendingBytes += cp.Bytes()
+		if n := len(open); n > 0 && b.WindowID <= open[n-1].WindowID {
+			return nil, fmt.Errorf("stream: snapshot window %d follows window %d", b.WindowID, open[n-1].WindowID)
+		}
+		open = append(open, b)
+	}
+	// A window that holds the newest tuple but is not open was shed (the
+	// tuple would be in it otherwise): it stays shed, so a restored
+	// operator never re-opens, and later emits, a window governance
+	// dropped.
+	if lo, hi, ok := st.Spec.WindowsFor(st.MaxTS); ok {
+		for id := max(lo, st.NextEmit); id <= hi; id++ {
+			if !slices.ContainsFunc(open, func(b Batch) bool { return b.WindowID == id }) {
+				if t.shed == nil {
+					t.shed = make(map[int64]bool)
+				}
+				t.shed[id] = true
+			}
+		}
+	}
+	if len(open) == 0 {
+		return t, nil
+	}
+	oldest := open[0].Rows
+	t.log = make([]relation.Tuple, len(oldest), max(2*len(oldest), 8))
+	copy(t.log, oldest)
+	// cum[i] is the byte estimate of log rows [0, i).
+	cum := make([]int64, len(oldest)+1)
+	for i, row := range oldest {
+		t.cols.Append(row)
+		cum[i+1] = cum[i] + tupleBytes(row)
+	}
+	t.rowBytes = cum[len(oldest)]
+	prev := len(oldest)
+	for _, b := range open {
+		n := len(b.Rows)
+		start := len(oldest) - n
+		if n > prev || !sameTuples(b.Rows, oldest[start:]) {
+			return nil, fmt.Errorf("stream: snapshot window %d is not a suffix of window %d", b.WindowID, open[0].WindowID)
+		}
+		prev = n
+		t.open = append(t.open, openWindow{id: b.WindowID, startMS: b.Start, endMS: b.End, start: int64(start), bytesAt: cum[start]})
+		t.pendingBytes += batchOverheadBytes + t.rowBytes - cum[start]
 	}
 	return t, nil
+}
+
+// sameTuples reports whether a and b hold equal rows, value for value
+// (floats bit for bit, so a NaN equals itself).
+func sameTuples(a, b []relation.Tuple) bool {
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j, x := range a[i] {
+			y := b[i][j]
+			if x.Type != y.Type || x.Int != y.Int || math.Float64bits(x.Float) != math.Float64bits(y.Float) || x.Str != y.Str || x.Bool != y.Bool {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Replay runs a finite, ordered tuple sequence through a window operator

@@ -230,3 +230,30 @@ func TestPulseTicks(t *testing.T) {
 		t.Fatalf("boundary ticks = %v", ticks)
 	}
 }
+
+// TestWindowLogHoldsOneRangeSpan checks the operator's memory bound: the
+// log holds each open row once — exactly the oldest open window's rows —
+// and its array stays within twice the largest live span, however long
+// the stream runs.
+func TestWindowLogHoldsOneRangeSpan(t *testing.T) {
+	w, err := NewTimeSlidingWindow(WindowSpec{RangeMS: 10000, SlideMS: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxLive := 0
+	for ts := int64(0); ts < 200000; ts += 50 {
+		w.Push(Timestamped{TS: ts, Row: relation.Tuple{relation.Time(ts)}})
+		if len(w.open) > 0 {
+			if want := int(w.base + int64(len(w.log)) - w.open[0].start); len(w.log) != want {
+				t.Fatalf("ts %d: log holds %d rows, the oldest open window %d", ts, len(w.log), want)
+			}
+		}
+		maxLive = max(maxLive, len(w.log))
+		if cap(w.log) > 2*maxLive+8 {
+			t.Fatalf("ts %d: log array holds %d slots for at most %d live rows", ts, cap(w.log), maxLive)
+		}
+	}
+	if maxLive > 201 { // one 10 s range at 20 tuples/s, plus the closing tuple
+		t.Fatalf("log peaked at %d rows, want one range span", maxLive)
+	}
+}
