@@ -7,23 +7,15 @@
 //	-exp scaling       E5: node scaling 1..128
 //	-exp bootstrap     E6: bootstrapping time and asset counts
 //	-exp testsets      E13: the 10 preconfigured test sets
-//	-exp record        run `go test -bench` and write machine-readable
-//	                   results (see -bench/-benchtime/-out)
 //	-exp list          print the accepted -exp values, one per line
-//	-exp all           everything except record
+//	-exp all           every experiment above
 package main
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"os/exec"
-	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -104,7 +96,7 @@ func currentEvents() []telemetry.Event {
 // invocations against this list.
 var experiments = []string{
 	"conciseness", "concurrent", "scaling", "bootstrap", "testsets",
-	"record", "list", "all",
+	"list", "all",
 }
 
 // cfg is the deployment config the shared flags (cliflags) fill; the
@@ -120,9 +112,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment: "+strings.Join(experiments, "|"))
 	maxQueries := flag.Int("maxqueries", 1024, "upper bound for the concurrency sweep")
 	maxNodes := flag.Int("maxnodes", 128, "upper bound for the node-scaling sweep")
-	benchPat := flag.String("bench", "Figure1EndToEnd|CompiledVsInterpreted|HavingMatcher", "benchmark pattern for -exp record")
-	benchTime := flag.String("benchtime", "2s", "benchtime for -exp record")
-	benchOut := flag.String("out", "", "output file for -exp record (required; an existing file is never overwritten)")
 	telemetryAddr := flag.String("telemetry-addr", "", "serve /metrics, /traces and /debug/pprof on this address (e.g. localhost:6060; unauthenticated, \":port\" binds loopback)")
 	cfg = cliflags.Bind(flag.CommandLine)
 	flag.BoolVar(&explainTasks, "explain", false, "print the fleet lag table after each full-system test set")
@@ -155,8 +144,6 @@ func main() {
 		bootstrapExp()
 	case "testsets":
 		testsets()
-	case "record":
-		record(*benchPat, *benchTime, *benchOut)
 	case "list":
 		for _, e := range experiments {
 			fmt.Println(e)
@@ -469,160 +456,4 @@ func printLagTable(lags []telemetry.QueryLag) {
 		fmt.Printf("  %-24s %4d %-9s %8d %10d %8d %10d\n",
 			l.ID, l.Node, l.State, l.Windows, l.RowsOut, l.WatermarkLagMS, l.BacklogBytes)
 	}
-}
-
-// record runs `go test -bench` with -json and post-processes the event
-// stream into a machine-readable benchmark file (the BENCH_PR*.json
-// files), so the repository keeps accumulating a perf trajectory. The
-// output file is created exclusively before the run starts: recorded
-// files are history, so an existing one is never overwritten, and a
-// failed run removes the file it created. Run it from the repository
-// root.
-func record(pattern, benchtime, out string) {
-	if out == "" {
-		fmt.Fprintln(os.Stderr, "optique-bench: -exp record needs -out <file>")
-		os.Exit(2)
-	}
-	f, err := os.OpenFile(out, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		log.Fatal(err)
-	}
-	results, err := runBenchmarks(pattern, benchtime)
-	if err == nil {
-		err = writeRecord(f, pattern, benchtime, results)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(out)
-		log.Fatal(err)
-	}
-	fmt.Printf("wrote %d benchmark results to %s\n", len(results), out)
-}
-
-// benchResult is one parsed `go test -bench` result line.
-type benchResult struct {
-	Name        string  `json:"name"`
-	Package     string  `json:"package"`
-	Iterations  int64   `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-}
-
-// runBenchmarks runs the benchmarks matching pattern over the packages
-// that hold the recorded dimensions and parses their result lines.
-func runBenchmarks(pattern, benchtime string) ([]benchResult, error) {
-	args := []string{"test", "-run", "^$", "-bench", pattern,
-		"-benchtime", benchtime, "-benchmem", "-json",
-		".", "./internal/engine/", "./internal/starql/"}
-	fmt.Printf("== record: go %v ==\n", args)
-	cmd := exec.Command("go", args...)
-	cmd.Stderr = os.Stderr
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-
-	type event struct {
-		Action  string `json:"Action"`
-		Package string `json:"Package"`
-		Output  string `json:"Output"`
-	}
-	// test2json splits benchmark result lines across output events at
-	// write boundaries, so reassemble each package's output stream
-	// before parsing lines out of it.
-	outputs := make(map[string]*strings.Builder)
-	var pkgs []string
-	sc := bufio.NewScanner(stdout)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var ev event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil || ev.Action != "output" {
-			continue
-		}
-		buf, ok := outputs[ev.Package]
-		if !ok {
-			buf = &strings.Builder{}
-			outputs[ev.Package] = buf
-			pkgs = append(pkgs, ev.Package)
-		}
-		buf.WriteString(ev.Output)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if err := cmd.Wait(); err != nil {
-		return nil, fmt.Errorf("go test -bench: %w", err)
-	}
-	var results []benchResult
-	for _, pkg := range pkgs {
-		for _, line := range strings.Split(outputs[pkg].String(), "\n") {
-			line = strings.TrimSpace(line)
-			if !strings.HasPrefix(line, "Benchmark") {
-				continue
-			}
-			// BenchmarkX/sub-8  <iters>  <v> ns/op  [<v> B/op  <v> allocs/op]
-			fields := strings.Fields(line)
-			if len(fields) < 4 {
-				continue
-			}
-			iters, err := strconv.ParseInt(fields[1], 10, 64)
-			if err != nil {
-				continue
-			}
-			r := benchResult{Name: fields[0], Package: pkg, Iterations: iters}
-			for i := 2; i+1 < len(fields); i += 2 {
-				v, err := strconv.ParseFloat(fields[i], 64)
-				if err != nil {
-					continue
-				}
-				switch fields[i+1] {
-				case "ns/op":
-					r.NsPerOp = v
-				case "B/op":
-					r.BytesPerOp = v
-				case "allocs/op":
-					r.AllocsPerOp = v
-				}
-			}
-			results = append(results, r)
-			fmt.Println(line)
-		}
-	}
-	if len(results) == 0 {
-		return nil, fmt.Errorf("no benchmark results matched %q", pattern)
-	}
-	return results, nil
-}
-
-// writeRecord writes the recorded results as one indented JSON document.
-func writeRecord(f *os.File, pattern, benchtime string, results []benchResult) error {
-	doc := struct {
-		Generated  string      `json:"generated"`
-		GoVersion  string      `json:"go_version"`
-		GOOS       string      `json:"goos"`
-		GOARCH     string      `json:"goarch"`
-		Benchtime  string      `json:"benchtime"`
-		Pattern    string      `json:"pattern"`
-		Benchmarks interface{} `json:"benchmarks"`
-	}{
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		Benchtime:  benchtime,
-		Pattern:    pattern,
-		Benchmarks: results,
-	}
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(append(buf, '\n'))
-	return err
 }

@@ -157,7 +157,7 @@ func (c *Cluster) restoreNode(n *Node) bool {
 			// mark past the real ones.
 			continue
 		}
-		if err := eng.RestoreQuery(rec.id, rec.stmt, rec.pulse, rec.sink, ck.QueryState(rec.id), cursors); err != nil {
+		if err := eng.RestoreQuery(rec.id, rec.stmt, rec.pulse, rec.sink, ck.State(), cursors); err != nil {
 			n.noteErr(NodeError{Node: n.ID, QueryID: rec.id,
 				Err: fmt.Errorf("cluster: node %d: restore %s: %w", n.ID, rec.id, err)})
 			continue
@@ -347,12 +347,12 @@ func (n *Node) runRestore(c *Cluster, job *restoreJob) {
 	restoredQueries := 0
 	replayedTuples := 0
 	for _, rec := range recs {
-		err := n.engine.RestoreQuery(rec.id, rec.stmt, rec.pulse, rec.sink, rec.ckpt.QueryState(rec.id), rec.cursors)
+		err := n.engine.RestoreQuery(rec.id, rec.stmt, rec.pulse, rec.sink, rec.ckpt.State(), rec.cursors)
 		if err != nil {
 			// A crash mid-job leaves the previous attempt registered;
 			// drop it and retry so the restore is idempotent.
 			if uerr := n.engine.Unregister(rec.id); uerr == nil {
-				err = n.engine.RestoreQuery(rec.id, rec.stmt, rec.pulse, rec.sink, rec.ckpt.QueryState(rec.id), rec.cursors)
+				err = n.engine.RestoreQuery(rec.id, rec.stmt, rec.pulse, rec.sink, rec.ckpt.State(), rec.cursors)
 			}
 		}
 		if err != nil {

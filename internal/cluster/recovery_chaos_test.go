@@ -272,19 +272,17 @@ func TestRecoveryChaosVectorizedSnapshotParity(t *testing.T) {
 		if again, _ := recovery.Encode(back); !bytes.Equal(again, blob) {
 			t.Errorf("node %d: decoded checkpoint re-encodes differently", node)
 		}
-		for qi, qs := range ck.Engine.Queries {
-			for wi, ws := range qs.Windows {
-				for bi, b := range ws.Pending {
-					got := back.Engine.Queries[qi].Windows[wi].Pending[bi]
-					if !reflect.DeepEqual(b.Rows, got.Rows) {
-						t.Errorf("node %d query %s window %d: restored rows differ", node, qs.ID, b.WindowID)
-					}
-					if b.WindowID != got.WindowID || b.Start != got.Start || b.End != got.End {
-						t.Errorf("node %d query %s window %d: restored batch bounds differ", node, qs.ID, b.WindowID)
-					}
-					if len(b.Rows) > 0 {
-						roundTripped++
-					}
+		for wi, ws := range ck.Engine.Windows {
+			got := back.Engine.Windows[wi]
+			if !reflect.DeepEqual(ws.Rows, got.Rows) {
+				t.Errorf("node %d operator %d: restored rows differ", node, wi)
+			}
+			if !reflect.DeepEqual(ws.Open, got.Open) {
+				t.Errorf("node %d operator %d: restored open windows differ: %+v, want %+v", node, wi, got.Open, ws.Open)
+			}
+			for _, o := range ws.Open {
+				if o.Offset < len(ws.Rows) {
+					roundTripped++
 				}
 			}
 		}
@@ -624,7 +622,7 @@ func TestRecoveryChaosFailoverMigrationDurableOnTarget(t *testing.T) {
 		if ck == nil {
 			t.Fatal("no checkpoint on the failover target after the migration settled")
 		}
-		if ck.QueryState("q1") == nil {
+		if ck.State().Query("q1") == nil {
 			t.Fatal("target checkpoint does not carry the migrated query's state")
 		}
 		if ck.Cursors["s1"] == 0 {

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/recovery"
 	"repro/internal/relation"
 	"repro/internal/sql"
 	"repro/internal/stream"
@@ -401,14 +402,28 @@ func (e *Engine) StreamSchema(name string) (stream.Schema, error) {
 // output. Register returns an error for unknown streams or invalid
 // windows.
 func (e *Engine) Register(id string, stmt *sql.SelectStmt, pulse *stream.Pulse, sink Sink) error {
+	q, err := e.newQuery(id, stmt, pulse, sink)
+	if err != nil {
+		return err
+	}
+	if err := e.subscribe(q, nil); err != nil {
+		return err
+	}
+	e.warmPlan(q)
+	return nil
+}
+
+// newQuery builds a continuous query after checking its pulse and that
+// it reads a stream, attached to its trace when the engine traces.
+func (e *Engine) newQuery(id string, stmt *sql.SelectStmt, pulse *stream.Pulse, sink Sink) (*continuousQuery, error) {
 	if pulse != nil {
 		if err := pulse.Validate(); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	refs := collectStreamRefs(stmt)
 	if len(refs) == 0 {
-		return fmt.Errorf("exastream: query %s references no stream; run it with engine.Run instead", id)
+		return nil, fmt.Errorf("exastream: query %s references no stream; run it with engine.Run instead", id)
 	}
 	q := &continuousQuery{
 		id: id, stmt: stmt, refs: refs, pulse: pulse, sink: sink,
@@ -421,11 +436,7 @@ func (e *Engine) Register(id string, stmt *sql.SelectStmt, pulse *stream.Pulse, 
 			q.trace = e.opts.Tracer.Start(id)
 		}
 	}
-	if err := e.registerLocked(q); err != nil {
-		return err
-	}
-	e.warmPlan(q)
-	return nil
+	return q, nil
 }
 
 // warmPlan builds q's physical plan eagerly so the very first window
@@ -446,14 +457,29 @@ func (e *Engine) warmPlan(q *continuousQuery) {
 	q.execMu.Unlock()
 }
 
-func (e *Engine) registerLocked(q *continuousQuery) error {
+// subscribe admits a query that passes checkRefsLocked and subscribes
+// it to the window operator of each stream reference. A missing
+// operator is created: seeded from the state es lists for the query
+// when it has one (a restored query), fresh otherwise.
+func (e *Engine) subscribe(q *continuousQuery, es *recovery.EngineState) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.checkRefsLocked(q); err != nil {
 		return err
 	}
-	for i, ref := range q.refs {
-		e.subscribeLocked(q, i, ref.Table, q.specs[i])
+	st := es.Query(q.id)
+	for i := range q.refs {
+		key := q.windowKey(i)
+		sw, ok := e.windows[key]
+		if !ok {
+			op, err := restoredOp(q.specs[i], es.Window(st, i))
+			if err != nil {
+				return err
+			}
+			sw = &sharedWindow{op: op}
+			e.windows[key] = sw
+		}
+		sw.subs = append(sw.subs, &querySub{q: q, refIdx: i})
 	}
 	e.admitLocked(q)
 	return nil
@@ -501,21 +527,14 @@ func (e *Engine) admitLocked(q *continuousQuery) {
 	}
 }
 
-func (e *Engine) subscribeLocked(q *continuousQuery, refIdx int, streamName string, spec stream.WindowSpec) {
-	key := windowKey{stream: strings.ToLower(streamName), spec: spec}
+// windowKey keys the operator q's i-th stream reference reads: the
+// one shared per (stream, window), or q's own when q is restored.
+func (q *continuousQuery) windowKey(i int) windowKey {
+	key := windowKey{stream: strings.ToLower(q.refs[i].Table), spec: q.specs[i]}
 	if q.private {
 		key.owner = q.id
 	}
-	sw, ok := e.windows[key]
-	if !ok {
-		op, err := stream.NewTimeSlidingWindow(spec)
-		if err != nil {
-			panic(err) // spec validated above
-		}
-		sw = &sharedWindow{op: op}
-		e.windows[key] = sw
-	}
-	sw.subs = append(sw.subs, &querySub{q: q, refIdx: refIdx})
+	return key
 }
 
 // Unregister removes a query.

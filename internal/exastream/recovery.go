@@ -11,12 +11,13 @@ import (
 	"repro/internal/stream"
 )
 
-// ExportState snapshots the engine's per-query stream state — window
-// operators, staged partial windows, quarantine bookkeeping, applied
-// sequence cursors. The caller must quiesce the engine first (the
-// cluster calls it on the node's worker goroutine between work items,
-// which is a consistent cut by construction: Ingest is synchronous, so
-// no window is mid-advance).
+// ExportState snapshots the engine's stream state: each window
+// operator once, however many queries read it, and per query the
+// operators it reads, its staged partial windows, quarantine
+// bookkeeping and applied sequence cursors. The caller must quiesce
+// the engine first (the cluster calls it on the node's worker goroutine
+// between work items, which is a consistent cut by construction:
+// Ingest is synchronous, so no window is mid-advance).
 func (e *Engine) ExportState() *recovery.EngineState {
 	type qsnap struct {
 		q   *continuousQuery
@@ -28,11 +29,7 @@ func (e *Engine) ExportState() *recovery.EngineState {
 	for _, q := range e.queries {
 		s := qsnap{q: q, ops: make([]*stream.TimeSlidingWindow, len(q.refs))}
 		for i := range q.refs {
-			key := windowKey{stream: strings.ToLower(q.refs[i].Table), spec: q.specs[i]}
-			if q.private {
-				key.owner = q.id
-			}
-			if sw := e.windows[key]; sw != nil {
+			if sw := e.windows[q.windowKey(i)]; sw != nil {
 				s.ops[i] = sw.op
 			}
 		}
@@ -47,15 +44,19 @@ func (e *Engine) ExportState() *recovery.EngineState {
 	e.mu.Unlock()
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i].q.id < snaps[j].q.id })
 
+	// Operators are numbered in the order the queries, sorted by id,
+	// first read them, so equal engines export equal states.
 	st := &recovery.EngineState{}
+	var ops []*stream.TimeSlidingWindow // st.Windows[k] snapshots ops[k]
 	for _, s := range snaps {
-		qs := recovery.QueryState{ID: s.q.id, AppliedSeq: s.seq}
-		for _, op := range s.ops {
-			if op == nil {
-				qs.Windows = append(qs.Windows, stream.WindowState{})
-				continue
+		qs := recovery.QueryState{ID: s.q.id, AppliedSeq: s.seq, Windows: make([]int, len(s.ops))}
+		for i, op := range s.ops {
+			k := slices.Index(ops, op) // -1 for a nil op too
+			if op != nil && k < 0 {
+				k, ops = len(ops), append(ops, op)
+				st.Windows = append(st.Windows, op.Snapshot())
 			}
-			qs.Windows = append(qs.Windows, op.Snapshot())
+			qs.Windows[i] = k
 		}
 		s.q.mu.Lock()
 		ends := make([]int64, 0, len(s.q.pending))
@@ -87,33 +88,22 @@ func (e *Engine) ExportState() *recovery.EngineState {
 // operators are private (owner-keyed, not shared with other queries) so
 // the supervisor can replay logged tuples into them without disturbing the
 // node's other queries; its applied-sequence cursors make that replay —
-// and any overlap with live traffic — idempotent. A nil QueryState
-// restores with fresh windows (checkpoint predates the query), cursored
-// at the node's cut so replay still covers the gap.
-func (e *Engine) RestoreQuery(id string, stmt *sql.SelectStmt, pulse *stream.Pulse, sink Sink, st *recovery.QueryState, cursors map[string]int64) error {
-	if pulse != nil {
-		if err := pulse.Validate(); err != nil {
-			return err
-		}
+// and any overlap with live traffic — idempotent. The query's state is
+// looked up by id in es; when es is nil or predates the query, it
+// restores with fresh windows, cursored at the node's cut so replay
+// still covers the gap.
+func (e *Engine) RestoreQuery(id string, stmt *sql.SelectStmt, pulse *stream.Pulse, sink Sink, es *recovery.EngineState, cursors map[string]int64) error {
+	q, err := e.newQuery(id, stmt, pulse, sink)
+	if err != nil {
+		return err
 	}
-	refs := collectStreamRefs(stmt)
-	if len(refs) == 0 {
-		return fmt.Errorf("exastream: query %s references no stream; run it with engine.Run instead", id)
-	}
-	q := &continuousQuery{
-		id: id, stmt: stmt, refs: refs, pulse: pulse, sink: sink,
-		pending:    make(map[int64]map[int]stagedBatch),
-		private:    true,
-		appliedSeq: make(map[string]int64),
-	}
+	q.private, q.appliedSeq = true, make(map[string]int64)
+	st := es.Query(id)
 	if st != nil && st.AppliedSeq != nil {
-		for k, v := range st.AppliedSeq {
-			q.appliedSeq[k] = v
-		}
-	} else {
-		for k, v := range cursors {
-			q.appliedSeq[k] = v
-		}
+		cursors = st.AppliedSeq
+	}
+	for k, v := range cursors {
+		q.appliedSeq[k] = v
 	}
 	if st != nil {
 		for _, pw := range st.Pending {
@@ -129,49 +119,19 @@ func (e *Engine) RestoreQuery(id string, stmt *sql.SelectStmt, pulse *stream.Pul
 		q.budget.Store(st.Budget)
 		q.stride.Store(st.Stride)
 	}
-	if e.opts.Tracer != nil {
-		if q.trace = e.opts.Tracer.Trace(id); q.trace == nil {
-			q.trace = e.opts.Tracer.Start(id)
-		}
-	}
-	if err := e.restoreLocked(q, st); err != nil {
+	if err := e.subscribe(q, es); err != nil {
 		return err
 	}
 	e.warmPlan(q)
 	return nil
 }
 
-// restoreLocked is registerLocked with owner-keyed window operators
-// seeded from the snapshot.
-func (e *Engine) restoreLocked(q *continuousQuery, st *recovery.QueryState) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.checkRefsLocked(q); err != nil {
-		return err
-	}
-	for i, ref := range q.refs {
-		key := windowKey{stream: strings.ToLower(ref.Table), spec: q.specs[i], owner: q.id}
-		sw, ok := e.windows[key]
-		if !ok {
-			op, err := e.restoredOp(q.specs[i], st, i)
-			if err != nil {
-				return err
-			}
-			sw = &sharedWindow{op: op}
-			e.windows[key] = sw
-		}
-		sw.subs = append(sw.subs, &querySub{q: q, refIdx: i})
-	}
-	e.admitLocked(q)
-	return nil
-}
-
-// restoredOp seeds one window operator from the snapshot's i-th stream
-// reference; a missing or spec-mismatched snapshot (the statement
-// changed since the checkpoint) gets a fresh operator.
-func (e *Engine) restoredOp(spec stream.WindowSpec, st *recovery.QueryState, i int) (*stream.TimeSlidingWindow, error) {
-	if st != nil && i < len(st.Windows) && st.Windows[i].Spec == spec {
-		return stream.RestoreTimeSlidingWindow(st.Windows[i])
+// restoredOp seeds one window operator from its snapshot; a missing or
+// spec-mismatched snapshot (the statement changed since the
+// checkpoint) gets a fresh operator.
+func restoredOp(spec stream.WindowSpec, w *stream.WindowState) (*stream.TimeSlidingWindow, error) {
+	if w != nil && w.Spec == spec {
+		return stream.RestoreTimeSlidingWindow(*w)
 	}
 	return stream.NewTimeSlidingWindow(spec)
 }

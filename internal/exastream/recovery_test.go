@@ -2,7 +2,10 @@ package exastream
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/recovery"
@@ -58,13 +61,7 @@ func TestExportRestoreReplayEquivalence(t *testing.T) {
 		}
 	}
 	st := victim.ExportState()
-	var qs *recovery.QueryState
-	for i := range st.Queries {
-		if st.Queries[i].ID == "q" {
-			qs = &st.Queries[i]
-		}
-	}
-	if qs == nil {
+	if st.Query("q") == nil {
 		t.Fatal("export lost query q")
 	}
 
@@ -72,7 +69,7 @@ func TestExportRestoreReplayEquivalence(t *testing.T) {
 	// feed — the cursor must drop seqs 1..cut.
 	heir := testRig(t, Options{})
 	heirOut := &collector{}
-	if err := heir.RestoreQuery("q", stmt, nil, heirOut.sink, qs, map[string]int64{"msmt": cut}); err != nil {
+	if err := heir.RestoreQuery("q", stmt, nil, heirOut.sink, st, map[string]int64{"msmt": cut}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < total; i++ {
@@ -154,17 +151,7 @@ func TestRestoreQueryRejectsDuplicateID(t *testing.T) {
 func TestExportStateIgnoresShareWindows(t *testing.T) {
 	export := func(share bool) []byte {
 		e := testRig(t, Options{ShareWindows: share})
-		if err := e.DeclareStream(stream.Schema{
-			Name: "msmt2",
-			Tuple: relation.NewSchema(
-				relation.Col("sid", relation.TInt),
-				relation.Col("ts", relation.TTime),
-				relation.Col("val", relation.TFloat),
-			),
-			TSCol: "ts",
-		}); err != nil {
-			t.Fatal(err)
-		}
+		declareMsmt2(t, e)
 		out := &collector{}
 		for id, text := range map[string]string{
 			"avg":     "SELECT m.sid, AVG(m.val) FROM STREAM msmt [RANGE 1000 SLIDE 500] AS m GROUP BY m.sid",
@@ -203,4 +190,167 @@ func TestExportStateIgnoresShareWindows(t *testing.T) {
 	if !bytes.Equal(on, off) {
 		t.Fatalf("checkpoint with ShareWindows on is %d bytes, off %d bytes; want byte-identical", len(on), len(off))
 	}
+}
+
+// declareMsmt2 declares a second stream with msmt's schema.
+func declareMsmt2(t *testing.T, e *Engine) {
+	t.Helper()
+	if err := e.DeclareStream(stream.Schema{
+		Name: "msmt2",
+		Tuple: relation.NewSchema(
+			relation.Col("sid", relation.TInt),
+			relation.Col("ts", relation.TTime),
+			relation.Col("val", relation.TFloat),
+		),
+		TSCol: "ts",
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestExportStateListsEachOperatorOnce pins the checkpoint's operator
+// table: queries over two shared (stream, window) operators and one
+// privately restored query export exactly one state per live operator,
+// every stream reference names the operator it reads, and every query
+// restored from the decoded blob emits what the original goes on to
+// emit — staged windows of a two-stream query included.
+func TestExportStateListsEachOperatorOnce(t *testing.T) {
+	texts := map[string]string{
+		"avg":     "SELECT m.sid, AVG(m.val) FROM STREAM msmt [RANGE 1000 SLIDE 500] AS m GROUP BY m.sid",
+		"export":  "SELECT m.sid, m.val FROM STREAM msmt [RANGE 1000 SLIDE 500] AS m",
+		"hot":     "SELECT b.val FROM STREAM msmt2 [RANGE 1000 SLIDE 500] AS b WHERE b.val > 60",
+		"joined":  "SELECT a.sid, b.val FROM STREAM msmt [RANGE 1000 SLIDE 500] AS a, msmt2 [RANGE 1000 SLIDE 500] AS b WHERE a.sid = b.sid",
+		"private": "SELECT m.val FROM STREAM msmt [RANGE 1000 SLIDE 500] AS m WHERE m.val < 40",
+	}
+	// Seeded input; msmt2 runs 1.5 s behind msmt, so "joined" holds
+	// staged msmt windows at any cut.
+	type input struct {
+		stream string
+		el     stream.Timestamped
+		seq    int64
+	}
+	rng := rand.New(rand.NewSource(29))
+	var in []input
+	seqs := map[string]int64{}
+	for i, ts := 0, int64(0); i < 150; i++ {
+		ts += rng.Int63n(120)
+		for _, s := range []string{"msmt", "msmt2"} {
+			at := ts
+			if s == "msmt2" {
+				if at -= 1500; at < 0 || rng.Intn(3) == 0 {
+					continue
+				}
+			}
+			seqs[s]++
+			row := relation.Tuple{relation.Int(1 + rng.Int63n(5)), relation.Time(at), relation.Float(float64(rng.Intn(100)))}
+			in = append(in, input{s, stream.Timestamped{TS: at, Row: row}, seqs[s]})
+		}
+	}
+	const cut = 180
+	orig := testRig(t, Options{})
+	declareMsmt2(t, orig)
+	origOut := &collector{}
+	for id, text := range texts {
+		var err error
+		if id == "private" {
+			err = orig.RestoreQuery(id, sql.MustParse(text), nil, origOut.sink, nil, nil)
+		} else {
+			err = orig.Register(id, sql.MustParse(text), nil, origOut.sink)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	cursors := map[string]int64{}
+	for _, x := range in[:cut] {
+		if err := orig.IngestSeq(x.stream, x.el, x.seq); err != nil {
+			t.Fatal(err)
+		}
+		cursors[x.stream] = x.seq
+	}
+
+	st := orig.ExportState()
+	if len(st.Windows) != 3 || len(st.Windows) != len(orig.windows) {
+		t.Fatalf("exported %d operator states, engine runs %d operators (want 3)", len(st.Windows), len(orig.windows))
+	}
+	index := map[*stream.TimeSlidingWindow]int{}
+	taken := map[int]bool{}
+	for _, qs := range st.Queries {
+		q := orig.queries[qs.ID]
+		if len(qs.Windows) != len(q.refs) {
+			t.Fatalf("query %s: %d operator indices for %d stream references", qs.ID, len(qs.Windows), len(q.refs))
+		}
+		for i, k := range qs.Windows {
+			op := orig.windows[q.windowKey(i)].op
+			if want, ok := index[op]; ok && k != want || !ok && taken[k] {
+				t.Fatalf("query %s reference %d names operator %d, which another operator holds", qs.ID, i, k)
+			}
+			index[op], taken[k] = k, true
+			if !reflect.DeepEqual(st.Windows[k], op.Snapshot()) {
+				t.Fatalf("query %s reference %d: operator %d is not the state of the operator it reads", qs.ID, i, k)
+			}
+		}
+	}
+	if len(st.Query("joined").Pending) == 0 {
+		t.Fatal("no staged window at the cut: the check is vacuous")
+	}
+	blob, err := recovery.Encode(&recovery.Checkpoint{Cursors: cursors, Engine: *st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := recovery.Decode(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	heir := testRig(t, Options{})
+	declareMsmt2(t, heir)
+	heirOut := &collector{}
+	for id, text := range texts {
+		if err := heir.RestoreQuery(id, sql.MustParse(text), nil, heirOut.sink, ck.State(), ck.Cursors); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := len(origOut.results)
+	for _, x := range in[cut:] {
+		if err := orig.IngestSeq(x.stream, x.el, x.seq); err != nil {
+			t.Fatal(err)
+		}
+		if err := heir.IngestSeq(x.stream, x.el, x.seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := orig.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := heir.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got, want := byQuery(heirOut.results), byQuery(origOut.results[before:])
+	for id := range texts {
+		if len(want[id]) == 0 {
+			t.Fatalf("query %s emitted nothing after the cut: the check is vacuous", id)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored queries emitted\n%v\nwant\n%v", got, want)
+	}
+}
+
+// byQuery groups emitted windows by query, each as its end time and
+// its rows in sorted order.
+func byQuery(results []collected) map[string][]string {
+	out := map[string][]string{}
+	for _, r := range results {
+		rows := make([]string, len(r.rows))
+		for i, row := range r.rows {
+			rows[i] = fmt.Sprint(row)
+		}
+		sort.Strings(rows)
+		out[r.qid] = append(out[r.qid], fmt.Sprint(r.end, rows))
+	}
+	for _, ws := range out {
+		sort.Strings(ws)
+	}
+	return out
 }

@@ -11,21 +11,25 @@ import (
 
 // A checkpoint blob is one wire frame whose payload is fixed-width
 // little-endian, maps in ascending key order (docs/recovery.md has the
-// layout). The batches of one stream reference form a chain in time
-// order: its staged windows, then its operator's open windows. A batch
-// that repeats its predecessor's rows from index skip to the end writes
-// only the rows after them, so each row is written once per chain, not
-// once per overlapping window that holds it. A window operator that
-// several queries read is written once and referenced after that.
+// layout). Each window operator is written once, as its log of rows and
+// the offset in it of every open window; a query names the operators it
+// reads by their index. The staged batches of one stream reference form
+// a chain in time order: a batch that repeats its predecessor's rows
+// from index skip to the end writes only the rows after them, so each
+// staged row is written once per chain, not once per overlapping
+// window that holds it.
 
 // Minimum encoded sizes, which bound the element counts a decoder
 // accepts for the bytes that remain.
 const (
-	minQuery   = 41
-	minEntry   = 12
-	minPending = 12
-	minBatch   = 32
-	minWindow  = 4
+	minQuery    = 41
+	minEntry    = 12
+	minPending  = 12
+	minBatch    = 32
+	minOperator = 56
+	minOpen     = 28
+	minRef      = 4
+	minRow      = 2
 )
 
 // Encode serializes a checkpoint into its framed wire form.
@@ -40,11 +44,16 @@ func Decode(b []byte) (*Checkpoint, error) {
 	}
 	r := wire.NewReader(p)
 	ck := &Checkpoint{Node: int(r.I64()), TakenAtMS: r.I64(), Cursors: readMap(r), EmitHWM: readMap(r)}
+	if n := r.Count(minOperator); n > 0 {
+		ck.Engine.Windows = make([]stream.WindowState, n)
+		for i := range ck.Engine.Windows {
+			readWindow(r, &ck.Engine.Windows[i])
+		}
+	}
 	if n := r.Count(minQuery); n > 0 {
 		ck.Engine.Queries = make([]QueryState, n)
-		var seen []*stream.WindowState
 		for i := range ck.Engine.Queries {
-			readQuery(r, &ck.Engine.Queries[i], &seen)
+			readQuery(r, &ck.Engine.Queries[i], len(ck.Engine.Windows))
 		}
 	}
 	if r.Len() > 0 {
@@ -63,14 +72,13 @@ func appendCheckpoint(b []byte, ck *Checkpoint) []byte {
 	b = wire.AppendI64(b, ck.TakenAtMS)
 	b = appendMap(b, ck.Cursors)
 	b = appendMap(b, ck.EmitHWM)
-	b = wire.AppendU32(b, uint32(len(ck.Engine.Queries)))
-	windows := 0
-	for _, q := range ck.Engine.Queries {
-		windows += len(q.Windows)
+	b = wire.AppendU32(b, uint32(len(ck.Engine.Windows)))
+	for i := range ck.Engine.Windows {
+		b = appendWindow(b, &ck.Engine.Windows[i])
 	}
-	seen := make([]*stream.WindowState, 0, windows)
+	b = wire.AppendU32(b, uint32(len(ck.Engine.Queries)))
 	for i := range ck.Engine.Queries {
-		b = appendQuery(b, &ck.Engine.Queries[i], &seen)
+		b = appendQuery(b, &ck.Engine.Queries[i])
 	}
 	return wire.Seal(b, start)
 }
@@ -105,10 +113,52 @@ func readMap(r *wire.Reader) map[string]int64 {
 	return m
 }
 
-// appendQuery writes one query. seen lists the window states written so
-// far: a window operator that several queries share is written once and
-// referenced by its 1-based position in seen after that.
-func appendQuery(b []byte, q *QueryState, seen *[]*stream.WindowState) []byte {
+// appendWindow writes one window operator: spec and cursors, its log
+// and the offset in it of each open window.
+func appendWindow(b []byte, w *stream.WindowState) []byte {
+	for _, v := range [...]int64{w.Spec.RangeMS, w.Spec.SlideMS, w.Spec.StartMS, w.NextEmit, w.MaxTS, w.Late} {
+		b = wire.AppendI64(b, v)
+	}
+	b = wire.AppendU32(b, uint32(len(w.Rows)))
+	for _, row := range w.Rows {
+		b = wire.AppendRow(b, row)
+	}
+	b = wire.AppendU32(b, uint32(len(w.Open)))
+	for _, o := range w.Open {
+		b = wire.AppendI64(b, o.ID)
+		b = wire.AppendI64(b, o.Start)
+		b = wire.AppendI64(b, o.End)
+		b = wire.AppendU32(b, uint32(o.Offset))
+	}
+	return b
+}
+
+// readWindow decodes one window operator, rejecting open windows no
+// operator could hold (see stream.WindowState.Check).
+func readWindow(r *wire.Reader, w *stream.WindowState) {
+	w.Spec = stream.WindowSpec{RangeMS: r.I64(), SlideMS: r.I64(), StartMS: r.I64()}
+	w.NextEmit, w.MaxTS, w.Late = r.I64(), r.I64(), r.I64()
+	if n := r.Count(minRow); n > 0 {
+		w.Rows = make([]relation.Tuple, n)
+		for i := range w.Rows {
+			w.Rows[i] = r.Row()
+		}
+	}
+	if n := r.Count(minOpen); n > 0 {
+		w.Open = make([]stream.OpenWindow, n)
+		for i := range w.Open {
+			w.Open[i] = stream.OpenWindow{ID: r.I64(), Start: r.I64(), End: r.I64(), Offset: int(r.U32())}
+		}
+	}
+	if r.Err() == nil && w.Check() != nil {
+		r.Fail(wire.ErrMalformed)
+	}
+}
+
+// appendQuery writes one query: its fields, the index of the operator
+// each stream reference reads (-1 as 0xffffffff), and its staged
+// windows.
+func appendQuery(b []byte, q *QueryState) []byte {
 	b = wire.AppendString(b, q.ID)
 	b = wire.AppendI64(b, int64(q.Failures))
 	b = wire.AppendBool(b, q.Suspended)
@@ -116,6 +166,9 @@ func appendQuery(b []byte, q *QueryState, seen *[]*stream.WindowState) []byte {
 	b = wire.AppendI64(b, q.Stride)
 	b = appendMap(b, q.AppliedSeq)
 	b = wire.AppendU32(b, uint32(len(q.Windows)))
+	for _, k := range q.Windows {
+		b = wire.AppendU32(b, uint32(k))
+	}
 	b = wire.AppendU32(b, uint32(len(q.Pending)))
 	prev := make([][]relation.Tuple, len(q.Windows)) // each chain's last batch
 	for _, pw := range q.Pending {
@@ -135,33 +188,27 @@ func appendQuery(b []byte, q *QueryState, seen *[]*stream.WindowState) []byte {
 			b = appendBatch(wire.AppendI64(b, int64(ref)), pw.Batches[ref], chain)
 		}
 	}
-	for i := range q.Windows {
-		w := &q.Windows[i]
-		if k := slices.IndexFunc(*seen, func(s *stream.WindowState) bool { return sameWindow(s, w) }); k >= 0 {
-			b = wire.AppendU32(b, uint32(k+1))
-			continue
-		}
-		*seen = append(*seen, w)
-		b = wire.AppendU32(b, 0)
-		for _, v := range [...]int64{w.Spec.RangeMS, w.Spec.SlideMS, w.Spec.StartMS, w.NextEmit, w.MaxTS, w.Late} {
-			b = wire.AppendI64(b, v)
-		}
-		b = wire.AppendU32(b, uint32(len(w.Pending)))
-		for _, bt := range w.Pending {
-			b = appendBatch(b, bt, &prev[i])
-		}
-	}
 	return b
 }
 
-func readQuery(r *wire.Reader, q *QueryState, seen *[]*stream.WindowState) {
+// readQuery decodes one query whose indices may name any of the
+// checkpoint's first windows operators.
+func readQuery(r *wire.Reader, q *QueryState, windows int) {
 	q.ID = r.String()
 	q.Failures = int(r.I64())
 	q.Suspended = r.Bool()
 	q.Budget = r.I64()
 	q.Stride = r.I64()
 	q.AppliedSeq = readMap(r)
-	chains := make([]chain, r.Count(minWindow))
+	if n := r.Count(minRef); n > 0 {
+		q.Windows = make([]int, n)
+		for i := range q.Windows {
+			if q.Windows[i] = int(int32(r.U32())); q.Windows[i] < -1 || q.Windows[i] >= windows {
+				r.Fail(wire.ErrMalformed) // names no operator
+			}
+		}
+	}
+	chains := make([]chain, len(q.Windows))
 	if n := r.Count(minPending); n > 0 {
 		q.Pending = make([]PendingWindow, n)
 	}
@@ -182,29 +229,6 @@ func readQuery(r *wire.Reader, q *QueryState, seen *[]*stream.WindowState) {
 				c = &chains[ref]
 			}
 			pw.Batches[ref], last = c.read(r), ref
-		}
-	}
-	if len(chains) > 0 {
-		q.Windows = make([]stream.WindowState, len(chains))
-	}
-	for i := range q.Windows {
-		w := &q.Windows[i]
-		if k := int(r.U32()); k > 0 {
-			if k > len(*seen) || !hasRow((*seen)[k-1]) {
-				r.Fail(wire.ErrMalformed) // not a window the encoder shares
-				continue
-			}
-			*w = *(*seen)[k-1]
-			continue
-		}
-		*seen = append(*seen, w)
-		w.Spec = stream.WindowSpec{RangeMS: r.I64(), SlideMS: r.I64(), StartMS: r.I64()}
-		w.NextEmit, w.MaxTS, w.Late = r.I64(), r.I64(), r.I64()
-		if n := r.Count(minBatch); n > 0 {
-			w.Pending = make([]stream.Batch, n)
-		}
-		for j := range w.Pending {
-			w.Pending[j] = chains[i].read(r)
 		}
 	}
 }
@@ -244,33 +268,6 @@ func repeated(prev, rows []relation.Tuple) (skip, k int) {
 	return len(prev), 0
 }
 
-// sameWindow reports whether b snapshots the same window operator as a:
-// equal cursors and batches holding the same rows. Only a window with a
-// row to identify it is shared.
-func sameWindow(a, b *stream.WindowState) bool {
-	if a.Spec != b.Spec || a.NextEmit != b.NextEmit || a.MaxTS != b.MaxTS || a.Late != b.Late || len(a.Pending) != len(b.Pending) || !hasRow(a) {
-		return false
-	}
-	for i, x := range a.Pending {
-		y := b.Pending[i]
-		if x.WindowID != y.WindowID || x.Start != y.Start || x.End != y.End || len(x.Rows) != len(y.Rows) || !sameRows(x.Rows, y.Rows) {
-			return false
-		}
-	}
-	return true
-}
-
-func hasRow(w *stream.WindowState) bool {
-	for _, b := range w.Pending {
-		for _, row := range b.Rows {
-			if len(row) > 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // sameRows reports whether a and b hold the same rows: the same backing
 // arrays, or both empty.
 func sameRows(a, b []relation.Tuple) bool {
@@ -297,7 +294,7 @@ func (c *chain) read(r *wire.Reader) stream.Batch {
 	b := stream.Batch{WindowID: r.I64(), Start: r.I64(), End: r.I64()}
 	n, skip := int(r.U32()), int(r.U32())
 	k := c.last - skip
-	if skip > c.last || k > n || (n-k)*2 > r.Len() || k > 0 && len(c.rows[len(c.rows)-k]) == 0 {
+	if skip > c.last || k > n || (n-k)*minRow > r.Len() || k > 0 && len(c.rows[len(c.rows)-k]) == 0 {
 		r.Fail(wire.ErrMalformed)
 	}
 	if r.Err() != nil {

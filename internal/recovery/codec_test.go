@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/relation"
@@ -37,7 +38,8 @@ func randomValue(rng *rand.Rand) relation.Value {
 // query reads refs streams through 10 s windows sliding by 1 s, pushed
 // one row every 100 ms, so every row sits in up to ten open windows.
 // The last two windows each operator emitted stay staged as the query's
-// pending windows, the way a multi-reference query holds them.
+// pending windows, the way a multi-reference query holds them. Every
+// query reads operators of its own.
 func windowCheckpoint(rng *rand.Rand, queries, refs, rows int) *Checkpoint {
 	ck := &Checkpoint{Node: 1, TakenAtMS: 99, Cursors: map[string]int64{}, EmitHWM: map[string]int64{}}
 	for q := 0; q < queries; q++ {
@@ -67,7 +69,8 @@ func windowCheckpoint(rng *rand.Rand, queries, refs, rows int) *Checkpoint {
 				}
 				staged[b.End][ref] = b
 			}
-			qs.Windows = append(qs.Windows, op.Snapshot())
+			qs.Windows = append(qs.Windows, len(ck.Engine.Windows))
+			ck.Engine.Windows = append(ck.Engine.Windows, op.Snapshot())
 			ck.Cursors[fmt.Sprintf("s%d", ref)] = int64(rows)
 		}
 		for end := int64(0); len(staged) > 0; end += 1_000 {
@@ -86,19 +89,21 @@ func windowCheckpoint(rng *rand.Rand, queries, refs, rows int) *Checkpoint {
 func normalized(ck *Checkpoint) *Checkpoint {
 	out := *ck
 	out.Cursors, out.EmitHWM = nilIfEmpty(ck.Cursors), nilIfEmpty(ck.EmitHWM)
-	out.Engine.Queries = nil
+	out.Engine = EngineState{}
+	for _, w := range ck.Engine.Windows {
+		if len(w.Rows) == 0 {
+			w.Rows = nil
+		}
+		if len(w.Open) == 0 {
+			w.Open = nil
+		}
+		out.Engine.Windows = append(out.Engine.Windows, w)
+	}
 	for _, q := range ck.Engine.Queries {
 		q.AppliedSeq = nilIfEmpty(q.AppliedSeq)
-		var ws []stream.WindowState
-		for _, w := range q.Windows {
-			var pend []stream.Batch
-			for _, b := range w.Pending {
-				pend = append(pend, bare(b))
-			}
-			w.Pending = pend
-			ws = append(ws, w)
+		if len(q.Windows) == 0 {
+			q.Windows = nil
 		}
-		q.Windows = ws
 		var pws []PendingWindow
 		for _, pw := range q.Pending {
 			var m map[int]stream.Batch
@@ -132,49 +137,71 @@ func bare(b stream.Batch) stream.Batch {
 }
 
 // rowArrays counts the distinct row backing arrays across a query's
-// batches: rows shared by overlapping windows count once.
-func rowArrays(q *QueryState) int {
+// staged batches and the given operator logs: rows shared by
+// overlapping windows count once.
+func rowArrays(q *QueryState, logs ...[]relation.Tuple) int {
 	seen := map[*relation.Value]bool{}
-	add := func(b stream.Batch) {
-		for _, row := range b.Rows {
+	add := func(rows []relation.Tuple) {
+		for _, row := range rows {
 			if len(row) > 0 {
 				seen[&row[0]] = true
 			}
 		}
 	}
-	for _, w := range q.Windows {
-		for _, b := range w.Pending {
-			add(b)
-		}
+	for _, rows := range logs {
+		add(rows)
 	}
 	for _, pw := range q.Pending {
 		for _, b := range pw.Batches {
-			add(b)
+			add(b.Rows)
 		}
 	}
 	return len(seen)
 }
 
+// heldRows counts the row references a checkpoint's windows hold: each
+// open window's rows and each staged batch's, counted once per window
+// that holds them.
+func heldRows(ck *Checkpoint) int {
+	held := 0
+	for _, w := range ck.Engine.Windows {
+		for _, o := range w.Open {
+			held += len(w.Rows) - o.Offset
+		}
+	}
+	for _, q := range ck.Engine.Queries {
+		for _, pw := range q.Pending {
+			for _, b := range pw.Batches {
+				held += len(b.Rows)
+			}
+		}
+	}
+	return held
+}
+
 // TestCodecSeededRoundTrip round-trips checkpoints of every value type,
-// NULLs, empty rows, empty and nil maps and slices, and rows shared
-// across overlapping open and staged windows: the decoded checkpoint
-// equals the original, re-encodes to the same bytes, and shares rows
-// exactly where the original did.
+// NULLs, empty rows, empty and nil maps and slices, operators read by
+// several queries and by none, and rows shared across overlapping
+// staged windows: the decoded checkpoint equals the original,
+// re-encodes to the same bytes, and shares staged rows exactly where
+// the original did.
 func TestCodecSeededRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ck := windowCheckpoint(rng, 3, 2, 150+rng.Intn(100))
 		ck.Engine.Queries = append(ck.Engine.Queries,
-			QueryState{ID: "empty", AppliedSeq: map[string]int64{}, Windows: []stream.WindowState{}, Pending: []PendingWindow{}},
+			QueryState{ID: "empty", AppliedSeq: map[string]int64{}, Windows: []int{}, Pending: []PendingWindow{}},
 			QueryState{ID: "nil"},
 			QueryState{ID: "staged-only", Pending: []PendingWindow{{End: 5, Batches: map[int]stream.Batch{
 				-1: {End: 5, Rows: []relation.Tuple{{relation.Null}}},
 				7:  {End: 5, Rows: []relation.Tuple{}},
 			}}}},
 			// A second reader of q01's window operators, as shared
-			// windows export them.
-			QueryState{ID: "shares-q01", Windows: ck.Engine.Queries[1].Windows},
+			// windows export them, and a reference with no operator.
+			QueryState{ID: "shares-q01", Windows: append(slices.Clone(ck.Engine.Queries[1].Windows), -1)},
 		)
+		// An operator no query reads, with no open window.
+		ck.Engine.Windows = append(ck.Engine.Windows, stream.WindowState{Spec: stream.WindowSpec{RangeMS: 1, SlideMS: 1}, NextEmit: 4, MaxTS: 3})
 		blob, err := Encode(ck)
 		if err != nil {
 			t.Fatal(err)
@@ -204,16 +231,8 @@ func TestCodecSeededRoundTrip(t *testing.T) {
 func TestCodecWritesSharedRowsOnce(t *testing.T) {
 	ck := windowCheckpoint(rand.New(rand.NewSource(3)), 1, 1, 400)
 	blob, _ := Encode(ck)
-	var held int
-	for _, b := range ck.Engine.Queries[0].Windows[0].Pending {
-		held += len(b.Rows)
-	}
-	for _, pw := range ck.Engine.Queries[0].Pending {
-		for _, b := range pw.Batches {
-			held += len(b.Rows)
-		}
-	}
-	once := rowArrays(&ck.Engine.Queries[0])
+	held := heldRows(ck)
+	once := rowArrays(&ck.Engine.Queries[0], ck.Engine.Windows[0].Rows)
 	if held < 5*once {
 		t.Fatalf("fixture holds %d row references over %d rows; want heavy overlap", held, once)
 	}
@@ -225,8 +244,8 @@ func TestCodecWritesSharedRowsOnce(t *testing.T) {
 }
 
 // TestCodecWritesSharedOperatorOnce pins the window sharing across
-// queries: a second query reading the same window operator adds a
-// reference, not the operator's rows, and decodes to the same windows.
+// queries: a second query reading the same window operators adds their
+// indices, not the operators' rows, and decodes to the same operators.
 func TestCodecWritesSharedOperatorOnce(t *testing.T) {
 	ck := windowCheckpoint(rand.New(rand.NewSource(4)), 1, 2, 300)
 	alone, _ := Encode(ck)
@@ -240,8 +259,12 @@ func TestCodecWritesSharedOperatorOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(back.Engine.Queries[1].Windows, back.Engine.Queries[0].Windows) {
-		t.Fatal("the shared operator decoded differently for its second reader")
+	e := &back.Engine
+	for ref := range e.Queries[0].Windows {
+		first, second := e.Window(&e.Queries[0], ref), e.Window(&e.Queries[1], ref)
+		if first == nil || first != second || !reflect.DeepEqual(*first, normalized(ck).Engine.Windows[ck.Engine.Queries[0].Windows[ref]]) {
+			t.Fatalf("reference %d: the shared operator decoded differently for its second reader", ref)
+		}
 	}
 }
 
@@ -317,9 +340,9 @@ func TestSaveAllocsIndependentOfRows(t *testing.T) {
 			}
 		})
 	}
-	// 1 blob, 2 checkpoint maps' keys, 1 window list, and per query its
-	// chain slice, its AppliedSeq keys (2 of the 4 queries have some)
-	// and one ref slice per staged window (2 each): 4 + 4 + 2 + 8 = 18.
+	// 1 blob, 2 checkpoint maps' keys, and per query its chain slice,
+	// its AppliedSeq keys (2 of the 4 queries have some) and one ref
+	// slice per staged window (2 each): 3 + 4 + 2 + 8 = 17.
 	const bound = 18
 	if counts[200] != counts[2000] || counts[2000] > bound {
 		t.Fatalf("Save allocations = %v per checkpoint size, want equal and <= %d", counts, bound)
@@ -381,8 +404,12 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		f.Add(blob[wire.HeaderSize:])
 		f.Add(blob[wire.HeaderSize : len(blob)/2])
 	}
-	shared := windowCheckpoint(rand.New(rand.NewSource(4)), 1, 1, 14)
-	shared.Engine.Queries = append(shared.Engine.Queries, QueryState{ID: "r", Windows: shared.Engine.Queries[0].Windows})
+	// Two queries read one operator pair, and each holds staged
+	// windows.
+	shared := windowCheckpoint(rand.New(rand.NewSource(4)), 1, 2, 14)
+	reader := shared.Engine.Queries[0]
+	reader.ID = "r"
+	shared.Engine.Queries = append(shared.Engine.Queries, reader)
 	for _, ck := range []*Checkpoint{shared, sampleCheckpoint()} {
 		blob, _ := Encode(ck)
 		f.Add(blob[wire.HeaderSize:])

@@ -46,13 +46,15 @@ type PendingWindow struct {
 	Batches map[int]stream.Batch
 }
 
-// QueryState is the serialized per-query execution state at a cut: one
-// window-operator snapshot per stream reference, the staged partial
+// QueryState is the serialized per-query execution state at a cut: the
+// window operator each stream reference reads, the staged partial
 // windows, quarantine bookkeeping, and the per-stream ingest cursors
 // that make replay idempotent.
 type QueryState struct {
-	ID         string
-	Windows    []stream.WindowState
+	ID string
+	// Windows has one entry per stream reference: the index in
+	// EngineState.Windows of the operator it reads, or -1 for none.
+	Windows    []int
 	Pending    []PendingWindow
 	Failures   int
 	Suspended  bool
@@ -64,21 +66,35 @@ type QueryState struct {
 	Stride int64
 }
 
-// EngineState is one engine's exported stream state: every registered
+// EngineState is one engine's exported stream state: each window
+// operator once, however many queries read it, and every registered
 // query.
 type EngineState struct {
+	Windows []stream.WindowState
 	Queries []QueryState
 }
 
-// Query returns the state of one query, or nil when the checkpoint
-// predates its registration.
+// Query returns the state of one query, or nil when the state is nil or
+// predates the query's registration.
 func (s *EngineState) Query(id string) *QueryState {
+	if s == nil {
+		return nil
+	}
 	for i := range s.Queries {
 		if s.Queries[i].ID == id {
 			return &s.Queries[i]
 		}
 	}
 	return nil
+}
+
+// Window returns the operator state a query's ref-th stream reference
+// reads, or nil when it reads none.
+func (s *EngineState) Window(q *QueryState, ref int) *stream.WindowState {
+	if q == nil || ref >= len(q.Windows) || q.Windows[ref] < 0 || q.Windows[ref] >= len(s.Windows) {
+		return nil
+	}
+	return &s.Windows[q.Windows[ref]]
 }
 
 // Checkpoint is one node's consistent cut: the engine state, the
@@ -94,12 +110,13 @@ type Checkpoint struct {
 	Engine    EngineState
 }
 
-// QueryState returns the checkpointed state of one query, or nil.
-func (c *Checkpoint) QueryState(id string) *QueryState {
+// State returns the checkpointed engine state, or nil for a nil
+// checkpoint.
+func (c *Checkpoint) State() *EngineState {
 	if c == nil {
 		return nil
 	}
-	return c.Engine.Query(id)
+	return &c.Engine
 }
 
 // ---- store ----

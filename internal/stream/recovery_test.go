@@ -60,7 +60,7 @@ func TestWindowSnapshotRestoreEquivalence(t *testing.T) {
 
 // TestWindowSnapshotIsDeepCopy guards against the sharing bug the
 // checkpoint path would otherwise have: the live operator keeps
-// appending to its pending batches' backing arrays after the snapshot.
+// appending to the log the snapshot views.
 func TestWindowSnapshotIsDeepCopy(t *testing.T) {
 	spec := WindowSpec{RangeMS: 1000, SlideMS: 1000}
 	w, err := NewTimeSlidingWindow(spec)
@@ -69,17 +69,17 @@ func TestWindowSnapshotIsDeepCopy(t *testing.T) {
 	}
 	w.Push(tupleAt(100, 1))
 	st := w.Snapshot()
-	if len(st.Pending) != 1 || len(st.Pending[0].Rows) != 1 {
-		t.Fatalf("snapshot pending = %+v, want one window with one row", st.Pending)
+	if len(st.Open) != 1 || len(st.Rows) != 1 {
+		t.Fatalf("snapshot = %+v, want one open window over one row", st)
 	}
-	before := st.Pending[0].Rows[0][1]
+	before := st.Rows[0][1]
 	w.Push(tupleAt(200, 2))
 	w.Push(tupleAt(300, 3))
-	if got := st.Pending[0].Rows[0][1]; got != before {
+	if got := st.Rows[0][1]; got != before {
 		t.Fatalf("snapshot row mutated by later pushes: %v -> %v", before, got)
 	}
-	if len(st.Pending[0].Rows) != 1 {
-		t.Fatalf("snapshot grew with the live operator: %d rows", len(st.Pending[0].Rows))
+	if len(st.Rows) != 1 {
+		t.Fatalf("snapshot grew with the live operator: %d rows", len(st.Rows))
 	}
 }
 
@@ -88,9 +88,10 @@ func TestRestoreSkipsEmittedWindows(t *testing.T) {
 		Spec:     WindowSpec{RangeMS: 1000, SlideMS: 1000},
 		NextEmit: 2,
 		MaxTS:    2500,
-		Pending: []Batch{
-			{WindowID: 1, End: 2000}, // already emitted: must be dropped
-			{WindowID: 2, End: 3000},
+		Rows:     []relation.Tuple{tupleAt(1500, 1).Row, tupleAt(2500, 2).Row},
+		Open: []OpenWindow{
+			{ID: 1, Start: 1000, End: 2000, Offset: 0}, // already emitted: must be dropped
+			{ID: 2, Start: 2000, End: 3000, Offset: 1},
 		},
 	}
 	w, err := RestoreTimeSlidingWindow(st)
@@ -98,8 +99,8 @@ func TestRestoreSkipsEmittedWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := w.Snapshot()
-	if len(got.Pending) != 1 || got.Pending[0].WindowID != 2 {
-		t.Fatalf("restored pending = %+v, want only window 2", got.Pending)
+	if len(got.Open) != 1 || got.Open[0].ID != 2 || got.Open[0].Offset != 0 || len(got.Rows) != 1 {
+		t.Fatalf("restored snapshot = %+v, want only window 2 over its one row", got)
 	}
 }
 

@@ -11,7 +11,6 @@ package stream
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -85,14 +84,6 @@ func ceilDiv(a, b int64) int64 {
 	q := a / b
 	if a%b != 0 && (a > 0) == (b > 0) {
 		q++
-	}
-	return q
-}
-
-func floorDiv(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 && (a > 0) != (b > 0) {
-		q--
 	}
 	return q
 }
@@ -213,10 +204,10 @@ func (b Batch) Bytes() int64 {
 // suffix of the oldest. The operator therefore keeps one append-only
 // log of the open windows' rows, in row and in column layout, and an
 // open window is just the log position of its first row. An emitted
-// window — and a snapshot's pending window — is a [start, tail) view of
-// that log, capped to its length; the log never writes where a view can
-// see (see relation.ColLog), so views stay valid after the operator
-// moves on.
+// window is a [start, tail) view of that log, and a snapshot's log one
+// from the oldest open window's start, each capped to its length; the
+// log never writes where a view can see (see relation.ColLog), so views
+// stay valid after the operator moves on.
 //
 // The operator assumes non-decreasing timestamps; late tuples are counted
 // and dropped (the stream generator never produces them, but failure
@@ -406,17 +397,27 @@ func (t *TimeSlidingWindow) ShedOldestPending() (freed int64, ok bool) {
 }
 
 // WindowState is a serializable snapshot of a TimeSlidingWindow taken
-// at a consistent cut: the open (pending) batches, the emission cursor,
-// and the late-tuple bookkeeping. Pending batches are views of the live
-// operator's log, capped to their length, so each newer one is a suffix
-// of the oldest; the log never writes where a view can see, so the
-// snapshot stays stable while the live operator keeps appending.
+// at a consistent cut: the emission cursor, the late-tuple bookkeeping
+// and the open windows as the operator holds them, one row log and
+// where in it each open window starts. Rows is the log from the oldest
+// open window's first row; open window i holds Rows[Open[i].Offset:].
+// Rows is a view of the live operator's log, capped to its length; the
+// log never writes where a view can see, so the snapshot stays stable
+// while the live operator keeps appending.
 type WindowState struct {
 	Spec     WindowSpec
-	Pending  []Batch
 	NextEmit int64
 	MaxTS    int64
 	Late     int64
+	Rows     []relation.Tuple
+	Open     []OpenWindow
+}
+
+// OpenWindow is one open window of a snapshot: its id and bounds, and
+// the index in WindowState.Rows of its first row.
+type OpenWindow struct {
+	ID, Start, End int64
+	Offset         int
 }
 
 // Snapshot captures the operator's current state for checkpointing.
@@ -424,40 +425,55 @@ func (t *TimeSlidingWindow) Snapshot() WindowState {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	st := WindowState{Spec: t.Spec, NextEmit: t.nextEmit, MaxTS: t.maxTS, Late: t.Late}
-	st.Pending = make([]Batch, 0, len(t.open))
-	hi := len(t.log)
-	for _, w := range t.open {
-		b := Batch{WindowID: w.id, Start: w.startMS, End: w.endMS}
-		if lo := int(w.start - t.base); hi > lo {
-			b.Rows = t.log[lo:hi:hi]
-		}
-		st.Pending = append(st.Pending, b)
+	if len(t.open) == 0 {
+		return st
+	}
+	first, hi := t.open[0].start, len(t.log)
+	if lo := int(first - t.base); hi > lo {
+		st.Rows = t.log[lo:hi:hi]
+	}
+	st.Open = make([]OpenWindow, len(t.open))
+	for i, w := range t.open {
+		st.Open[i] = OpenWindow{ID: w.id, Start: w.startMS, End: w.endMS, Offset: int(w.start - first)}
 	}
 	return st
+}
+
+// Check reports whether the snapshot's open windows could be an
+// operator's: ids increasing, offsets never decreasing and none past
+// the log's end.
+func (st *WindowState) Check() error {
+	for i, w := range st.Open {
+		switch {
+		case w.Offset < 0 || w.Offset > len(st.Rows):
+			return fmt.Errorf("stream: snapshot window %d starts at row %d of %d", w.ID, w.Offset, len(st.Rows))
+		case i > 0 && w.ID <= st.Open[i-1].ID:
+			return fmt.Errorf("stream: snapshot window %d follows window %d", w.ID, st.Open[i-1].ID)
+		case i > 0 && w.Offset < st.Open[i-1].Offset:
+			return fmt.Errorf("stream: snapshot window %d starts before window %d", w.ID, st.Open[i-1].ID)
+		}
+	}
+	return nil
 }
 
 // RestoreTimeSlidingWindow rebuilds an operator from a snapshot. The
 // restored operator continues exactly where the snapshot left off:
 // windows at or past NextEmit are still open, everything before it has
 // already been emitted and will never re-emit, and a window shed before
-// the snapshot stays shed. The log is rebuilt from
-// the oldest open window's rows and every newer open window must be a
-// suffix of it, as in any snapshot the operator takes; a snapshot that
-// breaks this (or lists windows out of id order) is rejected.
+// the snapshot stays shed. The operator adopts a copy of the snapshot's
+// log from the first window still open; a snapshot no operator could
+// have taken (see Check) is rejected.
 func RestoreTimeSlidingWindow(st WindowState) (*TimeSlidingWindow, error) {
 	if err := st.Spec.Validate(); err != nil {
 		return nil, err
 	}
+	if err := st.Check(); err != nil {
+		return nil, err
+	}
 	t := &TimeSlidingWindow{Spec: st.Spec, nextEmit: st.NextEmit, maxTS: st.MaxTS, Late: st.Late}
-	var open []Batch
-	for _, b := range st.Pending {
-		if b.WindowID < st.NextEmit {
-			continue
-		}
-		if n := len(open); n > 0 && b.WindowID <= open[n-1].WindowID {
-			return nil, fmt.Errorf("stream: snapshot window %d follows window %d", b.WindowID, open[n-1].WindowID)
-		}
-		open = append(open, b)
+	open := st.Open
+	for len(open) > 0 && open[0].ID < st.NextEmit {
+		open = open[1:]
 	}
 	// A window that holds the newest tuple but is not open was shed (the
 	// tuple would be in it otherwise): it stays shed, so a restored
@@ -465,7 +481,7 @@ func RestoreTimeSlidingWindow(st WindowState) (*TimeSlidingWindow, error) {
 	// dropped.
 	if lo, hi, ok := st.Spec.WindowsFor(st.MaxTS); ok {
 		for id := max(lo, st.NextEmit); id <= hi; id++ {
-			if !slices.ContainsFunc(open, func(b Batch) bool { return b.WindowID == id }) {
+			if !slices.ContainsFunc(open, func(w OpenWindow) bool { return w.ID == id }) {
 				if t.shed == nil {
 					t.shed = make(map[int64]bool)
 				}
@@ -476,45 +492,22 @@ func RestoreTimeSlidingWindow(st WindowState) (*TimeSlidingWindow, error) {
 	if len(open) == 0 {
 		return t, nil
 	}
-	oldest := open[0].Rows
-	t.log = make([]relation.Tuple, len(oldest), max(2*len(oldest), 8))
-	copy(t.log, oldest)
+	rows := st.Rows[open[0].Offset:]
+	t.log = make([]relation.Tuple, len(rows), max(2*len(rows), 8))
+	copy(t.log, rows)
 	// cum[i] is the byte estimate of log rows [0, i).
-	cum := make([]int64, len(oldest)+1)
-	for i, row := range oldest {
+	cum := make([]int64, len(rows)+1)
+	for i, row := range rows {
 		t.cols.Append(row)
 		cum[i+1] = cum[i] + tupleBytes(row)
 	}
-	t.rowBytes = cum[len(oldest)]
-	prev := len(oldest)
-	for _, b := range open {
-		n := len(b.Rows)
-		start := len(oldest) - n
-		if n > prev || !sameTuples(b.Rows, oldest[start:]) {
-			return nil, fmt.Errorf("stream: snapshot window %d is not a suffix of window %d", b.WindowID, open[0].WindowID)
-		}
-		prev = n
-		t.open = append(t.open, openWindow{id: b.WindowID, startMS: b.Start, endMS: b.End, start: int64(start), bytesAt: cum[start]})
+	t.rowBytes = cum[len(rows)]
+	for _, w := range open {
+		start := w.Offset - open[0].Offset
+		t.open = append(t.open, openWindow{id: w.ID, startMS: w.Start, endMS: w.End, start: int64(start), bytesAt: cum[start]})
 		t.pendingBytes += batchOverheadBytes + t.rowBytes - cum[start]
 	}
 	return t, nil
-}
-
-// sameTuples reports whether a and b hold equal rows, value for value
-// (floats bit for bit, so a NaN equals itself).
-func sameTuples(a, b []relation.Tuple) bool {
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j, x := range a[i] {
-			y := b[i][j]
-			if x.Type != y.Type || x.Int != y.Int || math.Float64bits(x.Float) != math.Float64bits(y.Float) || x.Str != y.Str || x.Bool != y.Bool {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Replay runs a finite, ordered tuple sequence through a window operator

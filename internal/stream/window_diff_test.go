@@ -148,17 +148,20 @@ func checkBatches(t *testing.T, where string, got, want []stream.Batch, again bo
 // codec, as failover does.
 func viaCheckpoint(t *testing.T, st stream.WindowState) stream.WindowState {
 	t.Helper()
-	blob, err := recovery.Encode(&recovery.Checkpoint{Engine: recovery.EngineState{Queries: []recovery.QueryState{{
-		ID: "q", AppliedSeq: map[string]int64{}, Windows: []stream.WindowState{st},
-	}}}})
+	ck, err := recovery.Decode(checkpointOf(st))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck, err := recovery.Decode(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ck.Engine.Queries[0].Windows[0]
+	return *ck.Engine.Window(&ck.Engine.Queries[0], 0)
+}
+
+// checkpointOf encodes a checkpoint of one query reading one operator.
+func checkpointOf(st stream.WindowState) []byte {
+	blob, _ := recovery.Encode(&recovery.Checkpoint{Engine: recovery.EngineState{
+		Windows: []stream.WindowState{st},
+		Queries: []recovery.QueryState{{ID: "q", AppliedSeq: map[string]int64{}, Windows: []int{0}}},
+	}})
+	return blob
 }
 
 // TestWindowOperatorMatchesReference is the window operator's
@@ -229,26 +232,40 @@ func TestWindowOperatorMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsNonSuffixWindows checks that restore refuses a
-// snapshot whose newer open window is not a suffix of the oldest, or
-// whose windows are out of id order: no operator could have taken it.
-func TestRestoreRejectsNonSuffixWindows(t *testing.T) {
+// TestRestoreRejectsInvalidOpenWindows checks that restore and the
+// checkpoint decoder both refuse a snapshot no operator could have
+// taken: offsets that decrease or point past the log, and window ids
+// that do not increase.
+func TestRestoreRejectsInvalidOpenWindows(t *testing.T) {
 	row := func(v int64) relation.Tuple { return relation.Tuple{relation.Int(v)} }
-	spec := stream.WindowSpec{RangeMS: 1000, SlideMS: 500}
-	good := []stream.Batch{
-		{WindowID: 1, Start: -500, End: 500, Rows: []relation.Tuple{row(1), row(2)}},
-		{WindowID: 2, Start: 0, End: 1000, Rows: []relation.Tuple{row(2)}},
+	good := stream.WindowState{
+		Spec:  stream.WindowSpec{RangeMS: 1000, SlideMS: 500},
+		MaxTS: 400,
+		Rows:  []relation.Tuple{row(1), row(2)},
+		Open:  []stream.OpenWindow{{ID: 1, Start: -500, End: 500, Offset: 0}, {ID: 2, Start: 0, End: 1000, Offset: 1}},
 	}
-	if _, err := stream.RestoreTimeSlidingWindow(stream.WindowState{Spec: spec, Pending: good}); err != nil {
-		t.Fatalf("suffix snapshot rejected: %v", err)
+	if _, err := stream.RestoreTimeSlidingWindow(good); err != nil {
+		t.Fatalf("valid snapshot rejected: %v", err)
 	}
-	for name, pending := range map[string][]stream.Batch{
-		"not a suffix": {good[0], {WindowID: 2, Start: 0, End: 1000, Rows: []relation.Tuple{row(1)}}},
-		"longer":       {good[1], {WindowID: 3, Start: 500, End: 1500, Rows: []relation.Tuple{row(1), row(2)}}},
-		"out of order": {good[1], good[0]},
+	if _, err := recovery.Decode(checkpointOf(good)); err != nil {
+		t.Fatalf("valid snapshot does not decode: %v", err)
+	}
+	w1, w2 := good.Open[0], good.Open[1]
+	at := func(w stream.OpenWindow, offset int) stream.OpenWindow { w.Offset = offset; return w }
+	for name, open := range map[string][]stream.OpenWindow{
+		"decreasing offsets": {at(w1, 1), at(w2, 0)},
+		"offset past rows":   {w1, at(w2, 3)},
+		"negative offset":    {at(w1, -1), w2},
+		"ids decrease":       {w2, at(w1, 1)},
+		"repeated id":        {w1, at(w1, 1)},
 	} {
-		if _, err := stream.RestoreTimeSlidingWindow(stream.WindowState{Spec: spec, Pending: pending}); err == nil {
+		st := good
+		st.Open = open
+		if _, err := stream.RestoreTimeSlidingWindow(st); err == nil {
 			t.Errorf("%s: snapshot restored", name)
+		}
+		if _, err := recovery.Decode(checkpointOf(st)); err == nil {
+			t.Errorf("%s: checkpoint decoded", name)
 		}
 	}
 }

@@ -114,26 +114,30 @@ func (t *refWindow) shedOldest() (int64, bool) {
 	return freed, true
 }
 
+// snapshot converts the per-window copies to a snapshot's log form:
+// the oldest open window's rows, and each window's offset in them (a
+// newer open window is a suffix of every older one).
 func (t *refWindow) snapshot() stream.WindowState {
 	st := stream.WindowState{Spec: t.spec, NextEmit: t.nextEmit, MaxTS: t.maxTS, Late: t.late}
-	for _, id := range t.ids() {
-		b := *t.pending[id]
-		b.Rows = append([]relation.Tuple(nil), b.Rows...)
-		st.Pending = append(st.Pending, b)
+	for i, id := range t.ids() {
+		b := t.pending[id]
+		if i == 0 {
+			st.Rows = append([]relation.Tuple(nil), b.Rows...)
+		}
+		st.Open = append(st.Open, stream.OpenWindow{ID: id, Start: b.Start, End: b.End, Offset: len(st.Rows) - len(b.Rows)})
 	}
 	return st
 }
 
 func restoreRefWindow(st stream.WindowState) *refWindow {
 	t := &refWindow{spec: st.Spec, pending: map[int64]*stream.Batch{}, nextEmit: st.NextEmit, maxTS: st.MaxTS, late: st.Late}
-	for _, b := range st.Pending {
-		if b.WindowID < st.NextEmit {
+	for _, w := range st.Open {
+		if w.ID < st.NextEmit {
 			continue
 		}
-		cp := b
-		cp.Rows = append([]relation.Tuple(nil), b.Rows...)
-		t.pending[b.WindowID] = &cp
-		t.bytes += cp.Bytes()
+		b := &stream.Batch{WindowID: w.ID, Start: w.Start, End: w.End, Rows: append([]relation.Tuple(nil), st.Rows[w.Offset:]...)}
+		t.pending[w.ID] = b
+		t.bytes += b.Bytes()
 	}
 	// A window that would hold the newest tuple but is not pending was
 	// shed; it stays shed.

@@ -115,12 +115,6 @@ func NewHandler(cfg HandlerConfig) http.Handler {
 	return mux
 }
 
-// Handler is the pre-introspection-plane constructor, kept for callers
-// that only have metrics and traces.
-func Handler(snapshot func() Snapshot, traces func() []TraceSnapshot) http.Handler {
-	return NewHandler(HandlerConfig{Snapshot: snapshot, Traces: traces})
-}
-
 // wantsProm reports whether the request asked for Prometheus text
 // exposition: ?format=prom, or an Accept header preferring text/plain
 // over JSON. JSON stays the default.
