@@ -719,7 +719,7 @@ func (c *Cluster) IngestContext(ctx context.Context, streamName string, el strea
 	if c.rec != nil && len(hosts) > 0 {
 		// Per-stream monotonic sequence, assigned under the cluster lock
 		// at routing time. Broadcast copies share one seq (it is the same
-		// tuple); restored queries use it to deduplicate replay.
+		// tuple); restored window operators use it to deduplicate replay.
 		c.seqs[key]++
 		seq = c.seqs[key]
 	}

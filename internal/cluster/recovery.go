@@ -4,12 +4,13 @@
 // current, and crashes recover by restore-and-replay instead of
 // re-registering empty queries: a rebuilt or failed-over query resumes
 // from the latest checkpoint, re-feeds the logged tuples (idempotent via
-// per-stream sequence cursors), and the emit gate guarantees each window
-// is delivered exactly once.
+// the restored window operators' sequence cursors), and the emit gate
+// guarantees each window is delivered exactly once.
 package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -111,12 +112,10 @@ func (n *Node) checkpoint(c *Cluster) bool {
 }
 
 // restoreNode is the recovery-mode worker rebuild: instead of
-// re-registering queries empty, every query on the node is restored from
-// the node's latest checkpoint and the replay log is re-fed. All of the
-// node's queries come back as private (owner-keyed) restored queries —
-// window sharing on this node is lost until the queries are
-// re-registered, which is the price of replaying each query from its own
-// cursor. Returns false when the cluster closed.
+// re-registering queries empty, the node's queries are restored, as one
+// group, from the node's latest checkpoint, and the replay log is
+// re-fed through their operators once (see restoreLocked). Returns
+// false when the cluster closed.
 func (c *Cluster) restoreNode(n *Node) bool {
 	// Decode the checkpoint before taking the cluster lock, so ingest
 	// routing and registration do not wait for it. No Save for this node
@@ -138,61 +137,27 @@ func (c *Cluster) restoreNode(n *Node) bool {
 	if !ownLog.Covered(cursors) {
 		c.rec.NoteLostCoverage()
 	}
-	eng := exastream.NewEngine(c.catalogFor(n.ID), c.engineOptsFor(n))
-	for _, s := range c.schemas {
-		if err := eng.DeclareStream(s); err != nil {
-			n.noteErr(NodeError{Node: n.ID, Err: err})
-		}
-	}
-	for name, f := range c.udfs {
-		eng.RegisterUDF(name, f)
-	}
-	var requeries int32
-	var restored []string
+	eng := c.newEngineLocked(n)
+	var recs []*queryRecord
 	for _, rec := range c.queries {
-		if rec.node != n.ID || rec.pendingRestore {
-			// pendingRestore queries are seeded by their queued restore
-			// job (which holds a different cut); registering them empty
-			// here would emit wrong-content windows that advance the gate
-			// mark past the real ones.
-			continue
+		// pendingRestore queries are seeded by their queued restore job
+		// (which holds a different cut); registering them empty here
+		// would emit wrong-content windows that advance the gate mark
+		// past the real ones.
+		if rec.node == n.ID && !rec.pendingRestore {
+			recs = append(recs, rec)
 		}
-		if err := eng.RestoreQuery(rec.id, rec.stmt, rec.pulse, rec.sink, ck.State(), cursors); err != nil {
-			n.noteErr(NodeError{Node: n.ID, QueryID: rec.id,
-				Err: fmt.Errorf("cluster: node %d: restore %s: %w", n.ID, rec.id, err)})
-			continue
-		}
-		if rec.budget > 0 {
-			// The admitted budget survives even when the checkpoint predates
-			// it (the restored stride, if any, is kept).
-			_ = eng.SetQueryBudget(rec.id, rec.budget)
-		}
-		restored = append(restored, rec.id)
-		requeries++
 	}
 	n.engine = eng
-	n.rec.Record(telemetry.EvRestore, "", "", 0, int64(requeries))
 	n.cursors = cursors
-	atomic.StoreInt32(&n.queries, requeries)
+	r, restored := c.restoreLocked(n, ck.State(), cursors, recs)
+	n.rec.Record(telemetry.EvRestore, "", "", 0, int64(len(restored)))
 	c.mu.Unlock()
 
 	// Replay outside the cluster lock: only this worker's goroutine
 	// touches the fresh engine, and the inbox buffers concurrent ingest
 	// until the node goes live again.
-	feed := ownLog.Since(cursors)
-	for _, t := range feed {
-		if t.Seq > n.cursors[t.Stream] {
-			n.cursors[t.Stream] = t.Seq
-		}
-		for _, id := range restored {
-			if err := eng.ReplayFor(id, t.Stream, stream.Timestamped{TS: t.TS, Row: t.Row}, t.Seq); err != nil {
-				n.noteErr(NodeError{Node: n.ID, QueryID: id, Err: err})
-			}
-		}
-	}
-	if len(feed) > 0 {
-		c.rec.NoteReplayed(len(feed))
-	}
+	n.replay(c, r, ownLog.Since(cursors))
 	if len(restored) > 0 {
 		c.rec.NoteRestore()
 	}
@@ -200,6 +165,59 @@ func (c *Cluster) restoreNode(n *Node) bool {
 	n.lastWins = eng.Stats().WindowsExecuted
 	atomic.StoreInt32(&n.state, int32(NodeLive))
 	return true
+}
+
+// restoreLocked restores recs onto the node's engine from one cut —
+// the checkpointed state es (nil when the cut predates them) and the
+// cut's per-stream cursors — and returns the restore, whose replay
+// follows once the cluster lock is released (see replay), and the
+// records restored. Every query of the cut is restored before replay
+// pushes a tuple, so each checkpointed operator comes back once for
+// all its readers and advances once. A query that cannot be restored
+// is dropped from the cluster. The caller holds c.mu.
+func (c *Cluster) restoreLocked(n *Node, es *recovery.EngineState, cursors map[string]int64, recs []*queryRecord) (*exastream.Restore, []*queryRecord) {
+	r := n.engine.Restore(es, cursors)
+	restored := recs[:0:0]
+	for _, rec := range recs {
+		if err := r.Query(rec.id, rec.stmt, rec.pulse, rec.sink); err != nil {
+			n.noteErr(NodeError{Node: n.ID, QueryID: rec.id,
+				Err: fmt.Errorf("cluster: node %d: restore %s: %w", n.ID, rec.id, err)})
+			delete(c.queries, rec.id)
+			atomic.AddInt32(&n.queries, -1)
+			n.budgetUsed -= rec.budget
+			c.gov.releaseQuery(rec.tenant)
+			c.rebuildHostsLocked()
+			continue
+		}
+		if rec.budget > 0 {
+			// The admitted budget survives even when the checkpoint predates
+			// it (the restored stride, if any, is kept).
+			_ = n.engine.SetQueryBudget(rec.id, rec.budget)
+		}
+		restored = append(restored, rec)
+	}
+	return r, restored
+}
+
+// replay pushes a restore's feed through its operators, each tuple once,
+// and advances the node cursors past the feed so the next cut records
+// it: a failover feed's tuples are not in this node's log, and a stale
+// cursor would make a later restore report the gap as lost coverage.
+func (n *Node) replay(c *Cluster, r *exastream.Restore, feed []recovery.Tuple) {
+	if n.cursors == nil {
+		n.cursors = make(map[string]int64)
+	}
+	for _, t := range feed {
+		if err := r.Replay(t.Stream, stream.Timestamped{TS: t.TS, Row: t.Row}, t.Seq); err != nil {
+			n.noteErr(NodeError{Node: n.ID, Err: err})
+		}
+		if t.Seq > n.cursors[t.Stream] {
+			n.cursors[t.Stream] = t.Seq
+		}
+	}
+	if len(feed) > 0 {
+		c.rec.NoteReplayed(len(feed))
+	}
 }
 
 // failoverRestore is the recovery-mode failover: the victim's queries
@@ -320,10 +338,12 @@ func (c *Cluster) failoverRestore(n *Node) {
 	}
 }
 
-// runRestore executes a restoreJob on the target's worker goroutine:
-// each migrated query is restored from the cut retained on its record
-// and its replay feed is re-fed. Runs before any queued tuple (the job
-// was pushed to the queue front), so the restored cursors are in place
+// runRestore executes a restoreJob on the target's worker goroutine.
+// The job's queries are restored in groups, one per cut they carry
+// (queries that failed over together share their victim's checkpoint),
+// each group restored whole before its merged feed is replayed once
+// through its operators. Runs before any queued tuple (the job was
+// pushed to the queue front), so the restored cursors are in place
 // before live traffic resumes.
 func (n *Node) runRestore(c *Cluster, job *restoreJob) {
 	defer func() {
@@ -332,78 +352,49 @@ func (n *Node) runRestore(c *Cluster, job *restoreJob) {
 			c.settle(-1)
 		}
 	}()
+	type group struct {
+		ck   *recovery.Checkpoint
+		recs []*queryRecord
+		r    *exastream.Restore
+		feed []recovery.Tuple
+	}
+	var groups []*group
 	c.mu.Lock()
-	recs := make([]*queryRecord, 0, len(job.ids))
 	for _, id := range job.ids {
 		rec := c.queries[id]
 		if rec == nil || rec.node != n.ID || !rec.pendingRestore {
 			continue // unregistered or re-migrated since the job was queued
 		}
-		recs = append(recs, rec)
+		i := slices.IndexFunc(groups, func(g *group) bool { return g.ck == rec.ckpt })
+		if i < 0 {
+			i, groups = len(groups), append(groups, &group{ck: rec.ckpt})
+		}
+		groups[i].recs = append(groups[i].recs, rec)
+	}
+	for _, g := range groups {
+		// Records of one cut carry equal cursors, and their feeds are runs
+		// of the same per-stream sequences: merged, they are one feed.
+		cursors := g.recs[0].cursors
+		feeds := [][]recovery.Tuple{c.rec.Log(n.ID).Since(cursors)}
+		for _, rec := range g.recs {
+			feeds = append(feeds, rec.feed)
+		}
+		g.feed = recovery.MergeFeeds(feeds...)
+		g.r, g.recs = c.restoreLocked(n, g.ck.State(), cursors, g.recs)
 	}
 	c.mu.Unlock()
 
-	ownLog := c.rec.Log(n.ID)
 	restoredQueries := 0
-	replayedTuples := 0
-	for _, rec := range recs {
-		err := n.engine.RestoreQuery(rec.id, rec.stmt, rec.pulse, rec.sink, rec.ckpt.State(), rec.cursors)
-		if err != nil {
-			// A crash mid-job leaves the previous attempt registered;
-			// drop it and retry so the restore is idempotent.
-			if uerr := n.engine.Unregister(rec.id); uerr == nil {
-				err = n.engine.RestoreQuery(rec.id, rec.stmt, rec.pulse, rec.sink, rec.ckpt.State(), rec.cursors)
-			}
+	for _, g := range groups {
+		n.replay(c, g.r, g.feed)
+		for _, rec := range g.recs {
+			n.rec.Record(telemetry.EvRestore, rec.id, rec.tenant, 0, int64(len(g.feed)))
 		}
-		if err != nil {
-			n.noteErr(NodeError{Node: n.ID, QueryID: rec.id,
-				Err: fmt.Errorf("cluster: node %d: failover restore %s: %w", n.ID, rec.id, err)})
-			c.mu.Lock()
-			delete(c.queries, rec.id)
-			atomic.AddInt32(&n.queries, -1)
-			n.budgetUsed -= rec.budget
-			c.gov.releaseQuery(rec.tenant)
-			c.rebuildHostsLocked()
-			c.mu.Unlock()
-			continue
-		}
-		if rec.budget > 0 {
-			_ = n.engine.SetQueryBudget(rec.id, rec.budget)
-		}
-		feed := recovery.MergeFeeds(rec.feed, ownLog.Since(rec.cursors))
-		for _, t := range feed {
-			if err := n.engine.ReplayFor(rec.id, t.Stream, stream.Timestamped{TS: t.TS, Row: t.Row}, t.Seq); err != nil {
-				n.noteErr(NodeError{Node: n.ID, QueryID: rec.id, Err: err})
-			}
-			// Advance the node cursors past the replayed seqs so the cut
-			// below records them: the feed's tuples are not in this
-			// node's log, and a stale cursor would make a later restore
-			// report the gap as lost coverage.
-			if n.cursors == nil {
-				n.cursors = make(map[string]int64)
-			}
-			if t.Seq > n.cursors[t.Stream] {
-				n.cursors[t.Stream] = t.Seq
-			}
-		}
-		replayedTuples += len(feed)
-		restoredQueries++
-		n.rec.Record(telemetry.EvRestore, rec.id, rec.tenant, 0, int64(len(feed)))
-		c.mu.Lock()
-		rec.pendingRestore = false
-		rec.ckpt = nil
-		rec.cursors = nil
-		rec.feed = nil
-		c.mu.Unlock()
-	}
-	if replayedTuples > 0 {
-		c.rec.NoteReplayed(replayedTuples)
-	}
-	if restoredQueries > 0 {
-		c.rec.NoteRestore()
+		restoredQueries += len(g.recs)
 	}
 	n.lastWins = n.engine.Stats().WindowsExecuted
 	if restoredQueries > 0 {
+		c.rec.NoteRestore()
 		// Make the migration durable NOW. The replay feed (victim log +
 		// salvaged queue) exists nowhere this node can reach after it is
 		// consumed: until a checkpoint commits here, a crash on this node
@@ -411,9 +402,21 @@ func (n *Node) runRestore(c *Cluster, job *restoreJob) {
 		// restored queries' open-window state is silently lost. The
 		// engine is quiescent (worker goroutine, between items), so this
 		// is a free consistent cut; retry once so a single torn write
-		// does not leave the feed volatile.
+		// does not leave the feed volatile. The records stay
+		// pendingRestore until then, so a crash before the cut commits
+		// retries the whole job on the rebuilt engine.
 		if !n.checkpoint(c) {
 			n.checkpoint(c)
 		}
 	}
+	c.mu.Lock()
+	for _, g := range groups {
+		for _, rec := range g.recs {
+			rec.pendingRestore = false
+			rec.ckpt = nil
+			rec.cursors = nil
+			rec.feed = nil
+		}
+	}
+	c.mu.Unlock()
 }

@@ -644,3 +644,144 @@ func TestRecoveryChaosFailoverMigrationDurableOnTarget(t *testing.T) {
 		}
 	}
 }
+
+// sharedWindowQueries read one (stream, window): s0 over 1 s sliding by
+// 500 ms.
+var sharedWindowQueries = []struct{ id, text string }{
+	{"all", "SELECT m.sid, m.val FROM STREAM s0 [RANGE 1000 SLIDE 500] AS m"},
+	{"hot", "SELECT m.val FROM STREAM s0 [RANGE 1000 SLIDE 500] AS m WHERE m.val > 50"},
+	{"avg", "SELECT m.sid, AVG(m.val) FROM STREAM s0 [RANGE 1000 SLIDE 500] AS m GROUP BY m.sid"},
+	{"max", "SELECT MAX(m.val) FROM STREAM s0 [RANGE 1000 SLIDE 500] AS m"},
+}
+
+// runSharedOperators registers queries round-robin over nodes with
+// checkpoint+log recovery, query i on node i mod nodes, and feeds s0
+// and s1 for 60 rounds. settled, when set, is waited for before the
+// flush (the crash the run injects has been handled). It returns the
+// flushed windows and the cluster.
+func runSharedOperators(t *testing.T, nodes int, queries []struct{ id, text string }, inj FaultInjector, settled func(Health) bool) (map[string]map[int64][]string, *Cluster) {
+	t.Helper()
+	cat := sharedCatalog(t)
+	c, err := New(Options{
+		Nodes: nodes, Placement: PlaceRoundRobin, MaxRestarts: 1, Faults: inj,
+		CheckpointEvery: 8,
+	}, func(int) *relation.Catalog { return cat })
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		c.Gateway().Close()
+		c.Close()
+	})
+	for _, s := range []string{"s0", "s1"} {
+		if err := c.DeclareStream(eventSchema(s)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log := newResultLog()
+	for i, q := range queries {
+		node, err := c.Register(q.id, sql.MustParse(q.text), nil, log.sink())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if node != i%nodes {
+			t.Fatalf("query %s placed on node %d, want %d", q.id, node, i%nodes)
+		}
+	}
+	for i := 0; i < 60; i++ {
+		ts := int64(i) * 100
+		for _, s := range []string{"s0", "s1"} {
+			el := stream.Timestamped{TS: ts, Row: relation.Tuple{
+				relation.Int(int64(i%5 + 1)), relation.Time(ts), relation.Float(float64((i * 7) % 100)),
+			}}
+			if err := c.Ingest(s, el); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if settled != nil {
+		waitFor(t, 10*time.Second, func() bool { return settled(c.Health()) }, "crash handled")
+	}
+	if err := c.WaitSettled(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return log.snapshot(), c
+}
+
+// engineOf returns a node's current engine, quiescent once the cluster
+// has flushed.
+func engineOf(c *Cluster, node int) *exastream.Engine {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.nodes[node].engine
+}
+
+// TestRestoreSharesOperatorsAfterRestart crashes a node whose four
+// queries read one window operator. The restart restores that operator
+// once, for all four: the node runs as many operators after the crash
+// as before it, and replay builds exactly the windows it builds for a
+// single query under the same crash — each logged tuple is pushed into
+// the restored operator once, not once per query. The windows equal
+// the fault-free run's.
+func TestRestoreSharesOperatorsAfterRestart(t *testing.T) {
+	crash := func() FaultInjector { return faults.New(5).PanicAt(0, 30) }
+	restarted := func(h Health) bool { return h.Restarts == 1 }
+	baseline, c := runSharedOperators(t, 1, sharedWindowQueries, nil, nil)
+	before := len(engineOf(c, 0).ExportState().Windows)
+	if before != 1 {
+		t.Fatalf("fault-free node runs %d operators for one (stream, window)", before)
+	}
+	inj := crash()
+	faulted, c := runSharedOperators(t, 1, sharedWindowQueries, inj, restarted)
+	if got := inj.(*faults.Injector).Injected(faults.KindPanic); got != 1 {
+		t.Fatalf("injected %d panics, want 1", got)
+	}
+	if c.rec.Latest(0) == nil {
+		t.Fatal("no checkpoint: the restore had nothing to share")
+	}
+	eng := engineOf(c, 0)
+	if after := len(eng.ExportState().Windows); after != before {
+		t.Fatalf("after the restart the node runs %d operators, before it %d", after, before)
+	}
+	_, single := runSharedOperators(t, 1, sharedWindowQueries[:1], crash(), restarted)
+	if got, want := eng.Stats().BatchesBuilt, engineOf(single, 0).Stats().BatchesBuilt; got != want {
+		t.Fatalf("four readers built %d windows across the crash, one reader %d", got, want)
+	}
+	requireSameResults(t, baseline, faulted, "restart of a node with a shared operator")
+}
+
+// TestRestoreSharesOperatorsAfterFailover fails over a node whose two
+// queries shared one window operator: on the survivor they share one
+// restored operator again, and their windows equal the fault-free
+// run's.
+func TestRestoreSharesOperatorsAfterFailover(t *testing.T) {
+	queries := []struct{ id, text string }{
+		{"keep", "SELECT m.sid, m.val FROM STREAM s1 [RANGE 1000 SLIDE 500] AS m"},
+		sharedWindowQueries[0],
+		{"keep-max", "SELECT MAX(m.val) FROM STREAM s1 [RANGE 1000 SLIDE 500] AS m"},
+		sharedWindowQueries[1],
+	}
+	baseline, _ := runSharedOperators(t, 2, queries, nil, nil)
+	// Node 1 reads only s0: it restarts at its 10th tuple and dies at
+	// its 25th, failing "all" and "hot" over to node 0.
+	inj := faults.New(9).PanicAt(1, 10).PanicAt(1, 25)
+	faulted, c := runSharedOperators(t, 2, queries, inj, func(h Health) bool { return h.Dead == 1 })
+	if h := c.Health(); h.Failovers != 1 || h.Dead != 1 {
+		t.Fatalf("health = %+v, want one failover", h)
+	}
+	st := engineOf(c, 0).ExportState()
+	all, hot := st.Query("all"), st.Query("hot")
+	if all == nil || hot == nil {
+		t.Fatal("the failed-over queries are not on the survivor")
+	}
+	if all.Windows[0] != hot.Windows[0] {
+		t.Fatalf("the failed-over readers of one operator read operators %d and %d", all.Windows[0], hot.Windows[0])
+	}
+	if len(st.Windows) != 2 {
+		t.Fatalf("the survivor runs %d operators, want its own s1 operator and the restored s0 one", len(st.Windows))
+	}
+	requireSameResults(t, baseline, faulted, "failover of a shared operator")
+}

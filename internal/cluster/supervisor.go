@@ -250,15 +250,7 @@ func (c *Cluster) rebuildNode(n *Node) bool {
 	if c.closed {
 		return false
 	}
-	eng := exastream.NewEngine(c.catalogFor(n.ID), c.engineOptsFor(n))
-	for _, s := range c.schemas {
-		if err := eng.DeclareStream(s); err != nil {
-			n.noteErr(NodeError{Node: n.ID, Err: err})
-		}
-	}
-	for name, f := range c.udfs {
-		eng.RegisterUDF(name, f)
-	}
+	eng := c.newEngineLocked(n)
 	var requeries int32
 	for _, rec := range c.queries {
 		if rec.node != n.ID {
@@ -278,6 +270,21 @@ func (c *Cluster) rebuildNode(n *Node) bool {
 	atomic.StoreInt32(&n.queries, requeries)
 	atomic.StoreInt32(&n.state, int32(NodeLive))
 	return true
+}
+
+// newEngineLocked builds a crashed node's fresh engine, with the
+// cluster's streams and UDFs declared. The caller holds c.mu.
+func (c *Cluster) newEngineLocked(n *Node) *exastream.Engine {
+	eng := exastream.NewEngine(c.catalogFor(n.ID), c.engineOptsFor(n))
+	for _, s := range c.schemas {
+		if err := eng.DeclareStream(s); err != nil {
+			n.noteErr(NodeError{Node: n.ID, Err: err})
+		}
+	}
+	for name, f := range c.udfs {
+		eng.RegisterUDF(name, f)
+	}
+	return eng
 }
 
 // failover declares a node dead, migrates its queries to survivors,

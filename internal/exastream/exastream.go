@@ -15,6 +15,7 @@ package exastream
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -226,23 +227,38 @@ type Engine struct {
 	// Optimize is set): ANALYZE-pass table stats, windowed stream
 	// samples, and observed-cardinality feedback from executions.
 	stats *engine.StatsStore
+
+	// restores numbers the engine's restores (see Restore).
+	restores atomic.Int64
 }
 
-// windowKey identifies one windowing pass. owner is "" for the normal
-// shared pass; a restored query's windows are keyed by its id so replay
-// can advance them without touching the other queries' shared state.
+// windowKey identifies one windowing pass. restore is 0 for a live
+// operator, shared by every query registered over the stream and
+// window. A restored operator is keyed by its restore and by its index
+// in that restore's EngineState.Windows (-1 when the state has none for
+// it), so the readers of one checkpointed operator share it again, and
+// replay advances it without touching live operators.
 type windowKey struct {
-	stream string
-	spec   stream.WindowSpec
-	owner  string
+	stream  string
+	spec    stream.WindowSpec
+	restore int64
+	index   int
 }
 
 // sharedWindow is one windowing pass over a stream, shared by all
 // subscribed queries (the paper's wCache idea): each emitted batch is
-// built once and delivered to every subscriber.
+// built once and delivered to every subscriber. It lives while it has
+// a subscriber.
 type sharedWindow struct {
+	key  windowKey
 	op   *stream.TimeSlidingWindow
 	subs []*querySub
+	// seq is a restored operator's replay cursor (guarded by e.mu): the
+	// highest ingest sequence number it has applied. A tuple at or below
+	// it is already in the operator's windows and is dropped. Live
+	// operators keep no cursor: they accept partition-salvage resends,
+	// whose seqs can fall below any cursor.
+	seq int64
 }
 
 // querySub subscribes one stream reference of one query to a shared
@@ -260,12 +276,7 @@ type continuousQuery struct {
 	specs []stream.WindowSpec
 	pulse *stream.Pulse
 	sink  Sink
-
-	// private marks a checkpoint-restored query: its windows are owned
-	// (keyed by query id, not shared) and appliedSeq filters re-delivered
-	// tuples so replay is idempotent.
-	private    bool
-	appliedSeq map[string]int64 // stream -> highest ingest seq applied (guarded by e.mu)
+	ops   []*sharedWindow // the operator each stream reference reads
 
 	mu          sync.Mutex
 	pending     map[int64]map[int]stagedBatch // window end -> refIdx -> batch
@@ -458,31 +469,69 @@ func (e *Engine) warmPlan(q *continuousQuery) {
 }
 
 // subscribe admits a query that passes checkRefsLocked and subscribes
-// it to the window operator of each stream reference. A missing
-// operator is created: seeded from the state es lists for the query
-// when it has one (a restored query), fresh otherwise.
-func (e *Engine) subscribe(q *continuousQuery, es *recovery.EngineState) error {
+// it to the window operator of each stream reference: the live one, or
+// with r set, the one restore r brings back. A missing operator is
+// created; a restored one is seeded from the state r's EngineState
+// lists for the query's reference, and cursored at the later of that
+// state's cursor and the cut's for its stream.
+func (e *Engine) subscribe(q *continuousQuery, r *Restore) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if err := e.checkRefsLocked(q); err != nil {
 		return err
 	}
-	st := es.Query(q.id)
-	for i := range q.refs {
-		key := q.windowKey(i)
-		sw, ok := e.windows[key]
-		if !ok {
-			op, err := restoredOp(q.specs[i], es.Window(st, i))
+	var st *recovery.QueryState
+	if r != nil {
+		st = r.es.Query(q.id)
+	}
+	ops := make([]*sharedWindow, len(q.refs))
+	for i, ref := range q.refs {
+		key := windowKey{stream: strings.ToLower(ref.Table), spec: q.specs[i]}
+		var w *recovery.Window
+		if r != nil {
+			key.restore, key.index = r.id, -1
+			// A state whose spec differs (the statement changed since the
+			// cut) is not this reference's: it gets a fresh operator.
+			if w = r.es.Window(st, i); w != nil && w.Spec == key.spec {
+				key.index = st.Windows[i]
+			} else {
+				w = nil
+			}
+		}
+		sw := e.windows[key]
+		if sw == nil {
+			op, err := restoredOp(key.spec, w)
 			if err != nil {
+				e.dropUnreadLocked(ops[:i])
 				return err
 			}
-			sw = &sharedWindow{op: op}
+			sw = &sharedWindow{key: key, op: op}
+			if r != nil {
+				sw.seq = r.cursors[key.stream]
+				if w != nil {
+					sw.seq = max(sw.seq, w.Seq)
+				}
+			}
 			e.windows[key] = sw
 		}
+		ops[i] = sw
+	}
+	for i, sw := range ops {
 		sw.subs = append(sw.subs, &querySub{q: q, refIdx: i})
 	}
+	q.ops = ops
 	e.admitLocked(q)
 	return nil
+}
+
+// dropUnreadLocked deletes those of ops no query reads any more: an
+// operator lives while it has a reader.
+func (e *Engine) dropUnreadLocked(ops []*sharedWindow) {
+	for _, sw := range ops {
+		if len(sw.subs) == 0 {
+			delete(e.windows, sw.key)
+		}
+	}
 }
 
 // checkRefsLocked holds the checks registering and restoring a query
@@ -527,50 +576,21 @@ func (e *Engine) admitLocked(q *continuousQuery) {
 	}
 }
 
-// windowKey keys the operator q's i-th stream reference reads: the
-// one shared per (stream, window), or q's own when q is restored.
-func (q *continuousQuery) windowKey(i int) windowKey {
-	key := windowKey{stream: strings.ToLower(q.refs[i].Table), spec: q.specs[i]}
-	if q.private {
-		key.owner = q.id
-	}
-	return key
-}
-
-// Unregister removes a query.
+// Unregister removes a query, and with it every operator it was the
+// last reader of.
 func (e *Engine) Unregister(id string) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, ok := e.queries[id]; !ok {
+	q, ok := e.queries[id]
+	if !ok {
 		return fmt.Errorf("exastream: unknown query %q", id)
 	}
 	delete(e.queries, id)
-	for wk, sw := range e.windows {
-		if wk.owner == id {
-			delete(e.windows, wk)
-			continue
-		}
-		kept := sw.subs[:0]
-		for _, s := range sw.subs {
-			if s.q.id != id {
-				kept = append(kept, s)
-			}
-		}
-		sw.subs = kept
+	for _, sw := range q.ops {
+		sw.subs = slices.DeleteFunc(sw.subs, func(s *querySub) bool { return s.q == q })
 	}
+	e.dropUnreadLocked(q.ops)
 	return nil
-}
-
-// QueryIDs lists registered queries, sorted.
-func (e *Engine) QueryIDs() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]string, 0, len(e.queries))
-	for id := range e.queries {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Ingest pushes one tuple into a stream, advancing every shared window
@@ -581,56 +601,46 @@ func (e *Engine) Ingest(streamName string, el stream.Timestamped) error {
 
 // IngestSeq is Ingest with a per-stream ingest sequence number (1-based;
 // 0 means unsequenced). Sequence numbers only matter to restored
-// (private) queries: a tuple whose seq is at or below a query's applied
-// cursor for the stream has already advanced that query's windows
-// before the restore, so it is skipped — this is what makes the
-// supervisor's replay idempotent against live re-deliveries.
+// operators: a tuple at or below a restored operator's cursor has
+// already advanced its windows, before the cut or in replay, so that
+// operator skips it — this is what makes the supervisor's replay
+// idempotent against live re-deliveries.
 func (e *Engine) IngestSeq(streamName string, el stream.Timestamped, seq int64) error {
+	return e.push(streamName, el, seq, 0)
+}
+
+// push feeds one tuple to the operators over its stream — every one
+// for live ingest (restore 0), or only the operators of one restore for
+// its replay — and executes the windows it completes. A restored
+// operator takes each sequenced tuple once.
+func (e *Engine) push(streamName string, el stream.Timestamped, seq, restore int64) error {
 	e.mu.Lock()
 	key := strings.ToLower(streamName)
 	if _, ok := e.streams[key]; !ok {
 		e.mu.Unlock()
 		return fmt.Errorf("exastream: unknown stream %q", streamName)
 	}
-	e.met.tuplesIn.Inc()
-	if err := e.archiveLocked(key, el); err != nil {
-		e.mu.Unlock()
-		return err
+	if restore == 0 {
+		e.met.tuplesIn.Inc()
+		if err := e.archiveLocked(key, el); err != nil {
+			e.mu.Unlock()
+			return err
+		}
 	}
-	var ownerSkip map[string]bool
 	var fires []delivery
 	for wk, sw := range e.windows {
-		if wk.stream != key {
+		if wk.stream != key || restore != 0 && wk.restore != restore {
 			continue
 		}
-		if wk.owner != "" {
-			if ownerSkip == nil {
-				ownerSkip = make(map[string]bool)
-			}
-			skip, decided := ownerSkip[wk.owner]
-			if !decided {
-				if q := e.queries[wk.owner]; q != nil && seq != 0 && q.appliedSeq != nil {
-					if seq <= q.appliedSeq[key] {
-						skip = true
-					} else {
-						q.appliedSeq[key] = seq
-					}
-				}
-				ownerSkip[wk.owner] = skip
-			}
-			if skip {
+		if wk.restore != 0 && seq != 0 {
+			if seq <= sw.seq {
 				continue
 			}
+			sw.seq = seq
 		}
 		before := sw.op.Late
-		batches := sw.op.Push(el)
+		fires = e.deliverLocked(sw, sw.op.Push(el), fires)
 		e.met.lateTuples.Add(sw.op.Late - before)
-		for _, b := range batches {
-			e.met.batchesBuilt.Inc()
-			for _, sub := range sw.subs {
-				fires = append(fires, delivery{sub, b})
-			}
-		}
 	}
 	e.mu.Unlock()
 
@@ -645,15 +655,22 @@ func (e *Engine) Flush() error {
 	e.mu.Lock()
 	var fires []delivery
 	for _, sw := range e.windows {
-		for _, b := range sw.op.Flush() {
-			e.met.batchesBuilt.Inc()
-			for _, sub := range sw.subs {
-				fires = append(fires, delivery{sub, b})
-			}
-		}
+		fires = e.deliverLocked(sw, sw.op.Flush(), fires)
 	}
 	e.mu.Unlock()
 	return e.dispatch(fires)
+}
+
+// deliverLocked counts the batches an operator emitted and appends one
+// delivery per batch and subscriber.
+func (e *Engine) deliverLocked(sw *sharedWindow, batches []stream.Batch, fires []delivery) []delivery {
+	for _, b := range batches {
+		e.met.batchesBuilt.Inc()
+		for _, sub := range sw.subs {
+			fires = append(fires, delivery{sub, b})
+		}
+	}
+	return fires
 }
 
 // delivery is one window batch headed for one stream reference of one

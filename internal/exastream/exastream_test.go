@@ -114,12 +114,12 @@ func TestRegisterValidation(t *testing.T) {
 	// errors, and a rejected query leaves no subscription behind.
 	for name, q := range cases {
 		regErr := e.Register("r-"+name, sql.MustParse(q), nil, c.sink)
-		resErr := e.RestoreQuery("r-"+name, sql.MustParse(q), nil, c.sink, nil, nil)
+		resErr := e.Restore(nil, nil).Query("r-"+name, sql.MustParse(q), nil, c.sink)
 		if fmt.Sprint(regErr) != fmt.Sprint(resErr) {
-			t.Errorf("%s: Register says %v, RestoreQuery says %v", name, regErr, resErr)
+			t.Errorf("%s: Register says %v, Restore says %v", name, regErr, resErr)
 		}
 	}
-	if err := e.RestoreQuery("q2", two, nil, c.sink, nil, nil); err == nil {
+	if err := e.Restore(nil, nil).Query("q2", two, nil, c.sink); err == nil {
 		t.Error("mismatched slides restored")
 	}
 	for wk, sw := range e.windows {
@@ -329,8 +329,41 @@ func TestUnregisterStopsDelivery(t *testing.T) {
 	if c.totalRows() != 0 {
 		t.Fatalf("unregistered query produced %d rows", c.totalRows())
 	}
-	if len(e.QueryIDs()) != 0 {
-		t.Errorf("QueryIDs = %v", e.QueryIDs())
+	if len(e.queries) != 0 {
+		t.Errorf("%d queries still registered", len(e.queries))
+	}
+}
+
+// TestUnregisterDropsUnreadOperator pins the operator lifetime rule:
+// an operator lives while it has a reader. Once its last reader
+// unregisters, the stream's later tuples build no window for nobody.
+func TestUnregisterDropsUnreadOperator(t *testing.T) {
+	e := testRig(t, Options{})
+	q := sql.MustParse("SELECT m.val FROM STREAM msmt [RANGE 10000 SLIDE 1000] AS m")
+	if err := e.Register("q", q, nil, (&collector{}).sink); err != nil {
+		t.Fatal(err)
+	}
+	ingest := func(from, to int) { // one tuple every 250 ms
+		for i := from; i < to; i++ {
+			ts := int64(i) * 250
+			if err := e.Ingest("msmt", stream.Timestamped{TS: ts, Row: relation.Tuple{
+				relation.Int(1), relation.Time(ts), relation.Float(50),
+			}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ingest(0, 20) // 5 s
+	if err := e.Unregister("q"); err != nil {
+		t.Fatal(err)
+	}
+	built := e.Stats().BatchesBuilt
+	ingest(20, 200) // 45 s more
+	if len(e.windows) != 0 {
+		t.Fatalf("%d operators outlived their last reader", len(e.windows))
+	}
+	if got := e.Stats().BatchesBuilt; got != built {
+		t.Fatalf("%d windows built with no reader", got-built)
 	}
 }
 

@@ -3,6 +3,7 @@ package exastream
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/stream"
@@ -93,6 +94,23 @@ type govTarget struct {
 	sharedBytes int64
 }
 
+// windowStateLocked splits the operators q reads into those only q
+// reads and the bytes of those it shares. The caller holds e.mu.
+func (q *continuousQuery) windowStateLocked() govTarget {
+	t := govTarget{q: q}
+	for i, sw := range q.ops {
+		if slices.Contains(q.ops[:i], sw) {
+			continue // a self-join reads one operator twice
+		}
+		if slices.ContainsFunc(sw.subs, func(s *querySub) bool { return s.q != q }) {
+			t.sharedBytes += sw.op.PendingBytes()
+		} else {
+			t.owned = append(t.owned, sw.op)
+		}
+	}
+	return t
+}
+
 // enforceBudgets applies the degradation policy to every query whose
 // window state exceeds its budget. Called after each ingest/replay tick;
 // a single atomic guards the fast path when governance is off.
@@ -103,31 +121,9 @@ func (e *Engine) enforceBudgets() {
 	e.mu.Lock()
 	targets := make([]govTarget, 0, len(e.queries))
 	for _, q := range e.queries {
-		if q.budget.Load() <= 0 {
-			continue
+		if q.budget.Load() > 0 {
+			targets = append(targets, q.windowStateLocked())
 		}
-		t := govTarget{q: q}
-		seen := make(map[*stream.TimeSlidingWindow]bool)
-		for wk, sw := range e.windows {
-			mine, owned := false, true
-			for _, sub := range sw.subs {
-				if sub.q == q {
-					mine = true
-				} else {
-					owned = false
-				}
-			}
-			if !mine || seen[sw.op] {
-				continue
-			}
-			seen[sw.op] = true
-			if owned || wk.owner == q.id {
-				t.owned = append(t.owned, sw.op)
-			} else {
-				t.sharedBytes += sw.op.PendingBytes()
-			}
-		}
-		targets = append(targets, t)
 	}
 	e.mu.Unlock()
 	for _, t := range targets {

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/engine"
-	"repro/internal/stream"
 	"repro/internal/telemetry"
 )
 
@@ -87,32 +86,9 @@ func (e *Engine) ExplainQuery(id string, analyze bool) (string, error) {
 // and tenant attribution are stamped by the cluster layer.
 func (e *Engine) LagView() []telemetry.QueryLag {
 	e.mu.Lock()
-	type target struct {
-		q     *continuousQuery
-		owned []*stream.TimeSlidingWindow
-	}
-	targets := make([]target, 0, len(e.queries))
+	targets := make([]govTarget, 0, len(e.queries))
 	for _, q := range e.queries {
-		t := target{q: q}
-		seen := make(map[*stream.TimeSlidingWindow]bool)
-		for wk, sw := range e.windows {
-			mine, owned := false, true
-			for _, sub := range sw.subs {
-				if sub.q == q {
-					mine = true
-				} else {
-					owned = false
-				}
-			}
-			if !mine || seen[sw.op] {
-				continue
-			}
-			seen[sw.op] = true
-			if owned || wk.owner == q.id {
-				t.owned = append(t.owned, sw.op)
-			}
-		}
-		targets = append(targets, t)
+		targets = append(targets, q.windowStateLocked())
 	}
 	e.mu.Unlock()
 

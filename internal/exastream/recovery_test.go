@@ -23,10 +23,10 @@ func seqTuple(i int) (stream.Timestamped, int64) {
 
 // TestExportRestoreReplayEquivalence is the engine-level half of the
 // exactly-once story: a query restored from an ExportState cut, fed the
-// full input again through ReplayFor, must emit exactly the windows the
-// uninterrupted engine emits after the cut — the cursor silently drops
-// the already-applied prefix, and restored window state supplies the
-// rows that arrived before the crash.
+// full input again through Replay, must emit exactly the windows the
+// uninterrupted engine emits after the cut — the operator's cursor
+// silently drops the already-applied prefix, and restored window state
+// supplies the rows that arrived before the crash.
 func TestExportRestoreReplayEquivalence(t *testing.T) {
 	const total, cut = 40, 25
 	stmt := sql.MustParse("SELECT m.sid, m.val FROM STREAM msmt [RANGE 1000 SLIDE 1000] AS m")
@@ -66,15 +66,16 @@ func TestExportRestoreReplayEquivalence(t *testing.T) {
 	}
 
 	// Heir: restore from the cut on a fresh engine, then replay the FULL
-	// feed — the cursor must drop seqs 1..cut.
+	// feed — the operator's cursor must drop seqs 1..cut.
 	heir := testRig(t, Options{})
 	heirOut := &collector{}
-	if err := heir.RestoreQuery("q", stmt, nil, heirOut.sink, st, map[string]int64{"msmt": cut}); err != nil {
+	r := heir.Restore(st, map[string]int64{"msmt": cut})
+	if err := r.Query("q", stmt, nil, heirOut.sink); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < total; i++ {
 		el, seq := seqTuple(i)
-		if err := heir.ReplayFor("q", "msmt", el, seq); err != nil {
+		if err := r.Replay("msmt", el, seq); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,26 +94,27 @@ func TestExportRestoreReplayEquivalence(t *testing.T) {
 }
 
 // TestRestoreQueryWithoutSnapshotCursorsReplay covers the
-// checkpoint-predates-query case: the query restores with fresh windows
-// but still inherits the node cut as its cursor, so replay of the
-// covered gap is applied exactly once.
+// checkpoint-predates-query case: the query restores with a fresh
+// operator, cursored at the node's cut, so replay of the covered gap
+// is applied exactly once.
 func TestRestoreQueryWithoutSnapshotCursorsReplay(t *testing.T) {
 	stmt := sql.MustParse("SELECT m.val FROM STREAM msmt [RANGE 1000 SLIDE 1000] AS m")
 	e := testRig(t, Options{})
 	out := &collector{}
-	if err := e.RestoreQuery("q", stmt, nil, out.sink, nil, map[string]int64{"msmt": 5}); err != nil {
+	r := e.Restore(nil, map[string]int64{"msmt": 5})
+	if err := r.Query("q", stmt, nil, out.sink); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 12; i++ {
 		el, seq := seqTuple(i)
-		if err := e.ReplayFor("q", "msmt", el, seq); err != nil {
+		if err := r.Replay("msmt", el, seq); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Replaying the same tuples again must be a no-op.
 	for i := 0; i < 12; i++ {
 		el, seq := seqTuple(i)
-		if err := e.ReplayFor("q", "msmt", el, seq); err != nil {
+		if err := r.Replay("msmt", el, seq); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -135,11 +137,11 @@ func TestRestoreQueryRejectsDuplicateID(t *testing.T) {
 	stmt := sql.MustParse("SELECT m.val FROM STREAM msmt [RANGE 1000 SLIDE 1000] AS m")
 	e := testRig(t, Options{})
 	sink := func(string, int64, relation.Schema, *relation.ColBatch) {}
-	if err := e.RestoreQuery("q", stmt, nil, sink, nil, nil); err != nil {
+	if err := e.Restore(nil, nil).Query("q", stmt, nil, sink); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.RestoreQuery("q", stmt, nil, sink, nil, nil); err == nil {
-		t.Fatal("duplicate RestoreQuery succeeded")
+	if err := e.Restore(nil, nil).Query("q", stmt, nil, sink); err == nil {
+		t.Fatal("duplicate restore succeeded")
 	}
 }
 
@@ -210,10 +212,11 @@ func declareMsmt2(t *testing.T, e *Engine) {
 
 // TestExportStateListsEachOperatorOnce pins the checkpoint's operator
 // table: queries over two shared (stream, window) operators and one
-// privately restored query export exactly one state per live operator,
-// every stream reference names the operator it reads, and every query
-// restored from the decoded blob emits what the original goes on to
-// emit — staged windows of a two-stream query included.
+// restored query export exactly one state per operator, every stream
+// reference names the operator it reads, and the queries restored from
+// the decoded blob share one operator per state again and emit what the
+// original goes on to emit — staged windows of a two-stream query
+// included.
 func TestExportStateListsEachOperatorOnce(t *testing.T) {
 	texts := map[string]string{
 		"avg":     "SELECT m.sid, AVG(m.val) FROM STREAM msmt [RANGE 1000 SLIDE 500] AS m GROUP BY m.sid",
@@ -253,7 +256,7 @@ func TestExportStateListsEachOperatorOnce(t *testing.T) {
 	for id, text := range texts {
 		var err error
 		if id == "private" {
-			err = orig.RestoreQuery(id, sql.MustParse(text), nil, origOut.sink, nil, nil)
+			err = orig.Restore(nil, nil).Query(id, sql.MustParse(text), nil, origOut.sink)
 		} else {
 			err = orig.Register(id, sql.MustParse(text), nil, origOut.sink)
 		}
@@ -281,12 +284,12 @@ func TestExportStateListsEachOperatorOnce(t *testing.T) {
 			t.Fatalf("query %s: %d operator indices for %d stream references", qs.ID, len(qs.Windows), len(q.refs))
 		}
 		for i, k := range qs.Windows {
-			op := orig.windows[q.windowKey(i)].op
+			op := q.ops[i].op
 			if want, ok := index[op]; ok && k != want || !ok && taken[k] {
 				t.Fatalf("query %s reference %d names operator %d, which another operator holds", qs.ID, i, k)
 			}
 			index[op], taken[k] = k, true
-			if !reflect.DeepEqual(st.Windows[k], op.Snapshot()) {
+			if !reflect.DeepEqual(st.Windows[k].WindowState, op.Snapshot()) {
 				t.Fatalf("query %s reference %d: operator %d is not the state of the operator it reads", qs.ID, i, k)
 			}
 		}
@@ -306,10 +309,14 @@ func TestExportStateListsEachOperatorOnce(t *testing.T) {
 	heir := testRig(t, Options{})
 	declareMsmt2(t, heir)
 	heirOut := &collector{}
+	r := heir.Restore(ck.State(), ck.Cursors)
 	for id, text := range texts {
-		if err := heir.RestoreQuery(id, sql.MustParse(text), nil, heirOut.sink, ck.State(), ck.Cursors); err != nil {
+		if err := r.Query(id, sql.MustParse(text), nil, heirOut.sink); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if len(heir.windows) != len(st.Windows) {
+		t.Fatalf("restored %d operators from a cut of %d", len(heir.windows), len(st.Windows))
 	}
 	before := len(origOut.results)
 	for _, x := range in[cut:] {
@@ -353,4 +360,83 @@ func byQuery(results []collected) map[string][]string {
 		sort.Strings(ws)
 	}
 	return out
+}
+
+// TestRestoredOperatorCursorDropsRepeatedFeed restores two readers of
+// one operator from one cut and replays the feed once per reader, as
+// a restore that replays query by query would: the readers share one
+// restored operator, whose cursor drops the second pass, so no window
+// advances twice and none is delivered twice. What they emit is what
+// the uncut engine emits after the cut.
+func TestRestoredOperatorCursorDropsRepeatedFeed(t *testing.T) {
+	const total, cut = 60, 25
+	texts := map[string]string{
+		"all": "SELECT m.sid, m.val FROM STREAM msmt [RANGE 1000 SLIDE 500] AS m",
+		"hot": "SELECT m.val FROM STREAM msmt [RANGE 1000 SLIDE 500] AS m WHERE m.val > 60",
+	}
+	orig := testRig(t, Options{})
+	origOut := &collector{}
+	for id, text := range texts {
+		if err := orig.Register(id, sql.MustParse(text), nil, origOut.sink); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < cut; i++ {
+		el, seq := seqTuple(i)
+		if err := orig.IngestSeq("msmt", el, seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := orig.ExportState()
+	before := len(origOut.results)
+
+	heir := testRig(t, Options{})
+	heirOut := &collector{}
+	r := heir.Restore(st, map[string]int64{"msmt": cut})
+	for id, text := range texts {
+		if err := r.Query(id, sql.MustParse(text), nil, heirOut.sink); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(heir.windows) != 1 {
+		t.Fatalf("two readers of one checkpointed operator restored %d operators", len(heir.windows))
+	}
+	replay := func() {
+		for i := 0; i < total; i++ {
+			el, seq := seqTuple(i)
+			if err := r.Replay("msmt", el, seq); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	replay()
+	built := heir.Stats().BatchesBuilt
+	delivered := len(heirOut.results)
+	replay()
+	if got := heir.Stats().BatchesBuilt; got != built {
+		t.Fatalf("the second replay built %d more windows", got-built)
+	}
+	if got := len(heirOut.results); got != delivered {
+		t.Fatalf("the second replay delivered %d more windows", got-delivered)
+	}
+
+	for i := cut; i < total; i++ {
+		el, seq := seqTuple(i)
+		if err := orig.IngestSeq("msmt", el, seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := orig.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := heir.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got, want := byQuery(heirOut.results), byQuery(origOut.results[before:])
+	if len(want["all"]) == 0 || len(want["hot"]) == 0 {
+		t.Fatal("a query emitted nothing after the cut: the check is vacuous")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored readers emitted\n%v\nwant\n%v", got, want)
+	}
 }

@@ -22,11 +22,11 @@ import (
 // Minimum encoded sizes, which bound the element counts a decoder
 // accepts for the bytes that remain.
 const (
-	minQuery    = 41
+	minQuery    = 37
 	minEntry    = 12
 	minPending  = 12
 	minBatch    = 32
-	minOperator = 56
+	minOperator = 64
 	minOpen     = 28
 	minRef      = 4
 	minRow      = 2
@@ -45,7 +45,7 @@ func Decode(b []byte) (*Checkpoint, error) {
 	r := wire.NewReader(p)
 	ck := &Checkpoint{Node: int(r.I64()), TakenAtMS: r.I64(), Cursors: readMap(r), EmitHWM: readMap(r)}
 	if n := r.Count(minOperator); n > 0 {
-		ck.Engine.Windows = make([]stream.WindowState, n)
+		ck.Engine.Windows = make([]Window, n)
 		for i := range ck.Engine.Windows {
 			readWindow(r, &ck.Engine.Windows[i])
 		}
@@ -115,8 +115,8 @@ func readMap(r *wire.Reader) map[string]int64 {
 
 // appendWindow writes one window operator: spec and cursors, its log
 // and the offset in it of each open window.
-func appendWindow(b []byte, w *stream.WindowState) []byte {
-	for _, v := range [...]int64{w.Spec.RangeMS, w.Spec.SlideMS, w.Spec.StartMS, w.NextEmit, w.MaxTS, w.Late} {
+func appendWindow(b []byte, w *Window) []byte {
+	for _, v := range [...]int64{w.Spec.RangeMS, w.Spec.SlideMS, w.Spec.StartMS, w.NextEmit, w.MaxTS, w.Late, w.Seq} {
 		b = wire.AppendI64(b, v)
 	}
 	b = wire.AppendU32(b, uint32(len(w.Rows)))
@@ -135,9 +135,9 @@ func appendWindow(b []byte, w *stream.WindowState) []byte {
 
 // readWindow decodes one window operator, rejecting open windows no
 // operator could hold (see stream.WindowState.Check).
-func readWindow(r *wire.Reader, w *stream.WindowState) {
+func readWindow(r *wire.Reader, w *Window) {
 	w.Spec = stream.WindowSpec{RangeMS: r.I64(), SlideMS: r.I64(), StartMS: r.I64()}
-	w.NextEmit, w.MaxTS, w.Late = r.I64(), r.I64(), r.I64()
+	w.NextEmit, w.MaxTS, w.Late, w.Seq = r.I64(), r.I64(), r.I64(), r.I64()
 	if n := r.Count(minRow); n > 0 {
 		w.Rows = make([]relation.Tuple, n)
 		for i := range w.Rows {
@@ -164,7 +164,6 @@ func appendQuery(b []byte, q *QueryState) []byte {
 	b = wire.AppendBool(b, q.Suspended)
 	b = wire.AppendI64(b, q.Budget)
 	b = wire.AppendI64(b, q.Stride)
-	b = appendMap(b, q.AppliedSeq)
 	b = wire.AppendU32(b, uint32(len(q.Windows)))
 	for _, k := range q.Windows {
 		b = wire.AppendU32(b, uint32(k))
@@ -199,7 +198,6 @@ func readQuery(r *wire.Reader, q *QueryState, windows int) {
 	q.Suspended = r.Bool()
 	q.Budget = r.I64()
 	q.Stride = r.I64()
-	q.AppliedSeq = readMap(r)
 	if n := r.Count(minRef); n > 0 {
 		q.Windows = make([]int, n)
 		for i := range q.Windows {

@@ -39,16 +39,14 @@ func randomValue(rng *rand.Rand) relation.Value {
 // one row every 100 ms, so every row sits in up to ten open windows.
 // The last two windows each operator emitted stay staged as the query's
 // pending windows, the way a multi-reference query holds them. Every
-// query reads operators of its own.
+// query reads operators of its own; those of every other query carry
+// the replay cursor of a restored operator.
 func windowCheckpoint(rng *rand.Rand, queries, refs, rows int) *Checkpoint {
 	ck := &Checkpoint{Node: 1, TakenAtMS: 99, Cursors: map[string]int64{}, EmitHWM: map[string]int64{}}
 	for q := 0; q < queries; q++ {
 		id := fmt.Sprintf("q%02d", q)
 		ck.EmitHWM[id] = int64(rng.Intn(1 << 20))
 		qs := QueryState{ID: id, Failures: q % 3, Suspended: q%2 == 1, Budget: 1 << 20, Stride: int64(q)}
-		if q%2 == 0 {
-			qs.AppliedSeq = map[string]int64{"s0": int64(rows), "s1": int64(rows / 2)}
-		}
 		staged := map[int64]map[int]stream.Batch{}
 		for ref := 0; ref < refs; ref++ {
 			op, err := stream.NewTimeSlidingWindow(stream.WindowSpec{RangeMS: 10_000, SlideMS: 1_000})
@@ -69,8 +67,12 @@ func windowCheckpoint(rng *rand.Rand, queries, refs, rows int) *Checkpoint {
 				}
 				staged[b.End][ref] = b
 			}
+			w := Window{WindowState: op.Snapshot()}
+			if q%2 == 0 {
+				w.Seq = int64(rows / (ref + 1))
+			}
 			qs.Windows = append(qs.Windows, len(ck.Engine.Windows))
-			ck.Engine.Windows = append(ck.Engine.Windows, op.Snapshot())
+			ck.Engine.Windows = append(ck.Engine.Windows, w)
 			ck.Cursors[fmt.Sprintf("s%d", ref)] = int64(rows)
 		}
 		for end := int64(0); len(staged) > 0; end += 1_000 {
@@ -100,7 +102,6 @@ func normalized(ck *Checkpoint) *Checkpoint {
 		out.Engine.Windows = append(out.Engine.Windows, w)
 	}
 	for _, q := range ck.Engine.Queries {
-		q.AppliedSeq = nilIfEmpty(q.AppliedSeq)
 		if len(q.Windows) == 0 {
 			q.Windows = nil
 		}
@@ -190,7 +191,7 @@ func TestCodecSeededRoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		ck := windowCheckpoint(rng, 3, 2, 150+rng.Intn(100))
 		ck.Engine.Queries = append(ck.Engine.Queries,
-			QueryState{ID: "empty", AppliedSeq: map[string]int64{}, Windows: []int{}, Pending: []PendingWindow{}},
+			QueryState{ID: "empty", Windows: []int{}, Pending: []PendingWindow{}},
 			QueryState{ID: "nil"},
 			QueryState{ID: "staged-only", Pending: []PendingWindow{{End: 5, Batches: map[int]stream.Batch{
 				-1: {End: 5, Rows: []relation.Tuple{{relation.Null}}},
@@ -200,8 +201,8 @@ func TestCodecSeededRoundTrip(t *testing.T) {
 			// windows export them, and a reference with no operator.
 			QueryState{ID: "shares-q01", Windows: append(slices.Clone(ck.Engine.Queries[1].Windows), -1)},
 		)
-		// An operator no query reads, with no open window.
-		ck.Engine.Windows = append(ck.Engine.Windows, stream.WindowState{Spec: stream.WindowSpec{RangeMS: 1, SlideMS: 1}, NextEmit: 4, MaxTS: 3})
+		// An operator no query reads, with no open window and a cursor.
+		ck.Engine.Windows = append(ck.Engine.Windows, Window{WindowState: stream.WindowState{Spec: stream.WindowSpec{RangeMS: 1, SlideMS: 1}, NextEmit: 4, MaxTS: 3}, Seq: 1 << 40})
 		blob, err := Encode(ck)
 		if err != nil {
 			t.Fatal(err)
@@ -272,13 +273,12 @@ func TestCodecWritesSharedOperatorOnce(t *testing.T) {
 // checkpoints even though every map in them ranges in random order.
 func TestEncodeDeterministic(t *testing.T) {
 	ck := &Checkpoint{Node: 3, TakenAtMS: 7, Cursors: map[string]int64{}, EmitHWM: map[string]int64{}}
-	q := QueryState{ID: "q", AppliedSeq: map[string]int64{}}
+	q := QueryState{ID: "q"}
 	pw := PendingWindow{End: 1000, Batches: map[int]stream.Batch{}}
 	for i := 0; i < 12; i++ {
 		key := fmt.Sprintf("k%02d", i)
 		ck.Cursors[key] = int64(i)
 		ck.EmitHWM[key] = int64(100 * i)
-		q.AppliedSeq[key] = int64(i * i)
 		pw.Batches[i] = stream.Batch{WindowID: int64(i), End: 1000, Rows: []relation.Tuple{{relation.Int(int64(i))}}}
 	}
 	q.Pending = []PendingWindow{pw}
@@ -340,10 +340,9 @@ func TestSaveAllocsIndependentOfRows(t *testing.T) {
 			}
 		})
 	}
-	// 1 blob, 2 checkpoint maps' keys, and per query its chain slice,
-	// its AppliedSeq keys (2 of the 4 queries have some) and one ref
-	// slice per staged window (2 each): 3 + 4 + 2 + 8 = 17.
-	const bound = 18
+	// 1 blob, 2 checkpoint maps' keys, and per query its chain slice
+	// and one ref slice per staged window (2 each): 3 + 4 + 8 = 15.
+	const bound = 16
 	if counts[200] != counts[2000] || counts[2000] > bound {
 		t.Fatalf("Save allocations = %v per checkpoint size, want equal and <= %d", counts, bound)
 	}

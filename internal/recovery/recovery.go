@@ -1,14 +1,14 @@
 // Package recovery implements pulse-aligned checkpoint/restore with
 // exactly-once window delivery for the cluster runtime.
 //
-// Each worker node periodically serializes its per-query stream state —
-// window-operator contents, staged partial windows, and per-stream
-// ingest cursors — into a Checkpoint taken on a window-end boundary, so
-// every snapshot is a consistent cut. A bounded replay Log
+// Each worker node periodically serializes its stream state — each
+// window operator once, the staged partial windows of every query, and
+// per-stream ingest cursors — into a Checkpoint taken on a window-end
+// boundary, so every snapshot is a consistent cut. A bounded replay Log
 // retains the tuples processed since the last checkpoint. When a worker
 // crashes, the supervisor restores the victim's latest checkpoint onto
-// the recovery target and re-feeds the logged tuples; the per-stream
-// sequence cursors make the replay idempotent, and the emit Gate
+// the recovery target and re-feeds the logged tuples; each restored
+// operator's sequence cursor makes the replay idempotent, and the emit Gate
 // suppresses windows at or below each query's emitted high-water mark,
 // so downstream observers see every window exactly once — no loss, no
 // duplicates.
@@ -48,17 +48,15 @@ type PendingWindow struct {
 
 // QueryState is the serialized per-query execution state at a cut: the
 // window operator each stream reference reads, the staged partial
-// windows, quarantine bookkeeping, and the per-stream ingest cursors
-// that make replay idempotent.
+// windows and quarantine bookkeeping.
 type QueryState struct {
 	ID string
 	// Windows has one entry per stream reference: the index in
 	// EngineState.Windows of the operator it reads, or -1 for none.
-	Windows    []int
-	Pending    []PendingWindow
-	Failures   int
-	Suspended  bool
-	AppliedSeq map[string]int64
+	Windows   []int
+	Pending   []PendingWindow
+	Failures  int
+	Suspended bool
 	// Governance state: the query's byte budget and DegradeWiden stride
 	// survive restore/failover so a degraded query does not resume at
 	// full appetite on a fresh node.
@@ -70,8 +68,17 @@ type QueryState struct {
 // operator once, however many queries read it, and every registered
 // query.
 type EngineState struct {
-	Windows []stream.WindowState
+	Windows []Window
 	Queries []QueryState
+}
+
+// Window is one window operator at the cut: its state, and the replay
+// cursor of an operator that was itself restored — the highest ingest
+// sequence number it has applied. A live operator keeps no cursor (Seq
+// is 0), and is restored at the cut's cursor for its stream.
+type Window struct {
+	stream.WindowState
+	Seq int64
 }
 
 // Query returns the state of one query, or nil when the state is nil or
@@ -90,7 +97,7 @@ func (s *EngineState) Query(id string) *QueryState {
 
 // Window returns the operator state a query's ref-th stream reference
 // reads, or nil when it reads none.
-func (s *EngineState) Window(q *QueryState, ref int) *stream.WindowState {
+func (s *EngineState) Window(q *QueryState, ref int) *Window {
 	if q == nil || ref >= len(q.Windows) || q.Windows[ref] < 0 || q.Windows[ref] >= len(s.Windows) {
 		return nil
 	}
@@ -184,8 +191,8 @@ func (s *store) latest(node int) (ck *Checkpoint, torn bool) {
 // MergeFeeds merges replay feeds from several sources (victim log,
 // salvaged queue, target log) into one deduplicated sequence ordered by
 // (stream, seq). Per-stream sequence order is processing order; the
-// per-query cursors make any residual overlap with live traffic
-// idempotent.
+// restored operators' cursors make any residual overlap with live
+// traffic idempotent.
 func MergeFeeds(feeds ...[]Tuple) []Tuple {
 	var out []Tuple
 	for _, f := range feeds {

@@ -16,20 +16,19 @@ func sampleCheckpoint() *Checkpoint {
 		Cursors:   map[string]int64{"m": 41, "n": 7},
 		EmitHWM:   map[string]int64{"q1": 2000},
 		Engine: EngineState{
-			Windows: []stream.WindowState{{
+			Windows: []Window{{WindowState: stream.WindowState{
 				Spec:     stream.WindowSpec{RangeMS: 1000, SlideMS: 500},
 				NextEmit: 3,
 				MaxTS:    1499,
 				Rows:     []relation.Tuple{{relation.Int(1), relation.Float(2.5)}},
 				Open:     []stream.OpenWindow{{ID: 3, Start: 500, End: 1500}},
-			}},
+			}, Seq: 41}},
 			Queries: []QueryState{{
-				ID:         "q1",
-				Windows:    []int{0},
-				Pending:    []PendingWindow{{End: 2000, Batches: map[int]stream.Batch{0: {End: 2000}}}},
-				AppliedSeq: map[string]int64{"m": 41},
-				Budget:     1 << 20,
-				Stride:     4,
+				ID:      "q1",
+				Windows: []int{0},
+				Pending: []PendingWindow{{End: 2000, Batches: map[int]stream.Batch{0: {End: 2000}}}},
+				Budget:  1 << 20,
+				Stride:  4,
 			}},
 		},
 	}

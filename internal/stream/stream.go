@@ -510,21 +510,6 @@ func RestoreTimeSlidingWindow(st WindowState) (*TimeSlidingWindow, error) {
 	return t, nil
 }
 
-// Replay runs a finite, ordered tuple sequence through a window operator
-// and returns all batches (including the flush).
-func Replay(spec WindowSpec, els []Timestamped) ([]Batch, error) {
-	w, err := NewTimeSlidingWindow(spec)
-	if err != nil {
-		return nil, err
-	}
-	var out []Batch
-	for _, el := range els {
-		out = append(out, w.Push(el)...)
-	}
-	out = append(out, w.Flush()...)
-	return out, nil
-}
-
 // Pulse is the output clock of a continuous query: it fires at
 // Start + k*Frequency, pacing when results are reported (the STARQL
 // "USING PULSE WITH START..., FREQUENCY..." clause).
@@ -539,29 +524,4 @@ func (p Pulse) Validate() error {
 		return fmt.Errorf("stream: pulse frequency must be positive")
 	}
 	return nil
-}
-
-// Ticks returns the pulse times in (from, to]; it is used by the replayer
-// to decide which window results to surface.
-func (p Pulse) Ticks(from, to int64) []int64 {
-	if to <= from {
-		return nil
-	}
-	var out []int64
-	// First tick strictly after from.
-	k := ceilDiv(from-p.StartMS+1, p.FrequencyMS)
-	if k < 0 {
-		k = 0
-	}
-	for {
-		t := p.StartMS + k*p.FrequencyMS
-		if t > to {
-			break
-		}
-		if t > from {
-			out = append(out, t)
-		}
-		k++
-	}
-	return out
 }

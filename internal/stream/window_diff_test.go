@@ -152,14 +152,14 @@ func viaCheckpoint(t *testing.T, st stream.WindowState) stream.WindowState {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return *ck.Engine.Window(&ck.Engine.Queries[0], 0)
+	return ck.Engine.Window(&ck.Engine.Queries[0], 0).WindowState
 }
 
 // checkpointOf encodes a checkpoint of one query reading one operator.
 func checkpointOf(st stream.WindowState) []byte {
 	blob, _ := recovery.Encode(&recovery.Checkpoint{Engine: recovery.EngineState{
-		Windows: []stream.WindowState{st},
-		Queries: []recovery.QueryState{{ID: "q", AppliedSeq: map[string]int64{}, Windows: []int{0}}},
+		Windows: []recovery.Window{{WindowState: st}},
+		Queries: []recovery.QueryState{{ID: "q", Windows: []int{0}}},
 	}})
 	return blob
 }

@@ -217,7 +217,8 @@ type QueryLag struct {
 	LastWindowEnd  int64 `json:"last_window_end_ms"`
 	WatermarkLagMS int64 `json:"watermark_lag_ms"`
 	// BacklogBytes is staged-but-unexecuted window state attributable to
-	// the query (privately owned windows plus its staged batches).
+	// the query: the window operators no other query reads, plus its
+	// staged batches.
 	BacklogBytes  int64 `json:"backlog_bytes"`
 	BudgetBytes   int64 `json:"budget_bytes,omitempty"`
 	HeadroomBytes int64 `json:"headroom_bytes,omitempty"`
