@@ -88,20 +88,22 @@ type Options struct {
 	// TelemetrySnapshot.
 	Telemetry *telemetry.Registry
 
-	// CheckpointEvery enables the recovery subsystem: each node cuts a
+	// CheckpointEvery is the checkpoint cadence: each node cuts a
 	// pulse-aligned checkpoint of its per-query stream state after
 	// roughly this many processed tuples (the cut waits for a window-end
 	// boundary, forced once 4x overdue or the replay log nears
-	// capacity), retains a bounded replay log, and failover restores the
-	// victim's latest checkpoint onto the remap target with exactly-once
-	// window delivery through the emit gate. 0 disables recovery (the
-	// original salvage-only failover).
+	// capacity), logs the tuples it processes since, and delivers
+	// windows exactly once through the emit gate. 0 turns all three
+	// off. Restarts and failovers take one path either way: restore the
+	// latest checkpoint, or none, and replay the log and salvaged queue.
+	// Without checkpoints a restart brings its queries back empty, and a
+	// failover feeds each migrated query the dead node's queued tuples.
 	CheckpointEvery int
 	// ReplayLogCap bounds each node's retained-tuple replay log in
 	// entries (default recovery.DefaultLogCap). When capacity pressure
-	// sheds a tuple not yet covered by a checkpoint, exactly-once
-	// degrades to salvage-only for the gap and recovery.lost_coverage
-	// counts it.
+	// sheds a tuple not yet covered by a checkpoint, windows spanning
+	// the gap may be incomplete after a restore, and
+	// recovery.lost_coverage counts it.
 	ReplayLogCap int
 
 	// NodeMemBudget caps the sum of admitted query budgets per node;
@@ -189,11 +191,11 @@ type Cluster struct {
 	// Options.FlightRecorder == 0.
 	frec *telemetry.Recorder
 
-	// rec is the recovery coordinator (nil when CheckpointEvery == 0).
-	// It lives here — outside any node — so checkpoints, replay logs and
-	// the emit gate survive worker death. seqs assigns the per-stream
-	// ingest sequence numbers (guarded by mu) that make replay
-	// idempotent.
+	// rec is the recovery coordinator. It lives here — outside any
+	// node — so checkpoints, replay logs and the emit gate survive
+	// worker death; without checkpoints it holds none, and its logs stay
+	// empty. seqs assigns the per-stream ingest sequence numbers
+	// (guarded by mu) that make replay idempotent.
 	rec  *recovery.Coordinator
 	seqs map[string]int64
 
@@ -279,7 +281,7 @@ type Node struct {
 type work struct {
 	stream  string
 	el      stream.Timestamped
-	seq     int64 // per-stream ingest sequence (recovery mode; 0 otherwise)
+	seq     int64 // per-stream ingest sequence
 	flush   chan error
 	restore *restoreJob // checkpoint-restore job (runs on the worker goroutine)
 	retries int
@@ -316,10 +318,8 @@ func New(opts Options, catalogFor func(node int) *relation.Catalog) (*Cluster, e
 		met:         newClusterMetrics(reg),
 		tracer:      telemetry.NewTracer(opts.TraceCapacity),
 		frec:        telemetry.NewRecorder(-1, opts.FlightRecorder),
-	}
-	if opts.CheckpointEvery > 0 {
-		c.rec = recovery.NewCoordinator(opts.Nodes, opts.ReplayLogCap, reg)
-		c.seqs = make(map[string]int64)
+		rec:         recovery.NewCoordinator(opts.Nodes, opts.ReplayLogCap, reg),
+		seqs:        make(map[string]int64),
 	}
 	govFaults, _ := opts.Faults.(GovernanceFaultInjector)
 	c.gov = newGovernor(opts.TenantQuota, reg, govFaults)
@@ -571,21 +571,19 @@ func (c *Cluster) Unregister(id string) error {
 	c.nodes[rec.node].budgetUsed -= rec.budget
 	c.gov.releaseQuery(rec.tenant)
 	delete(c.queries, id)
-	if c.rec != nil {
-		c.rec.Gate().Forget(id)
-	}
+	c.rec.Gate().Forget(id)
 	c.rebuildHostsLocked()
 	return nil
 }
 
 // guardedSink wraps a query sink with the exactly-once emit gate when
-// recovery is enabled. The wrapped sink is what queryRecord retains, so
+// nodes checkpoint. The wrapped sink is what queryRecord retains, so
 // rebuilds and failovers reuse the same gate entry (the high-water mark
 // survives the hosting node). The optional AfterEmit fault hook fires
 // after each delivered window — the crash-after-emit-before-ack
 // injection point.
 func (c *Cluster) guardedSink(id string, sink exastream.Sink) exastream.Sink {
-	if c.rec == nil || sink == nil {
+	if c.opts.CheckpointEvery <= 0 || sink == nil {
 		return sink
 	}
 	var after func(string, int64)
@@ -716,7 +714,7 @@ func (c *Cluster) IngestContext(ctx context.Context, streamName string, el strea
 	}
 	hosts := c.sortedHostsLocked(key)
 	var seq int64
-	if c.rec != nil && len(hosts) > 0 {
+	if len(hosts) > 0 {
 		// Per-stream monotonic sequence, assigned under the cluster lock
 		// at routing time. Broadcast copies share one seq (it is the same
 		// tuple); restored window operators use it to deduplicate replay.

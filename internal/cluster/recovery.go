@@ -1,11 +1,13 @@
 // Checkpoint/restore glue between the supervisor and the recovery
-// coordinator. With Options.CheckpointEvery > 0 each worker cuts
-// pulse-aligned checkpoints of its engine state, keeps its replay log
-// current, and crashes recover by restore-and-replay instead of
-// re-registering empty queries: a rebuilt or failed-over query resumes
-// from the latest checkpoint, re-feeds the logged tuples (idempotent via
-// the restored window operators' sequence cursors), and the emit gate
-// guarantees each window is delivered exactly once.
+// coordinator. Every crash recovers by restore-and-replay: a rebuilt or
+// failed-over query resumes from the latest checkpoint and re-feeds the
+// logged and salvaged tuples, idempotent via the restored window
+// operators' sequence cursors. With Options.CheckpointEvery > 0 each
+// worker cuts pulse-aligned checkpoints of its engine state and keeps
+// its replay log current, and the emit gate delivers each window
+// exactly once. Without checkpoints the same path restores from no
+// cut: a restart's queries come back empty, and a failover's feed is
+// the dead node's queue.
 package cluster
 
 import (
@@ -27,8 +29,7 @@ import (
 // records under Cluster.mu, so a crash mid-restore or a second failover
 // never loses the state source.
 type restoreJob struct {
-	victim int
-	ids    []string
+	ids []string
 	// settled guards the job's single settle(-1): a crash inside
 	// runRestore retries the job on the rebuilt worker, and a second
 	// decrement would drive Cluster.recovering negative and wedge
@@ -111,11 +112,10 @@ func (n *Node) checkpoint(c *Cluster) bool {
 	return true
 }
 
-// restoreNode is the recovery-mode worker rebuild: instead of
-// re-registering queries empty, the node's queries are restored, as one
-// group, from the node's latest checkpoint, and the replay log is
-// re-fed through their operators once (see restoreLocked). Returns
-// false when the cluster closed.
+// restoreNode is the worker rebuild: the node's queries are restored,
+// as one group, from the node's latest checkpoint (empty when there is
+// none), and the replay log is re-fed through their operators once (see
+// restoreLocked). Returns false when the cluster closed.
 func (c *Cluster) restoreNode(n *Node) bool {
 	// Decode the checkpoint before taking the cluster lock, so ingest
 	// routing and registration do not wait for it. No Save for this node
@@ -200,9 +200,10 @@ func (c *Cluster) restoreLocked(n *Node, es *recovery.EngineState, cursors map[s
 }
 
 // replay pushes a restore's feed through its operators, each tuple once,
-// and advances the node cursors past the feed so the next cut records
-// it: a failover feed's tuples are not in this node's log, and a stale
-// cursor would make a later restore report the gap as lost coverage.
+// advances the node cursors past the feed so the next cut records it (a
+// failover feed's tuples are not in this node's log, and a stale cursor
+// would make a later restore report the gap as lost coverage), and ends
+// the restore.
 func (n *Node) replay(c *Cluster, r *exastream.Restore, feed []recovery.Tuple) {
 	if n.cursors == nil {
 		n.cursors = make(map[string]int64)
@@ -218,16 +219,17 @@ func (n *Node) replay(c *Cluster, r *exastream.Restore, feed []recovery.Tuple) {
 	if len(feed) > 0 {
 		c.rec.NoteReplayed(len(feed))
 	}
+	r.Done()
 }
 
-// failoverRestore is the recovery-mode failover: the victim's queries
-// migrate to survivors carrying the victim's latest checkpoint and a
-// replay feed of victim-logged plus salvaged tuples; a restoreJob per
-// target seeds them on the target's own worker goroutine. The whole
+// failover declares a node dead and migrates its queries to survivors,
+// carrying the victim's latest checkpoint (none without checkpoints)
+// and a replay feed of victim-logged plus salvaged tuples; a restoreJob
+// per target seeds them on the target's own worker goroutine. The whole
 // migration — including pushing the jobs — happens under the cluster
 // lock so no tuple can be routed into the gap between the death and the
 // restore job reaching the head of each target's queue.
-func (c *Cluster) failoverRestore(n *Node) {
+func (c *Cluster) failover(n *Node) {
 	c.met.failovers.Inc()
 	c.frec.Record(telemetry.EvFailover, "", "", 0, int64(n.ID))
 	// Decode the victim's checkpoint before taking the cluster lock, so
@@ -237,6 +239,7 @@ func (c *Cluster) failoverRestore(n *Node) {
 	// last restart, or transportFailover halted it and waited it out.
 	victimCk := c.rec.Latest(n.ID)
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	atomic.StoreInt32(&n.state, int32(NodeDead))
 
 	// Collect the corpse's queue. fail() first so a racing producer
@@ -258,7 +261,6 @@ func (c *Cluster) failoverRestore(n *Node) {
 		n.current = work{}
 	}
 	var salvage []recovery.Tuple
-	var resend []work
 	for _, w := range items {
 		switch {
 		case w.flush != nil:
@@ -267,12 +269,12 @@ func (c *Cluster) failoverRestore(n *Node) {
 			c.recovering-- // the job's dispatch counted one settle
 		default:
 			salvage = append(salvage, recovery.Tuple{Stream: lowerKey(w.stream), Seq: w.seq, TS: w.el.TS, Row: w.el.Row})
-			resend = append(resend, w)
 		}
 	}
 
 	victimLog := c.rec.Log(n.ID)
 	jobs := make(map[int]*restoreJob)
+	fed := make(map[string]bool) // streams a migrated query reads
 	for _, rec := range c.queries {
 		if rec.node != n.ID {
 			continue
@@ -303,13 +305,16 @@ func (c *Cluster) failoverRestore(n *Node) {
 		if !victimLog.Covered(rec.cursors) {
 			c.rec.NoteLostCoverage()
 		}
+		for _, s := range streamNamesOf(rec.stmt) {
+			fed[s] = true
+		}
 		rec.pendingRestore = true
 		rec.node = target
 		atomic.AddInt32(&c.nodes[target].queries, 1)
 		c.nodes[target].budgetUsed += rec.budget
 		j := jobs[target]
 		if j == nil {
-			j = &restoreJob{victim: n.ID}
+			j = &restoreJob{}
 			jobs[target] = j
 		}
 		j.ids = append(j.ids, rec.id)
@@ -317,6 +322,22 @@ func (c *Cluster) failoverRestore(n *Node) {
 	atomic.StoreInt32(&n.queries, 0)
 	n.budgetUsed = 0
 	c.rebuildHostsLocked()
+
+	// A salvaged tuple counts once: requeued when a migrated query's feed
+	// or a partition resend carries it on, dropped otherwise. Resends go
+	// to the front of their target's queue, in order and behind its
+	// restore job (pushed last), so they reach the target before any
+	// tuple routed after this failover: a restored operator still holds
+	// its cursor for them, and drops those already in its feed.
+	for i := len(salvage) - 1; i >= 0; i-- {
+		t := salvage[i]
+		if c.resendLocked(t) || fed[t.Stream] {
+			atomic.AddInt64(&n.requeued, 1)
+			n.met.salvaged.Inc()
+		} else {
+			n.noteDrop()
+		}
+	}
 	for target, j := range jobs {
 		if c.nodes[target].in.pushFront(work{restore: j}) {
 			c.recovering++
@@ -324,18 +345,28 @@ func (c *Cluster) failoverRestore(n *Node) {
 		// A rejected push means the target closed; the records stay
 		// pendingRestore and the cluster is shutting down anyway.
 	}
-	prevHosts := make(map[string]map[int]struct{}) // pre-death hosts irrelevant here: partition resend re-hashes
-	c.mu.Unlock()
+}
 
-	if c.opts.PartitionColumn != "" {
-		// Partitioned tuples had their only copy on the corpse: re-hash
-		// them over the survivors for the non-migrated queries there (the
-		// migrated ones already carry them in their replay feeds, and the
-		// preserved seq lets their cursors deduplicate the overlap).
-		for _, w := range resend {
-			c.resendSalvaged(n, w, prevHosts, nil)
-		}
+// resendLocked re-hashes one salvaged tuple of a partitioned stream
+// over the surviving hosts, for their non-migrated queries: the tuple
+// had its only copy on the corpse. It reports whether a node took it.
+// Broadcast tuples are never resent: every other host has its own copy.
+// The caller holds c.mu.
+func (c *Cluster) resendLocked(t recovery.Tuple) bool {
+	if c.opts.PartitionColumn == "" {
+		return false
 	}
+	hosts := c.sortedHostsLocked(t.Stream)
+	schema, ok := c.schemas[t.Stream]
+	if !ok || len(hosts) == 0 {
+		return false
+	}
+	idx, err := schema.Tuple.IndexOf(c.opts.PartitionColumn)
+	if err != nil {
+		return false
+	}
+	target := hosts[int(valueHash(t.Row[idx])%uint64(len(hosts)))]
+	return c.nodes[target].in.pushFront(work{stream: t.Stream, el: stream.Timestamped{TS: t.TS, Row: t.Row}, seq: t.Seq})
 }
 
 // runRestore executes a restoreJob on the target's worker goroutine.
@@ -395,17 +426,17 @@ func (n *Node) runRestore(c *Cluster, job *restoreJob) {
 	n.lastWins = n.engine.Stats().WindowsExecuted
 	if restoredQueries > 0 {
 		c.rec.NoteRestore()
-		// Make the migration durable NOW. The replay feed (victim log +
-		// salvaged queue) exists nowhere this node can reach after it is
-		// consumed: until a checkpoint commits here, a crash on this node
-		// rebuilds from a cut that predates the migration and the
-		// restored queries' open-window state is silently lost. The
-		// engine is quiescent (worker goroutine, between items), so this
-		// is a free consistent cut; retry once so a single torn write
-		// does not leave the feed volatile. The records stay
-		// pendingRestore until then, so a crash before the cut commits
-		// retries the whole job on the rebuilt engine.
-		if !n.checkpoint(c) {
+		// With checkpoints, make the migration durable NOW. The replay
+		// feed (victim log + salvaged queue) exists nowhere this node can
+		// reach after it is consumed: until a checkpoint commits here, a
+		// crash on this node rebuilds from a cut that predates the
+		// migration and the restored queries' open-window state is
+		// silently lost. The engine is quiescent (worker goroutine,
+		// between items), so this is a free consistent cut; retry once so
+		// a single torn write does not leave the feed volatile. The
+		// records stay pendingRestore until then, so a crash before the
+		// cut commits retries the whole job on the rebuilt engine.
+		if c.opts.CheckpointEvery > 0 && !n.checkpoint(c) {
 			n.checkpoint(c)
 		}
 	}

@@ -1,10 +1,11 @@
 // Worker supervision and query failover. Each node's run loop is
 // wrapped in panic recovery: a crashed worker is restarted with a fresh
 // engine (capped restarts, exponential backoff) and its queries are
-// re-registered from the cluster's retained registration records. A
-// node that exhausts its restart budget is declared dead; its queries
-// migrate to surviving nodes, the stream routing tables are rebuilt,
-// and tuples still queued on the corpse are salvaged and re-routed.
+// restored from the node's latest checkpoint, or from none. A node that
+// exhausts its restart budget is declared dead; its queries migrate to
+// surviving nodes, the stream routing tables are rebuilt, and tuples
+// still queued on the corpse are salvaged into the migrated queries'
+// replay feeds. Both paths are in recovery.go.
 package cluster
 
 import (
@@ -117,8 +118,8 @@ func (o Options) backoffFor(attempt int) time.Duration {
 
 // supervise is the worker goroutine: it runs the guarded loop and, on
 // panic, either rebuilds the node or declares it dead and fails its
-// queries over. The rebuild itself is also guarded: with recovery
-// enabled it restores a checkpoint and replays logged tuples, which
+// queries over. The rebuild itself is also guarded: it restores the
+// latest checkpoint, if any, and replays logged tuples, which
 // re-executes windows and can re-hit injected faults — such a crash
 // burns another restart from the same budget and the rebuild retries
 // from the same checkpoint (the restore path is idempotent).
@@ -168,7 +169,7 @@ func (n *Node) supervise(c *Cluster) {
 	}
 }
 
-// rebuildNodeGuarded runs rebuildNode with panic containment: crashed
+// rebuildNodeGuarded runs restoreNode with panic containment: crashed
 // reports a panic during the rebuild/restore/replay (another supervised
 // crash), alive is false when the cluster closed.
 func (c *Cluster) rebuildNodeGuarded(n *Node) (alive, crashed bool) {
@@ -178,7 +179,7 @@ func (c *Cluster) rebuildNodeGuarded(n *Node) (alive, crashed bool) {
 			n.noteErr(NodeError{Node: n.ID, Err: fmt.Errorf("cluster: node %d: panic during rebuild: %v", n.ID, r)})
 		}
 	}()
-	return c.rebuildNode(n), false
+	return c.restoreNode(n), false
 }
 
 // runGuarded processes inbox items until shutdown, converting panics
@@ -212,7 +213,7 @@ func (n *Node) process(c *Cluster, w work) {
 	if w.flush != nil {
 		w.flush <- n.engine.Flush()
 		close(w.flush)
-		if c.rec != nil {
+		if c.opts.CheckpointEvery > 0 {
 			// The flush completed every open window: a free consistent
 			// cut. The ack is already delivered, so clear the in-flight
 			// slot first — a crash inside the checkpoint must not replay
@@ -232,44 +233,9 @@ func (n *Node) process(c *Cluster, w work) {
 		n.noteErr(NodeError{Node: n.ID, Err: err})
 	}
 	atomic.AddInt64(&n.tuples, 1)
-	if c.rec != nil {
+	if c.opts.CheckpointEvery > 0 {
 		n.recordAndMaybeCheckpoint(c, w)
 	}
-}
-
-// rebuildNode gives a crashed node a fresh engine and re-registers its
-// queries from the retained records (with recovery enabled, restored
-// from the node's latest checkpoint instead — see restoreNode). Returns
-// false if the cluster closed in the meantime.
-func (c *Cluster) rebuildNode(n *Node) bool {
-	if c.rec != nil {
-		return c.restoreNode(n)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return false
-	}
-	eng := c.newEngineLocked(n)
-	var requeries int32
-	for _, rec := range c.queries {
-		if rec.node != n.ID {
-			continue
-		}
-		if err := eng.Register(rec.id, rec.stmt, rec.pulse, rec.sink); err != nil {
-			n.noteErr(NodeError{Node: n.ID, QueryID: rec.id,
-				Err: fmt.Errorf("cluster: node %d: re-register %s: %w", n.ID, rec.id, err)})
-			continue
-		}
-		if rec.budget > 0 {
-			_ = eng.SetQueryBudget(rec.id, rec.budget)
-		}
-		requeries++
-	}
-	n.engine = eng
-	atomic.StoreInt32(&n.queries, requeries)
-	atomic.StoreInt32(&n.state, int32(NodeLive))
-	return true
 }
 
 // newEngineLocked builds a crashed node's fresh engine, with the
@@ -285,145 +251,6 @@ func (c *Cluster) newEngineLocked(n *Node) *exastream.Engine {
 		eng.RegisterUDF(name, f)
 	}
 	return eng
-}
-
-// failover declares a node dead, migrates its queries to survivors,
-// rebuilds the stream routing tables, and salvages its queued tuples.
-// With recovery enabled the migration carries checkpointed state and a
-// replay feed instead (see failoverRestore).
-func (c *Cluster) failover(n *Node) {
-	if c.rec != nil {
-		c.failoverRestore(n)
-		return
-	}
-	c.met.failovers.Inc()
-	c.frec.Record(telemetry.EvFailover, "", "", 0, int64(n.ID))
-	c.mu.Lock()
-	atomic.StoreInt32(&n.state, int32(NodeDead))
-	// Host sets before the failover: salvaged broadcast tuples must only
-	// reach nodes that were NOT already receiving this stream (those
-	// have their own copy of every tuple).
-	prevHosts := make(map[string]map[int]struct{}, len(c.streamHosts))
-	for s, hosts := range c.streamHosts {
-		cp := make(map[int]struct{}, len(hosts))
-		for h := range hosts {
-			cp[h] = struct{}{}
-		}
-		prevHosts[s] = cp
-	}
-	gained := make(map[string]map[int]struct{}) // stream -> nodes that received migrated queries
-	for _, rec := range c.queries {
-		if rec.node != n.ID {
-			continue
-		}
-		target := c.pickNodeLocked()
-		if target < 0 {
-			n.noteErr(NodeError{Node: n.ID, QueryID: rec.id,
-				Err: fmt.Errorf("cluster: query %s lost: %w", rec.id, ErrNoLiveNodes)})
-			delete(c.queries, rec.id)
-			c.gov.releaseQuery(rec.tenant)
-			continue
-		}
-		if err := c.nodes[target].engine.Register(rec.id, rec.stmt, rec.pulse, rec.sink); err != nil {
-			n.noteErr(NodeError{Node: n.ID, QueryID: rec.id,
-				Err: fmt.Errorf("cluster: failover of %s to node %d: %w", rec.id, target, err)})
-			delete(c.queries, rec.id)
-			c.gov.releaseQuery(rec.tenant)
-			continue
-		}
-		if rec.budget > 0 {
-			_ = c.nodes[target].engine.SetQueryBudget(rec.id, rec.budget)
-		}
-		rec.node = target
-		atomic.AddInt32(&c.nodes[target].queries, 1)
-		c.nodes[target].budgetUsed += rec.budget
-		for _, s := range streamNamesOf(rec.stmt) {
-			g, ok := gained[s]
-			if !ok {
-				g = make(map[int]struct{})
-				gained[s] = g
-			}
-			g[target] = struct{}{}
-		}
-	}
-	atomic.StoreInt32(&n.queries, 0)
-	n.budgetUsed = 0
-	c.rebuildHostsLocked()
-	c.mu.Unlock()
-
-	// Wake blocked producers (their pushes convert to drops), then
-	// salvage what the corpse still had queued.
-	n.in.fail()
-	items := n.in.drain()
-	if cur := n.current; cur.flush != nil || cur.stream != "" {
-		// The item that was being processed when the final crash hit. If
-		// it was never retried it is presumed innocent and salvaged; an
-		// item that kept crashing the worker through every restart is
-		// poison and is dropped instead of infecting a survivor.
-		if cur.retries == 0 {
-			items = append([]work{cur}, items...)
-		} else if cur.flush != nil {
-			close(cur.flush)
-		} else {
-			n.noteDrop()
-		}
-		n.current = work{}
-	}
-	for _, w := range items {
-		if w.flush != nil {
-			close(w.flush) // the flush can no longer be honoured here
-			continue
-		}
-		c.resendSalvaged(n, w, prevHosts, gained)
-	}
-}
-
-// resendSalvaged re-routes one tuple rescued from a dead node's queue.
-// Partitioned streams re-hash over the surviving hosts (the tuple only
-// ever had one copy); broadcast streams deliver only to nodes that just
-// gained queries over the stream and were not already hosting it.
-func (c *Cluster) resendSalvaged(n *Node, w work, prevHosts, gained map[string]map[int]struct{}) {
-	key := lowerKey(w.stream)
-	var targets []int
-	if c.opts.PartitionColumn != "" {
-		c.mu.Lock()
-		schema, ok := c.schemas[key]
-		hosts := c.sortedHostsLocked(key)
-		c.mu.Unlock()
-		if !ok || len(hosts) == 0 {
-			n.noteDrop()
-			return
-		}
-		idx, err := schema.Tuple.IndexOf(c.opts.PartitionColumn)
-		if err != nil {
-			n.noteDrop()
-			return
-		}
-		targets = []int{hosts[int(valueHash(w.el.Row[idx])%uint64(len(hosts)))]}
-	} else {
-		for id := range gained[key] {
-			if _, was := prevHosts[key][id]; !was {
-				targets = append(targets, id)
-			}
-		}
-	}
-	if len(targets) == 0 {
-		n.noteDrop()
-		return
-	}
-	delivered := false
-	for _, t := range targets {
-		if err := c.nodes[t].enqueue(context.Background(),
-			work{stream: w.stream, el: w.el, seq: w.seq}, c.opts.Backpressure); err == nil {
-			delivered = true
-		}
-	}
-	if delivered {
-		atomic.AddInt64(&n.requeued, 1)
-		n.met.salvaged.Inc()
-	} else {
-		n.noteDrop()
-	}
 }
 
 // settle tracks in-flight recoveries for WaitSettled.

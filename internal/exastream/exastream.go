@@ -13,6 +13,7 @@
 package exastream
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
@@ -256,8 +257,10 @@ type sharedWindow struct {
 	// seq is a restored operator's replay cursor (guarded by e.mu): the
 	// highest ingest sequence number it has applied. A tuple at or below
 	// it is already in the operator's windows and is dropped. Live
-	// operators keep no cursor: they accept partition-salvage resends,
-	// whose seqs can fall below any cursor.
+	// operators keep no cursor (seq 0): they accept partition-salvage
+	// resends, whose seqs can fall below any cursor. A restored operator
+	// drops its cursor and goes live once live traffic passes it (see
+	// goLiveLocked).
 	seq int64
 }
 
@@ -612,7 +615,8 @@ func (e *Engine) IngestSeq(streamName string, el stream.Timestamped, seq int64) 
 // push feeds one tuple to the operators over its stream — every one
 // for live ingest (restore 0), or only the operators of one restore for
 // its replay — and executes the windows it completes. A restored
-// operator takes each sequenced tuple once.
+// operator takes each sequenced tuple once: replay advances its cursor,
+// and the first live tuple above the cursor makes it a live operator.
 func (e *Engine) push(streamName string, el stream.Timestamped, seq, restore int64) error {
 	e.mu.Lock()
 	key := strings.ToLower(streamName)
@@ -628,25 +632,54 @@ func (e *Engine) push(streamName string, el stream.Timestamped, seq, restore int
 		}
 	}
 	var fires []delivery
+	var caughtUp []*sharedWindow
 	for wk, sw := range e.windows {
 		if wk.stream != key || restore != 0 && wk.restore != restore {
 			continue
 		}
-		if wk.restore != 0 && seq != 0 {
+		if seq != 0 {
 			if seq <= sw.seq {
 				continue
 			}
-			sw.seq = seq
+			if restore != 0 {
+				sw.seq = seq
+			} else if sw.seq != 0 {
+				caughtUp = append(caughtUp, sw)
+			}
 		}
 		before := sw.op.Late
 		fires = e.deliverLocked(sw, sw.op.Push(el), fires)
 		e.met.lateTuples.Add(sw.op.Late - before)
 	}
+	// Re-keyed after the walk: a key added while ranging over the map
+	// could be visited again.
+	e.goLiveLocked(caughtUp)
 	e.mu.Unlock()
 
 	err := e.dispatch(fires)
 	e.enforceBudgets()
 	return err
+}
+
+// goLiveLocked makes restored operators live ones: each drops its
+// cursor, so partition-salvage resends below it are applied as they are
+// to any live operator, and takes the live key of its (stream, window)
+// unless a live operator already holds it, so queries registered from
+// now on share it. Operators go in key order, so which of two over one
+// (stream, window) takes the key does not depend on map order.
+func (e *Engine) goLiveLocked(ops []*sharedWindow) {
+	slices.SortFunc(ops, func(a, b *sharedWindow) int {
+		return cmp.Or(cmp.Compare(a.key.restore, b.key.restore), cmp.Compare(a.key.index, b.key.index))
+	})
+	for _, sw := range ops {
+		sw.seq = 0
+		live := windowKey{stream: sw.key.stream, spec: sw.key.spec}
+		if _, taken := e.windows[live]; !taken {
+			delete(e.windows, sw.key)
+			sw.key = live
+			e.windows[live] = sw
+		}
+	}
 }
 
 // Flush completes all open windows (end of replay) and executes the

@@ -73,7 +73,7 @@ func (e *Engine) ExportState() *recovery.EngineState {
 // them read it, and Replay pushes the logged tuples through those
 // operators once. Restore every query of the cut before replaying
 // anything: a query restored after replay began would subscribe to an
-// operator that is already past the cut.
+// operator that is already past the cut. Done ends the restore.
 type Restore struct {
 	e       *Engine
 	id      int64
@@ -135,4 +135,20 @@ func restoredOp(spec stream.WindowSpec, w *recovery.Window) (*stream.TimeSliding
 // applies once. The node's live operators do not see the tuple.
 func (r *Restore) Replay(streamName string, el stream.Timestamped, seq int64) error {
 	return r.e.push(streamName, el, seq, r.id)
+}
+
+// Done ends the restore once its feed is replayed. An operator the
+// replay left without a cursor has nothing to deduplicate and goes live
+// at once; the others go live at their first live tuple above the
+// cursor.
+func (r *Restore) Done() {
+	r.e.mu.Lock()
+	defer r.e.mu.Unlock()
+	var idle []*sharedWindow
+	for k, sw := range r.e.windows {
+		if k.restore == r.id && sw.seq == 0 {
+			idle = append(idle, sw)
+		}
+	}
+	r.e.goLiveLocked(idle)
 }

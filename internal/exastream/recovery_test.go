@@ -440,3 +440,70 @@ func TestRestoredOperatorCursorDropsRepeatedFeed(t *testing.T) {
 		t.Fatalf("restored readers emitted\n%v\nwant\n%v", got, want)
 	}
 }
+
+// TestRestoredOperatorAcceptsResendAfterCatchUp restores a query whose
+// operator is cursored at seq 100. The first live tuple above the
+// cursor makes the operator a live one, so a later partition-salvage
+// resend, whose seq lies below the old cursor, is applied like any
+// live tuple instead of being dropped as already seen.
+func TestRestoredOperatorAcceptsResendAfterCatchUp(t *testing.T) {
+	stmt := sql.MustParse("SELECT m.sid, m.val FROM STREAM msmt [RANGE 1000 SLIDE 1000] AS m")
+	e := testRig(t, Options{})
+	out := &collector{}
+	r := e.Restore(nil, map[string]int64{"msmt": 100})
+	if err := r.Query("q", stmt, nil, out.sink); err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range []struct {
+		ts, seq int64
+	}{{1000, 101}, {1100, 50}} {
+		el := stream.Timestamped{TS: x.ts, Row: relation.Tuple{relation.Int(x.seq), relation.Time(x.ts), relation.Float(1)}}
+		if err := e.IngestSeq("msmt", el, x.seq); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := out.totalRows(); got != 2 {
+		t.Fatalf("the restored operator took %d of the live tuple and the resend, want both", got)
+	}
+}
+
+// TestRegistrationAfterRestoreJoinsRestoredOperator registers a query
+// over the same (stream, window) as a restored one once live traffic
+// has passed the restored operator's cursor: it reads that operator,
+// not a second one beside it, and both queries see the same windows.
+func TestRegistrationAfterRestoreJoinsRestoredOperator(t *testing.T) {
+	stmt := sql.MustParse("SELECT m.sid, m.val FROM STREAM msmt [RANGE 1000 SLIDE 1000] AS m")
+	e := testRig(t, Options{})
+	out := &collector{}
+	r := e.Restore(nil, map[string]int64{"msmt": 5})
+	if err := r.Query("restored", stmt, nil, out.sink); err != nil {
+		t.Fatal(err)
+	}
+	ingest := func(from, to int) {
+		for i := from; i < to; i++ {
+			el, seq := seqTuple(i)
+			if err := e.IngestSeq("msmt", el, seq); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ingest(5, 8)
+	before := len(out.results)
+	if err := e.Register("late", stmt, nil, out.sink); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.windows) != 1 {
+		t.Fatalf("a registration after the restore runs beside it: %d operators", len(e.windows))
+	}
+	ingest(8, 20)
+	if err := e.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	got := byQuery(out.results[before:])
+	if len(got["late"]) == 0 || !reflect.DeepEqual(got["late"], got["restored"]) {
+		t.Fatalf("the readers of one operator saw different windows:\nrestored %v\nlate     %v", got["restored"], got["late"])
+	}
+}

@@ -13,11 +13,13 @@ import (
 // little-endian, maps in ascending key order (docs/recovery.md has the
 // layout). Each window operator is written once, as its log of rows and
 // the offset in it of every open window; a query names the operators it
-// reads by their index. The staged batches of one stream reference form
-// a chain in time order: a batch that repeats its predecessor's rows
-// from index skip to the end writes only the rows after them, so each
-// staged row is written once per chain, not once per overlapping
-// window that holds it.
+// reads by their index. An operator's log is written after its staged
+// head: the rows its readers' staged windows hold from before the log's
+// first row. A staged window whose rows are a run of that table, as
+// every window an operator emitted after its head began is, names the
+// run by offset and writes no row, so each staged row is written once,
+// however many overlapping windows and readers hold it; any other
+// staged window writes its rows.
 
 // Minimum encoded sizes, which bound the element counts a decoder
 // accepts for the bytes that remain.
@@ -26,7 +28,7 @@ const (
 	minEntry    = 12
 	minPending  = 12
 	minBatch    = 32
-	minOperator = 64
+	minOperator = 68
 	minOpen     = 28
 	minRef      = 4
 	minRow      = 2
@@ -44,16 +46,23 @@ func Decode(b []byte) (*Checkpoint, error) {
 	}
 	r := wire.NewReader(p)
 	ck := &Checkpoint{Node: int(r.I64()), TakenAtMS: r.I64(), Cursors: readMap(r), EmitHWM: readMap(r)}
+	var tables []table
 	if n := r.Count(minOperator); n > 0 {
 		ck.Engine.Windows = make([]Window, n)
+		tables = make([]table, n)
 		for i := range ck.Engine.Windows {
-			readWindow(r, &ck.Engine.Windows[i])
+			tables[i] = readWindow(r, &ck.Engine.Windows[i])
 		}
 	}
 	if n := r.Count(minQuery); n > 0 {
 		ck.Engine.Queries = make([]QueryState, n)
 		for i := range ck.Engine.Queries {
-			readQuery(r, &ck.Engine.Queries[i], len(ck.Engine.Windows))
+			readQuery(r, &ck.Engine.Queries[i], tables)
+		}
+	}
+	for _, t := range tables {
+		if t.head > 0 && !t.used {
+			r.Fail(wire.ErrMalformed) // a head no staged window starts
 		}
 	}
 	if r.Len() > 0 {
@@ -72,13 +81,14 @@ func appendCheckpoint(b []byte, ck *Checkpoint) []byte {
 	b = wire.AppendI64(b, ck.TakenAtMS)
 	b = appendMap(b, ck.Cursors)
 	b = appendMap(b, ck.EmitHWM)
+	heads := stagedHeads(&ck.Engine)
 	b = wire.AppendU32(b, uint32(len(ck.Engine.Windows)))
 	for i := range ck.Engine.Windows {
-		b = appendWindow(b, &ck.Engine.Windows[i])
+		b = appendWindow(b, &ck.Engine.Windows[i], heads[i])
 	}
 	b = wire.AppendU32(b, uint32(len(ck.Engine.Queries)))
 	for i := range ck.Engine.Queries {
-		b = appendQuery(b, &ck.Engine.Queries[i])
+		b = appendQuery(b, &ck.Engine, i, heads)
 	}
 	return wire.Seal(b, start)
 }
@@ -113,13 +123,41 @@ func readMap(r *wire.Reader) map[string]int64 {
 	return m
 }
 
-// appendWindow writes one window operator: spec and cursors, its log
-// and the offset in it of each open window.
-func appendWindow(b []byte, w *Window) []byte {
+// stagedHeads returns, per operator, its staged head: the longest run
+// of rows that a staged window of one of its readers holds before the
+// operator's log, when the window's other rows begin the log. Queries,
+// windows and references go in order, so equal states pick equal heads.
+func stagedHeads(es *EngineState) [][]relation.Tuple {
+	heads := make([][]relation.Tuple, len(es.Windows))
+	for i := range es.Queries {
+		q := &es.Queries[i]
+		for _, pw := range q.Pending {
+			for ref := range q.Windows {
+				w, rows := es.Window(q, ref), pw.Batches[ref].Rows
+				if w == nil || len(w.Rows) == 0 {
+					continue
+				}
+				h := slices.IndexFunc(rows, func(row relation.Tuple) bool { return same(row, w.Rows[0]) })
+				if h > len(heads[q.Windows[ref]]) && runIn(rows[:h], w.Rows, rows) == 0 {
+					heads[q.Windows[ref]] = rows[:h:h]
+				}
+			}
+		}
+	}
+	return heads
+}
+
+// appendWindow writes one window operator: spec and cursors, its staged
+// head and log, and the offset in the log of each open window.
+func appendWindow(b []byte, w *Window, head []relation.Tuple) []byte {
 	for _, v := range [...]int64{w.Spec.RangeMS, w.Spec.SlideMS, w.Spec.StartMS, w.NextEmit, w.MaxTS, w.Late, w.Seq} {
 		b = wire.AppendI64(b, v)
 	}
+	b = wire.AppendU32(b, uint32(len(head)))
 	b = wire.AppendU32(b, uint32(len(w.Rows)))
+	for _, row := range head {
+		b = wire.AppendRow(b, row)
+	}
 	for _, row := range w.Rows {
 		b = wire.AppendRow(b, row)
 	}
@@ -133,15 +171,34 @@ func appendWindow(b []byte, w *Window) []byte {
 	return b
 }
 
-// readWindow decodes one window operator, rejecting open windows no
-// operator could hold (see stream.WindowState.Check).
-func readWindow(r *wire.Reader, w *Window) {
+// table is the decoder's view of one operator: its staged head and log
+// in one slice, which staged windows alias, and whether a staged window
+// starts at the head and runs into the log, as the window the encoder
+// took the head from does.
+type table struct {
+	rows []relation.Tuple
+	head int
+	used bool
+}
+
+// readWindow decodes one window operator and returns its table,
+// rejecting open windows no operator could hold (see
+// stream.WindowState.Check).
+func readWindow(r *wire.Reader, w *Window) table {
 	w.Spec = stream.WindowSpec{RangeMS: r.I64(), SlideMS: r.I64(), StartMS: r.I64()}
 	w.NextEmit, w.MaxTS, w.Late, w.Seq = r.I64(), r.I64(), r.I64(), r.I64()
-	if n := r.Count(minRow); n > 0 {
-		w.Rows = make([]relation.Tuple, n)
-		for i := range w.Rows {
-			w.Rows[i] = r.Row()
+	t := table{head: int(r.U32())}
+	n := int(r.U32())
+	if (t.head+n)*minRow > r.Len() {
+		r.Fail(wire.ErrMalformed)
+	}
+	if r.Err() == nil && t.head+n > 0 {
+		t.rows = make([]relation.Tuple, t.head+n)
+		for i := range t.rows {
+			t.rows[i] = r.Row()
+		}
+		if n > 0 {
+			w.Rows = t.rows[t.head:]
 		}
 	}
 	if n := r.Count(minOpen); n > 0 {
@@ -153,12 +210,14 @@ func readWindow(r *wire.Reader, w *Window) {
 	if r.Err() == nil && w.Check() != nil {
 		r.Fail(wire.ErrMalformed)
 	}
+	return t
 }
 
-// appendQuery writes one query: its fields, the index of the operator
-// each stream reference reads (-1 as 0xffffffff), and its staged
-// windows.
-func appendQuery(b []byte, q *QueryState) []byte {
+// appendQuery writes the i-th query: its fields, the index of the
+// operator each stream reference reads (-1 as 0xffffffff), and its
+// staged windows.
+func appendQuery(b []byte, es *EngineState, i int, heads [][]relation.Tuple) []byte {
+	q := &es.Queries[i]
 	b = wire.AppendString(b, q.ID)
 	b = wire.AppendI64(b, int64(q.Failures))
 	b = wire.AppendBool(b, q.Suspended)
@@ -169,7 +228,6 @@ func appendQuery(b []byte, q *QueryState) []byte {
 		b = wire.AppendU32(b, uint32(k))
 	}
 	b = wire.AppendU32(b, uint32(len(q.Pending)))
-	prev := make([][]relation.Tuple, len(q.Windows)) // each chain's last batch
 	for _, pw := range q.Pending {
 		refs := make([]int, 0, len(pw.Batches))
 		for ref := range pw.Batches {
@@ -179,20 +237,19 @@ func appendQuery(b []byte, q *QueryState) []byte {
 		b = wire.AppendI64(b, pw.End)
 		b = wire.AppendU32(b, uint32(len(refs)))
 		for _, ref := range refs {
-			var none []relation.Tuple
-			chain := &none
-			if ref >= 0 && ref < len(prev) {
-				chain = &prev[ref]
+			var head, log []relation.Tuple
+			if w := es.Window(q, ref); w != nil {
+				head, log = heads[q.Windows[ref]], w.Rows
 			}
-			b = appendBatch(wire.AppendI64(b, int64(ref)), pw.Batches[ref], chain)
+			b = appendBatch(wire.AppendI64(b, int64(ref)), pw.Batches[ref], head, log)
 		}
 	}
 	return b
 }
 
 // readQuery decodes one query whose indices may name any of the
-// checkpoint's first windows operators.
-func readQuery(r *wire.Reader, q *QueryState, windows int) {
+// operators whose tables are given.
+func readQuery(r *wire.Reader, q *QueryState, tables []table) {
 	q.ID = r.String()
 	q.Failures = int(r.I64())
 	q.Suspended = r.Bool()
@@ -201,12 +258,11 @@ func readQuery(r *wire.Reader, q *QueryState, windows int) {
 	if n := r.Count(minRef); n > 0 {
 		q.Windows = make([]int, n)
 		for i := range q.Windows {
-			if q.Windows[i] = int(int32(r.U32())); q.Windows[i] < -1 || q.Windows[i] >= windows {
+			if q.Windows[i] = int(int32(r.U32())); q.Windows[i] < -1 || q.Windows[i] >= len(tables) {
 				r.Fail(wire.ErrMalformed) // names no operator
 			}
 		}
 	}
-	chains := make([]chain, len(q.Windows))
 	if n := r.Count(minPending); n > 0 {
 		q.Pending = make([]PendingWindow, n)
 	}
@@ -222,89 +278,92 @@ func readQuery(r *wire.Reader, q *QueryState, windows int) {
 			if j > 0 && ref <= last {
 				r.Fail(wire.ErrMalformed) // refs out of order
 			}
-			c := &chain{}
-			if ref >= 0 && ref < len(chains) {
-				c = &chains[ref]
+			var t *table
+			if ref >= 0 && ref < len(q.Windows) && q.Windows[ref] >= 0 && r.Err() == nil {
+				t = &tables[q.Windows[ref]]
 			}
-			pw.Batches[ref], last = c.read(r), ref
+			pw.Batches[ref], last = readBatch(r, t), ref
 		}
 	}
 }
 
-// appendBatch writes one batch of a chain whose previous batch is
-// *prev, and makes it the chain's previous batch.
-func appendBatch(b []byte, bt stream.Batch, prev *[]relation.Tuple) []byte {
+// appendBatch writes one staged batch of a stream reference whose
+// operator's table is head followed by log (both nil for a reference
+// that reads no operator): its bounds, its row count, and the offset in
+// the table of the run its rows are, or -1 (0xffffffff) followed by the
+// rows.
+func appendBatch(b []byte, bt stream.Batch, head, log []relation.Tuple) []byte {
 	b = wire.AppendI64(b, bt.WindowID)
 	b = wire.AppendI64(b, bt.Start)
 	b = wire.AppendI64(b, bt.End)
-	skip, k := repeated(*prev, bt.Rows)
 	b = wire.AppendU32(b, uint32(len(bt.Rows)))
-	b = wire.AppendU32(b, uint32(skip))
-	for _, row := range bt.Rows[k:] {
-		b = wire.AppendRow(b, row)
+	at := runIn(head, log, bt.Rows)
+	b = wire.AppendU32(b, uint32(at))
+	if at < 0 {
+		for _, row := range bt.Rows {
+			b = wire.AppendRow(b, row)
+		}
 	}
-	*prev = bt.Rows
 	return b
 }
 
-// repeated finds the run of prev that rows starts with: rows[:k] are
-// prev[skip:], the rest of prev. Rows are matched by identity (the
+// runIn returns the offset at which rows run in the table head followed
+// by log, or -1 when they do not. Rows are matched by identity (the
 // backing array of a row), which is how overlapping windows share them,
-// so a run must start at a non-empty row; no run is k = 0,
-// skip = len(prev).
-func repeated(prev, rows []relation.Tuple) (skip, k int) {
-	if len(rows) > 0 && len(rows[0]) > 0 {
-		for q := range prev {
-			if len(prev[q]) > 0 && &prev[q][0] == &rows[0][0] {
-				if k = len(prev) - q; k <= len(rows) && sameRows(prev[q:], rows[:k]) {
-					return q, k
+// so a run starts at a non-empty row.
+func runIn(head, log, rows []relation.Tuple) int {
+	at := func(i int) relation.Tuple {
+		if i < len(head) {
+			return head[i]
+		}
+		return log[i-len(head)]
+	}
+	for lo := 0; len(rows) > 0 && lo+len(rows) <= len(head)+len(log); lo++ {
+		if same(at(lo), rows[0]) {
+			for i, row := range rows {
+				if t := at(lo + i); len(t) != len(row) || len(t) > 0 && &t[0] != &row[0] {
+					return -1
 				}
-				break
+			}
+			return lo
+		}
+	}
+	return -1
+}
+
+// same reports whether two rows are one: non-empty, with one backing
+// array.
+func same(a, b relation.Tuple) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
+
+// readBatch decodes one staged batch of a stream reference that reads
+// the operator whose table is t (nil for none). A run aliases the
+// table, so the overlapping windows of a restored checkpoint share row
+// headers again. A batch the encoder could not have written (a run
+// past the table, empty, or starting at an empty row, or any run
+// without a table) is rejected.
+func readBatch(r *wire.Reader, t *table) stream.Batch {
+	b := stream.Batch{WindowID: r.I64(), Start: r.I64(), End: r.I64()}
+	n, at := int(r.U32()), int(int32(r.U32()))
+	switch {
+	case r.Err() != nil:
+	case at == -1:
+		if n*minRow > r.Len() {
+			r.Fail(wire.ErrMalformed)
+			break
+		}
+		if n > 0 {
+			b.Rows = make([]relation.Tuple, n)
+			for i := range b.Rows {
+				b.Rows[i] = r.Row()
 			}
 		}
-	}
-	return len(prev), 0
-}
-
-// sameRows reports whether a and b hold the same rows: the same backing
-// arrays, or both empty.
-func sameRows(a, b []relation.Tuple) bool {
-	for i := range a {
-		if len(a[i]) != len(b[i]) || len(a[i]) > 0 && &a[i][0] != &b[i][0] {
-			return false
+	case t == nil || at < 0 || n == 0 || at+n > len(t.rows) || len(t.rows[at]) == 0:
+		r.Fail(wire.ErrMalformed)
+	default:
+		b.Rows = t.rows[at : at+n : at+n]
+		if at == 0 && n > t.head && len(t.rows[t.head]) > 0 {
+			t.used = true
 		}
 	}
-	return true
-}
-
-// chain is the decoder's state for one stream reference: every row
-// decoded so far, of which the previous batch is the last `last`.
-type chain struct {
-	rows []relation.Tuple
-	last int
-}
-
-// read decodes one batch. Its rows alias the chain's row table, so the
-// overlapping windows of a restored checkpoint share row headers again.
-// A batch the encoder could not have written (a repeated run longer
-// than the batch, or one that starts at an empty row) is rejected.
-func (c *chain) read(r *wire.Reader) stream.Batch {
-	b := stream.Batch{WindowID: r.I64(), Start: r.I64(), End: r.I64()}
-	n, skip := int(r.U32()), int(r.U32())
-	k := c.last - skip
-	if skip > c.last || k > n || (n-k)*minRow > r.Len() || k > 0 && len(c.rows[len(c.rows)-k]) == 0 {
-		r.Fail(wire.ErrMalformed)
-	}
-	if r.Err() != nil {
-		return b
-	}
-	c.rows = slices.Grow(c.rows, n-k)
-	for i := k; i < n; i++ {
-		c.rows = append(c.rows, r.Row())
-	}
-	if end := len(c.rows); n > 0 {
-		b.Rows = c.rows[end-n : end : end]
-	}
-	c.last = n
 	return b
 }

@@ -182,14 +182,16 @@ func heldRows(ck *Checkpoint) int {
 
 // TestCodecSeededRoundTrip round-trips checkpoints of every value type,
 // NULLs, empty rows, empty and nil maps and slices, operators read by
-// several queries and by none, and rows shared across overlapping
-// staged windows: the decoded checkpoint equals the original,
+// several queries and by none, rows shared across overlapping staged
+// windows, and staged windows overlapping their operator's log: the
+// decoded checkpoint equals the original,
 // re-encodes to the same bytes, and shares staged rows exactly where
 // the original did.
 func TestCodecSeededRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ck := windowCheckpoint(rng, 3, 2, 150+rng.Intn(100))
+		withTailReader(ck)
 		ck.Engine.Queries = append(ck.Engine.Queries,
 			QueryState{ID: "empty", Windows: []int{}, Pending: []PendingWindow{}},
 			QueryState{ID: "nil"},
@@ -227,21 +229,81 @@ func TestCodecSeededRoundTrip(t *testing.T) {
 }
 
 // TestCodecWritesSharedRowsOnce pins the row sharing: a 10 s window
-// sliding by 1 s holds each row in ten windows, and the blob carries it
-// once.
+// sliding by 1 s holds each row in ten windows, and the blob writes
+// each distinct row once. It is the blob of the operator alone, plus
+// the staged rows the operator's log no longer holds, plus the fixed
+// fields of each staged window.
 func TestCodecWritesSharedRowsOnce(t *testing.T) {
 	ck := windowCheckpoint(rand.New(rand.NewSource(3)), 1, 1, 400)
 	blob, _ := Encode(ck)
 	held := heldRows(ck)
-	once := rowArrays(&ck.Engine.Queries[0], ck.Engine.Windows[0].Rows)
-	if held < 5*once {
+	q, log := ck.Engine.Queries[0], ck.Engine.Windows[0].Rows
+	if once := rowArrays(&q, log); held < 5*once {
 		t.Fatalf("fixture holds %d row references over %d rows; want heavy overlap", held, once)
 	}
-	// A written row is at least its arity and a 9-byte time value; the
-	// blob must be far below writing every reference.
-	if len(blob) >= held*11 {
-		t.Fatalf("blob is %d bytes for %d rows held %d times: shared rows were rewritten", len(blob), once, held)
+	alone, unstaged := *ck, q
+	unstaged.Pending = nil
+	alone.Engine.Queries = []QueryState{unstaged}
+	want, _ := Encode(&alone)
+	size := len(want)
+	// Every staged window runs into the log, so the rows the log no
+	// longer holds are the longest run before its first row.
+	var before []relation.Tuple
+	for _, pw := range q.Pending {
+		size += 12 // end, batch count
+		for _, b := range pw.Batches {
+			size += 40 // reference, bounds, row count, run offset
+			at := slices.IndexFunc(b.Rows, func(row relation.Tuple) bool { return len(row) > 0 && &row[0] == &log[0][0] })
+			if at < 0 {
+				t.Fatal("a staged window does not reach the log: the fixture changed")
+			}
+			if at > len(before) {
+				before = b.Rows[:at]
+			}
+		}
 	}
+	if len(before) == 0 {
+		t.Fatal("the log holds every staged row: the check is vacuous")
+	}
+	for _, row := range before {
+		size += len(wire.AppendRow(nil, row))
+	}
+	if len(blob) != size {
+		t.Fatalf("blob is %d bytes, %d with each distinct row written once", len(blob), size)
+	}
+}
+
+// withTailReader adds a reader of q00's first operator whose staged
+// windows overlap that operator's log: one runs from the staged rows
+// before the log into it, one lies inside the log, and one holds a row
+// of its own.
+func withTailReader(ck *Checkpoint) {
+	q0 := &ck.Engine.Queries[0]
+	k := q0.Windows[0]
+	log := ck.Engine.Windows[k].Rows
+	var staged []relation.Tuple // q00's first staged window over the operator
+	for _, pw := range q0.Pending {
+		if b, ok := pw.Batches[0]; ok {
+			staged = b.Rows
+			break
+		}
+	}
+	at := slices.IndexFunc(staged, func(row relation.Tuple) bool { return len(row) > 0 && &row[0] == &log[0][0] })
+	if at < 2 || len(log) < 8 {
+		panic("the fixture has no staged rows before the log")
+	}
+	from, mid := at-2, 3
+	for len(staged[from]) == 0 { // a run starts at a row of its own
+		from--
+	}
+	for len(log[mid]) == 0 {
+		mid++
+	}
+	ck.Engine.Queries = append(ck.Engine.Queries, QueryState{ID: "tail", Windows: []int{k}, Pending: []PendingWindow{
+		{End: 1, Batches: map[int]stream.Batch{0: {End: 1, Rows: append(slices.Clip(staged[from:at]), log[:5]...)}}},
+		{End: 2, Batches: map[int]stream.Batch{0: {End: 2, Rows: slices.Clip(log[mid : mid+5])}}},
+		{End: 3, Batches: map[int]stream.Batch{0: {End: 3, Rows: []relation.Tuple{{relation.Int(7)}}}}},
+	}})
 }
 
 // TestCodecWritesSharedOperatorOnce pins the window sharing across
@@ -409,7 +471,10 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	reader := shared.Engine.Queries[0]
 	reader.ID = "r"
 	shared.Engine.Queries = append(shared.Engine.Queries, reader)
-	for _, ck := range []*Checkpoint{shared, sampleCheckpoint()} {
+	// A reader whose staged windows overlap its operator's log.
+	tail := windowCheckpoint(rand.New(rand.NewSource(5)), 1, 1, 110)
+	withTailReader(tail)
+	for _, ck := range []*Checkpoint{shared, tail, sampleCheckpoint()} {
 		blob, _ := Encode(ck)
 		f.Add(blob[wire.HeaderSize:])
 	}

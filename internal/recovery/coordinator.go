@@ -107,5 +107,5 @@ func (c *Coordinator) NoteRestore() { c.restores.Inc() }
 func (c *Coordinator) NoteReplayed(n int) { c.replayed.Add(int64(n)) }
 
 // NoteLostCoverage counts a restore whose replay log had shed uncovered
-// tuples — exactly-once degraded to salvage-only for the gap.
+// tuples, so windows spanning the gap may be incomplete.
 func (c *Coordinator) NoteLostCoverage() { c.lostCoverage.Inc() }

@@ -9,8 +9,8 @@ import "sync"
 // prefix.
 //
 // The log is a ring: when capacity pressure sheds an uncovered tuple,
-// exactly-once coverage for that stream is lost (the restore degrades to
-// salvage-only for the gap) and Covered reports it.
+// exactly-once coverage for that stream is lost (windows spanning the
+// gap may be incomplete after a restore) and Covered reports it.
 type Log struct {
 	mu sync.Mutex
 	// buf is the ring storage, grown on demand up to cap; the retained

@@ -98,7 +98,7 @@ func (s *EngineState) Query(id string) *QueryState {
 // Window returns the operator state a query's ref-th stream reference
 // reads, or nil when it reads none.
 func (s *EngineState) Window(q *QueryState, ref int) *Window {
-	if q == nil || ref >= len(q.Windows) || q.Windows[ref] < 0 || q.Windows[ref] >= len(s.Windows) {
+	if q == nil || ref < 0 || ref >= len(q.Windows) || q.Windows[ref] < 0 || q.Windows[ref] >= len(s.Windows) {
 		return nil
 	}
 	return &s.Windows[q.Windows[ref]]
