@@ -17,7 +17,7 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -173,9 +173,11 @@ type Cluster struct {
 	// node) so crashed nodes can be rebuilt and dead nodes' queries can
 	// fail over.
 	queries map[string]*queryRecord
-	// streamHosts maps stream name -> set of node indexes hosting
-	// queries over it.
-	streamHosts map[string]map[int]struct{}
+	// streamHosts maps stream name -> the node indexes hosting queries
+	// over it, ascending: the routing slice Ingest reads. A rebuild
+	// replaces the slices, never edits them, so a reader may use one
+	// after dropping c.mu.
+	streamHosts map[string][]int
 	rrNext      int
 	schemas     map[string]stream.Schema
 	udfs        map[string]engine.ScalarFunc
@@ -212,13 +214,14 @@ type Cluster struct {
 
 // queryRecord is the retained registration of one continuous query.
 type queryRecord struct {
-	id     string
-	stmt   *sql.SelectStmt
-	pulse  *stream.Pulse
-	sink   exastream.Sink
-	node   int
-	budget int64  // admitted window-state byte budget (0 = unenforced)
-	tenant string // TenantOf(id), for quota release
+	id      string
+	stmt    *sql.SelectStmt
+	streams []string // streamNamesOf(stmt)
+	pulse   *stream.Pulse
+	sink    exastream.Sink
+	node    int
+	budget  int64  // admitted window-state byte budget (0 = unenforced)
+	tenant  string // TenantOf(id), for quota release
 
 	// Recovery bookkeeping (guarded by Cluster.mu). pendingRestore marks
 	// a query assigned to node whose engine-side registration happens via
@@ -311,7 +314,7 @@ func New(opts Options, catalogFor func(node int) *relation.Catalog) (*Cluster, e
 		opts:        opts,
 		catalogFor:  catalogFor,
 		queries:     make(map[string]*queryRecord),
-		streamHosts: make(map[string]map[int]struct{}),
+		streamHosts: make(map[string][]int),
 		schemas:     make(map[string]stream.Schema),
 		udfs:        make(map[string]engine.ScalarFunc),
 		reg:         reg,
@@ -544,15 +547,8 @@ func (c *Cluster) registerAdmitted(id string, stmt *sql.SelectStmt, pulse *strea
 	}
 	atomic.AddInt32(&c.nodes[node].queries, 1)
 	c.nodes[node].budgetUsed += budget
-	c.queries[id] = &queryRecord{id: id, stmt: stmt, pulse: pulse, sink: sink, node: node, budget: budget, tenant: tenant}
-	for _, ref := range streamNamesOf(stmt) {
-		hosts, ok := c.streamHosts[ref]
-		if !ok {
-			hosts = make(map[int]struct{})
-			c.streamHosts[ref] = hosts
-		}
-		hosts[node] = struct{}{}
-	}
+	c.queries[id] = &queryRecord{id: id, stmt: stmt, streams: streamNamesOf(stmt), pulse: pulse, sink: sink, node: node, budget: budget, tenant: tenant}
+	c.rebuildHostsLocked()
 	return node, nil
 }
 
@@ -652,29 +648,20 @@ func (c *Cluster) pickNodeForLocked(budget int64) int {
 }
 
 // rebuildHostsLocked recomputes the stream -> hosting-nodes routing
-// table from the retained query records (after unregister or failover).
+// table from the retained query records, after every registration,
+// unregistration, failover and dropped restore.
 func (c *Cluster) rebuildHostsLocked() {
-	hosts := make(map[string]map[int]struct{})
+	hosts := make(map[string][]int)
 	for _, rec := range c.queries {
-		for _, s := range streamNamesOf(rec.stmt) {
-			h, ok := hosts[s]
-			if !ok {
-				h = make(map[int]struct{})
-				hosts[s] = h
-			}
-			h[rec.node] = struct{}{}
+		for _, s := range rec.streams {
+			hosts[s] = append(hosts[s], rec.node)
 		}
 	}
-	c.streamHosts = hosts
-}
-
-func (c *Cluster) sortedHostsLocked(key string) []int {
-	hosts := make([]int, 0, len(c.streamHosts[key]))
-	for h := range c.streamHosts[key] {
-		hosts = append(hosts, h)
+	for s, h := range hosts {
+		slices.Sort(h)
+		hosts[s] = slices.Compact(h)
 	}
-	sort.Ints(hosts)
-	return hosts
+	c.streamHosts = hosts
 }
 
 // Ingest routes one tuple with the configured backpressure policy and
@@ -712,7 +699,7 @@ func (c *Cluster) IngestContext(ctx context.Context, streamName string, el strea
 		c.mu.Unlock()
 		return fmt.Errorf("cluster: unknown stream %q", streamName)
 	}
-	hosts := c.sortedHostsLocked(key)
+	hosts := c.streamHosts[key]
 	var seq int64
 	if len(hosts) > 0 {
 		// Per-stream monotonic sequence, assigned under the cluster lock

@@ -305,7 +305,7 @@ func (c *Cluster) failover(n *Node) {
 		if !victimLog.Covered(rec.cursors) {
 			c.rec.NoteLostCoverage()
 		}
-		for _, s := range streamNamesOf(rec.stmt) {
+		for _, s := range rec.streams {
 			fed[s] = true
 		}
 		rec.pendingRestore = true
@@ -356,7 +356,7 @@ func (c *Cluster) resendLocked(t recovery.Tuple) bool {
 	if c.opts.PartitionColumn == "" {
 		return false
 	}
-	hosts := c.sortedHostsLocked(t.Stream)
+	hosts := c.streamHosts[t.Stream]
 	schema, ok := c.schemas[t.Stream]
 	if !ok || len(hosts) == 0 {
 		return false

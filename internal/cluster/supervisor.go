@@ -129,12 +129,8 @@ func (n *Node) supervise(c *Cluster) {
 		if n.runGuarded(c) {
 			return // inbox closed: clean shutdown
 		}
-		restarts := int(atomic.AddInt32(&n.restarts, 1))
-		c.met.restarts.Inc()
-		n.rec.Record(telemetry.EvRestart, "", "", 0, int64(restarts))
-		if restarts > c.opts.maxRestarts() {
-			c.failover(n)
-			c.settle(-1)
+		restarts, dead := n.crashed(c)
+		if dead {
 			return
 		}
 		// Retry the in-flight item on the rebuilt engine. A poison item
@@ -149,12 +145,7 @@ func (n *Node) supervise(c *Cluster) {
 			time.Sleep(c.opts.backoffFor(restarts))
 			alive, crashed := c.rebuildNodeGuarded(n)
 			if crashed {
-				restarts = int(atomic.AddInt32(&n.restarts, 1))
-				c.met.restarts.Inc()
-				n.rec.Record(telemetry.EvRestart, "", "", 0, int64(restarts))
-				if restarts > c.opts.maxRestarts() {
-					c.failover(n)
-					c.settle(-1)
+				if restarts, dead = n.crashed(c); dead {
 					return
 				}
 				continue
@@ -167,6 +158,22 @@ func (n *Node) supervise(c *Cluster) {
 		}
 		c.settle(-1)
 	}
+}
+
+// crashed counts one crash of the node, in the worker loop or during a
+// rebuild, and returns the node's restart count. Past the restart
+// budget the node is declared dead and its queries fail over: dead is
+// true and the worker goroutine must exit.
+func (n *Node) crashed(c *Cluster) (restarts int, dead bool) {
+	restarts = int(atomic.AddInt32(&n.restarts, 1))
+	c.met.restarts.Inc()
+	n.rec.Record(telemetry.EvRestart, "", "", 0, int64(restarts))
+	if restarts <= c.opts.maxRestarts() {
+		return restarts, false
+	}
+	c.failover(n)
+	c.settle(-1)
+	return restarts, true
 }
 
 // rebuildNodeGuarded runs restoreNode with panic containment: crashed

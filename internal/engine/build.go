@@ -51,7 +51,7 @@ func (a *AliasPlan) String() string { return fmt.Sprintf("Alias(%s)", a.Alias) }
 
 // Execute implements Plan.
 func (a *AliasPlan) Execute(ctx *ExecContext) ([]relation.Tuple, error) {
-	return a.Input.Execute(ctx)
+	return execChild(ctx, a.Input)
 }
 
 // Build compiles a SELECT statement into an executable plan using the

@@ -146,8 +146,7 @@ func TestVectorizedColumnsOwnedByCaller(t *testing.T) {
 		for b := 0; b < 8; b++ {
 			rows := randomBatch(rng)
 			in := relation.Transpose(rows)
-			wsp.Bind(rows)
-			wsp.BindColumns(in)
+			wsp.Bind(rows, in)
 			cb, err := ExecutePlanColumns(ctx, plan)
 			if err != nil {
 				t.Fatal(err)
@@ -221,8 +220,7 @@ func TestReleaseScratchDropsWindowReferences(t *testing.T) {
 	for len(rows) < 8 {
 		rows = append(rows, rows...)
 	}
-	wsp.Bind(rows)
-	wsp.BindColumns(relation.Transpose(rows))
+	wsp.Bind(rows, relation.Transpose(rows))
 	if _, err := ExecutePlanColumns(NewExecContext(cat), plan); err != nil {
 		t.Fatal(err)
 	}

@@ -248,7 +248,7 @@ func TestReorderLookupChainBySelectivity(t *testing.T) {
 		{relation.Int(8), relation.Int(0)},
 	}
 	exec := func(p Plan) []string {
-		src.Bind(rows)
+		src.Bind(rows, relation.Transpose(rows))
 		out, err := p.Execute(NewExecContext(cat))
 		if err != nil {
 			t.Fatal(err)

@@ -396,9 +396,6 @@ func readOnlyFrame(cb *relation.ColBatch) *vecFrame {
 func (w *WindowSourcePlan) executeVec(ctx *ExecContext) (*vecFrame, error) {
 	ctx.Stats.enter(OpWindowSource)
 	cb := w.cols
-	if cb == nil {
-		cb = relation.Transpose(w.rows)
-	}
 	n := cb.Len()
 	ctx.Stats.RowsScanned += int64(n)
 	ctx.Stats.produced(OpWindowSource, n)

@@ -215,7 +215,7 @@ func TestVectorizedFilterNaN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wsp.Bind(rows)
+		wsp.Bind(rows, relation.Transpose(rows))
 		for _, ctx := range []*ExecContext{rowPathContext(cat), NewExecContext(cat)} {
 			res, err := ExecutePlan(ctx, plan)
 			if err != nil {
@@ -259,12 +259,7 @@ func TestVectorizedDifferentialSeeded(t *testing.T) {
 		}
 		for b := 0; b < 3; b++ {
 			rows := randomBatch(rng)
-			wsp.Bind(rows)
-			if rng.Intn(2) == 0 {
-				// Half the executions get a pre-transposed batch, the way
-				// the stream engine shares one transposition per window.
-				wsp.BindColumns(relation.Transpose(rows))
-			}
+			wsp.Bind(rows, relation.Transpose(rows))
 			diffExec(t, cat, plan, fmt.Sprintf("trial %d batch %d: %s", trial, b, query))
 		}
 	}
@@ -289,10 +284,7 @@ func TestVectorizedLookupJoinDifferential(t *testing.T) {
 				[]sql.Expr{sql.Col("w.sid")}, []string{"id"}, residual)
 			for b := 0; b < 6; b++ {
 				rows := randomBatch(rng)
-				wsp.Bind(rows)
-				if b%2 == 0 {
-					wsp.BindColumns(relation.Transpose(rows))
-				}
+				wsp.Bind(rows, relation.Transpose(rows))
 				diffExec(t, cat, lj, fmt.Sprintf("indexed=%v residual=%v batch %d", indexed, residual != nil, b))
 			}
 		}
@@ -337,7 +329,7 @@ func TestVectorizedEdgeBatches(t *testing.T) {
 	}
 	for _, c := range cases {
 		plan, wsp := mk(c.query)
-		wsp.Bind(c.rows)
+		wsp.Bind(c.rows, relation.Transpose(c.rows))
 		ctx := NewExecContext(cat)
 		got, err := ExecutePlan(ctx, plan)
 		if err != nil {
@@ -385,8 +377,7 @@ func TestVectorizedSharedWindowRace(t *testing.T) {
 			}
 			ctx := NewExecContext(cat)
 			for iter := 0; iter < 100; iter++ {
-				wsp.Bind(rows)
-				wsp.BindColumns(cb)
+				wsp.Bind(rows, cb)
 				if _, err := ExecutePlan(ctx, plan); err != nil {
 					errs[g] = err
 					return
@@ -399,5 +390,56 @@ func TestVectorizedSharedWindowRace(t *testing.T) {
 		if err != nil {
 			t.Fatalf("goroutine %d: %v", g, err)
 		}
+	}
+}
+
+// TestDerivedTableRunsKernels checks that a derived table's top
+// operator runs columnar when its subtree has kernels: the inner
+// projection compiles its columnar expressions and never its row
+// closures, and the result equals the row path's.
+func TestDerivedTableRunsKernels(t *testing.T) {
+	cat := relation.NewCatalog()
+	schema := relation.NewSchema(relation.Col("a", relation.TInt), relation.Col("b", relation.TInt))
+	rows := []relation.Tuple{
+		{relation.Int(1), relation.Int(0)},
+		{relation.Int(2), relation.Int(2)},
+		{relation.Int(3), relation.Int(5)},
+		{relation.Int(4), relation.Null},
+	}
+	const query = "SELECT d.x FROM (SELECT w.a AS x FROM w WHERE w.b > 1) AS d"
+	run := func(ctx *ExecContext) (*ProjectPlan, []relation.Tuple) {
+		t.Helper()
+		wsp := NewWindowSourcePlan("w", schema.Qualify("w"))
+		plan, err := Build(sql.MustParse(query), func(*sql.TableRef) (Plan, error) { return wsp, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		var inner *ProjectPlan
+		var find func(p Plan)
+		find = func(p Plan) {
+			if a, ok := p.(*AliasPlan); ok {
+				inner, _ = a.Input.(*ProjectPlan)
+			}
+			for _, c := range p.Children() {
+				find(c)
+			}
+		}
+		if find(plan); inner == nil {
+			t.Fatalf("no projection under the derived table's alias:\n%s", Explain(plan))
+		}
+		wsp.Bind(rows, relation.Transpose(rows))
+		res, err := ExecutePlan(ctx, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inner, res
+	}
+	inner, vecRes := run(NewExecContext(cat))
+	if inner.vexprs == nil || inner.exprs != nil {
+		t.Errorf("inner projection compiled columnar %v, row %v: want its kernel only", inner.vexprs != nil, inner.exprs != nil)
+	}
+	_, rowRes := run(rowPathContext(cat))
+	if got, want := fmt.Sprint(vecRes), fmt.Sprint(rowRes); got != want || got != "[(2) (3)]" {
+		t.Errorf("columnar %s, row path %s, want [(2) (3)]", got, want)
 	}
 }

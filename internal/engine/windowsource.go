@@ -26,20 +26,14 @@ func NewWindowSourcePlan(name string, schema relation.Schema) *WindowSourcePlan 
 	return &WindowSourcePlan{Name: name, schema: schema}
 }
 
-// Bind points the source at the rows of the current window batch. The
-// slice is retained, not copied; callers must not mutate it until the
-// next Bind. Any previously bound column batch is dropped so a
-// row-only rebind can never serve stale columns.
-func (w *WindowSourcePlan) Bind(rows []relation.Tuple) {
-	w.rows = rows
-	w.cols = nil
+// Bind points the source at the current window batch: its rows and
+// the same rows in columns, which the row and vectorized paths read
+// respectively. Both are retained, not copied; callers must not mutate
+// them until the next Bind. The stream engine passes each batch's shared
+// columnar form, so every query over one window reads one copy.
+func (w *WindowSourcePlan) Bind(rows []relation.Tuple, cols *relation.ColBatch) {
+	w.rows, w.cols = rows, cols
 }
-
-// BindColumns attaches the columnar form of the bound batch. The
-// vectorized path reads it directly; when absent, executeVec transposes
-// the bound rows itself. Callers pass the batch's shared transpose so
-// every query over the same window reuses one columnar copy.
-func (w *WindowSourcePlan) BindColumns(cb *relation.ColBatch) { w.cols = cb }
 
 func (w *WindowSourcePlan) Schema() relation.Schema { return w.schema }
 

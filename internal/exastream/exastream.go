@@ -282,10 +282,10 @@ type continuousQuery struct {
 	ops   []*sharedWindow // the operator each stream reference reads
 
 	mu          sync.Mutex
-	pending     map[int64]map[int]stagedBatch // window end -> refIdx -> batch
-	stagedBytes int64                         // sum of the pending charges (governance)
-	failures    int                           // consecutive failed executions
-	suspended   bool                          // quarantined: skips execution until Resume
+	pending     map[int64]map[int]stream.Batch // window end -> refIdx -> batch
+	stagedBytes int64                          // Σ Bytes of the pending batches (governance)
+	failures    int                            // consecutive failed executions
+	suspended   bool                           // quarantined: skips execution until Resume
 
 	// budget is the query's window-state byte budget (0 = unenforced);
 	// stride > 1 is DegradeWiden's slide widening: only every stride-th
@@ -321,18 +321,6 @@ type continuousQuery struct {
 	// configured); window executions append spans to it.
 	trace *telemetry.Trace
 }
-
-// stagedBatch is one batch parked in a multi-ref query's pending map,
-// with the byte estimate it was charged when staged. Releasing it
-// subtracts that charge, not a fresh Bytes(): a shared batch's estimate
-// grows when any query materialises its columns, and re-measuring would let
-// stagedBytes drift below the staged state.
-type stagedBatch struct {
-	b     stream.Batch
-	bytes int64
-}
-
-func newStaged(b stream.Batch) stagedBatch { return stagedBatch{b: b, bytes: b.Bytes()} }
 
 // cachedPlan is a continuous query's compiled physical plan, built once
 // and re-executed every tick by rebinding the window sources. It is
@@ -441,7 +429,7 @@ func (e *Engine) newQuery(id string, stmt *sql.SelectStmt, pulse *stream.Pulse, 
 	}
 	q := &continuousQuery{
 		id: id, stmt: stmt, refs: refs, pulse: pulse, sink: sink,
-		pending: make(map[int64]map[int]stagedBatch),
+		pending: make(map[int64]map[int]stream.Batch),
 	}
 	if e.opts.Tracer != nil {
 		// Attach to an existing trace (started by the coordinator at
@@ -766,23 +754,22 @@ func (e *Engine) stage(q *continuousQuery, refIdx int, b stream.Batch) (execItem
 	}
 	m, ok := q.pending[b.End]
 	if !ok {
-		m = make(map[int]stagedBatch)
+		m = make(map[int]stream.Batch)
 		q.pending[b.End] = m
 	}
 	if old, dup := m[refIdx]; dup {
-		q.stagedBytes -= old.bytes
+		q.stagedBytes -= old.Bytes()
 	}
-	sb := newStaged(b)
-	m[refIdx] = sb
-	q.stagedBytes += sb.bytes
+	m[refIdx] = b
+	q.stagedBytes += b.Bytes()
 	if len(m) != len(q.refs) {
 		return execItem{}, false
 	}
 	delete(q.pending, b.End)
 	bs := make([]stream.Batch, len(q.refs))
 	for ref, sb := range m {
-		q.stagedBytes -= sb.bytes
-		bs[ref] = sb.b
+		q.stagedBytes -= sb.Bytes()
+		bs[ref] = sb
 	}
 	return execItem{q: q, end: b.End, batches: bs}, true
 }
@@ -964,11 +951,9 @@ func (e *Engine) executeItem(it execItem) error {
 	rowsIn := 0
 	for i, src := range cp.sources {
 		if src != nil {
-			src.Bind(it.batches[i].Rows)
-			// The batch's column cell is shared across every query's
-			// delivery: all of them read the operator's one column-log
-			// view of the window.
-			src.BindColumns(it.batches[i].Columns())
+			// Every query's delivery of a window carries the same
+			// column-log view of it.
+			src.Bind(it.batches[i].Rows, it.batches[i].Columns())
 			rowsIn += len(it.batches[i].Rows)
 			// Windowed sample for the stats store: EWMA rows per window
 			// plus per-column NDV of this batch.

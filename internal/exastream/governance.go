@@ -226,7 +226,7 @@ func (e *Engine) suspendOverBudget(t govTarget, usage, budget int64) {
 	q := t.q
 	q.mu.Lock()
 	q.suspended = true
-	q.pending = make(map[int64]map[int]stagedBatch)
+	q.pending = make(map[int64]map[int]stream.Batch)
 	q.stagedBytes = 0
 	q.mu.Unlock()
 	for _, op := range t.owned {
@@ -264,8 +264,8 @@ func (e *Engine) shedOldestStaged(q *continuousQuery) (freed int64, ok bool) {
 	if !found {
 		return 0, false
 	}
-	for _, sb := range m {
-		freed += sb.bytes
+	for _, b := range m {
+		freed += b.Bytes()
 	}
 	delete(q.pending, oldest)
 	q.stagedBytes -= freed

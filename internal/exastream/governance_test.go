@@ -2,6 +2,7 @@ package exastream
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -181,11 +182,11 @@ func TestGovernanceDefaultBudget(t *testing.T) {
 }
 
 // TestStagedBytesReleaseWhatWasCharged pins the staging charge: a
-// multi-ref query's staged bytes return to exactly zero once its
-// windows complete, even when another query transposed a staged shared
-// batch in between (which grows that batch's Bytes estimate). Releasing
-// a re-measured estimate instead of the charge drifts the total
-// negative, hiding real usage from the budget.
+// multi-ref query's staged bytes equal the Bytes of the batches it has
+// staged after every window, and return to exactly zero once its
+// windows complete, even when another query read a staged shared
+// batch's columns in between. An estimate that moved between charge
+// and release would drift the total, hiding real usage from the budget.
 func TestStagedBytesReleaseWhatWasCharged(t *testing.T) {
 	e := testRig(t, Options{})
 	if err := e.DeclareStream(stream.Schema{
@@ -200,8 +201,8 @@ func TestStagedBytesReleaseWhatWasCharged(t *testing.T) {
 		t.Fatal(err)
 	}
 	var c collector
-	// p reads msmt alone and transposes each shared msmt batch the tick
-	// it is emitted; q stages that same batch until msmt2's window
+	// p reads msmt alone and takes each shared msmt batch's columns the
+	// tick it is emitted; q stages that same batch until msmt2's window
 	// closes.
 	if err := e.Register("p", sql.MustParse("SELECT m.sid, m.val FROM STREAM msmt [RANGE 1000 SLIDE 1000] AS m"), nil, c.sink); err != nil {
 		t.Fatal(err)
@@ -214,32 +215,37 @@ func TestStagedBytesReleaseWhatWasCharged(t *testing.T) {
 		return stream.Timestamped{TS: ts, Row: relation.Tuple{relation.Int(ts%3 + 1), relation.Time(ts), relation.Float(float64(ts % 70))}}
 	}
 	cq := e.queries["q"]
-	for win := int64(0); win < 4; win++ {
-		for ts := win * 1000; ts < (win+1)*1000; ts += 100 {
-			if err := e.Ingest("msmt", row(ts)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for ts := win * 1000; ts < (win+1)*1000; ts += 100 {
-			if err := e.Ingest("msmt2", row(ts)); err != nil {
-				t.Fatal(err)
-			}
-		}
+	staging := 0 // checks that saw a staged window
+	check := func(after string) {
+		t.Helper()
 		cq.mu.Lock()
 		staged, pending := cq.stagedBytes, len(cq.pending)
 		var want int64
 		for _, m := range cq.pending {
-			for _, sb := range m {
-				want += sb.b.Bytes()
+			for _, b := range m {
+				want += b.Bytes()
 			}
 		}
 		cq.mu.Unlock()
-		if pending == 0 && staged != 0 {
-			t.Fatalf("after window %d: stagedBytes = %d with nothing staged, want 0", win, staged)
+		if staged != want {
+			t.Fatalf("after %s: stagedBytes = %d, want %d for %d staged windows", after, staged, want, pending)
 		}
-		if staged < 0 || staged > want {
-			t.Fatalf("after window %d: stagedBytes = %d, outside [0, %d] for %d staged windows", win, staged, want, pending)
+		if pending > 0 {
+			staging++
 		}
+	}
+	for win := int64(0); win < 4; win++ {
+		for _, name := range []string{"msmt", "msmt2"} {
+			for ts := win * 1000; ts < (win+1)*1000; ts += 100 {
+				if err := e.Ingest(name, row(ts)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check(fmt.Sprintf("window %d of %s", win, name))
+		}
+	}
+	if staging == 0 {
+		t.Fatal("q never held a staged window: the check is vacuous")
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -1,6 +1,7 @@
 package exastream
 
 import (
+	"maps"
 	"slices"
 	"sort"
 
@@ -51,9 +52,8 @@ func (e *Engine) ExportState() *recovery.EngineState {
 		slices.Sort(ends)
 		for _, end := range ends {
 			pw := recovery.PendingWindow{End: end, Batches: make(map[int]stream.Batch, len(q.pending[end]))}
-			for ref, sb := range q.pending[end] {
-				b := sb.b // emitted, so its rows never change
-				b.Rows = slices.Clip(b.Rows)
+			for ref, b := range q.pending[end] {
+				b.Rows = slices.Clip(b.Rows) // emitted, so its rows never change
 				pw.Batches[ref] = b
 			}
 			s.Pending = append(s.Pending, pw)
@@ -101,12 +101,10 @@ func (r *Restore) Query(id string, stmt *sql.SelectStmt, pulse *stream.Pulse, si
 	}
 	if st := r.es.Query(id); st != nil {
 		for _, pw := range st.Pending {
-			m := make(map[int]stagedBatch, len(pw.Batches))
-			for ref, b := range pw.Batches {
-				m[ref] = newStaged(b)
-				q.stagedBytes += m[ref].bytes
+			for _, b := range pw.Batches {
+				q.stagedBytes += b.Bytes()
 			}
-			q.pending[pw.End] = m
+			q.pending[pw.End] = maps.Clone(pw.Batches) // stage adds to it
 		}
 		q.failures = st.Failures
 		q.suspended = st.Suspended

@@ -10,7 +10,9 @@ import (
 // monotonicity condition (EXISTS + guarded two-state FORALL via the
 // MONOTONIC.HAVING macro) over a 10-state window: the compiled
 // slot-frame program vs the environment-copying tree interpreter.
-// Recorded in BENCH_PR4.json via `optique-bench -exp record`.
+// Its past single samples are in EXPERIMENTS.md's frozen single-sample
+// table; run it with
+// `go test -run '^$' -bench HavingMatcher -benchmem ./internal/starql/`.
 func BenchmarkHavingMatcher(b *testing.B) {
 	q := MustParse(figure1)
 	subject := "http://x/sensor/1"

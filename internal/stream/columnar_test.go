@@ -7,125 +7,136 @@ import (
 	"repro/internal/relation"
 )
 
-// ensureColumnCell gives a hand-built batch a columnar cell without a
-// column-log view, so copies made from it share one transpose.
-func (b *Batch) ensureColumnCell() {
-	if b.cols == nil {
-		b.cols = &colCell{}
-	}
-}
-
-// TestBatchBytesPinsBothLayouts pins the byte-accounting model for the
-// flat and columnar layouts against explicit constant arithmetic, so a
-// change to either model is a deliberate test edit rather than a silent
-// governance-budget shift.
-func TestBatchBytesPinsBothLayouts(t *testing.T) {
+// TestBatchBytesPinsFlatRowModel pins the byte-accounting model against
+// explicit constant arithmetic, so a change to it is a deliberate test
+// edit rather than a silent governance-budget shift. A batch is charged
+// its flat rows alone, whether a reader took its columns or not and
+// whether an operator emitted it or it was built from its rows.
+func TestBatchBytesPinsFlatRowModel(t *testing.T) {
 	rows := []relation.Tuple{
 		{relation.Int(1), relation.String_("abc")},
 		{relation.Int(2), relation.Null},
 	}
-	b := Batch{WindowID: 1, Start: 0, End: 1000, Rows: rows}
-	b.ensureColumnCell()
-
 	// Flat model: batch header + per-tuple header + per-value cost
 	// (+ string payload).
 	flat := int64(batchOverheadBytes) +
 		2*(tupleOverheadBytes+2*valueOverheadBytes) +
 		int64(len("abc"))
-	if got := b.Bytes(); got != flat {
-		t.Fatalf("flat Bytes = %d, want %d", got, flat)
-	}
 
-	// Materialising the columnar form adds the column vectors on top of
-	// the flat rows (both layouts are resident).
-	cb := b.Columns()
-	if !b.Columnar() {
-		t.Fatal("Columnar() = false after Columns()")
+	built := Batch{WindowID: 0, Start: -1000, End: 0, Rows: rows}
+	op, err := NewTimeSlidingWindow(WindowSpec{RangeMS: 1000, SlideMS: 1000})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Column 0 (TInt, 2 values, no NULLs): header + 8 B per element.
-	col0 := int64(relation.VectorOverheadBytes) + 2*8
-	// Column 1 (TString with one NULL): header + string headers +
-	// payload + null bitmap (header + one word).
-	col1 := int64(relation.VectorOverheadBytes) + 2*16 + int64(len("abc")) +
-		relation.BitmapOverheadBytes + 8
-	colBytes := int64(relation.ColBatchOverheadBytes) + col0 + col1
-	if got := cb.Bytes(); got != colBytes {
-		t.Fatalf("ColBatch.Bytes = %d, want %d", got, colBytes)
+	op.Push(Timestamped{TS: -500, Row: rows[0]})
+	op.Push(Timestamped{TS: -400, Row: rows[1]})
+	out := op.Push(Timestamped{TS: 10, Row: rows[0]})
+	if len(out) != 1 {
+		t.Fatalf("emitted %d windows, want 1", len(out))
 	}
-	if got := b.Bytes(); got != flat+colBytes {
-		t.Fatalf("columnar Bytes = %d, want flat %d + cols %d = %d", got, flat, colBytes, flat+colBytes)
+	for _, b := range []Batch{built, out[0]} {
+		if got := b.Bytes(); got != flat {
+			t.Fatalf("window %d: Bytes = %d, want %d", b.WindowID, got, flat)
+		}
+		cb := b.Columns()
+		if got := b.Bytes(); got != flat {
+			t.Fatalf("window %d: Bytes after Columns = %d, want the flat model %d", b.WindowID, got, flat)
+		}
+		// The columns keep relation's own byte model. Column 0 (TInt, 2
+		// values, no NULLs): header + 8 B per element. Column 1 (TString
+		// with one NULL): header + string headers + payload + null bitmap
+		// (header + one word).
+		col0 := int64(relation.VectorOverheadBytes) + 2*8
+		col1 := int64(relation.VectorOverheadBytes) + 2*16 + int64(len("abc")) +
+			relation.BitmapOverheadBytes + 8
+		if got, want := cb.Bytes(), int64(relation.ColBatchOverheadBytes)+col0+col1; got != want {
+			t.Fatalf("window %d: ColBatch.Bytes = %d, want %d", b.WindowID, got, want)
+		}
 	}
-
-	// The memoized row estimate must agree with a fresh walk: a copy of
-	// the batch without the cell reports exactly the flat model.
-	bare := Batch{WindowID: 1, Start: 0, End: 1000, Rows: rows}
-	if got := bare.Bytes(); got != flat {
-		t.Fatalf("cell-less Bytes = %d, want %d", got, flat)
+	if got := (Batch{WindowID: 4}).Bytes(); got != batchOverheadBytes {
+		t.Fatalf("empty batch Bytes = %d, want %d", got, batchOverheadBytes)
 	}
 }
 
-// TestBatchTransposeKeepsSerializedFields pins the contract the
-// checkpoint codec relies on: the columnar cell is runtime-only state,
-// so materializing the transpose leaves every field a checkpoint
-// writes (WindowID, Start, End, Rows) as it was, and a batch rebuilt
-// from those fields, as a decoder builds it, comes back cell-less with
-// the flat byte model.
-func TestBatchTransposeKeepsSerializedFields(t *testing.T) {
-	rows := func() []relation.Tuple {
-		return []relation.Tuple{{relation.Int(1), relation.String_("abc")}, {relation.Int(2), relation.Null}}
+// TestEmittedBatchIsOneValue pins what the operator hands out: every
+// copy of an emitted batch returns the same columns, reading them
+// changes neither the fields a checkpoint writes nor Bytes, and a batch
+// rebuilt from those fields, as a decoder builds it, has the same Bytes
+// and transposes to the same columns.
+func TestEmittedBatchIsOneValue(t *testing.T) {
+	op, err := NewTimeSlidingWindow(WindowSpec{RangeMS: 1000, SlideMS: 1000})
+	if err != nil {
+		t.Fatal(err)
 	}
-	b := Batch{WindowID: 9, Start: 0, End: 1000, Rows: rows()}
-	b.ensureColumnCell()
-	b.Columns() // materialize the shared transpose
-	if !b.Columnar() {
-		t.Fatal("transpose did not materialize")
+	op.Push(Timestamped{TS: 10, Row: relation.Tuple{relation.Int(1), relation.String_("abc")}})
+	op.Push(Timestamped{TS: 20, Row: relation.Tuple{relation.Int(2), relation.Null}})
+	out := op.Push(Timestamped{TS: 1500, Row: relation.Tuple{relation.Int(3), relation.Float(1.5)}})
+	if len(out) != 1 || len(out[0].Rows) != 2 {
+		t.Fatalf("emitted %d windows, want one of 2 rows", len(out))
 	}
-	if b.WindowID != 9 || b.Start != 0 || b.End != 1000 || !reflect.DeepEqual(b.Rows, rows()) {
-		t.Fatal("materializing the transpose changed a serialized field")
+	b := out[0]
+	rows := append([]relation.Tuple(nil), b.Rows...)
+	bytes := b.Bytes()
+	copyA, copyB := b, b
+	cb := copyA.Columns()
+	if cb == nil || copyB.Columns() != cb || b.Columns() != cb {
+		t.Fatal("copies of one emitted batch returned different columns")
+	}
+	if b.WindowID != 1 || b.Start != 0 || b.End != 1000 || !reflect.DeepEqual(b.Rows, rows) {
+		t.Fatal("reading the columns changed a serialized field")
+	}
+	if got := copyB.Bytes(); got != bytes {
+		t.Fatalf("Bytes = %d after Columns, %d before", got, bytes)
 	}
 
 	back := Batch{WindowID: b.WindowID, Start: b.Start, End: b.End, Rows: b.Rows}
-	if back.Columnar() {
-		t.Error("decoded batch claims a materialized transpose")
+	if got := back.Bytes(); got != bytes {
+		t.Fatalf("rebuilt batch Bytes = %d, emitted %d", got, bytes)
 	}
-	if got, want := back.Bytes(), b.Bytes()-b.Columns().Bytes(); got != want {
-		t.Errorf("decoded batch Bytes = %d, want the flat model %d", got, want)
+	tc := back.Columns()
+	if tc.Len() != cb.Len() || tc.Arity() != cb.Arity() || tc.Bytes() != cb.Bytes() {
+		t.Fatalf("rebuilt batch columns %dx%d %d B, emitted %dx%d %d B",
+			tc.Len(), tc.Arity(), tc.Bytes(), cb.Len(), cb.Arity(), cb.Bytes())
+	}
+	for j := 0; j < cb.Arity(); j++ {
+		for r := 0; r < cb.Len(); r++ {
+			if g, w := cb.Col(j).Value(r), tc.Col(j).Value(r); g != w {
+				t.Fatalf("column %d row %d = %v, transpose %v", j, r, g, w)
+			}
+		}
 	}
 }
 
-// TestBatchSharedTranspose pins the sharing contract: copies of an
-// emitted batch transpose once, and a zero-built batch transposes
-// privately without panicking.
+// TestBatchSharedTranspose pins the sharing contract: empty windows
+// share one empty column batch, and a batch built from rows outside an
+// operator transposes them privately on each call.
 func TestBatchSharedTranspose(t *testing.T) {
-	rows := []relation.Tuple{{relation.Int(7), relation.Float(1.5)}}
-	b := Batch{WindowID: 2, Rows: rows}
-	b.ensureColumnCell()
-	copyA, copyB := b, b
-	if copyA.Columns() != copyB.Columns() {
-		t.Error("copies of one batch did not share the transpose")
+	op, err := NewTimeSlidingWindow(WindowSpec{RangeMS: 1000, SlideMS: 1000})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if b.Columns().Len() != 1 || b.Columns().Arity() != 2 {
-		t.Errorf("transpose shape = %dx%d", b.Columns().Len(), b.Columns().Arity())
+	op.Push(Timestamped{TS: 10, Row: relation.Tuple{relation.Int(1)}})
+	out := op.Push(Timestamped{TS: 3500, Row: relation.Tuple{relation.Int(2)}})
+	if len(out) != 3 || len(out[1].Rows) != 0 || len(out[2].Rows) != 0 {
+		t.Fatalf("emitted %d windows, want one of rows and two empty ones", len(out))
+	}
+	e1, e2 := out[1].Columns(), out[2].Columns()
+	if e1 != e2 || e1.Len() != 0 || e1.Arity() != 0 {
+		t.Fatalf("empty windows carry %p (%dx%d) and %p: want one shared empty batch", e1, e1.Len(), e1.Arity(), e2)
+	}
+	if got := out[1].Bytes(); got != batchOverheadBytes {
+		t.Fatalf("empty window Bytes = %d, want %d", got, batchOverheadBytes)
 	}
 
-	bare := Batch{WindowID: 3, Rows: rows}
+	bare := Batch{WindowID: 3, Rows: []relation.Tuple{{relation.Int(7), relation.Float(1.5)}}}
 	cb1, cb2 := bare.Columns(), bare.Columns()
 	if cb1 == cb2 {
-		t.Error("cell-less batch unexpectedly cached its transpose")
+		t.Error("a built batch cached its transpose")
 	}
-	if bare.Columnar() {
-		t.Error("cell-less batch reports Columnar")
+	if cb1.Len() != 1 || cb1.Arity() != 2 || cb1.Col(0).Value(0) != relation.Int(7) {
+		t.Errorf("private transpose %dx%d, first value %v", cb1.Len(), cb1.Arity(), cb1.Col(0).Value(0))
 	}
-	if got := bare.Columns().Col(0).Value(0); got != relation.Int(7) {
-		t.Errorf("private transpose value = %v", got)
-	}
-
-	empty := Batch{WindowID: 4}
-	empty.ensureColumnCell()
-	if empty.Columns().Len() != 0 {
-		t.Error("empty batch transpose not empty")
-	}
-	if got, want := empty.Bytes(), int64(batchOverheadBytes)+relation.ColBatchOverheadBytes; got != want {
-		t.Errorf("empty columnar batch Bytes = %d, want %d", got, want)
+	if (Batch{WindowID: 4}).Columns().Len() != 0 {
+		t.Error("empty built batch transpose not empty")
 	}
 }

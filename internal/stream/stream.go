@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/relation"
 )
@@ -97,58 +96,23 @@ type Batch struct {
 	End      int64 // inclusive window end (PulseTime)
 	Rows     []relation.Tuple
 
-	// cols, when non-nil, is a shared lazy cell holding the batch's
-	// columnar form. The window operator allocates it at emission time,
-	// before the batch value is copied into the per-query deliveries, so
-	// every copy shares one columnar form.
-	// The checkpoint codec writes only the exported fields, so
-	// checkpoints are byte-identical whether or not a window's columns
-	// were ever materialised.
-	cols *colCell
+	// cols is the window operator's column-log view of Rows (nil while
+	// the log is ragged; see relation.ColLog) and bytes its Bytes, both
+	// set at emission, so every copy of an emitted batch shares one
+	// columnar form and never re-walks its rows. The checkpoint codec
+	// writes only the exported fields; a batch built from them (decoded,
+	// or by hand) has neither.
+	cols  *relation.ColBatch
+	bytes int64
 }
 
-// colCell is the share point of a batch's columnar form. Copies of a
-// Batch carry the same pointer; the first Columns call materialises the
-// columnar form once for all of them.
-type colCell struct {
-	once sync.Once
-	cb   atomic.Pointer[relation.ColBatch]
-	// view is the window operator's column-log view of the rows, set at
-	// emission; Columns installs it instead of transposing. nil for a
-	// cell built outside the operator, which transposes the rows.
-	view *relation.ColBatch
-	// rowBytes memoizes the flat-row byte estimate (Σ tupleBytes). A
-	// batch's rows are immutable once it is emitted — the point the cell
-	// is attached — so the sum is computed at most once per batch no
-	// matter how many copies or governance checks ask for it (the
-	// operator fills it in at emission). 0 means not yet computed (an
-	// empty row set just recomputes, trivially).
-	rowBytes atomic.Int64
-}
-
-// Columns returns the batch in columnar form. A batch emitted by a
-// window operator serves the operator's column-log view, shared by all
-// copies; a zero-built Batch (e.g. decoded from a checkpoint)
-// transposes privately. Safe for concurrent use.
+// Columns returns the batch in columnar form: the operator's column-log
+// view for an emitted batch, a private transpose of the rows otherwise.
 func (b Batch) Columns() *relation.ColBatch {
-	c := b.cols
-	if c == nil {
-		return relation.Transpose(b.Rows)
+	if b.cols != nil {
+		return b.cols
 	}
-	c.once.Do(func() {
-		cb := c.view
-		if cb == nil {
-			cb = relation.Transpose(b.Rows)
-		}
-		c.cb.Store(cb)
-	})
-	return c.cb.Load()
-}
-
-// Columnar reports whether the columnar form has been materialised
-// (and therefore contributes to Bytes).
-func (b Batch) Columnar() bool {
-	return b.cols != nil && b.cols.cb.Load() != nil
+	return relation.Transpose(b.Rows)
 }
 
 // Byte-estimate model for governance accounting. Values are flat
@@ -172,20 +136,11 @@ func tupleBytes(row relation.Tuple) int64 {
 }
 
 // Bytes estimates the batch's memory footprint under the accounting
-// model used for window budgets. A batch whose columnar form has been
-// materialised carries both layouts in memory, so the estimate covers
-// both: the flat row model plus the column vectors (typed payloads and
-// null bitmaps; see relation's Vector/ColBatch byte model).
+// model used for window budgets: the flat row model, whatever layout a
+// reader takes.
 func (b Batch) Bytes() int64 {
-	if c := b.cols; c != nil {
-		rb := c.rowBytes.Load()
-		if rb == 0 {
-			for _, row := range b.Rows {
-				rb += tupleBytes(row)
-			}
-			c.rowBytes.Store(rb)
-		}
-		return batchOverheadBytes + rb + c.cb.Load().Bytes() // nil-safe: 0 until materialised
+	if b.bytes != 0 {
+		return b.bytes
 	}
 	n := int64(batchOverheadBytes)
 	for _, row := range b.Rows {
@@ -293,16 +248,12 @@ func (t *TimeSlidingWindow) Push(el Timestamped) []Batch {
 }
 
 // emitLocked turns open window w into a batch over log rows [w.start,
-// tail). The batch's column cell carries the column-log view and the
-// window's row bytes, so neither a transpose nor a row walk is needed
-// later.
+// tail), carrying the column-log view and the window's byte estimate,
+// so neither a transpose nor a row walk is needed later.
 func (t *TimeSlidingWindow) emitLocked(w openWindow) Batch {
 	lo, hi := int(w.start-t.base), len(t.log)
-	c := &colCell{view: t.cols.View(lo, hi)}
-	rb := t.rowBytes - w.bytesAt
-	c.rowBytes.Store(rb)
-	t.pendingBytes -= batchOverheadBytes + rb
-	b := Batch{WindowID: w.id, Start: w.startMS, End: w.endMS, cols: c}
+	b := Batch{WindowID: w.id, Start: w.startMS, End: w.endMS, cols: t.cols.View(lo, hi), bytes: batchOverheadBytes + t.rowBytes - w.bytesAt}
+	t.pendingBytes -= b.bytes
 	if hi > lo {
 		b.Rows = t.log[lo:hi:hi]
 	}
@@ -324,6 +275,9 @@ func (t *TimeSlidingWindow) compactLocked() {
 	}
 }
 
+// noColumns is the columnar form every empty window shares.
+var noColumns = &relation.ColBatch{}
+
 // completeLocked emits every window whose end time has passed. Shed
 // windows are skipped entirely — no empty batch is synthesized for
 // them, because shedding is declared data loss, not an empty window.
@@ -338,7 +292,7 @@ func (t *TimeSlidingWindow) completeLocked(now int64) []Batch {
 			t.open = t.open[1:]
 		default:
 			pt := t.Spec.PulseTime(t.nextEmit)
-			out = append(out, Batch{WindowID: t.nextEmit, Start: pt - t.Spec.RangeMS, End: pt, cols: &colCell{view: &relation.ColBatch{}}})
+			out = append(out, Batch{WindowID: t.nextEmit, Start: pt - t.Spec.RangeMS, End: pt, cols: noColumns})
 		}
 		t.nextEmit++
 	}
