@@ -45,19 +45,6 @@ func BenchmarkFigure1EndToEnd(b *testing.B) {
 	b.Run("recorder=on", func(b *testing.B) {
 		runFigure1(b, optique.Config{Nodes: 1, FlightRecorder: 256})
 	})
-	// The optimize dimension prices the statistics-driven planner end to
-	// end (default doubles as the optimize=off baseline):
-	// constraint-pruned unfolding shrinks the registered fleet, and
-	// cost-based rewrites choose index scans and reorder lookup joins.
-	// analyze=on prices statistics collection alone — plans execute
-	// as-written while the stats store ingests windowed samples and
-	// cardinality feedback.
-	b.Run("optimize=on", func(b *testing.B) {
-		runFigure1(b, optique.Config{Nodes: 1, Engine: optique.EngineOptions{Optimize: true}})
-	})
-	b.Run("analyze=on", func(b *testing.B) {
-		runFigure1(b, optique.Config{Nodes: 1, Engine: optique.EngineOptions{Analyze: true}})
-	})
 	// The transport dimension prices the framed TCP node transport over
 	// loopback — length-prefixed checksummed frames, per-session seqs,
 	// acks, heartbeats — against the in-process channel hop (default

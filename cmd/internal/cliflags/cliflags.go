@@ -19,8 +19,6 @@ func Bind(fs *flag.FlagSet) *optique.Config {
 	fs.Int64Var(&cfg.Engine.MemBudget, "mem-budget", 0, "default per-task window-state byte budget; over-budget tasks degrade instead of exhausting memory (0 = off)")
 	fs.IntVar(&cfg.TenantQuota.MaxQueries, "tenant-quota", 0, "max concurrently registered tasks per tenant namespace (0 = off)")
 	fs.IntVar(&cfg.FlightRecorder, "flight-recorder", 256, "per-node flight-recorder ring capacity in events (0 = off)")
-	fs.BoolVar(&cfg.Engine.Optimize, "optimize", false, "statistics-driven cost-based planning: constraint-pruned unfolding plus index-scan choice and lookup-join reordering (implies -analyze)")
-	fs.BoolVar(&cfg.Engine.Analyze, "analyze", false, "collect optimizer statistics (table histograms, stream samples, cardinality feedback) without changing plans; EXPLAIN gains est-vs-obs rows")
 	fs.Func("transport", "node transport: channel (in-process, the default) or tcp (framed loopback sessions with failure detection)", func(s string) error {
 		k, err := cluster.ParseTransport(s)
 		cfg.Transport = k

@@ -21,7 +21,7 @@ func TestBindFillsEachSettingsHome(t *testing.T) {
 	}
 	if err := fs.Parse([]string{
 		"-checkpoint-every", "32", "-mem-budget", "4096", "-tenant-quota", "3",
-		"-flight-recorder", "0", "-optimize", "-analyze",
+		"-flight-recorder", "0",
 		"-transport", "tcp", "-listen", "127.0.0.1:0",
 	}); err != nil {
 		t.Fatal(err)
@@ -29,7 +29,7 @@ func TestBindFillsEachSettingsHome(t *testing.T) {
 	want := optique.Config{
 		CheckpointEvery: 32,
 		TenantQuota:     cluster.TenantQuota{MaxQueries: 3},
-		Engine:          optique.EngineOptions{MemBudget: 4096, Optimize: true, Analyze: true},
+		Engine:          optique.EngineOptions{MemBudget: 4096},
 		Transport:       cluster.TransportTCP,
 		Listen:          "127.0.0.1:0",
 	}

@@ -446,6 +446,10 @@ func (c *Cluster) Gateway() *Gateway { return c.gateway }
 // Tracer returns the query lifecycle tracer every node records into.
 func (c *Cluster) Tracer() *telemetry.Tracer { return c.tracer }
 
+// Recorder returns the cluster-level flight recorder (node -1; nil when
+// recording is disabled), for events no node owns.
+func (c *Cluster) Recorder() *telemetry.Recorder { return c.frec }
+
 // DeclareStream declares a stream schema on every node.
 func (c *Cluster) DeclareStream(s stream.Schema) error {
 	c.mu.Lock()

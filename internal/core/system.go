@@ -113,6 +113,7 @@ func NewSystem(cfg Config, tbox *ontology.TBox, set *mapping.Set, catalog *relat
 	}
 	translator := starql.NewTranslator(tbox, set, catalog)
 	translator.Metrics = reg
+	translator.Recorder = cl.Recorder()
 	return &System{
 		havingEvals:    reg.Counter("starql.having.evals"),
 		havingMatches:  reg.Counter("starql.having.matches"),
@@ -209,14 +210,11 @@ func (s *System) registerParsed(id string, q *starql.Query, sink AnswerSink) (*T
 	// One trace per task covers the whole query lifecycle: the
 	// translator adds rewrite/unfold spans, registration is recorded
 	// here, and the hosting engine appends a span per window execution.
-	// With the cost-based planner on, unfolding applies the declared
-	// exact-predicate and FK constraints; the FK emptiness probes run
-	// against the deployment catalog.
+	// Unfolding applies the declared exact-predicate and FK constraints
+	// the deployment catalog satisfies; the FK emptiness probes run
+	// against it.
 	trace := s.tracer.Start(id)
-	tl, err := s.translator.Translate(q, starql.Options{
-		Unfold: mapping.UnfoldOptions{Prune: s.cfg.Engine.Optimize},
-		Trace:  trace,
-	})
+	tl, err := s.translator.Translate(q, starql.Options{Trace: trace})
 	if err != nil {
 		return nil, err
 	}

@@ -37,15 +37,21 @@ const (
 )
 
 // EstimatePlan walks a plan tree bottom-up computing per-node estimated
-// cardinality and cost from the statistics store. A nil store yields
-// pure-default estimates (still useful for relative comparisons).
-func EstimatePlan(p Plan, st *StatsStore) Estimates {
+// cardinality and cost from the statistics store. windowRows is the
+// rows one window source delivers per execution, as the caller has
+// observed it; at or below zero a default stands in. A nil store
+// yields pure-default estimates (still useful for relative
+// comparisons).
+func EstimatePlan(p Plan, st *StatsStore, windowRows float64) Estimates {
+	if windowRows <= 0 {
+		windowRows = defaultStreamRows
+	}
 	est := make(Estimates)
-	estimateNode(p, st, est)
+	estimateNode(p, st, windowRows, est)
 	return est
 }
 
-func estimateNode(p Plan, st *StatsStore, est Estimates) PlanEstimate {
+func estimateNode(p Plan, st *StatsStore, windowRows float64, est Estimates) PlanEstimate {
 	var e PlanEstimate
 	switch n := p.(type) {
 	case *ScanPlan:
@@ -68,27 +74,27 @@ func estimateNode(p Plan, st *StatsStore, est Estimates) PlanEstimate {
 		e.EstRows = float64(len(n.rows))
 		e.EstCost = e.EstRows
 	case *WindowSourcePlan:
-		e.EstRows = st.StreamRows(n.Name)
+		e.EstRows = windowRows
 		e.EstCost = e.EstRows
 	case *AliasPlan:
-		e = estimateNode(n.Input, st, est)
+		e = estimateNode(n.Input, st, windowRows, est)
 	case *FilterPlan:
-		in := estimateNode(n.Input, st, est)
+		in := estimateNode(n.Input, st, windowRows, est)
 		e.EstRows = in.EstRows * exprSelectivity(n.Pred, n.Input, st)
 		e.EstCost = in.EstCost + in.EstRows
 	case *ProjectPlan:
-		in := estimateNode(n.Input, st, est)
+		in := estimateNode(n.Input, st, windowRows, est)
 		e.EstRows = in.EstRows
 		e.EstCost = in.EstCost + in.EstRows
 	case *HashJoinPlan:
-		l := estimateNode(n.Left, st, est)
-		r := estimateNode(n.Right, st, est)
+		l := estimateNode(n.Left, st, windowRows, est)
+		r := estimateNode(n.Right, st, windowRows, est)
 		match := equiMatchFactor(n, st, n.LeftKeys, n.RightKeys)
 		e.EstRows = l.EstRows * r.EstRows * match
 		e.EstCost = l.EstCost + r.EstCost + l.EstRows + r.EstRows + e.EstRows
 	case *NestedLoopJoinPlan:
-		l := estimateNode(n.Left, st, est)
-		r := estimateNode(n.Right, st, est)
+		l := estimateNode(n.Left, st, windowRows, est)
+		r := estimateNode(n.Right, st, windowRows, est)
 		sel := 1.0
 		if n.On != nil {
 			sel = exprSelectivity(n.On, n, st)
@@ -96,29 +102,29 @@ func estimateNode(p Plan, st *StatsStore, est Estimates) PlanEstimate {
 		e.EstRows = l.EstRows * r.EstRows * sel
 		e.EstCost = l.EstCost + r.EstCost + l.EstRows*r.EstRows
 	case *LookupJoinPlan:
-		l := estimateNode(n.Left, st, est)
+		l := estimateNode(n.Left, st, windowRows, est)
 		mpp := matchesPerProbe(n, st)
 		e.EstRows = l.EstRows * mpp
 		e.EstCost = l.EstCost + l.EstRows + e.EstRows
 	case *AggregatePlan:
-		in := estimateNode(n.Input, st, est)
+		in := estimateNode(n.Input, st, windowRows, est)
 		e.EstRows = groupEstimate(n, in.EstRows, st)
 		e.EstCost = in.EstCost + in.EstRows
 	case *SortPlan:
-		in := estimateNode(n.Input, st, est)
+		in := estimateNode(n.Input, st, windowRows, est)
 		e.EstRows = in.EstRows
 		e.EstCost = in.EstCost + in.EstRows*math.Log2(in.EstRows+2)
 	case *DistinctPlan:
-		in := estimateNode(n.Input, st, est)
+		in := estimateNode(n.Input, st, windowRows, est)
 		e.EstRows = in.EstRows
 		e.EstCost = in.EstCost + in.EstRows
 	case *LimitPlan:
-		in := estimateNode(n.Input, st, est)
+		in := estimateNode(n.Input, st, windowRows, est)
 		e.EstRows = math.Min(float64(n.N), in.EstRows)
 		e.EstCost = in.EstCost
 	case *UnionPlan:
 		for _, in := range n.Inputs {
-			c := estimateNode(in, st, est)
+			c := estimateNode(in, st, windowRows, est)
 			e.EstRows += c.EstRows
 			e.EstCost += c.EstCost
 		}
@@ -129,7 +135,7 @@ func estimateNode(p Plan, st *StatsStore, est Estimates) PlanEstimate {
 		// Unknown plan implementation: estimate children, propagate the
 		// widest.
 		for _, c := range p.Children() {
-			ce := estimateNode(c, st, est)
+			ce := estimateNode(c, st, windowRows, est)
 			e.EstRows = math.Max(e.EstRows, ce.EstRows)
 			e.EstCost += ce.EstCost
 		}
@@ -147,8 +153,8 @@ func tableRowEstimate(st *StatsStore, table string) float64 {
 
 // exprSelectivity estimates the fraction of under's rows satisfying e,
 // resolving column references to the statistics of whatever leaf
-// supplies them. Unresolvable predicates fall back to the fleet's
-// observed filter selectivity (the feedback loop's contribution).
+// supplies them. Unresolvable predicates fall back to the default
+// equality selectivity.
 func exprSelectivity(e sql.Expr, under Plan, st *StatsStore) float64 {
 	switch x := e.(type) {
 	case *sql.BinaryExpr:
@@ -171,7 +177,7 @@ func exprSelectivity(e sql.Expr, under Plan, st *StatsStore) float64 {
 			return clampSel(1 - exprSelectivity(x.Expr, under, st))
 		}
 	case *sql.IsNullExpr:
-		if cs, rows, _, ok := columnStatsFor(under, x.Expr, st); ok && rows > 0 {
+		if cs, rows := columnStatsFor(under, x.Expr, st); cs != nil && rows > 0 {
 			frac := float64(cs.NullCount) / float64(rows)
 			if x.Negate {
 				return clampSel(1 - frac)
@@ -179,7 +185,7 @@ func exprSelectivity(e sql.Expr, under Plan, st *StatsStore) float64 {
 			return clampSel(frac)
 		}
 	}
-	return st.ObservedFilterSelectivity()
+	return defaultEqSelectivity
 }
 
 // compareSelectivity handles col <op> literal (either orientation) and
@@ -190,7 +196,7 @@ func compareSelectivity(be *sql.BinaryExpr, under Plan, st *StatsStore, eq bool)
 		col, lit = lit, col
 		op = flipCompare(op)
 	}
-	cr, isCol := col.(*sql.ColumnRef)
+	_, isCol := col.(*sql.ColumnRef)
 	l, isLit := lit.(*sql.Literal)
 	if !isCol {
 		if eq {
@@ -211,24 +217,13 @@ func compareSelectivity(be *sql.BinaryExpr, under Plan, st *StatsStore, eq bool)
 		}
 		return defaultRangeSelectivity
 	}
-	cs, rows, streamNDV, ok := columnStatsForRef(under, cr, st)
-	if !ok {
-		if eq {
-			return defaultEqSelectivity
-		}
-		return defaultRangeSelectivity
-	}
-	if cs != nil {
-		if eq {
-			return clampSel(cs.EqSelectivity(rows, l.Value))
-		}
+	cs, rows := columnStatsFor(under, col, st)
+	switch {
+	case cs != nil && eq:
+		return clampSel(cs.EqSelectivity(rows, l.Value))
+	case cs != nil:
 		return clampSel(cs.RangeSelectivity(op, l.Value))
-	}
-	// Stream column: only a sampled NDV is available.
-	if eq && streamNDV > 0 {
-		return clampSel(1 / float64(streamNDV))
-	}
-	if eq {
+	case eq:
 		return defaultEqSelectivity
 	}
 	return defaultRangeSelectivity
@@ -266,57 +261,36 @@ func sourceLeaf(p Plan, name string) Plan {
 	return nil
 }
 
-// columnStatsForRef resolves a column reference to its source leaf's
-// statistics: (cs, rowCount) for static tables, streamNDV for window
-// sources. ok is false when no leaf supplies the column or no stats
-// apply.
-func columnStatsForRef(under Plan, cr *sql.ColumnRef, st *StatsStore) (cs *ColumnStats, rows int64, streamNDV int64, ok bool) {
-	leaf := sourceLeaf(under, cr.FullName())
-	if leaf == nil {
-		return nil, 0, 0, false
-	}
-	switch l := leaf.(type) {
-	case *ScanPlan:
-		ts := st.Table(l.Table)
-		if ts == nil {
-			return nil, 0, 0, false
-		}
-		return ts.Col(cr.Name), ts.RowCount, 0, ts.Col(cr.Name) != nil
-	case *IndexScanPlan:
-		ts := st.Table(l.Table)
-		if ts == nil {
-			return nil, 0, 0, false
-		}
-		return ts.Col(cr.Name), ts.RowCount, 0, ts.Col(cr.Name) != nil
-	case *WindowSourcePlan:
-		if ndv := st.StreamColNDV(l.Name, cr.Name); ndv > 0 {
-			return nil, 0, ndv, true
-		}
-		if ndv := st.StreamColNDV(l.Name, cr.FullName()); ndv > 0 {
-			return nil, 0, ndv, true
-		}
-	}
-	return nil, 0, 0, false
-}
-
-func columnStatsFor(under Plan, e sql.Expr, st *StatsStore) (cs *ColumnStats, rows int64, streamNDV int64, ok bool) {
+// columnStatsFor resolves a column expression to its source table's
+// column statistics and row count; nil when it is no column reference
+// or no static leaf supplies it (a window source has no statistics).
+func columnStatsFor(under Plan, e sql.Expr, st *StatsStore) (*ColumnStats, int64) {
 	cr, isCol := e.(*sql.ColumnRef)
 	if !isCol {
-		return nil, 0, 0, false
+		return nil, 0
 	}
-	return columnStatsForRef(under, cr, st)
+	var table string
+	switch l := sourceLeaf(under, cr.FullName()).(type) {
+	case *ScanPlan:
+		table = l.Table
+	case *IndexScanPlan:
+		table = l.Table
+	default:
+		return nil, 0
+	}
+	ts := st.Table(table)
+	if ts == nil {
+		return nil, 0
+	}
+	return ts.Col(cr.Name), ts.RowCount
 }
 
 // columnNDVFor returns the NDV of a column expression, 0 when unknown.
 func columnNDVFor(under Plan, e sql.Expr, st *StatsStore) int64 {
-	cs, _, streamNDV, ok := columnStatsFor(under, e, st)
-	if !ok {
-		return 0
-	}
-	if cs != nil {
+	if cs, _ := columnStatsFor(under, e, st); cs != nil {
 		return cs.NDV
 	}
-	return streamNDV
+	return 0
 }
 
 // equiMatchFactor estimates the per-pair match probability of an

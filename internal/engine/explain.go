@@ -43,33 +43,20 @@ func kindOf(p Plan) OpKind {
 	return -1
 }
 
-// PlanKind exposes kindOf for callers outside the package (the lag
-// view and tests label operators by kind).
-func PlanKind(p Plan) (OpKind, bool) {
-	k := kindOf(p)
-	return k, k >= 0
-}
-
 // ExplainAnalyze renders a plan tree like Explain, annotating every
 // node with the observed per-operator-kind counters accumulated in
-// stats: Execute calls, output rows, inclusive wall time, and — for
-// row-reducing operators whose input cardinality is identifiable —
-// the observed selectivity. Stats are tracked per operator *kind*;
-// when a kind occurs more than once in the tree its counters are the
-// aggregate over all occurrences, and the line says so.
+// stats: Execute calls, output rows (`obs_rows=` next to the cost
+// model's `est_rows=` when est has the node, `rows=` otherwise),
+// inclusive wall time, and — for row-reducing operators whose input
+// cardinality is identifiable — the observed selectivity. Stats are
+// tracked per operator *kind*; when a kind occurs more than once in the
+// tree its counters are the aggregate over all occurrences, and the
+// line says so. Nil stats render the tree alone.
 //
 // Subtrees the columnar kernels execute are marked [vectorized]
 // (interior nodes of such a subtree run fused, so their wall time
 // reports under the subtree root).
-func ExplainAnalyze(p Plan, stats *ExecStats) string {
-	return ExplainAnalyzeWithEstimates(p, stats, nil)
-}
-
-// ExplainAnalyzeWithEstimates renders ExplainAnalyze with the cost
-// model's per-node estimates alongside the observed counters
-// (`est_rows=` next to `rows=`), so misestimates are visible at a
-// glance. A nil Estimates renders exactly like ExplainAnalyze.
-func ExplainAnalyzeWithEstimates(p Plan, stats *ExecStats, est Estimates) string {
+func ExplainAnalyze(p Plan, stats *ExecStats, est Estimates) string {
 	kindCount := make(map[OpKind]int)
 	var count func(Plan)
 	count = func(p Plan) {

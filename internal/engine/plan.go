@@ -85,8 +85,7 @@ func (s *ExecStats) produced(k OpKind, n int) {
 
 // Add folds another execution's counters into s. exastream uses it to
 // accumulate per-query stats across windows — the observed
-// cardinalities EXPLAIN ANALYZE renders and StatsStore.Feedback folds
-// back into the cost model (see stats.go).
+// cardinalities EXPLAIN ANALYZE renders.
 func (s *ExecStats) Add(o *ExecStats) {
 	s.RowsScanned += o.RowsScanned
 	s.RowsProduced += o.RowsProduced

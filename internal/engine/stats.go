@@ -109,28 +109,7 @@ func (t *TableStats) Col(name string) *ColumnStats {
 	return t.Cols[strings.ToLower(name)]
 }
 
-// streamStats tracks a window source's observed shape, refreshed from
-// the windowed samples the engine feeds back after each execution: an
-// exponentially weighted moving average of rows per window plus a
-// sampled per-column NDV from the most recent sampled window.
-type streamStats struct {
-	avgRows float64
-	windows int64
-	ndv     map[string]int64 // column -> NDV of last sampled window
-}
-
-// Stream-sample cost bounds: the EWMA row count updates on every
-// window (a few float ops), but the per-column NDV scan stringifies
-// every sampled value, so it runs only one window in ndvSampleEvery
-// and caps the rows it reads — stats collection must not tax the
-// ingest path it observes.
-const (
-	ndvSampleEvery = 16
-	ndvSampleRows  = 256
-)
-
-// Selectivity defaults used when no statistics apply; the feedback loop
-// replaces the filter default with the fleet's observed average.
+// Selectivity defaults used when no statistics apply.
 const (
 	defaultEqSelectivity    = 0.1
 	defaultRangeSelectivity = 1.0 / 3
@@ -138,11 +117,9 @@ const (
 	defaultStreamRows       = 64
 )
 
-// StatsStore holds per-relation statistics over one catalog plus
-// per-stream windowed samples and the observed-cardinality feedback the
-// continuous queries report. It is the substrate of the cost-based
-// planner: Analyze populates it, Table/Stream/FilterSelectivity answer
-// estimation queries, Feedback and ObserveSource keep it fresh.
+// StatsStore holds per-relation statistics over one catalog, the
+// substrate of the cost-based planner: Table answers estimation
+// queries, analyzing a table the first time a cost rule asks for it.
 //
 // Entries are invalidated when the catalog's Generation moves (table
 // set changed); stale tables are re-analyzed lazily on next access, so
@@ -153,176 +130,42 @@ type StatsStore struct {
 	mu     sync.RWMutex
 	cat    *relation.Catalog
 	tables map[string]*TableStats
-	strms  map[string]*streamStats
-
-	// Observed filter selectivity feedback: total input and output rows
-	// of filter operators across executions. The ratio seasons the
-	// default selectivity for predicates statistics cannot resolve.
-	filterIn, filterOut int64
 }
 
-// NewStatsStore builds an empty store over a catalog. Call Analyze to
-// populate it eagerly, or let lookups trigger per-table analysis.
+// NewStatsStore builds an empty store over a catalog; lookups analyze
+// tables on demand.
 func NewStatsStore(cat *relation.Catalog) *StatsStore {
 	return &StatsStore{
 		cat:    cat,
 		tables: make(map[string]*TableStats),
-		strms:  make(map[string]*streamStats),
 	}
 }
 
-// Analyze runs the ANALYZE pass over every table in the catalog,
-// (re)computing row counts, per-column NDV and equi-depth histograms.
-func (s *StatsStore) Analyze() {
-	if s == nil || s.cat == nil {
-		return
-	}
-	for _, name := range s.cat.Names() {
-		s.AnalyzeTable(name)
-	}
-}
-
-// AnalyzeTable (re)computes one table's statistics; unknown tables are
-// ignored (nil return).
-func (s *StatsStore) AnalyzeTable(name string) *TableStats {
-	if s == nil || s.cat == nil {
-		return nil
-	}
-	t, err := s.cat.Get(name)
-	if err != nil {
-		return nil
-	}
-	ts := analyzeRows(t.Name(), t.Schema(), t.Rows())
-	ts.Gen = s.cat.Generation()
-	s.mu.Lock()
-	s.tables[strings.ToLower(t.Name())] = ts
-	s.mu.Unlock()
-	return ts
-}
-
-// Table returns a table's statistics, lazily (re)analyzing when absent
-// or built under an older catalog generation. Nil when the table does
-// not exist.
+// Table returns a table's statistics, analyzing it when absent or
+// built under an older catalog generation. Nil when the table does not
+// exist.
 func (s *StatsStore) Table(name string) *TableStats {
 	if s == nil || s.cat == nil {
 		return nil
 	}
 	gen := s.cat.Generation()
+	key := strings.ToLower(name)
 	s.mu.RLock()
-	ts := s.tables[strings.ToLower(name)]
+	ts := s.tables[key]
 	s.mu.RUnlock()
 	if ts != nil && ts.Gen == gen {
 		return ts
 	}
-	return s.AnalyzeTable(name)
-}
-
-// ObserveSource folds one executed window batch of a named source
-// (stream reference) into its windowed-sample statistics: EWMA row
-// count plus per-column NDV of this batch.
-func (s *StatsStore) ObserveSource(name string, schema relation.Schema, rows []relation.Tuple) {
-	if s == nil {
-		return
+	t, err := s.cat.Get(name)
+	if err != nil {
+		return nil
 	}
-	key := strings.ToLower(name)
+	ts = analyzeRows(t.Name(), t.Schema(), t.Rows())
+	ts.Gen = gen
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.strms[key]
-	if st == nil {
-		st = &streamStats{ndv: make(map[string]int64)}
-		s.strms[key] = st
-	}
-	st.windows++
-	const alpha = 0.2
-	if st.windows == 1 {
-		st.avgRows = float64(len(rows))
-	} else {
-		st.avgRows += alpha * (float64(len(rows)) - st.avgRows)
-	}
-	if len(rows) == 0 || st.windows%ndvSampleEvery != 1 {
-		return
-	}
-	sample := rows
-	if len(sample) > ndvSampleRows {
-		sample = sample[:ndvSampleRows]
-	}
-	for j, col := range schema.Columns {
-		seen := make(map[string]struct{}, 8)
-		for _, r := range sample {
-			if j < len(r) {
-				var kb [16]byte
-				insertKey(seen, relation.AppendKey(kb[:0], r[j]))
-			}
-		}
-		st.ndv[strings.ToLower(col.Name)] = int64(len(seen))
-	}
-}
-
-// StreamRows returns the EWMA rows-per-window of a source, or the
-// default when it has not been observed yet.
-func (s *StatsStore) StreamRows(name string) float64 {
-	if s == nil {
-		return defaultStreamRows
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if st := s.strms[strings.ToLower(name)]; st != nil && st.windows > 0 {
-		return st.avgRows
-	}
-	return defaultStreamRows
-}
-
-// StreamColNDV returns the sampled per-window NDV of a source column
-// (0 when unobserved).
-func (s *StatsStore) StreamColNDV(name, col string) int64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if st := s.strms[strings.ToLower(name)]; st != nil {
-		return st.ndv[strings.ToLower(col)]
-	}
-	return 0
-}
-
-// Feedback folds one execution's observed per-operator cardinalities
-// back into the store: the filter in/out ratio replaces the built-in
-// default selectivity for predicates the statistics cannot resolve, so
-// repeated misestimates self-correct.
-func (s *StatsStore) Feedback(st *ExecStats) {
-	if s == nil || st == nil {
-		return
-	}
-	f := st.Ops[OpFilter]
-	if f.Calls == 0 {
-		return
-	}
-	// A filter's input is what the tree below produced; approximate it
-	// with the scan-shaped operators' output (sources feed filters in
-	// the unfolded fleet's plan shapes).
-	in := st.Ops[OpScan].RowsOut + st.Ops[OpWindowSource].RowsOut + st.Ops[OpValues].RowsOut
-	if in <= 0 {
-		return
-	}
-	s.mu.Lock()
-	s.filterIn += in
-	s.filterOut += f.RowsOut
+	s.tables[key] = ts
 	s.mu.Unlock()
-}
-
-// ObservedFilterSelectivity returns the fleet-wide observed filter
-// selectivity, or the static default before any feedback arrived.
-func (s *StatsStore) ObservedFilterSelectivity() float64 {
-	if s == nil {
-		return defaultEqSelectivity
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.filterIn <= 0 {
-		return defaultEqSelectivity
-	}
-	return clampSel(float64(s.filterOut) / float64(s.filterIn))
+	return ts
 }
 
 // analyzeRows computes stats for one materialized relation.

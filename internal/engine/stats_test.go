@@ -109,45 +109,15 @@ func TestStatsStoreInvalidatedByCatalogGeneration(t *testing.T) {
 	}
 }
 
-func TestStreamStatsEWMAAndNDV(t *testing.T) {
-	st := NewStatsStore(relation.NewCatalog())
-	schema := relation.NewSchema(
-		relation.Col("sid", relation.TInt), relation.Col("val", relation.TFloat))
-	mkRows := func(n int) []relation.Tuple {
-		rows := make([]relation.Tuple, n)
-		for i := range rows {
-			rows[i] = relation.Tuple{relation.Int(int64(i % 4)), relation.Float(1)}
+// TestEstimatePlanWindowRows: a window source is estimated at the rows
+// per execution the caller observed, or at the default before any
+// observation.
+func TestEstimatePlanWindowRows(t *testing.T) {
+	src := NewWindowSourcePlan("m", relation.NewSchema(relation.Col("m.sid", relation.TInt)))
+	for _, c := range []struct{ observed, want float64 }{{0, defaultStreamRows}, {12.5, 12.5}} {
+		if got := EstimatePlan(src, nil, c.observed)[src].EstRows; got != c.want {
+			t.Errorf("observed %v rows per window: estimate %v, want %v", c.observed, got, c.want)
 		}
-		return rows
-	}
-	if got := st.StreamRows("m"); got != defaultStreamRows {
-		t.Fatalf("unobserved StreamRows = %v, want default %v", got, float64(defaultStreamRows))
-	}
-	st.ObserveSource("m", schema, mkRows(100))
-	if got := st.StreamRows("m"); got != 100 {
-		t.Fatalf("first observation StreamRows = %v, want 100", got)
-	}
-	st.ObserveSource("m", schema, mkRows(20))
-	got := st.StreamRows("m")
-	if !(got > 20 && got < 100) {
-		t.Fatalf("EWMA after 100,20 = %v, want between", got)
-	}
-	if ndv := st.StreamColNDV("m", "sid"); ndv != 4 {
-		t.Fatalf("stream sid NDV = %d, want 4", ndv)
-	}
-}
-
-func TestFeedbackObservedFilterSelectivity(t *testing.T) {
-	st := NewStatsStore(relation.NewCatalog())
-	if got := st.ObservedFilterSelectivity(); got != defaultEqSelectivity {
-		t.Fatalf("before feedback = %v, want default", got)
-	}
-	var ex ExecStats
-	ex.Ops[OpScan] = OpCounters{Calls: 1, RowsOut: 200}
-	ex.Ops[OpFilter] = OpCounters{Calls: 1, RowsOut: 50}
-	st.Feedback(&ex)
-	if got := st.ObservedFilterSelectivity(); got != 0.25 {
-		t.Fatalf("after feedback = %v, want 0.25", got)
 	}
 }
 
@@ -315,7 +285,7 @@ func TestEstimatePlanCoversTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := EstimatePlan(plan, st)
+	est := EstimatePlan(plan, st, 0)
 	var walk func(Plan)
 	walk = func(p Plan) {
 		e, ok := est[p]
@@ -355,7 +325,7 @@ func TestExplainAnalyzeZeroCallOperators(t *testing.T) {
 	st.Ops[OpScan] = OpCounters{Calls: 1, RowsOut: 10}
 	st.Ops[OpFilter] = OpCounters{Calls: 0, RowsOut: 0}
 
-	out := ExplainAnalyze(p, &st)
+	out := ExplainAnalyze(p, &st, nil)
 	for _, bad := range []string{"NaN", "Inf"} {
 		if strings.Contains(out, bad) {
 			t.Fatalf("explain output leaks %s:\n%s", bad, out)
@@ -369,8 +339,8 @@ func TestExplainAnalyzeZeroCallOperators(t *testing.T) {
 
 	// With estimates attached, the same guard holds and the est-vs-obs
 	// column appears.
-	est := EstimatePlan(p, NewStatsStore(cat))
-	out = ExplainAnalyzeWithEstimates(p, &st, est)
+	est := EstimatePlan(p, NewStatsStore(cat), 0)
+	out = ExplainAnalyze(p, &st, est)
 	if !strings.Contains(out, "est_rows=") || !strings.Contains(out, "obs_rows=") {
 		t.Fatalf("estimates column missing:\n%s", out)
 	}

@@ -187,21 +187,6 @@ type Options struct {
 	// cluster overrides it with the node's recorder (see
 	// cluster.Options.FlightRecorder).
 	Recorder *telemetry.Recorder
-	// Analyze collects optimizer statistics: static tables get an
-	// ANALYZE pass (row counts, per-column NDV, equi-depth histograms)
-	// and every window execution feeds observed cardinalities and
-	// stream samples back into the store. Plans still execute
-	// as-written; EXPLAIN ANALYZE gains an estimated-vs-observed
-	// column.
-	Analyze bool
-	// Optimize enables the statistics-driven cost-based planner:
-	// cached plans are rewritten after adaptation (index-scan vs
-	// full-scan choice, lookup-join reordering by estimated matches
-	// per probe). Implies Analyze. A core System also unfolds every
-	// task under the declared constraints when it is set
-	// (mapping.UnfoldOptions.Prune). Off, translation and execution are
-	// exactly as-written: the differential oracle.
-	Optimize bool
 }
 
 // Engine is one ExaStream instance (one per worker node in the cluster).
@@ -224,9 +209,8 @@ type Engine struct {
 	reg       *telemetry.Registry
 	met       *metrics
 
-	// stats is the optimizer statistics store (nil unless Analyze or
-	// Optimize is set): ANALYZE-pass table stats, windowed stream
-	// samples, and observed-cardinality feedback from executions.
+	// stats is the cost-based planner's statistics store: each static
+	// table is analyzed the first time a cost rule asks for it.
 	stats *engine.StatsStore
 
 	// restores numbers the engine's restores (see Restore).
@@ -304,8 +288,7 @@ type continuousQuery struct {
 	plan   *cachedPlan
 	// cum accumulates per-operator stats across this query's window
 	// executions (guarded by execMu) — the observed cardinalities
-	// EXPLAIN ANALYZE renders against the planner's estimates; the
-	// per-execution snapshots also feed StatsStore.Feedback.
+	// EXPLAIN ANALYZE renders against the planner's estimates.
 	// windows/rowsOutTotal/lastEnd summarize successful executions for
 	// the lag view.
 	cum          engine.ExecStats
@@ -339,14 +322,6 @@ func NewEngine(cat *relation.Catalog, opts Options) *Engine {
 		reg = telemetry.NewRegistry()
 	}
 	met := newMetrics(reg)
-	if opts.Optimize {
-		opts.Analyze = true
-	}
-	var stats *engine.StatsStore
-	if opts.Analyze {
-		stats = engine.NewStatsStore(cat)
-		stats.Analyze()
-	}
 	return &Engine{
 		catalog:   cat,
 		funcs:     engine.NewFuncRegistry(),
@@ -358,7 +333,7 @@ func NewEngine(cat *relation.Catalog, opts Options) *Engine {
 		opts:      opts,
 		reg:       reg,
 		met:       met,
-		stats:     stats,
+		stats:     engine.NewStatsStore(cat),
 	}
 }
 
@@ -896,16 +871,12 @@ func (e *Engine) buildPlan(q *continuousQuery) (*cachedPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Lookup-join adaptation always, the cost-based rewrite when that
-	// planner is on. Every lookup pattern of the final plan gets its
-	// index now, so the first window already probes it; plans of several
-	// queries can be built at once, and e.mu makes check, build and count
-	// one step, so each index counts once.
-	var st *engine.StatsStore
-	if e.opts.Optimize {
-		st = e.stats
-	}
-	adapted, lookups := engine.Adapt(built, st)
+	// Lookup-join adaptation and the cost-based rewrite. Every lookup
+	// pattern of the final plan gets its index now, so the first window
+	// already probes it; plans of several queries can be built at once,
+	// and e.mu makes check, build and count one step, so each index
+	// counts once.
+	adapted, lookups := engine.Adapt(built, e.stats)
 	for _, l := range lookups {
 		if t, err := e.catalog.Get(l.Table); err == nil {
 			e.mu.Lock()
@@ -955,9 +926,6 @@ func (e *Engine) executeItem(it execItem) error {
 			// column-log view of it.
 			src.Bind(it.batches[i].Rows, it.batches[i].Columns())
 			rowsIn += len(it.batches[i].Rows)
-			// Windowed sample for the stats store: EWMA rows per window
-			// plus per-column NDV of this batch.
-			e.stats.ObserveSource(src.Name, src.Schema(), it.batches[i].Rows)
 		}
 	}
 	ctx := q.execCtx
@@ -973,7 +941,6 @@ func (e *Engine) executeItem(it execItem) error {
 	e.met.indexLookups.Add(ctx.Stats.IndexLookups)
 	e.foldOpStats(&ctx.Stats)
 	q.cum.Add(&ctx.Stats)
-	e.stats.Feedback(&ctx.Stats)
 	if err != nil {
 		span.SetAttr("error", err.Error())
 		span.End()

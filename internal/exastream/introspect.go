@@ -11,9 +11,7 @@ import (
 
 // QueryStats returns the per-operator stats accumulated across a
 // query's window executions so far, plus how many windows contributed.
-// EXPLAIN ANALYZE renders these counters; the stats-driven planner
-// consumes the same counters as observed cardinalities via
-// StatsStore.Feedback.
+// EXPLAIN ANALYZE renders these counters.
 func (e *Engine) QueryStats(id string) (stats engine.ExecStats, windows int64, err error) {
 	e.mu.Lock()
 	q, ok := e.queries[id]
@@ -67,15 +65,17 @@ func (e *Engine) ExplainQuery(id string, analyze bool) (string, error) {
 	if analyze {
 		fmt.Fprintf(&sb, "-- executed: windows=%d rows_out=%d last_window_end=%dms\n",
 			windows, rowsOut, lastEnd)
-		// With a stats store present, annotate each operator with the
-		// planner's estimated rows next to the observed ones.
-		var est engine.Estimates
-		if e.stats != nil {
-			est = engine.EstimatePlan(cp.adapted, e.stats)
+		// Annotate each operator with the planner's estimated rows next
+		// to the observed ones. A window source is estimated at the rows
+		// per window its executions delivered so far.
+		var windowRows float64
+		if src := cum.Ops[engine.OpWindowSource]; src.Calls > 0 {
+			windowRows = float64(src.RowsOut) / float64(src.Calls)
 		}
-		sb.WriteString(engine.ExplainAnalyzeWithEstimates(cp.adapted, &cum, est))
+		est := engine.EstimatePlan(cp.adapted, e.stats, windowRows)
+		sb.WriteString(engine.ExplainAnalyze(cp.adapted, &cum, est))
 	} else {
-		sb.WriteString(engine.ExplainAnalyze(cp.adapted, nil))
+		sb.WriteString(engine.ExplainAnalyze(cp.adapted, nil, nil))
 	}
 	return sb.String(), nil
 }

@@ -16,13 +16,17 @@ import (
 	"repro/internal/stream"
 )
 
-// diffAssets bundles one deployment's translation inputs.
+// diffAssets bundles one deployment's translation inputs: the default
+// translator, which unfolds under the declared constraints, and the
+// as-written oracle's, over the same mappings with every constraint
+// stripped.
 type diffAssets struct {
-	gen    *siemens.Generator
-	cat    *relation.Catalog
-	tr     *starql.Translator
-	tuples []stream.Timestamped
-	routes []bool
+	gen       *siemens.Generator
+	cat       *relation.Catalog
+	tr        *starql.Translator
+	asWritten *starql.Translator
+	tuples    []stream.Timestamped
+	routes    []bool
 }
 
 func diffSetup(t *testing.T) *diffAssets {
@@ -45,14 +49,21 @@ func diffSetup(t *testing.T) *diffAssets {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var stripped []mapping.Mapping
+	for _, m := range siemens.Mappings().All() {
+		m.FKs, m.Exact = nil, false
+		stripped = append(stripped, m)
+	}
 	return &diffAssets{
 		gen: gen, cat: cat,
-		tr:     starql.NewTranslator(siemens.TBox(), siemens.Mappings(), cat),
-		tuples: tuples, routes: routes,
+		tr:        starql.NewTranslator(siemens.TBox(), siemens.Mappings(), cat),
+		asWritten: starql.NewTranslator(siemens.TBox(), mapping.MustNewSet(stripped...), cat),
+		tuples:    tuples, routes: routes,
 	}
 }
 
-func (a *diffAssets) translate(t *testing.T, prune bool) *starql.Translation {
+// translate translates and binds T01 with tr.
+func (a *diffAssets) translate(t *testing.T, tr *starql.Translator) *starql.Translation {
 	t.Helper()
 	spec, ok := siemens.TaskByID("T01_mon_temperature")
 	if !ok {
@@ -62,27 +73,22 @@ func (a *diffAssets) translate(t *testing.T, prune bool) *starql.Translation {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := starql.Options{}
-	if prune {
-		opts.Unfold = mapping.UnfoldOptions{Prune: true, Catalog: a.cat}
-	}
-	tl, err := a.tr.Translate(q, opts)
+	tl, err := tr.Translate(q, starql.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.tr.EvalBindings(tl); err != nil {
+	if _, err := tr.EvalBindings(tl); err != nil {
 		t.Fatal(err)
 	}
 	return tl
 }
 
-// runFleet registers every stream-fleet member on a fresh engine,
-// replays the seeded tuple log, and returns the distinct rows the fleet
-// produced per window end (set semantics: the fleet's answer is the
-// union of its members).
-func runFleet(t *testing.T, a *diffAssets, opts Options, tl *starql.Translation) map[int64]map[string]struct{} {
+// runFleet registers every stream-fleet member on e, replays the seeded
+// tuple log, and returns the distinct rows the fleet produced per
+// window end (set semantics: the fleet's answer is the union of its
+// members).
+func runFleet(t *testing.T, a *diffAssets, e *Engine, tl *starql.Translation) map[int64]map[string]struct{} {
 	t.Helper()
-	e := newDiffEngine(t, a, opts)
 	windows, sink := collectWindows()
 	for i, stmt := range tl.StreamFleet {
 		if err := e.Register(fmt.Sprintf("f%03d", i), stmt, tl.Pulse, sink); err != nil {
@@ -103,6 +109,16 @@ func newDiffEngine(t *testing.T, a *diffAssets, opts Options) *Engine {
 			t.Fatal(err)
 		}
 	}
+	return e
+}
+
+// asWrittenEngine is newDiffEngine without the cost-based planner: with
+// no statistics store, Adapt applies the lookup-join adaptation alone,
+// so every plan runs as written.
+func asWrittenEngine(t *testing.T, a *diffAssets, opts Options) *Engine {
+	t.Helper()
+	e := newDiffEngine(t, a, opts)
+	e.stats = nil
 	return e
 }
 
@@ -163,13 +179,13 @@ func renderWindows(windows map[int64]map[string]struct{}) string {
 }
 
 // TestOptimizedFleetDifferential is the end-to-end differential oracle
-// for the optimizer: the constraint-pruned fleet running on an
-// Optimize-enabled engine must produce byte-identical window answer
-// sets to the as-written fleet on a stock engine.
+// for the planner: the constraint-pruned fleet running on a default
+// engine must produce byte-identical window answer sets to the
+// as-written fleet on an engine that runs its plans as written.
 func TestOptimizedFleetDifferential(t *testing.T) {
 	a := diffSetup(t)
-	plain := a.translate(t, false)
-	pruned := a.translate(t, true)
+	plain := a.translate(t, a.asWritten)
+	pruned := a.translate(t, a.tr)
 
 	nPlain := len(plain.StaticFleet) + len(plain.StreamFleet)
 	nPruned := len(pruned.StaticFleet) + len(pruned.StreamFleet)
@@ -179,8 +195,8 @@ func TestOptimizedFleetDifferential(t *testing.T) {
 	t.Logf("fleet %d -> %d members (constraint_pruned=%d fk_joins_removed=%d)",
 		nPlain, nPruned, pruned.UnfoldStats.ConstraintPruned, pruned.UnfoldStats.FKJoinsRemoved)
 
-	want := renderWindows(runFleet(t, a, Options{}, plain))
-	got := renderWindows(runFleet(t, a, Options{Optimize: true}, pruned))
+	want := renderWindows(runFleet(t, a, asWrittenEngine(t, a, Options{}), plain))
+	got := renderWindows(runFleet(t, a, newDiffEngine(t, a, Options{}), pruned))
 	if want == "" {
 		t.Fatal("as-written fleet produced no windows — differential is vacuous")
 	}
@@ -194,18 +210,18 @@ func TestOptimizedFleetDifferential(t *testing.T) {
 // goroutine keeps background queries executing windows on a wide
 // worker pool. Each registrar also registers a background query whose
 // plan the cost-based planner reorders from table statistics, so under
-// -race this exercises the StatsStore's estimate path (concurrent
-// lazy ANALYZE and reads) against the ObserveSource/Feedback writes of
-// concurrent window executions. The background queries read their own
-// stream, so the fleet still sees the whole replay once registered.
+// -race this exercises the StatsStore's estimate path (concurrent lazy
+// ANALYZE and reads) from plan builds that run alongside window
+// executions. The background queries read their own stream, so the
+// fleet still sees the whole replay once registered.
 func TestOptimizedFleetDifferentialChaos(t *testing.T) {
 	a := diffSetup(t)
-	plain := a.translate(t, false)
-	pruned := a.translate(t, true)
+	plain := a.translate(t, a.asWritten)
+	pruned := a.translate(t, a.tr)
 
-	want := renderWindows(runFleet(t, a, Options{Parallelism: 8}, plain))
+	want := renderWindows(runFleet(t, a, asWrittenEngine(t, a, Options{Parallelism: 8}), plain))
 
-	e := newDiffEngine(t, a, Options{Optimize: true, Parallelism: 8})
+	e := newDiffEngine(t, a, Options{Parallelism: 8})
 	msmtA := siemens.StreamSchemas()[0]
 	if err := e.DeclareStream(stream.Schema{Name: "msmt_bg", Tuple: msmtA.Tuple, TSCol: msmtA.TSCol}); err != nil {
 		t.Fatal(err)

@@ -68,34 +68,46 @@ func provablyEmpty(stmt *sql.SelectStmt, combo []Mapping, aliases []string, cat 
 		}
 		consts[key] = lit
 	}
+	for i, m := range combo {
+		if FKProvesEmpty(m, consts, strings.ToLower(aliases[i])+".", cat) {
+			return true
+		}
+	}
+	return false
+}
+
+// FKProvesEmpty reports whether the rows of m whose columns are pinned
+// to constants are provably none: some declared foreign key of m has
+// every column pinned (consts maps prefix plus the lower-cased column
+// name to its constant), and the referenced table holds no row with
+// those values. Every source row's FK tuple appears in the referenced
+// table, so a pinned tuple absent from it selects nothing. The probe
+// reads the hash index Constraints.Checked creates on the referenced
+// columns. A nil catalog proves nothing.
+func FKProvesEmpty(m Mapping, consts map[string]relation.Value, prefix string, cat *relation.Catalog) bool {
 	if cat == nil {
 		return false
 	}
-	for i, m := range combo {
-		for _, fk := range m.FKs {
-			vals := make([]relation.Value, len(fk.Columns))
-			covered := true
-			for k, col := range fk.Columns {
-				v, ok := consts[strings.ToLower(aliases[i])+"."+strings.ToLower(col)]
-				if !ok {
-					covered = false
-					break
-				}
-				vals[k] = v
+	for _, fk := range m.FKs {
+		vals := make([]relation.Value, len(fk.Columns))
+		covered := true
+		for k, col := range fk.Columns {
+			v, ok := consts[prefix+strings.ToLower(col)]
+			if !ok {
+				covered = false
+				break
 			}
-			if !covered {
-				continue
-			}
-			ref, err := cat.Get(fk.RefTable)
-			if err != nil {
-				continue
-			}
-			matches, _, err := ref.Lookup(fk.RefColumns, vals)
-			if err == nil && len(matches) == 0 {
-				// Every source row's FK tuple appears in the referenced
-				// table; the pinned tuple does not, so the branch is empty.
-				return true
-			}
+			vals[k] = v
+		}
+		if !covered {
+			continue
+		}
+		ref, err := cat.Get(fk.RefTable)
+		if err != nil {
+			continue
+		}
+		if matches, _, err := ref.Lookup(fk.RefColumns, vals); err == nil && len(matches) == 0 {
+			return true
 		}
 	}
 	return false

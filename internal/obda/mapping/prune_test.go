@@ -18,6 +18,12 @@ import (
 // with every c.pid present in p (the inclusion dependency the mappings
 // declare).
 func pruneRig(t *testing.T, rng *rand.Rand, parents, children int) *relation.Catalog {
+	return pruneRigDangling(t, rng, parents, children, 0)
+}
+
+// pruneRigDangling is pruneRig plus dangling child rows whose pid no
+// parent has: they violate the declared inclusion dependency.
+func pruneRigDangling(t *testing.T, rng *rand.Rand, parents, children, dangling int) *relation.Catalog {
 	t.Helper()
 	cat := relation.NewCatalog()
 	p, err := cat.Create("p", relation.NewSchema(
@@ -36,7 +42,22 @@ func pruneRig(t *testing.T, rng *rand.Rand, parents, children int) *relation.Cat
 	for i := 0; i < children; i++ {
 		c.MustInsert(relation.Tuple{relation.Int(int64(i)), relation.Int(int64(rng.Intn(parents)))})
 	}
+	for i := 0; i < dangling; i++ {
+		c.MustInsert(relation.Tuple{relation.Int(int64(children + i)), relation.Int(int64(parents + i))})
+	}
 	return cat
+}
+
+// stripConstraints is the as-written oracle's mapping set: set with
+// every FK and exact-predicate declaration removed, so unfolding
+// prunes and eliminates nothing on their strength.
+func stripConstraints(set *Set) *Set {
+	var ms []Mapping
+	for _, m := range set.All() {
+		m.FKs, m.Exact = nil, false
+		ms = append(ms, m)
+	}
+	return MustNewSet(ms...)
 }
 
 func pruneMappings(exactDup bool) *Set {
@@ -89,7 +110,7 @@ func executeFleet(t *testing.T, fleet []*sql.SelectStmt, cat *relation.Catalog) 
 func TestRestrictExactDropsRedundantBranches(t *testing.T) {
 	u := cq.UCQ{cq.New([]string{"x"}, cq.ClassAtom("Child", cq.V("x")))}
 	set := pruneMappings(true)
-	fleet, stats, err := Unfold(u, set, UnfoldOptions{Prune: true})
+	fleet, stats, err := Unfold(u, set, UnfoldOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +120,8 @@ func TestRestrictExactDropsRedundantBranches(t *testing.T) {
 	if stats.ConstraintPruned == 0 {
 		t.Error("ConstraintPruned not counted")
 	}
-	// Without Prune both candidates breed a branch.
-	fleet, _, err = Unfold(u, set, UnfoldOptions{})
+	// Without the constraints both candidates breed a branch.
+	fleet, _, err = Unfold(u, stripConstraints(set), UnfoldOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,11 +138,11 @@ func TestFKJoinEliminated(t *testing.T) {
 		cq.ClassAtom("Parent", cq.V("y")))}
 	set := pruneMappings(false)
 
-	plain, _, err := Unfold(u, set, UnfoldOptions{})
+	plain, _, err := Unfold(u, stripConstraints(set), UnfoldOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, stats, err := Unfold(u, set, UnfoldOptions{Prune: true, Catalog: cat})
+	pruned, stats, err := Unfold(u, set, UnfoldOptions{Catalog: cat})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +172,7 @@ func TestFKProbeDropsEmptyBranch(t *testing.T) {
 	// branch empty at unfolding time.
 	u := cq.UCQ{cq.New([]string{"x"},
 		cq.PropAtom("hasParent", cq.V("x"), cq.C(rdf.NewIRI("http://e/p/999"))))}
-	fleet, stats, err := Unfold(u, set, UnfoldOptions{Prune: true, Catalog: cat})
+	fleet, stats, err := Unfold(u, set, UnfoldOptions{Catalog: cat})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +185,7 @@ func TestFKProbeDropsEmptyBranch(t *testing.T) {
 	// A present constant keeps the branch.
 	u = cq.UCQ{cq.New([]string{"x"},
 		cq.PropAtom("hasParent", cq.V("x"), cq.C(rdf.NewIRI("http://e/p/3"))))}
-	fleet, _, err = Unfold(u, set, UnfoldOptions{Prune: true, Catalog: cat})
+	fleet, _, err = Unfold(u, set, UnfoldOptions{Catalog: cat})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,16 +196,26 @@ func TestFKProbeDropsEmptyBranch(t *testing.T) {
 
 // TestPruneRandomizedDifferential is the seeded differential oracle:
 // over randomized catalogs, queries, and constraint declarations, the
-// constraint-pruned fleet must return exactly the answers of the
-// as-written fleet (set semantics).
+// fleet unfolded under the constraints the catalog satisfies must
+// return exactly the answers of the as-written fleet (set semantics).
+// One catalog in four breaks the declared foreign key.
 func TestPruneRandomizedDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	var prunedSomething bool
+	var prunedSomething, violated bool
 	for iter := 0; iter < 40; iter++ {
 		parents := 2 + rng.Intn(12)
 		children := 1 + rng.Intn(40)
-		cat := pruneRig(t, rng, parents, children)
-		set := pruneMappings(rng.Intn(2) == 0)
+		dangling := 0
+		if rng.Intn(4) == 0 {
+			dangling = 1 + rng.Intn(3)
+		}
+		cat := pruneRigDangling(t, rng, parents, children, dangling)
+		declared := pruneMappings(rng.Intn(2) == 0)
+		set, violations := NewConstraints(declared, cat).Checked()
+		if (len(violations) > 0) != (dangling > 0) {
+			t.Fatalf("iter %d: %d dangling rows, violations %v", iter, dangling, violations)
+		}
+		violated = violated || len(violations) > 0
 
 		var u cq.UCQ
 		switch rng.Intn(4) {
@@ -206,11 +237,11 @@ func TestPruneRandomizedDifferential(t *testing.T) {
 				cq.ClassAtom("Parent", cq.V("y")))}
 		}
 
-		plain, _, err := Unfold(u, set, UnfoldOptions{})
+		plain, _, err := Unfold(u, stripConstraints(declared), UnfoldOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		pruned, stats, err := Unfold(u, set, UnfoldOptions{Prune: true, Catalog: cat})
+		pruned, stats, err := Unfold(u, set, UnfoldOptions{Catalog: cat})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +254,7 @@ func TestPruneRandomizedDifferential(t *testing.T) {
 			t.Fatalf("iter %d: pruned fleet diverges\nwant %v\ngot  %v", iter, want, got)
 		}
 	}
-	if !prunedSomething {
-		t.Fatal("no iteration exercised pruning — differential is vacuous")
+	if !prunedSomething || !violated {
+		t.Fatalf("pruned in some iteration: %t, violated in some: %t — the differential is partly vacuous", prunedSomething, violated)
 	}
 }

@@ -16,12 +16,6 @@ type UnfoldOptions struct {
 	// KeepSelfJoins disables self-join elimination; the ablation
 	// benchmarks compare against it.
 	KeepSelfJoins bool
-	// Prune enables constraint-driven fleet pruning: exact-predicate
-	// mappings restrict the candidate set per atom, contradictory
-	// constant equalities and FK-implied empty branches are dropped, and
-	// FK joins against a keyed parent are eliminated. Off, the fleet is
-	// emitted exactly as-written (the differential oracle).
-	Prune bool
 	// Catalog supplies the static relations that FK emptiness probes run
 	// against at registration time; nil disables the probes (the other
 	// constraint rewrites still apply).
@@ -54,6 +48,13 @@ type UnfoldStats struct {
 // Each statement projects one column per answer variable (named after the
 // variable); the value is the rendered IRI template (or the raw column
 // for data values).
+//
+// Unfolding applies the set's declared constraints (prune.go):
+// exact-predicate mappings restrict the candidate set per atom,
+// contradictory constant equalities and FK-implied empty branches are
+// dropped, and FK joins against a keyed parent are eliminated. It
+// trusts them as declared; Constraints.Checked hands out a set whose
+// static constraints the catalog has been checked against.
 func Unfold(u cq.UCQ, set *Set, opts UnfoldOptions) ([]*sql.SelectStmt, UnfoldStats, error) {
 	maxComb := opts.MaxCombinations
 	if maxComb <= 0 {
@@ -78,9 +79,7 @@ func Unfold(u cq.UCQ, set *Set, opts UnfoldOptions) ([]*sql.SelectStmt, UnfoldSt
 			stats.UnmappedAtoms++
 			continue
 		}
-		if opts.Prune {
-			restrictExact(candidates, &stats)
-		}
+		restrictExact(candidates, &stats)
 		// Enumerate the cartesian product of per-atom mapping choices.
 		combo := make([]Mapping, len(q.Body))
 		var enumerate func(i int) error
@@ -254,16 +253,14 @@ func unfoldCombination(q cq.CQ, combo []Mapping, opts UnfoldOptions, stats *Unfo
 		removed := eliminateSelfJoins(stmt, combo, aliases)
 		stats.SelfJoinsRemoved += removed
 	}
-	if opts.Prune {
-		// Re-derive the (mapping, alias) pairing: self-join elimination
-		// drops FROM items without updating our local slices.
-		curCombo, curAliases := alignCombo(stmt, combo, aliases)
-		if provablyEmpty(stmt, curCombo, curAliases, opts.Catalog) {
-			stats.ConstraintPruned++
-			return nil, false, nil
-		}
-		stats.FKJoinsRemoved += eliminateFKJoins(stmt, curCombo, curAliases)
+	// Re-derive the (mapping, alias) pairing: self-join elimination
+	// drops FROM items without updating our local slices.
+	curCombo, curAliases := alignCombo(stmt, combo, aliases)
+	if provablyEmpty(stmt, curCombo, curAliases, opts.Catalog) {
+		stats.ConstraintPruned++
+		return nil, false, nil
 	}
+	stats.FKJoinsRemoved += eliminateFKJoins(stmt, curCombo, curAliases)
 	return stmt, true, nil
 }
 

@@ -16,10 +16,10 @@ import "sort"
 // for as long as its holder keeps it.
 //
 // A view reports exactly what Transpose reports for the same rows —
-// element type, layout, NULLs and Bytes — so the byte model does not
-// depend on which of the two built a batch's columns: Transpose's
-// builders are log columns too, and a range of a log column that mixed
-// types earlier but not within the range is rebuilt typed.
+// element type, layout and NULLs — whichever of the two built a
+// batch's columns: Transpose's builders are log columns too, and a
+// range of a log column that mixed types earlier but not within the
+// range is rebuilt typed.
 type ColLog struct {
 	cols   []logCol
 	n      int  // live rows

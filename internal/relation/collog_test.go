@@ -31,44 +31,28 @@ func randomLogValue(rng *rand.Rand, j int) Value {
 
 // wantColumn is the columnar model of one column's values: the element
 // type Transpose must choose (the values' one type; TNull when all are
-// NULL or types mix, the generic layout) and the vector's byte
-// estimate. It is written from the layout rules, not from the builder.
-func wantColumn(vals []Value) (Type, int64) {
-	typ, mixed, nulls := TNull, false, 0
-	var payload int64
+// NULL or types mix, the generic layout). It is written from the
+// layout rules, not from the builder.
+func wantColumn(vals []Value) Type {
+	typ, mixed := TNull, false
 	for _, v := range vals {
-		payload += int64(len(v.Str))
 		switch {
 		case v.Type == TNull:
-			nulls++
 		case typ == TNull:
 			typ = v.Type
 		case v.Type != typ:
 			mixed = true
 		}
 	}
-	n := int64(len(vals))
-	bytes := int64(VectorOverheadBytes)
-	if nulls > 0 {
-		bytes += BitmapOverheadBytes + 8*((n+63)/64)
+	if mixed {
+		return TNull
 	}
-	switch {
-	case nulls == len(vals):
-		return TNull, bytes
-	case mixed:
-		return TNull, bytes + n*vecValueBytes + payload
-	case typ == TString:
-		return typ, bytes + n*vecStringBytes + payload
-	case typ == TBool:
-		return typ, bytes + n
-	default:
-		return typ, bytes + n*8
-	}
+	return typ
 }
 
 // TestColLogViewMatchesTranspose checks a ColLog over random appends,
 // prefix drops and views: every view holds its rows' values and has
-// the element type, NULLs and byte estimate of the columnar model
+// the element type and NULLs of the columnar model
 // (wantColumn) and of a transpose of the same rows, and stays so while
 // the log keeps appending, dropping and growing.
 func TestColLogViewMatchesTranspose(t *testing.T) {
@@ -102,9 +86,9 @@ func TestColLogViewMatchesTranspose(t *testing.T) {
 		}
 		for i, v := range views {
 			want := Transpose(v.rows)
-			if v.cb.Len() != want.Len() || v.cb.Arity() != want.Arity() || v.cb.Bytes() != want.Bytes() {
-				t.Fatalf("seed %d view %d: %dx%d %d B, transpose %dx%d %d B", seed, i,
-					v.cb.Len(), v.cb.Arity(), v.cb.Bytes(), want.Len(), want.Arity(), want.Bytes())
+			if v.cb.Len() != want.Len() || v.cb.Arity() != want.Arity() {
+				t.Fatalf("seed %d view %d: %dx%d, transpose %dx%d", seed, i,
+					v.cb.Len(), v.cb.Arity(), want.Len(), want.Arity())
 			}
 			for j := 0; j < want.Arity(); j++ {
 				g, w := v.cb.Col(j), want.Col(j)
@@ -114,13 +98,13 @@ func TestColLogViewMatchesTranspose(t *testing.T) {
 					vals[r] = row[j]
 					hasNull = hasNull || row[j].IsNull()
 				}
-				typ, bytes := wantColumn(vals)
-				if g.ElemType() != typ || g.HasNulls() != hasNull || g.Bytes() != bytes {
-					t.Fatalf("seed %d view %d column %d: %v nulls=%v %d B, model %v nulls=%v %d B", seed, i, j,
-						g.ElemType(), g.HasNulls(), g.Bytes(), typ, hasNull, bytes)
+				typ := wantColumn(vals)
+				if g.ElemType() != typ || g.HasNulls() != hasNull {
+					t.Fatalf("seed %d view %d column %d: %v nulls=%v, model %v nulls=%v", seed, i, j,
+						g.ElemType(), g.HasNulls(), typ, hasNull)
 				}
-				if w.ElemType() != typ || w.Bytes() != bytes {
-					t.Fatalf("seed %d view %d column %d: transpose %v %d B, model %v %d B", seed, i, j, w.ElemType(), w.Bytes(), typ, bytes)
+				if w.ElemType() != typ || w.HasNulls() != hasNull {
+					t.Fatalf("seed %d view %d column %d: transpose %v nulls=%v, model %v nulls=%v", seed, i, j, w.ElemType(), w.HasNulls(), typ, hasNull)
 				}
 				for r, val := range vals {
 					if g.Value(r) != val || g.IsNull(r) != val.IsNull() {

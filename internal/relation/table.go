@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -112,12 +113,17 @@ func (t *Table) Truncate() {
 	}
 }
 
-func indexKey(cols []int) string {
-	parts := make([]string, len(cols))
+// appendIndexKey appends the key of the index on the given column
+// positions to b. A lookup converts it in the map index expression, so
+// probing for an index allocates nothing.
+func appendIndexKey(b []byte, cols []int) []byte {
 	for i, c := range cols {
-		parts[i] = fmt.Sprint(c)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(c), 10)
 	}
-	return strings.Join(parts, ",")
+	return b
 }
 
 // positions resolves column names to schema positions.
@@ -142,7 +148,7 @@ func (t *Table) CreateIndex(cols ...string) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	key := indexKey(positions)
+	key := string(appendIndexKey(nil, positions))
 	if _, ok := t.indexes[key]; ok {
 		return nil
 	}
@@ -162,7 +168,8 @@ func (t *Table) HasIndex(cols ...string) bool {
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	_, ok := t.indexes[indexKey(positions)]
+	var kb [16]byte
+	_, ok := t.indexes[string(appendIndexKey(kb[:0], positions))]
 	return ok
 }
 
@@ -201,7 +208,8 @@ func (t *Table) LookupBatch(cols []string, keys [][]Value) ([][]Tuple, bool, err
 
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	idx, indexed := t.indexes[indexKey(positions)]
+	var ib [16]byte
+	idx, indexed := t.indexes[string(appendIndexKey(ib[:0], positions))]
 	for ki, vals := range keys {
 		if vals == nil {
 			continue

@@ -13,25 +13,6 @@ import (
 // generic []Value for mixed columns, so kernels can run tight loops on
 // the common case without losing row-path semantics on the odd one.
 
-// Byte-estimate model for the columnar layout, mirroring the flat model
-// in package stream: the estimates only need to be consistent and
-// monotone in the real footprint, never allocator-exact.
-const (
-	// VectorOverheadBytes covers a Vector header: the type tag plus the
-	// backing slice headers.
-	VectorOverheadBytes = 64
-	// ColBatchOverheadBytes covers a ColBatch header.
-	ColBatchOverheadBytes = 48
-	// BitmapOverheadBytes covers a Bitmap header.
-	BitmapOverheadBytes = 24
-	// vecStringBytes is the string header cost per TString element
-	// (payload bytes are added on top).
-	vecStringBytes = 16
-	// vecValueBytes is the cost per element of a generic (mixed-type)
-	// column, matching the stream layer's per-value estimate.
-	vecValueBytes = 48
-)
-
 // Bitmap is a fixed-length bitset used for null masks and row
 // selections. The zero value is unusable; call NewBitmap.
 type Bitmap struct {
@@ -123,15 +104,6 @@ func (b *Bitmap) Reset(n int) *Bitmap {
 	return b
 }
 
-// Bytes estimates the bitmap's footprint under the columnar accounting
-// model.
-func (b *Bitmap) Bytes() int64 {
-	if b == nil {
-		return 0
-	}
-	return BitmapOverheadBytes + int64(len(b.words))*8
-}
-
 // Vector is one column of a batch. When Type is TInt/TTime/TFloat/
 // TString/TBool every non-NULL element lives in the matching typed
 // slice; TNull marks a mixed-type column backed by Generic. NULLs are
@@ -207,32 +179,6 @@ func (v *Vector) Value(i int) Value {
 		}
 		return Null
 	}
-}
-
-// Bytes estimates the vector's footprint: header, typed payload, and
-// null bitmap.
-func (v *Vector) Bytes() int64 {
-	n := int64(VectorOverheadBytes)
-	switch v.typ {
-	case TInt, TTime:
-		n += int64(len(v.ints)) * 8
-	case TFloat:
-		n += int64(len(v.floats)) * 8
-	case TString:
-		n += int64(len(v.strs)) * vecStringBytes
-		for _, s := range v.strs {
-			n += int64(len(s))
-		}
-	case TBool:
-		n += int64(len(v.bools))
-	default:
-		n += int64(len(v.generic)) * vecValueBytes
-		for _, g := range v.generic {
-			n += int64(len(g.Str))
-		}
-	}
-	n += v.nulls.Bytes()
-	return n
 }
 
 // VectorBuilder accumulates one column's values, fixing a typed
@@ -443,17 +389,4 @@ func (cb *ColBatch) Rows() []Tuple {
 		out[i] = cb.Row(i)
 	}
 	return out
-}
-
-// Bytes estimates the columnar batch's footprint: header plus every
-// column vector (typed payloads and null bitmaps included).
-func (cb *ColBatch) Bytes() int64 {
-	if cb == nil {
-		return 0
-	}
-	n := int64(ColBatchOverheadBytes)
-	for _, c := range cb.cols {
-		n += c.Bytes()
-	}
-	return n
 }

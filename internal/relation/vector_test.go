@@ -138,25 +138,6 @@ func TestBitmapReset(t *testing.T) {
 	}
 }
 
-func TestVectorBytesModel(t *testing.T) {
-	b := NewVectorBuilder(3)
-	b.Append(String_("abc"))
-	b.Append(Null)
-	b.Append(String_("d"))
-	v := b.Build()
-	// Header + string headers + payloads + null bitmap (header + word).
-	want := int64(VectorOverheadBytes) + 3*16 + 4 + BitmapOverheadBytes + 8
-	if got := v.Bytes(); got != want {
-		t.Errorf("string vector Bytes = %d, want %d", got, want)
-	}
-
-	g := NewGenericVector([]Value{Int(1), String_("xy")})
-	wantG := int64(VectorOverheadBytes) + 2*48 + 2
-	if got := g.Bytes(); got != wantG {
-		t.Errorf("generic vector Bytes = %d, want %d", got, wantG)
-	}
-}
-
 func TestConstAndResetBoolVectors(t *testing.T) {
 	cv := NewConstVector(Bool_(true), 4)
 	if cv.ElemType() != TBool || cv.Len() != 4 || !cv.Bools()[3] {

@@ -30,6 +30,19 @@ func catalogTranslator(t testing.TB, turbines int) *Translator {
 	return NewTranslator(siemens.TBox(), siemens.Mappings(), cat)
 }
 
+// asWrittenTranslator is the oracle of constraint pruning: tr's
+// deployment with every FK and exact-predicate declaration stripped
+// from the mappings, so nothing is pruned or eliminated on their
+// strength.
+func asWrittenTranslator(tr *Translator) *Translator {
+	var ms []mapping.Mapping
+	for _, m := range tr.Mappings.All() {
+		m.FKs, m.Exact = nil, false
+		ms = append(ms, m)
+	}
+	return NewTranslator(tr.TBox, mapping.MustNewSet(ms...), tr.Catalog)
+}
+
 // asWrittenPlan is the reference plan of one static-fleet member: its
 // FROM items crossed left to right in written order, the WHERE on top,
 // then the projection, optimised as the planner did before it ordered
@@ -89,17 +102,18 @@ func renderBindings(head []string, bs []Binding) string {
 }
 
 // TestStaticFleetConnectedJoinOrder runs every catalog task's static
-// fleet at two fleet sizes, with and without constraint pruning. No
-// member's plan may contain a cross product (every member's atoms are
-// connected through shared variables), and the bindings must equal
-// those decoded from the as-written cross-product plans.
+// fleet at two fleet sizes, unfolded under the declared constraints and
+// as written. No member's plan may contain a cross product (every
+// member's atoms are connected through shared variables), and the
+// bindings must equal those decoded from the as-written cross-product
+// plans.
 func TestStaticFleetConnectedJoinOrder(t *testing.T) {
 	for _, turbines := range []int{4, 10} {
-		tr := catalogTranslator(t, turbines)
-		for _, prune := range []bool{false, true} {
+		pruned := catalogTranslator(t, turbines)
+		for _, tr := range []*Translator{pruned, asWrittenTranslator(pruned)} {
 			for _, task := range siemens.Catalog() {
-				name := fmt.Sprintf("%s/turbines=%d/prune=%t", task.ID, turbines, prune)
-				tl, err := tr.Translate(MustParse(task.Query), Options{Unfold: mapping.UnfoldOptions{Prune: prune}})
+				name := fmt.Sprintf("%s/turbines=%d/pruned=%t", task.ID, turbines, tr == pruned)
+				tl, err := tr.Translate(MustParse(task.Query), Options{})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -126,6 +140,49 @@ func TestStaticFleetConnectedJoinOrder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPrunedBindingsMatchAsWritten: for every catalog task at two fleet
+// sizes, the bindings of the default translation, which unfolds under
+// the declared constraints, equal those of the as-written oracle, and
+// the pruned fleet is no larger. Some task must prune, or the check is
+// vacuous.
+func TestPrunedBindingsMatchAsWritten(t *testing.T) {
+	prunedAny := false
+	for _, turbines := range []int{4, 10} {
+		tr := catalogTranslator(t, turbines)
+		oracle := asWrittenTranslator(tr)
+		for _, task := range siemens.Catalog() {
+			name := fmt.Sprintf("%s/turbines=%d", task.ID, turbines)
+			got, gotTl := translateBindings(t, tr, task.Query)
+			want, wantTl := translateBindings(t, oracle, task.Query)
+			if g, w := renderBindings(gotTl.StaticCQ.Head, got), renderBindings(wantTl.StaticCQ.Head, want); g != w {
+				t.Fatalf("%s: pruned bindings differ from the as-written oracle\ngot:\n%s\nwant:\n%s", name, g, w)
+			}
+			n, asWritten := len(gotTl.StaticFleet)+len(gotTl.StreamFleet), len(wantTl.StaticFleet)+len(wantTl.StreamFleet)
+			if n > asWritten {
+				t.Fatalf("%s: pruned fleet %d members, as written %d", name, n, asWritten)
+			}
+			prunedAny = prunedAny || gotTl.UnfoldStats.ConstraintPruned > 0
+		}
+	}
+	if !prunedAny {
+		t.Fatal("no task pruned anything: the differential is vacuous")
+	}
+}
+
+// translateBindings translates a task and evaluates its bindings.
+func translateBindings(t *testing.T, tr *Translator, query string) ([]Binding, *Translation) {
+	t.Helper()
+	tl, err := tr.Translate(MustParse(query), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs, err := tr.EvalBindings(tl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bs, tl
 }
 
 // referenceBindings decodes the as-written plans' rows the way

@@ -44,9 +44,9 @@ type Translation struct {
 	RewriteStats rewrite.Stats
 	UnfoldStats  mapping.UnfoldStats
 
-	// prune records whether the unfolding applied the declared
-	// constraints; EvalBindings prunes the stream fleet to match.
-	prune bool
+	// mappings is the checked mapping set the translation unfolded
+	// under; EvalBindings expands and prunes the stream fleet with it.
+	mappings *mapping.Set
 }
 
 // Options tunes the translator.
@@ -65,13 +65,19 @@ type Translator struct {
 	Mappings *mapping.Set
 	Catalog  *relation.Catalog
 	// Metrics, when non-nil, receives per-translation instruments
-	// (starql.rewrite.*, starql.unfold.*).
+	// (starql.rewrite.*, starql.unfold.*) and
+	// mapping.constraint_violations.
 	Metrics *telemetry.Registry
+	// Recorder, when non-nil, receives one constraint_violation event
+	// per declared constraint a check finds the catalog violating.
+	Recorder *telemetry.Recorder
+
+	constraints *mapping.Constraints // checks Mappings against Catalog
 }
 
 // NewTranslator bundles the deployment assets.
 func NewTranslator(tbox *ontology.TBox, set *mapping.Set, cat *relation.Catalog) *Translator {
-	return &Translator{TBox: tbox, Mappings: set, Catalog: cat}
+	return &Translator{TBox: tbox, Mappings: set, Catalog: cat, constraints: mapping.NewConstraints(set, cat)}
 }
 
 // BGPToCQ converts WHERE triple patterns (and FILTER conditions) to a
@@ -122,7 +128,7 @@ func (tr *Translator) Translate(q *Query, opts Options) (*Translation, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	out := &Translation{Query: q, prune: opts.Unfold.Prune}
+	out := &Translation{Query: q, mappings: tr.checkedMappings()}
 
 	staticCQ, err := BGPToCQ(q.Where, q.WhereVars(), q.WhereFilters...)
 	if err != nil {
@@ -146,11 +152,11 @@ func (tr *Translator) Translate(q *Query, opts Options) (*Translation, error) {
 	rspan.End()
 
 	uopts := opts.Unfold
-	if uopts.Prune && uopts.Catalog == nil {
+	if uopts.Catalog == nil {
 		uopts.Catalog = tr.Catalog
 	}
 	uspan := opts.Trace.StartSpan("unfold")
-	fleet, ustats, err := mapping.Unfold(enriched, tr.Mappings, uopts)
+	fleet, ustats, err := mapping.Unfold(enriched, out.mappings, uopts)
 	if err != nil {
 		uspan.SetAttr("error", err.Error())
 		uspan.End()
@@ -174,6 +180,20 @@ func (tr *Translator) Translate(q *Query, opts Options) (*Translation, error) {
 
 	tr.recordStats(rstats, out.UnfoldStats)
 	return out, nil
+}
+
+// checkedMappings returns the mapping set with every constraint the
+// catalog violates removed, checked once per catalog state; a check
+// that finds violations counts and records each.
+func (tr *Translator) checkedMappings() *mapping.Set {
+	set, violations := tr.constraints.Checked()
+	for _, v := range violations {
+		if tr.Metrics != nil {
+			tr.Metrics.Counter("mapping.constraint_violations").Inc()
+		}
+		tr.Recorder.Record(telemetry.EvConstraintViolation, v.Constraint, "", 0, int64(v.Rows))
+	}
+	return set
 }
 
 // recordStats folds one translation's stage statistics into the
@@ -205,7 +225,7 @@ func (tr *Translator) EvalBindings(t *Translation) ([]Binding, error) {
 	if err != nil {
 		return nil, err
 	}
-	fleet, pruned := tr.streamFleet(t.Query, bindings, t.prune)
+	fleet, pruned := tr.streamFleet(t, bindings)
 	t.StreamFleet = fleet
 	t.UnfoldStats.ConstraintPruned += pruned
 	if tr.Metrics != nil {
@@ -374,19 +394,20 @@ func (q *Query) HavingStreamPredicates() []string {
 // write by hand (the paper: "a fleet with hundreds of queries ...
 // semantically the same but syntactically different").
 //
-// With prune set, members whose inverted-subject constants
-// violate a declared FK constraint of the stream mapping are dropped
-// (and counted in pruned) before registration: the FK says every stream tuple's key appears in
+// Members whose inverted-subject constants violate a declared FK
+// constraint of the stream mapping are dropped (and counted in pruned)
+// before registration: the FK says every stream tuple's key appears in
 // a referenced static table, so a member pinned to a key absent from
 // that table can never produce a row. This is where the Figure 1 fleet
 // shrinks — each sensor binding only feeds the stream its source
 // actually routes to.
-func (tr *Translator) streamFleet(q *Query, bindings []Binding, prune bool) (fleet []*sql.SelectStmt, pruned int) {
+func (tr *Translator) streamFleet(t *Translation, bindings []Binding) (fleet []*sql.SelectStmt, pruned int) {
+	q := t.Query
 	sc := q.Streams[0]
 	preds := q.HavingStreamPredicates()
 	for _, b := range bindings {
 		for _, pred := range preds {
-			for _, m := range tr.Mappings.ForPred(pred) {
+			for _, m := range t.mappings.ForPred(pred) {
 				if !m.Source.IsStream {
 					continue
 				}
@@ -419,7 +440,7 @@ func (tr *Translator) streamFleet(q *Query, bindings []Binding, prune bool) (fle
 							consts[strings.ToLower(m.Subject.Columns[i])] = l.Value
 						}
 					}
-					if prune && fkProvesEmpty(m, consts, tr.Catalog) {
+					if mapping.FKProvesEmpty(m, consts, "", tr.Catalog) {
 						pruned++
 						continue
 					}
@@ -442,40 +463,6 @@ func (tr *Translator) streamFleet(q *Query, bindings []Binding, prune bool) (fle
 		}
 	}
 	return fleet, pruned
-}
-
-// fkProvesEmpty reports whether a stream member pinned to the given
-// column constants is provably empty under one of the mapping's
-// declared FK constraints: all FK columns pinned, and the referenced
-// static table holds no matching row.
-func fkProvesEmpty(m mapping.Mapping, consts map[string]relation.Value, cat *relation.Catalog) bool {
-	if cat == nil {
-		return false
-	}
-	for _, fk := range m.FKs {
-		vals := make([]relation.Value, len(fk.Columns))
-		covered := true
-		for k, col := range fk.Columns {
-			v, ok := consts[strings.ToLower(col)]
-			if !ok {
-				covered = false
-				break
-			}
-			vals[k] = v
-		}
-		if !covered {
-			continue
-		}
-		ref, err := cat.Get(fk.RefTable)
-		if err != nil {
-			continue
-		}
-		matches, _, err := ref.Lookup(fk.RefColumns, vals)
-		if err == nil && len(matches) == 0 {
-			return true
-		}
-	}
-	return false
 }
 
 func segmentLit(seg string) sql.Expr {

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/obda/mapping"
 	"repro/internal/ontology"
 	"repro/internal/siemens"
 	"repro/internal/sql"
@@ -182,7 +181,7 @@ func TestTranslateRejectsVariablePredicate(t *testing.T) {
 
 // TestTranslateStaticFleetDeterministic pins reproducible unfolding:
 // twenty translations of catalog task T01 print byte-identical static
-// fleets, with constraint pruning on and off (join conditions follow
+// fleets, unfolded under the declared constraints and as written (join conditions follow
 // the variables' first occurrence, not map order).
 func TestTranslateStaticFleetDeterministic(t *testing.T) {
 	gen, err := siemens.New(siemens.SmallConfig())
@@ -197,11 +196,11 @@ func TestTranslateStaticFleetDeterministic(t *testing.T) {
 	if !ok {
 		t.Fatal("catalog task T01 missing")
 	}
-	tr := NewTranslator(siemens.TBox(), siemens.Mappings(), cat)
-	for _, prune := range []bool{false, true} {
+	pruned := NewTranslator(siemens.TBox(), siemens.Mappings(), cat)
+	for _, tr := range []*Translator{pruned, asWrittenTranslator(pruned)} {
 		var first string
 		for i := 0; i < 20; i++ {
-			tl, err := tr.Translate(MustParse(task.Query), Options{Unfold: mapping.UnfoldOptions{Prune: prune}})
+			tl, err := tr.Translate(MustParse(task.Query), Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -215,7 +214,7 @@ func TestTranslateStaticFleetDeterministic(t *testing.T) {
 				continue
 			}
 			if got := sb.String(); got != first {
-				t.Fatalf("prune=%t: translation %d printed a different static fleet:\n%s\nfirst:\n%s", prune, i, got, first)
+				t.Fatalf("pruned=%t: translation %d printed a different static fleet:\n%s\nfirst:\n%s", tr == pruned, i, got, first)
 			}
 		}
 	}

@@ -42,15 +42,16 @@ func TestBatchBytesPinsFlatRowModel(t *testing.T) {
 		if got := b.Bytes(); got != flat {
 			t.Fatalf("window %d: Bytes after Columns = %d, want the flat model %d", b.WindowID, got, flat)
 		}
-		// The columns keep relation's own byte model. Column 0 (TInt, 2
-		// values, no NULLs): header + 8 B per element. Column 1 (TString
-		// with one NULL): header + string headers + payload + null bitmap
-		// (header + one word).
-		col0 := int64(relation.VectorOverheadBytes) + 2*8
-		col1 := int64(relation.VectorOverheadBytes) + 2*16 + int64(len("abc")) +
-			relation.BitmapOverheadBytes + 8
-		if got, want := cb.Bytes(), int64(relation.ColBatchOverheadBytes)+col0+col1; got != want {
-			t.Fatalf("window %d: ColBatch.Bytes = %d, want %d", b.WindowID, got, want)
+		// The columns hold the rows: column 0 typed TInt without NULLs,
+		// column 1 typed TString with row 1 NULL.
+		if c := cb.Col(0); c.ElemType() != relation.TInt || c.HasNulls() {
+			t.Fatalf("window %d: column 0 is %v nulls=%v, want TInt without NULLs", b.WindowID, c.ElemType(), c.HasNulls())
+		}
+		if c := cb.Col(1); c.ElemType() != relation.TString || !c.IsNull(1) || c.IsNull(0) {
+			t.Fatalf("window %d: column 1 is %v, want TString with row 1 NULL", b.WindowID, c.ElemType())
+		}
+		if got := cb.Rows(); !reflect.DeepEqual(got, rows) {
+			t.Fatalf("window %d: columns hold %v, want %v", b.WindowID, got, rows)
 		}
 	}
 	if got := (Batch{WindowID: 4}).Bytes(); got != batchOverheadBytes {
@@ -94,11 +95,14 @@ func TestEmittedBatchIsOneValue(t *testing.T) {
 		t.Fatalf("rebuilt batch Bytes = %d, emitted %d", got, bytes)
 	}
 	tc := back.Columns()
-	if tc.Len() != cb.Len() || tc.Arity() != cb.Arity() || tc.Bytes() != cb.Bytes() {
-		t.Fatalf("rebuilt batch columns %dx%d %d B, emitted %dx%d %d B",
-			tc.Len(), tc.Arity(), tc.Bytes(), cb.Len(), cb.Arity(), cb.Bytes())
+	if tc.Len() != cb.Len() || tc.Arity() != cb.Arity() {
+		t.Fatalf("rebuilt batch columns %dx%d, emitted %dx%d",
+			tc.Len(), tc.Arity(), cb.Len(), cb.Arity())
 	}
 	for j := 0; j < cb.Arity(); j++ {
+		if g, w := cb.Col(j), tc.Col(j); g.ElemType() != w.ElemType() || g.HasNulls() != w.HasNulls() {
+			t.Fatalf("column %d is %v nulls=%v, transpose %v nulls=%v", j, g.ElemType(), g.HasNulls(), w.ElemType(), w.HasNulls())
+		}
 		for r := 0; r < cb.Len(); r++ {
 			if g, w := cb.Col(j).Value(r), tc.Col(j).Value(r); g != w {
 				t.Fatalf("column %d row %d = %v, transpose %v", j, r, g, w)

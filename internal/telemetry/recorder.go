@@ -32,6 +32,10 @@ const (
 	EvLinkReconnect
 	EvLinkSuspect
 	EvTransportFailover
+	// A declared mapping constraint the static catalog violates (Query
+	// = the constraint, Value = the rows that witness it): unfolding
+	// stops using it.
+	EvConstraintViolation
 	numEventKinds // keep last
 )
 
@@ -40,7 +44,7 @@ var eventKindNames = [numEventKinds]string{
 	"checkpoint", "restore", "failover", "quarantine",
 	"admission_reject", "restart",
 	"link_up", "link_down", "link_reconnect", "link_suspect",
-	"transport_failover",
+	"transport_failover", "constraint_violation",
 }
 
 func (k EventKind) String() string {

@@ -91,6 +91,7 @@ func (t *Tracer) Start(id string) *Trace {
 	t.mu.Unlock()
 	old.mu.Lock()
 	old.spans = nil
+	old.head = 0
 	old.dropped = 0
 	old.mu.Unlock()
 	return old
@@ -131,9 +132,18 @@ type Trace struct {
 	tracer *Tracer
 
 	mu       sync.Mutex
-	spans    []SpanSnapshot // completed spans, oldest first, bounded
+	spans    []SpanSnapshot // completed spans, a ring of at most maxSpans
+	head     int            // the oldest span's slot once the ring is full
 	dropped  int64          // completed spans evicted from the ring
 	maxSpans int
+}
+
+// ordered returns the retained spans oldest first, in a new slice.
+// Callers hold tr.mu.
+func (tr *Trace) ordered() []SpanSnapshot {
+	out := make([]SpanSnapshot, 0, len(tr.spans))
+	out = append(out, tr.spans[tr.head:]...)
+	return append(out, tr.spans[:tr.head]...)
 }
 
 // StartSpan opens a span on the trace. The span is recorded when End
@@ -154,7 +164,7 @@ func (tr *Trace) Snapshot() TraceSnapshot {
 	defer tr.mu.Unlock()
 	return TraceSnapshot{
 		ID:      tr.ID,
-		Spans:   append([]SpanSnapshot(nil), tr.spans...),
+		Spans:   tr.ordered(),
 		Dropped: tr.dropped,
 	}
 }
@@ -168,7 +178,7 @@ func (tr *Trace) SpanNames() []string {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	out := make([]string, len(tr.spans))
-	for i, s := range tr.spans {
+	for i, s := range tr.ordered() {
 		out[i] = s.Name
 	}
 	return out
@@ -181,12 +191,14 @@ func (tr *Trace) record(s SpanSnapshot) {
 	// its query is re-registered.
 	exp := tr.tracer.currentExporter()
 	tr.mu.Lock()
-	if len(tr.spans) >= tr.maxSpans {
-		n := copy(tr.spans, tr.spans[1:])
-		tr.spans = tr.spans[:n]
+	if len(tr.spans) < tr.maxSpans {
+		tr.spans = append(tr.spans, s)
+	} else {
+		// Full: the new span takes the oldest one's slot.
+		tr.spans[tr.head] = s
+		tr.head = (tr.head + 1) % len(tr.spans)
 		tr.dropped++
 	}
-	tr.spans = append(tr.spans, s)
 	tr.mu.Unlock()
 	if exp != nil {
 		exp.ExportSpan(tr.ID, s)

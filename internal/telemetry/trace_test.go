@@ -40,21 +40,32 @@ func TestTraceLifecycle(t *testing.T) {
 }
 
 func TestTraceSpanRing(t *testing.T) {
-	tr := NewTracer(1)
-	trace := tr.Start("q")
-	trace.maxSpans = 4
-	for i := 0; i < 10; i++ {
-		trace.StartSpan(fmt.Sprintf("s%d", i)).End()
-	}
-	snap := trace.Snapshot()
-	if len(snap.Spans) != 4 {
-		t.Fatalf("retained %d spans, want 4", len(snap.Spans))
-	}
-	if snap.Dropped != 6 {
-		t.Errorf("dropped = %d, want 6", snap.Dropped)
-	}
-	if snap.Spans[0].Name != "s6" || snap.Spans[3].Name != "s9" {
-		t.Errorf("ring kept %v, want s6..s9", snap.SpanNames())
+	// Ten spans wrap a ring of four once; seventeen wrap it more than
+	// once and stop between two wraps.
+	for _, n := range []int{10, 17} {
+		tr := NewTracer(1)
+		trace := tr.Start("q")
+		trace.maxSpans = 4
+		for i := 0; i < n; i++ {
+			trace.StartSpan(fmt.Sprintf("s%d", i)).End()
+		}
+		snap := trace.Snapshot()
+		if len(snap.Spans) != 4 {
+			t.Fatalf("n=%d: retained %d spans, want 4", n, len(snap.Spans))
+		}
+		if snap.Dropped != int64(n-4) {
+			t.Errorf("n=%d: dropped = %d, want %d", n, snap.Dropped, n-4)
+		}
+		want := make([]string, 4)
+		for i := range want {
+			want[i] = fmt.Sprintf("s%d", n-4+i)
+		}
+		if got := snap.SpanNames(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("n=%d: snapshot kept %v, want %v oldest first", n, got, want)
+		}
+		if got := trace.SpanNames(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("n=%d: SpanNames = %v, want %v oldest first", n, got, want)
+		}
 	}
 }
 
