@@ -88,16 +88,17 @@ func FKProvesEmpty(m Mapping, consts map[string]relation.Value, prefix string, c
 	if cat == nil {
 		return false
 	}
+	var vb [4]relation.Value
 	for _, fk := range m.FKs {
-		vals := make([]relation.Value, len(fk.Columns))
+		vals := vb[:0]
 		covered := true
-		for k, col := range fk.Columns {
+		for _, col := range fk.Columns {
 			v, ok := consts[prefix+strings.ToLower(col)]
 			if !ok {
 				covered = false
 				break
 			}
-			vals[k] = v
+			vals = append(vals, v)
 		}
 		if !covered {
 			continue
@@ -106,7 +107,7 @@ func FKProvesEmpty(m Mapping, consts map[string]relation.Value, prefix string, c
 		if err != nil {
 			continue
 		}
-		if matches, _, err := ref.Lookup(fk.RefColumns, vals); err == nil && len(matches) == 0 {
+		if found, err := ref.Exists(fk.RefColumns, vals); err == nil && !found {
 			return true
 		}
 	}

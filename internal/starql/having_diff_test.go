@@ -1,6 +1,7 @@
 package starql
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -330,5 +331,85 @@ func TestCompiledHavingErrorParity(t *testing.T) {
 		if errI.Error() != errC.Error() {
 			t.Errorf("%s: error mismatch: interpreter %q vs compiled %q", c.name, errI, errC)
 		}
+	}
+}
+
+// TestOnePassAggregatesMatchSlices is the differential of the one-pass
+// TREND.INCREASE and PEARSON.CORRELATION against the slice-building
+// reference (seriesOfRef, pearsonOverStatesRef, Pearson): over seeded
+// windows read by the flat reader whose value column mixes INTEGER and
+// REAL rows with NULLs and NaNs, where states lack one subject's
+// measurement, and where a subject's values are constant (zero
+// variance), both return the same verdict and the same coefficient.
+func TestOnePassAggregatesMatchSlices(t *testing.T) {
+	set := testMappings(t)
+	sb, err := NewSequenceBuilder(msmtStreamSchema(), set.set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s7, s8 := "http://siemens.com/data/sensor/7", "http://siemens.com/data/sensor/8"
+	attr := sieNS + "hasValue"
+	rng := rand.New(rand.NewSource(53))
+	same := func(a, b float64) bool { return a == b || (a != a && b != b) }
+	seen := map[string]bool{}
+	for trial := 0; trial < 400; trial++ {
+		constant := rng.Intn(4) == 0
+		var rows []relation.Tuple
+		for ts := int64(0); ts < int64(rng.Intn(8)); ts++ {
+			for _, sid := range []int64{7, 8} {
+				if rng.Intn(4) == 0 {
+					continue // this state lacks the subject
+				}
+				for k := rng.Intn(2); k >= 0; k-- {
+					r := row(sid, ts*1000, float64(rng.Intn(20)), 0)
+					switch {
+					case constant && sid == 8:
+						r[2] = relation.Float(5)
+					case rng.Intn(10) == 0:
+						r[2] = relation.Null
+					case rng.Intn(12) == 0:
+						r[2] = relation.Float(math.NaN())
+					case rng.Intn(3) == 0:
+						r[2] = relation.Int(int64(rng.Intn(20)))
+					}
+					rows = append(rows, r)
+				}
+			}
+		}
+		rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+		r, err := sb.Reader([]string{attr}, []string{s7, s8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, err := r.Read(relation.Transpose(rows))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range []string{s7, s8} {
+			series := seriesOfRef(seq, s, attr)
+			want := len(series) >= 2 && series[len(series)-1] > series[0]
+			if got := trendIncreases(seq, s, attr); got != want {
+				t.Fatalf("trial %d: TREND.INCREASE(%s) = %t, series %v", trial, s, got, series)
+			}
+		}
+		for _, pair := range [][2]string{{s7, s8}, {s8, s7}, {s7, s7}} {
+			wr, wok := pearsonOverStatesRef(seq, pair[0], pair[1], attr)
+			gr, gok := PearsonOverStates(seq, pair[0], pair[1], attr)
+			if wok != gok || !same(wr, gr) {
+				t.Fatalf("trial %d: PEARSON(%s, %s) = %v %t, reference %v %t", trial, pair[0], pair[1], gr, gok, wr, wok)
+			}
+			switch {
+			case wok:
+				seen["correlated"] = true
+			case len(seriesOfRef(seq, pair[0], attr)) >= 2 && len(seriesOfRef(seq, pair[1], attr)) >= 2:
+				seen["not correlated"] = true
+			}
+			if wok && wr != wr {
+				seen["NaN coefficient"] = true
+			}
+		}
+	}
+	if len(seen) != 3 {
+		t.Fatalf("trials reached only %v", seen)
 	}
 }

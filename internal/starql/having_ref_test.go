@@ -2,6 +2,7 @@ package starql
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/relation"
 )
@@ -372,7 +373,7 @@ func evalAggCall(a *AggCall, env *evalEnv) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		series := seriesOf(env.seq, subj, a.Args[1].Term.Value)
+		series := seriesOfRef(env.seq, subj, a.Args[1].Term.Value)
 		if len(series) < 2 {
 			return false, nil
 		}
@@ -397,9 +398,71 @@ func evalAggCall(a *AggCall, env *evalEnv) (bool, error) {
 			return false, err
 		}
 		minF, _ := min.AsFloat()
-		r, ok := PearsonOverStates(env.seq, sa, sb, attr)
+		r, ok := pearsonOverStatesRef(env.seq, sa, sb, attr)
 		return ok && r >= minF, nil
 	default:
 		return false, fmt.Errorf("starql: unknown aggregate %s", a.Name)
 	}
+}
+
+// seriesOfRef extracts the per-state series of a subject's attribute
+// (first value per state, when numeric) as a slice: the reference for
+// the one-pass TREND.INCREASE.
+func seriesOfRef(seq *Sequence, subject, attr string) []float64 {
+	var out []float64
+	for i := 0; i < seq.Len(); i++ {
+		vals := seq.Values(i, subject, attr)
+		if len(vals) == 0 {
+			continue
+		}
+		if f, ok := vals[0].AsFloat(); ok {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// pearsonOverStatesRef builds the two subjects' series over the states
+// where both are present and correlates them with Pearson: the
+// reference for the one-pass PearsonOverStates.
+func pearsonOverStatesRef(seq *Sequence, subjA, subjB, attr string) (float64, bool) {
+	var xs, ys []float64
+	for i := 0; i < seq.Len(); i++ {
+		va := seq.Values(i, subjA, attr)
+		vb := seq.Values(i, subjB, attr)
+		if len(va) == 0 || len(vb) == 0 {
+			continue
+		}
+		fa, ok1 := va[0].AsFloat()
+		fb, ok2 := vb[0].AsFloat()
+		if ok1 && ok2 {
+			xs = append(xs, fa)
+			ys = append(ys, fb)
+		}
+	}
+	return Pearson(xs, ys)
+}
+
+// Pearson computes the correlation coefficient of two equal-length
+// series; ok is false for fewer than two points or zero variance.
+func Pearson(xs, ys []float64) (float64, bool) {
+	if len(xs) != len(ys) || len(xs) < 2 {
+		return 0, false
+	}
+	n := float64(len(xs))
+	var sx, sy, sxx, syy, sxy float64
+	for i := range xs {
+		sx += xs[i]
+		sy += ys[i]
+		sxx += xs[i] * xs[i]
+		syy += ys[i] * ys[i]
+		sxy += xs[i] * ys[i]
+	}
+	cov := sxy - sx*sy/n
+	vx := sxx - sx*sx/n
+	vy := syy - sy*sy/n
+	if vx <= 0 || vy <= 0 {
+		return 0, false
+	}
+	return cov / math.Sqrt(vx*vy), true
 }
