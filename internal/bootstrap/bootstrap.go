@@ -16,7 +16,6 @@ package bootstrap
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/obda/mapping"
@@ -377,11 +376,4 @@ func singular(s string) string {
 
 func humanLabel(name string) string {
 	return strings.ReplaceAll(strings.ToLower(name), "_", " ")
-}
-
-// SortedReport returns the report lines sorted (for stable test output).
-func (r *Result) SortedReport() []string {
-	out := append([]string{}, r.Report...)
-	sort.Strings(out)
-	return out
 }

@@ -437,9 +437,6 @@ func (n *Node) enqueue(ctx context.Context, w work, policy Backpressure) error {
 	return nil
 }
 
-// NodeCount returns the number of workers.
-func (c *Cluster) NodeCount() int { return len(c.nodes) }
-
 // Gateway returns the asynchronous registration front end.
 func (c *Cluster) Gateway() *Gateway { return c.gateway }
 

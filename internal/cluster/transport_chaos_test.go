@@ -15,15 +15,14 @@ import (
 	"repro/internal/transport"
 )
 
-// chaosTransportTuning shrinks the TCP reliability clocks so injected
-// faults recover within test time. Suspicion is disabled — partition
-// scenarios that should NOT fail over set it here; the failover
-// scenario overrides it.
+// chaosTransportTuning shrinks the TCP heartbeat and reconnect clocks
+// so injected faults recover within test time. Suspicion is disabled —
+// partition scenarios that should NOT fail over set it here; the
+// failover scenario overrides it.
 func chaosTransportTuning() transport.Tuning {
 	return transport.Tuning{
 		HeartbeatEvery:   5 * time.Millisecond,
 		SuspectAfter:     -1,
-		RetransmitAfter:  30 * time.Millisecond,
 		DialTimeout:      50 * time.Millisecond,
 		ReconnectBackoff: time.Millisecond,
 	}
@@ -106,10 +105,10 @@ func requireSameResults(t *testing.T, baseline, got map[string]map[int64][]strin
 
 // TestTransportChaosTCPMatchesChannel is the partition-tolerance
 // acceptance scenario: the diagnostic workload over the TCP transport —
-// clean, under frame chaos (deterministic drops, delays, duplicates,
-// reorders), and through healed partitions (one symmetric, one one-way)
-// — must produce window sets byte-identical to the fault-free channel
-// run, with zero duplicate deliveries.
+// clean, and under a deterministic schedule of frame delays, connection
+// resets and link cuts that heal — must produce window sets
+// byte-identical to the fault-free channel run, with zero duplicate
+// deliveries.
 func TestTransportChaosTCPMatchesChannel(t *testing.T) {
 	baseline, _ := runDiagnosticsOver(t, nil, nil, nil)
 	if len(baseline) != 4 {
@@ -124,41 +123,33 @@ func TestTransportChaosTCPMatchesChannel(t *testing.T) {
 	clean, _ := runDiagnosticsOver(t, useTCP, nil, nil)
 	requireSameResults(t, baseline, clean, "tcp-clean")
 
-	frameChaos := faults.New(1).
-		DropFrameAt(faults.AnyNode, 3).
-		DropFrameEvery(faults.AnyNode, 17).
-		DuplicateFrameEvery(faults.AnyNode, 11).
-		ReorderFrameEvery(faults.AnyNode, 13).
-		DelayFrameEvery(faults.AnyNode, 19, time.Millisecond)
-	chaotic, _ := runDiagnosticsOver(t, useTCP, frameChaos, nil)
-	requireSameResults(t, baseline, chaotic, "tcp-frame-chaos")
-	for _, k := range []faults.Kind{faults.KindNetDrop, faults.KindNetDup, faults.KindNetReorder, faults.KindNetDelay} {
-		if frameChaos.Injected(k) == 0 {
-			t.Errorf("frame chaos never injected %v", k)
-		}
-	}
-
-	partitions := faults.New(1).
-		CutLinkAtFrame(1, 5, false). // symmetric cut mid-stream
-		CutLinkAtFrame(2, 3, true)   // one-way cut: acks flow, frames vanish
+	chaos := faults.New(1).
+		ResetLinkAtFrame(faults.AnyNode, 3).
+		ResetLinkAtFrame(faults.AnyNode, 17).
+		ResetLinkAtFrame(0, 40).
+		DelayFrameEvery(faults.AnyNode, 19, time.Millisecond).
+		CutLinkAtFrame(1, 5). // cut mid-stream, healed at round 49
+		CutLinkAtFrame(2, 30)
 	healed := false
-	partitioned, _ := runDiagnosticsOver(t, useTCP, partitions, func(round int, _ *Cluster) {
+	chaotic, _ := runDiagnosticsOver(t, useTCP, chaos, func(round int, _ *Cluster) {
 		if round != 49 || healed {
 			return
 		}
 		healed = true
-		// The triggers arm on the links' 5th/3rd written frame; the
+		// The triggers arm on the links' 5th/30th written frame; the
 		// writer goroutines may lag the ingest loop, so wait until both
 		// cuts have actually bitten before healing them — then the
-		// sessions resume and the flush barrier can complete.
+		// stalled links drain and the flush barrier can complete.
 		waitFor(t, 10*time.Second, func() bool {
-			return partitions.LinkCut(1) && partitions.LinkCut(2)
-		}, "both partition triggers firing")
-		partitions.HealLink(1).HealLink(2)
+			return chaos.LinkCut(1) && chaos.LinkCut(2)
+		}, "both cut triggers firing")
+		chaos.HealLink(1).HealLink(2)
 	})
-	requireSameResults(t, baseline, partitioned, "tcp-healed-partition")
-	if partitions.Injected(faults.KindNetPartition) == 0 {
-		t.Error("the partitions never bit")
+	requireSameResults(t, baseline, chaotic, "tcp-chaos")
+	for _, k := range []faults.Kind{faults.KindNetReset, faults.KindNetDelay, faults.KindNetPartition} {
+		if chaos.Injected(k) == 0 {
+			t.Errorf("the schedule never injected %v", k)
+		}
 	}
 }
 

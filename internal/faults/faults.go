@@ -42,19 +42,14 @@ const (
 	// state, pushing it over its budget so the engine's degradation
 	// policy fires deterministically.
 	KindMemPressure
-	// KindNetDrop discards a frame on the wire (recovered by the
-	// transport's retransmission clock).
-	KindNetDrop
 	// KindNetDelay stalls a frame before it is written — a slow link;
 	// everything behind it on the link waits too.
 	KindNetDelay
-	// KindNetDup writes a frame twice (the receiver dedups by seq).
-	KindNetDup
-	// KindNetReorder delays a frame past its successor (the receiver
-	// reorders by seq).
-	KindNetReorder
-	// KindNetPartition counts frames black-holed by a cut link
-	// (CutLink/CutLinkOneWay, or a CutLinkAtFrame trigger firing).
+	// KindNetReset closes a link's connection right after a frame is
+	// written (the transport reconnects and resumes the session).
+	KindNetReset
+	// KindNetPartition counts the times a cut link held its traffic
+	// (CutLink, or a CutLinkAtFrame trigger once it fired).
 	KindNetPartition
 	// KindQuotaExhausted forces a tenant's admission checks to fail with
 	// the retryable quota error.
@@ -77,14 +72,10 @@ func (k Kind) String() string {
 		return "mem-pressure"
 	case KindQuotaExhausted:
 		return "quota-exhausted"
-	case KindNetDrop:
-		return "net-drop"
 	case KindNetDelay:
 		return "net-delay"
-	case KindNetDup:
-		return "net-dup"
-	case KindNetReorder:
-		return "net-reorder"
+	case KindNetReset:
+		return "net-reset"
 	case KindNetPartition:
 		return "net-partition"
 	default:
@@ -166,22 +157,13 @@ type Injector struct {
 
 	// Network chaos state (the transport.NetFaultInjector hooks): frame
 	// rules run on the deterministic clock of "the nth data/flush frame
-	// written towards the node", partitions are explicit link cuts
-	// (symmetric or one-way) that CutLinkAtFrame can also arm on that
-	// same frame clock.
+	// written towards the node", cuts are explicit link stalls that
+	// CutLinkAtFrame can also arm on that same frame clock (cutAt maps a
+	// node to its trigger frame).
 	netRules []netRule
-	cut      map[int]cutState
-	cutTrig  map[int]cutTrigger
+	cut      map[int]bool
+	cutAt    map[int]int64
 }
-
-// cutState is a link's partition state.
-type cutState int
-
-const (
-	cutNone   cutState = iota
-	cutOneWay          // outbound frames black-holed; acks still flow
-	cutBoth            // both directions black-holed
-)
 
 // netRule is one frame-schedule rule: fire on the node's nth outbound
 // data/flush frame (1-based), and every `every` frames after that.
@@ -206,13 +188,6 @@ func (r netRule) matches(node int, nth int64) bool {
 	return r.every > 0 && (nth-r.at)%r.every == 0
 }
 
-// cutTrigger arms a deterministic partition: the link is cut when the
-// transport writes its nth data/flush frame towards the node.
-type cutTrigger struct {
-	at     int64
-	oneWay bool
-}
-
 // New returns an injector whose probabilistic rules draw from a
 // generator seeded with seed (counter-based rules need no randomness).
 func New(seed int64) *Injector {
@@ -227,8 +202,8 @@ func New(seed int64) *Injector {
 		crashEmit: make(map[string]map[int64]bool),
 		pressure:  make(map[string]int64),
 		exhausted: make(map[string]bool),
-		cut:       make(map[int]cutState),
-		cutTrig:   make(map[int]cutTrigger),
+		cut:       make(map[int]bool),
+		cutAt:     make(map[int]int64),
 	}
 }
 
@@ -471,18 +446,11 @@ func (i *Injector) AfterEmit(queryID string, windowEnd int64) {
 }
 
 // ---- network chaos (the transport.NetFaultInjector hooks) ----
-
-// DropFrameAt discards the nth data/flush frame written towards node
-// (1-based). The frame stays in the sender's unacked window and is
-// recovered by the retransmission clock.
-func (i *Injector) DropFrameAt(node int, nth int64) *Injector {
-	return i.addNet(netRule{node: node, kind: KindNetDrop, at: nth})
-}
-
-// DropFrameEvery discards every everyth frame towards node.
-func (i *Injector) DropFrameEvery(node int, every int64) *Injector {
-	return i.addNet(netRule{node: node, kind: KindNetDrop, at: every, every: every})
-}
+//
+// Network faults model only what a TCP connection can show: a stall
+// (a cut link holds its traffic until healed), a delay, or a closed
+// connection. A live connection never loses, duplicates or reorders a
+// frame, so no rule does.
 
 // DelayFrameEvery stalls every everyth frame towards node for d before
 // it is written — a slow link (every=1 slows every frame).
@@ -490,65 +458,40 @@ func (i *Injector) DelayFrameEvery(node int, every int64, d time.Duration) *Inje
 	return i.addNet(netRule{node: node, kind: KindNetDelay, at: every, every: every, delay: d})
 }
 
-// DuplicateFrameAt writes the nth frame towards node twice; the
-// receiver must deduplicate by sequence number.
-func (i *Injector) DuplicateFrameAt(node int, nth int64) *Injector {
-	return i.addNet(netRule{node: node, kind: KindNetDup, at: nth})
+// ResetLinkAtFrame closes node's connection right after the nth
+// data/flush frame towards node (1-based) is written: the transport
+// reconnects, resumes the session, and retransmits what the receiver
+// has not acknowledged.
+func (i *Injector) ResetLinkAtFrame(node int, nth int64) *Injector {
+	return i.addNet(netRule{node: node, kind: KindNetReset, at: nth})
 }
 
-// DuplicateFrameEvery duplicates every everyth frame towards node.
-func (i *Injector) DuplicateFrameEvery(node int, every int64) *Injector {
-	return i.addNet(netRule{node: node, kind: KindNetDup, at: every, every: every})
-}
-
-// ReorderFrameAt delays the nth frame towards node past its successor;
-// the receiver must restore sequence order.
-func (i *Injector) ReorderFrameAt(node int, nth int64) *Injector {
-	return i.addNet(netRule{node: node, kind: KindNetReorder, at: nth})
-}
-
-// ReorderFrameEvery reorders every everyth frame towards node.
-func (i *Injector) ReorderFrameEvery(node int, every int64) *Injector {
-	return i.addNet(netRule{node: node, kind: KindNetReorder, at: every, every: every})
-}
-
-// CutLink cuts node's link symmetrically: frames in both directions
-// are black-holed until HealLink.
+// CutLink cuts node's link: neither end writes to it, and its traffic
+// waits, until HealLink.
 func (i *Injector) CutLink(node int) *Injector {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	i.cut[node] = cutBoth
+	i.cut[node] = true
 	return i
 }
 
-// CutLinkOneWay cuts only the outbound direction of node's link:
-// frames towards the node vanish while acknowledgements still flow —
-// the asymmetric partial partition real networks produce.
-func (i *Injector) CutLinkOneWay(node int) *Injector {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	i.cut[node] = cutOneWay
-	return i
-}
-
-// HealLink reconnects node's link (lifts CutLink/CutLinkOneWay and
-// disarms a pending CutLinkAtFrame trigger).
+// HealLink reconnects node's link (lifts CutLink and disarms a pending
+// CutLinkAtFrame trigger).
 func (i *Injector) HealLink(node int) *Injector {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	delete(i.cut, node)
-	delete(i.cutTrig, node)
+	delete(i.cutAt, node)
 	return i
 }
 
-// CutLinkAtFrame arms a deterministic partition: the link to node is
-// cut (symmetric, or one-way when oneWay) the moment the transport
-// writes its nth data/flush frame towards the node. The nth frame
-// itself is the first casualty.
-func (i *Injector) CutLinkAtFrame(node int, nth int64, oneWay bool) *Injector {
+// CutLinkAtFrame arms a deterministic cut: the link to node is cut
+// right after the transport writes its nth data/flush frame towards
+// the node, so the frames after it wait for HealLink.
+func (i *Injector) CutLinkAtFrame(node int, nth int64) *Injector {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	i.cutTrig[node] = cutTrigger{at: nth, oneWay: oneWay}
+	i.cutAt[node] = nth
 	return i
 }
 
@@ -559,77 +502,54 @@ func (i *Injector) addNet(r netRule) *Injector {
 	return i
 }
 
-// NetPartitioned implements transport.NetFaultInjector: whether the
-// given direction of node's link is currently black-holed. One-way
-// cuts drop only outbound frames (inbound = the node's acks).
-func (i *Injector) NetPartitioned(node int, inbound bool) bool {
+// NetPartitioned implements transport.NetFaultInjector: whether node's
+// link is currently cut.
+func (i *Injector) NetPartitioned(node int) bool {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	switch i.cut[node] {
-	case cutBoth:
+	if i.cut[node] {
 		i.injected[KindNetPartition]++
 		return true
-	case cutOneWay:
-		if !inbound {
-			i.injected[KindNetPartition]++
-			return true
-		}
 	}
 	return false
 }
 
 // NetFrameAction implements transport.NetFaultInjector: the fault
-// schedule for the nth data/flush frame written towards node. At most
-// one of drop/dup/reorder fires per frame (drop wins, then dup);
-// delays stack. A CutLinkAtFrame trigger reaching its frame arms the
-// partition before the schedule is consulted.
-func (i *Injector) NetFrameAction(node int, nth int64) (drop, dup, reorder bool, delay time.Duration) {
+// schedule for the nth data/flush frame written towards node. Delays
+// stack; a reset closes the connection once the frame is written. A
+// CutLinkAtFrame trigger reaching its frame cuts the link.
+func (i *Injector) NetFrameAction(node int, nth int64) (reset bool, delay time.Duration) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	if trig, ok := i.cutTrig[node]; ok && nth >= trig.at {
-		if trig.oneWay {
-			i.cut[node] = cutOneWay
-		} else {
-			i.cut[node] = cutBoth
-		}
-		delete(i.cutTrig, node)
-		i.injected[KindNetPartition]++
+	if at, ok := i.cutAt[node]; ok && nth >= at {
+		i.cut[node] = true
+		delete(i.cutAt, node)
 	}
 	for _, r := range i.netRules {
 		if !r.matches(node, nth) {
 			continue
 		}
 		switch r.kind {
-		case KindNetDrop:
-			drop = true
-		case KindNetDup:
-			dup = true
-		case KindNetReorder:
-			reorder = true
+		case KindNetReset:
+			reset = true
 		case KindNetDelay:
 			delay += r.delay
 		}
 	}
-	if drop {
-		dup, reorder = false, false
-		i.injected[KindNetDrop]++
-	} else if dup {
-		reorder = false
-		i.injected[KindNetDup]++
-	} else if reorder {
-		i.injected[KindNetReorder]++
+	if reset {
+		i.injected[KindNetReset]++
 	}
 	if delay > 0 {
 		i.injected[KindNetDelay]++
 	}
-	return drop, dup, reorder, delay
+	return reset, delay
 }
 
 // LinkCut reports whether node's link is currently cut. A pending
 // CutLinkAtFrame trigger that has not fired yet reports false — tests
-// use this to wait for an armed partition to bite before healing it.
+// use this to wait for an armed cut to bite before healing it.
 func (i *Injector) LinkCut(node int) bool {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	return i.cut[node] != cutNone
+	return i.cut[node]
 }

@@ -231,24 +231,9 @@ func NewIntVector(vals []int64, nulls *Bitmap) *Vector {
 	return &Vector{typ: TInt, ints: vals, nulls: nulls, n: len(vals)}
 }
 
-// NewTimeVector wraps millisecond timestamps as a TTime column.
-func NewTimeVector(vals []int64, nulls *Bitmap) *Vector {
-	return &Vector{typ: TTime, ints: vals, nulls: nulls, n: len(vals)}
-}
-
 // NewFloatVector wraps a float64 slice as a TFloat column.
 func NewFloatVector(vals []float64, nulls *Bitmap) *Vector {
 	return &Vector{typ: TFloat, floats: vals, nulls: nulls, n: len(vals)}
-}
-
-// NewStringVector wraps a string slice as a TString column.
-func NewStringVector(vals []string, nulls *Bitmap) *Vector {
-	return &Vector{typ: TString, strs: vals, nulls: nulls, n: len(vals)}
-}
-
-// NewBoolVector wraps a bool slice as a TBool column.
-func NewBoolVector(vals []bool, nulls *Bitmap) *Vector {
-	return &Vector{typ: TBool, bools: vals, nulls: nulls, n: len(vals)}
 }
 
 // Gather returns a fresh vector holding v's elements at idxs, in order:
@@ -320,7 +305,7 @@ func (v *Vector) Clone() *Vector {
 	return out
 }
 
-// ResetBool repoints v at a TBool payload in place — NewBoolVector
+// ResetBool repoints v at a TBool payload in place — a TBool column
 // without the header allocation, for kernels that reuse one result
 // header across serialized executions. v's previous contents are
 // discarded; like Bitmap.Reset, only reuse a header whose previous

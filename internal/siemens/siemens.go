@@ -117,12 +117,6 @@ func (g *Generator) SensorKind(sid int64) string {
 // SensorIRI returns the instance IRI of a sensor.
 func SensorIRI(sid int64) string { return fmt.Sprintf("%ssensor/%d", DataNS, sid) }
 
-// TurbineIRI returns the instance IRI of a turbine.
-func TurbineIRI(tid int) string { return fmt.Sprintf("%sturbine/%d", DataNS, tid) }
-
-// AssemblyIRI returns the instance IRI of an assembly.
-func AssemblyIRI(aid int64) string { return fmt.Sprintf("%sassembly/%d", DataNS, aid) }
-
 // StaticCatalog materialises the static databases of both sources:
 //
 //	source A: a_turbines(tid, model, country, year),

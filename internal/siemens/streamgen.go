@@ -177,11 +177,6 @@ func RouteName(isA bool) string {
 	return "msmt_b"
 }
 
-// ToStreamRow converts a canonical (sid, ts, val, fail) tuple to the
-// target stream's column order; both streams happen to share arity, so
-// the conversion is the identity for msmt_a and a rename for msmt_b.
-func ToStreamRow(row relation.Tuple, isA bool) relation.Tuple { return row }
-
 // SensorsOfTurbine lists a turbine's sensor ids.
 func (g *Generator) SensorsOfTurbine(tid int) []int64 {
 	out := make([]int64, g.cfg.SensorsPerTurbine)

@@ -67,28 +67,6 @@ type chEnv struct {
 	states  []int
 	values  []chVal
 	binding []chTerm
-	last    runMemo
-}
-
-// runMemo is the last (subject, predicate) run the program resolved in
-// its sequence: the graph atoms of one evaluation keep asking for the
-// same few (a FORALL over state pairs resolves its atoms' one subject
-// and attribute once per pair), so most resolutions skip the subject
-// map. It is reset by every Eval.
-type runMemo struct {
-	subject, pred string
-	lo, hi, p     int
-	ok            bool
-}
-
-// run resolves the elements of (subject, predicate) in env's sequence.
-func (env *chEnv) run(subject, pred string) (lo, hi, p int) {
-	if m := &env.last; m.ok && m.subject == subject && m.pred == pred {
-		return m.lo, m.hi, m.p
-	}
-	lo, hi, p = env.seq.run(subject, pred)
-	env.last = runMemo{subject, pred, lo, hi, p, true}
-	return lo, hi, p
 }
 
 // chProg evaluates the residual program under env, feeding every
@@ -170,7 +148,6 @@ func (ch *CompiledHaving) Preds() []string { return ch.preds }
 func (ch *CompiledHaving) Eval(seq *Sequence, binding Binding) (bool, error) {
 	env := ch.pool.Get().(*chEnv)
 	env.seq = seq
-	env.last = runMemo{}
 	for i := range env.states {
 		env.states[i] = -1
 	}
@@ -421,7 +398,7 @@ func (c *havingCompiler) compileGraphAtom(g *GraphAtom, k chProg) chProg {
 		if predErr != nil {
 			return 0, 0, 0, predErr
 		}
-		lo, end, p := env.run(s, pred)
+		lo, end, p := env.seq.run(s, pred)
 		lo, hi = env.seq.at(idx, lo, end, p)
 		return lo, hi, p, nil
 	}
@@ -567,7 +544,7 @@ func (c *havingCompiler) compileAggCall(a *AggCall, k chProg) chProg {
 			if err != nil {
 				return false, err
 			}
-			lo, hi, p := env.run(s, attr)
+			lo, hi, p := env.seq.run(s, attr)
 			for j := lo; j < hi; j++ {
 				if d, ok := relation.Compare(env.seq.value(p, j), lim); ok && d > 0 {
 					return k(env)

@@ -465,19 +465,11 @@ func (tr *Translator) streamFleet(t *Translation, bindings []Binding) (fleet []*
 	return fleet, pruned
 }
 
+// segmentLit types one inverted IRI segment by the reader's rule
+// (canonicalInt): the canonical decimal rendering of an int64 is an
+// integer key, any other segment a string.
 func segmentLit(seg string) sql.Expr {
-	allDigits := len(seg) > 0
-	for i := 0; i < len(seg); i++ {
-		if seg[i] < '0' || seg[i] > '9' {
-			allDigits = false
-			break
-		}
-	}
-	if allDigits && len(seg) < 19 {
-		var n int64
-		for i := 0; i < len(seg); i++ {
-			n = n*10 + int64(seg[i]-'0')
-		}
+	if n, ok := canonicalInt(seg); ok {
 		return sql.Lit(relation.Int(n))
 	}
 	return sql.Lit(relation.String_(seg))

@@ -4,7 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
+	"repro/internal/obda/mapping"
 	"repro/internal/ontology"
+	"repro/internal/relation"
 	"repro/internal/siemens"
 	"repro/internal/sql"
 )
@@ -216,6 +219,90 @@ func TestTranslateStaticFleetDeterministic(t *testing.T) {
 			if got := sb.String(); got != first {
 				t.Fatalf("pruned=%t: translation %d printed a different static fleet:\n%s\nfirst:\n%s", tr == pruned, i, got, first)
 			}
+		}
+	}
+}
+
+// TestIRISegmentTyping checks that the three places an inverted IRI
+// segment meets a key column type it alike: the stream fleet's
+// constant (segmentLit), the FK probe that prunes fleet members, and
+// the stream reader's subject index. The window holds every referenced
+// key, so the FK probe must prune a member exactly when the reader
+// binds no row to the segment's IRI; a member it keeps must select, by
+// its `sid = constant`, exactly the rows the reader binds.
+func TestIRISegmentTyping(t *testing.T) {
+	keys := []int64{7, -5, 1234567890123456789}
+	cat := relation.NewCatalog()
+	sensors, err := cat.Create("sensors", relation.NewSchema(relation.Col("sid", relation.TInt)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	window, err := cat.Create("w", msmtStreamSchema().Tuple)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []relation.Tuple
+	for i, k := range keys {
+		sensors.MustInsert(relation.Tuple{relation.Int(k)})
+		rw := row(k, int64(i)*1000, float64(i), 0)
+		window.MustInsert(rw)
+		rows = append(rows, rw)
+	}
+	const pred = "http://x/val"
+	m := mapping.Mapping{
+		ID: "m", Pred: pred,
+		Subject: mapping.MustParseTemplate("http://x/sensor/{sid}"),
+		Object:  mapping.MustParseTemplate("{val}"), ObjectIsData: true,
+		Source: mapping.SourceRef{Table: "S_Msmt", IsStream: true},
+		FKs:    []mapping.ForeignKey{{Columns: []string{"sid"}, RefTable: "sensors", RefColumns: []string{"sid"}}},
+	}
+	set, err := mapping.NewSet(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, err := NewSequenceBuilder(msmtStreamSchema(), set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		seg  string
+		rows int // rows the reader binds
+	}{
+		{"7", 1}, {"007", 0}, {"+7", 0}, {"-5", 1}, {"-05", 0},
+		{"1234567890123456789", 1}, {"01234567890123456789", 0},
+		{"9223372036854775808", 0}, {"x7", 0},
+	} {
+		iri := "http://x/sensor/" + tc.seg
+		r, err := sb.Reader([]string{pred}, []string{iri})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq, err := r.Read(batchOf(rows...).Columns())
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := 0
+		for s := 0; s < seq.Len(); s++ {
+			read += len(seq.Values(s, iri, pred))
+		}
+		if read != tc.rows {
+			t.Errorf("segment %q: the reader binds %d rows, want %d", tc.seg, read, tc.rows)
+		}
+		lit := segmentLit(tc.seg)
+		pruned := mapping.FKProvesEmpty(m, map[string]relation.Value{"sid": lit.(*sql.Literal).Value}, "", cat)
+		if pruned != (read == 0) {
+			t.Errorf("segment %q: the FK probe prunes=%v, the reader binds %d rows", tc.seg, pruned, read)
+		}
+		if pruned {
+			continue
+		}
+		cond := sql.Bin("=", &sql.ColumnRef{Table: "w", Name: "sid"}, lit)
+		_, sel, err := engine.Run(engine.NewExecContext(cat), "SELECT w.sid FROM w WHERE "+cond.String(), engine.CatalogResolver(cat))
+		if err != nil {
+			t.Fatalf("segment %q: %v", tc.seg, err)
+		}
+		if len(sel) != read {
+			t.Errorf("segment %q: the fleet's %s selects %d rows, the reader binds %d", tc.seg, cond, len(sel), read)
 		}
 	}
 }

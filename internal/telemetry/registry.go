@@ -23,7 +23,6 @@ package telemetry
 
 import (
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -221,17 +220,4 @@ func gaugeMergesByMax(name string) bool {
 		strings.HasSuffix(name, "_ns") ||
 		strings.HasSuffix(name, ".state") ||
 		strings.HasSuffix(name, ".bytes")
-}
-
-// CounterNames lists registered counters, sorted (for stable output in
-// tests and docs).
-func (r *Registry) CounterNames() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,13 +1,16 @@
 // Framed TCP transport: one loopback (or LAN) listener per cluster,
 // one link per worker node. Each link owns a session whose frames
 // carry per-session monotonic sequence numbers; the receiver delivers
-// them in order exactly once (deduplicating replays, reordering
-// stragglers through a bounded stash) and acknowledges cumulatively.
-// Link failure is self-healing: an acknowledgement stall resets the
-// connection, reconnects under jittered exponential backoff, resumes
-// the session, and retransmits everything unacknowledged. Silence
-// beyond the suspicion timeout reports the node to OnSuspect, which
-// the cluster wires to its checkpoint+log+salvage failover.
+// them in order exactly once (deduplicating replays) and acknowledges
+// cumulatively. A live TCP connection neither loses, duplicates nor
+// reorders a frame, so a link recovers one way only: when its
+// connection fails (an I/O error, a checksum or size error, a close,
+// or a sequence gap the receiver refuses), it reconnects under
+// jittered exponential backoff, resumes the session, and retransmits
+// everything unacknowledged. A slow receiver is never reset; it holds
+// the send window full and Send blocks. Silence beyond the suspicion
+// timeout reports the node to OnSuspect, which the cluster wires to
+// its checkpoint+log+salvage failover.
 package transport
 
 import (
@@ -17,6 +20,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,11 +44,6 @@ type Tuning struct {
 	// SuspectAfter is how long a link may stay silent before the node
 	// is reported to OnSuspect (default 2s; < 0 disables suspicion).
 	SuspectAfter time.Duration
-	// RetransmitAfter is how long the oldest unacknowledged frame may
-	// age before the connection is reset and the session resumed with
-	// retransmission (default 1s). It is the recovery clock for
-	// dropped frames and acknowledgement stalls.
-	RetransmitAfter time.Duration
 	// DialTimeout bounds one dial plus session handshake (default 1s).
 	DialTimeout time.Duration
 	// ReconnectBackoff is the base reconnect delay (default 10ms),
@@ -54,17 +53,12 @@ type Tuning struct {
 }
 
 const (
-	defaultWindow          = 1024
-	defaultHeartbeatEvery  = 100 * time.Millisecond
-	defaultSuspectAfter    = 2 * time.Second
-	defaultRetransmitAfter = time.Second
-	defaultDialTimeout     = time.Second
-	defaultReconnectBase   = 10 * time.Millisecond
-	maxReconnectBackoff    = 500 * time.Millisecond
-	// reorderStash bounds the receiver's out-of-order frame stash per
-	// session; frames beyond it are discarded and recovered by the
-	// sender's retransmission clock.
-	reorderStash = 256
+	defaultWindow         = 1024
+	defaultHeartbeatEvery = 100 * time.Millisecond
+	defaultSuspectAfter   = 2 * time.Second
+	defaultDialTimeout    = time.Second
+	defaultReconnectBase  = 10 * time.Millisecond
+	maxReconnectBackoff   = 500 * time.Millisecond
 )
 
 func (t Tuning) resolved() Tuning {
@@ -79,9 +73,6 @@ func (t Tuning) resolved() Tuning {
 	}
 	if t.SuspectAfter == 0 {
 		t.SuspectAfter = defaultSuspectAfter
-	}
-	if t.RetransmitAfter <= 0 {
-		t.RetransmitAfter = defaultRetransmitAfter
 	}
 	if t.DialTimeout <= 0 {
 		t.DialTimeout = defaultDialTimeout
@@ -227,7 +218,7 @@ func (t *TCP) Send(ctx context.Context, node int, m Msg) error {
 		}
 		if len(l.sendq)+len(l.unacked) < t.tun.Window {
 			l.nextSeq++
-			l.sendq = append(l.sendq, &entry{f: frame{Kind: frameData, Session: l.session, Seq: l.nextSeq, Msg: m}})
+			l.sendq = append(l.sendq, &frame{Kind: frameData, Session: l.session, Seq: l.nextSeq, Msg: m})
 			l.mu.Unlock()
 			l.kick()
 			return nil
@@ -259,7 +250,7 @@ func (t *TCP) Flush(ctx context.Context, node int) error {
 	seq := l.nextSeq
 	ch := make(chan error, 1)
 	l.flushes[seq] = ch
-	l.sendq = append(l.sendq, &entry{f: frame{Kind: frameFlush, Session: l.session, Seq: seq}})
+	l.sendq = append(l.sendq, &frame{Kind: frameFlush, Session: l.session, Seq: seq})
 	l.mu.Unlock()
 	l.kick()
 	select {
@@ -293,18 +284,13 @@ func (t *TCP) Close() error {
 	return err
 }
 
-// partitioned consults the fault injector for a cut link direction.
-func (t *TCP) partitioned(node int, inbound bool) bool {
-	return t.faults != nil && t.faults.NetPartitioned(node, inbound)
+// partitioned consults the fault injector for a cut link: while it is
+// cut, neither end writes to it.
+func (t *TCP) partitioned(node int) bool {
+	return t.faults != nil && t.faults.NetPartitioned(node)
 }
 
 // ---- sender side: links ----
-
-// entry is one queued or in-flight frame.
-type entry struct {
-	f      frame
-	sentAt time.Time // last write attempt (guarded by link.mu)
-}
 
 // link is the sender half of one node's connection: an outbound queue,
 // the unacknowledged window, and the reconnect/resume state machine.
@@ -319,16 +305,16 @@ type link struct {
 	session uint64
 
 	mu      sync.Mutex
-	sendq   []*entry // not yet written on the current connection
-	unacked []*entry // written, awaiting cumulative ack
+	sendq   []*frame // not yet written on the current connection
+	unacked []*frame // written on the current connection, awaiting cumulative ack
 	nextSeq uint64
 	flushes map[uint64]chan error
 	down    bool
 	conn    net.Conn
-	connGen int
 	spaceCh chan struct{} // closed when window space frees
 	// outFrames counts data/flush frames written towards the node —
-	// the deterministic clock the fault schedule runs on.
+	// the deterministic clock the fault schedule runs on. Only the
+	// current connection's writer touches it.
 	outFrames int64
 
 	wake      chan struct{} // writer wake-up, buffered 1
@@ -369,8 +355,7 @@ func (l *link) run() {
 			continue
 		}
 		attempt = 0
-		gen := l.resume(conn, delivered)
-		if gen < 0 {
+		if !l.resume(conn, delivered) {
 			conn.Close()
 			return
 		}
@@ -380,7 +365,7 @@ func (l *link) run() {
 		} else {
 			l.t.frec.Record(telemetry.EvLinkUp, "", "", 0, int64(l.node))
 		}
-		l.serve(conn, gen)
+		l.serve(conn)
 		if l.isDown() || l.t.closed.Load() {
 			return
 		}
@@ -393,14 +378,15 @@ func (l *link) run() {
 }
 
 // dial connects and completes the session handshake, returning the
-// receiver's delivered high-water mark for this session.
+// receiver's delivered high-water mark for this session. A cut link
+// never writes its hello, so the handshake times out until it heals.
 func (l *link) dial() (net.Conn, uint64, error) {
 	conn, err := net.DialTimeout("tcp", l.t.addr, l.t.tun.DialTimeout)
 	if err != nil {
 		return nil, 0, err
 	}
 	hello := frame{Kind: frameHello, Session: l.session, Node: l.node}
-	if !l.t.partitioned(l.node, false) {
+	if !l.t.partitioned(l.node) {
 		if _, err := conn.Write(appendFrame(nil, &hello)); err != nil {
 			conn.Close()
 			return nil, 0, err
@@ -424,19 +410,20 @@ func (l *link) dial() (net.Conn, uint64, error) {
 // data frames the receiver already delivered are completed, everything
 // else moves back to the front of the send queue in seq order. Flush
 // frames are always retransmitted — the receiver replies to replays
-// from its cached result, so a flush waiter survives resets.
-func (l *link) resume(conn net.Conn, delivered uint64) int {
+// from its cached result, so a flush waiter survives resets. It
+// reports false when the link tore down meanwhile.
+func (l *link) resume(conn net.Conn, delivered uint64) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.down {
-		return -1
+		return false
 	}
-	var resend []*entry
-	for _, e := range l.unacked {
-		if e.f.Kind == frameData && e.f.Seq <= delivered {
+	var resend []*frame
+	for _, f := range l.unacked {
+		if f.Kind == frameData && f.Seq <= delivered {
 			continue // already delivered; ack was lost with the old conn
 		}
-		resend = append(resend, e)
+		resend = append(resend, f)
 	}
 	if n := len(resend); n > 0 {
 		l.t.met.retransmits.Add(int64(n))
@@ -445,25 +432,23 @@ func (l *link) resume(conn net.Conn, delivered uint64) int {
 	l.unacked = nil
 	l.freeSpaceLocked()
 	l.conn = conn
-	l.connGen++
-	return l.connGen
+	return true
 }
 
 // serve runs the connection's writer and reader until one fails, then
-// tears the connection down and waits for both.
-func (l *link) serve(conn net.Conn, gen int) {
-	var once sync.Once
-	fail := func() { once.Do(func() { conn.Close() }) }
-	var wg sync.WaitGroup
-	wg.Add(1)
+// closes the connection and waits for both.
+func (l *link) serve(conn net.Conn) {
+	stop := make(chan struct{})
+	wrote := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		l.writeLoop(conn, gen)
-		fail()
+		defer close(wrote)
+		l.writeLoop(conn, stop)
+		conn.Close()
 	}()
 	l.readLoop(conn)
-	fail()
-	wg.Wait()
+	close(stop)
+	conn.Close()
+	<-wrote
 	l.mu.Lock()
 	if l.conn == conn {
 		l.conn = nil
@@ -472,51 +457,37 @@ func (l *link) serve(conn net.Conn, gen int) {
 }
 
 // writeLoop drains the send queue onto the connection, moving frames
-// into the unacked window, applying injected frame faults, and
-// heartbeating when idle. It exits when the connection generation
-// moves on (reconnect), the link tears down, or a write fails.
-func (l *link) writeLoop(conn net.Conn, gen int) {
+// into the unacked window, applying the injected frame schedule, and
+// heartbeating when idle. While the link is cut it writes nothing and
+// the frames stay queued. It exits when the reader stops, the link
+// tears down, a write fails, or the schedule resets the connection.
+func (l *link) writeLoop(conn net.Conn, stop <-chan struct{}) {
 	bw := bufio.NewWriter(conn)
 	var scratch []byte
-	var held []byte // reorder fault: frame delayed past its successor
 	hb := time.NewTicker(l.t.tun.HeartbeatEvery)
 	defer hb.Stop()
-	flushHeld := func() error {
-		if held == nil {
-			return nil
-		}
-		b := held
-		held = nil
-		l.t.met.framesSent.Inc()
-		l.t.met.bytesSent.Add(int64(len(b)))
-		_, err := bw.Write(b)
-		return err
-	}
 	for {
+		cut := l.t.partitioned(l.node)
 		l.mu.Lock()
-		if l.down || l.connGen != gen {
+		if l.down {
 			l.mu.Unlock()
 			return
 		}
-		batch := l.sendq
-		l.sendq = nil
-		now := time.Now()
-		for _, e := range batch {
-			e.sentAt = now
+		var batch []*frame
+		if !cut {
+			batch = l.sendq
+			l.sendq = nil
+			l.unacked = append(l.unacked, batch...)
 		}
-		l.unacked = append(l.unacked, batch...)
 		l.mu.Unlock()
 		if len(batch) == 0 {
-			if err := flushHeld(); err != nil {
-				return
-			}
 			if err := bw.Flush(); err != nil {
 				return
 			}
 			select {
 			case <-l.wake:
 			case <-hb.C:
-				if !l.t.partitioned(l.node, false) {
+				if !l.t.partitioned(l.node) {
 					f := frame{Kind: frameHeartbeat, Session: l.session}
 					scratch = appendFrame(scratch[:0], &f)
 					if _, err := bw.Write(scratch); err != nil {
@@ -527,56 +498,46 @@ func (l *link) writeLoop(conn net.Conn, gen int) {
 					}
 					l.t.met.heartbeats.Inc()
 				}
+			case <-stop:
+				return
 			case <-l.done:
 				return
 			}
 			continue
 		}
-		for _, e := range batch {
-			var drop, dup, reorder bool
-			var delay time.Duration
+		for i := range batch {
+			if l.t.partitioned(l.node) {
+				l.hold(batch[i:])
+				break
+			}
+			var reset bool
 			if l.t.faults != nil {
-				l.mu.Lock()
 				l.outFrames++
-				nth := l.outFrames
-				l.mu.Unlock()
-				drop, dup, reorder, delay = l.t.faults.NetFrameAction(l.node, nth)
-			}
-			if delay > 0 {
-				if err := bw.Flush(); err != nil { // drain before stalling
-					return
-				}
-				select {
-				case <-time.After(delay):
-				case <-l.done:
-					return
-				}
-			}
-			if drop || l.t.partitioned(l.node, false) {
-				continue // stays in unacked; the retransmit clock recovers it
-			}
-			scratch = appendFrame(scratch[:0], &e.f)
-			if reorder && held == nil {
-				held = append([]byte(nil), scratch...)
-				continue
-			}
-			writes := 1
-			if dup {
-				writes = 2
-			}
-			for i := 0; i < writes; i++ {
-				l.t.met.framesSent.Inc()
-				l.t.met.bytesSent.Add(int64(len(scratch)))
-				if _, err := bw.Write(scratch); err != nil {
-					return
+				var delay time.Duration
+				reset, delay = l.t.faults.NetFrameAction(l.node, l.outFrames)
+				if delay > 0 {
+					if err := bw.Flush(); err != nil { // drain before stalling
+						return
+					}
+					select {
+					case <-time.After(delay):
+					case <-stop:
+						return
+					case <-l.done:
+						return
+					}
 				}
 			}
-			if err := flushHeld(); err != nil {
+			scratch = appendFrame(scratch[:0], batch[i])
+			l.t.met.framesSent.Inc()
+			l.t.met.bytesSent.Add(int64(len(scratch)))
+			if _, err := bw.Write(scratch); err != nil {
 				return
 			}
-		}
-		if err := flushHeld(); err != nil {
-			return
+			if reset {
+				_ = bw.Flush()
+				return // serve closes the connection; resume repairs it
+			}
 		}
 		if err := bw.Flush(); err != nil {
 			return
@@ -584,7 +545,21 @@ func (l *link) writeLoop(conn net.Conn, gen int) {
 	}
 }
 
-// readLoop consumes acknowledgements until the connection fails.
+// hold moves the unwritten tail of a batch, which a cut stopped, from
+// the end of the unacked window back to the head of the send queue.
+func (l *link) hold(rest []*frame) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.down {
+		return
+	}
+	l.unacked = l.unacked[:len(l.unacked)-len(rest)]
+	l.sendq = append(slices.Clip(rest), l.sendq...)
+}
+
+// readLoop consumes acknowledgements until the connection fails. Acks
+// and heartbeat acks both carry the receiver's cumulative
+// acknowledgement for this connection.
 func (l *link) readLoop(conn net.Conn) {
 	br := bufio.NewReader(conn)
 	for {
@@ -594,35 +569,35 @@ func (l *link) readLoop(conn net.Conn) {
 		}
 		l.lastHeard.Store(time.Now().UnixNano())
 		switch f.Kind {
-		case frameAck:
+		case frameAck, frameHeartbeatAck:
 			l.ackTo(f.Seq)
 		case frameFlushAck:
 			// Resolve the waiter before the cumulative ack pops its
 			// entry — ackTo treats a popped flush without a result as
-			// lost to a reset.
+			// lost.
 			l.completeFlush(f)
 			l.ackTo(f.Seq)
-		case frameHeartbeatAck:
-			// lastHeard already advanced; nothing else to do
 		}
 	}
 }
 
 // ackTo completes every unacked frame with seq <= cum (cumulative
-// acknowledgement). A flush frame popped here without its flushAck
-// lost its result to a reset; its waiter fails retryably.
+// acknowledgement). The receiver answers each flush frame before it
+// acknowledges anything after it on the same connection, so a flush
+// popped here without its flushAck lost its result; its waiter fails
+// retryably rather than wait forever.
 func (l *link) ackTo(cum uint64) {
 	l.mu.Lock()
 	var lostFlushes []chan error
-	for len(l.unacked) > 0 && l.unacked[0].f.Seq <= cum {
-		e := l.unacked[0]
-		l.unacked = l.unacked[1:]
-		if e.f.Kind == frameFlush {
-			if ch, ok := l.flushes[e.f.Seq]; ok {
-				delete(l.flushes, e.f.Seq)
+	for len(l.unacked) > 0 && l.unacked[0].Seq <= cum {
+		f := l.unacked[0]
+		if f.Kind == frameFlush {
+			if ch, ok := l.flushes[f.Seq]; ok {
+				delete(l.flushes, f.Seq)
 				lostFlushes = append(lostFlushes, ch)
 			}
 		}
+		l.unacked = l.unacked[1:]
 	}
 	l.freeSpaceLocked()
 	l.mu.Unlock()
@@ -661,11 +636,15 @@ func (l *link) freeSpaceLocked() {
 	}
 }
 
-// monitor is the link's failure detector: it resets stalled
-// connections (retransmission clock) and reports nodes silent beyond
-// the suspicion timeout.
+// monitor is the link's failure detector: it reports the node once
+// when nothing has been heard from it for longer than the suspicion
+// timeout. It never touches the connection — a slow receiver holds
+// the window full instead of being reset.
 func (l *link) monitor() {
 	defer l.t.wg.Done()
+	if l.t.tun.SuspectAfter < 0 {
+		return
+	}
 	tick := time.NewTicker(l.t.tun.HeartbeatEvery)
 	defer tick.Stop()
 	for {
@@ -674,18 +653,7 @@ func (l *link) monitor() {
 			return
 		case <-tick.C:
 		}
-		l.mu.Lock()
-		var oldest time.Time
-		if len(l.unacked) > 0 {
-			oldest = l.unacked[0].sentAt
-		}
-		conn := l.conn
-		l.mu.Unlock()
-		if conn != nil && !oldest.IsZero() && time.Since(oldest) > l.t.tun.RetransmitAfter {
-			conn.Close() // kick the state machine into reconnect+resume
-		}
-		if l.t.tun.SuspectAfter > 0 &&
-			time.Since(time.Unix(0, l.lastHeard.Load())) > l.t.tun.SuspectAfter &&
+		if time.Since(time.Unix(0, l.lastHeard.Load())) > l.t.tun.SuspectAfter &&
 			!l.suspected.Swap(true) {
 			l.t.met.suspects.Inc()
 			l.t.frec.Record(telemetry.EvLinkSuspect, "", "", 0, int64(l.node))
@@ -727,9 +695,9 @@ func (l *link) teardown() []Msg {
 	}
 	l.down = true
 	var msgs []Msg
-	for _, e := range append(append([]*entry(nil), l.unacked...), l.sendq...) {
-		if e.f.Kind == frameData {
-			msgs = append(msgs, e.f.Msg)
+	for _, f := range append(append([]*frame(nil), l.unacked...), l.sendq...) {
+		if f.Kind == frameData {
+			msgs = append(msgs, f.Msg)
 		}
 	}
 	l.unacked, l.sendq = nil, nil
@@ -758,14 +726,13 @@ func (l *link) teardown() []Msg {
 // ---- receiver side: listener, sessions ----
 
 // session is the receiver's per-link delivery state: the contiguous
-// delivered high-water mark (dedup + cumulative ack), a bounded
-// out-of-order stash, and the last flush result (replayed flush
-// frames are answered from it instead of re-running the barrier).
+// delivered high-water mark (dedup) and the last flush result
+// (replayed flush frames are answered from it instead of re-running
+// the barrier).
 type session struct {
 	mu        sync.Mutex
 	node      int
 	delivered uint64
-	pending   map[uint64]frame
 	flushSeq  uint64
 	flushCode byte
 	flushErr  string
@@ -776,7 +743,7 @@ func (t *TCP) sessionFor(id uint64, node int) *session {
 	defer t.sessMu.Unlock()
 	s, ok := t.sessions[id]
 	if !ok {
-		s = &session{node: node, pending: make(map[uint64]frame)}
+		s = &session{node: node}
 		t.sessions[id] = s
 	}
 	return s
@@ -796,8 +763,10 @@ func (t *TCP) acceptLoop() {
 
 // serveConn is the node-side handler for one inbound connection:
 // handshake, then deliver sequenced frames and acknowledge
-// cumulatively. Acks batch naturally — the buffered writer is only
-// flushed once the read buffer drains.
+// cumulatively. Replies batch: they are written once the read buffer
+// drains or the oldest has waited a heartbeat interval (a slow
+// receiver behind a full buffer still reports progress), and not at
+// all while the link is cut.
 func (t *TCP) serveConn(conn net.Conn) {
 	defer t.wg.Done()
 	defer conn.Close()
@@ -809,24 +778,35 @@ func (t *TCP) serveConn(conn net.Conn) {
 	_ = conn.SetReadDeadline(time.Time{})
 	sess := t.sessionFor(hello.Session, hello.Node)
 	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	var scratch []byte
-	writeBack := func(f *frame) bool {
-		if t.partitioned(sess.node, true) {
-			return true // black-holed ack; the sender's clocks recover
+	var out []byte // replies not yet written
+	var since time.Time
+	reply := func(f *frame) {
+		if len(out) == 0 {
+			since = time.Now()
 		}
-		scratch = appendFrame(scratch[:0], f)
-		if _, err := bw.Write(scratch); err != nil {
-			return false
+		out = appendFrame(out, f)
+	}
+	flush := func() bool {
+		if len(out) == 0 || t.partitioned(sess.node) {
+			return true // a cut holds the replies until it heals
 		}
-		return true
+		_, err := conn.Write(out)
+		out = out[:0]
+		return err == nil
 	}
 	sess.mu.Lock()
-	ack := frame{Kind: frameHelloAck, Session: hello.Session, Seq: sess.delivered}
+	reply(&frame{Kind: frameHelloAck, Session: hello.Session, Seq: sess.delivered})
 	sess.mu.Unlock()
-	if !writeBack(&ack) || bw.Flush() != nil {
+	if !flush() {
 		return
 	}
+	// acked is this connection's cumulative ack: the seq of the last
+	// sequenced frame read on it. Every earlier frame the connection
+	// carried is answered already, so an ack up to acked never pops a
+	// flush whose flushAck is still to come (sess.delivered could: an
+	// old connection's tail may have delivered a flush this one has yet
+	// to replay).
+	var acked uint64
 	for {
 		f, err := readFrame(br, t.tun.MaxFrame)
 		if err != nil {
@@ -835,91 +815,68 @@ func (t *TCP) serveConn(conn net.Conn) {
 		t.met.framesRecv.Inc()
 		switch f.Kind {
 		case frameData, frameFlush:
-			if !t.handleSequenced(sess, f, writeBack) {
+			if !t.handleSequenced(sess, f, reply) {
 				return
 			}
+			acked = f.Seq
 		case frameHeartbeat:
-			hb := frame{Kind: frameHeartbeatAck, Session: f.Session}
-			if !writeBack(&hb) {
-				return
-			}
+			reply(&frame{Kind: frameHeartbeatAck, Session: f.Session, Seq: acked})
 		}
-		if br.Buffered() == 0 {
-			if err := bw.Flush(); err != nil {
-				return
-			}
+		if (br.Buffered() == 0 || time.Since(since) >= t.tun.HeartbeatEvery) && !flush() {
+			return
 		}
 	}
 }
 
-// handleSequenced delivers one data/flush frame in session order:
-// replays below the high-water mark are deduplicated (flush replays
-// answered from the cached result), gaps are stashed until the
-// missing frames arrive, and every outcome is acknowledged
-// cumulatively.
-func (t *TCP) handleSequenced(sess *session, f frame, writeBack func(*frame) bool) bool {
+// handleSequenced delivers one data/flush frame in session order and
+// queues its reply: a data frame's ack, a flush frame's flushAck, each
+// acknowledging the frame's own seq cumulatively. A replay at or below
+// the delivered high-water mark is acknowledged without redelivery
+// (a flush replay is answered from the cached result); it arrives when
+// a resumed session retransmits what an old connection's tail already
+// delivered. A frame above delivered+1 is a protocol error: false
+// closes the connection, and the sender's resume repairs it.
+func (t *TCP) handleSequenced(sess *session, f frame, reply func(*frame)) bool {
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 	switch {
-	case f.Seq <= sess.delivered:
-		t.met.deduped.Inc()
-		if f.Kind == frameFlush {
-			code, text := flushSessionReset, ""
-			if f.Seq == sess.flushSeq {
-				code, text = sess.flushCode, sess.flushErr
-			}
-			return writeBack(&frame{Kind: frameFlushAck, Session: f.Session, Seq: f.Seq, Code: code, Err: text})
-		}
-		return writeBack(&frame{Kind: frameAck, Session: f.Session, Seq: sess.delivered})
+	case f.Seq > sess.delivered+1:
+		return false
 	case f.Seq == sess.delivered+1:
-		if !t.deliverLocked(sess, f, writeBack) {
-			return false
-		}
-		for {
-			next, ok := sess.pending[sess.delivered+1]
-			if !ok {
-				break
-			}
-			delete(sess.pending, sess.delivered+1)
-			if !t.deliverLocked(sess, next, writeBack) {
-				return false
-			}
-		}
-		if f.Kind == frameFlush && sess.delivered == f.Seq {
-			return true // the flushAck already acknowledged cumulatively
-		}
-		return writeBack(&frame{Kind: frameAck, Session: f.Session, Seq: sess.delivered})
-	default: // gap: reorder stash, bounded; overflow recovers by retransmit
-		if len(sess.pending) < reorderStash {
-			sess.pending[f.Seq] = f
-		}
-		return writeBack(&frame{Kind: frameAck, Session: f.Session, Seq: sess.delivered})
+		t.deliverLocked(sess, f)
+	default:
+		t.met.deduped.Inc()
 	}
+	if f.Kind == frameData {
+		reply(&frame{Kind: frameAck, Session: f.Session, Seq: f.Seq})
+		return true
+	}
+	code, text := flushSessionReset, ""
+	if f.Seq == sess.flushSeq {
+		code, text = sess.flushCode, sess.flushErr
+	}
+	reply(&frame{Kind: frameFlushAck, Session: f.Session, Seq: f.Seq, Code: code, Err: text})
+	return true
 }
 
 // deliverLocked hands one in-order frame to the cluster handler and
 // advances the session high-water mark. Tuple delivery errors are the
-// routing layer's drop accounting, not transport failures; flush
-// results are cached for replay and answered inline.
-func (t *TCP) deliverLocked(sess *session, f frame, writeBack func(*frame) bool) bool {
-	switch f.Kind {
-	case frameData:
+// routing layer's drop accounting, not transport failures; a flush
+// result is cached for its reply and any replay.
+func (t *TCP) deliverLocked(sess *session, f frame) {
+	sess.delivered = f.Seq
+	if f.Kind == frameData {
 		_ = t.h.HandleTuple(context.Background(), sess.node, f.Msg)
-		sess.delivered = f.Seq
-		return true
-	case frameFlush:
-		err := t.h.HandleFlush(context.Background(), sess.node)
-		sess.delivered = f.Seq
-		code, text := flushOK, ""
-		switch {
-		case err == nil:
-		case errors.Is(err, ErrLinkDown):
-			code = flushNodeDown
-		default:
-			code, text = flushErr, err.Error()
-		}
-		sess.flushSeq, sess.flushCode, sess.flushErr = f.Seq, code, text
-		return writeBack(&frame{Kind: frameFlushAck, Session: f.Session, Seq: f.Seq, Code: code, Err: text})
+		return
 	}
-	return true
+	err := t.h.HandleFlush(context.Background(), sess.node)
+	code, text := flushOK, ""
+	switch {
+	case err == nil:
+	case errors.Is(err, ErrLinkDown):
+		code = flushNodeDown
+	default:
+		code, text = flushErr, err.Error()
+	}
+	sess.flushSeq, sess.flushCode, sess.flushErr = f.Seq, code, text
 }

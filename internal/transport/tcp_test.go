@@ -1,9 +1,12 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
+	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -22,7 +25,9 @@ type collectHandler struct {
 	mu      sync.Mutex
 	msgs    map[int][]Msg
 	flushes map[int]int
-	flushCh chan struct{} // signalled per flush (nil = disabled)
+	// beforeFlush, when set, runs before each barrier completes, with
+	// the node's 1-based flush count.
+	beforeFlush func(n int)
 }
 
 func newCollectHandler() *collectHandler {
@@ -39,9 +44,10 @@ func (h *collectHandler) HandleTuple(_ context.Context, node int, m Msg) error {
 func (h *collectHandler) HandleFlush(_ context.Context, node int) error {
 	h.mu.Lock()
 	h.flushes[node]++
+	n := h.flushes[node]
 	h.mu.Unlock()
-	if h.flushCh != nil {
-		h.flushCh <- struct{}{}
+	if h.beforeFlush != nil {
+		h.beforeFlush(n)
 	}
 	return nil
 }
@@ -81,7 +87,6 @@ func chaosTuning() Tuning {
 	return Tuning{
 		HeartbeatEvery:   5 * time.Millisecond,
 		SuspectAfter:     -1, // chaos runs reconnect forever; no failover
-		RetransmitAfter:  30 * time.Millisecond,
 		DialTimeout:      50 * time.Millisecond,
 		ReconnectBackoff: time.Millisecond,
 	}
@@ -126,93 +131,111 @@ func TestTCPDeliversInOrder(t *testing.T) {
 	}
 }
 
-// TestTCPDropsRecoverByRetransmit drops frames on the wire; the
-// retransmission clock resets the connection, the session resumes, and
-// every tuple still arrives exactly once, in order.
-func TestTCPDropsRecoverByRetransmit(t *testing.T) {
-	h := newCollectHandler()
-	inj := faults.New(1).DropFrameAt(0, 3).DropFrameEvery(0, 17)
-	reg := telemetry.NewRegistry()
-	tr := newTestTCP(t, Config{Nodes: 1, Handler: h, Faults: inj, Tuning: chaosTuning(), Metrics: reg})
-	ctx := context.Background()
-	for i := 0; i < 40; i++ {
-		if err := tr.Send(ctx, 0, testMsg("s0", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tr.Flush(ctx, 0); err != nil {
-		t.Fatal(err)
-	}
-	checkDelivered(t, h, 0, 40, "s0")
-	if inj.Injected(faults.KindNetDrop) == 0 {
-		t.Error("no drops were injected")
-	}
-	if reg.Counter("transport.retransmits").Value() == 0 {
-		t.Error("drops recovered without retransmissions")
-	}
-}
-
-// TestTCPDuplicatesAreDeduped writes duplicated frames; the receiver's
-// session high-water mark must deliver each exactly once.
-func TestTCPDuplicatesAreDeduped(t *testing.T) {
-	h := newCollectHandler()
-	inj := faults.New(1).DuplicateFrameEvery(0, 3)
-	reg := telemetry.NewRegistry()
-	tr := newTestTCP(t, Config{Nodes: 1, Handler: h, Faults: inj, Tuning: chaosTuning(), Metrics: reg})
-	ctx := context.Background()
-	for i := 0; i < 30; i++ {
-		if err := tr.Send(ctx, 0, testMsg("s0", i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tr.Flush(ctx, 0); err != nil {
-		t.Fatal(err)
-	}
-	checkDelivered(t, h, 0, 30, "s0")
-	if inj.Injected(faults.KindNetDup) == 0 {
-		t.Error("no duplicates were injected")
-	}
-	if reg.Counter("transport.frames_deduped").Value() == 0 {
-		t.Error("duplicated frames were never deduplicated")
+// TestTCPSlowReceiverIsNotReset is the back-pressure contract under
+// the default tuning. A live receiver that takes 2 ms per tuple holds
+// the send window full, and Send blocks; one that blocks on its first
+// tuple for 1.5 s (below SuspectAfter) is silent meanwhile. Neither may
+// cost a reset, a retransmission or a failed flush — every frame goes
+// on the wire exactly once.
+func TestTCPSlowReceiverIsNotReset(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		n           int
+		first, each time.Duration
+	}{
+		{"slow", 1500, 2 * time.Millisecond, 2 * time.Millisecond},
+		{"stall", 100, 1500 * time.Millisecond, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := &slowHandler{collectHandler: newCollectHandler(), first: tc.first, each: tc.each}
+			reg := telemetry.NewRegistry()
+			tr := newTestTCP(t, Config{Nodes: 1, Handler: h, Metrics: reg})
+			ctx := context.Background()
+			for i := 0; i < tc.n; i++ {
+				if err := tr.Send(ctx, 0, testMsg("s0", i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tr.Flush(ctx, 0); err != nil {
+				t.Fatalf("flush: %v", err)
+			}
+			checkDelivered(t, h.collectHandler, 0, tc.n, "s0")
+			requireCounters(t, reg, map[string]int64{
+				"transport.reconnects":  0,
+				"transport.retransmits": 0,
+				"transport.suspects":    0,
+				"transport.frames_sent": int64(tc.n) + 1,
+			})
+		})
 	}
 }
 
-// TestTCPReorderedFramesAreResequenced holds frames past their
-// successors; the receiver's stash restores session order.
-func TestTCPReorderedFramesAreResequenced(t *testing.T) {
-	h := newCollectHandler()
-	inj := faults.New(1).ReorderFrameEvery(0, 5)
-	tr := newTestTCP(t, Config{Nodes: 1, Handler: h, Faults: inj, Tuning: chaosTuning()})
-	ctx := context.Background()
-	for i := 0; i < 30; i++ {
-		if err := tr.Send(ctx, 0, testMsg("s0", i)); err != nil {
-			t.Fatal(err)
+// slowHandler sleeps before each delivered tuple: first before the
+// first one, each before every later one.
+type slowHandler struct {
+	*collectHandler
+	first, each time.Duration
+	seen        int
+}
+
+func (h *slowHandler) HandleTuple(ctx context.Context, node int, m Msg) error {
+	d := h.each
+	if h.seen == 0 {
+		d = h.first
+	}
+	h.seen++ // tuples of one session are delivered one at a time
+	time.Sleep(d)
+	return h.collectHandler.HandleTuple(ctx, node, m)
+}
+
+func requireCounters(t *testing.T, reg *telemetry.Registry, want map[string]int64) {
+	t.Helper()
+	for name, v := range want {
+		if got := reg.Counter(name).Value(); got != v {
+			t.Errorf("%s = %d, want %d", name, got, v)
 		}
-	}
-	if err := tr.Flush(ctx, 0); err != nil {
-		t.Fatal(err)
-	}
-	checkDelivered(t, h, 0, 30, "s0")
-	if inj.Injected(faults.KindNetReorder) == 0 {
-		t.Error("no reorders were injected")
 	}
 }
 
-// TestTCPSessionResumeDedupes is the session-resumption edge case: a
-// dropped frame forces a connection reset with frames beyond it already
-// stashed at the receiver. The resumed session retransmits from the
-// peer's delivered high-water mark, so the stashed frames arrive twice
-// — and must be delivered once.
+// TestTCPSessionResumeDedupes resets the connection right after a
+// flush frame is written, and later right after a data frame. Each
+// resumed session retransmits what the receiver had not acknowledged:
+// the replayed flush is answered from the cached result (each barrier
+// runs once), and every tuple is delivered exactly once, in order.
 func TestTCPSessionResumeDedupes(t *testing.T) {
 	h := newCollectHandler()
-	inj := faults.New(1).DropFrameAt(0, 2)
+	rec := telemetry.NewRecorder(0, 64)
+	// The second barrier finishes only once the sender has dropped its
+	// connection, so its flushAck is lost and the resumed session
+	// must replay the flush frame.
+	h.beforeFlush = func(n int) {
+		if n != 2 {
+			return
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for !hasEvent(rec, telemetry.EvLinkDown) && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	// Frames 1..5 are tuples and frame 6 the first flush; frame 7, the
+	// second flush, is reset and replayed as frame 8, so frame 12 is the
+	// 4th tuple after it.
+	inj := faults.New(1).ResetLinkAtFrame(0, 7).ResetLinkAtFrame(0, 12)
+	tun := chaosTuning()
+	// No heartbeat acks: at each reset the sender has read every reply,
+	// so closing sends a FIN and the receiver reads the reset frame.
+	tun.HeartbeatEvery = time.Hour
 	reg := telemetry.NewRegistry()
-	tr := newTestTCP(t, Config{Nodes: 1, Handler: h, Faults: inj, Tuning: chaosTuning(), Metrics: reg})
+	tr := newTestTCP(t, Config{Nodes: 1, Handler: h, Faults: inj, Tuning: tun, Metrics: reg, Recorder: rec})
 	ctx := context.Background()
-	// Frame 2 vanishes; frames 3..5 land in the reorder stash. The
-	// retransmit clock resets the connection and the resume replays
-	// everything past the receiver's delivered=1.
-	for i := 0; i < 5; i++ {
+	for i := 0; i < 25; i++ {
+		if i == 5 {
+			for f := 1; f <= 2; f++ {
+				if err := tr.Flush(ctx, 0); err != nil {
+					t.Fatalf("flush %d: %v", f, err)
+				}
+			}
+		}
 		if err := tr.Send(ctx, 0, testMsg("s0", i)); err != nil {
 			t.Fatal(err)
 		}
@@ -220,40 +243,141 @@ func TestTCPSessionResumeDedupes(t *testing.T) {
 	if err := tr.Flush(ctx, 0); err != nil {
 		t.Fatal(err)
 	}
-	checkDelivered(t, h, 0, 5, "s0")
-	if reg.Counter("transport.reconnects").Value() == 0 {
-		t.Error("the dropped frame never forced a reconnect")
+	checkDelivered(t, h, 0, 25, "s0")
+	h.mu.Lock()
+	flushes := h.flushes[0]
+	h.mu.Unlock()
+	if flushes != 3 {
+		t.Errorf("the flush barrier ran %d times for 3 flushes (a replay must be answered from the cache)", flushes)
+	}
+	if got := inj.Injected(faults.KindNetReset); got != 2 {
+		t.Errorf("resets injected = %d, want 2", got)
+	}
+	if got := reg.Counter("transport.reconnects").Value(); got != 2 {
+		t.Errorf("reconnects = %d, want 2", got)
 	}
 	if reg.Counter("transport.frames_deduped").Value() == 0 {
-		t.Error("resume retransmission was never deduplicated")
+		t.Error("the replayed flush was never deduplicated")
 	}
 }
 
-// TestTCPPartitionHealsAndResumes cuts the link mid-stream (one-way:
-// outbound black-holed, acks still flow) and heals it; the session
-// resumes and delivers everything exactly once.
+func hasEvent(rec *telemetry.Recorder, kind telemetry.EventKind) bool {
+	for _, ev := range rec.Events() {
+		if ev.Kind == kind.String() {
+			return true
+		}
+	}
+	return false
+}
+
+// TestTCPSequenceGapClosesConnection speaks the wire protocol to the
+// receiver directly: a frame above delivered+1 cannot happen on a live
+// TCP connection, so the receiver closes it. The session then resumes
+// once from the delivered high-water mark, and the gap is repaired.
+func TestTCPSequenceGapClosesConnection(t *testing.T) {
+	h := newCollectHandler()
+	tr := newTestTCP(t, Config{Nodes: 1, Handler: h, Tuning: chaosTuning()})
+	const session = 1 << 40 // distinct from the transport's own link sessions
+	dial := func() (net.Conn, *bufio.Reader, uint64) {
+		t.Helper()
+		conn, err := net.Dial("tcp", tr.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		if _, err := conn.Write(appendFrame(nil, &frame{Kind: frameHello, Session: session, Node: 0})); err != nil {
+			t.Fatal(err)
+		}
+		br := bufio.NewReader(conn)
+		ack, err := readFrame(br, DefaultMaxFrame)
+		if err != nil || ack.Kind != frameHelloAck {
+			t.Fatalf("handshake: %+v, %v", ack, err)
+		}
+		return conn, br, ack.Seq
+	}
+	write := func(conn net.Conn, seqs ...uint64) {
+		t.Helper()
+		var buf []byte
+		for _, seq := range seqs {
+			buf = appendFrame(buf, &frame{Kind: frameData, Session: session, Seq: seq, Msg: testMsg("s0", int(seq)-1)})
+		}
+		if _, err := conn.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	conn, br, delivered := dial()
+	if delivered != 0 {
+		t.Fatalf("fresh session delivered = %d, want 0", delivered)
+	}
+	write(conn, 1, 3) // seq 2 never arrives
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for {
+		f, err := readFrame(br, DefaultMaxFrame)
+		if err != nil {
+			if errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatal("the gap did not close the connection")
+			}
+			break
+		}
+		if f.Kind != frameAck || f.Seq != 1 {
+			t.Fatalf("got %+v before the close, want at most the ack of seq 1", f)
+		}
+	}
+
+	conn, br, delivered = dial()
+	if delivered != 1 {
+		t.Fatalf("resumed session delivered = %d, want 1", delivered)
+	}
+	write(conn, 2, 3)
+	for _, want := range []uint64{2, 3} {
+		if ack, err := readFrame(br, DefaultMaxFrame); err != nil || ack.Kind != frameAck || ack.Seq != want {
+			t.Fatalf("ack of seq %d: %+v, %v", want, ack, err)
+		}
+	}
+	checkDelivered(t, h, 0, 3, "s0")
+}
+
+// TestTCPPartitionHealsAndResumes cuts the link mid-stream and heals
+// it. A cut stalls the link rather than losing frames, so the same
+// connection carries the backlog once healed: everything is delivered
+// exactly once, with no reconnect.
 func TestTCPPartitionHealsAndResumes(t *testing.T) {
 	h := newCollectHandler()
-	inj := faults.New(1).CutLinkAtFrame(0, 4, true)
-	tr := newTestTCP(t, Config{Nodes: 1, Handler: h, Faults: inj, Tuning: chaosTuning()})
+	inj := faults.New(1).CutLinkAtFrame(0, 4)
+	reg := telemetry.NewRegistry()
+	tr := newTestTCP(t, Config{Nodes: 1, Handler: h, Faults: inj, Tuning: chaosTuning(), Metrics: reg})
 	ctx := context.Background()
 	for i := 0; i < 20; i++ {
 		if err := tr.Send(ctx, 0, testMsg("s0", i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Give the cut time to bite (the trigger arms on the 4th written
-	// frame), then heal and flush: the barrier completes only after the
-	// resumed session delivered the backlog.
+	// The trigger arms on the 4th written frame: the 4 frames written
+	// before the cut arrive, nothing after them does. Hold the cut a
+	// while, then heal and flush: the barrier completes only after the
+	// healed link delivered the backlog.
+	deadline := time.Now().Add(10 * time.Second)
+	for !inj.LinkCut(0) || len(h.delivered(0)) < 4 {
+		if time.Now().After(deadline) {
+			t.Fatalf("the cut never bit (cut=%v, delivered %d)", inj.LinkCut(0), len(h.delivered(0)))
+		}
+		time.Sleep(time.Millisecond)
+	}
 	time.Sleep(50 * time.Millisecond)
+	if got := len(h.delivered(0)); got != 4 {
+		t.Errorf("delivered %d tuples through the cut, want the 4 written before it", got)
+	}
 	inj.HealLink(0)
 	if err := tr.Flush(ctx, 0); err != nil {
 		t.Fatal(err)
 	}
 	checkDelivered(t, h, 0, 20, "s0")
-	if inj.Injected(faults.KindNetPartition) == 0 {
-		t.Error("the partition never bit")
-	}
+	requireCounters(t, reg, map[string]int64{
+		"transport.reconnects":  0,
+		"transport.retransmits": 0,
+		"transport.frames_sent": 21,
+	})
 }
 
 // TestTCPSuspicionFiresOnSilence cuts a node's link symmetrically and

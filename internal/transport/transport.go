@@ -5,15 +5,16 @@
 // layer and a worker's inbox so the same routing code drives either an
 // in-process channel hop (the default — tests keep their byte-identical
 // single-process semantics) or a framed TCP link with real failure
-// modes: torn frames, partitions, reordering, duplication.
+// modes: torn frames, stalls, and connections that close.
 //
 // The TCP transport layers reliability on the framing conventions of
 // internal/recovery (length-prefixed, FNV-1a-checksummed frames): each
 // link carries one session with monotonically increasing frame
 // sequence numbers, cumulative acknowledgements, heartbeats with
-// timeout-based suspicion, jittered reconnect backoff, and session
-// resumption that retransmits unacknowledged frames while the receiver
-// deduplicates replays by sequence number. Duplicated window emissions
+// timeout-based suspicion, and one recovery path: when a connection
+// fails, jittered reconnect backoff and session resumption that
+// retransmits unacknowledged frames while the receiver deduplicates
+// replays by sequence number. Duplicated window emissions
 // that survive a re-execution after failover are deduplicated one
 // layer up by the recovery emit gate, so delivery stays exactly-once
 // end to end.
@@ -89,16 +90,15 @@ type Transport interface {
 
 // NetFaultInjector is the optional chaos hook the TCP transport
 // consults (see internal/faults for the deterministic implementation).
-// NetPartitioned reports whether the given direction of node's link is
-// currently cut (outbound = routing layer towards the node, inbound =
-// the node's acks back); a partitioned write is silently discarded, as
-// a black-holed packet would be. NetFrameAction consults the schedule
-// for the nth data/flush frame written towards node (1-based,
-// per-link) and may drop the frame (recovered by retransmission),
-// duplicate it (receiver dedups by seq), reorder it past its successor
-// (receiver reorders by seq), or delay it (slow link: the wait stalls
-// everything behind it on the link).
+// It models only what a TCP connection can show. NetPartitioned
+// reports whether node's link is currently cut: neither end writes to
+// a cut link, so its frames and replies wait until it heals (a stall,
+// not a loss). NetFrameAction consults the schedule for the nth
+// data/flush frame written towards node (1-based, per link): delay
+// stalls the frame before it is written (a slow link: everything
+// behind it waits too), and reset closes the connection right after it
+// is written (the link reconnects and resumes its session).
 type NetFaultInjector interface {
-	NetPartitioned(node int, inbound bool) bool
-	NetFrameAction(node int, nth int64) (drop, dup, reorder bool, delay time.Duration)
+	NetPartitioned(node int) bool
+	NetFrameAction(node int, nth int64) (reset bool, delay time.Duration)
 }
