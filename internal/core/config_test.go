@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,11 +13,11 @@ import (
 )
 
 // asWrittenMappings is the oracle of constraint pruning: set with every
-// FK and exact-predicate declaration stripped.
+// key and FK declaration stripped.
 func asWrittenMappings(set *mapping.Set) *mapping.Set {
 	var ms []mapping.Mapping
 	for _, m := range set.All() {
-		m.FKs, m.Exact = nil, false
+		m.KeyColumns, m.FKs = nil, nil
 		ms = append(ms, m)
 	}
 	return mapping.MustNewSet(ms...)
@@ -151,5 +152,79 @@ func TestViolatedConstraintIsNotUsed(t *testing.T) {
 	}
 	if len(events) != 1 || events[0].Query != "a_sensors(aid) -> a_assemblies(aid)" || events[0].Value != 1 {
 		t.Errorf("constraint_violation events = %+v, want one naming a_sensors(aid) -> a_assemblies(aid) with 1 row", events)
+	}
+}
+
+// TestViolatedKeyIsNotUsed plants an a_sensors row that repeats a
+// temperature sensor's sid under another assembly and kind, breaking
+// the declared key a_sensors(sid). T01 must still bind the sensor to
+// both assemblies, as the as-written oracle does: the key would merge
+// the kind-filtered alias with the inAssembly one and lose the second
+// assembly. The check counts the violation once and records it in the
+// flight recorder.
+func TestViolatedKeyIsNotUsed(t *testing.T) {
+	sys, _ := deployWith(t, Config{Nodes: 1, FlightRecorder: 64})
+	sensors, err := sys.Catalog().Get("a_sensors")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := sensors.Rows()
+	var twin relation.Tuple
+	for _, row := range rows {
+		if row[2].Str == "temperature" {
+			twin = row
+			break
+		}
+	}
+	if twin == nil {
+		t.Fatal("no temperature sensor on source A")
+	}
+	var other relation.Value
+	for _, row := range rows {
+		if row[1].Int != twin[1].Int {
+			other = row[1]
+			break
+		}
+	}
+	sensors.MustInsert(relation.Tuple{twin[0], other, relation.String_("pressure")})
+
+	spec, _ := siemens.TaskByID("T01_mon_temperature")
+	task, err := sys.RegisterTask(spec.ID, spec.Query, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := starql.NewTranslator(sys.TBox(), asWrittenMappings(sys.Mappings()), sys.Catalog())
+	oracle, err := tr.Translate(starql.MustParse(spec.Query), starql.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := tr.EvalBindings(oracle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(task.Bindings) != fmt.Sprint(want) {
+		t.Fatalf("bindings differ from the as-written oracle\ngot  %v\nwant %v", task.Bindings, want)
+	}
+	twinIRI := siemens.DataNS + "sensor/" + twin[0].String()
+	n := 0
+	for _, b := range want {
+		if b["s"].Value == twinIRI {
+			n++
+		}
+	}
+	if n != 2 {
+		t.Fatalf("the as-written oracle binds %s to %d assemblies, want 2: the check above is vacuous", twinIRI, n)
+	}
+	if n := sys.TelemetrySnapshot().Counters["mapping.constraint_violations"]; n != 1 {
+		t.Errorf("mapping.constraint_violations = %d, want 1", n)
+	}
+	var events []telemetry.Event
+	for _, ev := range sys.Events() {
+		if ev.Kind == telemetry.EvConstraintViolation.String() {
+			events = append(events, ev)
+		}
+	}
+	if len(events) != 1 || events[0].Query != "key a_sensors(sid)" || events[0].Value != 1 {
+		t.Errorf("constraint_violation events = %+v, want one naming key a_sensors(sid) with 1 row", events)
 	}
 }

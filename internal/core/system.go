@@ -210,9 +210,9 @@ func (s *System) registerParsed(id string, q *starql.Query, sink AnswerSink) (*T
 	// One trace per task covers the whole query lifecycle: the
 	// translator adds rewrite/unfold spans, registration is recorded
 	// here, and the hosting engine appends a span per window execution.
-	// Unfolding applies the declared exact-predicate and FK constraints
-	// the deployment catalog satisfies; the FK emptiness probes run
-	// against it.
+	// Unfolding applies the declared key and FK constraints the
+	// deployment catalog satisfies; the FK emptiness probes run against
+	// it.
 	trace := s.tracer.Start(id)
 	tl, err := s.translator.Translate(q, starql.Options{Trace: trace})
 	if err != nil {
@@ -520,9 +520,9 @@ func (s *System) Explain(taskID string, analyze bool) (string, error) {
 	r, u := tl.RewriteStats, tl.UnfoldStats
 	fmt.Fprintf(&sb, "rewrite (PerfectRef): generated=%d result=%d atom_steps=%d reduce_steps=%d\n",
 		r.Generated, r.Result, r.AtomSteps, r.ReduceSteps)
-	fmt.Fprintf(&sb, "unfold: cqs=%d combinations=%d pruned=%d fleet=%d self_joins_removed=%d unmapped_atoms=%d constraint_pruned=%d fk_joins_removed=%d\n",
+	fmt.Fprintf(&sb, "unfold: cqs=%d combinations=%d pruned=%d fleet=%d self_joins_removed=%d unmapped_atoms=%d constraint_pruned=%d\n",
 		u.CQs, u.Combinations, u.Pruned, u.FleetSize, u.SelfJoinsRemoved, u.UnmappedAtoms,
-		u.ConstraintPruned, u.FKJoinsRemoved)
+		u.ConstraintPruned)
 	if task.having != nil {
 		sb.WriteString("having: compiled matcher\n")
 	} else {

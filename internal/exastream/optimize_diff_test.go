@@ -51,7 +51,7 @@ func diffSetup(t *testing.T) *diffAssets {
 	}
 	var stripped []mapping.Mapping
 	for _, m := range siemens.Mappings().All() {
-		m.FKs, m.Exact = nil, false
+		m.KeyColumns, m.FKs = nil, nil
 		stripped = append(stripped, m)
 	}
 	return &diffAssets{
@@ -192,8 +192,8 @@ func TestOptimizedFleetDifferential(t *testing.T) {
 	if nPruned >= nPlain {
 		t.Fatalf("constraint pruning did not shrink the fleet: %d -> %d", nPlain, nPruned)
 	}
-	t.Logf("fleet %d -> %d members (constraint_pruned=%d fk_joins_removed=%d)",
-		nPlain, nPruned, pruned.UnfoldStats.ConstraintPruned, pruned.UnfoldStats.FKJoinsRemoved)
+	t.Logf("fleet %d -> %d members (constraint_pruned=%d self_joins_removed=%d)",
+		nPlain, nPruned, pruned.UnfoldStats.ConstraintPruned, pruned.UnfoldStats.SelfJoinsRemoved)
 
 	want := renderWindows(runFleet(t, a, asWrittenEngine(t, a, Options{}), plain))
 	got := renderWindows(runFleet(t, a, newDiffEngine(t, a, Options{}), pruned))

@@ -34,25 +34,17 @@ type Mapping struct {
 	// view in the catalog.
 	Source SourceRef
 
-	// KeyColumns is a unique key of the source (e.g. its primary key).
-	// When two atoms of one unfolded query scan the same source joined on
-	// the full key, the self-join is eliminated.
+	// KeyColumns is a unique key of the source (e.g. its primary key):
+	// its columns are non-null and no two rows share their values. When
+	// two atoms of one unfolded query scan the same source joined on the
+	// full key, the self-join is eliminated.
 	KeyColumns []string
-
-	// Exact marks an exact-predicate constraint (Hovland et al., "OBDA
-	// Constraints for Effective Query Answering"): this mapping's source
-	// yields *all* instances of Pred, so under set semantics every other
-	// mapping for the same predicate is redundant and unfolding may skip
-	// the union branches they would generate.
-	Exact bool
 
 	// FKs declares inclusion dependencies (foreign keys) of the source:
 	// each row's Columns tuple appears in RefTable.RefColumns, and the
-	// Columns are non-null. Unfolding uses them two ways: a join against
-	// RefTable equated on the full FK whose target is keyed by RefColumns
-	// is redundant and removed, and a branch whose FK columns are pinned
-	// to constants absent from RefTable is provably empty and dropped at
-	// registration time.
+	// Columns are non-null. Unfolding drops a branch whose FK columns are
+	// pinned to constants absent from RefTable as provably empty, and
+	// the stream fleet drops a member the same way at registration time.
 	FKs []ForeignKey
 }
 

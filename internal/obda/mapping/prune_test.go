@@ -48,30 +48,51 @@ func pruneRigDangling(t *testing.T, rng *rand.Rand, parents, children, dangling 
 	return cat
 }
 
+// plantDuplicateKeys inserts n child rows that repeat the cid of an
+// existing row under another parent, 0 unless the row's parent is 0:
+// they violate the declared key c(cid) but not the foreign key, and
+// one of each twin pair has parent 0.
+func plantDuplicateKeys(t *testing.T, rng *rand.Rand, cat *relation.Catalog, n int) {
+	t.Helper()
+	c, err := cat.Get("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := c.Rows()
+	for i := 0; i < n; i++ {
+		row := rows[rng.Intn(len(rows))]
+		pid := int64(0)
+		if row[1].Int == 0 {
+			pid = 1
+		}
+		c.MustInsert(relation.Tuple{row[0], relation.Int(pid)})
+	}
+}
+
 // stripConstraints is the as-written oracle's mapping set: set with
-// every FK and exact-predicate declaration removed, so unfolding
-// prunes and eliminates nothing on their strength.
+// every key and FK declaration removed, so unfolding prunes and
+// eliminates nothing on their strength.
 func stripConstraints(set *Set) *Set {
 	var ms []Mapping
 	for _, m := range set.All() {
-		m.FKs, m.Exact = nil, false
+		m.KeyColumns, m.FKs = nil, nil
 		ms = append(ms, m)
 	}
 	return MustNewSet(ms...)
 }
 
-func pruneMappings(exactDup bool) *Set {
+func pruneMappings() *Set {
 	childT := MustParseTemplate("http://e/c/{cid}")
 	parentT := MustParseTemplate("http://e/p/{pid}")
 	fkChild := []ForeignKey{{Columns: []string{"pid"}, RefTable: "p", RefColumns: []string{"pid"}}}
 	ms := []Mapping{
 		{ID: "child", Pred: "Child", IsClass: true, Subject: childT,
-			Source: SourceRef{Table: "c"}, KeyColumns: []string{"cid"},
-			FKs: fkChild, Exact: exactDup},
-		// A redundant duplicate reading the same source; with Exact set
-		// on the first, restriction drops the branches this one breeds.
-		{ID: "child2", Pred: "Child", IsClass: true, Subject: childT,
 			Source: SourceRef{Table: "c"}, KeyColumns: []string{"cid"}, FKs: fkChild},
+		// A filtered mapping over c: joined with hasParent on cid, its
+		// self-join is sound only while cid is a key of c.
+		{ID: "childOfP0", Pred: "ChildOfP0", IsClass: true, Subject: childT,
+			Source:     SourceRef{Table: "c", Where: sql.Bin("=", sql.Col("pid"), sql.Lit(relation.Int(0)))},
+			KeyColumns: []string{"cid"}, FKs: fkChild},
 		{ID: "parent", Pred: "Parent", IsClass: true, Subject: parentT,
 			Source: SourceRef{Table: "p"}, KeyColumns: []string{"pid"}},
 		{ID: "hasParent", Pred: "hasParent", Subject: childT, Object: MustParseTemplate("http://e/p/{pid}"),
@@ -107,67 +128,10 @@ func executeFleet(t *testing.T, fleet []*sql.SelectStmt, cat *relation.Catalog) 
 	return out
 }
 
-func TestRestrictExactDropsRedundantBranches(t *testing.T) {
-	u := cq.UCQ{cq.New([]string{"x"}, cq.ClassAtom("Child", cq.V("x")))}
-	set := pruneMappings(true)
-	fleet, stats, err := Unfold(u, set, UnfoldOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fleet) != 1 {
-		t.Fatalf("fleet = %d members, want 1 (exact restriction)", len(fleet))
-	}
-	if stats.ConstraintPruned == 0 {
-		t.Error("ConstraintPruned not counted")
-	}
-	// Without the constraints both candidates breed a branch.
-	fleet, _, err = Unfold(u, stripConstraints(set), UnfoldOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fleet) != 2 {
-		t.Fatalf("unpruned fleet = %d members, want 2", len(fleet))
-	}
-}
-
-func TestFKJoinEliminated(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	cat := pruneRig(t, rng, 10, 30)
-	u := cq.UCQ{cq.New([]string{"x", "y"},
-		cq.PropAtom("hasParent", cq.V("x"), cq.V("y")),
-		cq.ClassAtom("Parent", cq.V("y")))}
-	set := pruneMappings(false)
-
-	plain, _, err := Unfold(u, stripConstraints(set), UnfoldOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pruned, stats, err := Unfold(u, set, UnfoldOptions{Catalog: cat})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.FKJoinsRemoved == 0 {
-		t.Fatal("FK join not eliminated")
-	}
-	for _, stmt := range pruned {
-		if len(stmt.From) != 1 {
-			t.Fatalf("join survives pruning: %s", stmt.String())
-		}
-	}
-	want := executeFleet(t, plain, cat)
-	got := executeFleet(t, pruned, cat)
-	if len(want) == 0 {
-		t.Fatal("oracle fleet returned nothing — vacuous")
-	}
-	if fmt.Sprint(want) != fmt.Sprint(got) {
-		t.Fatalf("FK elimination changed answers:\nwant %v\ngot  %v", want, got)
-	}
-}
-
 func TestFKProbeDropsEmptyBranch(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	cat := pruneRig(t, rng, 10, 30)
-	set := pruneMappings(false)
+	set := pruneMappings()
 	// x constant with pid=999, absent from p: the FK probe proves the
 	// branch empty at unfolding time.
 	u := cq.UCQ{cq.New([]string{"x"},
@@ -195,30 +159,46 @@ func TestFKProbeDropsEmptyBranch(t *testing.T) {
 }
 
 // TestPruneRandomizedDifferential is the seeded differential oracle:
-// over randomized catalogs, queries, and constraint declarations, the
-// fleet unfolded under the constraints the catalog satisfies must
-// return exactly the answers of the as-written fleet (set semantics).
-// One catalog in four breaks the declared foreign key.
+// over randomized catalogs and queries, the fleet unfolded under the
+// constraints the catalog satisfies must return exactly the answers of
+// the as-written fleet, which declares no key and no foreign key (set
+// semantics). One catalog in four breaks the declared foreign key, and
+// one in four the declared key of c.
 func TestPruneRandomizedDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	var prunedSomething, violated bool
+	var prunedSomething, selfJoined, fkViolated, keyViolated bool
 	for iter := 0; iter < 40; iter++ {
 		parents := 2 + rng.Intn(12)
 		children := 1 + rng.Intn(40)
-		dangling := 0
+		dangling, dups := 0, 0
 		if rng.Intn(4) == 0 {
 			dangling = 1 + rng.Intn(3)
 		}
-		cat := pruneRigDangling(t, rng, parents, children, dangling)
-		declared := pruneMappings(rng.Intn(2) == 0)
-		set, violations := NewConstraints(declared, cat).Checked()
-		if (len(violations) > 0) != (dangling > 0) {
-			t.Fatalf("iter %d: %d dangling rows, violations %v", iter, dangling, violations)
+		if rng.Intn(4) == 0 {
+			dups = 1 + rng.Intn(3)
 		}
-		violated = violated || len(violations) > 0
+		cat := pruneRigDangling(t, rng, parents, children, dangling)
+		plantDuplicateKeys(t, rng, cat, dups)
+		declared := pruneMappings()
+		set, violations := NewConstraints(declared, cat).Checked()
+		var broken, found []string
+		if dups > 0 {
+			broken = append(broken, "key c(cid)")
+		}
+		if dangling > 0 {
+			broken = append(broken, "c(pid) -> p(pid)")
+		}
+		for _, v := range violations {
+			found = append(found, v.Constraint)
+		}
+		if fmt.Sprint(found) != fmt.Sprint(broken) {
+			t.Fatalf("iter %d: %d dangling rows, %d repeated keys, violations %v", iter, dangling, dups, violations)
+		}
+		fkViolated = fkViolated || dangling > 0
+		keyViolated = keyViolated || dups > 0
 
 		var u cq.UCQ
-		switch rng.Intn(4) {
+		switch rng.Intn(5) {
 		case 0:
 			u = cq.UCQ{cq.New([]string{"x"}, cq.ClassAtom("Child", cq.V("x")))}
 		case 1:
@@ -230,11 +210,17 @@ func TestPruneRandomizedDifferential(t *testing.T) {
 			pid := rng.Intn(2 * parents)
 			u = cq.UCQ{cq.New([]string{"x"},
 				cq.PropAtom("hasParent", cq.V("x"), cq.C(rdf.NewIRI(fmt.Sprintf("http://e/p/%d", pid)))))}
-		default:
+		case 3:
 			u = cq.UCQ{cq.New([]string{"x", "y"},
 				cq.ClassAtom("Child", cq.V("x")),
 				cq.PropAtom("hasParent", cq.V("x"), cq.V("y")),
 				cq.ClassAtom("Parent", cq.V("y")))}
+		default:
+			// Every parent of a child that has parent 0 under its id:
+			// under a repeated cid, more than parent 0.
+			u = cq.UCQ{cq.New([]string{"x", "y"},
+				cq.ClassAtom("ChildOfP0", cq.V("x")),
+				cq.PropAtom("hasParent", cq.V("x"), cq.V("y")))}
 		}
 
 		plain, _, err := Unfold(u, stripConstraints(declared), UnfoldOptions{})
@@ -245,16 +231,16 @@ func TestPruneRandomizedDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if stats.ConstraintPruned > 0 || stats.FKJoinsRemoved > 0 {
-			prunedSomething = true
-		}
+		prunedSomething = prunedSomething || stats.ConstraintPruned > 0
+		selfJoined = selfJoined || stats.SelfJoinsRemoved > 0
 		want := executeFleet(t, plain, cat)
 		got := executeFleet(t, pruned, cat)
 		if fmt.Sprint(want) != fmt.Sprint(got) {
 			t.Fatalf("iter %d: pruned fleet diverges\nwant %v\ngot  %v", iter, want, got)
 		}
 	}
-	if !prunedSomething || !violated {
-		t.Fatalf("pruned in some iteration: %t, violated in some: %t — the differential is partly vacuous", prunedSomething, violated)
+	if !prunedSomething || !selfJoined || !fkViolated || !keyViolated {
+		t.Fatalf("in some iteration: pruned %t, self-join removed %t, FK violated %t, key violated %t — the differential is partly vacuous",
+			prunedSomething, selfJoined, fkViolated, keyViolated)
 	}
 }

@@ -13,12 +13,8 @@ import (
 type UnfoldOptions struct {
 	// MaxCombinations caps the per-CQ mapping combinations; 0 = 4096.
 	MaxCombinations int
-	// KeepSelfJoins disables self-join elimination; the ablation
-	// benchmarks compare against it.
-	KeepSelfJoins bool
 	// Catalog supplies the static relations that FK emptiness probes run
-	// against at registration time; nil disables the probes (the other
-	// constraint rewrites still apply).
+	// against at registration time; nil disables the probes.
 	Catalog *relation.Catalog
 }
 
@@ -31,13 +27,9 @@ type UnfoldStats struct {
 	FleetSize        int // SQL queries generated
 	SelfJoinsRemoved int
 	UnmappedAtoms    int // CQ disjuncts dropped because an atom had no mapping
-	// ConstraintPruned counts union branches dropped by declared
-	// constraints: exact-predicate restriction, contradictory constants,
-	// and FK emptiness probes.
+	// ConstraintPruned counts union branches dropped as provably empty:
+	// contradictory constants and FK emptiness probes.
 	ConstraintPruned int
-	// FKJoinsRemoved counts redundant joins eliminated through declared
-	// foreign keys (child joined to a keyed parent on the full FK).
-	FKJoinsRemoved int
 }
 
 // Unfold translates an enriched UCQ into a fleet of SQL(+) SELECT
@@ -49,12 +41,12 @@ type UnfoldStats struct {
 // variable); the value is the rendered IRI template (or the raw column
 // for data values).
 //
-// Unfolding applies the set's declared constraints (prune.go):
-// exact-predicate mappings restrict the candidate set per atom,
-// contradictory constant equalities and FK-implied empty branches are
-// dropped, and FK joins against a keyed parent are eliminated. It
-// trusts them as declared; Constraints.Checked hands out a set whose
-// static constraints the catalog has been checked against.
+// Unfolding applies the set's declared constraints: joins of one
+// source with itself on its key are merged (selfjoin.go), and branches
+// with contradictory constant equalities or FK-implied emptiness are
+// dropped (prune.go). It trusts them as declared; Constraints.Checked
+// hands out a set whose static constraints the catalog has been
+// checked against.
 func Unfold(u cq.UCQ, set *Set, opts UnfoldOptions) ([]*sql.SelectStmt, UnfoldStats, error) {
 	maxComb := opts.MaxCombinations
 	if maxComb <= 0 {
@@ -79,7 +71,6 @@ func Unfold(u cq.UCQ, set *Set, opts UnfoldOptions) ([]*sql.SelectStmt, UnfoldSt
 			stats.UnmappedAtoms++
 			continue
 		}
-		restrictExact(candidates, &stats)
 		// Enumerate the cartesian product of per-atom mapping choices.
 		combo := make([]Mapping, len(q.Body))
 		var enumerate func(i int) error
@@ -90,7 +81,7 @@ func Unfold(u cq.UCQ, set *Set, opts UnfoldOptions) ([]*sql.SelectStmt, UnfoldSt
 			if i == len(q.Body) {
 				stats.Combinations++
 				beforeConstraint := stats.ConstraintPruned
-				stmt, ok, err := unfoldCombination(q, combo, opts, &stats)
+				stmt, ok, err := unfoldCombination(q, combo, opts.Catalog, &stats)
 				if err != nil {
 					return err
 				}
@@ -125,7 +116,7 @@ type occurrence struct {
 	data  bool // raw value (data property object)
 }
 
-func unfoldCombination(q cq.CQ, combo []Mapping, opts UnfoldOptions, stats *UnfoldStats) (*sql.SelectStmt, bool, error) {
+func unfoldCombination(q cq.CQ, combo []Mapping, cat *relation.Catalog, stats *UnfoldStats) (*sql.SelectStmt, bool, error) {
 	aliases := make([]string, len(combo))
 	for i := range combo {
 		aliases[i] = fmt.Sprintf("m%d", i)
@@ -249,18 +240,14 @@ func unfoldCombination(q cq.CQ, combo []Mapping, opts UnfoldOptions, stats *Unfo
 	}
 	stmt.Where = sql.AndAll(conds...)
 
-	if !opts.KeepSelfJoins {
-		removed := eliminateSelfJoins(stmt, combo, aliases)
-		stats.SelfJoinsRemoved += removed
-	}
+	stats.SelfJoinsRemoved += eliminateSelfJoins(stmt, combo, aliases)
 	// Re-derive the (mapping, alias) pairing: self-join elimination
 	// drops FROM items without updating our local slices.
 	curCombo, curAliases := alignCombo(stmt, combo, aliases)
-	if provablyEmpty(stmt, curCombo, curAliases, opts.Catalog) {
+	if provablyEmpty(stmt, curCombo, curAliases, cat) {
 		stats.ConstraintPruned++
 		return nil, false, nil
 	}
-	stats.FKJoinsRemoved += eliminateFKJoins(stmt, curCombo, curAliases)
 	return stmt, true, nil
 }
 

@@ -6,20 +6,19 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/engine"
 	"repro/internal/relation"
-	"repro/internal/sql"
 )
 
-// Unfolding trusts the declared constraints, and the rewrites of
-// prune.go are sound only while they hold. Constraints checks the ones
-// the static catalog can refute before unfolding reads them:
+// Unfolding trusts the declared constraints: self-join elimination
+// (selfjoin.go) is sound only while a key holds, and the emptiness
+// probes of prune.go only while a foreign key does. Constraints checks
+// the ones the static catalog can refute before unfolding reads them:
 //
+//   - a key declared on a static source must hold on every row of the
+//     source table: its columns non-null and their tuple unique;
 //   - a foreign key declared on a static source must hold on every row
 //     of the source table: its columns non-null and their tuple present
-//     in the referenced columns;
-//   - an exact mapping over a static source must yield every instance
-//     the other static mappings of its predicate yield.
+//     in the referenced columns.
 //
 // A violated constraint is removed from the set unfolding sees.
 // Constraints on streams cannot be checked against the catalog and are
@@ -27,13 +26,13 @@ import (
 
 // Violation is one declared constraint the catalog contradicts.
 type Violation struct {
-	Constraint string // e.g. "a_sensors(aid) -> a_assemblies(aid)" or "exact turbineA"
+	Constraint string // e.g. "a_sensors(aid) -> a_assemblies(aid)" or "key a_sensors(sid)"
 	Rows       int    // rows that witness the violation
 }
 
 // Constraints hands out a mapping set whose static constraints hold on
 // a catalog. It checks them once per catalog state: the catalog's
-// generation plus the row count of every table a mapping of the set
+// generation plus the version of every table a mapping of the set
 // reads or references. Safe for concurrent use.
 type Constraints struct {
 	set    *Set
@@ -81,15 +80,15 @@ func (c *Constraints) Checked() (*Set, []Violation) {
 }
 
 // stateOf fingerprints the catalog: its generation, then each table's
-// row count (0 for a table it lacks).
+// version (0 for a table it lacks).
 func (c *Constraints) stateOf() []uint64 {
 	state := []uint64{c.cat.Generation()}
 	for _, name := range c.tables {
-		n := 0
+		var v uint64
 		if t, err := c.cat.Get(name); err == nil {
-			n = t.Len()
+			v = t.Version()
 		}
-		state = append(state, uint64(n))
+		state = append(state, v)
 	}
 	return state
 }
@@ -98,27 +97,23 @@ func (c *Constraints) stateOf() []uint64 {
 // set without the violated ones.
 func verify(set *Set, cat *relation.Catalog) (*Set, []Violation) {
 	var violations []Violation
-	brokenFK := map[string]bool{}
-	for _, m := range set.All() {
-		for _, fk := range m.FKs {
-			name := fkName(m.Source.Table, fk)
-			if _, done := brokenFK[name]; done {
-				continue
-			}
-			rows := checkFK(m.Source, fk, cat)
-			brokenFK[name] = rows > 0
-			if rows > 0 {
-				violations = append(violations, Violation{Constraint: name, Rows: rows})
-			}
+	broken := map[string]bool{} // constraint name -> violated, each checked once
+	check := func(name string, rows func() int) {
+		if _, done := broken[name]; done {
+			return
+		}
+		n := rows()
+		broken[name] = n > 0
+		if n > 0 {
+			violations = append(violations, Violation{Constraint: name, Rows: n})
 		}
 	}
-	brokenExact := map[int]bool{}
-	for i, m := range set.All() {
-		if m.Exact && !m.Source.IsStream {
-			if rows := checkExact(set, i, cat); rows > 0 {
-				brokenExact[i] = true
-				violations = append(violations, Violation{Constraint: "exact " + m.ID, Rows: rows})
-			}
+	for _, m := range set.All() {
+		if len(m.KeyColumns) > 0 && !m.Source.IsStream {
+			check(keyName(m.Source.Table, m.KeyColumns), func() int { return checkKey(m.Source.Table, m.KeyColumns, cat) })
+		}
+		for _, fk := range m.FKs {
+			check(fkName(m.Source.Table, fk), func() int { return checkFK(m.Source, fk, cat) })
 		}
 	}
 	if len(violations) == 0 {
@@ -126,13 +121,19 @@ func verify(set *Set, cat *relation.Catalog) (*Set, []Violation) {
 	}
 	ms := make([]Mapping, len(set.All()))
 	for i, m := range set.All() {
+		if broken[keyName(m.Source.Table, m.KeyColumns)] {
+			m.KeyColumns = nil
+		}
 		m.FKs = slices.DeleteFunc(slices.Clone(m.FKs), func(fk ForeignKey) bool {
-			return brokenFK[fkName(m.Source.Table, fk)]
+			return broken[fkName(m.Source.Table, fk)]
 		})
-		m.Exact = m.Exact && !brokenExact[i]
 		ms[i] = m
 	}
 	return MustNewSet(ms...), violations
+}
+
+func keyName(table string, cols []string) string {
+	return fmt.Sprintf("key %s(%s)", strings.ToLower(table), strings.Join(cols, ","))
 }
 
 func fkName(table string, fk ForeignKey) string {
@@ -191,52 +192,37 @@ func checkFK(src SourceRef, fk ForeignKey, cat *relation.Catalog) int {
 	return broken
 }
 
-// checkExact returns how many instances the other static mappings of
-// set.All()[i]'s predicate yield that the exact mapping does not.
-func checkExact(set *Set, i int, cat *relation.Catalog) int {
-	exact := set.All()[i]
-	have := instances(exact, cat)
-	missing := 0
-	for j, m := range set.All() {
-		if j == i || m.Pred != exact.Pred || m.Source.IsStream {
+// checkKey returns how many rows of a static source table break its
+// declared key: a NULL in its columns, or a tuple an earlier row
+// already has. A table the catalog lacks has no rows to break it; key
+// columns the table lacks are broken by every row.
+func checkKey(table string, cols []string, cat *relation.Catalog) int {
+	t, err := cat.Get(table)
+	if err != nil {
+		return 0
+	}
+	rows := t.Rows()
+	pos := make([]int, len(cols))
+	for k, col := range cols {
+		if pos[k], err = t.Schema().IndexOf(col); err != nil {
+			return len(rows)
+		}
+	}
+	broken := 0
+	seen := make(map[string]struct{}, len(rows))
+	var key []byte
+	for _, row := range rows {
+		key = key[:0]
+		null := false
+		for _, p := range pos {
+			null = null || row[p].IsNull()
+			key = relation.AppendKey(key, row[p])
+		}
+		if _, dup := seen[string(key)]; null || dup {
+			broken++
 			continue
 		}
-		for k := range instances(m, cat) {
-			if _, ok := have[k]; !ok {
-				missing++
-			}
-		}
+		seen[string(key)] = struct{}{}
 	}
-	return missing
-}
-
-// instances evaluates a static mapping over the catalog and returns the
-// equality keys of the (subject[, object]) terms it yields. A source
-// the catalog cannot evaluate yields nothing.
-func instances(m Mapping, cat *relation.Catalog) map[string]struct{} {
-	stmt := sql.NewSelect()
-	stmt.From = []*sql.TableRef{{Table: m.Source.Table, Alias: "m0"}}
-	stmt.Where = QualifyExpr(m.Source.Where, "m0")
-	stmt.Items = []sql.SelectItem{{Expr: renderTemplate(m.Subject, "m0"), Alias: "s"}}
-	if !m.IsClass {
-		stmt.Items = append(stmt.Items, sql.SelectItem{Expr: renderTemplate(m.Object, "m0"), Alias: "o"})
-	}
-	out := map[string]struct{}{}
-	plan, err := engine.Build(stmt, engine.CatalogResolver(cat))
-	if err != nil {
-		return out
-	}
-	rows, err := plan.Execute(engine.NewExecContext(cat))
-	if err != nil {
-		return out
-	}
-	var k []byte
-	for _, row := range rows {
-		k = k[:0]
-		for _, v := range row {
-			k = relation.AppendKey(k, v)
-		}
-		out[string(k)] = struct{}{}
-	}
-	return out
+	return broken
 }

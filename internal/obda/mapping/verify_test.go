@@ -8,18 +8,18 @@ import (
 	"testing"
 
 	"repro/internal/obda/cq"
+	"repro/internal/rdf"
 	"repro/internal/relation"
-	"repro/internal/sql"
 )
 
 // TestConstraintsDropViolatedFK: a dangling child row breaks the
 // declared foreign key. The check reports it once, removes the key from
 // every mapping declaring it, and checks again only when the catalog
 // moves; the unfolded fleet then answers as the as-written one, where
-// the declared key would have dropped the join that filters the row.
+// the declared key would have proved the dangling row's branch empty.
 func TestConstraintsDropViolatedFK(t *testing.T) {
 	cat := pruneRigDangling(t, rand.New(rand.NewSource(3)), 5, 12, 1)
-	declared := pruneMappings(false)
+	declared := pruneMappings()
 	c := NewConstraints(declared, cat)
 	set, violations := c.Checked()
 	want := []Violation{{Constraint: "c(pid) -> p(pid)", Rows: 1}}
@@ -35,9 +35,9 @@ func TestConstraintsDropViolatedFK(t *testing.T) {
 		t.Fatalf("unchanged catalog checked again: %v", v)
 	}
 
-	u := cq.UCQ{cq.New([]string{"x", "y"},
-		cq.PropAtom("hasParent", cq.V("x"), cq.V("y")),
-		cq.ClassAtom("Parent", cq.V("y")))}
+	// The dangling row's parent, p/5, is absent from p.
+	u := cq.UCQ{cq.New([]string{"x"},
+		cq.PropAtom("hasParent", cq.V("x"), cq.C(rdf.NewIRI("http://e/p/5"))))}
 	plain, _, err := Unfold(u, stripConstraints(declared), UnfoldOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestConstraintsDropViolatedFK(t *testing.T) {
 // emptiness probes.
 func TestConstraintsKeepHoldingFK(t *testing.T) {
 	cat := pruneRig(t, rand.New(rand.NewSource(4)), 5, 12)
-	declared := pruneMappings(true)
+	declared := pruneMappings()
 	set, violations := NewConstraints(declared, cat).Checked()
 	if violations != nil || set != declared {
 		t.Fatalf("holding constraints reported %v", violations)
@@ -81,30 +81,90 @@ func TestConstraintsKeepHoldingFK(t *testing.T) {
 	}
 }
 
-// TestConstraintsDropViolatedExact: an exact mapping over part of a
-// table, with another mapping of its predicate over all of it, is not
-// exact; the check clears the flag, so unfolding keeps both branches.
-func TestConstraintsDropViolatedExact(t *testing.T) {
+// TestConstraintsDropViolatedKey: a child row that repeats an existing
+// cid under parent 0 breaks the declared key c(cid). The check reports
+// it, clears the key of every mapping over c, and the fleet of
+// ChildOfP0(x), hasParent(x, y) then answers as the as-written one: the
+// repeated child has both parents, which the self-join the key allowed
+// would merge away.
+func TestConstraintsDropViolatedKey(t *testing.T) {
 	cat := pruneRig(t, rand.New(rand.NewSource(5)), 5, 12)
-	childT := MustParseTemplate("http://e/c/{cid}")
-	declared := MustNewSet(
-		Mapping{ID: "someChildren", Pred: "Child", IsClass: true, Subject: childT, Exact: true,
-			Source: SourceRef{Table: "c", Where: sql.Bin("<", sql.Col("cid"), sql.Lit(relation.Int(4)))}},
-		Mapping{ID: "allChildren", Pred: "Child", IsClass: true, Subject: childT,
-			Source: SourceRef{Table: "c"}},
-	)
+	c, _ := cat.Get("c")
+	var twin relation.Tuple
+	for _, row := range c.Rows() {
+		if row[1].Int != 0 {
+			twin = row
+			break
+		}
+	}
+	c.MustInsert(relation.Tuple{twin[0], relation.Int(0)})
+	declared := pruneMappings()
 	set, violations := NewConstraints(declared, cat).Checked()
-	want := []Violation{{Constraint: "exact someChildren", Rows: 8}}
+	want := []Violation{{Constraint: "key c(cid)", Rows: 1}}
 	if fmt.Sprint(violations) != fmt.Sprint(want) {
 		t.Fatalf("violations = %v, want %v", violations, want)
 	}
-	u := cq.UCQ{cq.New([]string{"x"}, cq.ClassAtom("Child", cq.V("x")))}
-	fleet, _, err := Unfold(u, set, UnfoldOptions{Catalog: cat})
+	for _, m := range set.All() {
+		if m.Source.Table == "c" && len(m.KeyColumns) != 0 {
+			t.Fatalf("mapping %s keeps the violated key", m.ID)
+		}
+	}
+
+	u := cq.UCQ{cq.New([]string{"x", "y"},
+		cq.ClassAtom("ChildOfP0", cq.V("x")),
+		cq.PropAtom("hasParent", cq.V("x"), cq.V("y")))}
+	plain, _, err := Unfold(u, stripConstraints(declared), UnfoldOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := executeFleet(t, fleet, cat); len(got) != 12 {
-		t.Fatalf("checked fleet answers %d children, want 12", len(got))
+	unchecked, _, err := Unfold(u, declared, UnfoldOptions{Catalog: cat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked, stats, err := Unfold(u, set, UnfoldOptions{Catalog: cat})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.SelfJoinsRemoved != 0 {
+		t.Fatalf("self-join removed under the violated key: %v", checked)
+	}
+	want2 := executeFleet(t, plain, cat)
+	if got := executeFleet(t, checked, cat); fmt.Sprint(got) != fmt.Sprint(want2) {
+		t.Fatalf("checked fleet answers %v, as written %v", got, want2)
+	}
+	if got := executeFleet(t, unchecked, cat); fmt.Sprint(got) == fmt.Sprint(want2) {
+		t.Fatal("the declared key changes no answer: the check above is vacuous")
+	}
+}
+
+// TestConstraintsRecheckSameSizeRefresh: a refresh that truncates c and
+// refills it to the same row count, now with a dangling pid, moves the
+// catalog state; the check runs again and finds the violation.
+func TestConstraintsRecheckSameSizeRefresh(t *testing.T) {
+	const parents, children = 5, 12
+	cat := pruneRig(t, rand.New(rand.NewSource(7)), parents, children)
+	c := NewConstraints(pruneMappings(), cat)
+	if _, v := c.Checked(); v != nil {
+		t.Fatalf("holding constraints reported %v", v)
+	}
+	tbl, _ := cat.Get("c")
+	tbl.Truncate()
+	for i := 0; i < children-1; i++ {
+		tbl.MustInsert(relation.Tuple{relation.Int(int64(i)), relation.Int(int64(i % parents))})
+	}
+	tbl.MustInsert(relation.Tuple{relation.Int(children), relation.Int(parents)})
+	if tbl.Len() != children {
+		t.Fatalf("refilled c holds %d rows, want %d", tbl.Len(), children)
+	}
+	set, v := c.Checked()
+	want := []Violation{{Constraint: "c(pid) -> p(pid)", Rows: 1}}
+	if fmt.Sprint(v) != fmt.Sprint(want) {
+		t.Fatalf("after a same-size refresh: violations %v, want %v", v, want)
+	}
+	for _, m := range set.All() {
+		if len(m.FKs) != 0 {
+			t.Fatalf("mapping %s keeps the violated key", m.ID)
+		}
 	}
 }
 
@@ -113,7 +173,7 @@ func TestConstraintsDropViolatedExact(t *testing.T) {
 // caller gets the same checked set.
 func TestConstraintsCheckedConcurrently(t *testing.T) {
 	cat := pruneRigDangling(t, rand.New(rand.NewSource(6)), 5, 12, 1)
-	c := NewConstraints(pruneMappings(false), cat)
+	c := NewConstraints(pruneMappings(), cat)
 	var reported atomic.Int64
 	sets := make([]*Set, 8)
 	var wg sync.WaitGroup

@@ -17,6 +17,7 @@ type Table struct {
 	mu      sync.RWMutex
 	rows    []Tuple
 	indexes map[string]*hashIndex // key: comma-joined column positions
+	version uint64                // bumped by every Insert and Truncate
 }
 
 // hashIndex maps the equality key (AppendKey) of the indexed columns
@@ -54,6 +55,14 @@ func (t *Table) Len() int {
 	return len(t.rows)
 }
 
+// Version counts the table's modifications: every Insert and Truncate
+// bumps it, so two reads that see one version saw the same rows.
+func (t *Table) Version() uint64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.version
+}
+
 // Insert appends a row after checking arity and type compatibility
 // (NULL is accepted in any column; integers widen to floats).
 func (t *Table) Insert(row Tuple) error {
@@ -80,6 +89,7 @@ func (t *Table) Insert(row Tuple) error {
 	defer t.mu.Unlock()
 	pos := len(t.rows)
 	t.rows = append(t.rows, row)
+	t.version++
 	for _, idx := range t.indexes {
 		idx.add(row, pos)
 	}
@@ -108,6 +118,7 @@ func (t *Table) Truncate() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.rows = nil
+	t.version++
 	for _, idx := range t.indexes {
 		idx.m = make(map[string][]int)
 	}

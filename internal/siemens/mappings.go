@@ -27,8 +27,9 @@ func Mappings() *mapping.Set {
 
 	// Inclusion dependencies of the static schemas (every sensor belongs
 	// to an assembly, every assembly to a turbine; likewise on source B).
-	// Declared on each mapping reading the child table so constraint
-	// pruning can eliminate redundant parent joins.
+	// Declared on each mapping reading the child table, so a branch that
+	// pins the FK columns to a parent the catalog lacks is dropped as
+	// empty.
 	fkSensorsA := []mapping.ForeignKey{{Columns: []string{"aid"},
 		RefTable: "a_assemblies", RefColumns: []string{"aid"}}}
 	fkChannelsB := []mapping.ForeignKey{{Columns: []string{"part_id"},

@@ -31,13 +31,12 @@ func catalogTranslator(t testing.TB, turbines int) *Translator {
 }
 
 // asWrittenTranslator is the oracle of constraint pruning: tr's
-// deployment with every FK and exact-predicate declaration stripped
-// from the mappings, so nothing is pruned or eliminated on their
-// strength.
+// deployment with every key and FK declaration stripped from the
+// mappings, so nothing is pruned or eliminated on their strength.
 func asWrittenTranslator(tr *Translator) *Translator {
 	var ms []mapping.Mapping
 	for _, m := range tr.Mappings.All() {
-		m.FKs, m.Exact = nil, false
+		m.KeyColumns, m.FKs = nil, nil
 		ms = append(ms, m)
 	}
 	return NewTranslator(tr.TBox, mapping.MustNewSet(ms...), tr.Catalog)

@@ -168,7 +168,6 @@ func (tr *Translator) Translate(q *Query, opts Options) (*Translation, error) {
 		SetAttr("combinations", ustats.Combinations).
 		SetAttr("pruned", ustats.Pruned).
 		SetAttr("constraint_pruned", ustats.ConstraintPruned).
-		SetAttr("fk_joins_removed", ustats.FKJoinsRemoved).
 		SetAttr("fleet_size", ustats.FleetSize)
 	uspan.End()
 
@@ -210,7 +209,6 @@ func (tr *Translator) recordStats(r rewrite.Stats, u mapping.UnfoldStats) {
 	tr.Metrics.Counter("starql.unfold.combinations").Add(int64(u.Combinations))
 	tr.Metrics.Counter("starql.unfold.pruned").Add(int64(u.Pruned))
 	tr.Metrics.Counter("starql.unfold.constraint_pruned").Add(int64(u.ConstraintPruned))
-	tr.Metrics.Counter("starql.unfold.fk_joins_removed").Add(int64(u.FKJoinsRemoved))
 	tr.Metrics.Counter("starql.unfold.unmapped_atoms").Add(int64(u.UnmappedAtoms))
 	tr.Metrics.Histogram("starql.rewrite.ucq_size", telemetry.SizeBuckets).Observe(float64(r.Result))
 	tr.Metrics.Histogram("starql.unfold.fleet_size", telemetry.SizeBuckets).Observe(float64(u.FleetSize))
