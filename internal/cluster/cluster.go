@@ -10,7 +10,7 @@
 // paper's scaling behaviour — is the real thing; only the transport is
 // simulated. The runtime is failure-aware: workers are supervised
 // (panic recovery, capped restarts, query failover — see supervisor.go),
-// ingest queues carry explicit backpressure policies (backpressure.go),
+// a full ingest queue blocks its producer (inbox.go),
 // and asynchronous errors land in bounded per-node rings (errors.go).
 package cluster
 
@@ -66,9 +66,6 @@ type Options struct {
 	// the same column), which holds for the per-sensor diagnostic tasks.
 	PartitionColumn string
 
-	// Backpressure selects the full-queue policy for Ingest (default
-	// BackpressureBlock; use IngestContext to bound the wait).
-	Backpressure Backpressure
 	// MaxRestarts caps how often the supervisor restarts a crashed
 	// worker before declaring it dead and failing its queries over.
 	// 0 means the default (3); negative disables restarts entirely.
@@ -407,10 +404,10 @@ func (n *Node) Err() error {
 // State reports the node's lifecycle state.
 func (n *Node) State() NodeState { return NodeState(atomic.LoadInt32(&n.state)) }
 
-// enqueue admits one work item under the node's backpressure policy.
+// enqueue admits one work item, waiting while the node's queue is full.
 // Pushes at dead nodes are accounted as drops, not errors: a dead
 // worker is a routing race the caller cannot act on.
-func (n *Node) enqueue(ctx context.Context, w work, policy Backpressure) error {
+func (n *Node) enqueue(ctx context.Context, w work) error {
 	if n.State() == NodeDead {
 		if w.flush != nil {
 			close(w.flush)
@@ -419,22 +416,15 @@ func (n *Node) enqueue(ctx context.Context, w work, policy Backpressure) error {
 		}
 		return errNodeDown
 	}
-	res, err := n.in.push(ctx, w, policy)
-	switch {
-	case err == errNodeDown:
+	err := n.in.push(ctx, w)
+	if err == errNodeDown {
 		if w.flush != nil {
 			close(w.flush)
 		} else {
 			n.noteDrop()
 		}
-		return err
-	case err != nil:
-		return err // ErrClusterClosed or ctx error
 	}
-	if res == pushDropped || res == pushEvicted {
-		n.noteDrop()
-	}
-	return nil
+	return err // nil, errNodeDown, ErrClusterClosed or ctx error
 }
 
 // Gateway returns the asynchronous registration front end.
@@ -665,8 +655,8 @@ func (c *Cluster) rebuildHostsLocked() {
 	c.streamHosts = hosts
 }
 
-// Ingest routes one tuple with the configured backpressure policy and
-// no deadline; see IngestContext for bounded waits.
+// Ingest routes one tuple, waiting without a deadline while a target
+// queue is full; see IngestContext for bounded waits.
 func (c *Cluster) Ingest(streamName string, el stream.Timestamped) error {
 	return c.IngestContext(context.Background(), streamName, el)
 }
@@ -685,9 +675,9 @@ func (c *Cluster) IngestTenant(ctx context.Context, tenant, streamName string, e
 
 // IngestContext routes one tuple: to the partition owner when a
 // partition column is configured, otherwise to every node hosting
-// queries over the stream. When a target queue is full the configured
-// Backpressure policy applies; a blocking wait honours ctx. Tuples
-// routed at dead nodes are counted as drops, not errors.
+// queries over the stream. When a target queue is full Ingest waits
+// for space, honouring ctx. Tuples routed at dead nodes are counted as
+// drops, not errors.
 func (c *Cluster) IngestContext(ctx context.Context, streamName string, el stream.Timestamped) error {
 	key := lowerKey(streamName)
 	c.mu.Lock()
@@ -810,7 +800,7 @@ type NodeStats struct {
 	State     NodeState
 	Queries   int
 	Tuples    int64
-	Dropped   int64 // tuples shed by backpressure or routed at this node while dead
+	Dropped   int64 // tuples routed at this node while dead
 	Requeued  int64 // tuples salvaged from this node's queue at failover
 	Restarts  int
 	Suspended int   // queries quarantined on this node

@@ -174,14 +174,13 @@ func TestIngestTenantQuota(t *testing.T) {
 // only noticed cancellation while parked on the space channel).
 func TestInboxPushHonorsContextCancel(t *testing.T) {
 	q := newInbox(1)
-	if _, err := q.push(context.Background(), work{stream: "s"}, BackpressureBlock); err != nil {
+	if err := q.push(context.Background(), work{stream: "s"}); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := q.push(ctx, work{stream: "s"}, BackpressureBlock)
-		done <- err
+		done <- q.push(ctx, work{stream: "s"})
 	}()
 	select {
 	case err := <-done:
@@ -205,7 +204,7 @@ func TestInboxPushHonorsContextCancel(t *testing.T) {
 	q.pop()
 	dead, dcancel := context.WithCancel(context.Background())
 	dcancel()
-	if _, err := q.push(dead, work{stream: "s"}, BackpressureBlock); !errors.Is(err, context.Canceled) {
+	if err := q.push(dead, work{stream: "s"}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("push with dead context = %v, want context.Canceled", err)
 	}
 	if q.length() != 0 {

@@ -13,14 +13,14 @@ func TestInboxSteadyStateAllocatesNothing(t *testing.T) {
 	ctx := context.Background()
 	w := work{stream: "s"}
 	for i := 0; i < 40; i++ { // grow the ring past a burst of 40
-		q.push(ctx, w, BackpressureBlock)
+		q.push(ctx, w)
 	}
 	for i := 0; i < 40; i++ {
 		q.pop()
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
 		for i := 0; i < 8; i++ {
-			if _, err := q.push(ctx, w, BackpressureBlock); err != nil {
+			if err := q.push(ctx, w); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -38,7 +38,7 @@ func TestInboxSteadyStateAllocatesNothing(t *testing.T) {
 	}
 	// A burst past inboxKeepSlots gives its array back once drained.
 	for i := 0; i <= inboxKeepSlots; i++ {
-		q.push(ctx, w, BackpressureBlock)
+		q.push(ctx, w)
 	}
 	for q.length() > 0 {
 		q.pop()
@@ -48,42 +48,35 @@ func TestInboxSteadyStateAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestInboxOrderAcrossPushFrontAndEvict checks FIFO order through a
-// wrapped ring: pushFront puts an item ahead of everything queued,
-// DropOldest evicts the oldest evictable item while flush markers and
-// restore jobs keep their places, and drain returns what is left in
-// order.
-func TestInboxOrderAcrossPushFrontAndEvict(t *testing.T) {
+// TestInboxOrderAcrossPushFront checks FIFO order through a wrapped
+// ring: pushFront puts an item ahead of everything queued, past the
+// capacity, while a flush marker keeps its place, and drain returns
+// what is left in order.
+func TestInboxOrderAcrossPushFront(t *testing.T) {
 	q := newInbox(4)
 	ctx := context.Background()
 	item := func(i int) work { return work{stream: fmt.Sprint(i)} }
 	// Wrap the ring's head past the array's end first.
 	for i := 0; i < 14; i++ {
-		q.push(ctx, item(-1), BackpressureBlock)
+		q.push(ctx, item(-1))
 		q.pop()
 	}
 	flush := make(chan error, 1)
-	q.push(ctx, work{stream: "flush", flush: flush}, BackpressureBlock)
+	q.push(ctx, work{stream: "flush", flush: flush})
 	for i := 1; i <= 3; i++ {
-		q.push(ctx, item(i), BackpressureBlock)
+		q.push(ctx, item(i))
 	}
 	if !q.pushFront(item(0)) {
 		t.Fatal("pushFront refused")
 	}
-	// Five items are queued against a capacity of 4: DropOldest evicts
-	// item 0, the oldest that is not a flush marker.
-	res, err := q.push(ctx, item(4), BackpressureDropOldest)
-	if err != nil || res != pushEvicted {
-		t.Fatalf("push on a full inbox = %v, %v; want an eviction", res, err)
-	}
-	res, err = q.push(ctx, item(5), BackpressureDropOldest)
-	if err != nil || res != pushEvicted {
-		t.Fatalf("second push on a full inbox = %v, %v; want an eviction", res, err)
-	}
 	first, ok := q.pop()
-	if !ok || first.stream != "flush" {
-		t.Fatalf("first pop = %q, want the flush marker", first.stream)
+	if !ok || first.stream != "0" {
+		t.Fatalf("first pop = %q, want the pushed-front item 0", first.stream)
 	}
+	if first, ok = q.pop(); !ok || first.stream != "flush" {
+		t.Fatalf("second pop = %q, want the flush marker", first.stream)
+	}
+	q.push(ctx, item(4))
 	if !q.pushFront(item(9)) {
 		t.Fatal("pushFront refused")
 	}
@@ -91,7 +84,7 @@ func TestInboxOrderAcrossPushFrontAndEvict(t *testing.T) {
 	for _, w := range q.drain() {
 		got = append(got, w.stream)
 	}
-	if want := "[9 2 3 4 5]"; fmt.Sprint(got) != want {
+	if want := "[9 1 2 3 4]"; fmt.Sprint(got) != want {
 		t.Fatalf("queue order = %v, want %s", got, want)
 	}
 	if q.length() != 0 {

@@ -191,7 +191,7 @@ func (c *Cluster) restoreLocked(n *Node, es *recovery.EngineState, cursors map[s
 		}
 		if rec.budget > 0 {
 			// The admitted budget survives even when the checkpoint predates
-			// it (the restored stride, if any, is kept).
+			// it.
 			_ = n.engine.SetQueryBudget(rec.id, rec.budget)
 		}
 		restored = append(restored, rec)

@@ -301,7 +301,7 @@ type Health struct {
 	Dead        int
 	Restarts    int64 // total worker restarts across the cluster
 	Failovers   int64 // nodes declared dead with queries migrated away
-	Dropped     int64 // tuples shed by backpressure or lost to dead nodes
+	Dropped     int64 // tuples routed at dead nodes
 	Requeued    int64 // tuples salvaged from dead nodes and re-routed
 	Suspended   int   // queries quarantined after repeated failures (currently suspended)
 	Quarantines int64 // quarantine events since start (survives Resume)

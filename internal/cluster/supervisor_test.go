@@ -154,71 +154,6 @@ func TestRegisterWithNoLiveNodes(t *testing.T) {
 	}
 }
 
-func TestBackpressureDropNewest(t *testing.T) {
-	inj := faults.New(1).DelayEvery(0, 1, time.Millisecond)
-	c := newCluster(t, 1, Options{
-		QueueSize: 4, Backpressure: BackpressureDropNewest, Faults: inj,
-	})
-	var rows int64
-	q := sql.MustParse("SELECT m.val FROM STREAM msmt [RANGE 1000 SLIDE 1000] AS m")
-	if _, err := c.Register("q", q, nil, countSink(&rows)); err != nil {
-		t.Fatal(err)
-	}
-	const n = 100
-	for i := 0; i < n; i++ {
-		ts := int64(i) * 100
-		el := stream.Timestamped{TS: ts, Row: relation.Tuple{relation.Int(1), relation.Time(ts), relation.Float(1)}}
-		if err := c.Ingest("msmt", el); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	st := c.Stats()[0]
-	if st.Dropped == 0 {
-		t.Fatal("slow node shed no tuples under DropNewest")
-	}
-	if st.Dropped+st.Tuples != n {
-		t.Errorf("dropped %d + processed %d != ingested %d", st.Dropped, st.Tuples, n)
-	}
-}
-
-func TestBackpressureDropOldest(t *testing.T) {
-	inj := faults.New(1).DelayEvery(0, 1, time.Millisecond)
-	c := newCluster(t, 1, Options{
-		QueueSize: 4, Backpressure: BackpressureDropOldest, Faults: inj,
-	})
-	var rows int64
-	q := sql.MustParse("SELECT m.val FROM STREAM msmt [RANGE 1000 SLIDE 1000] AS m")
-	if _, err := c.Register("q", q, nil, countSink(&rows)); err != nil {
-		t.Fatal(err)
-	}
-	const n = 100
-	var lastTS int64
-	for i := 0; i < n; i++ {
-		lastTS = int64(i) * 100
-		el := stream.Timestamped{TS: lastTS, Row: relation.Tuple{relation.Int(1), relation.Time(lastTS), relation.Float(float64(i))}}
-		if err := c.Ingest("msmt", el); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	st := c.Stats()[0]
-	if st.Dropped == 0 {
-		t.Fatal("slow node evicted no tuples under DropOldest")
-	}
-	if st.Dropped+st.Tuples != n {
-		t.Errorf("dropped %d + processed %d != ingested %d", st.Dropped, st.Tuples, n)
-	}
-	// Freshest data survives eviction: the last tuple must be processed.
-	if st.Engine.TuplesIn == 0 {
-		t.Error("engine saw nothing")
-	}
-}
-
 func TestBackpressureBlockHonoursContext(t *testing.T) {
 	inj := faults.New(1).DelayEvery(0, 1, 50*time.Millisecond)
 	c := newCluster(t, 1, Options{QueueSize: 1, Faults: inj})

@@ -65,21 +65,21 @@ var (
 )
 
 // transportHandler adapts the cluster's delivery path to
-// transport.Handler. Delivery semantics — backpressure policy, drop
-// accounting at dead nodes, the flush barrier through the worker — stay
+// transport.Handler. Delivery semantics — the wait at a full queue,
+// drop accounting at dead nodes, the flush barrier through the worker — stay
 // here in the cluster, so every transport shares them.
 type transportHandler struct{ c *Cluster }
 
-// HandleTuple enqueues one delivered tuple on the node under the
-// cluster's backpressure policy — exactly the hop IngestContext
-// performed before transports existed.
+// HandleTuple enqueues one delivered tuple on the node, waiting while
+// its queue is full — exactly the hop IngestContext performed before
+// transports existed.
 func (h transportHandler) HandleTuple(ctx context.Context, node int, m transport.Msg) error {
 	c := h.c
 	if node < 0 || node >= len(c.nodes) {
 		return fmt.Errorf("cluster: transport delivery to unknown node %d", node)
 	}
 	w := work{stream: m.Stream, el: stream.Timestamped{TS: m.TS, Row: m.Row}, seq: m.Seq}
-	return c.nodes[node].enqueue(ctx, w, c.opts.Backpressure)
+	return c.nodes[node].enqueue(ctx, w)
 }
 
 // HandleFlush runs the flush barrier through the node's worker: a flush
@@ -92,7 +92,7 @@ func (h transportHandler) HandleFlush(ctx context.Context, node int) error {
 		return fmt.Errorf("cluster: transport flush at unknown node %d", node)
 	}
 	ack := make(chan error, 1)
-	if err := c.nodes[node].enqueue(ctx, work{flush: ack}, BackpressureBlock); err != nil {
+	if err := c.nodes[node].enqueue(ctx, work{flush: ack}); err != nil {
 		if err == errNodeDown {
 			return ErrLinkDown
 		}

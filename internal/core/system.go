@@ -147,7 +147,7 @@ func (s *System) Catalog() *relation.Catalog { return s.catalog }
 func (s *System) Cluster() *cluster.Cluster { return s.cluster }
 
 // DeclareStream registers a stream on every node and prepares its
-// sequence builder.
+// sequence builder and the translator's key typing.
 func (s *System) DeclareStream(sc stream.Schema) error {
 	if err := s.cluster.DeclareStream(sc); err != nil {
 		return err
@@ -156,6 +156,7 @@ func (s *System) DeclareStream(sc stream.Schema) error {
 	if err != nil {
 		return err
 	}
+	s.translator.DeclareStream(sc)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.streams[sc.Name] = sc

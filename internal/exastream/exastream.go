@@ -92,8 +92,6 @@ type metrics struct {
 	// Resource-governance instruments (see governance.go).
 	govShedBatches *telemetry.Counter // window batches dropped by budget enforcement
 	govShedBytes   *telemetry.Counter // bytes reclaimed by shedding
-	govWidenEvents *telemetry.Counter // slide-widening escalations
-	govSuspended   *telemetry.Counter // queries quarantined for overbudget
 	govOverBudget  *telemetry.Counter // residual overages shedding could not reclaim
 
 	windowExecNS *telemetry.Histogram // wall time of one window execution
@@ -122,8 +120,6 @@ func newMetrics(reg *telemetry.Registry) *metrics {
 		planCacheHits:   reg.Counter("exastream.plan.cache_hits"),
 		govShedBatches:  reg.Counter("governance.shed_batches"),
 		govShedBytes:    reg.Counter("governance.shed_bytes"),
-		govWidenEvents:  reg.Counter("governance.widen_events"),
-		govSuspended:    reg.Counter("governance.suspended"),
 		govOverBudget:   reg.Counter("governance.overbudget"),
 		windowExecNS:    reg.Histogram("exastream.window.exec_ns", telemetry.LatencyBuckets),
 	}
@@ -168,15 +164,13 @@ type Options struct {
 	// overrides it with its own tracer (see cluster.Options.TraceCapacity).
 	Tracer *telemetry.Tracer
 	// MemBudget is the default per-query window-state byte budget; a
-	// query whose staged and owned window state exceeds it degrades per
-	// Degrade. 0 disables enforcement (per-query budgets can still be
-	// set with SetQueryBudget). The cluster admits a query without an
-	// explicit budget at this default, and a core System derives each
-	// task's budget from starql.AnalyzeMemory with this as the floor.
+	// query whose staged and owned window state exceeds it sheds its
+	// oldest open windows until it fits. 0 disables enforcement
+	// (per-query budgets can still be set with SetQueryBudget). The
+	// cluster admits a query without an explicit budget at this
+	// default, and a core System derives each task's budget from
+	// starql.AnalyzeMemory with this as the floor.
 	MemBudget int64
-	// Degrade selects the over-budget reaction: shed oldest window state
-	// (default), widen the effective slide, or suspend the query.
-	Degrade DegradePolicy
 	// Pressure, when set, reports externally-attributed bytes for a
 	// query (fault injection, cgroup observers); its value is added to
 	// the query's measured usage before budget comparison.
@@ -271,12 +265,10 @@ type continuousQuery struct {
 	failures    int                            // consecutive failed executions
 	suspended   bool                           // quarantined: skips execution until Resume
 
-	// budget is the query's window-state byte budget (0 = unenforced);
-	// stride > 1 is DegradeWiden's slide widening: only every stride-th
-	// window executes. Both are atomics so stage/enforcement read them
-	// without extra locking, and both survive checkpoint/restore.
+	// budget is the query's window-state byte budget (0 = unenforced),
+	// an atomic so enforcement reads it without extra locking; it
+	// survives checkpoint/restore.
 	budget atomic.Int64
-	stride atomic.Int64
 	// govOver latches the over-budget state so the typed degradation
 	// error reaches the ring once per episode (on the under→over
 	// transition), not once per enforcement tick.
@@ -708,13 +700,6 @@ func (e *Engine) stage(q *continuousQuery, refIdx int, b stream.Batch) (execItem
 			return execItem{}, false
 		}
 	}
-	// DegradeWiden: a widened query executes only every stride-th window.
-	// The skip keys on WindowID, which agrees across the query's stream
-	// references (they share a slide), so multi-ref staging stays
-	// consistent.
-	if s := q.stride.Load(); s > 1 && b.WindowID%s != 0 {
-		return execItem{}, false
-	}
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.suspended {
@@ -1042,7 +1027,6 @@ func (e *Engine) Resume(id string) error {
 	q.suspended = false
 	q.failures = 0
 	q.mu.Unlock()
-	q.stride.Store(0)
 	q.govOver.Store(false)
 	q.execMu.Lock()
 	q.plan = nil

@@ -10,47 +10,11 @@ import (
 	"repro/internal/telemetry"
 )
 
-// ErrQueryOverBudget marks a query degraded or suspended because its
-// window state exceeded its memory budget. It reaches the cluster error
-// ring through the OnQueryError hook; errors.Is matches it.
+// ErrQueryOverBudget marks a query whose window state exceeded its
+// memory budget, so the engine shed its oldest open windows. It
+// reaches the cluster error ring through the OnQueryError hook;
+// errors.Is matches it.
 var ErrQueryOverBudget = errors.New("exastream: query over memory budget")
-
-// DegradePolicy selects what the engine does when a query's window
-// state exceeds its byte budget. Whatever the policy, overload is a
-// handled state: the worker never OOMs on a runaway query.
-type DegradePolicy int
-
-const (
-	// DegradeShed (default) drops the query's oldest open window state
-	// — staged partial windows first, then window-operator batches —
-	// until the query fits its budget again. Shed windows are lost, not
-	// emitted empty.
-	DegradeShed DegradePolicy = iota
-	// DegradeWiden doubles the query's effective slide (it executes
-	// every 2nd, then 4th, ... window) and sheds like DegradeShed to
-	// reclaim immediately. Fewer open windows means less state at the
-	// cost of coarser results.
-	DegradeWiden
-	// DegradeSuspend quarantines the query outright: its staged and
-	// owned window state is dropped and it skips execution until Resume,
-	// exactly like a poison query.
-	DegradeSuspend
-)
-
-// String renders the policy for flags and docs.
-func (p DegradePolicy) String() string {
-	switch p {
-	case DegradeWiden:
-		return "widen"
-	case DegradeSuspend:
-		return "suspend"
-	default:
-		return "shed"
-	}
-}
-
-// maxStride caps DegradeWiden's slide widening.
-const maxStride = 1024
 
 // SetQueryBudget sets (or, with 0, clears) a registered query's byte
 // budget, overriding Options.MemBudget for that query. The cluster
@@ -69,19 +33,15 @@ func (e *Engine) SetQueryBudget(id string, budget int64) error {
 	return nil
 }
 
-// QueryBudget reports a query's current budget and widen stride (1 when
-// never widened).
-func (e *Engine) QueryBudget(id string) (budget, stride int64, err error) {
+// QueryBudget reports a query's current byte budget.
+func (e *Engine) QueryBudget(id string) (int64, error) {
 	e.mu.Lock()
 	q, ok := e.queries[id]
 	e.mu.Unlock()
 	if !ok {
-		return 0, 0, fmt.Errorf("exastream: unknown query %q", id)
+		return 0, fmt.Errorf("exastream: unknown query %q", id)
 	}
-	if stride = q.stride.Load(); stride < 1 {
-		stride = 1
-	}
-	return q.budget.Load(), stride, nil
+	return q.budget.Load(), nil
 }
 
 // govTarget is one query's enforcement work: the window operators only
@@ -111,8 +71,8 @@ func (q *continuousQuery) windowStateLocked() govTarget {
 	return t
 }
 
-// enforceBudgets applies the degradation policy to every query whose
-// window state exceeds its budget. Called after each ingest/replay tick;
+// enforceBudgets sheds window state from every query whose window
+// state exceeds its budget. Called after each ingest/replay tick;
 // a single atomic guards the fast path when governance is off.
 func (e *Engine) enforceBudgets() {
 	if atomic.LoadInt32(&e.govActive) == 0 {
@@ -131,8 +91,10 @@ func (e *Engine) enforceBudgets() {
 	}
 }
 
-// enforceQuery measures one query against its budget and degrades it
-// per the configured policy when it is over.
+// enforceQuery measures one query against its budget and, when it is
+// over, drops its oldest open window state until it fits again. Shed
+// windows are lost, not emitted empty; overload is a handled state, so
+// the worker never OOMs on a runaway query.
 func (e *Engine) enforceQuery(t govTarget) {
 	q := t.q
 	budget := q.budget.Load()
@@ -154,25 +116,9 @@ func (e *Engine) enforceQuery(t govTarget) {
 		return
 	}
 
-	policy := e.opts.Degrade
-	if policy == DegradeSuspend {
-		e.suspendOverBudget(t, usage, budget)
-		return
-	}
-	if policy == DegradeWiden {
-		s := q.stride.Load()
-		if s < 1 {
-			s = 1
-		}
-		if s < maxStride {
-			q.stride.Store(s * 2)
-			e.met.govWidenEvents.Inc()
-			e.opts.Recorder.Record(telemetry.EvDegradeWiden, q.id, "", 0, s*2)
-		}
-	}
-	// Shed pass (both Shed and Widen): oldest staged partial windows
-	// first — they are incomplete and cheapest to lose — then the oldest
-	// batches of solely-owned window operators.
+	// Shed pass: oldest staged partial windows first — they are
+	// incomplete and cheapest to lose — then the oldest batches of
+	// solely-owned window operators.
 	var shedBytes int64
 	for usage > budget {
 		if freed, ok := e.shedOldestStaged(q); ok {
@@ -215,36 +161,7 @@ func (e *Engine) enforceQuery(t govTarget) {
 	// the query stays over budget would otherwise flood the error ring
 	// with one identical error per ingested tuple.
 	if e.opts.OnQueryError != nil && q.govOver.CompareAndSwap(false, true) {
-		e.opts.OnQueryError(q.id, fmt.Errorf("exastream: query %s degraded (%s policy, usage %d > budget %d): %w",
-			q.id, policy, usage, budget, ErrQueryOverBudget))
-	}
-}
-
-// suspendOverBudget quarantines an over-budget query and drops all its
-// droppable state.
-func (e *Engine) suspendOverBudget(t govTarget, usage, budget int64) {
-	q := t.q
-	q.mu.Lock()
-	q.suspended = true
-	q.pending = make(map[int64]map[int]stream.Batch)
-	q.stagedBytes = 0
-	q.mu.Unlock()
-	for _, op := range t.owned {
-		for {
-			freed, ok := op.ShedOldestPending()
-			if !ok {
-				break
-			}
-			e.met.govShedBatches.Inc()
-			e.met.govShedBytes.Add(freed)
-		}
-	}
-	e.met.govSuspended.Inc()
-	e.met.suspensions.Inc()
-	e.opts.Recorder.Record(telemetry.EvDegradeSuspend, q.id, "", 0, usage-budget)
-	q.govOver.Store(true)
-	if e.opts.OnQueryError != nil {
-		e.opts.OnQueryError(q.id, fmt.Errorf("exastream: query %s suspended (usage %d > budget %d): %w",
+		e.opts.OnQueryError(q.id, fmt.Errorf("exastream: query %s degraded (usage %d > budget %d): %w",
 			q.id, usage, budget, ErrQueryOverBudget))
 	}
 }

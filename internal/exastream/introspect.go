@@ -111,12 +111,6 @@ func (e *Engine) LagView() []telemetry.QueryLag {
 		for _, op := range t.owned {
 			lag.BacklogBytes += op.PendingBytes()
 		}
-		if s := q.stride.Load(); s > 1 {
-			lag.Stride = s
-			if lag.State == "running" {
-				lag.State = "widened"
-			}
-		}
 		if b := q.budget.Load(); b > 0 {
 			lag.BudgetBytes = b
 			lag.HeadroomBytes = b - lag.BacklogBytes

@@ -62,7 +62,6 @@ func (e *Engine) ExportState() *recovery.EngineState {
 		s.Suspended = q.suspended
 		q.mu.Unlock()
 		s.Budget = q.budget.Load()
-		s.Stride = q.stride.Load()
 	}
 	return st
 }
@@ -109,7 +108,6 @@ func (r *Restore) Query(id string, stmt *sql.SelectStmt, pulse *stream.Pulse, si
 		q.failures = st.Failures
 		q.suspended = st.Suspended
 		q.budget.Store(st.Budget)
-		q.stride.Store(st.Stride)
 	}
 	if err := r.e.subscribe(q, r); err != nil {
 		return err

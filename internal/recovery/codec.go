@@ -24,7 +24,7 @@ import (
 // Minimum encoded sizes, which bound the element counts a decoder
 // accepts for the bytes that remain.
 const (
-	minQuery    = 37
+	minQuery    = 29
 	minEntry    = 12
 	minPending  = 12
 	minBatch    = 32
@@ -222,7 +222,6 @@ func appendQuery(b []byte, es *EngineState, i int, heads [][]relation.Tuple) []b
 	b = wire.AppendI64(b, int64(q.Failures))
 	b = wire.AppendBool(b, q.Suspended)
 	b = wire.AppendI64(b, q.Budget)
-	b = wire.AppendI64(b, q.Stride)
 	b = wire.AppendU32(b, uint32(len(q.Windows)))
 	for _, k := range q.Windows {
 		b = wire.AppendU32(b, uint32(k))
@@ -254,7 +253,6 @@ func readQuery(r *wire.Reader, q *QueryState, tables []table) {
 	q.Failures = int(r.I64())
 	q.Suspended = r.Bool()
 	q.Budget = r.I64()
-	q.Stride = r.I64()
 	if n := r.Count(minRef); n > 0 {
 		q.Windows = make([]int, n)
 		for i := range q.Windows {

@@ -46,7 +46,7 @@ func windowCheckpoint(rng *rand.Rand, queries, refs, rows int) *Checkpoint {
 	for q := 0; q < queries; q++ {
 		id := fmt.Sprintf("q%02d", q)
 		ck.EmitHWM[id] = int64(rng.Intn(1 << 20))
-		qs := QueryState{ID: id, Failures: q % 3, Suspended: q%2 == 1, Budget: 1 << 20, Stride: int64(q)}
+		qs := QueryState{ID: id, Failures: q % 3, Suspended: q%2 == 1, Budget: 1 << 20}
 		staged := map[int64]map[int]stream.Batch{}
 		for ref := 0; ref < refs; ref++ {
 			op, err := stream.NewTimeSlidingWindow(stream.WindowSpec{RangeMS: 10_000, SlideMS: 1_000})

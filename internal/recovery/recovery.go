@@ -57,11 +57,10 @@ type QueryState struct {
 	Pending   []PendingWindow
 	Failures  int
 	Suspended bool
-	// Governance state: the query's byte budget and DegradeWiden stride
-	// survive restore/failover so a degraded query does not resume at
-	// full appetite on a fresh node.
+	// Governance state: the query's byte budget survives
+	// restore/failover, so a restored query keeps the budget it was
+	// admitted with.
 	Budget int64
-	Stride int64
 }
 
 // EngineState is one engine's exported stream state: each window

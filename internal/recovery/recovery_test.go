@@ -28,7 +28,6 @@ func sampleCheckpoint() *Checkpoint {
 				Windows: []int{0},
 				Pending: []PendingWindow{{End: 2000, Batches: map[int]stream.Batch{0: {End: 2000}}}},
 				Budget:  1 << 20,
-				Stride:  4,
 			}},
 		},
 	}

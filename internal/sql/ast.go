@@ -2,6 +2,8 @@ package sql
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 
 	"repro/internal/relation"
@@ -29,15 +31,40 @@ func (c *ColumnRef) FullName() string {
 	return c.Name
 }
 
-func (c *ColumnRef) String() string { return c.FullName() }
+func (c *ColumnRef) String() string {
+	if c.Table != "" {
+		return quoteIdent(c.Table) + "." + quoteIdent(c.Name)
+	}
+	return quoteIdent(c.Name)
+}
 
 // Literal is a constant value.
 type Literal struct {
 	Value relation.Value
 }
 
-func (l *Literal) exprNode()      {}
-func (l *Literal) String() string { return l.Value.String() }
+func (l *Literal) exprNode() {}
+
+// String renders the literal so that it lexes back as the same value: a
+// float the shortest rendering would write with an exponent is written
+// in full, with a decimal point, and a negative zero keeps its sign.
+func (l *Literal) String() string {
+	if l.Value.Type != relation.TFloat {
+		return l.Value.String()
+	}
+	f := l.Value.Float
+	s := strconv.FormatFloat(f, 'g', -1, 64)
+	switch {
+	case f == 0 && math.Signbit(f):
+		return "-0.0"
+	case strings.Contains(s, "e"):
+		s = strconv.FormatFloat(f, 'f', -1, 64)
+		if !strings.Contains(s, ".") {
+			s += ".0"
+		}
+	}
+	return s
+}
 
 // BinaryExpr applies a binary operator: = <> < <= > >= AND OR + - * / % ||.
 type BinaryExpr struct {
@@ -88,8 +115,9 @@ type FuncExpr struct {
 
 func (f *FuncExpr) exprNode() {}
 func (f *FuncExpr) String() string {
+	name := funcName(f.Name)
 	if f.Star {
-		return strings.ToUpper(f.Name) + "(*)"
+		return name + "(*)"
 	}
 	args := make([]string, len(f.Args))
 	for i, a := range f.Args {
@@ -99,7 +127,16 @@ func (f *FuncExpr) String() string {
 	if f.Distinct {
 		d = "DISTINCT "
 	}
-	return strings.ToUpper(f.Name) + "(" + d + strings.Join(args, ", ") + ")"
+	return name + "(" + d + strings.Join(args, ", ") + ")"
+}
+
+// funcName renders a function name in upper case when that lexes back
+// as the same name (the parser lowercases function names), else quoted.
+func funcName(name string) string {
+	if up := strings.ToUpper(name); plainIdent(up) && !isReserved(up) && strings.ToLower(up) == strings.ToLower(name) {
+		return up
+	}
+	return quoteIdent(name)
 }
 
 // CaseExpr is CASE WHEN ... THEN ... [ELSE ...] END.
@@ -159,12 +196,12 @@ type SelectItem struct {
 func (s SelectItem) String() string {
 	if s.Star {
 		if s.Table != "" {
-			return s.Table + ".*"
+			return quoteIdent(s.Table) + ".*"
 		}
 		return "*"
 	}
 	if s.Alias != "" {
-		return s.Expr.String() + " AS " + s.Alias
+		return s.Expr.String() + " AS " + quoteIdent(s.Alias)
 	}
 	return s.Expr.String()
 }
@@ -217,15 +254,15 @@ func (t *TableRef) String() string {
 	case t.Subquery != nil:
 		sb.WriteString("(" + t.Subquery.String() + ")")
 	case t.IsStream:
-		sb.WriteString("STREAM " + t.Table)
+		sb.WriteString("STREAM " + quoteIdent(t.Table))
 	default:
-		sb.WriteString(t.Table)
+		sb.WriteString(quoteIdent(t.Table))
 	}
 	if t.Window != nil {
 		sb.WriteString(" " + t.Window.String())
 	}
 	if t.Alias != "" {
-		sb.WriteString(" AS " + t.Alias)
+		sb.WriteString(" AS " + quoteIdent(t.Alias))
 	}
 	for _, j := range t.Joins {
 		sb.WriteString(" " + j.String())

@@ -32,6 +32,9 @@ func TestLexErrors(t *testing.T) {
 	if _, err := Lex("SELECT @x"); err == nil {
 		t.Error("bad character accepted")
 	}
+	if _, err := Lex(`SELECT "abc`); err == nil {
+		t.Error("unterminated quoted identifier accepted")
+	}
 }
 
 func TestParseSimpleSelect(t *testing.T) {
@@ -209,6 +212,8 @@ func TestParseErrors(t *testing.T) {
 		"SELECT CASE END FROM t",     // CASE without WHEN
 		"SELECT a IN () FROM t",      // empty IN list
 		"SELECT a FROM s [RANGE 10]", // window missing SLIDE
+		`SELECT "abc`,                // unterminated quoted identifier
+		`SELECT"0000000000`,          // the same, with a name that reads as a number
 	}
 	for _, src := range bad {
 		if _, err := Parse(src); err == nil {
@@ -227,6 +232,13 @@ func TestParsePrintRoundTrip(t *testing.T) {
 		"SELECT DISTINCT a FROM t UNION ALL SELECT a FROM u",
 		"SELECT x FROM (SELECT a AS x FROM t) AS sub ORDER BY x DESC LIMIT 3",
 		"SELECT CASE WHEN (a > 1) THEN 'hi' ELSE 'lo' END FROM t",
+		// Identifiers that do not lex as plain ones print quoted.
+		`SELECT "a b" FROM t`,
+		`SELECT "000" FROM t`,
+		`SELECT "x y".*, "t 1"."c d" AS "e f" FROM "t 1" AS "x y" JOIN STREAM "s-1" [RANGE 5 SLIDE 5] AS "s 2" ON ("s 2".v = 1)`,
+		`SELECT "my udf"(a), "1f"(*) FROM t`,
+		// Floats print without an exponent, and -0 keeps its sign.
+		"SELECT 1000000000000000000000.0, 0.0000001, -0.0 FROM t",
 	}
 	for _, q := range queries {
 		s1, err := Parse(q)

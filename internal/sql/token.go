@@ -77,7 +77,9 @@ func (l *lexer) run() error {
 		case c >= '0' && c <= '9':
 			l.lexNumber()
 		case isIdentStart(rune(c)):
-			l.lexIdent()
+			if err := l.lexIdent(); err != nil {
+				return err
+			}
 		default:
 			if op := l.matchMultiOp(); op != "" {
 				l.tokens = append(l.tokens, Token{TokOp, op, l.pos})
@@ -109,29 +111,51 @@ func isIdentStart(c rune) bool {
 	return unicode.IsLetter(c) || c == '_' || c == '"'
 }
 
-func (l *lexer) lexIdent() {
+func isIdentPart(c rune) bool {
+	return unicode.IsLetter(c) || unicode.IsDigit(c) || c == '_'
+}
+
+func (l *lexer) lexIdent() error {
 	start := l.pos
 	if l.src[l.pos] == '"' {
-		// Quoted identifier.
-		l.pos++
-		for l.pos < len(l.src) && l.src[l.pos] != '"' {
-			l.pos++
+		// Quoted identifier: any bytes up to the closing quote.
+		end := strings.IndexByte(l.src[start+1:], '"')
+		if end < 0 {
+			return fmt.Errorf("sql: unterminated quoted identifier at offset %d", start)
 		}
-		text := l.src[start+1 : l.pos]
-		if l.pos < len(l.src) {
-			l.pos++
-		}
-		l.tokens = append(l.tokens, Token{TokIdent, text, start})
-		return
+		l.pos = start + 1 + end + 1
+		l.tokens = append(l.tokens, Token{TokIdent, l.src[start+1 : start+1+end], start})
+		return nil
 	}
-	for l.pos < len(l.src) {
-		c := rune(l.src[l.pos])
-		if !unicode.IsLetter(c) && !unicode.IsDigit(c) && c != '_' {
-			break
-		}
+	for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
 		l.pos++
 	}
 	l.tokens = append(l.tokens, Token{TokIdent, l.src[start:l.pos], start})
+	return nil
+}
+
+// plainIdent reports whether s lexes back as itself, one unquoted
+// identifier; the lexer reads identifiers byte by byte.
+func plainIdent(s string) bool {
+	if s == "" || s[0] == '"' || !isIdentStart(rune(s[0])) {
+		return false
+	}
+	for i := 1; i < len(s); i++ {
+		if !isIdentPart(rune(s[i])) {
+			return false
+		}
+	}
+	return true
+}
+
+// quoteIdent renders an identifier so that it lexes back as itself:
+// plain when it is, else between double quotes. A name holding a double
+// quote has no rendering; no parsed name holds one.
+func quoteIdent(s string) string {
+	if plainIdent(s) {
+		return s
+	}
+	return `"` + s + `"`
 }
 
 func (l *lexer) lexNumber() {

@@ -2,8 +2,10 @@ package starql
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/obda/cq"
@@ -73,6 +75,22 @@ type Translator struct {
 	Recorder *telemetry.Recorder
 
 	constraints *mapping.Constraints // checks Mappings against Catalog
+
+	mu      sync.Mutex
+	streams map[string]relation.Schema // declared stream tuples by lower-case name; replaced, never edited
+}
+
+// DeclareStream records a stream's tuple schema: the stream fleet types
+// each key constant by its column's declared type.
+func (tr *Translator) DeclareStream(sc stream.Schema) {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	streams := maps.Clone(tr.streams)
+	if streams == nil {
+		streams = map[string]relation.Schema{}
+	}
+	streams[strings.ToLower(sc.Name)] = sc.Tuple
+	tr.streams = streams
 }
 
 // NewTranslator bundles the deployment assets.
@@ -392,6 +410,8 @@ func (q *Query) HavingStreamPredicates() []string {
 // write by hand (the paper: "a fleet with hundreds of queries ...
 // semantically the same but syntactically different").
 //
+// Each key constant takes its column's declared type (keyLit); a member
+// whose inverted segment no value of its column renders is dropped.
 // Members whose inverted-subject constants violate a declared FK
 // constraint of the stream mapping are dropped (and counted in pruned)
 // before registration: the FK says every stream tuple's key appears in
@@ -403,11 +423,22 @@ func (tr *Translator) streamFleet(t *Translation, bindings []Binding) (fleet []*
 	q := t.Query
 	sc := q.Streams[0]
 	preds := q.HavingStreamPredicates()
+	tr.mu.Lock()
+	streams := tr.streams
+	tr.mu.Unlock()
 	for _, b := range bindings {
 		for _, pred := range preds {
 			for _, m := range t.mappings.ForPred(pred) {
 				if !m.Source.IsStream {
 					continue
+				}
+				types := make([]relation.Type, len(m.Subject.Columns)) // TNull: undeclared
+				if schema, ok := streams[strings.ToLower(m.Source.Table)]; ok {
+					for i, col := range m.Subject.Columns {
+						if k, err := schema.IndexOf(col); err == nil {
+							types[i] = schema.Columns[k].Type
+						}
+					}
 				}
 				// The subject of the HAVING atoms is the sensor-like WHERE
 				// variable; find a binding value the subject template can
@@ -429,14 +460,19 @@ func (tr *Translator) streamFleet(t *Translation, bindings []Binding) (fleet []*
 					}}
 					var conds []sql.Expr
 					consts := map[string]relation.Value{}
+					rendered := true
 					for i, seg := range segs {
-						lit := segmentLit(seg)
-						conds = append(conds, sql.Bin("=",
-							&sql.ColumnRef{Table: alias, Name: m.Subject.Columns[i]},
-							lit))
-						if l, ok := lit.(*sql.Literal); ok {
-							consts[strings.ToLower(m.Subject.Columns[i])] = l.Value
+						col := m.Subject.Columns[i]
+						v, ok := keyLit(seg, types[i])
+						if !ok {
+							rendered = false
+							break
 						}
+						conds = append(conds, sql.Bin("=", &sql.ColumnRef{Table: alias, Name: col}, sql.Lit(v)))
+						consts[strings.ToLower(col)] = v
+					}
+					if !rendered {
+						continue
 					}
 					if mapping.FKProvesEmpty(m, consts, "", tr.Catalog) {
 						pruned++
@@ -463,12 +499,19 @@ func (tr *Translator) streamFleet(t *Translation, bindings []Binding) (fleet []*
 	return fleet, pruned
 }
 
-// segmentLit types one inverted IRI segment by the reader's rule
-// (canonicalInt): the canonical decimal rendering of an int64 is an
-// integer key, any other segment a string.
-func segmentLit(seg string) sql.Expr {
-	if n, ok := canonicalInt(seg); ok {
-		return sql.Lit(relation.Int(n))
+// keyLit types one inverted IRI segment as a constant of a key column
+// of type typ, by the reader's rule (canonicalInt). An INTEGER column
+// renders exactly the canonical decimal renderings of int64s, so any
+// other segment matches no row: ok is false. A TEXT column takes the
+// segment as it is. A column of another or undeclared type takes the
+// canonical rendering of an int64 as an integer, any other segment as
+// a string.
+func keyLit(seg string, typ relation.Type) (v relation.Value, ok bool) {
+	if typ == relation.TString {
+		return relation.String_(seg), true
 	}
-	return sql.Lit(relation.String_(seg))
+	if n, ok := canonicalInt(seg); ok {
+		return relation.Int(n), true
+	}
+	return relation.String_(seg), typ != relation.TInt
 }

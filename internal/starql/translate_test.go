@@ -7,6 +7,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obda/mapping"
 	"repro/internal/ontology"
+	"repro/internal/rdf"
 	"repro/internal/relation"
 	"repro/internal/siemens"
 	"repro/internal/sql"
@@ -225,11 +226,14 @@ func TestTranslateStaticFleetDeterministic(t *testing.T) {
 
 // TestIRISegmentTyping checks that the three places an inverted IRI
 // segment meets a key column type it alike: the stream fleet's
-// constant (segmentLit), the FK probe that prunes fleet members, and
-// the stream reader's subject index. The window holds every referenced
-// key, so the FK probe must prune a member exactly when the reader
-// binds no row to the segment's IRI; a member it keeps must select, by
-// its `sid = constant`, exactly the rows the reader binds.
+// constant, typed by its column's declared type, the FK probe that
+// prunes fleet members, and the stream reader's subject index. The
+// window holds every referenced key, so with the FK declared the fleet
+// keeps a member exactly when the reader binds rows to the segment's
+// IRI. With the FK stripped the fleet drops a member only when no row
+// of the INTEGER key column can render its segment, and every member
+// it keeps must run, by its `sid = constant`, and select exactly the
+// rows the reader binds.
 func TestIRISegmentTyping(t *testing.T) {
 	keys := []int64{7, -5, 1234567890123456789}
 	cat := relation.NewCatalog()
@@ -260,10 +264,23 @@ func TestIRISegmentTyping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	stripped := m
+	stripped.FKs = nil
+	q := MustParse(`
+PREFIX x: <http://x/>
+CREATE STREAM s AS
+CONSTRUCT GRAPH NOW { ?s rdf:type x:Hot }
+FROM STREAM S_Msmt [NOW-"PT5S", NOW]->"PT1S"
+WHERE { ?s a x:Sensor }
+SEQUENCE BY StdSeq AS seq
+HAVING THRESHOLD.ABOVE(?s, x:val, 90)
+`)
 	sb, err := NewSequenceBuilder(msmtStreamSchema(), set)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := NewTranslator(testTBox(), set, cat)
+	tr.DeclareStream(msmtStreamSchema())
 	for _, tc := range []struct {
 		seg  string
 		rows int // rows the reader binds
@@ -288,21 +305,27 @@ func TestIRISegmentTyping(t *testing.T) {
 		if read != tc.rows {
 			t.Errorf("segment %q: the reader binds %d rows, want %d", tc.seg, read, tc.rows)
 		}
-		lit := segmentLit(tc.seg)
-		pruned := mapping.FKProvesEmpty(m, map[string]relation.Value{"sid": lit.(*sql.Literal).Value}, "", cat)
-		if pruned != (read == 0) {
-			t.Errorf("segment %q: the FK probe prunes=%v, the reader binds %d rows", tc.seg, pruned, read)
+		bindings := []Binding{{"s": rdf.NewIRI(iri)}}
+		fleet, _ := tr.streamFleet(&Translation{Query: q, mappings: set}, bindings)
+		if kept := len(fleet) == 1; kept != (read > 0) {
+			t.Errorf("segment %q: with the FK the fleet keeps %d members, the reader binds %d rows", tc.seg, len(fleet), read)
 		}
-		if pruned {
-			continue
+		fleet, pruned := tr.streamFleet(&Translation{Query: q, mappings: mapping.MustNewSet(stripped)}, bindings)
+		if pruned != 0 {
+			t.Errorf("segment %q: without the FK the fleet prunes %d members", tc.seg, pruned)
 		}
-		cond := sql.Bin("=", &sql.ColumnRef{Table: "w", Name: "sid"}, lit)
-		_, sel, err := engine.Run(engine.NewExecContext(cat), "SELECT w.sid FROM w WHERE "+cond.String(), engine.CatalogResolver(cat))
-		if err != nil {
-			t.Fatalf("segment %q: %v", tc.seg, err)
+		if _, ok := canonicalInt(tc.seg); len(fleet) != 1 && ok {
+			t.Errorf("segment %q: without the FK the fleet keeps %d members, want 1", tc.seg, len(fleet))
 		}
-		if len(sel) != read {
-			t.Errorf("segment %q: the fleet's %s selects %d rows, the reader binds %d", tc.seg, cond, len(sel), read)
+		for _, member := range fleet {
+			cond := member.Where.String()
+			_, sel, err := engine.Run(engine.NewExecContext(cat), "SELECT w.sid FROM w WHERE "+cond, engine.CatalogResolver(cat))
+			if err != nil {
+				t.Fatalf("segment %q: the fleet's %s: %v", tc.seg, cond, err)
+			}
+			if len(sel) != read {
+				t.Errorf("segment %q: the fleet's %s selects %d rows, the reader binds %d", tc.seg, cond, len(sel), read)
+			}
 		}
 	}
 }

@@ -14,8 +14,6 @@ type EventKind uint8
 const (
 	EvWindowExec EventKind = iota
 	EvDegradeShed
-	EvDegradeWiden
-	EvDegradeSuspend
 	EvCheckpoint
 	EvRestore
 	EvFailover
@@ -40,7 +38,7 @@ const (
 )
 
 var eventKindNames = [numEventKinds]string{
-	"window_exec", "degrade_shed", "degrade_widen", "degrade_suspend",
+	"window_exec", "degrade_shed",
 	"checkpoint", "restore", "failover", "quarantine",
 	"admission_reject", "restart",
 	"link_up", "link_down", "link_reconnect", "link_suspect",
@@ -56,8 +54,7 @@ func (k EventKind) String() string {
 
 // Event is the decoded, JSON-friendly form of one flight-recorder
 // entry. Value carries a kind-specific quantity: window wall ns for
-// window_exec, bytes shed for degrade_shed, the new stride for
-// degrade_widen, bytes over budget for degrade_suspend, and so on —
+// window_exec, bytes shed for degrade_shed, and so on —
 // docs/observability.md tabulates the schema per kind.
 type Event struct {
 	Seq       uint64 `json:"seq"`
@@ -205,14 +202,14 @@ func MergeEvents(dumps ...[]Event) []Event {
 
 // QueryLag summarizes one registered query's runtime position for the
 // fleet lag view: how far behind the engine-wide event-time frontier
-// it is, how much window state it is holding, and whether governance
-// has degraded it. exastream computes the per-query values; cluster
+// it is, how much window state it is holding, and whether it is
+// quarantined. exastream computes the per-query values; cluster
 // stamps Node/Tenant when aggregating across the fleet.
 type QueryLag struct {
 	ID      string `json:"id"`
 	Node    int    `json:"node"`
 	Tenant  string `json:"tenant,omitempty"`
-	State   string `json:"state"` // running | widened | suspended
+	State   string `json:"state"` // running | suspended
 	Windows int64  `json:"windows"`
 	RowsOut int64  `json:"rows_out"`
 	// LastWindowEnd is the event-time end (ms) of the newest window the
@@ -226,6 +223,4 @@ type QueryLag struct {
 	BacklogBytes  int64 `json:"backlog_bytes"`
 	BudgetBytes   int64 `json:"budget_bytes,omitempty"`
 	HeadroomBytes int64 `json:"headroom_bytes,omitempty"`
-	// Stride > 1 means degradation widened the effective slide.
-	Stride int64 `json:"stride,omitempty"`
 }

@@ -80,8 +80,6 @@ func TestEventKindNames(t *testing.T) {
 	want := map[EventKind]string{
 		EvWindowExec:      "window_exec",
 		EvDegradeShed:     "degrade_shed",
-		EvDegradeWiden:    "degrade_widen",
-		EvDegradeSuspend:  "degrade_suspend",
 		EvCheckpoint:      "checkpoint",
 		EvRestore:         "restore",
 		EvFailover:        "failover",

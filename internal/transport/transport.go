@@ -56,8 +56,8 @@ type Msg struct {
 }
 
 // Handler is the receiving end of a transport: the cluster's node
-// inboxes. HandleTuple delivers one tuple to the node under the
-// cluster's backpressure policy (an error means the tuple was not
+// inboxes. HandleTuple delivers one tuple to the node, waiting
+// while its queue is full (an error means the tuple was not
 // queued — the handler accounts the drop); HandleFlush runs a flush
 // barrier on the node and reports the engine's flush error.
 type Handler interface {

@@ -94,17 +94,6 @@ type Event = telemetry.Event
 // provides a deterministic, seedable implementation.
 type FaultInjector = cluster.FaultInjector
 
-// Backpressure selects the policy applied when a worker's ingest queue
-// is full.
-type Backpressure = cluster.Backpressure
-
-// Backpressure policies.
-const (
-	BackpressureBlock      = cluster.BackpressureBlock
-	BackpressureDropNewest = cluster.BackpressureDropNewest
-	BackpressureDropOldest = cluster.BackpressureDropOldest
-)
-
 // NewSystem deploys OPTIQUE over an ontology, mappings, and a static
 // catalog.
 func NewSystem(cfg Config, tbox *ontology.TBox, set *mapping.Set, catalog *relation.Catalog) (*System, error) {

@@ -16,6 +16,10 @@
 #      verify" recipe must match the one CI actually runs;
 #   5. every `TestXxx` name the docs cite must name a test in a
 #      *_test.go file, or prefix one (a `go test -run` pattern).
+#   6. README's Settings table, with the note under it, must name
+#      exactly the fields of cluster.Options and exastream.Options
+#      (the latter as `Engine.X`), and docs/observability.md's event
+#      table exactly the names in telemetry.eventKindNames.
 set -u
 
 DOCS="README.md DESIGN.md EXPERIMENTS.md docs/starql.md docs/recovery.md docs/governance.md docs/vectorized.md docs/observability.md docs/planner.md docs/transport.md"
@@ -122,6 +126,40 @@ elif [ "$roadmap_race" != "$ci_race" ]; then
 	diff <(printf '%s\n' "$roadmap_race") <(printf '%s\n' "$ci_race") >&2 || true
 	fail=1
 fi
+
+# ---- 6: settings and event tables match the code ----
+
+# struct_fields FILE: the field names of FILE's `type Options struct`.
+struct_fields() {
+	sed -n '/^type Options struct {/,/^}/p' "$1" | grep -E '^	[A-Z]' | awk '{print $1}'
+}
+# same_set WHAT DOCUMENTED EXPECTED: report the names one side lacks.
+same_set() {
+	if [ -z "$3" ] || [ "$2" != "$3" ]; then
+		echo "check_docs: $1 drifted from the code (< documented, > code):" >&2
+		diff <(printf '%s\n' "$2") <(printf '%s\n' "$3") >&2 || true
+		fail=1
+	fi
+}
+want_settings=$({
+	struct_fields internal/cluster/cluster.go | grep -vx Engine
+	struct_fields internal/exastream/exastream.go | sed 's/^/Engine./'
+} | sort -u)
+# The table runs from its header to the first blank line (its Field
+# column); the note is the paragraph after it (its `Engine.X` names).
+doc_settings=$(awk -F'|' '
+	/^\| Setting \| Field \|/ { part = 1; next }
+	part == 1 && /^$/ { part = 2; next }
+	part == 1 && !/^\|---/ { print $3 }
+	part == 2 && /^$/ { exit }
+	part == 2 { while (match($0, /`Engine\.[A-Za-z]+`/)) { print substr($0, RSTART, RLENGTH); $0 = substr($0, RSTART + RLENGTH) } }
+' README.md | grep -oE '`[A-Za-z.]+`' | tr -d '`' | sort -u)
+same_set "README.md's Settings table" "$doc_settings" "$want_settings"
+want_events=$(sed -n '/^var eventKindNames/,/^}/p' internal/telemetry/recorder.go |
+	grep -oE '"[a-z_]+"' | tr -d '"' | sort -u)
+doc_events=$(sed -n '/^| kind | recorded when |/,/^$/p' docs/observability.md |
+	awk -F'|' 'NR > 2 {print $2}' | grep -oE '`[a-z_]+`' | tr -d '`' | sort -u)
+same_set "docs/observability.md's event table" "$doc_events" "$want_events"
 
 if [ "$fail" -ne 0 ]; then
 	echo "check_docs: FAILED — docs reference interfaces the tools don't report" >&2
