@@ -358,6 +358,43 @@ func TestInjectedIngestErrorsAreCountedNotFatal(t *testing.T) {
 	}
 }
 
+// TestWrongArityTupleIsAnIngestError checks that a tuple whose arity
+// is not its stream's is counted as the node's ingest error and never
+// reaches a window: the query reads the same rows as without it.
+func TestWrongArityTupleIsAnIngestError(t *testing.T) {
+	run := func(bad bool) (rows, errs int64) {
+		c := newCluster(t, 1, Options{})
+		q := sql.MustParse("SELECT m.val FROM STREAM msmt [RANGE 1000 SLIDE 1000] AS m")
+		if _, err := c.Register("q", q, nil, countSink(&rows)); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 100; i++ {
+			ts := int64(i) * 100
+			el := stream.Timestamped{TS: ts, Row: relation.Tuple{relation.Int(int64(i%10 + 1)), relation.Time(ts), relation.Float(float64(i))}}
+			if err := c.Ingest("msmt", el); err != nil {
+				t.Fatal(err)
+			}
+			if bad && i == 50 {
+				if err := c.Ingest("msmt", stream.Timestamped{TS: ts, Row: el.Row[:2]}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return atomic.LoadInt64(&rows), c.Stats()[0].ErrTotal
+	}
+	want, _ := run(false)
+	got, errs := run(true)
+	if errs != 1 {
+		t.Errorf("ingest errors = %d, want 1", errs)
+	}
+	if got != want {
+		t.Errorf("query read %d rows, %d without the malformed tuple", got, want)
+	}
+}
+
 func TestErrorRingKeepsCountsPastCapacity(t *testing.T) {
 	var r errorRing
 	for i := 0; i < errRingSize+40; i++ {

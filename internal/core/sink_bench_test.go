@@ -7,7 +7,6 @@ import (
 	"repro/internal/exastream"
 	"repro/internal/relation"
 	"repro/internal/siemens"
-	"repro/internal/stream"
 )
 
 // BenchmarkWindowSink times the per-window STARQL stage of the five
@@ -66,7 +65,7 @@ func BenchmarkWindowSink(b *testing.B) {
 			rows = append(rows, el.Row)
 		}
 	}
-	cb := stream.Batch{Rows: rows}.Columns()
+	cb := relation.Transpose(rows)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

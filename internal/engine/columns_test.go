@@ -146,7 +146,7 @@ func TestVectorizedColumnsOwnedByCaller(t *testing.T) {
 		for b := 0; b < 8; b++ {
 			rows := randomBatch(rng)
 			in := relation.Transpose(rows)
-			wsp.Bind(rows, in)
+			wsp.Bind(in)
 			cb, err := ExecutePlanColumns(ctx, plan)
 			if err != nil {
 				t.Fatal(err)
@@ -220,7 +220,7 @@ func TestReleaseScratchDropsWindowReferences(t *testing.T) {
 	for len(rows) < 8 {
 		rows = append(rows, rows...)
 	}
-	wsp.Bind(rows, relation.Transpose(rows))
+	wsp.Bind(relation.Transpose(rows))
 	if _, err := ExecutePlanColumns(NewExecContext(cat), plan); err != nil {
 		t.Fatal(err)
 	}

@@ -215,7 +215,7 @@ func TestVectorizedFilterNaN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wsp.Bind(rows, relation.Transpose(rows))
+		wsp.Bind(relation.Transpose(rows))
 		for _, ctx := range []*ExecContext{rowPathContext(cat), NewExecContext(cat)} {
 			res, err := ExecutePlan(ctx, plan)
 			if err != nil {
@@ -259,7 +259,7 @@ func TestVectorizedDifferentialSeeded(t *testing.T) {
 		}
 		for b := 0; b < 3; b++ {
 			rows := randomBatch(rng)
-			wsp.Bind(rows, relation.Transpose(rows))
+			wsp.Bind(relation.Transpose(rows))
 			diffExec(t, cat, plan, fmt.Sprintf("trial %d batch %d: %s", trial, b, query))
 		}
 	}
@@ -284,7 +284,7 @@ func TestVectorizedLookupJoinDifferential(t *testing.T) {
 				[]sql.Expr{sql.Col("w.sid")}, []string{"id"}, residual)
 			for b := 0; b < 6; b++ {
 				rows := randomBatch(rng)
-				wsp.Bind(rows, relation.Transpose(rows))
+				wsp.Bind(relation.Transpose(rows))
 				diffExec(t, cat, lj, fmt.Sprintf("indexed=%v residual=%v batch %d", indexed, residual != nil, b))
 			}
 		}
@@ -329,7 +329,7 @@ func TestVectorizedEdgeBatches(t *testing.T) {
 	}
 	for _, c := range cases {
 		plan, wsp := mk(c.query)
-		wsp.Bind(c.rows, relation.Transpose(c.rows))
+		wsp.Bind(relation.Transpose(c.rows))
 		ctx := NewExecContext(cat)
 		got, err := ExecutePlan(ctx, plan)
 		if err != nil {
@@ -377,7 +377,7 @@ func TestVectorizedSharedWindowRace(t *testing.T) {
 			}
 			ctx := NewExecContext(cat)
 			for iter := 0; iter < 100; iter++ {
-				wsp.Bind(rows, cb)
+				wsp.Bind(cb)
 				if _, err := ExecutePlan(ctx, plan); err != nil {
 					errs[g] = err
 					return
@@ -427,7 +427,7 @@ func TestDerivedTableRunsKernels(t *testing.T) {
 		if find(plan); inner == nil {
 			t.Fatalf("no projection under the derived table's alias:\n%s", Explain(plan))
 		}
-		wsp.Bind(rows, relation.Transpose(rows))
+		wsp.Bind(relation.Transpose(rows))
 		res, err := ExecutePlan(ctx, plan)
 		if err != nil {
 			t.Fatal(err)

@@ -12,8 +12,8 @@ import "repro/internal/relation"
 type WindowSourcePlan struct {
 	Name   string
 	schema relation.Schema
-	rows   []relation.Tuple
 	cols   *relation.ColBatch
+	rows   []relation.Tuple // cols as rows, once the row path asks
 
 	// executeVec scratch, reused across serialized executions (see the
 	// concurrency contract in vec.go).
@@ -26,19 +26,22 @@ func NewWindowSourcePlan(name string, schema relation.Schema) *WindowSourcePlan 
 	return &WindowSourcePlan{Name: name, schema: schema}
 }
 
-// Bind points the source at the current window batch: its rows and
-// the same rows in columns, which the row and vectorized paths read
-// respectively. Both are retained, not copied; callers must not mutate
-// them until the next Bind. The stream engine passes each batch's shared
-// columnar form, so every query over one window reads one copy.
-func (w *WindowSourcePlan) Bind(rows []relation.Tuple, cols *relation.ColBatch) {
-	w.rows, w.cols = rows, cols
+// Bind points the source at the current window batch's columns. They
+// are retained, not copied; callers must not mutate them until the next
+// Bind. The stream engine passes each batch's shared columnar form, so
+// every query over one window reads one copy. The row path (Execute)
+// materialises the rows from them, once per window.
+func (w *WindowSourcePlan) Bind(cols *relation.ColBatch) {
+	w.rows, w.cols = nil, cols
 }
 
 func (w *WindowSourcePlan) Schema() relation.Schema { return w.schema }
 
 func (w *WindowSourcePlan) Execute(ctx *ExecContext) ([]relation.Tuple, error) {
 	ctx.Stats.enter(OpWindowSource)
+	if w.rows == nil && w.cols != nil && w.cols.Len() > 0 {
+		w.rows = w.cols.Rows()
+	}
 	ctx.Stats.RowsScanned += int64(len(w.rows))
 	ctx.Stats.produced(OpWindowSource, len(w.rows))
 	return w.rows, nil

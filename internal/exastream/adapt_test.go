@@ -63,7 +63,7 @@ func TestDerivedTableJoinIsLookupJoin(t *testing.T) {
 	}
 	matched := 0
 	for _, r := range raw.results {
-		window.Bind(r.rows, relation.Transpose(r.rows))
+		window.Bind(relation.Transpose(r.rows))
 		want, err := ref.Execute(engine.NewExecContext(e.Catalog()))
 		if err != nil {
 			t.Fatal(err)

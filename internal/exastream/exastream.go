@@ -575,9 +575,17 @@ func (e *Engine) IngestSeq(streamName string, el stream.Timestamped, seq int64) 
 func (e *Engine) push(streamName string, el stream.Timestamped, seq, restore int64) error {
 	e.mu.Lock()
 	key := strings.ToLower(streamName)
-	if _, ok := e.streams[key]; !ok {
+	schema, ok := e.streams[key]
+	if !ok {
 		e.mu.Unlock()
 		return fmt.Errorf("exastream: unknown stream %q", streamName)
+	}
+	// A window operator's log holds rows of one arity, so a tuple of
+	// another is refused here, before any operator or the archive sees
+	// it.
+	if len(el.Row) != schema.Tuple.Arity() {
+		e.mu.Unlock()
+		return fmt.Errorf("exastream: stream %q: tuple has %d values, schema %d", streamName, len(el.Row), schema.Tuple.Arity())
 	}
 	if restore == 0 {
 		e.met.tuplesIn.Inc()
@@ -909,8 +917,8 @@ func (e *Engine) executeItem(it execItem) error {
 		if src != nil {
 			// Every query's delivery of a window carries the same
 			// column-log view of it.
-			src.Bind(it.batches[i].Rows, it.batches[i].Columns())
-			rowsIn += len(it.batches[i].Rows)
+			src.Bind(it.batches[i].Columns())
+			rowsIn += it.batches[i].Len()
 		}
 	}
 	ctx := q.execCtx

@@ -391,6 +391,29 @@ func TestIngestUnknownStream(t *testing.T) {
 	}
 }
 
+// TestIngestRejectsWrongArity checks that a tuple whose arity is not
+// its stream's is refused with an error before any window operator
+// logs it: the operator's snapshot holds only the well-formed tuples.
+func TestIngestRejectsWrongArity(t *testing.T) {
+	e := testRig(t, Options{})
+	if err := e.Register("q", sql.MustParse("SELECT m.val FROM STREAM msmt [RANGE 1000 SLIDE 1000] AS m"), nil, (&collector{}).sink); err != nil {
+		t.Fatal(err)
+	}
+	good := stream.Timestamped{TS: 10, Row: relation.Tuple{relation.Int(1), relation.Time(10), relation.Float(1)}}
+	if err := e.Ingest("msmt", good); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []relation.Tuple{{relation.Int(1), relation.Time(20)}, {relation.Int(1), relation.Time(20), relation.Float(2), relation.Null}} {
+		if err := e.Ingest("msmt", stream.Timestamped{TS: 20, Row: row}); err == nil {
+			t.Errorf("a tuple of %d values was ingested into a stream of 3", len(row))
+		}
+	}
+	st := e.ExportState()
+	if len(st.Windows) != 1 || st.Windows[0].Log.Len() != 1 {
+		t.Fatalf("operators log %+v, want one operator holding the one well-formed tuple", st.Windows)
+	}
+}
+
 func TestConcurrentIngestManyQueries(t *testing.T) {
 	e := testRig(t, Options{})
 	c := &collector{}

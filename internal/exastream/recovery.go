@@ -52,10 +52,7 @@ func (e *Engine) ExportState() *recovery.EngineState {
 		slices.Sort(ends)
 		for _, end := range ends {
 			pw := recovery.PendingWindow{End: end, Batches: make(map[int]stream.Batch, len(q.pending[end]))}
-			for ref, b := range q.pending[end] {
-				b.Rows = slices.Clip(b.Rows) // emitted, so its rows never change
-				pw.Batches[ref] = b
-			}
+			maps.Copy(pw.Batches, q.pending[end])
 			s.Pending = append(s.Pending, pw)
 		}
 		s.Failures = q.failures

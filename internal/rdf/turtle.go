@@ -254,10 +254,11 @@ func (p *turtleParser) parseToken() string {
 	start := p.pos
 	for p.pos < len(p.src) {
 		c := rune(p.src[p.pos])
-		if unicode.IsSpace(c) || strings.ContainsRune(";,.<>\"#", c) {
+		if isTokenEnd(p.src[p.pos]) {
 			// A '.' inside a number or prefixed name is part of the token
-			// only when followed by a non-boundary character.
-			if c == '.' && p.pos+1 < len(p.src) && !isStatementEnd(p.src[p.pos+1]) {
+			// only when the token goes on after it, so no token ends in
+			// '.'.
+			if c == '.' && p.pos+1 < len(p.src) && !isTokenEnd(p.src[p.pos+1]) {
 				p.pos++
 				continue
 			}
@@ -268,8 +269,10 @@ func (p *turtleParser) parseToken() string {
 	return p.src[start:p.pos]
 }
 
-func isStatementEnd(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '#'
+// isTokenEnd reports whether c ends a token (a '.' may not; see
+// parseToken).
+func isTokenEnd(c byte) bool {
+	return unicode.IsSpace(rune(c)) || strings.IndexByte(";,.<>\"#", c) >= 0
 }
 
 func (p *turtleParser) parseLiteral() (Term, error) {
@@ -309,7 +312,7 @@ func (p *turtleParser) parseLiteral() (Term, error) {
 				if err != nil {
 					return Term{}, err
 				}
-				if !dt.IsIRI() {
+				if !dt.IsIRI() || dt.Value == "" {
 					return Term{}, p.errf("datatype must be an IRI")
 				}
 				return NewTypedLiteral(lex, dt.Value), nil
@@ -326,30 +329,81 @@ func (p *turtleParser) parseLiteral() (Term, error) {
 }
 
 // WriteTurtle serialises triples using the given prefixes (may be nil).
+// Every document ParseTurtle accepts writes, with the prefixes it
+// returns, as text that parses back to the same triples.
 func WriteTurtle(ts []Triple, pm PrefixMap) string {
 	var sb strings.Builder
-	if pm != nil {
-		for _, name := range sortedKeys(pm) {
-			fmt.Fprintf(&sb, "@prefix %s: <%s> .\n", name, pm[name])
-		}
-		if len(pm) > 0 {
-			sb.WriteByte('\n')
-		}
+	names := sortedKeys(pm)
+	for _, name := range names {
+		fmt.Fprintf(&sb, "@prefix %s: <%s> .\n", name, pm[name])
 	}
-	shrink := func(t Term) string {
-		if t.IsIRI() && pm != nil {
-			return pm.Shrink(t.Value)
+	if len(names) > 0 {
+		sb.WriteByte('\n')
+	}
+	term := func(t Term) string {
+		switch {
+		case t.IsIRI():
+			return writeIRI(t.Value, pm, names)
+		case t.IsBlank():
+			return "_:" + t.Value
 		}
-		return t.String()
+		return writeLiteral(t)
 	}
 	for _, t := range ts {
-		pred := shrink(t.P)
+		pred := term(t.P)
 		if t.P.Value == RDFType {
 			pred = "a"
 		}
-		fmt.Fprintf(&sb, "%s %s %s .\n", shrink(t.S), pred, shrink(t.O))
+		fmt.Fprintf(&sb, "%s %s %s .\n", term(t.S), pred, term(t.O))
 	}
 	return sb.String()
+}
+
+// writeIRI writes an IRI as a prefixed name under the longest namespace
+// of pm that yields one the parser reads back as the same IRI, else in
+// angle brackets.
+func writeIRI(iri string, pm PrefixMap, names []string) string {
+	best, bestNS := "", ""
+	found := false
+	for _, name := range names {
+		ns := pm[name]
+		if strings.HasPrefix(iri, ns) && (!found || len(ns) > len(bestNS)) && plainName(name, true) && plainName(iri[len(ns):], false) {
+			best, bestNS, found = name, ns, true
+		}
+	}
+	if !found {
+		return "<" + iri + ">"
+	}
+	return best + ":" + iri[len(bestNS):]
+}
+
+// plainName reports whether s can be a prefix name (prefix) or a local
+// name in a prefixed name that reads back as itself: ASCII letters,
+// digits, '_' and '-', a prefix starting with a letter, so the name is
+// never taken for a number or a blank node.
+func plainName(s string, prefix bool) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		letter := c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
+		if !letter && (prefix && i == 0 || !(c >= '0' && c <= '9' || c == '_' || c == '-')) {
+			return false
+		}
+	}
+	return true
+}
+
+// writeLiteral writes a literal with the escapes the parser reads: a
+// quote and a backslash are escaped, every other byte is written as it
+// is.
+func writeLiteral(t Term) string {
+	s := `"` + strings.NewReplacer(`\`, `\\`, `"`, `\"`).Replace(t.Value) + `"`
+	switch {
+	case t.Lang != "":
+		return s + "@" + t.Lang
+	case t.Datatype != "" && t.Datatype != XSDString:
+		return s + "^^<" + t.Datatype + ">"
+	}
+	return s
 }
 
 func sortedKeys(pm PrefixMap) []string {

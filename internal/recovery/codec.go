@@ -15,11 +15,12 @@ import (
 // the offset in it of every open window; a query names the operators it
 // reads by their index. An operator's log is written after its staged
 // head: the rows its readers' staged windows hold from before the log's
-// first row. A staged window whose rows are a run of that table, as
-// every window an operator emitted after its head began is, names the
-// run by offset and writes no row, so each staged row is written once,
-// however many overlapping windows and readers hold it; any other
-// staged window writes its rows.
+// first row. Together they are the operator's table, a span of
+// positions in its column log. A staged window that views that column
+// log within the span, as every window an operator emitted after its
+// head began does, names its run by offset and writes no row, so each
+// staged row is written once, however many overlapping windows and
+// readers hold it; any other staged window writes its rows.
 
 // Minimum encoded sizes, which bound the element counts a decoder
 // accepts for the bytes that remain.
@@ -81,14 +82,14 @@ func appendCheckpoint(b []byte, ck *Checkpoint) []byte {
 	b = wire.AppendI64(b, ck.TakenAtMS)
 	b = appendMap(b, ck.Cursors)
 	b = appendMap(b, ck.EmitHWM)
-	heads := stagedHeads(&ck.Engine)
+	ts := spans(&ck.Engine)
 	b = wire.AppendU32(b, uint32(len(ck.Engine.Windows)))
 	for i := range ck.Engine.Windows {
-		b = appendWindow(b, &ck.Engine.Windows[i], heads[i])
+		b = appendWindow(b, &ck.Engine.Windows[i], &ts[i])
 	}
 	b = wire.AppendU32(b, uint32(len(ck.Engine.Queries)))
 	for i := range ck.Engine.Queries {
-		b = appendQuery(b, &ck.Engine, i, heads)
+		b = appendQuery(b, &ck.Engine, i, ts)
 	}
 	return wire.Seal(b, start)
 }
@@ -123,44 +124,70 @@ func readMap(r *wire.Reader) map[string]int64 {
 	return m
 }
 
-// stagedHeads returns, per operator, its staged head: the longest run
-// of rows that a staged window of one of its readers holds before the
+// span is the encoder's view of one operator's table: the column log
+// its staged head and log are views of (0 for none), the absolute
+// positions in it of the table's first row, of the log's first row and
+// past the log's last, and the staged batch the head is the first rows
+// of.
+type span struct {
+	log            uint64
+	start, at, end int
+	head           stream.Batch
+}
+
+// spans returns each operator's table. Its head is the longest run of
+// rows that a staged window of one of its readers holds before the
 // operator's log, when the window's other rows begin the log. Queries,
-// windows and references go in order, so equal states pick equal heads.
-func stagedHeads(es *EngineState) [][]relation.Tuple {
-	heads := make([][]relation.Tuple, len(es.Windows))
+// windows and references go in order, so equal states pick equal
+// heads.
+func spans(es *EngineState) []span {
+	ts := make([]span, len(es.Windows))
+	for k := range es.Windows {
+		if w := &es.Windows[k]; w.Log.Len() > 0 {
+			log, pos := w.Log.Source()
+			ts[k] = span{log: log, start: pos, at: pos, end: pos + w.Log.Len()}
+		}
+	}
 	for i := range es.Queries {
 		q := &es.Queries[i]
 		for _, pw := range q.Pending {
 			for ref := range q.Windows {
-				w, rows := es.Window(q, ref), pw.Batches[ref].Rows
-				if w == nil || len(w.Rows) == 0 {
+				if es.Window(q, ref) == nil {
 					continue
 				}
-				h := slices.IndexFunc(rows, func(row relation.Tuple) bool { return same(row, w.Rows[0]) })
-				if h > len(heads[q.Windows[ref]]) && runIn(rows[:h], w.Rows, rows) == 0 {
-					heads[q.Windows[ref]] = rows[:h:h]
+				t, b := &ts[q.Windows[ref]], pw.Batches[ref]
+				log, pos := b.Columns().Source()
+				if end := pos + b.Len(); t.log != 0 && log == t.log && pos < t.start && end > t.at && end <= t.end {
+					t.start, t.head = pos, b
 				}
 			}
 		}
 	}
-	return heads
+	return ts
+}
+
+// run returns the offset in the table of the run a staged batch's rows
+// are, or -1 when they are none: a run is a non-empty view of the
+// table's column log within its span.
+func (t *span) run(b stream.Batch) int {
+	log, pos := b.Columns().Source()
+	if t == nil || t.log == 0 || log != t.log || b.Len() == 0 || pos < t.start || pos+b.Len() > t.end {
+		return -1
+	}
+	return pos - t.start
 }
 
 // appendWindow writes one window operator: spec and cursors, its staged
 // head and log, and the offset in the log of each open window.
-func appendWindow(b []byte, w *Window, head []relation.Tuple) []byte {
+func appendWindow(b []byte, w *Window, t *span) []byte {
 	for _, v := range [...]int64{w.Spec.RangeMS, w.Spec.SlideMS, w.Spec.StartMS, w.NextEmit, w.MaxTS, w.Late, w.Seq} {
 		b = wire.AppendI64(b, v)
 	}
-	b = wire.AppendU32(b, uint32(len(head)))
-	b = wire.AppendU32(b, uint32(len(w.Rows)))
-	for _, row := range head {
-		b = wire.AppendRow(b, row)
-	}
-	for _, row := range w.Rows {
-		b = wire.AppendRow(b, row)
-	}
+	head := t.at - t.start
+	b = wire.AppendU32(b, uint32(head))
+	b = wire.AppendU32(b, uint32(w.Log.Len()))
+	b = wire.AppendColumnsRows(b, t.head.Columns(), head)
+	b = wire.AppendColumnsRows(b, w.Log, w.Log.Len())
 	b = wire.AppendU32(b, uint32(len(w.Open)))
 	for _, o := range w.Open {
 		b = wire.AppendI64(b, o.ID)
@@ -172,11 +199,11 @@ func appendWindow(b []byte, w *Window, head []relation.Tuple) []byte {
 }
 
 // table is the decoder's view of one operator: its staged head and log
-// in one slice, which staged windows alias, and whether a staged window
-// starts at the head and runs into the log, as the window the encoder
-// took the head from does.
+// in one column log, which staged runs view, and whether a staged
+// window starts at the head and runs into the log, as the window the
+// encoder took the head from does.
 type table struct {
-	rows []relation.Tuple
+	rows *relation.ColLog
 	head int
 	used bool
 }
@@ -189,16 +216,10 @@ func readWindow(r *wire.Reader, w *Window) table {
 	w.NextEmit, w.MaxTS, w.Late, w.Seq = r.I64(), r.I64(), r.I64(), r.I64()
 	t := table{head: int(r.U32())}
 	n := int(r.U32())
-	if (t.head+n)*minRow > r.Len() {
-		r.Fail(wire.ErrMalformed)
-	}
-	if r.Err() == nil && t.head+n > 0 {
-		t.rows = make([]relation.Tuple, t.head+n)
-		for i := range t.rows {
-			t.rows[i] = r.Row()
-		}
-		if n > 0 {
-			w.Rows = t.rows[t.head:]
+	if t.head+n > 0 {
+		t.rows = readRows(r, t.head+n)
+		if n > 0 && r.Err() == nil {
+			w.Log = t.rows.View(t.head, t.head+n)
 		}
 	}
 	if n := r.Count(minOpen); n > 0 {
@@ -213,10 +234,32 @@ func readWindow(r *wire.Reader, w *Window) table {
 	return t
 }
 
+// readRows decodes n rows into a column log of their own, rejecting
+// rows whose arities differ, which no column log holds.
+func readRows(r *wire.Reader, n int) *relation.ColLog {
+	if n*minRow > r.Len() {
+		r.Fail(wire.ErrMalformed)
+	}
+	log := &relation.ColLog{}
+	arity := 0
+	for i := 0; i < n && r.Err() == nil; i++ {
+		row := r.Row()
+		switch {
+		case r.Err() != nil:
+		case i > 0 && len(row) != arity:
+			r.Fail(wire.ErrMalformed)
+		default:
+			arity = len(row)
+			log.Append(row)
+		}
+	}
+	return log
+}
+
 // appendQuery writes the i-th query: its fields, the index of the
 // operator each stream reference reads (-1 as 0xffffffff), and its
 // staged windows.
-func appendQuery(b []byte, es *EngineState, i int, heads [][]relation.Tuple) []byte {
+func appendQuery(b []byte, es *EngineState, i int, ts []span) []byte {
 	q := &es.Queries[i]
 	b = wire.AppendString(b, q.ID)
 	b = wire.AppendI64(b, int64(q.Failures))
@@ -236,11 +279,11 @@ func appendQuery(b []byte, es *EngineState, i int, heads [][]relation.Tuple) []b
 		b = wire.AppendI64(b, pw.End)
 		b = wire.AppendU32(b, uint32(len(refs)))
 		for _, ref := range refs {
-			var head, log []relation.Tuple
-			if w := es.Window(q, ref); w != nil {
-				head, log = heads[q.Windows[ref]], w.Rows
+			var t *span
+			if es.Window(q, ref) != nil {
+				t = &ts[q.Windows[ref]]
 			}
-			b = appendBatch(wire.AppendI64(b, int64(ref)), pw.Batches[ref], head, log)
+			b = appendBatch(wire.AppendI64(b, int64(ref)), pw.Batches[ref], t)
 		}
 	}
 	return b
@@ -286,82 +329,44 @@ func readQuery(r *wire.Reader, q *QueryState, tables []table) {
 }
 
 // appendBatch writes one staged batch of a stream reference whose
-// operator's table is head followed by log (both nil for a reference
-// that reads no operator): its bounds, its row count, and the offset in
-// the table of the run its rows are, or -1 (0xffffffff) followed by the
-// rows.
-func appendBatch(b []byte, bt stream.Batch, head, log []relation.Tuple) []byte {
+// operator's table is t (nil for a reference that reads no operator):
+// its bounds, its row count, and the offset in the table of the run its
+// rows are, or -1 (0xffffffff) followed by the rows.
+func appendBatch(b []byte, bt stream.Batch, t *span) []byte {
 	b = wire.AppendI64(b, bt.WindowID)
 	b = wire.AppendI64(b, bt.Start)
 	b = wire.AppendI64(b, bt.End)
-	b = wire.AppendU32(b, uint32(len(bt.Rows)))
-	at := runIn(head, log, bt.Rows)
+	b = wire.AppendU32(b, uint32(bt.Len()))
+	at := t.run(bt)
 	b = wire.AppendU32(b, uint32(at))
 	if at < 0 {
-		for _, row := range bt.Rows {
-			b = wire.AppendRow(b, row)
-		}
+		b = wire.AppendColumnsRows(b, bt.Columns(), bt.Len())
 	}
 	return b
 }
 
-// runIn returns the offset at which rows run in the table head followed
-// by log, or -1 when they do not. Rows are matched by identity (the
-// backing array of a row), which is how overlapping windows share them,
-// so a run starts at a non-empty row.
-func runIn(head, log, rows []relation.Tuple) int {
-	at := func(i int) relation.Tuple {
-		if i < len(head) {
-			return head[i]
-		}
-		return log[i-len(head)]
-	}
-	for lo := 0; len(rows) > 0 && lo+len(rows) <= len(head)+len(log); lo++ {
-		if same(at(lo), rows[0]) {
-			for i, row := range rows {
-				if t := at(lo + i); len(t) != len(row) || len(t) > 0 && &t[0] != &row[0] {
-					return -1
-				}
-			}
-			return lo
-		}
-	}
-	return -1
-}
-
-// same reports whether two rows are one: non-empty, with one backing
-// array.
-func same(a, b relation.Tuple) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
-
 // readBatch decodes one staged batch of a stream reference that reads
-// the operator whose table is t (nil for none). A run aliases the
-// table, so the overlapping windows of a restored checkpoint share row
-// headers again. A batch the encoder could not have written (a run
-// past the table, empty, or starting at an empty row, or any run
-// without a table) is rejected.
+// the operator whose table is t (nil for none). A run views the table,
+// so the overlapping windows of a restored checkpoint share its
+// columns. A batch the encoder could not have written (a run past the
+// table or empty, or any run without a table) is rejected.
 func readBatch(r *wire.Reader, t *table) stream.Batch {
-	b := stream.Batch{WindowID: r.I64(), Start: r.I64(), End: r.I64()}
+	id, start, end := r.I64(), r.I64(), r.I64()
 	n, at := int(r.U32()), int(int32(r.U32()))
 	switch {
 	case r.Err() != nil:
+	case at == -1 && n > 0:
+		if rows := readRows(r, n); r.Err() == nil {
+			return stream.NewBatch(id, start, end, rows.View(0, n))
+		}
 	case at == -1:
-		if n*minRow > r.Len() {
-			r.Fail(wire.ErrMalformed)
-			break
-		}
-		if n > 0 {
-			b.Rows = make([]relation.Tuple, n)
-			for i := range b.Rows {
-				b.Rows[i] = r.Row()
-			}
-		}
-	case t == nil || at < 0 || n == 0 || at+n > len(t.rows) || len(t.rows[at]) == 0:
+	case t == nil || t.rows == nil || at < 0 || n == 0 || at+n > t.rows.Len():
 		r.Fail(wire.ErrMalformed)
 	default:
-		b.Rows = t.rows[at : at+n : at+n]
-		if at == 0 && n > t.head && len(t.rows[t.head]) > 0 {
+		if at == 0 && n > t.head {
 			t.used = true
 		}
+		return stream.NewLogBatch(id, start, end, t.rows, at, at+n)
 	}
-	return b
+	return stream.Batch{WindowID: id, Start: start, End: end}
 }

@@ -2,6 +2,8 @@ package recovery
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -36,7 +38,8 @@ func randomValue(rng *rand.Rand) relation.Value {
 
 // windowCheckpoint builds a checkpoint from real window operators: each
 // query reads refs streams through 10 s windows sliding by 1 s, pushed
-// one row every 100 ms, so every row sits in up to ten open windows.
+// one row every 100 ms, so every row sits in up to ten open windows;
+// every fiftieth row is NULL but for its timestamp.
 // The last two windows each operator emitted stay staged as the query's
 // pending windows, the way a multi-reference query holds them. Every
 // query reads operators of its own; those of every other query carry
@@ -57,7 +60,7 @@ func windowCheckpoint(rng *rand.Rand, queries, refs, rows int) *Checkpoint {
 			for i := 0; i < rows; i++ {
 				row := relation.Tuple{relation.Time(int64(i) * 100), randomValue(rng), randomValue(rng)}
 				if i%50 == 25 {
-					row = relation.Tuple{} // never a window's first row, which is i%10 == 1
+					row = relation.Tuple{row[0], relation.Null, relation.Null}
 				}
 				emitted = append(emitted, op.Push(stream.Timestamped{TS: int64(i) * 100, Row: row})...)
 			}
@@ -86,40 +89,77 @@ func windowCheckpoint(rng *rand.Rand, queries, refs, rows int) *Checkpoint {
 	return ck
 }
 
-// normalized is the form a decoded checkpoint takes: empty maps and
-// slices decode as nil, and a batch carries no columnar cell.
-func normalized(ck *Checkpoint) *Checkpoint {
-	out := *ck
-	out.Cursors, out.EmitHWM = nilIfEmpty(ck.Cursors), nilIfEmpty(ck.EmitHWM)
-	out.Engine = EngineState{}
+// plainCheckpoint is what a checkpoint holds, with every window's rows
+// read out and empty maps and slices as nil, so a decoded checkpoint,
+// whose windows view logs of their own, compares with the original.
+type plainCheckpoint struct {
+	Node, TakenAtMS  int64
+	Cursors, EmitHWM map[string]int64
+	Windows          []plainWindow
+	Queries          []plainQuery
+}
+
+type plainWindow struct {
+	Spec                       stream.WindowSpec
+	NextEmit, MaxTS, Late, Seq int64
+	Rows                       []relation.Tuple
+	Open                       []stream.OpenWindow
+}
+
+type plainQuery struct {
+	ID        string
+	Windows   []int
+	Failures  int
+	Suspended bool
+	Budget    int64
+	Pending   []int64
+	Batches   []map[int]plainBatch
+}
+
+type plainBatch struct {
+	WindowID, Start, End, Bytes int64
+	Rows                        []relation.Tuple
+}
+
+func plain(ck *Checkpoint) plainCheckpoint {
+	out := plainCheckpoint{Node: int64(ck.Node), TakenAtMS: ck.TakenAtMS, Cursors: nilIfEmpty(ck.Cursors), EmitHWM: nilIfEmpty(ck.EmitHWM)}
 	for _, w := range ck.Engine.Windows {
-		if len(w.Rows) == 0 {
-			w.Rows = nil
+		pw := plainWindow{Spec: w.Spec, NextEmit: w.NextEmit, MaxTS: w.MaxTS, Late: w.Late, Seq: w.Seq}
+		if w.Log.Len() > 0 {
+			pw.Rows = w.Log.Rows()
 		}
-		if len(w.Open) == 0 {
-			w.Open = nil
+		if len(w.Open) > 0 {
+			pw.Open = w.Open
 		}
-		out.Engine.Windows = append(out.Engine.Windows, w)
+		out.Windows = append(out.Windows, pw)
 	}
 	for _, q := range ck.Engine.Queries {
-		if len(q.Windows) == 0 {
-			q.Windows = nil
+		pq := plainQuery{ID: q.ID, Failures: q.Failures, Suspended: q.Suspended, Budget: q.Budget}
+		if len(q.Windows) > 0 {
+			pq.Windows = q.Windows
 		}
-		var pws []PendingWindow
 		for _, pw := range q.Pending {
-			var m map[int]stream.Batch
+			pq.Pending = append(pq.Pending, pw.End)
+			var m map[int]plainBatch
 			for ref, b := range pw.Batches {
 				if m == nil {
-					m = map[int]stream.Batch{}
+					m = map[int]plainBatch{}
 				}
-				m[ref] = bare(b)
+				m[ref] = plainOf(b)
 			}
-			pws = append(pws, PendingWindow{End: pw.End, Batches: m})
+			pq.Batches = append(pq.Batches, m)
 		}
-		q.Pending = pws
-		out.Engine.Queries = append(out.Engine.Queries, q)
+		out.Queries = append(out.Queries, pq)
 	}
-	return &out
+	return out
+}
+
+func plainOf(b stream.Batch) plainBatch {
+	pb := plainBatch{WindowID: b.WindowID, Start: b.Start, End: b.End, Bytes: b.Bytes()}
+	if b.Len() > 0 {
+		pb.Rows = b.Columns().Rows()
+	}
+	return pb
 }
 
 func nilIfEmpty(m map[string]int64) map[string]int64 {
@@ -129,35 +169,38 @@ func nilIfEmpty(m map[string]int64) map[string]int64 {
 	return m
 }
 
-func bare(b stream.Batch) stream.Batch {
-	out := stream.Batch{WindowID: b.WindowID, Start: b.Start, End: b.End}
-	if len(b.Rows) > 0 {
-		out.Rows = b.Rows
+// sharedRows counts the distinct rows across a query's staged batches
+// and the given operator logs: rows that views of one log hold at one
+// position count once, and every row of a batch that is no log's view
+// counts.
+func sharedRows(q *QueryState, logs ...*relation.ColBatch) int {
+	type at struct {
+		log uint64
+		pos int
 	}
-	return out
-}
-
-// rowArrays counts the distinct row backing arrays across a query's
-// staged batches and the given operator logs: rows shared by
-// overlapping windows count once.
-func rowArrays(q *QueryState, logs ...[]relation.Tuple) int {
-	seen := map[*relation.Value]bool{}
-	add := func(rows []relation.Tuple) {
-		for _, row := range rows {
-			if len(row) > 0 {
-				seen[&row[0]] = true
+	seen, own := map[at]bool{}, 0
+	add := func(log uint64, pos, n int) {
+		for i := 0; i < n; i++ {
+			if log == 0 {
+				own++
+			} else {
+				seen[at{log, pos + i}] = true
 			}
 		}
 	}
-	for _, rows := range logs {
-		add(rows)
+	for _, cb := range logs {
+		if cb != nil {
+			log, pos := cb.Source()
+			add(log, pos, cb.Len())
+		}
 	}
 	for _, pw := range q.Pending {
 		for _, b := range pw.Batches {
-			add(b.Rows)
+			log, pos := b.Columns().Source()
+			add(log, pos, b.Len())
 		}
 	}
-	return len(seen)
+	return len(seen) + own
 }
 
 // heldRows counts the row references a checkpoint's windows hold: each
@@ -167,13 +210,13 @@ func heldRows(ck *Checkpoint) int {
 	held := 0
 	for _, w := range ck.Engine.Windows {
 		for _, o := range w.Open {
-			held += len(w.Rows) - o.Offset
+			held += w.Log.Len() - o.Offset
 		}
 	}
 	for _, q := range ck.Engine.Queries {
 		for _, pw := range q.Pending {
 			for _, b := range pw.Batches {
-				held += len(b.Rows)
+				held += b.Len()
 			}
 		}
 	}
@@ -181,12 +224,11 @@ func heldRows(ck *Checkpoint) int {
 }
 
 // TestCodecSeededRoundTrip round-trips checkpoints of every value type,
-// NULLs, empty rows, empty and nil maps and slices, operators read by
+// NULLs, empty and nil maps and slices, operators read by
 // several queries and by none, rows shared across overlapping staged
 // windows, and staged windows overlapping their operator's log: the
-// decoded checkpoint equals the original,
-// re-encodes to the same bytes, and shares staged rows exactly where
-// the original did.
+// decoded checkpoint equals the original, re-encodes to the same
+// bytes, and shares staged rows exactly where the original did.
 func TestCodecSeededRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -196,8 +238,8 @@ func TestCodecSeededRoundTrip(t *testing.T) {
 			QueryState{ID: "empty", Windows: []int{}, Pending: []PendingWindow{}},
 			QueryState{ID: "nil"},
 			QueryState{ID: "staged-only", Pending: []PendingWindow{{End: 5, Batches: map[int]stream.Batch{
-				-1: {End: 5, Rows: []relation.Tuple{{relation.Null}}},
-				7:  {End: 5, Rows: []relation.Tuple{}},
+				-1: stream.NewBatch(0, 0, 5, relation.Transpose([]relation.Tuple{{relation.Null}})),
+				7:  {End: 5},
 			}}}},
 			// A second reader of q01's window operators, as shared
 			// windows export them, and a reference with no operator.
@@ -213,15 +255,23 @@ func TestCodecSeededRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if want := normalized(ck); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: round trip mismatch:\n got %+v\nwant %+v", seed, got, want)
+		if !reflect.DeepEqual(plain(got), plain(ck)) {
+			t.Fatalf("seed %d: round trip mismatch:\n got %+v\nwant %+v", seed, plain(got), plain(ck))
 		}
 		again, _ := Encode(got)
 		if !bytes.Equal(again, blob) {
 			t.Fatalf("seed %d: decoded checkpoint re-encodes differently", seed)
 		}
 		for i := range ck.Engine.Queries {
-			if w, g := rowArrays(&ck.Engine.Queries[i]), rowArrays(&got.Engine.Queries[i]); w != g {
+			logsOf := func(ck *Checkpoint) (logs []*relation.ColBatch) {
+				for ref := range ck.Engine.Queries[i].Windows {
+					if w := ck.Engine.Window(&ck.Engine.Queries[i], ref); w != nil {
+						logs = append(logs, w.Log)
+					}
+				}
+				return logs
+			}
+			if w, g := sharedRows(&ck.Engine.Queries[i], logsOf(ck)...), sharedRows(&got.Engine.Queries[i], logsOf(got)...); w != g {
 				t.Fatalf("seed %d query %s: %d distinct rows after decode, want %d", seed, ck.Engine.Queries[i].ID, g, w)
 			}
 		}
@@ -237,8 +287,8 @@ func TestCodecWritesSharedRowsOnce(t *testing.T) {
 	ck := windowCheckpoint(rand.New(rand.NewSource(3)), 1, 1, 400)
 	blob, _ := Encode(ck)
 	held := heldRows(ck)
-	q, log := ck.Engine.Queries[0], ck.Engine.Windows[0].Rows
-	if once := rowArrays(&q, log); held < 5*once {
+	q, log := ck.Engine.Queries[0], ck.Engine.Windows[0].Log
+	if once := sharedRows(&q, log); held < 5*once {
 		t.Fatalf("fixture holds %d row references over %d rows; want heavy overlap", held, once)
 	}
 	alone, unstaged := *ck, q
@@ -248,26 +298,27 @@ func TestCodecWritesSharedRowsOnce(t *testing.T) {
 	size := len(want)
 	// Every staged window runs into the log, so the rows the log no
 	// longer holds are the longest run before its first row.
-	var before []relation.Tuple
+	_, first := log.Source()
+	var before stream.Batch
+	longest := 0
 	for _, pw := range q.Pending {
 		size += 12 // end, batch count
 		for _, b := range pw.Batches {
 			size += 40 // reference, bounds, row count, run offset
-			at := slices.IndexFunc(b.Rows, func(row relation.Tuple) bool { return len(row) > 0 && &row[0] == &log[0][0] })
-			if at < 0 {
+			_, pos := b.Columns().Source()
+			at := first - pos
+			if at <= 0 || at >= b.Len() {
 				t.Fatal("a staged window does not reach the log: the fixture changed")
 			}
-			if at > len(before) {
-				before = b.Rows[:at]
+			if at > longest {
+				before, longest = b, at
 			}
 		}
 	}
-	if len(before) == 0 {
+	if longest == 0 {
 		t.Fatal("the log holds every staged row: the check is vacuous")
 	}
-	for _, row := range before {
-		size += len(wire.AppendRow(nil, row))
-	}
+	size += len(wire.AppendColumnsRows(nil, before.Columns(), longest))
 	if len(blob) != size {
 		t.Fatalf("blob is %d bytes, %d with each distinct row written once", len(blob), size)
 	}
@@ -275,34 +326,27 @@ func TestCodecWritesSharedRowsOnce(t *testing.T) {
 
 // withTailReader adds a reader of q00's first operator whose staged
 // windows overlap that operator's log: one runs from the staged rows
-// before the log into it, one lies inside the log, and one holds a row
-// of its own.
+// before the log into it from inside the head (the newest window the
+// operator emitted), one is the log itself, and one holds a row of its
+// own.
 func withTailReader(ck *Checkpoint) {
 	q0 := &ck.Engine.Queries[0]
 	k := q0.Windows[0]
-	log := ck.Engine.Windows[k].Rows
-	var staged []relation.Tuple // q00's first staged window over the operator
+	log := ck.Engine.Windows[k].Log
+	var newest stream.Batch // q00's newest staged window over the operator
 	for _, pw := range q0.Pending {
-		if b, ok := pw.Batches[0]; ok {
-			staged = b.Rows
-			break
+		if b, ok := pw.Batches[0]; ok && b.WindowID > newest.WindowID {
+			newest = b
 		}
 	}
-	at := slices.IndexFunc(staged, func(row relation.Tuple) bool { return len(row) > 0 && &row[0] == &log[0][0] })
-	if at < 2 || len(log) < 8 {
-		panic("the fixture has no staged rows before the log")
-	}
-	from, mid := at-2, 3
-	for len(staged[from]) == 0 { // a run starts at a row of its own
-		from--
-	}
-	for len(log[mid]) == 0 {
-		mid++
+	_, first := log.Source()
+	if _, pos := newest.Columns().Source(); pos >= first || pos+newest.Len() <= first {
+		panic("the fixture has no staged window running into the log")
 	}
 	ck.Engine.Queries = append(ck.Engine.Queries, QueryState{ID: "tail", Windows: []int{k}, Pending: []PendingWindow{
-		{End: 1, Batches: map[int]stream.Batch{0: {End: 1, Rows: append(slices.Clip(staged[from:at]), log[:5]...)}}},
-		{End: 2, Batches: map[int]stream.Batch{0: {End: 2, Rows: slices.Clip(log[mid : mid+5])}}},
-		{End: 3, Batches: map[int]stream.Batch{0: {End: 3, Rows: []relation.Tuple{{relation.Int(7)}}}}},
+		{End: 1, Batches: map[int]stream.Batch{0: newest}},
+		{End: 2, Batches: map[int]stream.Batch{0: stream.NewBatch(2, 0, 2, log)}},
+		{End: 3, Batches: map[int]stream.Batch{0: stream.NewBatch(3, 0, 3, relation.Transpose([]relation.Tuple{{relation.Int(7)}}))}},
 	}})
 }
 
@@ -325,7 +369,7 @@ func TestCodecWritesSharedOperatorOnce(t *testing.T) {
 	e := &back.Engine
 	for ref := range e.Queries[0].Windows {
 		first, second := e.Window(&e.Queries[0], ref), e.Window(&e.Queries[1], ref)
-		if first == nil || first != second || !reflect.DeepEqual(*first, normalized(ck).Engine.Windows[ck.Engine.Queries[0].Windows[ref]]) {
+		if first == nil || first != second || !reflect.DeepEqual(plain(back).Windows[e.Queries[0].Windows[ref]], plain(ck).Windows[ck.Engine.Queries[0].Windows[ref]]) {
 			t.Fatalf("reference %d: the shared operator decoded differently for its second reader", ref)
 		}
 	}
@@ -341,7 +385,7 @@ func TestEncodeDeterministic(t *testing.T) {
 		key := fmt.Sprintf("k%02d", i)
 		ck.Cursors[key] = int64(i)
 		ck.EmitHWM[key] = int64(100 * i)
-		pw.Batches[i] = stream.Batch{WindowID: int64(i), End: 1000, Rows: []relation.Tuple{{relation.Int(int64(i))}}}
+		pw.Batches[i] = stream.NewBatch(int64(i), 0, 1000, relation.Transpose([]relation.Tuple{{relation.Int(int64(i))}}))
 	}
 	q.Pending = []PendingWindow{pw}
 	ck.Engine.Queries = []QueryState{q}
@@ -353,10 +397,10 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 }
 
-// TestEncodeIgnoresColumns checks that a batch's columns, runtime-only
-// state, do not reach the blob: a staged batch encodes byte-identically
-// before and after a reader takes its columns, and decodes to the same
-// rows and byte estimate.
+// TestEncodeIgnoresColumns checks that reading a batch's columns does
+// not reach the blob: a staged batch encodes byte-identically before
+// and after a reader takes its columns, and decodes to the same rows
+// and byte estimate.
 func TestEncodeIgnoresColumns(t *testing.T) {
 	op, err := stream.NewTimeSlidingWindow(stream.WindowSpec{RangeMS: 1000, SlideMS: 1000})
 	if err != nil {
@@ -382,8 +426,8 @@ func TestEncodeIgnoresColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := back.Engine.Queries[0].Pending[0].Batches[0]
-	if !reflect.DeepEqual(got.Rows, out[0].Rows) || got.Bytes() != out[0].Bytes() {
-		t.Fatalf("decoded batch %v (%d B), staged %v (%d B)", got.Rows, got.Bytes(), out[0].Rows, out[0].Bytes())
+	if g, w := plainOf(got), plainOf(out[0]); !reflect.DeepEqual(g, w) {
+		t.Fatalf("decoded batch %+v, staged %+v", g, w)
 	}
 }
 
@@ -402,11 +446,44 @@ func TestSaveAllocsIndependentOfRows(t *testing.T) {
 			}
 		})
 	}
-	// 1 blob, 2 checkpoint maps' keys, and per query its chain slice
-	// and one ref slice per staged window (2 each): 3 + 4 + 8 = 15.
-	const bound = 16
+	// 1 span slice, 2 checkpoint maps' keys, and per query its chain
+	// slice and one ref slice per staged window (2 each): 3 + 4 + 8 =
+	// 15. The blob is encoded into the one the commit drops.
+	const bound = 15
 	if counts[200] != counts[2000] || counts[2000] > bound {
 		t.Fatalf("Save allocations = %v per checkpoint size, want equal and <= %d", counts, bound)
+	}
+}
+
+// TestSaveRecyclesDroppedBlob checks that a steady Save encodes into
+// the blob its commit drops, and that a torn blob written into that
+// recycled buffer still falls back to the previous checkpoint intact.
+func TestSaveRecyclesDroppedBlob(t *testing.T) {
+	c := NewCoordinator(1, 0, nil)
+	var cks []*Checkpoint
+	for i := 0; i < 4; i++ {
+		ck := windowCheckpoint(rand.New(rand.NewSource(2)), 1, 1, 60)
+		ck.TakenAtMS = int64(100 * (i + 1))
+		cks = append(cks, ck)
+	}
+	for _, ck := range cks[:3] {
+		if _, err := c.Save(0, ck, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dropped := c.store.prev[0] // the blob the next commit drops
+	if _, err := c.Save(0, cks[3], corruptions["payload-bit"]); err == nil {
+		t.Fatal("corrupt save reported no error")
+	}
+	if cur := c.store.cur[0]; &cur[0] != &dropped[0] {
+		t.Fatal("the torn blob was not encoded into the dropped one")
+	}
+	got := c.Latest(0)
+	if got == nil || got.TakenAtMS != cks[2].TakenAtMS {
+		t.Fatalf("Latest = %+v, want the fallback to checkpoint %d", got, cks[2].TakenAtMS)
+	}
+	if !reflect.DeepEqual(plain(got), plain(cks[2])) {
+		t.Fatal("the fallback checkpoint decoded differently")
 	}
 }
 
@@ -447,6 +524,79 @@ func TestSaveRejectsCorruptBlobs(t *testing.T) {
 		}
 		if got := reg.Counter("recovery.torn").Value(); got != 2 {
 			t.Fatalf("%s: recovery.torn = %d after the fallback, want 2", name, got)
+		}
+	}
+}
+
+// TestCheckpointBlobGolden pins the wire form: the checkpoint
+// BenchmarkCheckpointSave encodes is byte-identical to the blob the
+// row-log encoder wrote for it.
+func TestCheckpointBlobGolden(t *testing.T) {
+	const want = "761de2b8a998085f10fcb48f2f9e80edccec1175ba1d4cd3e1f16db4793d8ddb"
+	blob, _ := Encode(windowCheckpoint(rand.New(rand.NewSource(1)), 4, 2, 500))
+	sum := sha256.Sum256(blob)
+	if got := hex.EncodeToString(sum[:]); got != want || len(blob) != 26_429 {
+		t.Fatalf("blob is %d bytes with SHA-256 %s, want 26429 bytes with %s", len(blob), got, want)
+	}
+}
+
+// TestStagedRunNeedsItsOwnOperatorLog checks that a staged batch whose
+// positions fall inside the table of the operator its reference reads,
+// but in another column log, is written in full: a window of another
+// operator over the same stream, and a window of an operator that was
+// since restored, whose log is new.
+func TestStagedRunNeedsItsOwnOperatorLog(t *testing.T) {
+	push := func(spec stream.WindowSpec) (*stream.TimeSlidingWindow, []stream.Batch) {
+		op, err := stream.NewTimeSlidingWindow(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []stream.Batch
+		for i := 0; i < 200; i++ {
+			out = append(out, op.Push(stream.Timestamped{TS: int64(i) * 100, Row: relation.Tuple{relation.Time(int64(i) * 100), relation.Int(int64(i))}})...)
+		}
+		return op, out
+	}
+	a, fromA := push(stream.WindowSpec{RangeMS: 10_000, SlideMS: 1_000})
+	_, fromB := push(stream.WindowSpec{RangeMS: 5_000, SlideMS: 1_000})
+	restored, err := stream.RestoreTimeSlidingWindow(a.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, other := fromA[len(fromA)-1], fromB[len(fromB)-1]
+	for name, op := range map[string]*stream.TimeSlidingWindow{"live": a, "restored": restored} {
+		st := op.Snapshot()
+		stage := func(b stream.Batch) *Checkpoint {
+			return &Checkpoint{Engine: EngineState{
+				Windows: []Window{{WindowState: st}},
+				Queries: []QueryState{{ID: "q", Windows: []int{0}, Pending: []PendingWindow{{End: 1, Batches: map[int]stream.Batch{0: b}}}}},
+			}}
+		}
+		full := func(b stream.Batch) stream.Batch {
+			return stream.NewBatch(b.WindowID, b.Start, b.End, relation.Transpose(b.Columns().Rows()))
+		}
+		staged := map[string]stream.Batch{"another operator's window": other}
+		if name == "restored" {
+			staged["the operator's window before its restore"] = own
+		}
+		for what, b := range staged {
+			blob, _ := Encode(stage(b))
+			if want, _ := Encode(stage(full(b))); !bytes.Equal(blob, want) {
+				t.Errorf("%s operator: %s was named as a run", name, what)
+			}
+			back, err := Decode(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := plainOf(back.Engine.Queries[0].Pending[0].Batches[0]), plainOf(b); !reflect.DeepEqual(g, w) {
+				t.Errorf("%s operator: %s decoded as %+v, want %+v", name, what, g, w)
+			}
+		}
+		if name == "live" {
+			blob, _ := Encode(stage(own))
+			if full, _ := Encode(stage(full(own))); len(blob) >= len(full) {
+				t.Error("the operator's own window was written in full")
+			}
 		}
 	}
 }

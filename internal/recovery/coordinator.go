@@ -66,10 +66,13 @@ func (c *Coordinator) Log(node int) *Log { return c.logs[node] }
 // injection point. On verification failure the torn blob stays
 // committed (Latest falls back to the previous checkpoint), recovery.torn
 // counts it, and Save returns an error so the caller keeps its replay
-// log intact. The payload is decoded only by Latest, at restore.
+// log intact. The payload is decoded only by Latest, at restore. The
+// blob is encoded into the node's previous one, which this commit
+// would drop: Save and Latest never overlap for one node, and Decode
+// copies everything it keeps.
 func (c *Coordinator) Save(node int, ck *Checkpoint, corrupt func([]byte) []byte) (int, error) {
 	start := time.Now()
-	blob := appendCheckpoint(make([]byte, 0, c.store.sizeHint(node)), ck)
+	blob := appendCheckpoint(c.store.recycle(node), ck)
 	if corrupt != nil {
 		blob = corrupt(blob)
 	}

@@ -157,14 +157,22 @@ func (s *store) save(node int, blob []byte, takenAtMS int64) int64 {
 	return prevAt
 }
 
-// sizeHint is the capacity to encode a node's next blob into: its last
-// blob's size plus an eighth, so a steady checkpoint encodes without
-// regrowing.
-func (s *store) sizeHint(node int) int {
+// recycle takes the node's previous blob, which the next save drops,
+// out of the store and returns it emptied to encode the next blob into,
+// or a new buffer when it holds less than the current blob plus an
+// eighth (so a steady checkpoint encodes without regrowing). The store
+// keeps at most two blobs per node either way.
+func (s *store) recycle(node int) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := len(s.cur[node])
-	return n + n/8
+	want := n + n/8
+	buf := s.prev[node]
+	delete(s.prev, node)
+	if cap(buf) < want {
+		return make([]byte, 0, want)
+	}
+	return buf[:0]
 }
 
 // latest returns the newest decodable checkpoint for a node. torn

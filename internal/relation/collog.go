@@ -1,13 +1,16 @@
 package relation
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+	"sync/atomic"
+)
 
-// ColLog is the columnar half of a window operator's row log: an
-// append-only store of rows, one typed column per attribute, from which
-// any [lo, hi) range is served as a read-only ColBatch view without
-// copying. Each column fixes a typed backing on its first non-NULL
-// value and degrades to the generic layout on the first type mismatch
-// (VectorBuilder is one such column).
+// ColLog is a window operator's log: an append-only store of rows, one
+// typed column per attribute, from which any [lo, hi) range is served
+// as a read-only ColBatch view without copying. Each column fixes a
+// typed backing on its first non-NULL value and degrades to the generic
+// layout on the first type mismatch (VectorBuilder is one such column).
 //
 // Views alias the log's arrays, so the log never writes an element a
 // view can see: appends land past every view's capped end, dropping a
@@ -19,12 +22,95 @@ import "sort"
 // element type, layout and NULLs — whichever of the two built a
 // batch's columns: Transpose's builders are log columns too, and a
 // range of a log column that mixed types earlier but not within the
-// range is rebuilt typed.
+// range is rebuilt typed. A view also names its log and the absolute
+// position of its first row (ColBatch.Source), so two views of one log
+// can be compared by position.
 type ColLog struct {
-	cols   []logCol
-	n      int  // live rows
-	off    int  // rows dropped so far: the absolute index of live row 0
-	ragged bool // a row's arity differed from the first live row's
+	cols []logCol
+	n    int    // live rows
+	off  int    // rows dropped so far: the absolute position of live row 0
+	id   uint64 // see ID
+}
+
+// logIDs numbers the logs that have been asked their ID.
+var logIDs atomic.Uint64
+
+// Append adds one row. Every row has the log's arity: the first row
+// after the log was empty fixes it, and a row of another arity panics
+// (callers check arity against their schema first).
+func (l *ColLog) Append(row Tuple) {
+	switch {
+	case l.n == 0 && len(l.cols) != len(row):
+		l.cols = make([]logCol, len(row))
+	case len(l.cols) != len(row):
+		panic(fmt.Sprintf("relation: row of arity %d appended to a log of arity %d", len(row), len(l.cols)))
+	}
+	abs := l.off + l.n
+	l.n++
+	for j := range l.cols {
+		l.cols[j].append(row[j], abs, l.n)
+	}
+}
+
+// Len returns the number of live rows.
+func (l *ColLog) Len() int { return l.n }
+
+// Start returns the absolute position of the oldest live row: the
+// number of rows dropped so far.
+func (l *ColLog) Start() int { return l.off }
+
+// DropPrefix forgets the k oldest live rows by reslicing only: views
+// over them stay valid, and their memory is reclaimed when the log next
+// grows into a new array. Absolute positions do not change.
+func (l *ColLog) DropPrefix(k int) {
+	if k <= 0 {
+		return
+	}
+	l.n -= k
+	l.off += k
+	for j := range l.cols {
+		l.cols[j].dropPrefix(k, l.off, l.n)
+	}
+}
+
+// View returns live rows [lo, hi) in columnar form. Typed and generic
+// backings are sliced, capped to the view; a null bitmap is built only
+// when the view has NULLs. An empty range yields the zero-column batch
+// Transpose gives an empty row set.
+func (l *ColLog) View(lo, hi int) *ColBatch {
+	if hi <= lo {
+		return &ColBatch{}
+	}
+	cols := make([]*Vector, len(l.cols))
+	vecs := make([]Vector, len(l.cols))
+	for j := range l.cols {
+		l.cols[j].view(&vecs[j], l.off+lo, lo, hi)
+		cols[j] = &vecs[j]
+	}
+	return &ColBatch{cols: cols, n: hi - lo, log: l.ID(), pos: l.off + lo}
+}
+
+// ID returns the id its views name the log by (see ColBatch.Source),
+// unique in the process; the log takes it when first asked.
+func (l *ColLog) ID() uint64 {
+	if l.id == 0 {
+		l.id = logIDs.Add(1)
+	}
+	return l.id
+}
+
+// growLog is the growth rule of append-only logs that hand out views:
+// it returns s ready for one more append without touching an element
+// that s or any slice of its array can see. When s is full, the live
+// elements move to a new array of twice their count (an explicit
+// doubling, so growth stays amortised however much prefix was dropped).
+func growLog[T any](s []T) []T {
+	if len(s) < cap(s) {
+		return s
+	}
+	out := make([]T, len(s), max(2*len(s), 8))
+	copy(out, s)
+	return out
 }
 
 // logCol is one column of a ColLog.
@@ -40,87 +126,11 @@ type logCol struct {
 	hint    int     // capacity the typed backing starts with (a builder's); 0 in a log
 }
 
-// Append adds one row. The first row after the log was empty fixes the
-// arity; a row of any other arity makes the log ragged until it next
-// empties, and View serves no columns meanwhile.
-func (l *ColLog) Append(row Tuple) {
-	if l.n == 0 {
-		l.ragged = false
-		if len(l.cols) != len(row) {
-			l.cols = make([]logCol, len(row))
-		}
-	}
-	abs := l.off + l.n
-	l.n++
-	if l.ragged || len(row) != len(l.cols) {
-		l.ragged = true
-		return
-	}
-	for j := range l.cols {
-		l.cols[j].append(row[j], abs, l.n)
-	}
-}
-
-// DropPrefix forgets the k oldest live rows by reslicing only: views
-// over them stay valid, and their memory is reclaimed when the log next
-// grows into a new array.
-func (l *ColLog) DropPrefix(k int) {
-	if k <= 0 {
-		return
-	}
-	l.n -= k
-	l.off += k
-	if l.ragged {
-		if l.n == 0 {
-			l.cols = nil // the columns stopped at the ragged row
-		}
-		return
-	}
-	for j := range l.cols {
-		l.cols[j].dropPrefix(k, l.off, l.n)
-	}
-}
-
-// View returns rows [lo, hi) of the live log in columnar form. Typed
-// and generic backings are sliced, capped to the view; a null bitmap is
-// built only when the view has NULLs. It returns nil when the log is
-// ragged (callers transpose the rows instead). An empty range yields
-// the zero-column batch Transpose gives an empty row set.
-func (l *ColLog) View(lo, hi int) *ColBatch {
-	if l.ragged {
-		return nil
-	}
-	if hi <= lo {
-		return &ColBatch{}
-	}
-	cols := make([]*Vector, len(l.cols))
-	vecs := make([]Vector, len(l.cols))
-	for j := range l.cols {
-		l.cols[j].view(&vecs[j], l.off+lo, lo, hi)
-		cols[j] = &vecs[j]
-	}
-	return &ColBatch{cols: cols, n: hi - lo}
-}
-
-// GrowLog is the growth rule of append-only logs that hand out views:
-// it returns s ready for one more append without touching an element
-// that s or any slice of its array can see. When s is full, the live
-// elements move to a new array of twice their count (an explicit
-// doubling, so growth stays amortised however much prefix was dropped).
-func GrowLog[T any](s []T) []T {
-	if len(s) < cap(s) {
-		return s
-	}
-	out := make([]T, len(s), max(2*len(s), 8))
-	copy(out, s)
-	return out
-}
-
 // append adds v as the column's element abs (absolute row index); n is
 // the live row count including it.
 func (c *logCol) append(v Value, abs, n int) {
 	if v.Type == TNull {
-		c.nulls = append(GrowLog(c.nulls), abs)
+		c.nulls = append(growLog(c.nulls), abs)
 		c.pad()
 		return
 	}
@@ -138,18 +148,18 @@ func (c *logCol) append(v Value, abs, n int) {
 		c.degrade(n-1, abs-(n-1))
 	}
 	if c.generic != nil {
-		c.generic = append(GrowLog(c.generic), v)
+		c.generic = append(growLog(c.generic), v)
 		return
 	}
 	switch c.typ {
 	case TInt, TTime:
-		c.ints = append(GrowLog(c.ints), v.Int)
+		c.ints = append(growLog(c.ints), v.Int)
 	case TFloat:
-		c.floats = append(GrowLog(c.floats), v.Float)
+		c.floats = append(growLog(c.floats), v.Float)
 	case TString:
-		c.strs = append(GrowLog(c.strs), v.Str)
+		c.strs = append(growLog(c.strs), v.Str)
 	case TBool:
-		c.bools = append(GrowLog(c.bools), v.Bool)
+		c.bools = append(growLog(c.bools), v.Bool)
 	}
 }
 
@@ -175,7 +185,7 @@ func (c *logCol) reserve() {
 // aligned with the rows; before a backing is chosen it is a no-op.
 func (c *logCol) pad() {
 	if c.generic != nil {
-		c.generic = append(GrowLog(c.generic), Null)
+		c.generic = append(growLog(c.generic), Null)
 		return
 	}
 	if !c.typed {
@@ -183,13 +193,13 @@ func (c *logCol) pad() {
 	}
 	switch c.typ {
 	case TInt, TTime:
-		c.ints = append(GrowLog(c.ints), 0)
+		c.ints = append(growLog(c.ints), 0)
 	case TFloat:
-		c.floats = append(GrowLog(c.floats), 0)
+		c.floats = append(growLog(c.floats), 0)
 	case TString:
-		c.strs = append(GrowLog(c.strs), "")
+		c.strs = append(growLog(c.strs), "")
 	case TBool:
-		c.bools = append(GrowLog(c.bools), false)
+		c.bools = append(growLog(c.bools), false)
 	}
 }
 

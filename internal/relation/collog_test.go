@@ -65,6 +65,7 @@ func TestColLogViewMatchesTranspose(t *testing.T) {
 		var log ColLog
 		var live []Tuple
 		var views []kept
+		var positions []int
 		for step := 0; step < 400; step++ {
 			switch r := rng.Intn(10); {
 			case r < 6:
@@ -82,9 +83,13 @@ func TestColLogViewMatchesTranspose(t *testing.T) {
 				lo := rng.Intn(len(live) + 1)
 				hi := lo + rng.Intn(len(live)-lo+1)
 				views = append(views, kept{log.View(lo, hi), append([]Tuple(nil), live[lo:hi]...)})
+				positions = append(positions, log.Start()+lo)
 			}
 		}
 		for i, v := range views {
+			if _, pos := v.cb.Source(); v.cb.Len() > 0 && pos != positions[i] {
+				t.Fatalf("seed %d view %d: at position %d, want %d", seed, i, pos, positions[i])
+			}
 			want := Transpose(v.rows)
 			if v.cb.Len() != want.Len() || v.cb.Arity() != want.Arity() {
 				t.Fatalf("seed %d view %d: %dx%d, transpose %dx%d", seed, i,
@@ -116,19 +121,47 @@ func TestColLogViewMatchesTranspose(t *testing.T) {
 	}
 }
 
-// TestColLogRagged checks that a row of another arity stops the log
-// serving columns until it empties, then it serves them again.
-func TestColLogRagged(t *testing.T) {
+// TestColLogFixesArity checks the arity rule: a row of another arity
+// panics while the log holds rows, and the first row after the log
+// empties fixes the arity afresh.
+func TestColLogFixesArity(t *testing.T) {
 	var log ColLog
 	log.Append(Tuple{Int(1), Int(2)})
-	log.Append(Tuple{Int(3)})
-	if log.View(0, 2) != nil {
-		t.Fatal("ragged log served a view")
-	}
-	log.DropPrefix(2)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("a row of another arity was appended")
+			}
+		}()
+		log.Append(Tuple{Int(3)})
+	}()
+	log.DropPrefix(1)
 	log.Append(Tuple{Int(4)})
 	cb := log.View(0, 1)
-	if cb == nil || cb.Arity() != 1 || cb.Col(0).Value(0) != Int(4) {
+	if cb.Arity() != 1 || cb.Col(0).Value(0) != Int(4) {
 		t.Fatalf("emptied log serves %v, want one column holding 4", cb)
+	}
+	if _, pos := cb.Source(); pos != 1 {
+		t.Fatalf("view of the second row ever appended is at position %d, want 1", pos)
+	}
+}
+
+// TestColLogArraysHoldTwiceTheLiveRows checks the growth rule over a
+// sliding log: however long it runs, each column's array stays within
+// twice the largest live row count.
+func TestColLogArraysHoldTwiceTheLiveRows(t *testing.T) {
+	var log ColLog
+	maxLive := 0
+	for i := 0; i < 4000; i++ {
+		log.Append(Tuple{Int(int64(i)), String_("s")})
+		if i%20 == 19 {
+			log.DropPrefix(log.Len() - 150)
+		}
+		maxLive = max(maxLive, log.Len())
+		for j, c := range log.cols {
+			if n := max(cap(c.ints), cap(c.strs)); n > 2*maxLive+8 {
+				t.Fatalf("row %d: column %d array holds %d slots for at most %d live rows", i, j, n, maxLive)
+			}
+		}
 	}
 }

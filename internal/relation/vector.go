@@ -320,7 +320,15 @@ func (v *Vector) ResetBool(vals []bool, nulls *Bitmap) *Vector {
 type ColBatch struct {
 	cols []*Vector
 	n    int
+	log  uint64 // the ColLog this is a view of (0 for none)
+	pos  int    // the absolute position in it of row 0
 }
+
+// Source reports which log the batch is a view of and the absolute
+// position in that log of its first row; log is 0 when the batch is no
+// log's view (a transpose, a kernel's output). Two views of one log
+// hold the same rows exactly where their positions overlap.
+func (cb *ColBatch) Source() (log uint64, pos int) { return cb.log, cb.pos }
 
 // NewColBatch wraps pre-built column vectors (all of length n).
 func NewColBatch(cols []*Vector, n int) *ColBatch { return &ColBatch{cols: cols, n: n} }
@@ -349,8 +357,13 @@ func Transpose(rows []Tuple) *ColBatch {
 	return &ColBatch{cols: cols, n: len(rows)}
 }
 
-// Len returns the row count.
-func (cb *ColBatch) Len() int { return cb.n }
+// Len returns the row count (0 for a nil batch).
+func (cb *ColBatch) Len() int {
+	if cb == nil {
+		return 0
+	}
+	return cb.n
+}
 
 // Arity returns the column count.
 func (cb *ColBatch) Arity() int { return len(cb.cols) }

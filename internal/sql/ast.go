@@ -133,7 +133,7 @@ func (f *FuncExpr) String() string {
 // funcName renders a function name in upper case when that lexes back
 // as the same name (the parser lowercases function names), else quoted.
 func funcName(name string) string {
-	if up := strings.ToUpper(name); plainIdent(up) && !isReserved(up) && strings.ToLower(up) == strings.ToLower(name) {
+	if up := strings.ToUpper(name); plainIdent(up) && strings.ToLower(up) == strings.ToLower(name) {
 		return up
 	}
 	return quoteIdent(name)

@@ -23,6 +23,8 @@ func FuzzParseSQL(f *testing.F) {
 	for _, s := range stringLiterals(f, "parser_test.go") {
 		f.Add(s)
 	}
+	// Identifiers in other scripts, and quoted keywords as names.
+	f.Add(`SELECT m.température AS 温度, "select" FROM mesures m WHERE ünï = 'é'`)
 	f.Fuzz(func(t *testing.T, src string) {
 		stmt, err := sql.Parse(src)
 		if err != nil {

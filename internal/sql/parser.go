@@ -86,11 +86,18 @@ func (p *parser) expectOp(op string) error {
 
 func (p *parser) expectIdent() (string, error) {
 	t := p.peek()
-	if t.Kind != TokIdent {
+	if t.Kind != TokIdent && t.Kind != TokQuoted {
 		return "", fmt.Errorf("sql: expected identifier, found %s", t)
 	}
 	p.pos++
 	return t.Text, nil
+}
+
+// peekName reports whether the next token can only be a name: a quoted
+// identifier, or an unquoted one that is not reserved.
+func (p *parser) peekName() bool {
+	t := p.peek()
+	return t.Kind == TokQuoted || t.Kind == TokIdent && !isReserved(t.Text)
 }
 
 // reserved keywords that terminate expressions and cannot be aliases.
@@ -105,6 +112,12 @@ var reserved = map[string]bool{
 }
 
 func isReserved(s string) bool { return reserved[strings.ToLower(s)] }
+
+// isKeyword reports whether the parser may read unquoted s as something
+// other than a name: a reserved word or a boolean literal.
+func isKeyword(s string) bool {
+	return isReserved(s) || strings.EqualFold(s, "true") || strings.EqualFold(s, "false")
+}
 
 func (p *parser) parseSelect() (*SelectStmt, error) {
 	if err := p.expectKW("SELECT"); err != nil {
@@ -226,7 +239,7 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 		return SelectItem{Star: true}, nil
 	}
 	// "t.*"
-	if t := p.peek(); t.Kind == TokIdent && !isReserved(t.Text) {
+	if t := p.peek(); p.peekName() {
 		if p.pos+2 < len(p.toks) &&
 			p.toks[p.pos+1].Kind == TokOp && p.toks[p.pos+1].Text == "." &&
 			p.toks[p.pos+2].Kind == TokOp && p.toks[p.pos+2].Text == "*" {
@@ -245,9 +258,8 @@ func (p *parser) parseSelectItem() (SelectItem, error) {
 			return SelectItem{}, err
 		}
 		item.Alias = a
-	} else if t := p.peek(); t.Kind == TokIdent && !isReserved(t.Text) {
-		p.pos++
-		item.Alias = t.Text
+	} else if p.peekName() {
+		item.Alias = p.next().Text
 	}
 	return item, nil
 }
@@ -368,9 +380,8 @@ func (p *parser) parseTablePrimary() (*TableRef, error) {
 			return nil, err
 		}
 		tr.Alias = a
-	} else if t := p.peek(); t.Kind == TokIdent && !isReserved(t.Text) {
-		p.pos++
-		tr.Alias = t.Text
+	} else if p.peekName() {
+		tr.Alias = p.next().Text
 	}
 	if tr.Subquery != nil && tr.Alias == "" {
 		return nil, fmt.Errorf("sql: derived table requires an alias")
@@ -626,6 +637,8 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if isReserved(t.Text) {
 			return nil, fmt.Errorf("sql: unexpected keyword %s in expression", t)
 		}
+		fallthrough
+	case TokQuoted:
 		p.pos++
 		// Function call?
 		if p.acceptOp("(") {

@@ -275,3 +275,50 @@ func TestColHelperQualified(t *testing.T) {
 		t.Errorf("Col = %+v", c)
 	}
 }
+
+// TestParseNonASCIIIdentifiers checks that identifiers are read as
+// runes, not bytes: letters of any script name columns, tables,
+// aliases and functions, and print back unquoted.
+func TestParseNonASCIIIdentifiers(t *testing.T) {
+	for src, want := range map[string]string{
+		"SELECT é FROM t": "SELECT é FROM t",
+		"SELECT m.température AS 温度 FROM mesures m": "SELECT m.température AS 温度 FROM mesures AS m",
+		"SELECT naïve_ß1(x) FROM t":                 "SELECT NAÏVE_ß1(x) FROM t",
+	} {
+		stmt, err := Parse(src)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", src, err)
+			continue
+		}
+		if got := stmt.String(); got != want {
+			t.Errorf("Parse(%q) prints %q, want %q", src, got, want)
+		}
+	}
+	if _, err := Parse("SELECT a FROM t"); err == nil {
+		t.Error("a non-letter, non-space character lexed")
+	}
+}
+
+// TestQuotedKeywordsAreNames checks that quoting escapes a keyword: a
+// column, table or alias named select, from or where parses as a name
+// wherever it is quoted, and the printer quotes it back.
+func TestQuotedKeywordsAreNames(t *testing.T) {
+	src := `SELECT "select", "from"."where" AS "from", "where" "true" FROM "from" "where" WHERE "where"."select" = 1`
+	stmt, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `SELECT "select", "from"."where" AS "from", "where" AS "true" FROM "from" AS "where" WHERE ("where"."select" = 1)`
+	if got := stmt.String(); got != want {
+		t.Fatalf("prints %q, want %q", got, want)
+	}
+	if c, ok := stmt.Items[0].Expr.(*ColumnRef); !ok || c.Name != "select" {
+		t.Fatalf("first item is %#v, want the column select", stmt.Items[0].Expr)
+	}
+	if stmt.From[0].Table != "from" || stmt.From[0].Alias != "where" {
+		t.Fatalf("FROM reads table %q alias %q, want from and where", stmt.From[0].Table, stmt.From[0].Alias)
+	}
+	if _, err := Parse(`SELECT select FROM t`); err == nil {
+		t.Error("an unquoted keyword parsed as a column")
+	}
+}

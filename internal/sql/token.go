@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // TokKind classifies lexical tokens.
@@ -16,8 +17,10 @@ type TokKind uint8
 const (
 	// TokEOF marks the end of input.
 	TokEOF TokKind = iota
-	// TokIdent is an identifier or unquoted keyword.
+	// TokIdent is an unquoted identifier or keyword.
 	TokIdent
+	// TokQuoted is a double-quoted identifier, never a keyword.
+	TokQuoted
 	// TokNumber is an integer or decimal literal.
 	TokNumber
 	// TokString is a single-quoted string literal.
@@ -49,7 +52,8 @@ type lexer struct {
 }
 
 // Lex splits src into tokens. Keywords are returned as TokIdent; the
-// parser matches them case-insensitively.
+// parser matches them case-insensitively. A quoted identifier is a
+// TokQuoted, so quoting escapes a keyword.
 func Lex(src string) ([]Token, error) {
 	l := &lexer{src: src}
 	if err := l.run(); err != nil {
@@ -76,10 +80,12 @@ func (l *lexer) run() error {
 			}
 		case c >= '0' && c <= '9':
 			l.lexNumber()
-		case isIdentStart(rune(c)):
-			if err := l.lexIdent(); err != nil {
+		case c == '"':
+			if err := l.lexQuoted(); err != nil {
 				return err
 			}
+		case isIdentStart(l.rune()):
+			l.lexIdent()
 		default:
 			if op := l.matchMultiOp(); op != "" {
 				l.tokens = append(l.tokens, Token{TokOp, op, l.pos})
@@ -91,7 +97,7 @@ func (l *lexer) run() error {
 				l.pos++
 				break
 			}
-			return fmt.Errorf("sql: unexpected character %q at offset %d", string(c), l.pos)
+			return fmt.Errorf("sql: unexpected character %q at offset %d", string(l.rune()), l.pos)
 		}
 	}
 	l.tokens = append(l.tokens, Token{TokEOF, "", l.pos})
@@ -107,45 +113,57 @@ func (l *lexer) matchMultiOp() string {
 	return ""
 }
 
+// rune decodes the character at the lexer's position.
+func (l *lexer) rune() rune {
+	r, _ := utf8.DecodeRuneInString(l.src[l.pos:])
+	return r
+}
+
 func isIdentStart(c rune) bool {
-	return unicode.IsLetter(c) || c == '_' || c == '"'
+	return unicode.IsLetter(c) || c == '_'
 }
 
 func isIdentPart(c rune) bool {
 	return unicode.IsLetter(c) || unicode.IsDigit(c) || c == '_'
 }
 
-func (l *lexer) lexIdent() error {
+// lexIdent reads an unquoted identifier: letters, digits and
+// underscores in any script.
+func (l *lexer) lexIdent() {
 	start := l.pos
-	if l.src[l.pos] == '"' {
-		// Quoted identifier: any bytes up to the closing quote.
-		end := strings.IndexByte(l.src[start+1:], '"')
-		if end < 0 {
-			return fmt.Errorf("sql: unterminated quoted identifier at offset %d", start)
+	for l.pos < len(l.src) {
+		r, size := utf8.DecodeRuneInString(l.src[l.pos:])
+		if !isIdentPart(r) {
+			break
 		}
-		l.pos = start + 1 + end + 1
-		l.tokens = append(l.tokens, Token{TokIdent, l.src[start+1 : start+1+end], start})
-		return nil
-	}
-	for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
-		l.pos++
+		l.pos += size
 	}
 	l.tokens = append(l.tokens, Token{TokIdent, l.src[start:l.pos], start})
+}
+
+// lexQuoted reads a quoted identifier: any bytes up to the closing
+// quote.
+func (l *lexer) lexQuoted() error {
+	start := l.pos
+	end := strings.IndexByte(l.src[start+1:], '"')
+	if end < 0 {
+		return fmt.Errorf("sql: unterminated quoted identifier at offset %d", start)
+	}
+	l.pos = start + 1 + end + 1
+	l.tokens = append(l.tokens, Token{TokQuoted, l.src[start+1 : start+1+end], start})
 	return nil
 }
 
 // plainIdent reports whether s lexes back as itself, one unquoted
-// identifier; the lexer reads identifiers byte by byte.
+// identifier that the parser reads as a name, not as a keyword or
+// literal.
 func plainIdent(s string) bool {
-	if s == "" || s[0] == '"' || !isIdentStart(rune(s[0])) {
-		return false
-	}
-	for i := 1; i < len(s); i++ {
-		if !isIdentPart(rune(s[i])) {
+	for i, r := range s {
+		if !isIdentPart(r) || i == 0 && !isIdentStart(r) {
 			return false
 		}
 	}
-	return true
+	return s != "" && !isKeyword(s)
 }
 
 // quoteIdent renders an identifier so that it lexes back as itself:

@@ -396,7 +396,7 @@ func TestBuildColumnarAlertSetsMatchOracle(t *testing.T) {
 			}
 			batches = append(batches, op.Flush()...)
 			for _, b := range batches {
-				if len(b.Rows) == 0 {
+				if b.Len() == 0 {
 					continue
 				}
 				ref, err := sb.buildRef(b, subjects)

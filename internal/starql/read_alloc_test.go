@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/relation"
 	"repro/internal/siemens"
-	"repro/internal/stream"
 )
 
 // fig1Task is one Figure 1 monotonic task as a window sink holds it.
@@ -88,7 +87,7 @@ func figure1Window(t *testing.T, gen *siemens.Generator, toMS int64) *relation.C
 			rows = append(rows, el.Row)
 		}
 	}
-	return stream.Batch{Rows: rows}.Columns()
+	return relation.Transpose(rows)
 }
 
 // TestReadAllocationPerElement pins what reading a window costs: the

@@ -40,7 +40,7 @@ type refSequence struct {
 // all subjects).
 func (b *SequenceBuilder) buildRef(batch stream.Batch, subjects map[string]bool) (*refSequence, error) {
 	byTS := map[int64]*refState{}
-	for _, row := range batch.Rows {
+	for _, row := range batch.Columns().Rows() {
 		ts, ok := row[b.tsIdx].AsInt()
 		if !ok {
 			return nil, fmt.Errorf("starql: row without timestamp: %v", row)

@@ -205,9 +205,7 @@ func row(sid, ts int64, val float64, fail int64) relation.Tuple {
 }
 
 func batchOf(rows ...relation.Tuple) stream.Batch {
-	b := stream.Batch{WindowID: 1, Start: 0, End: 10_000}
-	b.Rows = rows
-	return b
+	return stream.NewBatch(1, 0, 10_000, relation.Transpose(rows))
 }
 
 func TestSequenceBuilderStdSeq(t *testing.T) {

@@ -28,7 +28,7 @@ func TestWindowPendingBytesAccounting(t *testing.T) {
 		defer w.mu.Unlock()
 		var n int64
 		for _, ow := range w.open {
-			n += Batch{Rows: w.log[ow.start-w.base:]}.Bytes()
+			n += NewBatch(0, 0, 0, w.log.View(ow.start-w.log.Start(), w.log.Len())).Bytes()
 		}
 		return n
 	}
@@ -90,7 +90,7 @@ func TestWindowShedOldestPending(t *testing.T) {
 	}
 	found := false
 	for _, b := range got {
-		if b.End == 2000 && len(b.Rows) == 1 {
+		if b.End == 2000 && b.Len() == 1 {
 			found = true
 		}
 	}
@@ -123,7 +123,7 @@ func TestRestoreKeepsShedWindowsShed(t *testing.T) {
 			t.Fatalf("shed window re-opened after restore: %+v", b)
 		}
 	}
-	if len(got) == 0 || got[0].WindowID != 2 || len(got[0].Rows) != 2 {
+	if len(got) == 0 || got[0].WindowID != 2 || got[0].Len() != 2 {
 		t.Fatalf("emitted %+v, want window 2 first with both rows", got)
 	}
 }

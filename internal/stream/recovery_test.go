@@ -11,6 +11,16 @@ func tupleAt(ts int64, v float64) Timestamped {
 	return Timestamped{TS: ts, Row: relation.Tuple{relation.Time(ts), relation.Float(v)}}
 }
 
+// contents is what a reader sees of each batch: id, bounds, rows and
+// byte estimate (a restored operator's windows view a log of its own).
+func contents(bs []Batch) []any {
+	var out []any
+	for _, b := range bs {
+		out = append(out, []any{b.WindowID, b.Start, b.End, b.Columns().Rows(), b.Bytes()})
+	}
+	return out
+}
+
 // TestWindowSnapshotRestoreEquivalence checks the recovery invariant the
 // checkpoint leans on: snapshotting an operator mid-stream and restoring
 // it must produce exactly the batches the uninterrupted operator emits
@@ -49,7 +59,7 @@ func TestWindowSnapshotRestoreEquivalence(t *testing.T) {
 			}
 			defer func() {
 				got := append(preOut, postOut...)
-				if !reflect.DeepEqual(got, contOut) {
+				if !reflect.DeepEqual(contents(got), contents(contOut)) {
 					t.Errorf("restored run emitted %d batches, continuous %d (or contents differ)",
 						len(got), len(contOut))
 				}
@@ -69,17 +79,17 @@ func TestWindowSnapshotIsDeepCopy(t *testing.T) {
 	}
 	w.Push(tupleAt(100, 1))
 	st := w.Snapshot()
-	if len(st.Open) != 1 || len(st.Rows) != 1 {
+	if len(st.Open) != 1 || st.Log.Len() != 1 {
 		t.Fatalf("snapshot = %+v, want one open window over one row", st)
 	}
-	before := st.Rows[0][1]
+	before := st.Log.Col(1).Value(0)
 	w.Push(tupleAt(200, 2))
 	w.Push(tupleAt(300, 3))
-	if got := st.Rows[0][1]; got != before {
+	if got := st.Log.Col(1).Value(0); got != before {
 		t.Fatalf("snapshot row mutated by later pushes: %v -> %v", before, got)
 	}
-	if len(st.Rows) != 1 {
-		t.Fatalf("snapshot grew with the live operator: %d rows", len(st.Rows))
+	if st.Log.Len() != 1 {
+		t.Fatalf("snapshot grew with the live operator: %d rows", st.Log.Len())
 	}
 }
 
@@ -88,7 +98,7 @@ func TestRestoreSkipsEmittedWindows(t *testing.T) {
 		Spec:     WindowSpec{RangeMS: 1000, SlideMS: 1000},
 		NextEmit: 2,
 		MaxTS:    2500,
-		Rows:     []relation.Tuple{tupleAt(1500, 1).Row, tupleAt(2500, 2).Row},
+		Log:      relation.Transpose([]relation.Tuple{tupleAt(1500, 1).Row, tupleAt(2500, 2).Row}),
 		Open: []OpenWindow{
 			{ID: 1, Start: 1000, End: 2000, Offset: 0}, // already emitted: must be dropped
 			{ID: 2, Start: 2000, End: 3000, Offset: 1},
@@ -99,7 +109,7 @@ func TestRestoreSkipsEmittedWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := w.Snapshot()
-	if len(got.Open) != 1 || got.Open[0].ID != 2 || got.Open[0].Offset != 0 || len(got.Rows) != 1 {
+	if len(got.Open) != 1 || got.Open[0].ID != 2 || got.Open[0].Offset != 0 || got.Log.Len() != 1 {
 		t.Fatalf("restored snapshot = %+v, want only window 2 over its one row", got)
 	}
 }

@@ -89,30 +89,56 @@ func ceilDiv(a, b int64) int64 {
 
 // Batch is the contents of one window instance: the paper's
 // timeSlidingWindow operator "groups tuples that belong to the same time
-// window and associates them with a unique window id".
+// window and associates them with a unique window id". Its rows are
+// held in columns only: an emitted window is a view of its operator's
+// column log (see relation.ColLog), carrying its byte estimate from
+// emission, so every copy of it shares one columnar form and never
+// re-walks its rows.
 type Batch struct {
 	WindowID int64
 	Start    int64 // exclusive window start (PulseTime - Range)
 	End      int64 // inclusive window end (PulseTime)
-	Rows     []relation.Tuple
+	// Rows has one zero-size entry per row, so len(Rows) is the row
+	// count (perfbench's window probe counts rows this way); the rows
+	// themselves are read through Columns.
+	Rows []struct{}
 
-	// cols is the window operator's column-log view of Rows (nil while
-	// the log is ragged; see relation.ColLog) and bytes its Bytes, both
-	// set at emission, so every copy of an emitted batch shares one
-	// columnar form and never re-walks its rows. The checkpoint codec
-	// writes only the exported fields; a batch built from them (decoded,
-	// or by hand) has neither.
 	cols  *relation.ColBatch
-	bytes int64
+	bytes int64 // Bytes, when known at emission
+
+	// A batch over a log that no longer changes (a decoded checkpoint's
+	// table) is its rows [lo, lo+len(Rows)), viewed when read, so
+	// decoding it costs nothing per column.
+	table *relation.ColLog
+	lo    int
 }
 
-// Columns returns the batch in columnar form: the operator's column-log
-// view for an emitted batch, a private transpose of the rows otherwise.
+// NewBatch returns the window id's batch over cols.
+func NewBatch(id, start, end int64, cols *relation.ColBatch) Batch {
+	return Batch{WindowID: id, Start: start, End: end, Rows: make([]struct{}, cols.Len()), cols: cols}
+}
+
+// NewLogBatch returns the window id's batch over rows [lo, hi) of a log
+// that no longer changes; its columns are a view of the log, taken
+// when they are read, so batches over one log can be read from several
+// goroutines at once.
+func NewLogBatch(id, start, end int64, log *relation.ColLog, lo, hi int) Batch {
+	log.ID() // views only read the log from here on
+	return Batch{WindowID: id, Start: start, End: end, Rows: make([]struct{}, hi-lo), table: log, lo: lo}
+}
+
+// Len returns the batch's row count.
+func (b Batch) Len() int { return len(b.Rows) }
+
+// Columns returns the batch in columnar form.
 func (b Batch) Columns() *relation.ColBatch {
-	if b.cols != nil {
+	switch {
+	case b.cols != nil:
 		return b.cols
+	case b.table != nil:
+		return b.table.View(b.lo, b.lo+len(b.Rows))
 	}
-	return relation.Transpose(b.Rows)
+	return noColumns
 }
 
 // Byte-estimate model for governance accounting. Values are flat
@@ -143,8 +169,8 @@ func (b Batch) Bytes() int64 {
 		return b.bytes
 	}
 	n := int64(batchOverheadBytes)
-	for _, row := range b.Rows {
-		n += tupleBytes(row)
+	for cb, i := b.Columns(), 0; i < cb.Len(); i++ {
+		n += tupleBytes(cb.Row(i))
 	}
 	return n
 }
@@ -157,12 +183,13 @@ func (b Batch) Bytes() int64 {
 // and a window is emitted as soon as a tuple arrives past its pulse
 // time, so every open window ends at the newest tuple: each one is a
 // suffix of the oldest. The operator therefore keeps one append-only
-// log of the open windows' rows, in row and in column layout, and an
-// open window is just the log position of its first row. An emitted
-// window is a [start, tail) view of that log, and a snapshot's log one
-// from the oldest open window's start, each capped to its length; the
-// log never writes where a view can see (see relation.ColLog), so views
-// stay valid after the operator moves on.
+// column log of the open windows' rows, and an open window is just the
+// log position of its first row. An emitted window is a [start, tail)
+// view of that log, and a snapshot's log one from the oldest open
+// window's start; the log never writes where a view can see (see
+// relation.ColLog), so views stay valid after the operator moves on.
+// Every tuple pushed must have the arity of the others (the stream
+// engine checks it against the stream's schema).
 //
 // The operator assumes non-decreasing timestamps; late tuples are counted
 // and dropped (the stream generator never produces them, but failure
@@ -177,12 +204,10 @@ type TimeSlidingWindow struct {
 	Spec WindowSpec
 
 	mu       sync.Mutex
-	log      []relation.Tuple // rows of the open windows; log[0] is row base
-	cols     relation.ColLog  // the same rows in columns
-	base     int64            // absolute index of log[0]
-	open     []openWindow     // open windows in id order, starts ascending
-	rowBytes int64            // Σ tupleBytes of every row ever logged
-	nextEmit int64            // smallest window id not yet emitted
+	log      relation.ColLog // rows of the open windows
+	open     []openWindow    // open windows in id order, starts ascending
+	rowBytes int64           // Σ tupleBytes of every row ever logged
+	nextEmit int64           // smallest window id not yet emitted
 	maxTS    int64
 	Late     int64 // dropped late tuples
 
@@ -192,11 +217,12 @@ type TimeSlidingWindow struct {
 }
 
 // openWindow is one open window: its id and bounds, the absolute log
-// index of its first row, and the operator's rowBytes at that row, so
-// its row bytes are rowBytes minus bytesAt.
+// position of its first row, and the operator's rowBytes at that row,
+// so its row bytes are rowBytes minus bytesAt.
 type openWindow struct {
 	id, startMS, endMS int64
-	start, bytesAt     int64
+	start              int
+	bytesAt            int64
 }
 
 // NewTimeSlidingWindow builds the operator.
@@ -206,6 +232,9 @@ func NewTimeSlidingWindow(spec WindowSpec) (*TimeSlidingWindow, error) {
 	}
 	return &TimeSlidingWindow{Spec: spec, maxTS: -1 << 62}, nil
 }
+
+// tail is the absolute log position the next row takes.
+func (t *TimeSlidingWindow) tail() int { return t.log.Start() + t.log.Len() }
 
 // Push adds one tuple and returns any windows completed by the advance of
 // time to its timestamp, in window-id order.
@@ -224,7 +253,7 @@ func (t *TimeSlidingWindow) Push(el Timestamped) []Batch {
 	if !ok {
 		return out
 	}
-	tail := t.base + int64(len(t.log))
+	tail := t.tail()
 	for id := lo; id <= hi; id++ {
 		if id < t.nextEmit || t.shed[id] || len(t.open) > 0 && id <= t.open[len(t.open)-1].id {
 			continue // emitted, shed, or already open
@@ -240,8 +269,7 @@ func (t *TimeSlidingWindow) Push(el Timestamped) []Batch {
 	// at or after its timestamp (the rest were just emitted) and began
 	// before it, so the log gets it once.
 	cost := tupleBytes(el.Row)
-	t.log = append(relation.GrowLog(t.log), el.Row)
-	t.cols.Append(el.Row)
+	t.log.Append(el.Row)
 	t.rowBytes += cost
 	t.pendingBytes += cost * int64(len(t.open))
 	return out
@@ -251,12 +279,10 @@ func (t *TimeSlidingWindow) Push(el Timestamped) []Batch {
 // tail), carrying the column-log view and the window's byte estimate,
 // so neither a transpose nor a row walk is needed later.
 func (t *TimeSlidingWindow) emitLocked(w openWindow) Batch {
-	lo, hi := int(w.start-t.base), len(t.log)
-	b := Batch{WindowID: w.id, Start: w.startMS, End: w.endMS, cols: t.cols.View(lo, hi), bytes: batchOverheadBytes + t.rowBytes - w.bytesAt}
+	lo, hi := w.start-t.log.Start(), t.log.Len()
+	b := NewBatch(w.id, w.startMS, w.endMS, t.log.View(lo, hi))
+	b.bytes = batchOverheadBytes + t.rowBytes - w.bytesAt
 	t.pendingBytes -= b.bytes
-	if hi > lo {
-		b.Rows = t.log[lo:hi:hi]
-	}
 	return b
 }
 
@@ -264,15 +290,11 @@ func (t *TimeSlidingWindow) emitLocked(w openWindow) Batch {
 // only: emitted views may still read it, and its memory goes when the
 // log next grows into a new array.
 func (t *TimeSlidingWindow) compactLocked() {
-	keep := t.base + int64(len(t.log))
+	keep := t.tail()
 	if len(t.open) > 0 {
 		keep = t.open[0].start
 	}
-	if k := int(keep - t.base); k > 0 {
-		t.log = t.log[k:]
-		t.cols.DropPrefix(k)
-		t.base = keep
-	}
+	t.log.DropPrefix(keep - t.log.Start())
 }
 
 // noColumns is the columnar form every empty window shares.
@@ -292,7 +314,7 @@ func (t *TimeSlidingWindow) completeLocked(now int64) []Batch {
 			t.open = t.open[1:]
 		default:
 			pt := t.Spec.PulseTime(t.nextEmit)
-			out = append(out, Batch{WindowID: t.nextEmit, Start: pt - t.Spec.RangeMS, End: pt, cols: noColumns})
+			out = append(out, Batch{WindowID: t.nextEmit, Start: pt - t.Spec.RangeMS, End: pt})
 		}
 		t.nextEmit++
 	}
@@ -313,8 +335,7 @@ func (t *TimeSlidingWindow) Flush() []Batch {
 	if n := len(t.open); n > 0 {
 		t.nextEmit = t.open[n-1].id + 1
 	}
-	t.base += int64(len(t.log))
-	t.log, t.cols, t.open = nil, relation.ColLog{}, nil
+	t.log, t.open = relation.ColLog{}, nil
 	t.pendingBytes = 0
 	t.shed = nil
 	return out
@@ -352,23 +373,24 @@ func (t *TimeSlidingWindow) ShedOldestPending() (freed int64, ok bool) {
 
 // WindowState is a serializable snapshot of a TimeSlidingWindow taken
 // at a consistent cut: the emission cursor, the late-tuple bookkeeping
-// and the open windows as the operator holds them, one row log and
-// where in it each open window starts. Rows is the log from the oldest
-// open window's first row; open window i holds Rows[Open[i].Offset:].
-// Rows is a view of the live operator's log, capped to its length; the
-// log never writes where a view can see, so the snapshot stays stable
-// while the live operator keeps appending.
+// and the open windows as the operator holds them, one log and where in
+// it each open window starts. Log holds the rows from the oldest open
+// window's first one (nil when there are none); open window i holds
+// rows [Open[i].Offset, Log.Len()). A snapshot's Log is a view of the
+// live operator's column log, so it stays stable while the live
+// operator keeps appending, and names its position in that log (see
+// relation.ColBatch.Source).
 type WindowState struct {
 	Spec     WindowSpec
 	NextEmit int64
 	MaxTS    int64
 	Late     int64
-	Rows     []relation.Tuple
+	Log      *relation.ColBatch
 	Open     []OpenWindow
 }
 
 // OpenWindow is one open window of a snapshot: its id and bounds, and
-// the index in WindowState.Rows of its first row.
+// the row of WindowState.Log it starts at.
 type OpenWindow struct {
 	ID, Start, End int64
 	Offset         int
@@ -382,13 +404,13 @@ func (t *TimeSlidingWindow) Snapshot() WindowState {
 	if len(t.open) == 0 {
 		return st
 	}
-	first, hi := t.open[0].start, len(t.log)
-	if lo := int(first - t.base); hi > lo {
-		st.Rows = t.log[lo:hi:hi]
+	first := t.open[0].start
+	if lo, hi := first-t.log.Start(), t.log.Len(); hi > lo {
+		st.Log = t.log.View(lo, hi)
 	}
 	st.Open = make([]OpenWindow, len(t.open))
 	for i, w := range t.open {
-		st.Open[i] = OpenWindow{ID: w.id, Start: w.startMS, End: w.endMS, Offset: int(w.start - first)}
+		st.Open[i] = OpenWindow{ID: w.id, Start: w.startMS, End: w.endMS, Offset: w.start - first}
 	}
 	return st
 }
@@ -399,8 +421,8 @@ func (t *TimeSlidingWindow) Snapshot() WindowState {
 func (st *WindowState) Check() error {
 	for i, w := range st.Open {
 		switch {
-		case w.Offset < 0 || w.Offset > len(st.Rows):
-			return fmt.Errorf("stream: snapshot window %d starts at row %d of %d", w.ID, w.Offset, len(st.Rows))
+		case w.Offset < 0 || w.Offset > st.Log.Len():
+			return fmt.Errorf("stream: snapshot window %d starts at row %d of %d", w.ID, w.Offset, st.Log.Len())
 		case i > 0 && w.ID <= st.Open[i-1].ID:
 			return fmt.Errorf("stream: snapshot window %d follows window %d", w.ID, st.Open[i-1].ID)
 		case i > 0 && w.Offset < st.Open[i-1].Offset:
@@ -414,9 +436,9 @@ func (st *WindowState) Check() error {
 // restored operator continues exactly where the snapshot left off:
 // windows at or past NextEmit are still open, everything before it has
 // already been emitted and will never re-emit, and a window shed before
-// the snapshot stays shed. The operator adopts a copy of the snapshot's
-// log from the first window still open; a snapshot no operator could
-// have taken (see Check) is rejected.
+// the snapshot stays shed. The operator copies the snapshot's log from
+// the first window still open into a column log of its own; a snapshot
+// no operator could have taken (see Check) is rejected.
 func RestoreTimeSlidingWindow(st WindowState) (*TimeSlidingWindow, error) {
 	if err := st.Spec.Validate(); err != nil {
 		return nil, err
@@ -446,19 +468,18 @@ func RestoreTimeSlidingWindow(st WindowState) (*TimeSlidingWindow, error) {
 	if len(open) == 0 {
 		return t, nil
 	}
-	rows := st.Rows[open[0].Offset:]
-	t.log = make([]relation.Tuple, len(rows), max(2*len(rows), 8))
-	copy(t.log, rows)
+	first, n := open[0].Offset, st.Log.Len()
 	// cum[i] is the byte estimate of log rows [0, i).
-	cum := make([]int64, len(rows)+1)
-	for i, row := range rows {
-		t.cols.Append(row)
-		cum[i+1] = cum[i] + tupleBytes(row)
+	cum := make([]int64, n-first+1)
+	for i := first; i < n; i++ {
+		row := st.Log.Row(i)
+		t.log.Append(row)
+		cum[i-first+1] = cum[i-first] + tupleBytes(row)
 	}
-	t.rowBytes = cum[len(rows)]
+	t.rowBytes = cum[n-first]
 	for _, w := range open {
-		start := w.Offset - open[0].Offset
-		t.open = append(t.open, openWindow{id: w.ID, startMS: w.Start, endMS: w.End, start: int64(start), bytesAt: cum[start]})
+		start := w.Offset - first
+		t.open = append(t.open, openWindow{id: w.ID, startMS: w.Start, endMS: w.End, start: start, bytesAt: cum[start]})
 		t.pendingBytes += batchOverheadBytes + t.rowBytes - cum[start]
 	}
 	return t, nil

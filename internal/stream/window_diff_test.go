@@ -92,7 +92,7 @@ func sameValue(a, b relation.Value) bool {
 // columns (layout, NULLs and values, against a transpose of the
 // reference's rows). Bytes is checked before and after the columns are
 // read, and again when a batch is re-checked.
-func checkBatches(t *testing.T, where string, got, want []stream.Batch) {
+func checkBatches(t *testing.T, where string, got []stream.Batch, want []refBatch) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: emitted %d batches, reference %d", where, len(got), len(want))
@@ -103,18 +103,8 @@ func checkBatches(t *testing.T, where string, got, want []stream.Batch) {
 		if g.WindowID != w.WindowID || g.Start != w.Start || g.End != w.End {
 			t.Fatalf("%s: got window %d (%d, %d], want %d (%d, %d]", at, g.WindowID, g.Start, g.End, w.WindowID, w.Start, w.End)
 		}
-		if len(g.Rows) != len(w.Rows) {
-			t.Fatalf("%s: %d rows, reference %d", at, len(g.Rows), len(w.Rows))
-		}
-		for r := range g.Rows {
-			if len(g.Rows[r]) != len(w.Rows[r]) {
-				t.Fatalf("%s: row %d arity %d, reference %d", at, r, len(g.Rows[r]), len(w.Rows[r]))
-			}
-			for j := range g.Rows[r] {
-				if !sameValue(g.Rows[r][j], w.Rows[r][j]) {
-					t.Fatalf("%s: row %d = %v, reference %v", at, r, g.Rows[r], w.Rows[r])
-				}
-			}
+		if g.Len() != len(w.Rows) {
+			t.Fatalf("%s: %d rows, reference %d", at, g.Len(), len(w.Rows))
 		}
 		if g.Bytes() != w.Bytes() {
 			t.Fatalf("%s: Bytes %d, reference %d", at, g.Bytes(), w.Bytes())
@@ -130,8 +120,8 @@ func checkBatches(t *testing.T, where string, got, want []stream.Batch) {
 					gv.ElemType(), gv.HasNulls(), gv.Len(), wv.ElemType(), wv.HasNulls(), wv.Len())
 			}
 			for r := 0; r < gv.Len(); r++ {
-				if gv.IsNull(r) != wv.IsNull(r) || !sameValue(gv.Value(r), wv.Value(r)) {
-					t.Fatalf("%s: column %d row %d = %v, transpose %v", at, j, r, gv.Value(r), wv.Value(r))
+				if gv.IsNull(r) != wv.IsNull(r) || !sameValue(gv.Value(r), w.Rows[r][j]) {
+					t.Fatalf("%s: column %d row %d = %v, reference %v", at, j, r, gv.Value(r), w.Rows[r][j])
 				}
 			}
 		}
@@ -141,15 +131,34 @@ func checkBatches(t *testing.T, where string, got, want []stream.Batch) {
 	}
 }
 
-// viaCheckpoint round-trips a window snapshot through the checkpoint
-// codec, as failover does.
-func viaCheckpoint(t *testing.T, st stream.WindowState) stream.WindowState {
+// viaCheckpoint round-trips the snapshots of several operators over one
+// stream through the checkpoint codec, as failover does: one query
+// reads them all and holds each operator's last emitted window staged,
+// so the blob names runs of the operators' logs. It returns the decoded
+// snapshots and staged windows.
+func viaCheckpoint(t *testing.T, sts []stream.WindowState, staged []stream.Batch) ([]stream.WindowState, []stream.Batch) {
 	t.Helper()
-	ck, err := recovery.Decode(checkpointOf(st))
+	ck := &recovery.Checkpoint{Engine: recovery.EngineState{Queries: []recovery.QueryState{{ID: "q"}}}}
+	q := &ck.Engine.Queries[0]
+	pw := recovery.PendingWindow{End: 1, Batches: map[int]stream.Batch{}}
+	for i, st := range sts {
+		ck.Engine.Windows = append(ck.Engine.Windows, recovery.Window{WindowState: st})
+		q.Windows = append(q.Windows, i)
+		pw.Batches[i] = staged[i]
+	}
+	q.Pending = []recovery.PendingWindow{pw}
+	blob, _ := recovery.Encode(ck)
+	back, err := recovery.Decode(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ck.Engine.Window(&ck.Engine.Queries[0], 0).WindowState
+	var outSt []stream.WindowState
+	var outStaged []stream.Batch
+	for i := range sts {
+		outSt = append(outSt, back.Engine.Window(&back.Engine.Queries[0], i).WindowState)
+		outStaged = append(outStaged, back.Engine.Queries[0].Pending[0].Batches[i])
+	}
+	return outSt, outStaged
 }
 
 // checkpointOf encodes a checkpoint of one query reading one operator.
@@ -166,66 +175,101 @@ func checkpointOf(st stream.WindowState) []byte {
 // empty windows, sheds at random points, mid-stream snapshot→restore in
 // memory and through the checkpoint codec, a final flush) the
 // operator's every emission and its PendingBytes after every step equal
-// the per-window-copy reference's.
+// the per-window-copy reference's. Each seed runs up to three specs
+// over one stream; a restore through the codec checkpoints all their
+// operators in one blob, with each one's last emitted window staged,
+// and the staged windows must decode to the rows they held.
 func TestWindowOperatorMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		spec := randomSpec(rng)
-		input := randomInput(rng, 50+rng.Intn(400), spec)
-		op, err := stream.NewTimeSlidingWindow(spec)
-		if err != nil {
-			t.Fatal(err)
+		specs := make([]stream.WindowSpec, 1+rng.Intn(3))
+		for k := range specs {
+			specs[k] = randomSpec(rng)
 		}
-		ref := newRefWindow(spec)
-		var got, want []stream.Batch
-		emit := func(where string, g, w []stream.Batch) {
+		input := randomInput(rng, 50+rng.Intn(400), specs[0])
+		ops := make([]*stream.TimeSlidingWindow, len(specs))
+		refs := make([]*refWindow, len(specs))
+		last := make([]stream.Batch, len(specs)) // each operator's last emitted window
+		lastRef := make([]refBatch, len(specs))  // the reference's
+		var got []stream.Batch
+		var want []refBatch
+		for k, spec := range specs {
+			op, err := stream.NewTimeSlidingWindow(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops[k], refs[k] = op, newRefWindow(spec)
+		}
+		emit := func(k int, where string, g []stream.Batch, w []refBatch) {
 			checkBatches(t, where, g, w)
 			got, want = append(got, g...), append(want, w...)
+			if len(g) > 0 {
+				last[k], lastRef[k] = g[len(g)-1], w[len(w)-1]
+			}
 		}
-		where := func(i int, what string) string {
-			return fmt.Sprintf("seed %d spec %+v tuple %d %s", seed, spec, i, what)
+		where := func(k, i int, what string) string {
+			return fmt.Sprintf("seed %d spec %+v tuple %d %s", seed, specs[k], i, what)
 		}
 		for i, el := range input {
-			emit(where(i, "push"), op.Push(el), ref.push(el))
+			for k := range specs {
+				emit(k, where(k, i, "push"), ops[k].Push(el), refs[k].push(el))
+			}
 			switch r := rng.Intn(60); {
 			case r < 2:
-				freed, ok := op.ShedOldestPending()
-				rfreed, rok := ref.shedOldest()
+				k := rng.Intn(len(specs))
+				freed, ok := ops[k].ShedOldestPending()
+				rfreed, rok := refs[k].shedOldest()
 				if freed != rfreed || ok != rok {
-					t.Fatalf("%s: shed freed %d (%v), reference %d (%v)", where(i, "shed"), freed, ok, rfreed, rok)
+					t.Fatalf("%s: shed freed %d (%v), reference %d (%v)", where(k, i, "shed"), freed, ok, rfreed, rok)
 				}
 			case r < 4:
-				// Restore the operator from its own snapshot, from the
+				// Restore every operator from its own snapshot, from the
 				// reference's, or through the checkpoint codec; the
 				// reference restores from its own.
-				var st stream.WindowState
-				switch rng.Intn(3) {
-				case 0:
-					st = op.Snapshot()
-				case 1:
-					st = ref.snapshot()
-				default:
-					st = viaCheckpoint(t, op.Snapshot())
+				sts := make([]stream.WindowState, len(specs))
+				mode := rng.Intn(3)
+				for k := range specs {
+					switch mode {
+					case 0, 2:
+						sts[k] = ops[k].Snapshot()
+					case 1:
+						sts[k] = refs[k].snapshot()
+					}
 				}
-				if op, err = stream.RestoreTimeSlidingWindow(st); err != nil {
-					t.Fatalf("%s: %v", where(i, "restore"), err)
+				if mode == 2 {
+					var staged []stream.Batch
+					sts, staged = viaCheckpoint(t, sts, last)
+					for k := range specs {
+						checkBatches(t, where(k, i, "staged through the codec"), staged[k:k+1], lastRef[k:k+1])
+					}
 				}
-				ref = restoreRefWindow(ref.snapshot())
+				for k := range specs {
+					var err error
+					if ops[k], err = stream.RestoreTimeSlidingWindow(sts[k]); err != nil {
+						t.Fatalf("%s: %v", where(k, i, "restore"), err)
+					}
+					refs[k] = restoreRefWindow(refs[k].snapshot())
+				}
 			}
-			if op.PendingBytes() != ref.bytes {
-				t.Fatalf("%s: PendingBytes %d, reference %d", where(i, "after"), op.PendingBytes(), ref.bytes)
-			}
-			if op.Late != ref.late || op.Shed != ref.shedN {
-				t.Fatalf("%s: late %d shed %d, reference %d and %d", where(i, "after"), op.Late, op.Shed, ref.late, ref.shedN)
+			for k := range specs {
+				op, ref := ops[k], refs[k]
+				if op.PendingBytes() != ref.bytes {
+					t.Fatalf("%s: PendingBytes %d, reference %d", where(k, i, "after"), op.PendingBytes(), ref.bytes)
+				}
+				if op.Late != ref.late || op.Shed != ref.shedN {
+					t.Fatalf("%s: late %d shed %d, reference %d and %d", where(k, i, "after"), op.Late, op.Shed, ref.late, ref.shedN)
+				}
 			}
 		}
-		emit(where(len(input), "flush"), op.Flush(), ref.flush())
-		if op.PendingBytes() != 0 {
-			t.Fatalf("seed %d: PendingBytes %d after Flush", seed, op.PendingBytes())
+		for k := range specs {
+			emit(k, where(k, len(input), "flush"), ops[k].Flush(), refs[k].flush())
+			if ops[k].PendingBytes() != 0 {
+				t.Fatalf("seed %d: PendingBytes %d after Flush", seed, ops[k].PendingBytes())
+			}
 		}
 		// Every emitted window is a view of a log the operator kept
 		// appending to, compacting and growing: none may have changed.
-		checkBatches(t, fmt.Sprintf("seed %d spec %+v: at the end", seed, spec), got, want)
+		checkBatches(t, fmt.Sprintf("seed %d: at the end", seed), got, want)
 	}
 }
 
@@ -238,7 +282,7 @@ func TestRestoreRejectsInvalidOpenWindows(t *testing.T) {
 	good := stream.WindowState{
 		Spec:  stream.WindowSpec{RangeMS: 1000, SlideMS: 500},
 		MaxTS: 400,
-		Rows:  []relation.Tuple{row(1), row(2)},
+		Log:   relation.Transpose([]relation.Tuple{row(1), row(2)}),
 		Open:  []stream.OpenWindow{{ID: 1, Start: -500, End: 500, Offset: 0}, {ID: 2, Start: 0, End: 1000, Offset: 1}},
 	}
 	if _, err := stream.RestoreTimeSlidingWindow(good); err != nil {
@@ -268,7 +312,7 @@ func TestRestoreRejectsInvalidOpenWindows(t *testing.T) {
 }
 
 // TestEmittedWindowsStableUnderConcurrentPush reads emitted windows'
-// rows and columns on other goroutines while the operator keeps
+// columns on other goroutines while the operator keeps
 // pushing, growing and compacting its log (run it with -race): an
 // emitted window must never see a write.
 func TestEmittedWindowsStableUnderConcurrentPush(t *testing.T) {
@@ -284,12 +328,13 @@ func TestEmittedWindowsStableUnderConcurrentPush(t *testing.T) {
 			defer wg.Done()
 			for b := range work {
 				cb := b.Columns()
-				for i, row := range b.Rows {
-					if got := cb.Col(0).Value(i); !sameValue(got, row[0]) {
-						t.Errorf("window %d row %d: column %v, row %v", b.WindowID, i, got, row[0])
+				for i := 0; i < b.Len(); i++ {
+					ts, val := cb.Col(0).Value(i), cb.Col(1).Value(i)
+					if val.Float != float64(ts.Int) {
+						t.Errorf("window %d row %d: ts %v beside value %v", b.WindowID, i, ts, val)
 					}
-					if row[0].Int <= b.Start || row[0].Int > b.End {
-						t.Errorf("window %d (%d, %d] holds ts %d", b.WindowID, b.Start, b.End, row[0].Int)
+					if ts.Int <= b.Start || ts.Int > b.End {
+						t.Errorf("window %d (%d, %d] holds ts %d", b.WindowID, b.Start, b.End, ts.Int)
 					}
 				}
 				_ = b.Bytes()

@@ -15,7 +15,7 @@ import (
 // both over the same input and requires the same output.
 type refWindow struct {
 	spec     stream.WindowSpec
-	pending  map[int64]*stream.Batch
+	pending  map[int64]*refBatch
 	nextEmit int64
 	maxTS    int64
 	late     int64
@@ -24,11 +24,39 @@ type refWindow struct {
 	shedN    int64
 }
 
-func newRefWindow(spec stream.WindowSpec) *refWindow {
-	return &refWindow{spec: spec, pending: map[int64]*stream.Batch{}, maxTS: -1 << 62}
+// refBatch is one window of the reference: its id, bounds and a copy of
+// its rows, and the byte estimate of those rows.
+type refBatch struct {
+	WindowID, Start, End int64
+	Rows                 []relation.Tuple
+	rowBytes             int64
 }
 
-func (t *refWindow) push(el stream.Timestamped) []stream.Batch {
+// add appends one row to the window.
+func (b *refBatch) add(row relation.Tuple) {
+	b.Rows = append(b.Rows, row)
+	b.rowBytes += rowBytes(row)
+}
+
+// Bytes is the window's estimate under the operator's flat row model.
+func (b *refBatch) Bytes() int64 { return stream.Batch{}.Bytes() + b.rowBytes }
+
+// rowBytes is one row's share of a batch's estimate under the flat
+// row model (TestBatchBytesPinsFlatRowModel pins it): a tuple header
+// and, per value, a flat value plus its string payload.
+func rowBytes(row relation.Tuple) int64 {
+	n := int64(24)
+	for _, v := range row {
+		n += 48 + int64(len(v.Str))
+	}
+	return n
+}
+
+func newRefWindow(spec stream.WindowSpec) *refWindow {
+	return &refWindow{spec: spec, pending: map[int64]*refBatch{}, maxTS: -1 << 62}
+}
+
+func (t *refWindow) push(el stream.Timestamped) []refBatch {
 	if el.TS < t.maxTS {
 		t.late++
 		return nil
@@ -43,15 +71,15 @@ func (t *refWindow) push(el stream.Timestamped) []stream.Batch {
 			b, found := t.pending[id]
 			if !found {
 				pt := t.spec.PulseTime(id)
-				b = &stream.Batch{WindowID: id, Start: pt - t.spec.RangeMS, End: pt}
+				b = &refBatch{WindowID: id, Start: pt - t.spec.RangeMS, End: pt}
 				t.pending[id] = b
 				t.bytes += b.Bytes()
 			}
-			b.Rows = append(b.Rows, el.Row)
-			t.bytes += stream.Batch{Rows: []relation.Tuple{el.Row}}.Bytes() - stream.Batch{}.Bytes()
+			b.add(el.Row)
+			t.bytes += rowBytes(el.Row)
 		}
 	}
-	var out []stream.Batch
+	var out []refBatch
 	for t.spec.PulseTime(t.nextEmit) < el.TS {
 		if t.shed[t.nextEmit] {
 			delete(t.shed, t.nextEmit)
@@ -64,7 +92,7 @@ func (t *refWindow) push(el stream.Timestamped) []stream.Batch {
 			out = append(out, *b)
 		} else {
 			pt := t.spec.PulseTime(t.nextEmit)
-			out = append(out, stream.Batch{WindowID: t.nextEmit, Start: pt - t.spec.RangeMS, End: pt})
+			out = append(out, refBatch{WindowID: t.nextEmit, Start: pt - t.spec.RangeMS, End: pt})
 		}
 		t.nextEmit++
 	}
@@ -80,15 +108,15 @@ func (t *refWindow) ids() []int64 {
 	return ids
 }
 
-func (t *refWindow) flush() []stream.Batch {
+func (t *refWindow) flush() []refBatch {
 	ids := t.ids()
-	var out []stream.Batch
+	var out []refBatch
 	for _, id := range ids {
 		if id >= t.nextEmit {
 			out = append(out, *t.pending[id])
 		}
 	}
-	t.pending = map[int64]*stream.Batch{}
+	t.pending = map[int64]*refBatch{}
 	t.bytes = 0
 	t.shed = nil
 	if len(ids) > 0 && ids[len(ids)-1] >= t.nextEmit {
@@ -119,23 +147,34 @@ func (t *refWindow) shedOldest() (int64, bool) {
 // newer open window is a suffix of every older one).
 func (t *refWindow) snapshot() stream.WindowState {
 	st := stream.WindowState{Spec: t.spec, NextEmit: t.nextEmit, MaxTS: t.maxTS, Late: t.late}
+	var rows []relation.Tuple
 	for i, id := range t.ids() {
 		b := t.pending[id]
 		if i == 0 {
-			st.Rows = append([]relation.Tuple(nil), b.Rows...)
+			rows = b.Rows
 		}
-		st.Open = append(st.Open, stream.OpenWindow{ID: id, Start: b.Start, End: b.End, Offset: len(st.Rows) - len(b.Rows)})
+		st.Open = append(st.Open, stream.OpenWindow{ID: id, Start: b.Start, End: b.End, Offset: len(rows) - len(b.Rows)})
+	}
+	if len(rows) > 0 {
+		st.Log = relation.Transpose(rows)
 	}
 	return st
 }
 
 func restoreRefWindow(st stream.WindowState) *refWindow {
-	t := &refWindow{spec: st.Spec, pending: map[int64]*stream.Batch{}, nextEmit: st.NextEmit, maxTS: st.MaxTS, late: st.Late}
+	t := &refWindow{spec: st.Spec, pending: map[int64]*refBatch{}, nextEmit: st.NextEmit, maxTS: st.MaxTS, late: st.Late}
+	var rows []relation.Tuple
+	if st.Log != nil {
+		rows = st.Log.Rows()
+	}
 	for _, w := range st.Open {
 		if w.ID < st.NextEmit {
 			continue
 		}
-		b := &stream.Batch{WindowID: w.ID, Start: w.Start, End: w.End, Rows: append([]relation.Tuple(nil), st.Rows[w.Offset:]...)}
+		b := &refBatch{WindowID: w.ID, Start: w.Start, End: w.End}
+		for _, row := range rows[w.Offset:] {
+			b.add(row)
+		}
 		t.pending[w.ID] = b
 		t.bytes += b.Bytes()
 	}

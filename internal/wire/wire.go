@@ -122,6 +122,18 @@ func AppendRow(b []byte, row relation.Tuple) []byte {
 	return b
 }
 
+// AppendColumnsRows appends the first n rows of cb, each as AppendRow
+// appends a tuple.
+func AppendColumnsRows(b []byte, cb *relation.ColBatch, n int) []byte {
+	for i := 0; i < n; i++ {
+		b = binary.LittleEndian.AppendUint16(b, uint16(cb.Arity()))
+		for j := 0; j < cb.Arity(); j++ {
+			b = AppendValue(b, cb.Col(j).Value(i))
+		}
+	}
+	return b
+}
+
 // Reader decodes a payload. The first malformed or missing field sets a
 // sticky error; every later read returns a zero value, so a decoder
 // reads straight through and checks Err once at the end (or before an
